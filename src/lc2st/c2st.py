@@ -33,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .classifiers import QdaModel, quad_features, row_slices
 from .core import (
     ConfigurationError,
     LabeledPairDataset,
@@ -40,12 +41,14 @@ from .core import (
     NumericError,
     RngStream,
 )
+from .nets import sigmoid
 
 __all__ = [
     "t_acc",
     "t_mse",
     "t_mse0",
     "t_acc0",
+    "single_class_statistics",
     "p_value_from_null",
     "TestResult",
     "NullEnsemble",
@@ -145,6 +148,50 @@ def t_acc0(clf, points: np.ndarray, x_o: np.ndarray | None = None) -> float:
     return float(np.mean(d <= 0.5))
 
 
+def _stacked_coef(classifiers: list) -> np.ndarray | None:
+    """(features, classifiers) matrix of QDA coefficients; None unless all are QDA."""
+    if classifiers and all(isinstance(c, QdaModel) for c in classifiers):
+        return np.column_stack([c.coef for c in classifiers])
+    return None
+
+
+def _log_odds(clf, ws: np.ndarray) -> np.ndarray:
+    if hasattr(clf, "log_odds"):
+        return clf.log_odds(ws)
+    d = np.asarray(clf.predict_proba(ws), dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        return np.log(d) - np.log1p(-d)
+
+
+def _log_odds_blocks(classifiers: list, ws: np.ndarray, coef: np.ndarray | None):
+    """Yield (rows, classifiers) log-odds blocks over the row blocks of ``ws``:
+    one product with the stacked QDA ``coef``, else one column per classifier
+    (its ``log_odds``, or the logit of its ``predict_proba``)."""
+    ws = np.atleast_2d(np.asarray(ws, dtype=np.float64))
+    if coef is not None and ws.shape[1] != classifiers[0].dim:
+        raise ConfigurationError(f"expected feature dimension {classifiers[0].dim}, got {ws.shape[1]}")
+    for rows in row_slices(len(ws)):
+        block = ws[rows]
+        if coef is not None:
+            yield quad_features(block) @ coef
+        else:
+            yield np.array([_log_odds(clf, block) for clf in classifiers]).reshape(-1, len(block)).T
+
+
+def single_class_statistics(classifiers: list, ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``t_mse0`` and ``t_acc0`` of every classifier on the rows ``ws``, from
+    one scoring pass; d = sigmoid(log-odds) keeps the tie rule of ``t_acc0``."""
+    ws = np.atleast_2d(np.asarray(ws, dtype=np.float64))
+    if len(ws) == 0:
+        raise ConfigurationError("need at least one evaluation point")
+    sq, class0 = np.zeros(len(classifiers)), np.zeros(len(classifiers))
+    for logits in _log_odds_blocks(classifiers, ws, _stacked_coef(classifiers)):
+        d = sigmoid(logits)
+        sq += np.square(d - 0.5).sum(axis=0)
+        class0 += (d <= 0.5).sum(axis=0)
+    return sq / len(ws), class0 / len(ws)
+
+
 def p_value_from_null(statistic: float, null_statistics: np.ndarray, conservative: bool = False) -> float:
     """Permutation p-value of ``statistic`` against a null sample."""
     nulls = np.asarray(null_statistics, dtype=np.float64)
@@ -229,16 +276,19 @@ class TestResult:
 
 @dataclass
 class NullEnsemble:
-    """Classifiers fitted under the null construction, with their seed ledger."""
+    """Classifiers fitted under the null construction, with their seed ledger.
+    ``coef`` stacks the members' QDA coefficients once, at construction."""
 
     classifiers: list
     provenance: str  # 'permutation' | 'nf-resampled'
     streams: list[tuple[int, int]] = field(default_factory=list)
     latent_dim: int | None = None
+    coef: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.provenance not in ("permutation", "nf-resampled"):
             raise ConfigurationError(f"unknown ensemble provenance {self.provenance!r}")
+        self.coef = _stacked_coef(self.classifiers)
 
     def __len__(self) -> int:
         return len(self.classifiers)
@@ -330,9 +380,13 @@ def lc2st_train(
 
 
 def _evaluate_mse0(clf, ensemble: NullEnsemble, ws: np.ndarray):
-    stat = t_mse0(clf, ws)
-    nulls = np.array([t_mse0(member, ws) for member in ensemble.classifiers])
-    return stat, nulls
+    """``t_mse0`` of ``clf`` and of every null member on the rows ``ws``.
+    Members sum (d - 1/2)^2 as tanh(l/2)^2 / 4: no branch on the sign of l."""
+    sq = np.zeros(len(ensemble))
+    for logits in _log_odds_blocks(ensemble.classifiers, ws, ensemble.coef):
+        half = np.tanh(np.multiply(logits, 0.5, out=logits), out=logits)
+        sq += np.einsum("ij,ij->j", half, half)
+    return t_mse0(clf, ws), sq / (4.0 * len(ws))
 
 
 def lc2st_evaluate(
@@ -532,11 +586,6 @@ class PPPlotData:
         ]
 
 
-def _ecdf_at(values: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    sorted_vals = np.sort(values)
-    return np.searchsorted(sorted_vals, levels, side="right") / len(values)
-
-
 def pp_plot(
     clf,
     ensemble: NullEnsemble,
@@ -555,18 +604,21 @@ def pp_plot(
     if not (0.0 < alpha < 1.0):
         raise ConfigurationError("alpha must lie in (0, 1)")
     levels = default_levels() if levels is None else np.asarray(levels, dtype=np.float64)
-    if np.any(levels <= 0.0) or np.any(levels >= 1.0):
-        raise ConfigurationError("levels must lie strictly inside (0, 1)")
+    if np.any(levels <= 0.0) or np.any(levels >= 1.0) or np.any(np.diff(levels) < 0.0):
+        raise ConfigurationError("levels must be nondecreasing and lie strictly inside (0, 1)")
     if len(ensemble) == 0:
         raise ConfigurationError("pp_plot needs a nonempty null ensemble")
-    d0_main = 1.0 - np.asarray(clf.predict_proba(eval_ws))
-    cdf = _ecdf_at(d0_main, levels)
-    null_cdfs = np.vstack(
-        [_ecdf_at(1.0 - np.asarray(member.predict_proba(eval_ws)), levels) for member in ensemble.classifiers]
-    )
-    lower = np.quantile(null_cdfs, alpha / 2.0, axis=0)
-    upper = np.quantile(null_cdfs, 1.0 - alpha / 2.0, axis=0)
-    return PPPlotData(levels=levels, cdf=cdf, lower=lower, upper=upper)
+    # Column 0 is the main classifier.  Rows counted by the number of levels
+    # below their class-0 probability accumulate to the ECDF numerators.
+    models, width = [clf, *ensemble.classifiers], len(levels) + 1
+    counts = np.zeros(len(models) * width, dtype=np.int64)
+    for logits in _log_odds_blocks(models, eval_ws, _stacked_coef(models)):
+        below = np.searchsorted(levels, 1.0 - sigmoid(logits), side="left")
+        counts += np.bincount((below + width * np.arange(len(models))).ravel(), minlength=counts.size)
+    cdfs = np.cumsum(counts.reshape(len(models), width), axis=1)[:, :-1] / eval_ws.shape[0]
+    lower = np.quantile(cdfs[1:], alpha / 2.0, axis=0)
+    upper = np.quantile(cdfs[1:], 1.0 - alpha / 2.0, axis=0)
+    return PPPlotData(levels=levels, cdf=cdfs[0], lower=lower, upper=upper)
 
 
 # ---------------------------------------------------------------------------

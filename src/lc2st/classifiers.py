@@ -3,7 +3,8 @@
 Three families, all exposing ``predict_proba(ws) -> P(C=1 | w)``:
 
 * :func:`qda_fit` -- closed-form quadratic discriminant analysis, the Bayes
-  classifier when both classes are Gaussian;
+  classifier when both classes are Gaussian; its log-odds is one coefficient
+  vector over :func:`quad_features`, so ensembles stack into one matrix;
 * :func:`analytic_bayes` -- exact class probability p/(p+q) from a pair of
   log-densities, used as an oracle in tests;
 * :func:`mlp_fit` -- a small rectifier network with a sigmoid head trained by
@@ -19,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .core import (
     ConfigurationError,
@@ -33,6 +33,7 @@ from .nets import Adam, MlpParams, mlp_backward, mlp_forward, mlp_init, sigmoid
 
 __all__ = [
     "ProbClassifier",
+    "quad_features",
     "QdaModel",
     "qda_fit",
     "AnalyticBayesClassifier",
@@ -66,9 +67,37 @@ def _check_features(ws: np.ndarray, dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# Rows per scoring block: a block's features and a 101-member ensemble's
+# log-odds stay under 1 MB, so scoring never allocates multi-MB temporaries.
+BLOCK_ROWS = 1024
+
+
+def row_slices(n: int):
+    """Slices covering ``range(n)`` in blocks of at most ``BLOCK_ROWS`` rows."""
+    return (slice(start, start + BLOCK_ROWS) for start in range(0, n, BLOCK_ROWS))
+
+
+def quad_features(ws: np.ndarray) -> np.ndarray:
+    """Rows [w_i * w_j for i <= j (row-major), w, 1]: d(d+1)/2 + d + 1 columns."""
+    cols = np.atleast_2d(np.asarray(ws, dtype=np.float64)).T.copy()
+    dim, start = len(cols), 0
+    out = np.empty((dim * (dim + 3) // 2 + 1, cols.shape[1]))
+    for i in range(dim):
+        np.multiply(cols[i], cols[i:], out=out[start : start + dim - i])
+        start += dim - i
+    out[start:-1] = cols
+    out[-1] = 1.0
+    return out.T
+
+
 @dataclass
 class QdaModel:
-    """Gaussian class-conditional classifier with per-class mean/covariance."""
+    """Gaussian class-conditional classifier with per-class mean/covariance.
+
+    With precisions P_k, the log-odds is w'Aw + b'w + c for A = -(P1 - P0)/2,
+    b = P1 mu1 - P0 mu0 and c from the means, log-determinants and priors;
+    ``coef`` is [upper triangle of A, off-diagonals doubled; b; c].
+    """
 
     mu0: np.ndarray
     mu1: np.ndarray
@@ -76,10 +105,7 @@ class QdaModel:
     cov1: np.ndarray
     prior0: float = 0.5
     prior1: float = 0.5
-    _chol0: np.ndarray = field(init=False, repr=False)
-    _chol1: np.ndarray = field(init=False, repr=False)
-    _logdet0: float = field(init=False, repr=False)
-    _logdet1: float = field(init=False, repr=False)
+    coef: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.mu0 = np.asarray(self.mu0, dtype=np.float64).ravel()
@@ -89,27 +115,31 @@ class QdaModel:
         if not np.isclose(self.prior0 + self.prior1, 1.0):
             raise ConfigurationError("class priors must sum to one")
         try:
-            self._chol0 = np.linalg.cholesky(self.cov0)
-            self._chol1 = np.linalg.cholesky(self.cov1)
+            chols = np.linalg.cholesky(np.stack([self.cov0, self.cov1]))
         except np.linalg.LinAlgError as exc:
             raise FitError(f"class covariance is not positive definite: {exc}") from exc
-        self._logdet0 = 2.0 * float(np.sum(np.log(np.diag(self._chol0))))
-        self._logdet1 = 2.0 * float(np.sum(np.log(np.diag(self._chol1))))
+        inv_chols = np.linalg.inv(chols)
+        p0, p1 = np.swapaxes(inv_chols, 1, 2) @ inv_chols
+        ld0, ld1 = 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
+        quad = -0.5 * (p1 - p0)
+        lin0, lin1 = p0 @ self.mu0, p1 @ self.mu1
+        const = -0.5 * (self.mu1 @ lin1 - self.mu0 @ lin0 + ld1 - ld0) + np.log(self.prior1) - np.log(self.prior0)
+        sym = quad + quad.T - np.diag(np.diag(quad))
+        self.coef = np.concatenate([*(sym[i, i:] for i in range(self.dim)), lin1 - lin0, [const]])
 
     @property
     def dim(self) -> int:
         return self.mu0.shape[0]
 
-    def _log_gaussian(self, ws: np.ndarray, mu: np.ndarray, chol: np.ndarray, logdet: float) -> np.ndarray:
-        y = solve_triangular(chol, (ws - mu).T, lower=True)
-        quad = np.sum(y * y, axis=0)
-        return -0.5 * (quad + logdet + self.dim * np.log(2.0 * np.pi))
+    def log_odds(self, ws: np.ndarray) -> np.ndarray:
+        ws = _check_features(ws, self.dim)
+        out = np.empty(len(ws))
+        for rows in row_slices(len(ws)):
+            out[rows] = quad_features(ws[rows]) @ self.coef
+        return out
 
     def predict_proba(self, ws: np.ndarray) -> np.ndarray:
-        ws = _check_features(ws, self.dim)
-        score1 = np.log(self.prior1) + self._log_gaussian(ws, self.mu1, self._chol1, self._logdet1)
-        score0 = np.log(self.prior0) + self._log_gaussian(ws, self.mu0, self._chol0, self._logdet0)
-        return sigmoid(score1 - score0)
+        return sigmoid(self.log_odds(ws))
 
 
 def qda_fit(data: LabeledPairDataset, ridge: float | None = None) -> QdaModel:
@@ -217,12 +247,12 @@ class MlpModel:
     def _standardize(self, ws: np.ndarray) -> np.ndarray:
         return (ws - self.feat_mean) / self.feat_std
 
-    def logits(self, ws: np.ndarray) -> np.ndarray:
+    def log_odds(self, ws: np.ndarray) -> np.ndarray:
         ws = _check_features(ws, self.dim)
         return mlp_forward(self.params, self._standardize(ws)).ravel()
 
     def predict_proba(self, ws: np.ndarray) -> np.ndarray:
-        return sigmoid(self.logits(ws))
+        return sigmoid(self.log_odds(ws))
 
 
 def _bce_loss_and_grad(params: MlpParams, inputs: np.ndarray, labels: np.ndarray):

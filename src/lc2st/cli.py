@@ -123,9 +123,7 @@ def _run_local_test(args, task, fit_fn):
     cal = task.sample_joint(args.n_cal, stream.child("cal"))
     if args.method == "lc2st":
         estimator = _estimator(args, task)
-        data = c2st.lc2st_training_set(estimator, cal, stream.child("estimator"))
-        clf = fit_fn(data, stream.child("fit"))
-        ensemble = c2st.fit_null_ensemble(data, fit_fn, args.n_null, stream.child("null"))
+        clf, ensemble = c2st.lc2st_train(estimator, cal, fit_fn, args.n_null, stream)
         result = c2st.lc2st_evaluate(
             clf, ensemble, estimator, x_o, args.n_v, stream.child("test"),
             conservative=args.conservative,

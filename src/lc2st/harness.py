@@ -17,7 +17,7 @@ import os
 import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -113,21 +113,22 @@ class ExperimentPlan:
             return ExperimentPlan.from_dict(json.load(fh))
 
 
+_CLASSIFIER_KEYS = {"qda": {"ridge"}, "mlp": {f.name for f in fields(MlpConfig)}}
+
+
 def _classifier_fit(spec: dict):
-    kind = spec.get("kind", "qda")
+    """Fit function for a spec of ``kind`` plus ``ridge`` (QDA) or MlpConfig fields (MLP)."""
+    kind, params = spec.get("kind", "qda"), {k: v for k, v in spec.items() if k != "kind"}
+    if kind not in _CLASSIFIER_KEYS:
+        raise ConfigurationError(f"unknown classifier kind {kind!r}")
+    unknown = sorted(set(params) - _CLASSIFIER_KEYS[kind])
+    if unknown:
+        raise ConfigurationError(f"unknown {kind} classifier key {unknown[0]!r}; valid: {sorted(_CLASSIFIER_KEYS[kind])}")
     if kind == "qda":
-        return qda_factory(ridge=spec.get("ridge"))
-    if kind == "mlp":
-        cfg = MlpConfig(
-            hidden_sizes=tuple(spec["hidden_sizes"]) if "hidden_sizes" in spec else None,
-            hidden_mult=spec.get("hidden_mult", 10),
-            batch_size=spec.get("batch_size", 100),
-            learning_rate=spec.get("learning_rate", 1e-3),
-            max_epochs=spec.get("max_epochs", 1000),
-            patience=spec.get("patience", 20),
-        )
-        return mlp_factory(cfg)
-    raise ConfigurationError(f"unknown classifier kind {kind!r}")
+        return qda_factory(**params)
+    if params.get("hidden_sizes") is not None:
+        params["hidden_sizes"] = tuple(params["hidden_sizes"])
+    return mlp_factory(MlpConfig(**params))
 
 
 def _shift_vector(shift, m: int) -> np.ndarray:
@@ -501,12 +502,10 @@ def run_sigma_sweep(plan: ExperimentPlan) -> SigmaSweepResult:
             val_q = pair.sample_q(plan.n_v, stream.child("val"))
             clf = fit_fn(train, stream.child("fit"))
             ensemble = c2st.fit_null_ensemble(train, fit_fn, plan.n_null, stream.child("null"))
-            stat_mse0 = c2st.t_mse0(clf, val_q)
-            stat_acc0 = c2st.t_acc0(clf, val_q)
-            nulls_mse0 = np.array([c2st.t_mse0(m, val_q) for m in ensemble.classifiers])
-            nulls_acc0 = np.array([c2st.t_acc0(m, val_q) for m in ensemble.classifiers])
-            p_mse0 = c2st.p_value_from_null(stat_mse0, nulls_mse0)
-            p_acc0 = c2st.p_value_from_null(stat_acc0, nulls_acc0)
+            mse0, acc0 = c2st.single_class_statistics([clf, *ensemble.classifiers], val_q)
+            stat_mse0, stat_acc0 = float(mse0[0]), float(acc0[0])
+            p_mse0 = c2st.p_value_from_null(stat_mse0, mse0[1:])
+            p_acc0 = c2st.p_value_from_null(stat_acc0, acc0[1:])
             records.append(
                 {
                     "sigma": float(sig),

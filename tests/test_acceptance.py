@@ -2,12 +2,14 @@
 
 Each test runs one criterion end to end on seeded streams and prints a
 one-line PASS verdict (visible with ``pytest -v -s``).  Budgets are wall-clock
-ceilings for the whole criterion.
+ceilings for the whole criterion.  Every test carries the ``acceptance``
+marker, so ``pytest -m "not acceptance"`` runs the rest of the suite alone.
 """
 
 import time
 
 import numpy as np
+import pytest
 from scipy.stats import kstest
 
 from lc2st import (
@@ -36,6 +38,8 @@ from lc2st.harness import (
     run_sigma_sweep,
     run_type1,
 )
+
+pytestmark = pytest.mark.acceptance
 
 CONJUGATE = {"m": 2, "noise_std": 1.0}
 

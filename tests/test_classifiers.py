@@ -2,24 +2,33 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from lc2st import (
     FitError,
     GaussianShiftPair,
     LabeledPairDataset,
     MlpConfig,
+    NullEnsemble,
     RngStream,
     UndefinedPointError,
     analytic_bayes,
     calibration_curve,
     gaussian_shift_samples,
+    lc2st_evaluate,
+    load_classifier,
     mlp_fit,
     mlp_grad_check,
+    p_value_from_null,
     qda_fit,
+    save_classifier,
+    t_acc0,
     t_mse,
+    t_mse0,
 )
-from lc2st.classifiers import MlpModel, QdaModel
-from lc2st.nets import MlpParams, mlp_init, relu
+from lc2st.c2st import append_conditioning, single_class_statistics
+from lc2st.classifiers import BLOCK_ROWS, MlpModel, QdaModel
+from lc2st.nets import MlpParams, mlp_init, relu, sigmoid
 
 
 def gaussian_pair_data(sigma, n, seed, dim=2):
@@ -322,3 +331,141 @@ class TestCheckpoints:
         loaded = load_classifier(path)
         pts = np.random.default_rng(44).standard_normal((200, 2))
         assert np.array_equal(loaded.predict_proba(pts), clf.predict_proba(pts))
+
+
+def reference_log_odds(model, ws):
+    """Per-class Cholesky whitening by triangular solves: the scoring path the
+    quadratic-feature coefficients replaced, kept here only as the oracle."""
+    ws = np.atleast_2d(ws)
+
+    def log_density(mu, cov, prior):
+        chol = np.linalg.cholesky(cov)
+        y = solve_triangular(chol, (ws - mu).T, lower=True)
+        return np.log(prior) - 0.5 * (np.sum(y * y, axis=0) + 2.0 * np.sum(np.log(np.diag(chol))))
+
+    return log_density(model.mu1, model.cov1, model.prior1) - log_density(model.mu0, model.cov0, model.prior0)
+
+
+def assert_log_odds_match(model, ws):
+    """Agreement to 1e-10 relative, with an absolute floor of 1e-10 where the
+    log-odds cross zero.  Every evaluation of a quadratic form loses accuracy
+    in proportion to the covariance condition number, so beyond 1e4 the bound
+    grows with it."""
+    ref = reference_log_odds(model, ws)
+    cond = max(np.linalg.cond(model.cov0), np.linalg.cond(model.cov1))
+    tol = 1e-10 * (1.0 + np.abs(ref)) * max(1.0, cond / 1e4)
+    assert np.all(np.abs(model.log_odds(ws) - ref) <= tol)
+
+
+def distinct_classes(dim, seed, n=500):
+    rng = np.random.default_rng(seed)
+    return LabeledPairDataset.from_class_arrays(
+        rng.standard_normal((n, dim)), rng.standard_normal((n, dim)) * 1.3 + 0.3
+    )
+
+
+class _FixedDraws:
+    """Estimator stand-in whose evaluation draws are given points."""
+
+    def __init__(self, points):
+        self.points = points
+
+    def sample(self, x_o, n, stream):
+        return self.points[:n]
+
+
+def reference_mse0(model, ws):
+    return float(np.mean((sigmoid(reference_log_odds(model, ws)) - 0.5) ** 2))
+
+
+class TestQuadraticFeatureScoring:
+    @pytest.mark.parametrize("dim", [1, 2, 4, 6])
+    def test_log_odds_match_cholesky_path(self, dim):
+        clf = qda_fit(distinct_classes(dim, seed=70 + dim))
+        pts = np.random.default_rng(80 + dim).standard_normal((2000, dim))
+        assert_log_odds_match(clf, pts)
+        assert_log_odds_match(clf, pts + 30.0)  # far from both class means
+
+    def test_near_singular_covariance_under_default_ridge(self):
+        data = distinct_classes(4, seed=90)
+        ws = data.ws.copy()
+        ws[:, 3] = ws[:, 0]  # rank-deficient class covariances
+        clf = qda_fit(LabeledPairDataset(ws, data.labels))
+        assert np.linalg.cond(clf.cov0) > 1e5
+        pts = np.random.default_rng(91).standard_normal((2000, 4))
+        pts[:, 3] = pts[:, 0] + 1e-3 * np.random.default_rng(92).standard_normal(2000)
+        assert_log_odds_match(clf, pts)
+
+    def test_unequal_priors(self):
+        fit = qda_fit(distinct_classes(3, seed=93))
+        clf = QdaModel(fit.mu0, fit.mu1, fit.cov0, fit.cov1, prior0=0.1, prior1=0.9)
+        assert_log_odds_match(clf, np.random.default_rng(94).standard_normal((500, 3)))
+
+    def _ensemble(self, n_members, seed):
+        rng = np.random.default_rng(seed)
+        members = [
+            qda_fit(LabeledPairDataset.from_class_arrays(
+                rng.standard_normal((300, 4)), rng.standard_normal((300, 4)) * (1.0 + 0.05 * h)
+            ))
+            for h in range(n_members)
+        ]
+        return NullEnsemble(members, "permutation")
+
+    def test_blocked_ensemble_statistics_match_per_member_path(self):
+        ensemble = self._ensemble(7, seed=95)
+        main = qda_fit(distinct_classes(4, seed=96))
+        n_v = 2 * BLOCK_ROWS + 452  # the last block is partial
+        theta = np.random.default_rng(97).standard_normal((n_v, 2))
+        x_o = np.array([0.4, -1.2])
+        result = lc2st_evaluate(main, ensemble, _FixedDraws(theta), x_o, n_v, RngStream(seed=98))
+        ws = append_conditioning(theta, x_o)
+        expected = [reference_mse0(member, ws) for member in ensemble.classifiers]
+        np.testing.assert_allclose(result.null_statistics, expected, rtol=1e-10, atol=0)
+        assert result.statistic == pytest.approx(reference_mse0(main, ws), rel=1e-10)
+
+    def test_empty_ensemble(self):
+        main = qda_fit(distinct_classes(4, seed=99))
+        theta = np.random.default_rng(100).standard_normal((300, 2))
+        x_o = np.array([0.1, 0.2])
+        result = lc2st_evaluate(
+            main, NullEnsemble([], "permutation"), _FixedDraws(theta), x_o, 300, RngStream(seed=101)
+        )
+        assert result.null_statistics is None and result.n_h == 0
+        ws = append_conditioning(theta, x_o)
+        assert result.statistic == pytest.approx(reference_mse0(main, ws), rel=1e-10)
+
+    def test_single_pass_statistics_keep_tie_rule(self):
+        # identical classes: every log-odds is exactly 0, so d = 1/2 and the
+        # tie rule predicts class 0 for every row
+        tie = QdaModel(np.zeros(4), np.zeros(4), np.eye(4), np.eye(4))
+        members = [tie, *self._ensemble(4, seed=102).classifiers]
+        ws = np.random.default_rng(103).standard_normal((BLOCK_ROWS + 17, 4))
+        mse0, acc0 = single_class_statistics(members, ws)
+        assert acc0[0] == 1.0 and mse0[0] == 0.0
+        assert list(acc0) == [t_acc0(m, ws) for m in members]
+        np.testing.assert_allclose(mse0, [t_mse0(m, ws) for m in members], rtol=1e-12, atol=0)
+
+    def test_mlp_members_share_the_block_loop(self):
+        rng = np.random.default_rng(104)
+        members = [
+            mlp_fit(
+                LabeledPairDataset.from_class_arrays(rng.standard_normal((60, 4)), rng.standard_normal((60, 4))),
+                MlpConfig(hidden_sizes=(6,), max_epochs=3),
+                RngStream(seed=105 + h),
+            )
+            for h in range(3)
+        ]
+        ensemble = NullEnsemble(members, "permutation")
+        assert ensemble.coef is None
+        theta = rng.standard_normal((BLOCK_ROWS + 5, 2))
+        x_o = np.array([0.3, 0.3])
+        result = lc2st_evaluate(members[0], ensemble, _FixedDraws(theta), x_o, len(theta), RngStream(seed=108))
+        ws = append_conditioning(theta, x_o)
+        np.testing.assert_allclose(result.null_statistics, [t_mse0(m, ws) for m in members], rtol=1e-12, atol=0)
+        assert result.p_value == p_value_from_null(result.statistic, result.null_statistics)
+
+    def test_checkpoint_round_trip_keeps_coef_bytes(self, tmp_path):
+        clf = qda_fit(distinct_classes(4, seed=109))
+        path = tmp_path / "qda.json"
+        save_classifier(clf, path)
+        assert load_classifier(path).coef.tobytes() == clf.coef.tobytes()

@@ -40,6 +40,23 @@ def test_test_subcommand_writes_result_json(tmp_path):
     assert len(payload["x_o"]) == 2
 
 
+def test_lc2st_result_equals_library_train_and_evaluate(tmp_path):
+    # the CLI builds the paired-flip null of lc2st_train, not a free permutation
+    from lc2st import RngStream, derive_stream, lc2st_evaluate, lc2st_train, make_task, qda_factory
+
+    out = tmp_path / "r"
+    args = ["--n-cal", "400", "--n-null", "15", "--n-v", "300", "--x-seed", "3", "--seed", "5"]
+    assert main(["test", "--method", "lc2st", "--task", "gaussian_conjugate", *args, "--out", str(out)]) == 0
+    task = make_task("gaussian_conjugate")
+    _, x_o = task.observation(derive_stream(3, "obs", 0))
+    stream = derive_stream(5, "test")
+    cal = task.sample_joint(400, stream.child("cal"))
+    clf, ensemble = lc2st_train(task.reference, cal, qda_factory(), 15, stream)
+    expected = tmp_path / "expected.json"
+    lc2st_evaluate(clf, ensemble, task.reference, x_o, 300, stream.child("test")).save(expected)
+    assert (out / "result.json").read_text() == expected.read_text()
+
+
 def test_oracle_method_via_cli(tmp_path):
     out = tmp_path / "o"
     code = main(

@@ -51,6 +51,26 @@ class TestPlan:
         # degenerate alpha = 1 stays constructible for the trivial-rejection case
         ExperimentPlan(**{**SMALL_TYPE1, "alpha": 1.0})
 
+    @pytest.mark.parametrize(
+        "spec, key",
+        [({"kind": "mlp", "hiden_sizes": [8]}, "hiden_sizes"), ({"kind": "qda", "patience": 3}, "patience")],
+    )
+    def test_unknown_classifier_key_is_named(self, spec, key):
+        with pytest.raises(ConfigurationError, match=key):
+            run_type1(ExperimentPlan(**{**SMALL_TYPE1, "classifier": spec}))
+
+    def test_classifier_spec_sets_holdout_frac(self):
+        from lc2st import LabeledPairDataset, RngStream
+        from lc2st.harness import _classifier_fit
+
+        rng = np.random.default_rng(0)
+        data = LabeledPairDataset.from_class_arrays(rng.standard_normal((50, 2)), rng.standard_normal((50, 2)))
+        spec = {"kind": "mlp", "hidden_sizes": [4], "max_epochs": 2}
+        split = _classifier_fit({**spec, "holdout_frac": 0.2})(data, RngStream(seed=1))
+        whole = _classifier_fit({**spec, "holdout_frac": 0.0})(data, RngStream(seed=1))
+        assert split.metadata["n_train"] == 80 and split.metadata["holdout_loss"] is not None
+        assert whole.metadata["n_train"] == 100 and whole.metadata["holdout_loss"] is None
+
 
 class TestTypeOne:
     def test_smoke_and_records(self):
