@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifiers import QdaModel, quad_features, row_slices
+from .classifiers import BLOCK_ROWS, MlpModel, QdaModel, quad_features, row_slices
 from .core import (
     ConfigurationError,
     LabeledPairDataset,
@@ -148,11 +148,25 @@ def t_acc0(clf, points: np.ndarray, x_o: np.ndarray | None = None) -> float:
     return float(np.mean(d <= 0.5))
 
 
-def _stacked_coef(classifiers: list) -> np.ndarray | None:
-    """(features, classifiers) matrix of QDA coefficients; None unless all are QDA."""
+# Elements in one hidden activation of a stacked-MLP block: 1 MB of float64,
+# so larger ensembles are scored a chunk of members at a time.  Bigger
+# temporaries cost more in page faults than they save in calls.
+_MLP_CHUNK_ELEMENTS = 1 << 17
+
+
+def _stacks(classifiers: list) -> tuple[np.ndarray | None, list[MlpModel] | None]:
+    """The classifiers stacked once for scoring: a (features, classifiers)
+    matrix of QDA coefficients when all are QDA, member-axis MlpModels over
+    consecutive chunks of members when all are MLPs of one shape, else
+    (None, None)."""
     if classifiers and all(isinstance(c, QdaModel) for c in classifiers):
-        return np.column_stack([c.coef for c in classifiers])
-    return None
+        return np.column_stack([c.coef for c in classifiers]), None
+    if classifiers and all(isinstance(c, MlpModel) for c in classifiers):
+        if len({tuple(w.shape for w in c.params.weights) for c in classifiers}) == 1:
+            width = BLOCK_ROWS * max(w.shape[-1] for w in classifiers[0].params.weights)
+            size = max(1, _MLP_CHUNK_ELEMENTS // width)
+            return None, [MlpModel.stack(classifiers[i : i + size]) for i in range(0, len(classifiers), size)]
+    return None, None
 
 
 def _log_odds(clf, ws: np.ndarray) -> np.ndarray:
@@ -163,10 +177,11 @@ def _log_odds(clf, ws: np.ndarray) -> np.ndarray:
         return np.log(d) - np.log1p(-d)
 
 
-def _log_odds_blocks(classifiers: list, ws: np.ndarray, coef: np.ndarray | None):
+def _log_odds_blocks(classifiers: list, ws: np.ndarray, coef: np.ndarray | None, mlp: list[MlpModel] | None):
     """Yield (rows, classifiers) log-odds blocks over the row blocks of ``ws``:
-    one product with the stacked QDA ``coef``, else one column per classifier
-    (its ``log_odds``, or the logit of its ``predict_proba``)."""
+    one product with the stacked QDA ``coef``, one forward pass per stacked
+    ``mlp`` chunk, else one column per classifier (its ``log_odds``, or the
+    logit of its ``predict_proba``)."""
     ws = np.atleast_2d(np.asarray(ws, dtype=np.float64))
     if coef is not None and ws.shape[1] != classifiers[0].dim:
         raise ConfigurationError(f"expected feature dimension {classifiers[0].dim}, got {ws.shape[1]}")
@@ -174,6 +189,8 @@ def _log_odds_blocks(classifiers: list, ws: np.ndarray, coef: np.ndarray | None)
         block = ws[rows]
         if coef is not None:
             yield quad_features(block) @ coef
+        elif mlp is not None:
+            yield np.concatenate([stack.log_odds(block) for stack in mlp]).T
         else:
             yield np.array([_log_odds(clf, block) for clf in classifiers]).reshape(-1, len(block)).T
 
@@ -185,7 +202,7 @@ def single_class_statistics(classifiers: list, ws: np.ndarray) -> tuple[np.ndarr
     if len(ws) == 0:
         raise ConfigurationError("need at least one evaluation point")
     sq, class0 = np.zeros(len(classifiers)), np.zeros(len(classifiers))
-    for logits in _log_odds_blocks(classifiers, ws, _stacked_coef(classifiers)):
+    for logits in _log_odds_blocks(classifiers, ws, *_stacks(classifiers)):
         d = sigmoid(logits)
         sq += np.square(d - 0.5).sum(axis=0)
         class0 += (d <= 0.5).sum(axis=0)
@@ -277,18 +294,20 @@ class TestResult:
 @dataclass
 class NullEnsemble:
     """Classifiers fitted under the null construction, with their seed ledger.
-    ``coef`` stacks the members' QDA coefficients once, at construction."""
+    ``coef`` stacks the members' QDA coefficients and ``mlp`` their MLP
+    parameters (in chunks of members) once, at construction."""
 
     classifiers: list
     provenance: str  # 'permutation' | 'nf-resampled'
     streams: list[tuple[int, int]] = field(default_factory=list)
     latent_dim: int | None = None
     coef: np.ndarray | None = field(init=False, repr=False)
+    mlp: list[MlpModel] | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.provenance not in ("permutation", "nf-resampled"):
             raise ConfigurationError(f"unknown ensemble provenance {self.provenance!r}")
-        self.coef = _stacked_coef(self.classifiers)
+        self.coef, self.mlp = _stacks(self.classifiers)
 
     def __len__(self) -> int:
         return len(self.classifiers)
@@ -318,6 +337,8 @@ def fit_null_ensemble(
     marginals that classifiers pick up, inflating null statistics and skewing
     p-values conservative.  Requires the block layout produced by
     ``from_class_arrays`` with equal class counts.
+
+    One ``fit_fn.ensemble`` call fits every member.
     """
     if paired:
         k = data.n // 2
@@ -326,20 +347,17 @@ def fit_null_ensemble(
             raise ConfigurationError(
                 "paired permutation requires class-0 rows stacked above class-1 rows, equal counts"
             )
-    classifiers = []
-    streams = []
-    for h in range(n_null):
-        sub = stream.child("trial", h)
+
+    def permuted(sub: RngStream) -> LabeledPairDataset:
         rng = sub.child("perm").generator()
         if paired:
             flips = rng.random(data.n // 2) < 0.5
-            labels = np.concatenate([flips.astype(np.int64), 1 - flips.astype(np.int64)])
-            permuted = data.with_labels(labels)
-        else:
-            perm = rng.permutation(data.n)
-            permuted = data.with_labels(data.labels[perm])
-        classifiers.append(fit_fn(permuted, sub.child("fit")))
-        streams.append((sub.seed, sub.stream_id))
+            return data.with_labels(np.concatenate([flips.astype(np.int64), 1 - flips.astype(np.int64)]))
+        return data.with_labels(data.labels[rng.permutation(data.n)])
+
+    subs = [stream.child("trial", h) for h in range(n_null)]
+    classifiers = fit_fn.ensemble((permuted(sub) for sub in subs), [sub.child("fit") for sub in subs])
+    streams = [(sub.seed, sub.stream_id) for sub in subs]
     return NullEnsemble(classifiers=classifiers, provenance="permutation", streams=streams)
 
 
@@ -383,7 +401,7 @@ def _evaluate_mse0(clf, ensemble: NullEnsemble, ws: np.ndarray):
     """``t_mse0`` of ``clf`` and of every null member on the rows ``ws``.
     Members sum (d - 1/2)^2 as tanh(l/2)^2 / 4: no branch on the sign of l."""
     sq = np.zeros(len(ensemble))
-    for logits in _log_odds_blocks(ensemble.classifiers, ws, ensemble.coef):
+    for logits in _log_odds_blocks(ensemble.classifiers, ws, ensemble.coef, ensemble.mlp):
         half = np.tanh(np.multiply(logits, 0.5, out=logits), out=logits)
         sq += np.einsum("ij,ij->j", half, half)
     return t_mse0(clf, ws), sq / (4.0 * len(ws))
@@ -465,19 +483,16 @@ def lc2st_nf_null(
     if n_null < 1:
         raise ConfigurationError("n_null must be at least 1")
     cal_xs = np.atleast_2d(np.asarray(cal_xs, dtype=np.float64))
-    classifiers = []
-    streams = []
-    for h in range(n_null):
-        sub = stream.child("trial", h)
+
+    def resampled(sub: RngStream) -> LabeledPairDataset:
         rng = sub.child("z").generator()
         z0 = rng.standard_normal((cal_xs.shape[0], m))
         z1 = rng.standard_normal((cal_xs.shape[0], m))
-        data = LabeledPairDataset.from_class_arrays(
-            np.hstack([z0, cal_xs]),
-            np.hstack([z1, cal_xs]),
-        )
-        classifiers.append(fit_fn(data, sub.child("fit")))
-        streams.append((sub.seed, sub.stream_id))
+        return LabeledPairDataset.from_class_arrays(np.hstack([z0, cal_xs]), np.hstack([z1, cal_xs]))
+
+    subs = [stream.child("trial", h) for h in range(n_null)]
+    classifiers = fit_fn.ensemble((resampled(sub) for sub in subs), [sub.child("fit") for sub in subs])
+    streams = [(sub.seed, sub.stream_id) for sub in subs]
     return NullEnsemble(classifiers=classifiers, provenance="nf-resampled", streams=streams, latent_dim=m)
 
 
@@ -612,7 +627,7 @@ def pp_plot(
     # below their class-0 probability accumulate to the ECDF numerators.
     models, width = [clf, *ensemble.classifiers], len(levels) + 1
     counts = np.zeros(len(models) * width, dtype=np.int64)
-    for logits in _log_odds_blocks(models, eval_ws, _stacked_coef(models)):
+    for logits in _log_odds_blocks(models, eval_ws, *_stacks(models)):
         below = np.searchsorted(levels, 1.0 - sigmoid(logits), side="left")
         counts += np.bincount((below + width * np.arange(len(models))).ravel(), minlength=counts.size)
     cdfs = np.cumsum(counts.reshape(len(models), width), axis=1)[:, :-1] / eval_ws.shape[0]

@@ -8,7 +8,8 @@ Three families, all exposing ``predict_proba(ws) -> P(C=1 | w)``:
 * :func:`analytic_bayes` -- exact class probability p/(p+q) from a pair of
   log-densities, used as an oracle in tests;
 * :func:`mlp_fit` -- a small rectifier network with a sigmoid head trained by
-  minibatch Adam on binary cross-entropy with early stopping.
+  minibatch Adam on binary cross-entropy with early stopping; null ensembles
+  of such nets train as one stack, every member in the same Adam loop.
 
 The decision rule everywhere is ``predict 1 iff d > 1/2``: exact ties go to
 class 0, which makes accuracy statistics deterministic.
@@ -17,7 +18,7 @@ class 0, which makes accuracy statistics deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Callable, Iterable, Protocol
 
 import numpy as np
 
@@ -46,6 +47,8 @@ __all__ = [
     "calibration_curve",
     "save_classifier",
     "load_classifier",
+    "QdaFitter",
+    "MlpFitter",
     "qda_factory",
     "mlp_factory",
 ]
@@ -230,127 +233,227 @@ class MlpConfig:
     patience: int = 20
     holdout_frac: float = 0.1
 
+    def __post_init__(self) -> None:
+        for name in ("batch_size", "max_epochs", "patience", "hidden_mult"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"MlpConfig.{name} must be at least 1, got {getattr(self, name)!r}")
+        if self.hidden_sizes is not None and any(h < 1 for h in self.hidden_sizes):
+            raise ConfigurationError(f"MlpConfig.hidden_sizes entries must be at least 1, got {self.hidden_sizes!r}")
+        if not self.learning_rate > 0:
+            raise ConfigurationError(f"MlpConfig.learning_rate must be positive, got {self.learning_rate!r}")
+        if not 0 <= self.holdout_frac < 1:
+            raise ConfigurationError(f"MlpConfig.holdout_frac must lie in [0, 1), got {self.holdout_frac!r}")
+
 
 @dataclass
 class MlpModel:
-    """Fitted network plus the input standardization baked in at fit time."""
+    """Fitted network plus the input standardization baked in at fit time.
+
+    :meth:`stack` joins same-shaped models into one whose params carry a
+    leading member axis (see ``nets``); its ``log_odds`` has one row per member.
+    """
 
     params: MlpParams
     feat_mean: np.ndarray
     feat_std: np.ndarray
     metadata: dict
 
+    @staticmethod
+    def stack(models: list["MlpModel"]) -> "MlpModel":
+        return MlpModel(
+            params=MlpParams.stack([m.params for m in models]),
+            feat_mean=np.stack([m.feat_mean for m in models])[:, None, :],
+            feat_std=np.stack([m.feat_std for m in models])[:, None, :],
+            metadata={},
+        )
+
     @property
     def dim(self) -> int:
-        return self.params.weights[0].shape[0]
+        return self.params.weights[0].shape[-2]
 
     def _standardize(self, ws: np.ndarray) -> np.ndarray:
         return (ws - self.feat_mean) / self.feat_std
 
     def log_odds(self, ws: np.ndarray) -> np.ndarray:
         ws = _check_features(ws, self.dim)
-        return mlp_forward(self.params, self._standardize(ws)).ravel()
+        return mlp_forward(self.params, self._standardize(ws))[..., 0]
 
     def predict_proba(self, ws: np.ndarray) -> np.ndarray:
         return sigmoid(self.log_odds(ws))
 
 
-def _bce_loss_and_grad(params: MlpParams, inputs: np.ndarray, labels: np.ndarray):
+def _bce_losses(z: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Binary cross-entropy in logits, softplus(z) - y*z, averaged over the last axis."""
+    return np.mean(np.logaddexp(0.0, z) - labels * z, axis=-1)
+
+
+def _bce_loss_and_grad(params: MlpParams, inputs: np.ndarray, labels: np.ndarray, buffers=None):
+    acts, grads = (None, None) if buffers is None else buffers
     cache: list = []
-    z = mlp_forward(params, inputs, cache).ravel()
-    # mean over the batch of softplus(z) - y*z  (binary cross-entropy in logits)
-    loss = float(np.mean(np.logaddexp(0.0, z) - labels * z))
-    gz = ((sigmoid(z) - labels) / len(labels)).reshape(-1, 1)
-    gw, gb, _ = mlp_backward(params, cache, gz)
-    return loss, gw, gb
+    z = mlp_forward(params, inputs, cache, acts)[..., 0]
+    gz = ((sigmoid(z) - labels) / labels.shape[-1])[..., None]
+    gw, gb, _ = mlp_backward(params, cache, gz, grads)
+    return _bce_losses(z, labels), gw, gb
 
 
 def _bce_loss(params: MlpParams, inputs: np.ndarray, labels: np.ndarray) -> float:
-    z = mlp_forward(params, inputs).ravel()
-    return float(np.mean(np.logaddexp(0.0, z) - labels * z))
+    return float(_bce_losses(mlp_forward(params, inputs)[..., 0], labels))
+
+
+def _unflatten(flat: np.ndarray, shapes: list[tuple]) -> MlpParams:
+    """Stacked params viewing consecutive columns of ``flat`` (members, size);
+    ``shapes`` are one member's weight and bias shapes, interleaved."""
+    arrays, start = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        arrays.append(flat[:, start : start + size].reshape(len(flat), *shape))
+        start += size
+    return MlpParams(arrays[0::2], arrays[1::2])
+
+
+def _first_failing(ok: np.ndarray) -> int | None:
+    return None if ok.all() else int(np.argmin(ok))
+
+
+def _fit_lockstep(datasets: list[LabeledPairDataset], cfg: MlpConfig, streams: list[RngStream]) -> list[MlpModel]:
+    """Train one network per dataset, all members in one minibatch Adam loop.
+
+    Every member draws its initialization, holdout split and per-epoch
+    shuffles from its own stream and stops early on its own holdout loss, so
+    member h is bit for bit the net that training on ``datasets[h]`` alone
+    gives.  Members that stop are dropped from the stacked arrays.  The
+    datasets must share one shape; members that share one feature matrix (a
+    label-permutation null) gather their batches from it.  Divergence
+    (non-finite loss or parameters) raises ``TrainingError`` naming the
+    member and the epoch.
+    """
+    n_members = len(datasets)
+    if len(streams) != n_members:
+        raise ConfigurationError(f"got {len(streams)} streams for {n_members} datasets")
+    if n_members == 0:
+        return []
+    first = datasets[0]
+    for data in datasets:
+        if data.n_class0 < 1 or data.n_class1 < 1:
+            raise FitError("need at least one sample per class")
+        if data.ws.shape != first.ws.shape:
+            raise ConfigurationError(f"ensemble datasets differ in shape: {data.ws.shape} vs {first.ws.shape}")
+    n, dim = first.n, first.dim
+
+    shared = all(data.ws is first.ws for data in datasets)
+    sources = [first] if shared else datasets
+    feat_mean = [data.ws.mean(axis=0) for data in sources]
+    feat_std = [np.where(s < 1e-12, 1.0, s) for s in (data.ws.std(axis=0) for data in sources)]
+    feats = np.concatenate([(d.ws - mu) / sd for d, mu, sd in zip(sources, feat_mean, feat_std)])
+    offsets = np.zeros((n_members, 1), dtype=np.int64) if shared else n * np.arange(n_members)[:, None]
+    labels = np.stack([data.labels for data in datasets]).astype(np.float64)
+
+    hidden = cfg.hidden_sizes if cfg.hidden_sizes is not None else (cfg.hidden_mult * dim,) * 2
+    inits = [mlp_init([dim, *hidden, 1], s.child("init")).flat() for s in streams]
+    shapes = [np.atleast_2d(a).shape for a in inits[0]]
+    # All parameters of a member in one row, so Adam, the best-epoch copy and
+    # the finiteness check each touch one array.
+    flat = np.stack([np.concatenate([a.ravel() for a in arrays]) for arrays in inits])
+
+    n_val = int(round(cfg.holdout_frac * n))
+    use_val = 1 <= n_val <= n - 2
+    n_val = n_val if use_val else 0
+    perms = np.stack([s.child("holdout").generator().permutation(n) for s in streams])
+    val_idx, tr_idx = perms[:, :n_val], perms[:, n_val:]
+    n_tr = n - n_val
+    tr_rows, tr_labels = tr_idx + offsets, np.take_along_axis(labels, tr_idx, axis=1)
+    x_val, y_val = feats[val_idx + offsets], np.take_along_axis(labels, val_idx, axis=1)
+    shufflers = [s.child("shuffle").generator() for s in streams]
+
+    # Per-member state is indexed by the member; the stacked arrays hold only
+    # the members still training, in the order of ``active``.
+    active = np.arange(n_members)
+    opt = Adam([flat], lr=cfg.learning_rate)
+    params, best = _unflatten(flat, shapes), flat.copy()
+    best_val = np.full(n_members, np.inf)
+    best_epoch = np.zeros(n_members, dtype=np.int64)
+    since_best = np.zeros(n_members, dtype=np.int64)
+    epochs_run = np.full(n_members, cfg.max_epochs)
+    last_loss = np.full(n_members, np.nan)
+    x_epoch = np.empty((n_members, n_tr, dim))
+    # step buffers, allocated once: fresh arrays of this size cost more in
+    # page faults than the arithmetic; views of the first members and rows
+    # serve a compacted stack and a short last batch
+    rows = min(cfg.batch_size, n_tr)
+    acts = [np.empty((n_members, rows, w.shape[-1])) for w in params.weights]
+    grad_in = [np.empty((n_members, rows, w.shape[-2])) for w in params.weights]
+    grad = np.empty_like(flat)
+    grads = _unflatten(grad, shapes)
+    for epoch in range(cfg.max_epochs):
+        order = np.stack([shufflers[h].permutation(n_tr) for h in active])
+        xs = np.take(feats, np.take_along_axis(tr_rows, order, axis=1), axis=0, out=x_epoch[: len(active)], mode="clip")
+        ys = np.take_along_axis(tr_labels, order, axis=1)
+        for start in range(0, n_tr, cfg.batch_size):
+            batch = slice(start, start + cfg.batch_size)
+            xb, yb = xs[:, batch], ys[:, batch]
+            k, b = yb.shape
+            out = [a[:k, :b] for a in acts], (grads.weights, grads.biases, [g[:k, :b] for g in grad_in])
+            loss, _, _ = _bce_loss_and_grad(params, xb, yb, out)
+            bad = _first_failing(np.isfinite(loss))
+            if bad is not None:
+                h = active[bad]
+                raise TrainingError(
+                    f"member {h}: loss diverged at epoch {epoch} (loss={loss[bad]}); "
+                    f"last finite loss {last_loss[h]}"
+                )
+            opt.step([grad[:k]])
+            last_loss[active] = loss
+        bad = _first_failing(np.isfinite(flat).all(axis=1))
+        if bad is not None:
+            raise TrainingError(f"member {active[bad]}: parameters diverged at epoch {epoch}")
+        if not use_val:
+            continue
+        val_loss = _bce_losses(mlp_forward(params, x_val)[..., 0], y_val)
+        improved = val_loss < best_val[active]
+        better = active[improved]
+        best_val[better] = val_loss[improved]
+        best_epoch[better] = epoch + 1
+        best[better] = flat[improved]
+        since_best[active] = np.where(improved, 0, since_best[active] + 1)
+        stop = since_best[active] >= cfg.patience
+        if stop.any():
+            epochs_run[active[stop]] = epoch + 1
+            keep = ~stop
+            active = active[keep]
+            if len(active) == 0:
+                break
+            (flat,) = opt.take(keep)
+            params, grads = _unflatten(flat, shapes), _unflatten(grad[: len(active)], shapes)
+            tr_rows, tr_labels, x_val, y_val = tr_rows[keep], tr_labels[keep], x_val[keep], y_val[keep]
+
+    final = _unflatten(best if use_val else flat, shapes)
+    metadata = {"hidden_sizes": tuple(int(h) for h in hidden), "n_train": n_tr}
+    return [
+        MlpModel(
+            params=MlpParams([w[h] for w in final.weights], [b[h, 0] for b in final.biases]),
+            feat_mean=feat_mean[0 if shared else h],
+            feat_std=feat_std[0 if shared else h],
+            metadata={
+                **metadata,
+                "epochs_run": int(epochs_run[h]),
+                "best_epoch": int(best_epoch[h] if use_val else epochs_run[h]),
+                "final_train_loss": float(last_loss[h]),
+                "holdout_loss": float(best_val[h]) if use_val else None,
+            },
+        )
+        for h in range(n_members)
+    ]
 
 
 def mlp_fit(data: LabeledPairDataset, cfg: MlpConfig | None = None, stream: RngStream | None = None) -> MlpModel:
     """Train the rectifier network on a balanced labeled dataset.
 
     Deterministic given ``stream``: initialization, the holdout split, and the
-    per-epoch shuffles all derive from it.  Divergence (non-finite loss or
-    parameters) raises ``TrainingError`` with the epoch in the message.
+    per-epoch shuffles all derive from it.  This is the one-member case of
+    the lockstep ensemble trainer; divergence raises ``TrainingError``
+    naming member 0 and the epoch.
     """
-    cfg = cfg or MlpConfig()
-    stream = stream or RngStream(seed=0)
-    n0, n1 = data.n_class0, data.n_class1
-    if n0 < 1 or n1 < 1:
-        raise FitError("need at least one sample per class")
-
-    feat_mean = data.ws.mean(axis=0)
-    feat_std = data.ws.std(axis=0)
-    feat_std = np.where(feat_std < 1e-12, 1.0, feat_std)
-    ws = (data.ws - feat_mean) / feat_std
-    labels = data.labels.astype(np.float64)
-
-    dim = data.dim
-    hidden = cfg.hidden_sizes if cfg.hidden_sizes is not None else (cfg.hidden_mult * dim,) * 2
-    params = mlp_init([dim, *hidden, 1], stream.child("init"))
-
-    n = data.n
-    holdout_rng = stream.child("holdout").generator()
-    perm = holdout_rng.permutation(n)
-    n_val = int(round(cfg.holdout_frac * n))
-    use_val = 1 <= n_val <= n - 2
-    val_idx, train_idx = (perm[:n_val], perm[n_val:]) if use_val else (perm[:0], perm)
-    ws_tr, y_tr = ws[train_idx], labels[train_idx]
-    ws_val, y_val = ws[val_idx], labels[val_idx]
-
-    opt = Adam(params.flat(), lr=cfg.learning_rate)
-    shuffle_rng = stream.child("shuffle").generator()
-    best_val = np.inf
-    best_params = params.copy()
-    best_epoch = 0
-    since_best = 0
-    last_loss = np.nan
-    epochs_run = 0
-    for epoch in range(cfg.max_epochs):
-        epochs_run = epoch + 1
-        order = shuffle_rng.permutation(len(ws_tr))
-        for start in range(0, len(ws_tr), cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            loss, gw, gb = _bce_loss_and_grad(params, ws_tr[idx], y_tr[idx])
-            if not np.isfinite(loss):
-                raise TrainingError(
-                    f"loss diverged at epoch {epoch} (loss={loss}); "
-                    f"last finite loss {last_loss}"
-                )
-            grads: list[np.ndarray] = []
-            for w, b in zip(gw, gb):
-                grads.append(w)
-                grads.append(b)
-            opt.step(grads)
-            last_loss = loss
-        if not params.all_finite():
-            raise TrainingError(f"parameters diverged at epoch {epoch}")
-        if use_val:
-            val_loss = _bce_loss(params, ws_val, y_val)
-            if val_loss < best_val:
-                best_val = val_loss
-                best_params = params.copy()
-                best_epoch = epochs_run
-                since_best = 0
-            else:
-                since_best += 1
-                if since_best >= cfg.patience:
-                    break
-    if use_val:
-        params = best_params
-    metadata = {
-        "hidden_sizes": tuple(int(h) for h in hidden),
-        "epochs_run": epochs_run,
-        "best_epoch": best_epoch if use_val else epochs_run,
-        "final_train_loss": last_loss,
-        "holdout_loss": best_val if use_val else None,
-        "n_train": int(len(ws_tr)),
-    }
-    return MlpModel(params=params, feat_mean=feat_mean, feat_std=feat_std, metadata=metadata)
+    return _fit_lockstep([data], cfg or MlpConfig(), [stream or RngStream(seed=0)])[0]
 
 
 def mlp_grad_check(model: MlpModel, ws: np.ndarray, labels: np.ndarray, step: float = 1e-5) -> float:
@@ -492,23 +595,43 @@ def load_classifier(path):
 
 
 # ---------------------------------------------------------------------------
-# Factories (uniform fit interface for the test procedures)
+# Fitters (uniform fit interface for the test procedures): ``fit(data, stream)``
+# fits one classifier, ``fit.ensemble(datasets, streams)`` a null ensemble
 # ---------------------------------------------------------------------------
 
 
-def qda_factory(ridge: float | None = None):
-    """Fit function ``(data, stream) -> QdaModel``; QDA ignores the stream."""
+@dataclass(frozen=True)
+class QdaFitter:
+    """QDA fit ``(data, stream) -> QdaModel``; QDA ignores the stream."""
 
-    def fit(data: LabeledPairDataset, stream: RngStream) -> QdaModel:
-        return qda_fit(data, ridge=ridge)
+    ridge: float | None = None
 
-    return fit
+    def __call__(self, data: LabeledPairDataset, stream: RngStream) -> QdaModel:
+        return qda_fit(data, ridge=self.ridge)
+
+    def ensemble(self, datasets: Iterable[LabeledPairDataset], streams: list[RngStream]) -> list[QdaModel]:
+        """One fit per dataset, in turn, so a lazy ``datasets`` holds one at a
+        time.  Fitting all members from stacked class moments would go here."""
+        return [self(data, stream) for data, stream in zip(datasets, streams)]
 
 
-def mlp_factory(cfg: MlpConfig | None = None):
-    """Fit function ``(data, stream) -> MlpModel`` with a fixed config."""
+@dataclass(frozen=True)
+class MlpFitter:
+    """MLP fit ``(data, stream) -> MlpModel`` with a fixed config."""
 
-    def fit(data: LabeledPairDataset, stream: RngStream) -> MlpModel:
-        return mlp_fit(data, cfg, stream)
+    cfg: MlpConfig = field(default_factory=MlpConfig)
 
-    return fit
+    def __call__(self, data: LabeledPairDataset, stream: RngStream) -> MlpModel:
+        return mlp_fit(data, self.cfg, stream)
+
+    def ensemble(self, datasets: Iterable[LabeledPairDataset], streams: list[RngStream]) -> list[MlpModel]:
+        """All members trained in lockstep; member h equals ``self(datasets[h], streams[h])``."""
+        return _fit_lockstep(list(datasets), self.cfg, list(streams))
+
+
+def qda_factory(ridge: float | None = None) -> QdaFitter:
+    return QdaFitter(ridge)
+
+
+def mlp_factory(cfg: MlpConfig | None = None) -> MlpFitter:
+    return MlpFitter(cfg or MlpConfig())

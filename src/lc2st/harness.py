@@ -21,7 +21,6 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import c2st
 from .classifiers import MlpConfig, mlp_factory, qda_factory
@@ -580,6 +579,10 @@ def run_oracle_correlation(plan: ExperimentPlan, n_permutations: int = 10_000) -
             clf, estimator.sample(x_o, plan.n_v, stream.child("leval")), x_o
         )
         pairs.append({"obs_index": i, "distortion_frac": frac, "oracle": oracle_stat, "local": local_stat})
+
+    # imported here, not at module level: scipy.stats is most of the time and
+    # memory of `import lc2st`, and only this study needs it
+    from scipy.stats import rankdata
 
     a = rankdata([p["oracle"] for p in pairs])
     b = rankdata([p["local"] for p in pairs])

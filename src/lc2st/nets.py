@@ -3,6 +3,12 @@
 Plain-numpy multilayer perceptrons with rectifier hidden layers, manual
 backpropagation, and an Adam optimizer.  Kept deliberately minimal: dense
 layers only, float64 throughout, deterministic given an RngStream.
+
+Parameters may carry a leading member axis: weights (H, fan_in, fan_out) and
+biases (H, 1, fan_out) hold H independent nets, as ``torch.func``'s stacked
+module state does.  The same forward, backward and Adam code serves both
+layouts through ``np.matmul`` broadcasting, and member h of a stack computes
+bit for bit what the 2-D net of its slices computes.
 """
 
 from __future__ import annotations
@@ -19,13 +25,11 @@ def relu(a: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(a: np.ndarray) -> np.ndarray:
-    # Stable in both tails.
-    out = np.empty_like(a, dtype=np.float64)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    e = np.exp(a[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # Stable in both tails: 1 / (1 + e^-a) for a >= 0 and e^a / (1 + e^a)
+    # below, both from e = exp(-|a|), which never overflows.  min(a, -a)
+    # passes a NaN through with its sign, as the branch-per-sign form did.
+    e = np.exp(np.minimum(a, -a))
+    return np.where(a >= 0, 1.0, e) / (1.0 + e)
 
 
 class MlpParams:
@@ -34,6 +38,14 @@ class MlpParams:
     def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
         self.weights = weights
         self.biases = biases
+
+    @staticmethod
+    def stack(members: list["MlpParams"]) -> "MlpParams":
+        """One stack of same-shaped 2-D nets: (H, fan_in, fan_out) weights, (H, 1, fan_out) biases."""
+        return MlpParams(
+            [np.stack(ws) for ws in zip(*(p.weights for p in members))],
+            [np.stack(bs)[:, None, :] for bs in zip(*(p.biases for p in members))],
+        )
 
     @property
     def n_layers(self) -> int:
@@ -45,12 +57,6 @@ class MlpParams:
             out.append(w)
             out.append(b)
         return out
-
-    def copy(self) -> "MlpParams":
-        return MlpParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
-    def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(a)) for a in self.flat())
 
 
 def mlp_init(
@@ -78,14 +84,26 @@ def mlp_init(
     return MlpParams(weights, biases)
 
 
-def mlp_forward(params: MlpParams, inputs: np.ndarray, cache: list | None = None) -> np.ndarray:
-    """Linear output of the net; pass ``cache=[]`` to record activations for backward."""
+def mlp_forward(
+    params: MlpParams,
+    inputs: np.ndarray,
+    cache: list | None = None,
+    out: list[np.ndarray] | None = None,
+) -> np.ndarray:
+    """Linear output of the net; pass ``cache=[]`` to record activations for backward.
+
+    For stacked params, ``inputs`` is (H, n, fan_in), or (n, fan_in) shared by
+    every member, and the output is (H, n, fan_out).  ``out`` gives one array
+    per layer to hold that layer's output, so repeated passes reuse memory.
+    """
     h = inputs
     if cache is not None:
         cache.append(h)
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-        a = h @ w + b
-        h = a if k == params.n_layers - 1 else relu(a)
+        h = np.matmul(h, w, out=None if out is None else out[k])
+        h += b
+        if k != params.n_layers - 1:
+            np.maximum(h, 0.0, out=h)
         if cache is not None:
             cache.append(h)
     return h
@@ -95,27 +113,38 @@ def mlp_backward(
     params: MlpParams,
     cache: list,
     grad_out: np.ndarray,
+    out: tuple[list, list, list] | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
     """Backprop ``grad_out`` (d loss / d linear output) through a cached forward.
 
-    Returns (weight grads, bias grads, grad wrt inputs).
+    Returns (weight grads, bias grads, grad wrt inputs), shaped like the
+    params and the inputs.  ``out`` = (weight grads, bias grads, grads wrt
+    each layer's input) gives arrays to hold the results.
     """
-    gw = [np.zeros_like(w) for w in params.weights]
-    gb = [np.zeros_like(b) for b in params.biases]
+    n = params.n_layers
+    gw, gb, g_in = out if out is not None else ([None] * n, [None] * n, [None] * n)
     g = grad_out
-    for k in range(params.n_layers - 1, -1, -1):
-        h_in = cache[k]
-        if k != params.n_layers - 1:
+    for k in range(n - 1, -1, -1):
+        if k != n - 1:
             # relu applied after this layer's affine map: gate by activation sign
-            g = g * (cache[k + 1] > 0)
-        gw[k] = h_in.T @ g
-        gb[k] = g.sum(axis=0)
-        g = g @ params.weights[k].T
+            np.multiply(g, cache[k + 1] > 0, out=g)
+        w_t = np.swapaxes(params.weights[k], -1, -2)
+        gw[k] = np.matmul(np.swapaxes(cache[k], -1, -2), g, out=gw[k])
+        summed = g.shape[:-2] + g.shape[-1:]
+        gb[k] = np.sum(g, axis=-2, out=None if gb[k] is None else gb[k].reshape(summed)).reshape(params.biases[k].shape)
+        # one output unit: the product is an outer product, exact either way
+        # and much faster as a broadcast
+        g = np.multiply(g, w_t, out=g_in[k]) if g.shape[-1] == 1 else np.matmul(g, w_t, out=g_in[k])
     return gw, gb, g
 
 
 class Adam:
-    """Adaptive-moment gradient descent over a list of parameter arrays."""
+    """Adaptive-moment gradient descent over a list of parameter arrays.
+
+    Stacked members advance together and share the step count, so each
+    member's update is the one it would take alone.  Every step works in
+    two scratch arrays per parameter array, allocated once.
+    """
 
     def __init__(self, arrays: list[np.ndarray], lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.arrays = arrays
@@ -125,15 +154,31 @@ class Adam:
         self.eps = eps
         self.m = [np.zeros_like(a) for a in arrays]
         self.v = [np.zeros_like(a) for a in arrays]
+        self.scratch = [(np.empty_like(a), np.empty_like(a)) for a in arrays]
         self.t = 0
 
     def step(self, grads: list[np.ndarray]) -> None:
         self.t += 1
         b1t = 1.0 - self.beta1**self.t
         b2t = 1.0 - self.beta2**self.t
-        for a, g, m, v in zip(self.arrays, grads, self.m, self.v):
+        # a -= lr * (m / b1t) / (sqrt(v / b2t) + eps), evaluated in that order
+        for a, g, m, v, (x, y) in zip(self.arrays, grads, self.m, self.v, self.scratch):
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=x)
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            a -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            np.multiply(g, 1.0 - self.beta2, out=x)
+            v += np.multiply(x, g, out=x)
+            np.sqrt(np.divide(v, b2t, out=x), out=x)
+            x += self.eps
+            np.divide(m, b1t, out=y)
+            y *= self.lr
+            a -= np.divide(y, x, out=y)
+
+    def take(self, members: np.ndarray) -> list[np.ndarray]:
+        """Keep the selected members of stacked arrays, with their moments;
+        returns the new parameter arrays."""
+        self.arrays = [a[members] for a in self.arrays]
+        self.m = [m[members] for m in self.m]
+        self.v = [v[members] for v in self.v]
+        self.scratch = [(x[: len(a)], y[: len(a)]) for a, (x, y) in zip(self.arrays, self.scratch)]
+        return self.arrays

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from lc2st import (
+    ConfigurationError,
     FitError,
     GaussianShiftPair,
     LabeledPairDataset,
@@ -25,9 +26,13 @@ from lc2st import (
     t_acc0,
     t_mse,
     t_mse0,
+    TrainingError,
+    fit_null_ensemble,
+    lc2st_nf_null,
+    mlp_factory,
 )
-from lc2st.c2st import append_conditioning, single_class_statistics
-from lc2st.classifiers import BLOCK_ROWS, MlpModel, QdaModel
+from lc2st.c2st import _log_odds_blocks, append_conditioning, single_class_statistics
+from lc2st.classifiers import BLOCK_ROWS, MlpModel, QdaModel, row_slices
 from lc2st.nets import MlpParams, mlp_init, relu, sigmoid
 
 
@@ -469,3 +474,297 @@ class TestQuadraticFeatureScoring:
         path = tmp_path / "qda.json"
         save_classifier(clf, path)
         assert load_classifier(path).coef.tobytes() == clf.coef.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Lockstep ensemble training against the serial loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def masked_sigmoid(a):
+    """The sigmoid before the single-expression form: gather/scatter by sign."""
+    out = np.empty_like(a, dtype=np.float64)
+    pos = a >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+    e = np.exp(a[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def _serial_forward(params, inputs, cache=None):
+    h = inputs
+    if cache is not None:
+        cache.append(h)
+    for k, (w, b) in enumerate(zip(params.weights, params.biases)):
+        a = h @ w + b
+        h = a if k == params.n_layers - 1 else relu(a)
+        if cache is not None:
+            cache.append(h)
+    return h
+
+
+def _serial_backward(params, cache, grad_out):
+    gw = [np.zeros_like(w) for w in params.weights]
+    gb = [np.zeros_like(b) for b in params.biases]
+    g = grad_out
+    for k in range(params.n_layers - 1, -1, -1):
+        h_in = cache[k]
+        if k != params.n_layers - 1:
+            g = g * (cache[k + 1] > 0)
+        gw[k] = h_in.T @ g
+        gb[k] = g.sum(axis=0)
+        g = g @ params.weights[k].T
+    return gw, gb, g
+
+
+class _SerialAdam:
+    def __init__(self, arrays, lr):
+        self.arrays, self.lr, self.beta1, self.beta2, self.eps = arrays, lr, 0.9, 0.999, 1e-8
+        self.m = [np.zeros_like(a) for a in arrays]
+        self.v = [np.zeros_like(a) for a in arrays]
+        self.t = 0
+
+    def step(self, grads):
+        self.t += 1
+        b1t = 1.0 - self.beta1**self.t
+        b2t = 1.0 - self.beta2**self.t
+        for a, g, m, v in zip(self.arrays, grads, self.m, self.v):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            a -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+
+
+def _serial_loss(params, inputs, labels):
+    z = _serial_forward(params, inputs).ravel()
+    return float(np.mean(np.logaddexp(0.0, z) - labels * z))
+
+
+def serial_mlp_fit(data, cfg, stream):
+    """The one-network-at-a-time training loop and 2-D net primitives that the
+    lockstep trainer replaced, kept only as its oracle."""
+    feat_mean = data.ws.mean(axis=0)
+    feat_std = data.ws.std(axis=0)
+    feat_std = np.where(feat_std < 1e-12, 1.0, feat_std)
+    ws = (data.ws - feat_mean) / feat_std
+    labels = data.labels.astype(np.float64)
+    hidden = cfg.hidden_sizes if cfg.hidden_sizes is not None else (cfg.hidden_mult * data.dim,) * 2
+    params = mlp_init([data.dim, *hidden, 1], stream.child("init"))
+    perm = stream.child("holdout").generator().permutation(data.n)
+    n_val = int(round(cfg.holdout_frac * data.n))
+    use_val = 1 <= n_val <= data.n - 2
+    val_idx, train_idx = (perm[:n_val], perm[n_val:]) if use_val else (perm[:0], perm)
+    ws_tr, y_tr = ws[train_idx], labels[train_idx]
+    ws_val, y_val = ws[val_idx], labels[val_idx]
+    opt = _SerialAdam(params.flat(), lr=cfg.learning_rate)
+    shuffle_rng = stream.child("shuffle").generator()
+    copy = lambda p: MlpParams([w.copy() for w in p.weights], [b.copy() for b in p.biases])  # noqa: E731
+    best_val, best_params, best_epoch, since_best, last_loss, epochs_run = np.inf, copy(params), 0, 0, np.nan, 0
+    for epoch in range(cfg.max_epochs):
+        epochs_run = epoch + 1
+        order = shuffle_rng.permutation(len(ws_tr))
+        for start in range(0, len(ws_tr), cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            cache = []
+            z = _serial_forward(params, ws_tr[idx], cache).ravel()
+            loss = float(np.mean(np.logaddexp(0.0, z) - y_tr[idx] * z))
+            if not np.isfinite(loss):
+                raise TrainingError(f"loss diverged at epoch {epoch}")
+            gz = ((masked_sigmoid(z) - y_tr[idx]) / len(idx)).reshape(-1, 1)
+            gw, gb, _ = _serial_backward(params, cache, gz)
+            opt.step([g for pair in zip(gw, gb) for g in pair])
+            last_loss = loss
+        if not all(np.all(np.isfinite(a)) for a in params.flat()):
+            raise TrainingError(f"parameters diverged at epoch {epoch}")
+        if use_val:
+            val_loss = _serial_loss(params, ws_val, y_val)
+            if val_loss < best_val:
+                best_val, best_params, best_epoch, since_best = val_loss, copy(params), epochs_run, 0
+            else:
+                since_best += 1
+                if since_best >= cfg.patience:
+                    break
+    metadata = {
+        "hidden_sizes": tuple(int(h) for h in hidden),
+        "epochs_run": epochs_run,
+        "best_epoch": best_epoch if use_val else epochs_run,
+        "final_train_loss": last_loss,
+        "holdout_loss": best_val if use_val else None,
+        "n_train": int(len(ws_tr)),
+    }
+    return MlpModel(best_params if use_val else params, feat_mean, feat_std, metadata)
+
+
+def assert_same_fit(model, ref):
+    """Bit-identical parameters, standardization and training metadata."""
+    for got, want in zip(
+        [*model.params.flat(), model.feat_mean, model.feat_std],
+        [*ref.params.flat(), ref.feat_mean, ref.feat_std],
+    ):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert model.metadata == ref.metadata
+
+
+def _separated_members(n_members, n_per_class, dim, seed):
+    rng = np.random.default_rng(seed)
+    return [
+        LabeledPairDataset.from_class_arrays(
+            rng.standard_normal((n_per_class, dim)), rng.standard_normal((n_per_class, dim)) + 0.3 * h
+        )
+        for h in range(n_members)
+    ]
+
+
+def _shared_features(n_members, n_per_class, dim, seed):
+    """Label permutations of one feature matrix, as a permutation null builds."""
+    base = _separated_members(1, n_per_class, dim, seed)[0]
+    rng = np.random.default_rng(seed + 1)
+    return [base.with_labels(base.labels[rng.permutation(base.n)]) for _ in range(n_members)]
+
+
+LOCKSTEP_CASES = {
+    # patience = max_epochs: every member runs the whole budget; 95 training
+    # rows in batches of 20 leave a short last batch of 15
+    "fixed-budget": (lambda: _shared_features(4, 53, 3, seed=120), MlpConfig((6, 5), batch_size=20, max_epochs=6, patience=6)),
+    "early-stopping": (lambda: _separated_members(6, 60, 2, seed=121), MlpConfig((8, 8), batch_size=16, max_epochs=80, patience=2)),
+    # one row per class: no holdout, so no early stopping
+    "no-holdout": (lambda: _separated_members(3, 1, 2, seed=122), MlpConfig((4,), max_epochs=7)),
+    "single-member": (lambda: _separated_members(1, 40, 3, seed=123), MlpConfig((5, 5), batch_size=32, max_epochs=10)),
+}
+
+
+class TestLockstepEnsemble:
+    @pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
+    def test_members_match_serial_loop(self, case):
+        make, cfg = LOCKSTEP_CASES[case]
+        datasets = make()
+        streams = [RngStream(seed=130 + h) for h in range(len(datasets))]
+        members = mlp_factory(cfg).ensemble(datasets, streams)
+        assert len(members) == len(datasets)
+        for model, data, stream in zip(members, datasets, streams):
+            reference = serial_mlp_fit(data, cfg, stream)
+            assert_same_fit(model, reference)
+            assert_same_fit(mlp_fit(data, cfg, stream), reference)
+        epochs = [m.metadata["epochs_run"] for m in members]
+        if case == "fixed-budget":
+            assert epochs == [cfg.max_epochs] * len(members)
+            assert members[0].metadata["n_train"] % cfg.batch_size != 0
+        if case == "early-stopping":
+            assert len(set(epochs)) > 1 and min(epochs) < cfg.max_epochs
+        if case == "no-holdout":
+            assert all(m.metadata["holdout_loss"] is None for m in members)
+
+    def test_permutation_null_members_match_serial_loop(self):
+        data = _separated_members(1, 45, 2, seed=124)[0]
+        cfg = MlpConfig((6,), batch_size=25, max_epochs=15, patience=3)
+        stream = RngStream(seed=125)
+        ensemble = fit_null_ensemble(data, mlp_factory(cfg), 5, stream)
+        for h, model in enumerate(ensemble.classifiers):
+            sub = stream.child("trial", h)
+            permuted = data.with_labels(data.labels[sub.child("perm").generator().permutation(data.n)])
+            assert_same_fit(model, serial_mlp_fit(permuted, cfg, sub.child("fit")))
+
+    def test_nf_null_members_match_serial_loop(self):
+        cal_xs = np.random.default_rng(126).standard_normal((70, 2))
+        cfg = MlpConfig((6, 6), batch_size=30, max_epochs=25, patience=2)
+        stream = RngStream(seed=127)
+        ensemble = lc2st_nf_null(cal_xs, 2, mlp_factory(cfg), 4, stream)
+        assert ensemble.mlp is not None and ensemble.coef is None
+        for h, model in enumerate(ensemble.classifiers):
+            sub = stream.child("trial", h)
+            rng = sub.child("z").generator()
+            z0, z1 = rng.standard_normal((70, 2)), rng.standard_normal((70, 2))
+            data = LabeledPairDataset.from_class_arrays(np.hstack([z0, cal_xs]), np.hstack([z1, cal_xs]))
+            assert_same_fit(model, serial_mlp_fit(data, cfg, sub.child("fit")))
+
+    def test_datasets_of_different_shapes_are_rejected(self):
+        datasets = [*_separated_members(1, 10, 2, seed=128), *_separated_members(1, 12, 2, seed=129)]
+        with pytest.raises(ConfigurationError, match="shape"):
+            mlp_factory(MlpConfig(max_epochs=1)).ensemble(datasets, [RngStream(seed=1), RngStream(seed=2)])
+
+    @pytest.mark.parametrize("width, chunks", [(8, 1), (50, 3)])
+    def test_stacked_scoring_matches_members_bitwise(self, width, chunks):
+        # width 50 leaves room for two members per 1 MB activation, so five
+        # members are scored in three chunks
+        datasets = _shared_features(5, 20, 3, seed=131)
+        members = mlp_factory(MlpConfig((width,), max_epochs=2)).ensemble(
+            datasets, [RngStream(seed=140 + h) for h in range(5)]
+        )
+        ensemble = NullEnsemble(members, "permutation")
+        assert len(ensemble.mlp) == chunks
+        ws = np.random.default_rng(132).standard_normal((BLOCK_ROWS + 76, 3))
+        got = np.vstack(list(_log_odds_blocks(members, ws, ensemble.coef, ensemble.mlp)))
+        expected = np.vstack([np.column_stack([m.log_odds(ws[rows]) for m in members]) for rows in row_slices(len(ws))])
+        assert got.tobytes() == expected.tobytes()
+
+
+def _diverging_data(seed, gap):
+    rng = np.random.default_rng(seed)
+    return LabeledPairDataset.from_class_arrays(
+        rng.standard_normal((40, 2)) - gap, rng.standard_normal((40, 2)) + gap
+    )
+
+
+def _huge_lr(patience):
+    # Adam moves every weight by about the learning rate per step, so 5e101
+    # overflows the logits of some members after a few epochs, not at once
+    return MlpConfig((8, 8), batch_size=20, learning_rate=5e101, max_epochs=30, patience=patience)
+
+
+class TestLockstepDivergence:
+    def test_error_names_the_first_diverging_member(self):
+        datasets = [_diverging_data(0, 0.0), _diverging_data(4, 3.0), _diverging_data(2, 3.0)]
+        streams = [RngStream(seed=s) for s in (0, 4, 2)]
+        with np.errstate(all="ignore"):
+            # alone, member 1 diverges at epoch 6 and member 2 at epoch 4
+            with pytest.raises(TrainingError, match=r"^member 0: loss diverged at epoch 6"):
+                mlp_fit(datasets[1], _huge_lr(30), streams[1])
+            with pytest.raises(TrainingError, match=r"^member 2: loss diverged at epoch 4 "):
+                mlp_factory(_huge_lr(30)).ensemble(datasets, streams)
+
+    def test_stopped_member_never_raises(self):
+        datasets = [_diverging_data(2, 3.0), _diverging_data(0, 0.0)]
+        streams = [RngStream(seed=2), RngStream(seed=0)]
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingError, match="epoch 4"):
+                mlp_fit(datasets[0], _huge_lr(30), streams[0])
+            # with patience 3, member 0 stops before epoch 4 while member 1
+            # trains through it
+            members = mlp_factory(_huge_lr(3)).ensemble(datasets, streams)
+        assert [m.metadata["epochs_run"] for m in members] == [4, 5]
+
+
+class TestSigmoid:
+    def test_bits_equal_masked_form(self):
+        rng = np.random.default_rng(133)
+        nans = [np.nan, np.copysign(np.nan, -1.0)]  # both signs of NaN
+        special = np.array([800.0, -800.0, np.inf, -np.inf, 0.0, -0.0, *nans, 5e-324, -5e-324, 36.7, -36.7, 709.8, -745.2])
+        for a in (rng.standard_normal(10_000) * 30.0, rng.standard_normal((20, 100)), special):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, want = sigmoid(a), masked_sigmoid(a)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestMlpConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("batch_size", 0),
+            ("max_epochs", 0),
+            ("patience", 0),
+            ("hidden_mult", 0),
+            ("hidden_sizes", (8, 0)),
+            ("learning_rate", 0.0),
+            ("learning_rate", -1e-3),
+            ("learning_rate", float("nan")),
+            ("holdout_frac", 1.0),
+            ("holdout_frac", -0.1),
+        ],
+    )
+    def test_invalid_field_is_named(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            MlpConfig(**{field: value})
+
+    def test_boundary_values_are_valid(self):
+        MlpConfig(hidden_sizes=(1,), batch_size=1, max_epochs=1, patience=1, hidden_mult=1, holdout_frac=0.0)

@@ -59,6 +59,23 @@ class TestPlan:
         with pytest.raises(ConfigurationError, match=key):
             run_type1(ExperimentPlan(**{**SMALL_TYPE1, "classifier": spec}))
 
+    @pytest.mark.parametrize("key, value", [("batch_size", 0), ("max_epochs", 0), ("learning_rate", -1.0), ("holdout_frac", 1.0)])
+    def test_invalid_mlp_value_is_named(self, key, value):
+        with pytest.raises(ConfigurationError, match=key):
+            run_type1(ExperimentPlan(**{**SMALL_TYPE1, "classifier": {"kind": "mlp", key: value}}))
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        import subprocess
+        import sys
+
+        import lc2st
+
+        src = os.path.dirname(os.path.dirname(lc2st.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys, lc2st; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        assert out.stdout.strip() == "False"
+
     def test_classifier_spec_sets_holdout_frac(self):
         from lc2st import LabeledPairDataset, RngStream
         from lc2st.harness import _classifier_fit
