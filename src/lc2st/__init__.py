@@ -48,7 +48,7 @@ from .c2st import (
     NullEnsemble,
     PPPlotData,
     TestResult,
-    c2st_permutation_test,
+    TestRun,
     fit_null_ensemble,
     lc2st_evaluate,
     lc2st_nf_evaluate,
@@ -59,6 +59,7 @@ from .c2st import (
     p_value_from_null,
     pp_plot,
     probability_heatmap,
+    run_test,
     t_acc,
     t_acc0,
     t_mse,

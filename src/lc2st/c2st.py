@@ -15,9 +15,18 @@ Procedures
 ----------
 The local test trains one classifier on joint-data pairs (theta, x) labeled by
 provenance (estimator vs simulator), with the null distribution from
-label-permutation refits.  The normalizing-flow variant instead classifies
+paired label-flip refits.  The normalizing-flow variant instead classifies
 latent pairs (z, x) and its null ensemble needs no estimator at all, so it can
-be precomputed once and reused across estimators and observations.
+be precomputed once and reused across estimators and observations.  The
+oracle C2ST trains on estimator against reference draws at the observation,
+with a free label-permutation null.
+
+:func:`run_test` runs one test of any method, and the harness, CLI and bench
+all call it: it alone builds each method's training set and derives its
+streams.  It calls the public steps, which stay usable on their own:
+``lc2st_train`` (``lc2st_training_set`` + fit + ``fit_null_ensemble``) and
+``lc2st_evaluate``; ``lc2st_nf_train``, ``lc2st_nf_null`` and
+``lc2st_nf_evaluate``.
 
 p-values use the strict-exceedance count (number of null statistics above
 the observed one, over n_null); ``conservative=True`` switches to the
@@ -28,6 +37,7 @@ which can never return zero.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -59,7 +69,8 @@ __all__ = [
     "lc2st_nf_train",
     "lc2st_nf_null",
     "lc2st_nf_evaluate",
-    "c2st_permutation_test",
+    "TestRun",
+    "run_test",
     "PPPlotData",
     "pp_plot",
     "default_levels",
@@ -283,6 +294,7 @@ class TestResult:
             "n_v": self.n_v,
             "n_h": self.n_h,
             "seeds": self.seeds,
+            "p_value_kind": self.p_value_kind,
         }
 
     def save(self, path: str | Path) -> None:
@@ -293,14 +305,16 @@ class TestResult:
 
 @dataclass
 class NullEnsemble:
-    """Classifiers fitted under the null construction, with their seed ledger.
-    ``coef`` stacks the members' QDA coefficients and ``mlp`` their MLP
-    parameters (in chunks of members) once, at construction."""
+    """Classifiers fitted under the null construction, with their seed ledger
+    and the wall-clock seconds their fit took.  ``coef`` stacks the members'
+    QDA coefficients and ``mlp`` their MLP parameters (in chunks of members)
+    once, at construction."""
 
     classifiers: list
     provenance: str  # 'permutation' | 'nf-resampled'
     streams: list[tuple[int, int]] = field(default_factory=list)
     latent_dim: int | None = None
+    fit_seconds: float = 0.0
     coef: np.ndarray | None = field(init=False, repr=False)
     mlp: list[MlpModel] | None = field(init=False, repr=False)
 
@@ -340,6 +354,7 @@ def fit_null_ensemble(
 
     One ``fit_fn.ensemble`` call fits every member.
     """
+    t0 = time.perf_counter()
     if paired:
         k = data.n // 2
         expected = np.concatenate([np.zeros(k, dtype=np.int64), np.ones(k, dtype=np.int64)])
@@ -358,7 +373,9 @@ def fit_null_ensemble(
     subs = [stream.child("trial", h) for h in range(n_null)]
     classifiers = fit_fn.ensemble((permuted(sub) for sub in subs), [sub.child("fit") for sub in subs])
     streams = [(sub.seed, sub.stream_id) for sub in subs]
-    return NullEnsemble(classifiers=classifiers, provenance="permutation", streams=streams)
+    return NullEnsemble(
+        classifiers=classifiers, provenance="permutation", streams=streams, fit_seconds=time.perf_counter() - t0
+    )
 
 
 def lc2st_training_set(estimator, cal: JointDataset, stream: RngStream) -> LabeledPairDataset:
@@ -478,10 +495,11 @@ def lc2st_nf_null(
 
     Each trial draws fresh standard-normal latents for both classes against
     the same observations, so one ensemble is reusable across flows and
-    observations.
+    observations.  ``n_null=0`` returns an empty ensemble.
     """
-    if n_null < 1:
-        raise ConfigurationError("n_null must be at least 1")
+    t0 = time.perf_counter()
+    if n_null < 0:
+        raise ConfigurationError("n_null must be nonnegative")
     cal_xs = np.atleast_2d(np.asarray(cal_xs, dtype=np.float64))
 
     def resampled(sub: RngStream) -> LabeledPairDataset:
@@ -493,7 +511,10 @@ def lc2st_nf_null(
     subs = [stream.child("trial", h) for h in range(n_null)]
     classifiers = fit_fn.ensemble((resampled(sub) for sub in subs), [sub.child("fit") for sub in subs])
     streams = [(sub.seed, sub.stream_id) for sub in subs]
-    return NullEnsemble(classifiers=classifiers, provenance="nf-resampled", streams=streams, latent_dim=m)
+    return NullEnsemble(
+        classifiers=classifiers, provenance="nf-resampled", streams=streams, latent_dim=m,
+        fit_seconds=time.perf_counter() - t0,
+    )
 
 
 def lc2st_nf_evaluate(
@@ -522,34 +543,86 @@ def lc2st_nf_evaluate(
 
 
 # ---------------------------------------------------------------------------
-# Generic permutation test (oracle C2ST and the shift-pair experiment)
+# One test of any method: the entry point of the harness, CLI and bench
 # ---------------------------------------------------------------------------
 
 
-def c2st_permutation_test(
-    train: LabeledPairDataset,
-    stat_fn,
-    fit_fn,
-    n_null: int,
-    stream: RngStream,
-    method: str,
-    x_o: np.ndarray | None = None,
-    n_v: int = 0,
-    conservative: bool = False,
-) -> TestResult:
-    """Fit, refit under label permutations, and score with ``stat_fn``.
+@dataclass(frozen=True)
+class TestRun:
+    """One test's result, main classifier and null ensemble, with the
+    wall-clock seconds of its ``train``, ``null`` and ``evaluate`` phases."""
 
-    ``stat_fn(clf) -> float`` closes over whatever validation data the caller
-    prepared; the same validation data scores the trained classifier and every
-    null classifier.
+    __test__ = False  # statistical test run, not a pytest case
+
+    result: TestResult
+    classifier: object
+    ensemble: NullEnsemble
+    seconds: dict
+
+
+def run_test(
+    method: str,
+    task,
+    estimator,
+    x_o: np.ndarray,
+    n_cal: int,
+    n_null: int,
+    n_v: int,
+    fit_fn,
+    stream: RngStream,
+    conservative: bool = False,
+    ensemble: NullEnsemble | None = None,
+) -> TestRun:
+    """One ``method`` test of ``estimator`` at ``x_o``, from ``stream``.
+
+    ``lc2st`` and ``lc2st-nf`` (whose ``estimator`` is a flow) simulate
+    ``n_cal`` calibration pairs from ``task``.  The oracle methods train on
+    ``n_cal`` estimator and reference draws at ``x_o`` against a free
+    permutation null, and score ``t_acc`` or ``t_mse`` on ``n_v`` fresh
+    draws of each.  A given ``ensemble`` is used instead of fitting one;
+    ``n_null=0`` leaves the null empty and the p-value None.
+
+    ``train`` times building the training set and fitting the classifier,
+    ``null`` is the fitted ensemble's ``fit_seconds`` (0 for a given or empty
+    one) and ``evaluate`` the draws and scoring at ``x_o``.
     """
-    clf = fit_fn(train, stream.child("fit"))
-    ensemble = fit_null_ensemble(train, fit_fn, n_null, stream.child("null"))
-    stat = float(stat_fn(clf))
-    nulls = np.array([stat_fn(member) for member in ensemble.classifiers]) if len(ensemble) else None
-    seeds = {"seed": int(stream.seed), "stream_id": int(stream.stream_id)}
-    x_tag = np.empty(0) if x_o is None else np.asarray(x_o)
-    return TestResult.from_stats(method, stat, nulls, x_tag, n_v, seeds, conservative)
+    if method not in _STAT_UPPER:
+        raise ConfigurationError(f"unknown method {method!r}; valid: {sorted(_STAT_UPPER)}")
+    if method.startswith("oracle") and task.reference is None:
+        raise ConfigurationError(f"oracle methods need a reference posterior for task {task.name!r}")
+    n_fit = n_null if ensemble is None else 0
+    if method in ("lc2st", "lc2st-nf"):
+        cal = task.sample_joint(n_cal, stream.child("cal"))
+    t0 = time.perf_counter()
+    if method == "lc2st":
+        clf, fitted = lc2st_train(estimator, cal, fit_fn, n_fit, stream)
+    elif method == "lc2st-nf":
+        clf = lc2st_nf_train(estimator, cal, fit_fn, stream.child("train"))
+        fitted = lc2st_nf_null(cal.xs, task.m, fit_fn, n_fit, stream.child("null"))
+    else:
+        train = LabeledPairDataset.from_class_arrays(
+            estimator.sample(x_o, n_cal, stream.child("q-train")),
+            task.reference.sample(x_o, n_cal, stream.child("p-train")),
+        )
+        clf = fit_fn(train, stream.child("fit"))
+        fitted = fit_null_ensemble(train, fit_fn, n_fit, stream.child("null"))
+    ensemble = fitted if ensemble is None else ensemble
+    t1 = time.perf_counter()
+    if method == "lc2st":
+        result = lc2st_evaluate(clf, ensemble, estimator, x_o, n_v, stream.child("test"), conservative)
+    elif method == "lc2st-nf":
+        result = lc2st_nf_evaluate(clf, ensemble, x_o, task.m, n_v, stream.child("test"), conservative)
+    else:
+        val = LabeledPairDataset.from_class_arrays(
+            estimator.sample(x_o, n_v, stream.child("q-val")),
+            task.reference.sample(x_o, n_v, stream.child("p-val")),
+        )
+        stat_fn = t_acc if method == "oracle-c2st-acc" else t_mse
+        nulls = np.array([stat_fn(member, val) for member in ensemble.classifiers]) if len(ensemble) else None
+        seeds = {"seed": int(stream.seed), "stream_id": int(stream.stream_id)}
+        result = TestResult.from_stats(method, stat_fn(clf, val), nulls, x_o, n_v, seeds, conservative)
+    null = fitted.fit_seconds if n_fit else 0.0
+    return TestRun(result, clf, ensemble, {"train": t1 - t0 - null, "null": null, "evaluate": time.perf_counter() - t1})
 
 
 # ---------------------------------------------------------------------------

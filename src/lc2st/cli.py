@@ -36,7 +36,7 @@ from .harness import (
 )
 from .tasks import distort, make_task
 
-_USAGE_ERRORS = (ConfigurationError, DataFormatError, FileNotFoundError, TypeError, KeyError)
+_USAGE_ERRORS = (ConfigurationError, DataFormatError, FileNotFoundError)
 
 
 def _task_params(args) -> dict:
@@ -117,83 +117,42 @@ def _cmd_train_npe(args) -> int:
     return 0
 
 
-def _run_local_test(args, task, fit_fn):
+def _run_test(args, task):
+    """The subcommand's test through ``c2st.run_test``: (run, estimator, x_o)."""
+    if args.method == "lc2st-nf" and not args.flow:
+        raise ConfigurationError("method lc2st-nf requires --flow <checkpoint>")
     _, x_o = _observation(args, task)
-    stream = derive_stream(args.seed, "test")
-    cal = task.sample_joint(args.n_cal, stream.child("cal"))
-    if args.method == "lc2st":
-        estimator = _estimator(args, task)
-        clf, ensemble = c2st.lc2st_train(estimator, cal, fit_fn, args.n_null, stream)
-        result = c2st.lc2st_evaluate(
-            clf, ensemble, estimator, x_o, args.n_v, stream.child("test"),
-            conservative=args.conservative,
-        )
-        return result, clf, ensemble, x_o, None
-    if args.method == "lc2st-nf":
-        if not args.flow:
-            raise ConfigurationError("method lc2st-nf requires --flow <checkpoint>")
-        flow = load_flow(args.flow)
-        clf = c2st.lc2st_nf_train(flow, cal, fit_fn, stream.child("train"))
-        ensemble = c2st.lc2st_nf_null(cal.xs, flow.m, fit_fn, max(args.n_null, 1), stream.child("null"))
-        result = c2st.lc2st_nf_evaluate(
-            clf, ensemble, x_o, flow.m, args.n_v, stream.child("test"),
-            conservative=args.conservative,
-        )
-        return result, clf, ensemble, x_o, flow
-    raise ConfigurationError(f"method {args.method!r} is not a local test")
+    estimator = _estimator(args, task)
+    run = c2st.run_test(
+        args.method, task, estimator, x_o, args.n_cal, args.n_null, args.n_v, _classifier(args),
+        derive_stream(args.seed, "test"), conservative=args.conservative,
+    )
+    return run, estimator, x_o
 
 
 def _cmd_test(args) -> int:
-    task = make_task(args.task, **_task_params(args))
-    fit_fn = _classifier(args)
-    if args.method in ("lc2st", "lc2st-nf"):
-        result, _, _, _, _ = _run_local_test(args, task, fit_fn)
-    else:  # oracle variants need reference samples at x_o
-        if task.reference is None:
-            raise ConfigurationError(f"oracle methods need a reference posterior for {task.name!r}")
-        estimator = _estimator(args, task)
-        _, x_o = _observation(args, task)
-        stream = derive_stream(args.seed, "test")
-        train = c2st.LabeledPairDataset.from_class_arrays(
-            estimator.sample(x_o, args.n_cal, stream.child("q-train")),
-            task.reference.sample(x_o, args.n_cal, stream.child("p-train")),
-        )
-        val = c2st.LabeledPairDataset.from_class_arrays(
-            estimator.sample(x_o, args.n_v, stream.child("q-val")),
-            task.reference.sample(x_o, args.n_v, stream.child("p-val")),
-        )
-        stat_fn = (
-            (lambda clf: c2st.t_acc(clf, val))
-            if args.method == "oracle-c2st-acc"
-            else (lambda clf: c2st.t_mse(clf, val))
-        )
-        result = c2st.c2st_permutation_test(
-            train, stat_fn, fit_fn, args.n_null, stream, args.method, x_o, args.n_v,
-            conservative=args.conservative,
-        )
-    out = _out_dir(args)
-    result.save(out / "result.json")
+    run, _, _ = _run_test(args, make_task(args.task, **_task_params(args)))
+    run.result.save(_out_dir(args) / "result.json")
     return 0
 
 
 def _cmd_ppplot(args) -> int:
-    task = make_task(args.task, **_task_params(args))
-    fit_fn = _classifier(args)
-    result, clf, ensemble, x_o, flow = _run_local_test(args, task, fit_fn)
+    if args.method not in ("lc2st", "lc2st-nf"):
+        raise ConfigurationError(f"method {args.method!r} is not a local test")
+    run, estimator, x_o = _run_test(args, make_task(args.task, **_task_params(args)))
     stream = derive_stream(args.seed, "ppplot")
     if args.method == "lc2st":
-        estimator = _estimator(args, task)
         points = estimator.sample(x_o, args.n_v, stream)
     else:
-        points = stream.generator().standard_normal((args.n_v, flow.m))
+        points = stream.generator().standard_normal((args.n_v, estimator.m))
     ws = c2st.append_conditioning(points, x_o)
-    data = c2st.pp_plot(clf, ensemble, ws, alpha=args.alpha)
+    data = c2st.pp_plot(run.classifier, run.ensemble, ws, alpha=args.alpha)
     out = _out_dir(args)
     with (out / "ppplot.csv").open("w", encoding="utf-8") as fh:
         fh.write("level,cdf,lower,upper\n")
         for level, cdf, lower, upper in data.rows():
             fh.write(f"{level!r},{cdf!r},{lower!r},{upper!r}\n")
-    result.save(out / "result.json")
+    run.result.save(out / "result.json")
     return 0
 
 
@@ -201,12 +160,14 @@ def _cmd_heatmap(args) -> int:
     task = make_task(args.task, **_task_params(args))
     if not args.flow:
         raise ConfigurationError("heatmap requires --flow <checkpoint>")
-    fit_fn = _classifier(args)
-    args.method = "lc2st-nf"
-    _, clf, _, x_o, flow = _run_local_test(args, task, fit_fn)
-    maps = c2st.probability_heatmap(
-        clf, flow, x_o, args.n_v, args.bins, derive_stream(args.seed, "heatmap")
-    )
+    flow = load_flow(args.flow)
+    _, x_o = _observation(args, task)
+    # the maps need only the ℓ-C2ST-NF classifier: train it on the streams
+    # run_test gives it, and fit no null
+    stream = derive_stream(args.seed, "test")
+    cal = task.sample_joint(args.n_cal, stream.child("cal"))
+    clf = c2st.lc2st_nf_train(flow, cal, _classifier(args), stream.child("train"))
+    maps = c2st.probability_heatmap(clf, flow, x_o, args.n_v, args.bins, derive_stream(args.seed, "heatmap"))
     out = _out_dir(args)
     with (out / "heatmap.csv").open("w", encoding="utf-8") as fh:
         fh.write("dim_i,dim_j,bin_i,bin_j,count,mean_prob\n")

@@ -25,6 +25,7 @@ __all__ = [
     "NumericError",
     "OracleUnavailableError",
     "UndefinedPointError",
+    "reject_unknown_keys",
     "RngStream",
     "JointDataset",
     "LabeledPairDataset",
@@ -68,6 +69,13 @@ class OracleUnavailableError(Lc2stError):
 
 class UndefinedPointError(Lc2stError):
     """Bayes probability is undefined (both class densities zero)."""
+
+
+def reject_unknown_keys(keys, valid, what: str) -> None:
+    """Raise ``ConfigurationError`` naming the first of ``keys`` not in ``valid``."""
+    unknown = sorted(set(keys) - set(valid))
+    if unknown:
+        raise ConfigurationError(f"unknown {what} {unknown[0]!r}; valid: {sorted(valid)}")
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ import numpy as np
 
 from .core import (
     ConfigurationError,
+    DataFormatError,
     JointDataset,
     NumericError,
     RngStream,
@@ -603,13 +604,16 @@ def load_flow(path: str | Path):
     with Path(path).open("r", encoding="utf-8") as fh:
         data = json.load(fh)
     kind = data.get("kind")
-    if kind == "coupling-flow":
-        return ConditionalFlow(data["m"], data["d"], [_layer_from_dict(e) for e in data["layers"]])
-    if kind == "affine-flow":
-        spec = data["spec"]
-        if spec.get("name") != "conjugate":
-            raise ConfigurationError(f"unknown affine flow spec {spec!r}")
-        return conjugate_affine_flow(
-            spec["m"], spec["noise_std"], spec.get("scale_mult", 1.0), spec.get("shift", 0.0)
-        )
+    try:
+        if kind == "coupling-flow":
+            return ConditionalFlow(data["m"], data["d"], [_layer_from_dict(e) for e in data["layers"]])
+        if kind == "affine-flow":
+            spec = data["spec"]
+            if spec.get("name") != "conjugate":
+                raise ConfigurationError(f"unknown affine flow spec {spec!r}")
+            return conjugate_affine_flow(
+                spec["m"], spec["noise_std"], spec.get("scale_mult", 1.0), spec.get("shift", 0.0)
+            )
+    except KeyError as exc:
+        raise DataFormatError(f"flow checkpoint {str(path)!r} lacks key {exc.args[0]!r}") from None
     raise ConfigurationError(f"unknown flow kind {kind!r} in checkpoint")

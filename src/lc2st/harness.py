@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import os
 import platform
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import c2st
 from .classifiers import MlpConfig, mlp_factory, qda_factory
-from .core import ConfigurationError, LabeledPairDataset, RngStream, derive_stream
+from .core import ConfigurationError, LabeledPairDataset, Lc2stError, RngStream, derive_stream, reject_unknown_keys
 from .flows import NpeConfig, build_coupling_flow, conjugate_affine_flow, flow_fit_npe
 from .tasks import GaussianShiftPair, distort, gaussian_shift_samples, make_task
 
@@ -93,12 +92,14 @@ class ExperimentPlan:
             raise ConfigurationError("grids must be nonempty")
         if any(int(v) < 1 for v in self.n_train_grid + self.n_cal_grid):
             raise ConfigurationError("grid entries must be positive")
+        _estimator_kind(self.estimator)  # type-I runs never read the spec: check its keys here
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentPlan":
+        reject_unknown_keys(data, {f.name for f in fields(ExperimentPlan)}, "plan key")
         return ExperimentPlan(**data)
 
     def save(self, path: str | Path) -> None:
@@ -120,9 +121,7 @@ def _classifier_fit(spec: dict):
     kind, params = spec.get("kind", "qda"), {k: v for k, v in spec.items() if k != "kind"}
     if kind not in _CLASSIFIER_KEYS:
         raise ConfigurationError(f"unknown classifier kind {kind!r}")
-    unknown = sorted(set(params) - _CLASSIFIER_KEYS[kind])
-    if unknown:
-        raise ConfigurationError(f"unknown {kind} classifier key {unknown[0]!r}; valid: {sorted(_CLASSIFIER_KEYS[kind])}")
+    reject_unknown_keys(params, _CLASSIFIER_KEYS[kind], f"{kind} classifier key")
     if kind == "qda":
         return qda_factory(**params)
     if params.get("hidden_sizes") is not None:
@@ -135,10 +134,26 @@ def _shift_vector(shift, m: int) -> np.ndarray:
     return np.full(m, float(arr)) if arr.ndim == 0 else arr
 
 
+_ESTIMATOR_KEYS = {
+    "exact": set(),
+    "distortion": {"shift", "scale"},
+    "npe": {"n_layers", "hidden", "batch_size", "learning_rate", "max_epochs", "patience"},
+}
+
+
+def _estimator_kind(spec: dict) -> str:
+    """The spec's ``kind``, once its other keys are checked against that kind."""
+    kind = spec.get("kind", "exact")
+    if kind not in _ESTIMATOR_KEYS:
+        raise ConfigurationError(f"unknown estimator kind {kind!r}")
+    reject_unknown_keys(set(spec) - {"kind"}, _ESTIMATOR_KEYS[kind], f"{kind} estimator key")
+    return kind
+
+
 def _sampler_estimator(plan: ExperimentPlan, task, n_train: int, stream: RngStream):
     """Estimator q(.|x) as a sampler (for lc2st and the oracle methods)."""
     spec = plan.estimator
-    kind = spec.get("kind", "exact")
+    kind = _estimator_kind(spec)
     if kind == "exact":
         if task.reference is None:
             raise ConfigurationError(f"task {task.name!r} has no reference posterior")
@@ -151,9 +166,7 @@ def _sampler_estimator(plan: ExperimentPlan, task, n_train: int, stream: RngStre
             _shift_vector(spec.get("shift", 0.0), task.m),
             spec.get("scale", 1.0),
         )
-    if kind == "npe":
-        return _npe_flow(plan, task, n_train, stream)
-    raise ConfigurationError(f"unknown estimator kind {kind!r}")
+    return _npe_flow(plan, task, n_train, stream)
 
 
 def _npe_flow(plan: ExperimentPlan, task, n_train: int, stream: RngStream):
@@ -179,7 +192,7 @@ def _npe_flow(plan: ExperimentPlan, task, n_train: int, stream: RngStream):
 def _flow_estimator(plan: ExperimentPlan, task, n_train: int, stream: RngStream):
     """Estimator as a flow (for lc2st-nf, which needs the inverse transform)."""
     spec = plan.estimator
-    kind = spec.get("kind", "exact")
+    kind = _estimator_kind(spec)
     if kind in ("exact", "distortion"):
         if task.name != "gaussian_conjugate":
             raise ConfigurationError(
@@ -194,9 +207,7 @@ def _flow_estimator(plan: ExperimentPlan, task, n_train: int, stream: RngStream)
             scale_mult=spec.get("scale", 1.0),
             shift=float(spec.get("shift", 0.0)),
         )
-    if kind == "npe":
-        return _npe_flow(plan, task, n_train, stream)
-    raise ConfigurationError(f"unknown estimator kind {kind!r}")
+    return _npe_flow(plan, task, n_train, stream)
 
 
 # ---------------------------------------------------------------------------
@@ -301,73 +312,20 @@ def _observation(plan: ExperimentPlan, task, obs_index: int):
 
 
 def _run_single(plan_dict: dict, n_train: int, n_cal: int, obs_index: int, run_index: int, alternative: bool):
-    """Execute one (cell, observation, run) triple; returns (record, timing) dicts."""
-    plan = ExperimentPlan.from_dict(plan_dict)
-    task = make_task(plan.task, **plan.task_params)
-    fit_fn = _classifier_fit(plan.classifier)
-    _, x_o = _observation(plan, task, obs_index)
-    stream = derive_stream(plan.seed, "run", n_train, n_cal, obs_index, run_index)
-
-    timing = {"n_train": n_train, "n_cal": n_cal, "train": 0.0, "null": 0.0, "evaluate": 0.0}
-
-    def timed(phase: str, fn):
-        t0 = time.perf_counter()
-        value = fn()
-        timing[phase] = time.perf_counter() - t0
-        return value
-
-    if plan.method == "lc2st":
-        estimator = _exact_or_alt(plan, task, n_train, stream, alternative, flow=False)
-        cal = task.sample_joint(n_cal, stream.child("cal"))
-        data = c2st.lc2st_training_set(estimator, cal, stream.child("estimator"))
-        clf = timed("train", lambda: fit_fn(data, stream.child("fit")))
-        ensemble = timed(
-            "null",
-            lambda: c2st.fit_null_ensemble(data, fit_fn, plan.n_null, stream.child("null"), paired=True),
-        ) if plan.n_null else c2st.NullEnsemble([], "permutation")
-        result = timed(
-            "evaluate",
-            lambda: c2st.lc2st_evaluate(clf, ensemble, estimator, x_o, plan.n_v, stream.child("test")),
+    """Execute one (cell, observation, run) triple; returns (record, timing) dicts.
+    A library error is re-raised as its own type with the cell in its message."""
+    try:
+        plan = ExperimentPlan.from_dict(plan_dict)
+        task = make_task(plan.task, **plan.task_params)
+        _, x_o = _observation(plan, task, obs_index)
+        stream = derive_stream(plan.seed, "run", n_train, n_cal, obs_index, run_index)
+        estimator = _exact_or_alt(plan, task, n_train, stream, alternative, flow=plan.method == "lc2st-nf")
+        run = c2st.run_test(
+            plan.method, task, estimator, x_o, n_cal, plan.n_null, plan.n_v, _classifier_fit(plan.classifier), stream
         )
-    elif plan.method == "lc2st-nf":
-        flow = _exact_or_alt(plan, task, n_train, stream, alternative, flow=True)
-        cal = task.sample_joint(n_cal, stream.child("cal"))
-        clf = timed("train", lambda: c2st.lc2st_nf_train(flow, cal, fit_fn, stream.child("train")))
-        ensemble = timed(
-            "null",
-            lambda: c2st.lc2st_nf_null(cal.xs, task.m, fit_fn, plan.n_null, stream.child("null")),
-        ) if plan.n_null else c2st.NullEnsemble([], "nf-resampled", latent_dim=task.m)
-        result = timed(
-            "evaluate",
-            lambda: c2st.lc2st_nf_evaluate(clf, ensemble, x_o, task.m, plan.n_v, stream.child("test")),
-        )
-    else:  # oracle-c2st-acc / oracle-c2st-mse
-        if task.reference is None:
-            raise ConfigurationError(f"oracle methods need a reference posterior for task {task.name!r}")
-        estimator = _exact_or_alt(plan, task, n_train, stream, alternative, flow=False)
-        theta_q = estimator.sample(x_o, n_cal, stream.child("q-train"))
-        theta_p = task.reference.sample(x_o, n_cal, stream.child("p-train"))
-        train_set = LabeledPairDataset.from_class_arrays(theta_q, theta_p)
-        val_set = LabeledPairDataset.from_class_arrays(
-            estimator.sample(x_o, plan.n_v, stream.child("q-val")),
-            task.reference.sample(x_o, plan.n_v, stream.child("p-val")),
-        )
-        stat_fn = (lambda clf_: c2st.t_acc(clf_, val_set)) if plan.method == "oracle-c2st-acc" else (
-            lambda clf_: c2st.t_mse(clf_, val_set)
-        )
-        clf = timed("train", lambda: fit_fn(train_set, stream.child("fit")))
-        ensemble = timed(
-            "null", lambda: c2st.fit_null_ensemble(train_set, fit_fn, plan.n_null, stream.child("null"))
-        ) if plan.n_null else c2st.NullEnsemble([], "permutation")
-        def _score():
-            stat = stat_fn(clf)
-            nulls = np.array([stat_fn(m) for m in ensemble.classifiers]) if len(ensemble) else None
-            return c2st.TestResult.from_stats(
-                plan.method, stat, nulls, x_o, plan.n_v,
-                {"seed": stream.seed, "stream_id": stream.stream_id},
-            )
-        result = timed("evaluate", _score)
-
+    except Lc2stError as exc:
+        raise type(exc)(f"cell (n_train={n_train}, n_cal={n_cal}, obs={obs_index}, run={run_index}): {exc}") from exc
+    result = run.result
     reject = result.p_value is not None and result.p_value < plan.alpha
     record = {
         "n_train": n_train,
@@ -380,7 +338,7 @@ def _run_single(plan_dict: dict, n_train: int, n_cal: int, obs_index: int, run_i
         "seed": stream.seed,
         "stream_id": stream.stream_id,
     }
-    return record, timing
+    return record, {"n_train": n_train, "n_cal": n_cal, **run.seconds}
 
 
 def _exact_or_alt(plan: ExperimentPlan, task, n_train: int, stream: RngStream, alternative: bool, flow: bool):
@@ -439,9 +397,10 @@ def run_type1(plan: ExperimentPlan) -> SweepResult:
 def run_power(plan: ExperimentPlan) -> SweepResult:
     """True-positive rates for the plan's (non-identity) estimator."""
     spec = plan.estimator
-    if spec.get("kind", "exact") == "exact":
+    kind = _estimator_kind(spec)
+    if kind == "exact":
         raise ConfigurationError("power runs need a non-exact estimator spec")
-    if spec.get("kind") == "distortion":
+    if kind == "distortion":
         scale = spec.get("scale", 1.0)
         shift = np.asarray(spec.get("shift", 0.0), dtype=np.float64)
         if scale == 1.0 and not np.any(shift):
@@ -546,9 +505,10 @@ def run_oracle_correlation(plan: ExperimentPlan, n_permutations: int = 10_000) -
     if task.reference is None:
         raise ConfigurationError("correlation study needs a reference posterior")
     spec = plan.estimator
-    if spec.get("kind", "exact") not in ("exact", "distortion"):
+    kind = _estimator_kind(spec)
+    if kind not in ("exact", "distortion"):
         raise ConfigurationError("correlation study expects an exact or distortion estimator spec")
-    exact = spec.get("kind", "exact") == "exact"
+    exact = kind == "exact"
     fit_fn = _classifier_fit(plan.classifier)
     n_cal = int(plan.n_cal_grid[-1])
     pairs = []
@@ -561,16 +521,8 @@ def run_oracle_correlation(plan: ExperimentPlan, n_permutations: int = 10_000) -
         )
         _, x_o = _observation(plan, task, i)
         stream = derive_stream(plan.seed, "corr", i)
-        # oracle two-class MSE statistic at x_o
-        train = LabeledPairDataset.from_class_arrays(
-            estimator.sample(x_o, n_cal, stream.child("q-train")),
-            task.reference.sample(x_o, n_cal, stream.child("p-train")),
-        )
-        val = LabeledPairDataset.from_class_arrays(
-            estimator.sample(x_o, plan.n_v, stream.child("q-val")),
-            task.reference.sample(x_o, plan.n_v, stream.child("p-val")),
-        )
-        oracle_stat = c2st.t_mse(fit_fn(train, stream.child("fit")), val)
+        # oracle two-class MSE statistic at x_o (no null ensemble)
+        oracle_stat = c2st.run_test("oracle-c2st-mse", task, estimator, x_o, n_cal, 0, plan.n_v, fit_fn, stream).result.statistic
         # local single-class statistic at x_o (statistic only, no null ensemble)
         cal = task.sample_joint(n_cal, stream.child("cal"))
         data = c2st.lc2st_training_set(estimator, cal, stream.child("estimator"))
@@ -621,8 +573,8 @@ def run_runtime_bench(plan: ExperimentPlan) -> BenchResult:
     """Median per-phase wall-clock over >= 3 repetitions per cell.
 
     With ``reuse_null=True`` (flow variant) the null ensemble is precomputed
-    outside the timed region and the null phase reports exactly zero, which is
-    the amortization being measured.
+    once per cell and passed to every repetition's ``run_test``, so the null
+    phase reports exactly zero, which is the amortization being measured.
     """
     task = make_task(plan.task, **plan.task_params)
     fit_fn = _classifier_fit(plan.classifier)
@@ -643,18 +595,14 @@ def run_runtime_bench(plan: ExperimentPlan) -> BenchResult:
                     stream = derive_stream(plan.seed, "bench", int(nt), int(nc), rep)
                     _, x_o = _observation(plan, task, 0)
                     flow = _exact_or_alt(plan, task, int(nt), stream, alternative=False, flow=True)
-                    cal = task.sample_joint(int(nc), stream.child("cal"))
-                    t0 = time.perf_counter()
-                    clf = c2st.lc2st_nf_train(flow, cal, fit_fn, stream.child("train"))
-                    phase_times["train"].append(time.perf_counter() - t0)
-                    phase_times["null"].append(0.0)
-                    t0 = time.perf_counter()
-                    c2st.lc2st_nf_evaluate(clf, shared_ensemble, x_o, task.m, plan.n_v, stream.child("test"))
-                    phase_times["evaluate"].append(time.perf_counter() - t0)
+                    timing = c2st.run_test(
+                        "lc2st-nf", task, flow, x_o, int(nc), plan.n_null, plan.n_v, fit_fn, stream,
+                        ensemble=shared_ensemble,
+                    ).seconds
                 else:
                     _, timing = _run_single(plan.to_dict(), int(nt), int(nc), 0, rep, alternative=False)
-                    for phase in ("train", "null", "evaluate"):
-                        phase_times[phase].append(timing[phase])
+                for phase in ("train", "null", "evaluate"):
+                    phase_times[phase].append(timing[phase])
             for phase in ("train", "null", "evaluate"):
                 rows.append(
                     {
@@ -705,9 +653,7 @@ def run_amortized_type1(plan: ExperimentPlan, flows: dict[str, object]) -> Amort
 
     stream0 = derive_stream(plan.seed, "amortized-null")
     cal0 = task.sample_joint(n_cal, stream0.child("cal"))
-    t0 = time.perf_counter()
     ensemble = c2st.lc2st_nf_null(cal0.xs, task.m, fit_fn, plan.n_null, stream0.child("null"))
-    null_seconds = time.perf_counter() - t0
 
     records: list[dict] = []
     extra_null = 0.0
@@ -730,4 +676,4 @@ def run_amortized_type1(plan: ExperimentPlan, flows: dict[str, object]) -> Amort
                         "reject": bool(result.p_value is not None and result.p_value < plan.alpha),
                     }
                 )
-    return AmortizedResult(records=records, null_train_seconds=null_seconds, extra_null_seconds=extra_null)
+    return AmortizedResult(records=records, null_train_seconds=ensemble.fit_seconds, extra_null_seconds=extra_null)

@@ -18,6 +18,7 @@ estimators:
 from __future__ import annotations
 
 import hashlib
+import inspect
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,6 +30,7 @@ from .core import (
     JointDataset,
     OracleUnavailableError,
     RngStream,
+    reject_unknown_keys,
 )
 
 __all__ = [
@@ -556,4 +558,5 @@ def make_task(name: str, **params) -> Task:
         raise ConfigurationError(
             f"unknown task {name!r}; available: {sorted(TASK_BUILDERS)}"
         ) from None
+    reject_unknown_keys(params, inspect.signature(builder).parameters, f"{name} task parameter")
     return builder(**params)

@@ -14,6 +14,7 @@ from lc2st import (
     build_coupling_flow,
     conjugate_affine_flow,
     distort,
+    fit_null_ensemble,
     gaussian_conjugate_task,
     gaussian_shift_samples,
     lc2st_evaluate,
@@ -25,6 +26,7 @@ from lc2st import (
     pp_plot,
     probability_heatmap,
     qda_factory,
+    run_test,
     t_acc,
     t_acc0,
     t_mse,
@@ -201,8 +203,10 @@ class TestPValues:
         nulls = np.array([0.2, 0.05])
         res = TestResult.from_stats("lc2st", 0.1, nulls, np.array([1.0, 2.0]), 100, {"seed": 3})
         payload = res.to_json_dict()
-        assert set(payload) == {"method", "x_o", "statistic", "p_value", "null_statistics", "n_v", "n_h", "seeds"}
-        assert payload["p_value"] == 0.5 and payload["n_h"] == 2
+        assert set(payload) == {
+            "method", "x_o", "statistic", "p_value", "null_statistics", "n_v", "n_h", "seeds", "p_value_kind"
+        }
+        assert payload["p_value"] == 0.5 and payload["n_h"] == 2 and payload["p_value_kind"] == "strict"
 
 
 class TestLocalTest:
@@ -370,6 +374,55 @@ class TestNfVariant:
             )
         assert results["exact"].p_value > 0.05
         assert results["scaled"].p_value == 0.0
+
+
+class TestRunTest:
+    def setup_method(self):
+        self.task = gaussian_conjugate_task(m=2, noise_std=1.0)
+        self.x_o = np.array([0.6, -0.2])
+
+    def _run(self, method, estimator, n_null=8, **kw):
+        return run_test(method, self.task, estimator, self.x_o, 300, n_null, 300, qda_factory(), RngStream(seed=9), **kw)
+
+    def test_given_ensemble_is_used_and_not_timed(self):
+        flow = conjugate_affine_flow(2, 1.0)
+        fitted = self._run("lc2st-nf", flow)
+        assert len(fitted.ensemble) == 8 and fitted.seconds["null"] == fitted.ensemble.fit_seconds > 0.0
+        stream = RngStream(seed=9)
+        cal = self.task.sample_joint(300, stream.child("cal"))
+        shared = lc2st_nf_null(cal.xs, 2, qda_factory(), 8, stream.child("null"))
+        reused = self._run("lc2st-nf", flow, n_null=0, ensemble=shared)
+        assert reused.ensemble is shared and reused.seconds["null"] == 0.0
+        assert np.array_equal(reused.result.null_statistics, fitted.result.null_statistics)
+        assert reused.result.statistic == fitted.result.statistic
+
+    @pytest.mark.parametrize("method", ["lc2st", "lc2st-nf", "oracle-c2st-acc", "oracle-c2st-mse"])
+    def test_zero_null_gives_no_p_value(self, method):
+        estimator = conjugate_affine_flow(2, 1.0) if method == "lc2st-nf" else self.task.reference
+        run = self._run(method, estimator, n_null=0)
+        assert len(run.ensemble) == 0 and run.result.p_value is None and run.result.p_value_kind is None
+        assert run.seconds["null"] == 0.0 and run.seconds["train"] > 0.0 and run.seconds["evaluate"] > 0.0
+
+    def test_oracle_null_is_free_permutation_scored_on_fresh_draws(self):
+        run = self._run("oracle-c2st-acc", self.task.reference, conservative=True)
+        stream, ref, x_o = RngStream(seed=9), self.task.reference, self.x_o
+        train = LabeledPairDataset.from_class_arrays(
+            ref.sample(x_o, 300, stream.child("q-train")), ref.sample(x_o, 300, stream.child("p-train"))
+        )
+        val = LabeledPairDataset.from_class_arrays(
+            ref.sample(x_o, 300, stream.child("q-val")), ref.sample(x_o, 300, stream.child("p-val"))
+        )
+        null = fit_null_ensemble(train, qda_factory(), 8, stream.child("null"))
+        assert run.result.statistic == t_acc(qda_factory()(train, stream.child("fit")), val)
+        assert run.result.null_statistics.tolist() == [t_acc(member, val) for member in null.classifiers]
+        assert run.result.p_value_kind == "conservative" and run.result.method == "oracle-c2st-acc"
+
+    def test_unknown_method_and_missing_reference_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown method"):
+            self._run("c2st", self.task.reference)
+        self.task = type(self.task)(self.task.name, 2, 2, self.task.prior_sample, self.task.simulate, None)
+        with pytest.raises(ConfigurationError, match="reference posterior"):
+            self._run("oracle-c2st-mse", conjugate_affine_flow(2, 1.0))
 
 
 class TestPPPlot:

@@ -5,9 +5,24 @@ import json
 import numpy as np
 import pytest
 
-from lc2st import load_dataset, load_flow, load_metadata
+from lc2st import (
+    conjugate_affine_flow,
+    derive_stream,
+    lc2st_evaluate,
+    lc2st_nf_train,
+    lc2st_train,
+    load_dataset,
+    load_flow,
+    load_metadata,
+    make_task,
+    probability_heatmap,
+    qda_factory,
+    run_test,
+    save_flow,
+)
+from lc2st.c2st import heatmap_rows
 from lc2st.cli import main
-from lc2st.harness import ExperimentPlan
+from lc2st.harness import METHODS, ExperimentPlan
 
 
 def test_simulate_writes_dataset_and_sidecar(tmp_path):
@@ -40,21 +55,107 @@ def test_test_subcommand_writes_result_json(tmp_path):
     assert len(payload["x_o"]) == 2
 
 
-def test_lc2st_result_equals_library_train_and_evaluate(tmp_path):
-    # the CLI builds the paired-flip null of lc2st_train, not a free permutation
-    from lc2st import RngStream, derive_stream, lc2st_evaluate, lc2st_train, make_task, qda_factory
+@pytest.fixture
+def affine_flow(tmp_path):
+    path = tmp_path / "affine.json"
+    save_flow(conjugate_affine_flow(2, 1.0, scale_mult=1.3), path)
+    return path
 
-    out = tmp_path / "r"
-    args = ["--n-cal", "400", "--n-null", "15", "--n-v", "300", "--x-seed", "3", "--seed", "5"]
-    assert main(["test", "--method", "lc2st", "--task", "gaussian_conjugate", *args, "--out", str(out)]) == 0
+
+def test_lc2st_result_equals_library_train_and_evaluate(tmp_path, affine_flow):
+    # every method's result.json is run_test's byte for byte; for lc2st that is
+    # the paired-flip null of lc2st_train, not a free permutation
     task = make_task("gaussian_conjugate")
     _, x_o = task.observation(derive_stream(3, "obs", 0))
     stream = derive_stream(5, "test")
+    args = ["--n-cal", "400", "--n-null", "15", "--n-v", "300", "--x-seed", "3", "--seed", "5"]
+    for method in METHODS:
+        out, expected = tmp_path / method, tmp_path / f"{method}.json"
+        flow = ["--flow", str(affine_flow)] if method == "lc2st-nf" else []
+        assert main(["test", "--method", method, "--task", "gaussian_conjugate", *args, *flow, "--out", str(out)]) == 0
+        estimator = load_flow(affine_flow) if flow else task.reference
+        run_test(method, task, estimator, x_o, 400, 15, 300, qda_factory(), stream).result.save(expected)
+        assert (out / "result.json").read_text() == expected.read_text(), method
     cal = task.sample_joint(400, stream.child("cal"))
     clf, ensemble = lc2st_train(task.reference, cal, qda_factory(), 15, stream)
-    expected = tmp_path / "expected.json"
-    lc2st_evaluate(clf, ensemble, task.reference, x_o, 300, stream.child("test")).save(expected)
-    assert (out / "result.json").read_text() == expected.read_text()
+    lc2st_evaluate(clf, ensemble, task.reference, x_o, 300, stream.child("test")).save(tmp_path / "steps.json")
+    assert (tmp_path / "lc2st" / "result.json").read_text() == (tmp_path / "steps.json").read_text()
+
+
+def test_conservative_result_records_p_value_kind(tmp_path):
+    args = ["test", "--method", "lc2st", "--n-cal", "300", "--n-null", "10", "--n-v", "300"]
+    for flag, kind in (([], "strict"), (["--conservative"], "conservative")):
+        assert main([*args, *flag, "--out", str(tmp_path / kind)]) == 0
+        payload = json.loads((tmp_path / kind / "result.json").read_text())
+        assert payload["p_value_kind"] == kind
+    nulls, stat = np.array(payload["null_statistics"]), payload["statistic"]
+    assert payload["p_value"] == (1 + np.sum(nulls >= stat)) / 11
+
+
+def test_nf_without_null_reports_no_p_value(tmp_path, affine_flow):
+    args = ["test", "--method", "lc2st-nf", "--flow", str(affine_flow), "--n-cal", "200", "--n-null", "0"]
+    assert main([*args, "--n-v", "200", "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "result.json").read_text())
+    assert payload["p_value"] is None and payload["p_value_kind"] is None
+    assert payload["null_statistics"] == [] and payload["n_h"] == 0
+
+
+def test_heatmap_equals_nf_classifier_and_probability_heatmap(tmp_path, affine_flow):
+    # the heatmap trains the lc2st-nf classifier on run_test's streams and no null
+    args = ["--flow", str(affine_flow), "--n-cal", "300", "--n-v", "400", "--bins", "4", "--x-seed", "2", "--seed", "6"]
+    assert main(["heatmap", *args, "--out", str(tmp_path)]) == 0
+    task, flow = make_task("gaussian_conjugate"), load_flow(affine_flow)
+    _, x_o = task.observation(derive_stream(2, "obs", 0))
+    stream = derive_stream(6, "test")
+    clf = lc2st_nf_train(flow, task.sample_joint(300, stream.child("cal")), qda_factory(), stream.child("train"))
+    rows = heatmap_rows(probability_heatmap(clf, flow, x_o, 400, 4, derive_stream(6, "heatmap")))
+    lines = [",".join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
+    expected = "\n".join(["dim_i,dim_j,bin_i,bin_j,count,mean_prob", *lines]) + "\n"
+    assert (tmp_path / "heatmap.csv").read_text() == expected
+
+
+def _usage_error(capsys, argv) -> str:
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: usage:") and err.count("\n") == 1
+    return err
+
+
+def test_task_parameter_the_builder_does_not_take_is_named(tmp_path, capsys):
+    err = _usage_error(capsys, ["simulate", "--task", "gaussian_conjugate", "--eps", "0.1", "--n", "5", "--out", str(tmp_path)])
+    assert "'eps'" in err
+
+
+def test_unknown_plan_key_is_named(tmp_path, capsys):
+    plan = {**ExperimentPlan(kind="type1").to_dict(), "n_run": 3}
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    err = _usage_error(capsys, ["sweep", "--plan", str(tmp_path / "plan.json"), "--out", str(tmp_path)])
+    assert "'n_run'" in err
+
+
+@pytest.mark.parametrize(
+    "estimator, key",
+    [
+        ({"kind": "distortion", "shfit": 0.3}, "shfit"),
+        ({"kind": "npe", "max_epochs": 2, "n_layer": 2}, "n_layer"),
+        ({"kind": "exact", "scale": 2.0}, "scale"),
+    ],
+)
+def test_unknown_estimator_key_is_named(tmp_path, capsys, estimator, key):
+    # a type-I plan never reads its estimator spec, so the plan itself checks it
+    kind = "type1" if estimator["kind"] == "exact" else "power"
+    plan = ExperimentPlan(kind="type1", n_train_grid=[1], n_cal_grid=[50], n_runs=1, n_observations=1).to_dict()
+    (tmp_path / "plan.json").write_text(json.dumps({**plan, "kind": kind, "estimator": estimator}))
+    err = _usage_error(capsys, ["sweep", "--plan", str(tmp_path / "plan.json"), "--out", str(tmp_path)])
+    assert repr(key) in err
+
+
+def test_flow_checkpoint_without_a_key_is_named(tmp_path, capsys, affine_flow):
+    checkpoint = json.loads(affine_flow.read_text())
+    del checkpoint["spec"]["noise_std"]
+    affine_flow.write_text(json.dumps(checkpoint))
+    err = _usage_error(capsys, ["test", "--method", "lc2st-nf", "--flow", str(affine_flow), "--out", str(tmp_path)])
+    assert "'noise_std'" in err
 
 
 def test_oracle_method_via_cli(tmp_path):

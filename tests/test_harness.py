@@ -5,8 +5,17 @@ import os
 import numpy as np
 import pytest
 
-from lc2st import ConfigurationError, conjugate_affine_flow
+from lc2st import (
+    ConfigurationError,
+    TrainingError,
+    conjugate_affine_flow,
+    derive_stream,
+    make_task,
+    qda_factory,
+    run_test,
+)
 from lc2st.harness import (
+    METHODS,
     ExperimentPlan,
     run_amortized_type1,
     run_oracle_correlation,
@@ -170,6 +179,24 @@ class TestTypeOne:
             plan = ExperimentPlan(**{**SMALL_TYPE1, "method": method, "n_null": 20})
             res = run_type1(plan)
             assert len(res.records) == 6
+
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_record_equals_run_test(self, method):
+        plan = ExperimentPlan(**{**SMALL_TYPE1, "method": method, "n_cal_grid": [200], "n_v": 200, "n_null": 12})
+        record = [r for r in run_type1(plan).records if (r.obs_index, r.run_index) == (1, 2)][0]
+        task = make_task(plan.task, **plan.task_params)
+        _, x_o = task.observation(derive_stream(plan.seed, "obs", 1))
+        stream = derive_stream(plan.seed, "run", 1, 200, 1, 2)
+        estimator = conjugate_affine_flow(2, 1.0) if method == "lc2st-nf" else task.reference
+        result = run_test(method, task, estimator, x_o, 200, 12, 200, qda_factory(), stream).result
+        assert (record.statistic, record.p_value) == (result.statistic, result.p_value)
+
+    def test_error_names_its_cell(self):
+        diverging = {"kind": "mlp", "hidden_sizes": [8], "learning_rate": 1e300, "max_epochs": 30}
+        plan = ExperimentPlan(**{**SMALL_TYPE1, "n_cal_grid": [100], "n_null": 2, "classifier": diverging})
+        with np.errstate(all="ignore"), pytest.raises(TrainingError, match=r"^cell \(n_train=1, n_cal=100, obs=0, run=0\): member 0: loss diverged"):
+            run_type1(plan)
 
 
 class TestPower:
