@@ -2,8 +2,8 @@
 
 Subcommands: simulate, train-npe, test, ppplot, heatmap, sweep, bench.
 Usage problems (unknown flags, missing files, dimension mismatches) exit 2;
-runtime failures (diverged training, exhausted oracles) exit 1.  Either way a
-single-line reason goes to stderr.
+runtime failures (failed fits, diverged training, exhausted oracles) exit 1.
+Either way a single-line reason goes to stderr.
 """
 
 from __future__ import annotations
@@ -40,19 +40,8 @@ _USAGE_ERRORS = (ConfigurationError, DataFormatError, FileNotFoundError)
 
 
 def _task_params(args) -> dict:
-    params = {}
-    for flag, key in (
-        ("m", "m"),
-        ("noise_std", "noise_std"),
-        ("noise_var", "noise_var"),
-        ("eps", "eps"),
-        ("budget", "budget"),
-        ("bound", "bound"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            params[key] = value
-    return params
+    names = ("m", "noise_std", "noise_var", "bound")
+    return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
 
 
 def _classifier(args):
@@ -240,23 +229,26 @@ def _add_task_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--noise-std", dest="noise_std", type=float, default=None)
     p.add_argument("--noise-var", dest="noise_var", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None, help="rejection-oracle tolerance")
-    p.add_argument("--budget", type=int, default=None, help="rejection-oracle draw budget")
     p.add_argument("--bound", type=float, default=None)
 
 
-def _add_test_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", choices=["lc2st", "lc2st-nf", "oracle-c2st-acc", "oracle-c2st-mse"], default="lc2st")
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    """What every classifier-training subcommand reads: sizes, seeds, classifier, flow."""
     p.add_argument("--n-cal", dest="n_cal", type=int, default=1000)
-    p.add_argument("--n-null", dest="n_null", type=int, default=100)
     p.add_argument("--n-v", dest="n_v", type=int, default=10_000)
     p.add_argument("--x-seed", dest="x_seed", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--clf", choices=["qda", "mlp"], default="qda")
     p.add_argument("--hidden-mult", dest="hidden_mult", type=int, default=10)
     p.add_argument("--epochs", type=int, default=1000)
     p.add_argument("--flow", default=None, help="flow checkpoint JSON")
+
+
+def _add_test_flags(p: argparse.ArgumentParser) -> None:
+    _add_run_flags(p)
+    p.add_argument("--method", choices=["lc2st", "lc2st-nf", "oracle-c2st-acc", "oracle-c2st-mse"], default="lc2st")
+    p.add_argument("--n-null", dest="n_null", type=int, default=100)
+    p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--distort-shift", dest="distort_shift", type=float, default=0.0)
     p.add_argument("--distort-scale", dest="distort_scale", type=float, default=1.0)
     p.add_argument("--conservative", action="store_true", help="(1+k)/(n+1) p-values")
@@ -297,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("heatmap", help="predicted-probability heatmaps over flow marginals")
     _add_task_flags(p)
-    _add_test_flags(p)
+    _add_run_flags(p)
     p.add_argument("--bins", type=int, default=20)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_heatmap)

@@ -64,7 +64,11 @@ class NumericError(Lc2stError):
 
 
 class OracleUnavailableError(Lc2stError):
-    """A rejection-sampling reference posterior exhausted its draw budget."""
+    """A reference posterior's rejection rounds left rows without a draw.
+
+    Every reference is exact; this marks an observation the prior can (almost)
+    never produce, such as two_moons at (5, 5).
+    """
 
 
 class UndefinedPointError(Lc2stError):

@@ -17,6 +17,7 @@ import os
 import platform
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -81,17 +82,17 @@ class ExperimentPlan:
             raise ConfigurationError(f"unknown plan kind {self.kind!r}")
         if self.method not in METHODS:
             raise ConfigurationError(f"unknown method {self.method!r}; valid: {METHODS}")
-        for name in ("n_observations", "n_runs", "n_v", "n_per_class", "n_reps"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be positive")
-        if self.n_null < 0:
-            raise ConfigurationError("n_null must be nonnegative")
-        if not (0.0 < self.alpha <= 1.0):
-            raise ConfigurationError("alpha must lie in (0, 1]")
-        if not self.n_train_grid or not self.n_cal_grid:
-            raise ConfigurationError("grids must be nonempty")
-        if any(int(v) < 1 for v in self.n_train_grid + self.n_cal_grid):
-            raise ConfigurationError("grid entries must be positive")
+        lows = {"n_observations": 1, "n_runs": 1, "n_v": 1, "n_per_class": 1, "n_reps": 1, "n_null": 0, "seed": 0}
+        for name, low in lows.items():
+            _check_count(name, getattr(self, name), low)
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, Real) or not 0.0 < self.alpha <= 1.0:
+            raise ConfigurationError(f"alpha must be a number in (0, 1], got {self.alpha!r}")
+        for name in ("n_train_grid", "n_cal_grid"):
+            grid = getattr(self, name)
+            if not isinstance(grid, (list, tuple)) or not grid:
+                raise ConfigurationError(f"{name} must be a nonempty list, got {grid!r}")
+            for v in grid:
+                _check_count(f"{name} entry", v, 1)
         _estimator_kind(self.estimator)  # type-I runs never read the spec: check its keys here
 
     def to_dict(self) -> dict:
@@ -111,6 +112,11 @@ class ExperimentPlan:
     def load(path: str | Path) -> "ExperimentPlan":
         with Path(path).open("r", encoding="utf-8") as fh:
             return ExperimentPlan.from_dict(json.load(fh))
+
+
+def _check_count(name: str, value, low: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+        raise ConfigurationError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 _CLASSIFIER_KEYS = {"qda": {"ridge"}, "mlp": {f.name for f in fields(MlpConfig)}}

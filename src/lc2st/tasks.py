@@ -4,6 +4,8 @@ Each task bundles a prior sampler, a stochastic simulator, and (where
 tractable) a reference posterior that can sample and usually evaluate its
 log-density at a given observation.  The reference posteriors double as the
 "exact estimator" in type-I experiments and as oracles for test assertions.
+Every reference draws exactly: in closed form (conjugate) or by row-batched
+rejection from an exact proposal (the others).
 
 Reference posteriors expose a small duck-typed surface shared with the flow
 estimators:
@@ -68,20 +70,17 @@ def _stream_from_array(tag: str, x: np.ndarray) -> RngStream:
 
 
 class PosteriorBase:
-    """Common plumbing for reference posteriors."""
+    """Common plumbing for reference posteriors: ``sample(x_o, n)`` is the
+    subclass's ``sample_conditional`` on ``x_o`` repeated n times."""
 
     m: int
 
     def sample(self, x_o: np.ndarray, n: int, stream: RngStream) -> np.ndarray:
-        raise NotImplementedError
+        x_o = np.asarray(x_o, dtype=np.float64)
+        return self.sample_conditional(np.broadcast_to(x_o, (n, x_o.shape[-1])), stream)
 
     def sample_conditional(self, xs: np.ndarray, stream: RngStream) -> np.ndarray:
-        """One posterior draw per conditioning row; default loops over rows."""
-        xs = np.atleast_2d(xs)
-        out = np.empty((xs.shape[0], self.m))
-        for i, x in enumerate(xs):
-            out[i] = self.sample(x, 1, stream.child("cond", i))[0]
-        return out
+        raise NotImplementedError
 
     def log_prob(self, thetas: np.ndarray, x_o: np.ndarray) -> np.ndarray:
         raise NotImplementedError(f"{type(self).__name__} has no tractable density")
@@ -89,6 +88,56 @@ class PosteriorBase:
     def mean(self, x_o: np.ndarray) -> np.ndarray:
         draws = self.sample(x_o, 8192, _stream_from_array("posterior-mean", np.asarray(x_o)))
         return draws.mean(axis=0)
+
+
+# Proposals per round, spread over the unfilled rows: a lone row with a low
+# acceptance rate gets this many proposals a round instead of one.
+_ROUND_PROPOSALS = 1024
+_MAX_ROUNDS = 1000
+
+
+def _rejection_rows(xs, m: int, propose, stream: RngStream) -> np.ndarray:
+    """One exact posterior draw per row of ``xs`` by row-batched rejection.
+
+    ``propose(xs, rng) -> (thetas, accepted)`` makes one proposal per row.
+    Each round proposes k = max(1, _ROUND_PROPOSALS // unfilled) times for
+    every unfilled row from ``stream.child("round", r)`` and keeps each row's
+    first accepted proposal, which is exact for i.i.d. proposals.
+    """
+    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+    out = np.empty((xs.shape[0], m))
+    todo = np.arange(xs.shape[0])
+    for r in range(_MAX_ROUNDS):
+        if todo.size == 0:
+            break
+        k = max(1, _ROUND_PROPOSALS // todo.size)
+        thetas, accepted = propose(xs[np.repeat(todo, k)], stream.child("round", r).generator())
+        accepted = accepted.reshape(todo.size, k)
+        hit = accepted.any(axis=1)
+        first = accepted.argmax(axis=1)[hit]
+        out[todo[hit]] = thetas.reshape(todo.size, k, m)[hit, first]
+        todo = todo[~hit]
+    if todo.size:
+        raise OracleUnavailableError(
+            f"{todo.size} of {xs.shape[0]} rows found no accepted proposal in {_MAX_ROUNDS} rounds "
+            f"(first: row {todo[0]}, x={xs[todo[0]].tolist()}); the prior (almost) never produces it"
+        )
+    return out
+
+
+def _box_mass(x: np.ndarray, sd, bound: float) -> np.ndarray:
+    """Per-dimension mass of N(x, sd^2) inside [-bound, bound]."""
+    lo, hi = (-bound - x) / sd, (bound - x) / sd
+    # the mirrored form for x below the box keeps both terms in the lower
+    # tail, where ndtr does not round to 1
+    return np.where(lo > 0, ndtr(-lo) - ndtr(-hi), ndtr(hi) - ndtr(lo))
+
+
+def _truncated_normal_mean(x: np.ndarray, sd, bound: float) -> np.ndarray:
+    """Per-dimension mean of N(x, sd^2) truncated to [-bound, bound]."""
+    lo, hi = (-bound - x) / sd, (bound - x) / sd
+    phi = lambda t: np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)
+    return x + sd * (phi(lo) - phi(hi)) / _box_mass(x, sd, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -187,59 +236,20 @@ def gaussian_conjugate_task(m: int = 2, noise_std: float = 1.0) -> Task:
 
 
 # ---------------------------------------------------------------------------
-# Two moons task (SBI benchmark model, rejection reference)
+# Two moons task (SBI benchmark model, exact reference by simulator inversion)
 # ---------------------------------------------------------------------------
 
 
-class RejectionPosterior(PosteriorBase):
-    """ABC-style reference: accept prior draws whose simulation lands near x_o.
-
-    Exact in the eps -> 0 limit; ``budget`` caps total simulator draws per
-    sample() call, and exhausting it raises ``OracleUnavailableError``.
-    """
-
-    def __init__(self, task_builder, m: int, eps: float, budget: int, batch: int = 100_000):
-        if eps <= 0:
-            raise ConfigurationError("eps must be positive")
-        if budget < 1:
-            raise ConfigurationError("budget must be positive")
-        self._builder = task_builder
-        self.m = m
-        self.eps = eps
-        self.budget = budget
-        self.batch = batch
-
-    def sample(self, x_o: np.ndarray, n: int, stream: RngStream) -> np.ndarray:
-        task = self._builder()
-        x_o = np.asarray(x_o, dtype=np.float64)
-        accepted: list[np.ndarray] = []
-        got = 0
-        spent = 0
-        trial = 0
-        while got < n:
-            if spent >= self.budget:
-                raise OracleUnavailableError(
-                    f"rejection budget {self.budget} exhausted with {got}/{n} accepted "
-                    f"(eps={self.eps}); increase eps or budget"
-                )
-            size = min(self.batch, self.budget - spent)
-            thetas = task.prior_sample(size, stream.child("prior", trial))
-            xs = task.simulate(thetas, stream.child("sim", trial))
-            keep = np.linalg.norm(xs - x_o, axis=1) <= self.eps
-            accepted.append(thetas[keep])
-            got += int(keep.sum())
-            spent += size
-            trial += 1
-        return np.vstack(accepted)[:n]
+def _moon_offsets(n: int, rng: np.random.Generator) -> np.ndarray:
+    """The simulator noise p(a, r) = (r cos a + 0.25, r sin a)."""
+    a = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size=n)
+    r = rng.normal(0.1, 0.01, size=n)
+    return np.column_stack([r * np.cos(a) + 0.25, r * np.sin(a)])
 
 
 def _two_moons_simulate(thetas: np.ndarray, stream: RngStream) -> np.ndarray:
     thetas = np.atleast_2d(thetas)
-    rng = stream.generator()
-    n = thetas.shape[0]
-    a = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size=n)
-    r = rng.normal(0.1, 0.01, size=n)
-    base = np.column_stack([r * np.cos(a) + 0.25, r * np.sin(a)])
+    base = _moon_offsets(thetas.shape[0], stream.generator())
     shift = np.column_stack(
         [
             -np.abs(thetas[:, 0] + thetas[:, 1]) / np.sqrt(2.0),
@@ -249,18 +259,35 @@ def _two_moons_simulate(thetas: np.ndarray, stream: RngStream) -> np.ndarray:
     return base + shift
 
 
-def two_moons_task(eps: float = 0.05, budget: int = 10_000_000) -> Task:
+def _invert_two_moons(xs: np.ndarray, rng: np.random.Generator):
+    # q = x - p(a, r) is the shift (-|t1 + t2|, t2 - t1) / sqrt(2).  Under the
+    # uniform prior the shift map is two-to-one with a constant Jacobian, so q
+    # drawn through fresh noise, a uniform branch sign and the prior box as
+    # acceptance give exact posterior draws; q0 > 0 has no preimage.
+    q = xs - _moon_offsets(xs.shape[0], rng)
+    total = np.where(rng.random(xs.shape[0]) < 0.5, -1.0, 1.0) * -np.sqrt(2.0) * q[:, 0]
+    diff = np.sqrt(2.0) * q[:, 1]
+    thetas = np.column_stack([(total - diff) / 2.0, (total + diff) / 2.0])
+    return thetas, (q[:, 0] <= 0.0) & np.all(np.abs(thetas) <= 1.0, axis=1)
+
+
+class TwoMoonsPosterior(PosteriorBase):
+    """Exact two-moons posterior by simulator inversion (as in sbibm)."""
+
+    m = 2
+
+    def sample_conditional(self, xs: np.ndarray, stream: RngStream) -> np.ndarray:
+        return _rejection_rows(xs, self.m, _invert_two_moons, stream)
+
+
+def two_moons_task() -> Task:
     """Crescent-shaped benchmark model with a bimodal posterior.
 
-    Uniform prior on [-1, 1]^2; the reference posterior accepts prior draws
-    whose simulations land within ``eps`` of the conditioning observation.
+    Uniform prior on [-1, 1]^2; the reference posterior is exact.
     """
 
     def prior_sample(n: int, stream: RngStream) -> np.ndarray:
         return stream.generator().uniform(-1.0, 1.0, size=(n, 2))
-
-    def builder() -> Task:
-        return two_moons_task(eps=eps, budget=budget)
 
     return Task(
         name="two_moons",
@@ -268,21 +295,24 @@ def two_moons_task(eps: float = 0.05, budget: int = 10_000_000) -> Task:
         d=2,
         prior_sample=prior_sample,
         simulate=_two_moons_simulate,
-        reference=RejectionPosterior(builder, m=2, eps=eps, budget=budget),
+        reference=TwoMoonsPosterior(),
     )
 
 
 # ---------------------------------------------------------------------------
-# Gaussian mixture task (SBI benchmark model, exact reference)
+# Gaussian mixture and Gaussian linear uniform tasks (SBI benchmark models,
+# exact references)
 # ---------------------------------------------------------------------------
 
 
 class MixturePosterior(PosteriorBase):
-    """Posterior of the two-component location mixture under a uniform box prior.
+    """Posterior of a Gaussian location mixture under a uniform box prior.
 
     The likelihood depends on theta only through x - theta, so the posterior
     is the same mixture recentred at x and truncated to the prior box; drawing
-    component offsets and rejecting outside the box is exact.
+    component offsets and rejecting outside the box is exact.  With one
+    component it is the truncated Gaussian of ``gaussian_linear_uniform``.
+    The mean is in closed form.
     """
 
     def __init__(self, m: int, weights, sds, bound: float):
@@ -291,32 +321,34 @@ class MixturePosterior(PosteriorBase):
         self.sds = np.asarray(sds, dtype=np.float64)
         self.bound = float(bound)
 
-    def sample(self, x_o: np.ndarray, n: int, stream: RngStream) -> np.ndarray:
-        x_o = np.asarray(x_o, dtype=np.float64)
-        rng = stream.generator()
-        out = np.empty((n, self.m))
-        got = 0
-        for _ in range(1000):
-            if got >= n:
-                break
-            size = max(n - got, 1) * 2
-            comp = rng.choice(len(self.weights), size=size, p=self.weights)
-            draws = x_o + self.sds[comp, None] * rng.standard_normal((size, self.m))
-            keep = np.all(np.abs(draws) <= self.bound, axis=1)
-            kept = draws[keep][: n - got]
-            out[got : got + len(kept)] = kept
-            got += len(kept)
-        if got < n:
-            raise OracleUnavailableError("mixture posterior rejection failed to fill request")
-        return out
+    def _propose(self, xs: np.ndarray, rng: np.random.Generator):
+        comp = rng.choice(len(self.weights), size=xs.shape[0], p=self.weights)
+        draws = xs + self.sds[comp, None] * rng.standard_normal(xs.shape)
+        return draws, np.all(np.abs(draws) <= self.bound, axis=1)
 
-    def _log_box_mass(self, x_o: np.ndarray) -> float:
-        # Sum_k w_k prod_j [Phi((b - x_j)/sd_k) - Phi((-b - x_j)/sd_k)]
-        masses = []
-        for w, sd in zip(self.weights, self.sds):
-            per_dim = ndtr((self.bound - x_o) / sd) - ndtr((-self.bound - x_o) / sd)
-            masses.append(w * np.prod(per_dim))
-        return float(np.log(sum(masses)))
+    def sample_conditional(self, xs: np.ndarray, stream: RngStream) -> np.ndarray:
+        xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+        if len(self.weights) > 1:
+            return _rejection_rows(xs, self.m, self._propose, stream)
+        # One component: the coordinates are independent, so each is accepted
+        # on its own and a row far outside the box in a few coordinates does
+        # not wait for all of them to land inside at once.
+        return _rejection_rows(xs.reshape(-1, 1), 1, self._propose, stream).reshape(xs.shape)
+
+    def _component_masses(self, x_o: np.ndarray) -> np.ndarray:
+        # w_k prod_j [Phi((b - x_j)/sd_k) - Phi((-b - x_j)/sd_k)]
+        return np.array([w * np.prod(_box_mass(x_o, sd, self.bound)) for w, sd in zip(self.weights, self.sds)])
+
+    def mean(self, x_o: np.ndarray) -> np.ndarray:
+        # Within a component the dimensions are independent truncated normals;
+        # the components are weighted by their posterior mass.  A component
+        # whose mass underflows to 0 (x far outside the box for its scale)
+        # has no defined mean and is left out.
+        x_o = np.asarray(x_o, dtype=np.float64)
+        masses = self._component_masses(x_o)
+        keep = masses > 0
+        means = np.array([_truncated_normal_mean(x_o, sd, self.bound) for sd in self.sds[keep]])
+        return masses[keep] @ means / masses.sum()
 
     def log_prob(self, thetas: np.ndarray, x_o: np.ndarray) -> np.ndarray:
         thetas = np.atleast_2d(thetas)
@@ -329,7 +361,7 @@ class MixturePosterior(PosteriorBase):
         mx = stacked.max(axis=0)
         log_mix = mx + np.log(np.sum(np.exp(stacked - mx), axis=0))
         inside = np.all(np.abs(thetas) <= self.bound, axis=1)
-        return np.where(inside, log_mix - self._log_box_mass(x_o), -np.inf)
+        return np.where(inside, log_mix - float(np.log(self._component_masses(x_o).sum())), -np.inf)
 
 
 def gaussian_mixture_task(bound: float = 10.0, sds=(1.0, 0.1), weights=(0.5, 0.5)) -> Task:
@@ -359,59 +391,6 @@ def gaussian_mixture_task(bound: float = 10.0, sds=(1.0, 0.1), weights=(0.5, 0.5
     )
 
 
-# ---------------------------------------------------------------------------
-# Gaussian linear uniform task (SBI benchmark model, exact reference)
-# ---------------------------------------------------------------------------
-
-
-class TruncatedGaussianPosterior(PosteriorBase):
-    """N(x, noise_var I) truncated to the prior box, sampled by rejection."""
-
-    def __init__(self, m: int, noise_var: float, bound: float):
-        self.m = m
-        self.noise_var = float(noise_var)
-        self.bound = float(bound)
-
-    def sample(self, x_o: np.ndarray, n: int, stream: RngStream) -> np.ndarray:
-        x_o = np.asarray(x_o, dtype=np.float64)
-        rng = stream.generator()
-        sd = np.sqrt(self.noise_var)
-        out = np.empty((n, self.m))
-        got = 0
-        for _ in range(10_000):
-            if got >= n:
-                break
-            size = max(2 * (n - got), 16)
-            draws = x_o + sd * rng.standard_normal((size, self.m))
-            keep = np.all(np.abs(draws) <= self.bound, axis=1)
-            kept = draws[keep][: n - got]
-            out[got : got + len(kept)] = kept
-            got += len(kept)
-        if got < n:
-            raise OracleUnavailableError(
-                "truncated-Gaussian rejection failed; observation too far outside the box"
-            )
-        return out
-
-    def mean(self, x_o: np.ndarray) -> np.ndarray:
-        x_o = np.asarray(x_o, dtype=np.float64)
-        sd = np.sqrt(self.noise_var)
-        lo = (-self.bound - x_o) / sd
-        hi = (self.bound - x_o) / sd
-        phi = lambda t: np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)
-        return x_o + sd * (phi(lo) - phi(hi)) / (ndtr(hi) - ndtr(lo))
-
-    def log_prob(self, thetas: np.ndarray, x_o: np.ndarray) -> np.ndarray:
-        thetas = np.atleast_2d(thetas)
-        x_o = np.asarray(x_o, dtype=np.float64)
-        sd = np.sqrt(self.noise_var)
-        resid = (thetas - x_o) / sd
-        base = _std_normal_logpdf(resid) - self.m * np.log(sd)
-        per_dim = ndtr((self.bound - x_o) / sd) - ndtr((-self.bound - x_o) / sd)
-        inside = np.all(np.abs(thetas) <= self.bound, axis=1)
-        return np.where(inside, base - float(np.sum(np.log(per_dim))), -np.inf)
-
-
 def gaussian_linear_uniform_task(m: int = 10, noise_var: float = 0.1, bound: float = 1.0) -> Task:
     """Gaussian likelihood centred on theta with a uniform box prior."""
     if noise_var <= 0 or bound <= 0:
@@ -430,7 +409,7 @@ def gaussian_linear_uniform_task(m: int = 10, noise_var: float = 0.1, bound: flo
         d=m,
         prior_sample=prior_sample,
         simulate=simulate,
-        reference=TruncatedGaussianPosterior(m=m, noise_var=noise_var, bound=bound),
+        reference=MixturePosterior(m=m, weights=[1.0], sds=[np.sqrt(noise_var)], bound=bound),
     )
 
 

@@ -122,8 +122,8 @@ def _usage_error(capsys, argv) -> str:
 
 
 def test_task_parameter_the_builder_does_not_take_is_named(tmp_path, capsys):
-    err = _usage_error(capsys, ["simulate", "--task", "gaussian_conjugate", "--eps", "0.1", "--n", "5", "--out", str(tmp_path)])
-    assert "'eps'" in err
+    err = _usage_error(capsys, ["simulate", "--task", "gaussian_conjugate", "--bound", "2", "--n", "5", "--out", str(tmp_path)])
+    assert "'bound'" in err
 
 
 def test_unknown_plan_key_is_named(tmp_path, capsys):
@@ -131,6 +131,13 @@ def test_unknown_plan_key_is_named(tmp_path, capsys):
     (tmp_path / "plan.json").write_text(json.dumps(plan))
     err = _usage_error(capsys, ["sweep", "--plan", str(tmp_path / "plan.json"), "--out", str(tmp_path)])
     assert "'n_run'" in err
+
+
+def test_wrongly_typed_plan_value_is_named(tmp_path, capsys):
+    plan = {**ExperimentPlan(kind="type1").to_dict(), "n_runs": "3"}
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    err = _usage_error(capsys, ["sweep", "--plan", str(tmp_path / "plan.json"), "--out", str(tmp_path)])
+    assert "n_runs" in err
 
 
 @pytest.mark.parametrize(
@@ -190,16 +197,21 @@ def test_missing_plan_file_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
-def test_oracle_budget_exhaustion_is_runtime_error(tmp_path, capsys):
-    code = main(
-        [
-            "test", "--method", "oracle-c2st-mse", "--task", "two_moons",
-            "--eps", "1e-9", "--budget", "1000", "--n-cal", "50", "--n-v", "50",
-            "--out", str(tmp_path),
-        ]
-    )
+def test_fit_failure_is_runtime_error(tmp_path, capsys):
+    # two calibration rows per class cannot fit a QDA covariance: FitError
+    code = main(["test", "--n-cal", "2", "--n-null", "5", "--n-v", "50", "--out", str(tmp_path)])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error: runtime:")
+    err = capsys.readouterr().err
+    assert err.startswith("error: runtime:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flag", [["--method", "lc2st"], ["--n-null", "5"], ["--conservative"], ["--alpha", "0.1"], ["--distort-shift", "0.3"]]
+)
+def test_heatmap_rejects_flags_it_does_not_read(tmp_path, affine_flow, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["heatmap", "--flow", str(affine_flow), *flag, "--out", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 def test_train_npe_then_nf_test_and_heatmap(tmp_path):
@@ -233,7 +245,7 @@ def test_train_npe_then_nf_test_and_heatmap(tmp_path):
     code = main(
         [
             "heatmap", "--task", "gaussian_conjugate", "--flow", str(flow_dir / "flow.json"),
-            "--n-cal", "300", "--n-null", "5", "--n-v", "500", "--bins", "5",
+            "--n-cal", "300", "--n-v", "500", "--bins", "5",
             "--out", str(heat_dir),
         ]
     )

@@ -61,6 +61,14 @@ class TestPlan:
         ExperimentPlan(**{**SMALL_TYPE1, "alpha": 1.0})
 
     @pytest.mark.parametrize(
+        "key, value",
+        [("n_null", 2.5), ("n_v", True), ("seed", "0"), ("alpha", "0.05"), ("n_cal_grid", [100.0]), ("n_train_grid", 5)],
+    )
+    def test_wrongly_typed_field_is_named(self, key, value):
+        with pytest.raises(ConfigurationError, match=key):
+            ExperimentPlan(**{**SMALL_TYPE1, key: value})
+
+    @pytest.mark.parametrize(
         "spec, key",
         [({"kind": "mlp", "hiden_sizes": [8]}, "hiden_sizes"), ({"kind": "qda", "patience": 3}, "patience")],
     )
@@ -125,6 +133,19 @@ class TestTypeOne:
         plan = ExperimentPlan(**{**SMALL_TYPE1, "alpha": 1.0, "n_null": 100})
         res = run_type1(plan)
         assert res.aggregates()[0].rejection_rate == 1.0
+
+    def test_two_moons_exact_reference_keeps_type1_control(self):
+        from scipy.stats import kstest
+
+        plan = ExperimentPlan(
+            **{
+                **SMALL_TYPE1, "task": "two_moons", "task_params": {}, "n_cal_grid": [40],
+                "n_observations": 10, "n_runs": 10, "n_null": 100, "n_v": 1000,
+            }
+        )
+        p_values = [r.p_value for r in run_type1(plan).records]
+        assert len(p_values) == 100
+        assert kstest(p_values, "uniform").pvalue > 0.01
 
     def test_single_run_flags_small_sample(self):
         plan = ExperimentPlan(**{**SMALL_TYPE1, "n_runs": 1, "n_observations": 1})

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp, kstest
+from scipy.stats import ks_2samp
 
 from lc2st import (
     ConfigurationError,
@@ -114,20 +114,38 @@ class TestTwoMoons:
         draws = task.prior_sample(100_000, RngStream(seed=6))
         assert np.all(np.abs(draws) <= 1.0)
 
-    def test_rejection_with_huge_eps_returns_prior(self):
-        task = two_moons_task(eps=100.0, budget=100_000)
-        draws = task.reference.sample(np.zeros(2), 5000, RngStream(seed=7))
-        # With every simulation accepted this is just the uniform prior.
+    # the central observation, and one near the right edge of the moons where
+    # proposals with q0 > 0 (no preimage) must be rejected
+    @pytest.mark.parametrize("x_o", [np.zeros(2), np.array([0.3, 0.05])])
+    def test_exact_draws_match_small_eps_abc(self, x_o):
+        # ABC at eps=0.01 is close to exact here; the eps=0.05 ABC reference
+        # this sampler replaced fails the same comparison.
+        task = two_moons_task()
+        abc = []
+        for i in range(8):
+            stream = RngStream(seed=7).child("abc", i)
+            thetas = task.prior_sample(1_000_000, stream.child("prior"))
+            xs = task.simulate(thetas, stream.child("sim"))
+            abc.append(thetas[np.linalg.norm(xs - x_o, axis=1) <= 0.01])
+        abc = np.vstack(abc)
+        assert len(abc) > 500
+        exact = task.reference.sample(x_o, 5000, RngStream(seed=8))
+        assert np.all(np.abs(exact) <= 1.0)
         for j in range(2):
-            assert kstest(draws[:, j], "uniform", args=(-1.0, 2.0)).pvalue > 0.01
+            assert ks_2samp(abc[:, j], exact[:, j]).pvalue > 0.01
 
-    def test_budget_exhaustion(self):
-        task = two_moons_task(eps=1e-9, budget=10_000)
-        with pytest.raises(OracleUnavailableError):
-            task.reference.sample(np.zeros(2), 10, RngStream(seed=8))
+    def test_infeasible_observation_raises(self):
+        # x0 = r cos(a) + 0.25 - |t1 + t2| / sqrt(2) stays below 0.4: no prior draw reaches (5, 5)
+        task = two_moons_task()
+        with pytest.raises(OracleUnavailableError, match="rows found no accepted proposal"):
+            task.reference.sample(np.array([5.0, 5.0]), 10, RngStream(seed=8))
+
+    def test_eps_is_no_longer_a_parameter(self):
+        with pytest.raises(ConfigurationError, match="'eps'"):
+            make_task("two_moons", eps=0.05)
 
     def test_posterior_bimodality_at_central_observation(self):
-        task = two_moons_task(eps=0.1, budget=4_000_000)
+        task = two_moons_task()
         draws = task.reference.sample(np.zeros(2), 400, RngStream(seed=9))
         centers, assign = _two_means(draws, seed=0)
         separation = np.linalg.norm(centers[0] - centers[1])
@@ -166,6 +184,48 @@ class TestGaussianMixture:
         lp = task.reference.log_prob(draws, x_o)
         assert np.all(np.isfinite(lp))
         assert task.reference.log_prob(np.array([[11.0, 0.0]]), x_o)[0] == -np.inf
+
+    def test_closed_form_mean_matches_monte_carlo_near_the_box_edge(self):
+        task = gaussian_mixture_task()
+        x_o = np.array([9.5, -9.0])
+        n = 200_000
+        draws = task.reference.sample(x_o, n, RngStream(seed=30))
+        mean = task.reference.mean(x_o)
+        assert np.all(np.abs(draws.mean(axis=0) - mean) <= 4 * draws.std(axis=0) / np.sqrt(n))
+        assert np.all(np.abs(mean - x_o) > 0.1)  # the truncation matters here
+
+    def test_closed_form_mean_far_outside_the_box(self):
+        # the narrow component's box mass underflows to 0 and drops out, and
+        # the wide one's mean is as precise below the box as above it
+        mixture = gaussian_mixture_task().reference
+        wide = gaussian_linear_uniform_task(m=2, noise_var=1.0, bound=10.0).reference
+        above, below = mixture.mean(np.array([20.0, 0.5])), mixture.mean(np.array([-20.0, -0.5]))
+        assert np.all(np.isfinite(above)) and np.all(np.abs(above) <= 10.0)
+        assert np.allclose(below, -above, rtol=1e-12, atol=0.0)
+        assert np.allclose(above, wide.mean(np.array([20.0, 0.5])), rtol=1e-12, atol=0.0)
+
+    def test_closed_form_mean_is_the_observation_without_truncation(self):
+        task = gaussian_mixture_task(bound=1e6)
+        x_o = np.array([3.0, -2.0])
+        assert np.allclose(task.reference.mean(x_o), x_o, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "task, x_a, x_b",
+    [
+        (gaussian_mixture_task(), np.array([9.5, -9.0]), np.array([10.5, -10.5])),
+        (gaussian_linear_uniform_task(), np.full(10, 0.9), np.full(10, 1.3)),
+    ],
+    ids=["gaussian_mixture", "gaussian_linear_uniform"],
+)
+def test_batched_conditional_draws_match_sample_at_a_fixed_x(task, x_a, x_b):
+    # rows at x_a share rejection rounds with slower-filling rows at x_b
+    n = 4000
+    xs = np.where((np.arange(2 * n) % 2 == 0)[:, None], x_a, x_b)
+    batched = task.reference.sample_conditional(xs, RngStream(seed=31))[::2]
+    direct = task.reference.sample(x_a, n, RngStream(seed=32))
+    for j in range(task.m):
+        assert ks_2samp(batched[:, j], direct[:, j]).pvalue > 0.01
 
 
 class TestGaussianLinearUniform:
