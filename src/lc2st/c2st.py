@@ -43,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifiers import BLOCK_ROWS, MlpModel, QdaModel, quad_features, row_slices
+from .classifiers import BLOCK_ROWS, MlpModel, QdaModel, QdaStack, quad_features, row_slices
 from .core import (
     ConfigurationError,
     LabeledPairDataset,
@@ -62,11 +62,13 @@ __all__ = [
     "p_value_from_null",
     "TestResult",
     "NullEnsemble",
+    "Relabeled",
     "fit_null_ensemble",
     "lc2st_training_set",
     "lc2st_train",
     "lc2st_evaluate",
     "lc2st_nf_train",
+    "Resampled",
     "lc2st_nf_null",
     "lc2st_nf_evaluate",
     "TestRun",
@@ -165,11 +167,13 @@ def t_acc0(clf, points: np.ndarray, x_o: np.ndarray | None = None) -> float:
 _MLP_CHUNK_ELEMENTS = 1 << 17
 
 
-def _stacks(classifiers: list) -> tuple[np.ndarray | None, list[MlpModel] | None]:
+def _stacks(classifiers) -> tuple[np.ndarray | None, list[MlpModel] | None]:
     """The classifiers stacked once for scoring: a (features, classifiers)
-    matrix of QDA coefficients when all are QDA, member-axis MlpModels over
-    consecutive chunks of members when all are MLPs of one shape, else
-    (None, None)."""
+    matrix of QDA coefficients when all are QDA (a ``QdaStack`` has it
+    already), member-axis MlpModels over consecutive chunks of members when
+    all are MLPs of one shape, else (None, None)."""
+    if isinstance(classifiers, QdaStack):
+        return classifiers.coef, None
     if classifiers and all(isinstance(c, QdaModel) for c in classifiers):
         return np.column_stack([c.coef for c in classifiers]), None
     if classifiers and all(isinstance(c, MlpModel) for c in classifiers):
@@ -188,14 +192,14 @@ def _log_odds(clf, ws: np.ndarray) -> np.ndarray:
         return np.log(d) - np.log1p(-d)
 
 
-def _log_odds_blocks(classifiers: list, ws: np.ndarray, coef: np.ndarray | None, mlp: list[MlpModel] | None):
+def _log_odds_blocks(classifiers, ws: np.ndarray, coef: np.ndarray | None, mlp: list[MlpModel] | None):
     """Yield (rows, classifiers) log-odds blocks over the row blocks of ``ws``:
     one product with the stacked QDA ``coef``, one forward pass per stacked
     ``mlp`` chunk, else one column per classifier (its ``log_odds``, or the
     logit of its ``predict_proba``)."""
     ws = np.atleast_2d(np.asarray(ws, dtype=np.float64))
-    if coef is not None and ws.shape[1] != classifiers[0].dim:
-        raise ConfigurationError(f"expected feature dimension {classifiers[0].dim}, got {ws.shape[1]}")
+    if coef is not None and len(coef) != ws.shape[1] * (ws.shape[1] + 3) // 2 + 1:
+        raise ConfigurationError(f"feature dimension {ws.shape[1]} does not match the QDA coefficients")
     for rows in row_slices(len(ws)):
         block = ws[rows]
         if coef is not None:
@@ -206,7 +210,7 @@ def _log_odds_blocks(classifiers: list, ws: np.ndarray, coef: np.ndarray | None,
             yield np.array([_log_odds(clf, block) for clf in classifiers]).reshape(-1, len(block)).T
 
 
-def single_class_statistics(classifiers: list, ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def single_class_statistics(classifiers, ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``t_mse0`` and ``t_acc0`` of every classifier on the rows ``ws``, from
     one scoring pass; d = sigmoid(log-odds) keeps the tie rule of ``t_acc0``."""
     ws = np.atleast_2d(np.asarray(ws, dtype=np.float64))
@@ -218,6 +222,18 @@ def single_class_statistics(classifiers: list, ws: np.ndarray) -> tuple[np.ndarr
         sq += np.square(d - 0.5).sum(axis=0)
         class0 += (d <= 0.5).sum(axis=0)
     return sq / len(ws), class0 / len(ws)
+
+
+def _two_class_statistics(classifiers, val: LabeledPairDataset) -> tuple[np.ndarray, np.ndarray]:
+    """``t_acc`` and ``t_mse`` of every classifier on the balanced set ``val``,
+    from one scoring pass."""
+    correct, sq = np.zeros(len(classifiers)), np.zeros((2, len(classifiers)))
+    blocks = _log_odds_blocks(classifiers, val.ws, *_stacks(classifiers))
+    for rows, logits in zip(row_slices(val.n), blocks):
+        d, labels = sigmoid(logits), val.labels[rows]
+        correct += ((d > 0.5) == labels[:, None]).sum(axis=0)
+        sq += [np.square(d[labels == c] - 0.5).sum(axis=0) for c in (0, 1)]
+    return correct / val.n, sq[0] / val.n_class0 + sq[1] / val.n_class1
 
 
 def p_value_from_null(statistic: float, null_statistics: np.ndarray, conservative: bool = False) -> float:
@@ -306,11 +322,13 @@ class TestResult:
 @dataclass
 class NullEnsemble:
     """Classifiers fitted under the null construction, with their seed ledger
-    and the wall-clock seconds their fit took.  ``coef`` stacks the members'
-    QDA coefficients and ``mlp`` their MLP parameters (in chunks of members)
-    once, at construction."""
+    and the wall-clock seconds their fit took.  A QDA null is a ``QdaStack``
+    fitted from stacked class moments: ``coef`` is its (features, members)
+    matrix, and its members are built as QdaModels only on demand.  A list of
+    members is stacked once, at construction: into ``coef`` when all are QDA,
+    into ``mlp`` (chunks of members) when all are MLPs."""
 
-    classifiers: list
+    classifiers: list | QdaStack
     provenance: str  # 'permutation' | 'nf-resampled'
     streams: list[tuple[int, int]] = field(default_factory=list)
     latent_dim: int | None = None
@@ -326,10 +344,75 @@ class NullEnsemble:
     def __len__(self) -> int:
         return len(self.classifiers)
 
+    def with_main(self, clf):
+        """``clf`` ahead of the members, as one sequence to score: the main
+        classifier is column 0."""
+        if isinstance(clf, QdaModel) and isinstance(self.classifiers, QdaStack):
+            return self.classifiers.prepend(clf)
+        return [clf, *self.classifiers]
+
 
 # ---------------------------------------------------------------------------
 # Local test on the joint (theta, x) space
 # ---------------------------------------------------------------------------
+
+
+def _moment_rows(w: np.ndarray) -> np.ndarray:
+    """Rows [w, vec(w w')]: summed over a class's rows, its sum and scatter."""
+    return np.hstack([w, (w[:, :, None] * w[:, None, :]).reshape(len(w), -1)])
+
+
+@dataclass(frozen=True)
+class Relabeled:
+    """Members of a label-permutation null: every member keeps ``data``'s
+    rows, and member h draws its labels from ``subs[h].child("perm")``.
+    Iterating yields the members' datasets (what an MLP trains on);
+    ``class_moments`` gives all their class moments at once (what QDA fits
+    from), without building them."""
+
+    data: LabeledPairDataset
+    subs: list[RngStream]
+    paired: bool
+
+    def __len__(self) -> int:
+        return len(self.subs)
+
+    def labels(self, sub: RngStream) -> np.ndarray:
+        rng = sub.child("perm").generator()
+        if self.paired:
+            flips = (rng.random(self.data.n // 2) < 0.5).astype(np.int64)
+            return np.concatenate([flips, 1 - flips])
+        return self.data.labels[rng.permutation(self.data.n)]
+
+    def __iter__(self):
+        return (self.data.with_labels(self.labels(sub)) for sub in self.subs)
+
+    def class_moments(self):
+        """(counts, centre, sums, scatters) as ``qda_fit_moments`` takes them,
+        about the rows' mean.  Class 1's moments are the members' 0/1 labels
+        times the rows' ``_moment_rows``, one GEMM per row block, and class
+        0's the total less class 1's.  Paired, class 1 holds row i of the
+        upper half where its flip is 1 and its partner i + n/2 where it is 0:
+        the lower half's total plus the flips times (upper - lower) rows."""
+        ws, n, dim = self.data.ws, self.data.n, self.data.dim
+        centre = ws.mean(axis=0)
+        half = n // 2 if self.paired else n
+        weights = np.array([self.labels(sub)[:half] for sub in self.subs], dtype=np.int8).reshape(len(self), half)
+        upper, lower = ws[:half] - centre, ws[half:] - centre
+        total, class1 = np.zeros(dim + dim * dim), np.zeros((len(self), dim + dim * dim))
+        for rows in row_slices(half):
+            block = _moment_rows(upper[rows])
+            total += block.sum(axis=0)
+            if self.paired:
+                partners = _moment_rows(lower[rows])
+                total += partners.sum(axis=0)
+                class1 += partners.sum(axis=0)
+                block -= partners
+            class1 += weights[:, rows].astype(np.float64) @ block
+        # relabeling keeps the class sizes
+        counts = np.tile([self.data.n_class0, self.data.n_class1], (len(self), 1))
+        moments = np.stack([total - class1, class1], axis=1)
+        return counts, centre, moments[..., :dim], moments[..., dim:].reshape(len(self), 2, dim, dim)
 
 
 def fit_null_ensemble(
@@ -352,7 +435,8 @@ def fit_null_ensemble(
     p-values conservative.  Requires the block layout produced by
     ``from_class_arrays`` with equal class counts.
 
-    One ``fit_fn.ensemble`` call fits every member.
+    One ``fit_fn.ensemble`` call fits every member from their
+    :class:`Relabeled` description.
     """
     t0 = time.perf_counter()
     if paired:
@@ -362,16 +446,9 @@ def fit_null_ensemble(
             raise ConfigurationError(
                 "paired permutation requires class-0 rows stacked above class-1 rows, equal counts"
             )
-
-    def permuted(sub: RngStream) -> LabeledPairDataset:
-        rng = sub.child("perm").generator()
-        if paired:
-            flips = rng.random(data.n // 2) < 0.5
-            return data.with_labels(np.concatenate([flips.astype(np.int64), 1 - flips.astype(np.int64)]))
-        return data.with_labels(data.labels[rng.permutation(data.n)])
-
     subs = [stream.child("trial", h) for h in range(n_null)]
-    classifiers = fit_fn.ensemble((permuted(sub) for sub in subs), [sub.child("fit") for sub in subs])
+    # the fit streams are derived only by fitters that read them (MLP)
+    classifiers = fit_fn.ensemble(Relabeled(data, subs, paired), (sub.child("fit") for sub in subs))
     streams = [(sub.seed, sub.stream_id) for sub in subs]
     return NullEnsemble(
         classifiers=classifiers, provenance="permutation", streams=streams, fit_seconds=time.perf_counter() - t0
@@ -484,6 +561,51 @@ def lc2st_nf_train(flow, cal: JointDataset, fit_fn, stream: RngStream):
     return fit_fn(data, stream.child("fit"))
 
 
+@dataclass(frozen=True)
+class Resampled:
+    """Members of the flow variant's null: member h pairs two fresh
+    standard-normal latent draws from ``subs[h].child("z")``, one per class,
+    with the same observations ``xs``.  Iterated and moments as
+    :class:`Relabeled`."""
+
+    xs: np.ndarray
+    m: int
+    subs: list[RngStream]
+
+    def __len__(self) -> int:
+        return len(self.subs)
+
+    def latents(self, sub: RngStream) -> np.ndarray:
+        """Member latents (2, n, m): class 0's draws, then class 1's."""
+        return sub.child("z").generator().standard_normal((2, len(self.xs), self.m))
+
+    def __iter__(self):
+        for sub in self.subs:
+            z0, z1 = self.latents(sub)
+            yield LabeledPairDataset.from_class_arrays(np.hstack([z0, self.xs]), np.hstack([z1, self.xs]))
+
+    def class_moments(self):
+        """(counts, centre, sums, scatters) as ``qda_fit_moments`` takes them,
+        about (0, mean of ``xs``).  The observation block is the same for
+        every member and class, so it is computed once; each member adds its
+        latent sums and two small products, z'z and z'x."""
+        m, (n, d_x) = self.m, self.xs.shape
+        x_mean = self.xs.mean(axis=0)
+        xc = self.xs - x_mean
+        sums = np.empty((len(self), 2, m + d_x))
+        scatters = np.empty((len(self), 2, m + d_x, m + d_x))
+        sums[..., m:] = xc.sum(axis=0)
+        scatters[..., m:, m:] = xc.T @ xc
+        for h, sub in enumerate(self.subs):
+            z = self.latents(sub)
+            zt = np.swapaxes(z, 1, 2)
+            sums[h, :, :m] = z.sum(axis=1)
+            scatters[h, :, :m, :m] = zt @ z
+            scatters[h, :, :m, m:] = zt @ xc
+        scatters[..., m:, :m] = np.swapaxes(scatters[..., :m, m:], -1, -2)
+        return np.full((len(self), 2), n), np.concatenate([np.zeros(m), x_mean]), sums, scatters
+
+
 def lc2st_nf_null(
     cal_xs: np.ndarray,
     m: int,
@@ -494,22 +616,15 @@ def lc2st_nf_null(
     """Estimator-independent null ensemble for the flow variant.
 
     Each trial draws fresh standard-normal latents for both classes against
-    the same observations, so one ensemble is reusable across flows and
-    observations.  ``n_null=0`` returns an empty ensemble.
+    the same observations (:class:`Resampled`), so one ensemble is reusable
+    across flows and observations.  ``n_null=0`` returns an empty ensemble.
     """
     t0 = time.perf_counter()
     if n_null < 0:
         raise ConfigurationError("n_null must be nonnegative")
     cal_xs = np.atleast_2d(np.asarray(cal_xs, dtype=np.float64))
-
-    def resampled(sub: RngStream) -> LabeledPairDataset:
-        rng = sub.child("z").generator()
-        z0 = rng.standard_normal((cal_xs.shape[0], m))
-        z1 = rng.standard_normal((cal_xs.shape[0], m))
-        return LabeledPairDataset.from_class_arrays(np.hstack([z0, cal_xs]), np.hstack([z1, cal_xs]))
-
     subs = [stream.child("trial", h) for h in range(n_null)]
-    classifiers = fit_fn.ensemble((resampled(sub) for sub in subs), [sub.child("fit") for sub in subs])
+    classifiers = fit_fn.ensemble(Resampled(cal_xs, m, subs), (sub.child("fit") for sub in subs))
     streams = [(sub.seed, sub.stream_id) for sub in subs]
     return NullEnsemble(
         classifiers=classifiers, provenance="nf-resampled", streams=streams, latent_dim=m,
@@ -617,10 +732,10 @@ def run_test(
             estimator.sample(x_o, n_v, stream.child("q-val")),
             task.reference.sample(x_o, n_v, stream.child("p-val")),
         )
-        stat_fn = t_acc if method == "oracle-c2st-acc" else t_mse
-        nulls = np.array([stat_fn(member, val) for member in ensemble.classifiers]) if len(ensemble) else None
+        stat = (t_acc if method == "oracle-c2st-acc" else t_mse)(clf, val)
+        acc, mse = _two_class_statistics(ensemble.classifiers, val) if len(ensemble) else (None, None)
         seeds = {"seed": int(stream.seed), "stream_id": int(stream.stream_id)}
-        result = TestResult.from_stats(method, stat_fn(clf, val), nulls, x_o, n_v, seeds, conservative)
+        result = TestResult.from_stats(method, stat, acc if method == "oracle-c2st-acc" else mse, x_o, n_v, seeds, conservative)
     null = fitted.fit_seconds if n_fit else 0.0
     return TestRun(result, clf, ensemble, {"train": t1 - t0 - null, "null": null, "evaluate": time.perf_counter() - t1})
 
@@ -698,7 +813,7 @@ def pp_plot(
         raise ConfigurationError("pp_plot needs a nonempty null ensemble")
     # Column 0 is the main classifier.  Rows counted by the number of levels
     # below their class-0 probability accumulate to the ECDF numerators.
-    models, width = [clf, *ensemble.classifiers], len(levels) + 1
+    models, width = ensemble.with_main(clf), len(levels) + 1
     counts = np.zeros(len(models) * width, dtype=np.int64)
     for logits in _log_odds_blocks(models, eval_ws, *_stacks(models)):
         below = np.searchsorted(levels, 1.0 - sigmoid(logits), side="left")

@@ -4,7 +4,8 @@ Three families, all exposing ``predict_proba(ws) -> P(C=1 | w)``:
 
 * :func:`qda_fit` -- closed-form quadratic discriminant analysis, the Bayes
   classifier when both classes are Gaussian; its log-odds is one coefficient
-  vector over :func:`quad_features`, so ensembles stack into one matrix;
+  vector over :func:`quad_features`, and :func:`qda_fit_moments` fits a whole
+  ensemble from stacked class moments into one (features, members) matrix;
 * :func:`analytic_bayes` -- exact class probability p/(p+q) from a pair of
   log-densities, used as an oracle in tests;
 * :func:`mlp_fit` -- a small rectifier network with a sigmoid head trained by
@@ -36,7 +37,10 @@ __all__ = [
     "ProbClassifier",
     "quad_features",
     "QdaModel",
+    "qda_coefficients",
     "qda_fit",
+    "QdaStack",
+    "qda_fit_moments",
     "AnalyticBayesClassifier",
     "analytic_bayes",
     "MlpConfig",
@@ -93,14 +97,35 @@ def quad_features(ws: np.ndarray) -> np.ndarray:
     return out.T
 
 
-@dataclass
-class QdaModel:
-    """Gaussian class-conditional classifier with per-class mean/covariance.
+def qda_coefficients(means: np.ndarray, covs: np.ndarray, priors: np.ndarray) -> np.ndarray:
+    """(F, H) log-odds coefficients of H QDA members over :func:`quad_features`,
+    from their (H, 2, d) class means, (H, 2, d, d) covariances and (H, 2) priors.
 
     With precisions P_k, the log-odds is w'Aw + b'w + c for A = -(P1 - P0)/2,
     b = P1 mu1 - P0 mu0 and c from the means, log-determinants and priors;
-    ``coef`` is [upper triangle of A, off-diagonals doubled; b; c].
+    a column is [upper triangle of A, off-diagonals doubled; b; c].  One
+    batched Cholesky and one inverse serve every member.
     """
+    try:
+        chols = np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError as exc:
+        raise FitError(f"class covariance is not positive definite: {exc}") from exc
+    inv_chols = np.linalg.inv(chols)
+    prec = np.swapaxes(inv_chols, -1, -2) @ inv_chols
+    logdet = 2.0 * np.log(np.diagonal(chols, axis1=-2, axis2=-1)).sum(axis=-1)
+    lin = (prec @ means[..., None])[..., 0]
+    mu_lin = (means[..., None, :] @ lin[..., None])[..., 0, 0]
+    const = -0.5 * (mu_lin[:, 1] - mu_lin[:, 0] + logdet[:, 1] - logdet[:, 0]) + np.log(priors[:, 1]) - np.log(priors[:, 0])
+    quad = -0.5 * (prec[:, 1] - prec[:, 0])
+    sym, diag = quad + np.swapaxes(quad, -1, -2), np.arange(means.shape[-1])
+    sym[:, diag, diag] = quad[:, diag, diag]
+    return np.vstack([*(sym[:, i, i:].T for i in diag), (lin[:, 1] - lin[:, 0]).T, const])
+
+
+@dataclass
+class QdaModel:
+    """Gaussian class-conditional classifier with per-class mean/covariance;
+    ``coef`` is its :func:`qda_coefficients` column."""
 
     mu0: np.ndarray
     mu1: np.ndarray
@@ -117,18 +142,9 @@ class QdaModel:
         self.cov1 = np.asarray(self.cov1, dtype=np.float64)
         if not np.isclose(self.prior0 + self.prior1, 1.0):
             raise ConfigurationError("class priors must sum to one")
-        try:
-            chols = np.linalg.cholesky(np.stack([self.cov0, self.cov1]))
-        except np.linalg.LinAlgError as exc:
-            raise FitError(f"class covariance is not positive definite: {exc}") from exc
-        inv_chols = np.linalg.inv(chols)
-        p0, p1 = np.swapaxes(inv_chols, 1, 2) @ inv_chols
-        ld0, ld1 = 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
-        quad = -0.5 * (p1 - p0)
-        lin0, lin1 = p0 @ self.mu0, p1 @ self.mu1
-        const = -0.5 * (self.mu1 @ lin1 - self.mu0 @ lin0 + ld1 - ld0) + np.log(self.prior1) - np.log(self.prior0)
-        sym = quad + quad.T - np.diag(np.diag(quad))
-        self.coef = np.concatenate([*(sym[i, i:] for i in range(self.dim)), lin1 - lin0, [const]])
+        self.coef = qda_coefficients(
+            np.stack([self.mu0, self.mu1])[None], np.stack([self.cov0, self.cov1])[None], np.array([[self.prior0, self.prior1]])
+        )[:, 0]
 
     @property
     def dim(self) -> int:
@@ -173,6 +189,58 @@ def qda_fit(data: LabeledPairDataset, ridge: float | None = None) -> QdaModel:
         mu0=mus[0], mu1=mus[1], cov0=covs[0], cov1=covs[1],
         prior0=n0 / (n0 + n1), prior1=n1 / (n0 + n1),
     )
+
+
+@dataclass(frozen=True)
+class QdaStack:
+    """H QDA members fitted together: (H, 2, d) class ``means``, (H, 2, d, d)
+    ``covs``, (H, 2) ``priors`` and their (F, H) ``coef``.  Scoring reads
+    ``coef``; ``stack[h]`` builds member h as a :class:`QdaModel` only when
+    asked for, for checkpoints and inspection."""
+
+    means: np.ndarray
+    covs: np.ndarray
+    priors: np.ndarray
+    coef: np.ndarray = field(repr=False)
+
+    def __len__(self) -> int:
+        return len(self.means)
+
+    def __getitem__(self, h: int) -> QdaModel:
+        return QdaModel(*self.means[h], *self.covs[h], *self.priors[h])
+
+    def prepend(self, model: QdaModel) -> "QdaStack":
+        """``model`` as member 0, ahead of these members."""
+        return QdaStack(
+            np.concatenate([[[model.mu0, model.mu1]], self.means]),
+            np.concatenate([[[model.cov0, model.cov1]], self.covs]),
+            np.concatenate([[[model.prior0, model.prior1]], self.priors]),
+            np.column_stack([model.coef, self.coef]),
+        )
+
+
+def qda_fit_moments(counts, centre, sums, scatters, ridge: float | None = None) -> QdaStack:
+    """Fit H QDA members at once from their class moments about ``centre``.
+
+    ``counts`` (H, 2) are the class sizes, ``sums`` (H, 2, d) and
+    ``scatters`` (H, 2, d, d) the sums of w - centre and of its outer
+    products over each class's rows.  Means, covariances, the ridge rule and
+    the errors are those of :func:`qda_fit` on each member's rows, to rounding.
+    """
+    dim = len(centre)
+    small = np.argwhere(counts < dim + 1)
+    if len(small):
+        h, label = small[0]
+        raise FitError(f"class {label} has {counts[h, label]} samples, need at least dim+1={dim + 1}")
+    if ridge is not None and ridge < 0:
+        raise ConfigurationError("ridge must be nonnegative")
+    n = counts[..., None, None]
+    means = centre + sums / counts[..., None]
+    covs = (scatters - sums[..., :, None] * sums[..., None, :] / n) / (n - 1)
+    r = 1e-6 * np.trace(covs, axis1=-2, axis2=-1) / dim if ridge is None else np.full(counts.shape, ridge)
+    covs += r[..., None, None] * np.eye(dim)
+    priors = counts / counts.sum(axis=1, keepdims=True)
+    return QdaStack(means, covs, priors, qda_coefficients(means, covs, priors))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +360,7 @@ def _bce_loss_and_grad(params: MlpParams, inputs: np.ndarray, labels: np.ndarray
     cache: list = []
     z = mlp_forward(params, inputs, cache, acts)[..., 0]
     gz = ((sigmoid(z) - labels) / labels.shape[-1])[..., None]
-    gw, gb, _ = mlp_backward(params, cache, gz, grads)
+    gw, gb, _ = mlp_backward(params, cache, gz, grads, input_grad=False)
     return _bce_losses(z, labels), gw, gb
 
 
@@ -381,7 +449,8 @@ def _fit_lockstep(datasets: list[LabeledPairDataset], cfg: MlpConfig, streams: l
     # serve a compacted stack and a short last batch
     rows = min(cfg.batch_size, n_tr)
     acts = [np.empty((n_members, rows, w.shape[-1])) for w in params.weights]
-    grad_in = [np.empty((n_members, rows, w.shape[-2])) for w in params.weights]
+    # no input grad: the first layer's input needs no buffer
+    grad_in = [None, *(np.empty((n_members, rows, w.shape[-2])) for w in params.weights[1:])]
     grad = np.empty_like(flat)
     grads = _unflatten(grad, shapes)
     for epoch in range(cfg.max_epochs):
@@ -392,7 +461,7 @@ def _fit_lockstep(datasets: list[LabeledPairDataset], cfg: MlpConfig, streams: l
             batch = slice(start, start + cfg.batch_size)
             xb, yb = xs[:, batch], ys[:, batch]
             k, b = yb.shape
-            out = [a[:k, :b] for a in acts], (grads.weights, grads.biases, [g[:k, :b] for g in grad_in])
+            out = [a[:k, :b] for a in acts], (grads.weights, grads.biases, [g if g is None else g[:k, :b] for g in grad_in])
             loss, _, _ = _bce_loss_and_grad(params, xb, yb, out)
             bad = _first_failing(np.isfinite(loss))
             if bad is not None:
@@ -596,7 +665,8 @@ def load_classifier(path):
 
 # ---------------------------------------------------------------------------
 # Fitters (uniform fit interface for the test procedures): ``fit(data, stream)``
-# fits one classifier, ``fit.ensemble(datasets, streams)`` a null ensemble
+# fits one classifier, ``fit.ensemble(members, streams)`` a null ensemble from
+# a null construction's member description (see ``c2st.Relabeled``)
 # ---------------------------------------------------------------------------
 
 
@@ -609,10 +679,12 @@ class QdaFitter:
     def __call__(self, data: LabeledPairDataset, stream: RngStream) -> QdaModel:
         return qda_fit(data, ridge=self.ridge)
 
-    def ensemble(self, datasets: Iterable[LabeledPairDataset], streams: list[RngStream]) -> list[QdaModel]:
-        """One fit per dataset, in turn, so a lazy ``datasets`` holds one at a
-        time.  Fitting all members from stacked class moments would go here."""
-        return [self(data, stream) for data, stream in zip(datasets, streams)]
+    def ensemble(self, members, streams: Iterable[RngStream]) -> QdaStack:
+        """Every member in one stacked fit from ``members.class_moments()``
+        (see :func:`qda_fit_moments`), with no member dataset or QdaModel
+        built; ``QdaStack[h]`` builds one on demand.  QDA draws nothing, so
+        ``streams`` is never read."""
+        return qda_fit_moments(*members.class_moments(), ridge=self.ridge)
 
 
 @dataclass(frozen=True)
@@ -624,8 +696,9 @@ class MlpFitter:
     def __call__(self, data: LabeledPairDataset, stream: RngStream) -> MlpModel:
         return mlp_fit(data, self.cfg, stream)
 
-    def ensemble(self, datasets: Iterable[LabeledPairDataset], streams: list[RngStream]) -> list[MlpModel]:
-        """All members trained in lockstep; member h equals ``self(datasets[h], streams[h])``."""
+    def ensemble(self, datasets: Iterable[LabeledPairDataset], streams: Iterable[RngStream]) -> list[MlpModel]:
+        """All members trained in lockstep; member h equals ``self(datasets[h], streams[h])``.
+        A null construction's member description iterates as its datasets."""
         return _fit_lockstep(list(datasets), self.cfg, list(streams))
 
 

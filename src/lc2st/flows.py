@@ -222,7 +222,7 @@ class ElementwiseAffineLayer:
         g_t = -g_y
         g_s = -g_z * w - g_logdet[:, None]
         g_raw = g_s * (1.0 - (s / S_MAX) ** 2)
-        gw, gb, _ = mlp_backward(self.params, cache["net"], np.hstack([g_t, g_raw]))
+        gw, gb, _ = mlp_backward(self.params, cache["net"], np.hstack([g_t, g_raw]), input_grad=False)
         return g_y, _interleave(gw, gb)
 
     def to_dict(self) -> dict:

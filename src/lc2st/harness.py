@@ -466,7 +466,7 @@ def run_sigma_sweep(plan: ExperimentPlan) -> SigmaSweepResult:
             val_q = pair.sample_q(plan.n_v, stream.child("val"))
             clf = fit_fn(train, stream.child("fit"))
             ensemble = c2st.fit_null_ensemble(train, fit_fn, plan.n_null, stream.child("null"))
-            mse0, acc0 = c2st.single_class_statistics([clf, *ensemble.classifiers], val_q)
+            mse0, acc0 = c2st.single_class_statistics(ensemble.with_main(clf), val_q)
             stat_mse0, stat_acc0 = float(mse0[0]), float(acc0[0])
             p_mse0 = c2st.p_value_from_null(stat_mse0, mse0[1:])
             p_acc0 = c2st.p_value_from_null(stat_acc0, acc0[1:])

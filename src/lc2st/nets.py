@@ -114,12 +114,15 @@ def mlp_backward(
     cache: list,
     grad_out: np.ndarray,
     out: tuple[list, list, list] | None = None,
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+    input_grad: bool = True,
+) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray | None]:
     """Backprop ``grad_out`` (d loss / d linear output) through a cached forward.
 
     Returns (weight grads, bias grads, grad wrt inputs), shaped like the
     params and the inputs.  ``out`` = (weight grads, bias grads, grads wrt
-    each layer's input) gives arrays to hold the results.
+    each layer's input) gives arrays to hold the results.  Callers that train
+    only the parameters pass ``input_grad=False``: the last product, with the
+    first layer's weights, is skipped and the input grad is None.
     """
     n = params.n_layers
     gw, gb, g_in = out if out is not None else ([None] * n, [None] * n, [None] * n)
@@ -132,6 +135,8 @@ def mlp_backward(
         gw[k] = np.matmul(np.swapaxes(cache[k], -1, -2), g, out=gw[k])
         summed = g.shape[:-2] + g.shape[-1:]
         gb[k] = np.sum(g, axis=-2, out=None if gb[k] is None else gb[k].reshape(summed)).reshape(params.biases[k].shape)
+        if k == 0 and not input_grad:
+            return gw, gb, None
         # one output unit: the product is an outer product, exact either way
         # and much faster as a broadcast
         g = np.multiply(g, w_t, out=g_in[k]) if g.shape[-1] == 1 else np.matmul(g, w_t, out=g_in[k])

@@ -86,7 +86,12 @@ class PosteriorBase:
         raise NotImplementedError(f"{type(self).__name__} has no tractable density")
 
     def mean(self, x_o: np.ndarray) -> np.ndarray:
-        draws = self.sample(x_o, 8192, _stream_from_array("posterior-mean", np.asarray(x_o)))
+        """Posterior mean at ``x_o``, or one row per row of a (n, d) ``x_o``.
+        This default is a Monte Carlo estimate, one row at a time."""
+        x_o = np.asarray(x_o, dtype=np.float64)
+        if x_o.ndim == 2:
+            return np.vstack([self.mean(x) for x in x_o])
+        draws = self.sample(x_o, 8192, _stream_from_array("posterior-mean", x_o))
         return draws.mean(axis=0)
 
 
@@ -194,6 +199,7 @@ class ConjugateGaussianPosterior(PosteriorBase):
         return s2 / (1.0 + s2)
 
     def mean(self, x_o: np.ndarray) -> np.ndarray:
+        """Posterior mean at ``x_o``, or one row per row of a (n, m) ``x_o``."""
         return np.asarray(x_o, dtype=np.float64) * self.shrinkage
 
     def sample(self, x_o: np.ndarray, n: int, stream: RngStream) -> np.ndarray:
@@ -336,19 +342,20 @@ class MixturePosterior(PosteriorBase):
         return _rejection_rows(xs.reshape(-1, 1), 1, self._propose, stream).reshape(xs.shape)
 
     def _component_masses(self, x_o: np.ndarray) -> np.ndarray:
-        # w_k prod_j [Phi((b - x_j)/sd_k) - Phi((-b - x_j)/sd_k)]
-        return np.array([w * np.prod(_box_mass(x_o, sd, self.bound)) for w, sd in zip(self.weights, self.sds)])
+        # w_k prod_j [Phi((b - x_j)/sd_k) - Phi((-b - x_j)/sd_k)], per row of x_o
+        return np.array([w * np.prod(_box_mass(x_o, sd, self.bound), axis=-1) for w, sd in zip(self.weights, self.sds)])
 
     def mean(self, x_o: np.ndarray) -> np.ndarray:
         # Within a component the dimensions are independent truncated normals;
         # the components are weighted by their posterior mass.  A component
         # whose mass underflows to 0 (x far outside the box for its scale)
-        # has no defined mean and is left out.
+        # has no defined mean and is left out.  Rows of x_o give rows.
         x_o = np.asarray(x_o, dtype=np.float64)
-        masses = self._component_masses(x_o)
-        keep = masses > 0
-        means = np.array([_truncated_normal_mean(x_o, sd, self.bound) for sd in self.sds[keep]])
-        return masses[keep] @ means / masses.sum()
+        masses = self._component_masses(x_o)[..., None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            means = np.array([_truncated_normal_mean(x_o, sd, self.bound) for sd in self.sds])
+            weighted = np.where(masses > 0, masses * means, 0.0)
+        return weighted.sum(axis=0) / masses.sum(axis=0)
 
     def log_prob(self, thetas: np.ndarray, x_o: np.ndarray) -> np.ndarray:
         thetas = np.atleast_2d(thetas)
@@ -501,8 +508,7 @@ class DistortedPosterior(PosteriorBase):
         draws = self.base.sample_conditional(xs, stream)
         if self.is_identity:
             return draws
-        mus = np.vstack([self.base.mean(x) for x in xs])
-        return self._transform(draws, mus)
+        return self._transform(draws, self.base.mean(xs))
 
     def mean(self, x_o: np.ndarray) -> np.ndarray:
         return self.base.mean(x_o) + self.mean_shift

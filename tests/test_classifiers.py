@@ -23,6 +23,7 @@ from lc2st import (
     p_value_from_null,
     qda_fit,
     save_classifier,
+    t_acc,
     t_acc0,
     t_mse,
     t_mse0,
@@ -31,9 +32,21 @@ from lc2st import (
     lc2st_nf_null,
     mlp_factory,
 )
-from lc2st.c2st import _log_odds_blocks, append_conditioning, single_class_statistics
-from lc2st.classifiers import BLOCK_ROWS, MlpModel, QdaModel, row_slices
-from lc2st.nets import MlpParams, mlp_init, relu, sigmoid
+from lc2st import harness
+from lc2st.c2st import (
+    Relabeled,
+    Resampled,
+    _log_odds_blocks,
+    append_conditioning,
+    pp_plot,
+    run_test,
+    single_class_statistics,
+)
+from lc2st.classifiers import BLOCK_ROWS, MlpModel, QdaFitter, QdaModel, QdaStack, qda_factory, quad_features, row_slices
+from lc2st.flows import conjugate_affine_flow
+from lc2st.harness import ExperimentPlan, run_sigma_sweep
+from lc2st.nets import MlpParams, mlp_backward, mlp_forward, mlp_init, relu, sigmoid
+from lc2st.tasks import distort, gaussian_conjugate_task
 
 
 def gaussian_pair_data(sigma, n, seed, dim=2):
@@ -351,15 +364,16 @@ def reference_log_odds(model, ws):
     return log_density(model.mu1, model.cov1, model.prior1) - log_density(model.mu0, model.cov0, model.prior0)
 
 
-def assert_log_odds_match(model, ws):
-    """Agreement to 1e-10 relative, with an absolute floor of 1e-10 where the
-    log-odds cross zero.  Every evaluation of a quadratic form loses accuracy
-    in proportion to the covariance condition number, so beyond 1e4 the bound
-    grows with it."""
+def assert_log_odds_match(model, ws, got=None):
+    """Agreement of ``got`` (default: the model's own log-odds) with the
+    model's Cholesky-path log-odds to 1e-10 relative, with an absolute floor
+    of 1e-10 where the log-odds cross zero.  Every evaluation of a quadratic
+    form loses accuracy in proportion to the covariance condition number, so
+    beyond 1e4 the bound grows with it."""
     ref = reference_log_odds(model, ws)
     cond = max(np.linalg.cond(model.cov0), np.linalg.cond(model.cov1))
     tol = 1e-10 * (1.0 + np.abs(ref)) * max(1.0, cond / 1e4)
-    assert np.all(np.abs(model.log_odds(ws) - ref) <= tol)
+    assert np.all(np.abs((model.log_odds(ws) if got is None else got) - ref) <= tol)
 
 
 def distinct_classes(dim, seed, n=500):
@@ -768,3 +782,215 @@ class TestMlpConfigValidation:
 
     def test_boundary_values_are_valid(self):
         MlpConfig(hidden_sizes=(1,), batch_size=1, max_epochs=1, patience=1, hidden_mult=1, holdout_frac=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Stacked QDA null fits against the per-member path they replaced
+# ---------------------------------------------------------------------------
+
+
+class PerMemberQda(QdaFitter):
+    """The per-member QDA null: ``qda_fit`` on each member's dataset in turn.
+    Kept here only as the oracle for the stacked fit from class moments."""
+
+    def ensemble(self, members, streams):
+        return [qda_fit(data, self.ridge) for data in members]
+
+
+def per_member_datasets(kind, inputs, n_null, stream):
+    """Member datasets drawn as the per-member null drew them, trial by trial."""
+    out = []
+    for h in range(n_null):
+        sub = stream.child("trial", h)
+        if kind == "nf":
+            xs, m = inputs
+            rng = sub.child("z").generator()
+            z0, z1 = rng.standard_normal((len(xs), m)), rng.standard_normal((len(xs), m))
+            out.append(LabeledPairDataset.from_class_arrays(np.hstack([z0, xs]), np.hstack([z1, xs])))
+        elif kind == "paired":
+            flips = (sub.child("perm").generator().random(inputs.n // 2) < 0.5).astype(np.int64)
+            out.append(inputs.with_labels(np.concatenate([flips, 1 - flips])))
+        else:
+            out.append(inputs.with_labels(inputs.labels[sub.child("perm").generator().permutation(inputs.n)]))
+    return out
+
+
+NULL_KINDS = ["paired", "free", "nf"]
+
+
+def null_inputs(kind, dim, seed=150, n=60):
+    """A labeled set (``paired``, ``free``) or (observations, latent dim)
+    (``nf``) with features of dimension ``dim``, off-centre and unequally
+    scaled; the free-permutation set has one more class-1 row."""
+    rng = np.random.default_rng(seed + dim)
+    scales = np.linspace(0.5, 2.0, dim)
+    if kind == "nf":
+        m = (dim + 1) // 2
+        return rng.standard_normal((n, dim - m)) * scales[m:] + 3.0, m
+    n1 = n + 1 if kind == "free" else n
+    return LabeledPairDataset.from_class_arrays(
+        rng.standard_normal((n, dim)) * scales + 3.0, rng.standard_normal((n1, dim)) * 1.2 * scales + 3.1
+    )
+
+
+def fit_null(kind, inputs, fitter, n_null=12, stream=RngStream(seed=151)):
+    if kind == "nf":
+        return lc2st_nf_null(*inputs, fitter, n_null, stream)
+    return fit_null_ensemble(inputs, fitter, n_null, stream, paired=kind == "paired")
+
+
+def assert_columns_close(got, want, rtol=1e-10):
+    """Each column of ``got`` within ``rtol`` of ``want``'s, relative to that
+    column's largest entry."""
+    scale = np.max(np.abs(want), axis=0)
+    assert np.all(np.abs(got - want) <= rtol * scale)
+
+
+class TestStackedQdaNull:
+    @pytest.mark.parametrize("kind", NULL_KINDS)
+    def test_member_descriptions_are_the_per_member_draws(self, kind):
+        inputs, stream = null_inputs(kind, 3), RngStream(seed=152)
+        subs = [stream.child("trial", h) for h in range(5)]
+        members = Resampled(*inputs, subs) if kind == "nf" else Relabeled(inputs, subs, kind == "paired")
+        expected = per_member_datasets(kind, inputs, 5, stream)
+        assert len(members) == 5
+        for got, want in zip(members, expected, strict=True):
+            assert np.array_equal(got.ws, want.ws) and np.array_equal(got.labels, want.labels)
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 6])
+    @pytest.mark.parametrize("kind", NULL_KINDS)
+    def test_stacked_fit_matches_per_member_qda_fit(self, kind, dim):
+        inputs = null_inputs(kind, dim)
+        stacked, oracle = fit_null(kind, inputs, qda_factory()), fit_null(kind, inputs, PerMemberQda())
+        stack = stacked.classifiers
+        assert isinstance(stack, QdaStack) and len(stacked) == len(oracle) == 12
+        for h, ref in enumerate(oracle.classifiers):
+            assert_columns_close(stack.means[h].T, np.column_stack([ref.mu0, ref.mu1]))
+            assert_columns_close(stack.covs[h].reshape(2, -1).T, np.column_stack([ref.cov0.ravel(), ref.cov1.ravel()]))
+            assert stack.priors[h].tolist() == [ref.prior0, ref.prior1]
+        assert_columns_close(stacked.coef, oracle.coef)
+        assert stacked.streams == oracle.streams
+
+    def test_near_singular_members_keep_the_condition_scaled_bound(self):
+        data = null_inputs("paired", 4, n=300)
+        ws = data.ws.copy()
+        ws[:, 3] = ws[:, 0]  # rank-deficient class covariances
+        data = LabeledPairDataset(ws, data.labels)
+        stacked, oracle = fit_null("paired", data, qda_factory()), fit_null("paired", data, PerMemberQda())
+        pts = np.random.default_rng(153).standard_normal((2000, 4)) + 3.0
+        pts[:, 3] = pts[:, 0] + 1e-3 * np.random.default_rng(154).standard_normal(2000)
+        logits = quad_features(pts) @ stacked.coef
+        for h, ref in enumerate(oracle.classifiers):
+            assert np.linalg.cond(ref.cov0) > 1e5
+            assert_log_odds_match(ref, pts, got=logits[:, h])
+
+    @pytest.mark.parametrize("kind", NULL_KINDS)
+    def test_class_smaller_than_dim_plus_one_raises(self, kind):
+        inputs = null_inputs(kind, 4, n=4)
+        with pytest.raises(FitError) as per_member:
+            fit_null(kind, inputs, PerMemberQda())
+        with pytest.raises(FitError) as stacked:
+            fit_null(kind, inputs, qda_factory())
+        assert str(stacked.value) == str(per_member.value)
+        assert "has 4 samples, need at least dim+1=5" in str(stacked.value)
+
+    @pytest.mark.parametrize("kind", ["paired", "free"])
+    def test_singular_covariance_raises(self, kind):
+        data = null_inputs(kind, 3)
+        ws = data.ws.copy()
+        ws[:, 1] = 0.0
+        with pytest.raises(FitError, match="not positive definite"):
+            fit_null(kind, LabeledPairDataset(ws, data.labels), qda_factory(ridge=0.0))
+
+    @pytest.mark.parametrize("kind", NULL_KINDS)
+    def test_explicit_ridge_is_honoured(self, kind):
+        inputs = null_inputs(kind, 4)
+        stacked, oracle = fit_null(kind, inputs, qda_factory(0.5)), fit_null(kind, inputs, PerMemberQda(0.5))
+        plain = fit_null(kind, inputs, qda_factory(0.0))
+        assert_columns_close(stacked.coef, oracle.coef)
+        added = stacked.classifiers.covs - plain.classifiers.covs
+        np.testing.assert_allclose(added, np.broadcast_to(0.5 * np.eye(4), added.shape), rtol=0, atol=1e-12)
+        with pytest.raises(ConfigurationError, match="ridge must be nonnegative"):
+            fit_null(kind, inputs, qda_factory(-1.0))
+
+    def test_on_demand_member_round_trips_through_a_checkpoint(self, tmp_path):
+        stacked = fit_null("nf", null_inputs("nf", 4), qda_factory())
+        member = stacked.classifiers[3]
+        assert isinstance(member, QdaModel)
+        assert member.coef.tobytes() == stacked.coef[:, 3].tobytes()
+        save_classifier(member, tmp_path / "member.json")
+        assert load_classifier(tmp_path / "member.json").coef.tobytes() == member.coef.tobytes()
+
+    def test_scoring_rejects_a_wrong_feature_dimension(self):
+        stacked = fit_null("paired", null_inputs("paired", 4), qda_factory())
+        with pytest.raises(ConfigurationError, match="feature dimension 3"):
+            single_class_statistics(stacked.classifiers, np.zeros((5, 3)))
+
+    def test_empty_null(self):
+        for kind in NULL_KINDS:
+            ensemble = fit_null(kind, null_inputs(kind, 2), qda_factory(), n_null=0)
+            assert len(ensemble) == 0 and ensemble.coef.shape == (6, 0)
+
+
+class TestStackedQdaNullSeededIdentity:
+    """Seeded runs with the stacked null against the same runs with the
+    per-member null: the main statistic bitwise, the null statistics within
+    1e-10 relative, the p-values equal."""
+
+    @pytest.mark.parametrize("method", ["lc2st", "lc2st-nf", "oracle-c2st-mse", "oracle-c2st-acc"])
+    def test_run_test(self, method):
+        task = gaussian_conjugate_task(m=2, noise_std=1.0)
+        for seed in (160, 161, 162):
+            x_o = np.array([0.5, -0.3])
+            if method == "lc2st-nf":
+                estimator = conjugate_affine_flow(2, 1.0, scale_mult=1.1)
+            else:
+                estimator = distort(task.reference, [0.1, 0.0], 1.1)
+            stacked, oracle = (
+                run_test(method, task, estimator, x_o, 300, 40, 400, fitter, RngStream(seed=seed))
+                for fitter in (qda_factory(), PerMemberQda())
+            )
+            assert stacked.result.statistic == oracle.result.statistic
+            np.testing.assert_allclose(stacked.result.null_statistics, oracle.result.null_statistics, rtol=1e-10, atol=0)
+            assert stacked.result.p_value == oracle.result.p_value
+            if method.startswith("oracle"):
+                # the per-member statistics, one member at a time
+                stream = RngStream(seed=seed)
+                val = LabeledPairDataset.from_class_arrays(
+                    estimator.sample(x_o, 400, stream.child("q-val")),
+                    task.reference.sample(x_o, 400, stream.child("p-val")),
+                )
+                stat_fn = t_acc if method == "oracle-c2st-acc" else t_mse
+                expected = [stat_fn(member, val) for member in oracle.ensemble.classifiers]
+                np.testing.assert_allclose(stacked.result.null_statistics, expected, rtol=1e-10, atol=0)
+
+    def test_sigma_sweep(self, monkeypatch):
+        plan = ExperimentPlan(
+            kind="sigma-sweep", method="lc2st", task="gaussian_conjugate", task_params={"dim": 3},
+            n_train_grid=[1], n_cal_grid=[1], n_observations=1, n_runs=3, sigma_grid=[0.8, 1.0],
+            n_per_class=300, n_null=40, n_v=400, seed=163,
+        )
+        stacked = run_sigma_sweep(plan).records
+        monkeypatch.setattr(harness, "qda_factory", PerMemberQda)
+        assert run_sigma_sweep(plan).records == stacked
+
+    def test_pp_plot_bands(self):
+        inputs = null_inputs("nf", 4, n=400)
+        stacked, oracle = (fit_null("nf", inputs, fitter, n_null=40) for fitter in (qda_factory(), PerMemberQda()))
+        main = qda_fit(per_member_datasets("nf", inputs, 1, RngStream(seed=164))[0])
+        ws = np.random.default_rng(165).standard_normal((1500, 4)) + np.array([0.0, 0.0, 3.0, 3.0])
+        got, want = pp_plot(main, stacked, ws), pp_plot(main, oracle, ws)
+        for name in ("cdf", "lower", "upper"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_backward_without_input_grad_keeps_parameter_grads():
+    params = mlp_init([3, 5, 4, 1], RngStream(seed=166))
+    cache: list = []
+    out = mlp_forward(params, np.random.default_rng(167).standard_normal((20, 3)), cache)
+    g = np.random.default_rng(168).standard_normal(out.shape)
+    gw, gb, g_in = mlp_backward(params, cache, g.copy())
+    gw_only, gb_only, none = mlp_backward(params, cache, g.copy(), input_grad=False)
+    assert g_in.shape == (20, 3) and none is None
+    for a, b in zip([*gw, *gb], [*gw_only, *gb_only], strict=True):
+        assert a.tobytes() == b.tobytes()

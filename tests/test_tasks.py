@@ -17,6 +17,9 @@ from lc2st import (
     make_task,
     two_moons_task,
 )
+from lc2st.c2st import run_test
+from lc2st.classifiers import qda_factory
+from lc2st.tasks import DistortedPosterior
 
 
 class TestConjugate:
@@ -314,3 +317,48 @@ class TestDistortion:
     def test_invalid_scale(self):
         with pytest.raises(ConfigurationError):
             distort(self.task.reference, np.zeros(2), 0.0)
+
+
+class _RowwiseDistorted(DistortedPosterior):
+    """The per-row mean loop the distortion used before posterior means took
+    rows, kept here only as the oracle."""
+
+    def sample_conditional(self, xs, stream):
+        xs = np.atleast_2d(xs)
+        draws = self.base.sample_conditional(xs, stream)
+        return self._transform(draws, np.vstack([self.base.mean(x) for x in xs]))
+
+
+class TestRowMeans:
+    def test_conjugate_row_means_are_the_per_row_means(self):
+        post = gaussian_conjugate_task(m=3, noise_std=0.7).reference
+        xs = np.random.default_rng(170).standard_normal((50, 3)) * 3.0
+        assert post.mean(xs).tobytes() == np.vstack([post.mean(x) for x in xs]).tobytes()
+
+    @pytest.mark.parametrize("task", [gaussian_mixture_task(), gaussian_linear_uniform_task(m=3)], ids=lambda t: t.name)
+    def test_mixture_row_means_agree_with_per_row_means(self, task):
+        bound = task.reference.bound
+        rng = np.random.default_rng(171)
+        # inside, near the box edge, and far outside it on both sides
+        xs = np.vstack([
+            rng.uniform(-bound, bound, (20, task.m)),
+            bound + rng.normal(0, 0.3, (10, task.m)),
+            np.full((1, task.m), 4.0 * bound),
+            np.full((1, task.m), -4.0 * bound),
+        ])
+        xs[-2:, 0] = [0.5 * bound, -0.5 * bound]
+        per_row = np.vstack([task.reference.mean(x) for x in xs])
+        batched = task.reference.mean(xs)
+        assert np.all(np.isfinite(batched)) and np.all(np.abs(batched) <= bound)
+        np.testing.assert_allclose(batched, per_row, rtol=1e-12, atol=0)
+
+    def test_distorted_conjugate_power_p_values_unchanged(self):
+        task = gaussian_conjugate_task(m=2, noise_std=1.0)
+        x_o = np.array([0.4, -0.6])
+        for seed in (172, 173, 174):
+            batched, rowwise = (
+                run_test("lc2st", task, est, x_o, 400, 30, 500, qda_factory(), RngStream(seed=seed)).result
+                for est in (distort(task.reference, [0.3, 0.0], 1.3), _RowwiseDistorted(task.reference, [0.3, 0.0], 1.3))
+            )
+            assert batched.p_value == rowwise.p_value and batched.statistic == rowwise.statistic
+            assert batched.null_statistics.tobytes() == rowwise.null_statistics.tobytes()
