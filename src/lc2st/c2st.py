@@ -15,15 +15,17 @@ Procedures
 ----------
 The local test trains one classifier on joint-data pairs (theta, x) labeled by
 provenance (estimator vs simulator), with the null distribution from
-paired label-flip refits.  The normalizing-flow variant instead classifies
-latent pairs (z, x) and its null ensemble needs no estimator at all, so it can
-be precomputed once and reused across estimators and observations.  The
-oracle C2ST trains on estimator against reference draws at the observation,
-with a free label-permutation null.
+paired label-flip refits.  Neither reads the observation, so one training
+serves every x_o.  The normalizing-flow variant instead classifies latent
+pairs (z, x) and its null ensemble needs no estimator at all, so it can be
+precomputed once and reused across estimators and observations.  The oracle
+C2ST trains on estimator against reference draws at the observation, with a
+free label-permutation null.
 
-:func:`run_test` runs one test of any method, and the harness, CLI and bench
-all call it: it alone builds each method's training set and derives its
-streams.  It calls the public steps, which stay usable on their own:
+:func:`run_test` runs one test of any method, at one observation or (local
+tests) a batch of them from one training, and the harness, CLI and bench all
+call it: it alone builds each method's training set and derives its streams.
+It calls the public steps, which stay usable on their own:
 ``lc2st_train`` (``lc2st_training_set`` + fit + ``fit_null_ensemble``) and
 ``lc2st_evaluate``; ``lc2st_nf_train``, ``lc2st_nf_null`` and
 ``lc2st_nf_evaluate``.
@@ -664,12 +666,13 @@ def lc2st_nf_evaluate(
 
 @dataclass(frozen=True)
 class TestRun:
-    """One test's result, main classifier and null ensemble, with the
-    wall-clock seconds of its ``train``, ``null`` and ``evaluate`` phases."""
+    """One test's results, one per observation, with the main classifier and
+    null ensemble they share and the wall-clock seconds of the ``train``,
+    ``null`` and ``evaluate`` phases."""
 
     __test__ = False  # statistical test run, not a pytest case
 
-    result: TestResult
+    results: list[TestResult]
     classifier: object
     ensemble: NullEnsemble
     seconds: dict
@@ -688,45 +691,64 @@ def run_test(
     conservative: bool = False,
     ensemble: NullEnsemble | None = None,
 ) -> TestRun:
-    """One ``method`` test of ``estimator`` at ``x_o``, from ``stream``.
+    """One ``method`` test of ``estimator`` at each row of ``x_o``, one
+    observation (d,) or a batch of them (k, d), from ``stream``.
 
     ``lc2st`` and ``lc2st-nf`` (whose ``estimator`` is a flow) simulate
-    ``n_cal`` calibration pairs from ``task``.  The oracle methods train on
-    ``n_cal`` estimator and reference draws at ``x_o`` against a free
-    permutation null, and score ``t_acc`` or ``t_mse`` on ``n_v`` fresh
-    draws of each.  A given ``ensemble`` is used instead of fitting one;
-    ``n_null=0`` leaves the null empty and the p-value None.
+    ``n_cal`` calibration pairs from ``task`` and train one classifier and
+    one null, which never read ``x_o``; every row is then scored on the same
+    ``stream.child("test")``, so row j's result is a one-observation test's
+    at row j.  The oracle methods train on ``n_cal`` estimator and reference
+    draws at their one observation against a free permutation null, and
+    score ``t_acc`` or ``t_mse`` on ``n_v`` fresh draws of each.
+    ``n_null=0`` leaves the null empty and the p-values None.  Only
+    ``lc2st-nf``'s null is estimator-independent: it alone takes a given
+    ``ensemble`` (``nf-resampled`` over ``task.m`` latents), fits none and
+    ignores ``n_null``.
 
     ``train`` times building the training set and fitting the classifier,
     ``null`` is the fitted ensemble's ``fit_seconds`` (0 for a given or empty
-    one) and ``evaluate`` the draws and scoring at ``x_o``.
+    one) and ``evaluate`` the draws and scoring at every observation.
     """
     if method not in _STAT_UPPER:
         raise ConfigurationError(f"unknown method {method!r}; valid: {sorted(_STAT_UPPER)}")
-    if method.startswith("oracle") and task.reference is None:
-        raise ConfigurationError(f"oracle methods need a reference posterior for task {task.name!r}")
+    observations = np.atleast_2d(x_o)
+    if method.startswith("oracle"):
+        if task.reference is None:
+            raise ConfigurationError(f"oracle methods need a reference posterior for task {task.name!r}")
+        if len(observations) != 1:
+            raise ConfigurationError(f"oracle methods train at their observation: got {len(observations)}, need 1")
+    elif len(observations) == 0:
+        raise ConfigurationError("need at least one observation")
+    if ensemble is not None and (method, ensemble.provenance, ensemble.latent_dim) != ("lc2st-nf", "nf-resampled", task.m):
+        raise ConfigurationError(
+            f"only lc2st-nf reuses a null, nf-resampled over {task.m} latents; got {method!r} "
+            f"with a {ensemble.provenance!r} null over {ensemble.latent_dim}"
+        )
     n_fit = n_null if ensemble is None else 0
     if method in ("lc2st", "lc2st-nf"):
         cal = task.sample_joint(n_cal, stream.child("cal"))
     t0 = time.perf_counter()
     if method == "lc2st":
-        clf, fitted = lc2st_train(estimator, cal, fit_fn, n_fit, stream)
+        clf, ensemble = lc2st_train(estimator, cal, fit_fn, n_null, stream)
     elif method == "lc2st-nf":
         clf = lc2st_nf_train(estimator, cal, fit_fn, stream.child("train"))
-        fitted = lc2st_nf_null(cal.xs, task.m, fit_fn, n_fit, stream.child("null"))
+        if ensemble is None:
+            ensemble = lc2st_nf_null(cal.xs, task.m, fit_fn, n_null, stream.child("null"))
     else:
+        x_o = observations[0]
         train = LabeledPairDataset.from_class_arrays(
             estimator.sample(x_o, n_cal, stream.child("q-train")),
             task.reference.sample(x_o, n_cal, stream.child("p-train")),
         )
         clf = fit_fn(train, stream.child("fit"))
-        fitted = fit_null_ensemble(train, fit_fn, n_fit, stream.child("null"))
-    ensemble = fitted if ensemble is None else ensemble
+        ensemble = fit_null_ensemble(train, fit_fn, n_null, stream.child("null"))
     t1 = time.perf_counter()
+    test = stream.child("test")
     if method == "lc2st":
-        result = lc2st_evaluate(clf, ensemble, estimator, x_o, n_v, stream.child("test"), conservative)
+        results = [lc2st_evaluate(clf, ensemble, estimator, x, n_v, test, conservative) for x in observations]
     elif method == "lc2st-nf":
-        result = lc2st_nf_evaluate(clf, ensemble, x_o, task.m, n_v, stream.child("test"), conservative)
+        results = [lc2st_nf_evaluate(clf, ensemble, x, task.m, n_v, test, conservative) for x in observations]
     else:
         val = LabeledPairDataset.from_class_arrays(
             estimator.sample(x_o, n_v, stream.child("q-val")),
@@ -735,9 +757,9 @@ def run_test(
         stat = (t_acc if method == "oracle-c2st-acc" else t_mse)(clf, val)
         acc, mse = _two_class_statistics(ensemble.classifiers, val) if len(ensemble) else (None, None)
         seeds = {"seed": int(stream.seed), "stream_id": int(stream.stream_id)}
-        result = TestResult.from_stats(method, stat, acc if method == "oracle-c2st-acc" else mse, x_o, n_v, seeds, conservative)
-    null = fitted.fit_seconds if n_fit else 0.0
-    return TestRun(result, clf, ensemble, {"train": t1 - t0 - null, "null": null, "evaluate": time.perf_counter() - t1})
+        results = [TestResult.from_stats(method, stat, acc if method == "oracle-c2st-acc" else mse, x_o, n_v, seeds, conservative)]
+    null = ensemble.fit_seconds if n_fit else 0.0
+    return TestRun(results, clf, ensemble, {"train": t1 - t0 - null, "null": null, "evaluate": time.perf_counter() - t1})
 
 
 # ---------------------------------------------------------------------------

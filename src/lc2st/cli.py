@@ -121,7 +121,7 @@ def _run_test(args, task):
 
 def _cmd_test(args) -> int:
     run, _, _ = _run_test(args, make_task(args.task, **_task_params(args)))
-    run.result.save(_out_dir(args) / "result.json")
+    run.results[0].save(_out_dir(args) / "result.json")
     return 0
 
 
@@ -141,7 +141,7 @@ def _cmd_ppplot(args) -> int:
         fh.write("level,cdf,lower,upper\n")
         for level, cdf, lower, upper in data.rows():
             fh.write(f"{level!r},{cdf!r},{lower!r},{upper!r}\n")
-    run.result.save(out / "result.json")
+    run.results[0].save(out / "result.json")
     return 0
 
 
@@ -151,12 +151,11 @@ def _cmd_heatmap(args) -> int:
         raise ConfigurationError("heatmap requires --flow <checkpoint>")
     flow = load_flow(args.flow)
     _, x_o = _observation(args, task)
-    # the maps need only the ℓ-C2ST-NF classifier: train it on the streams
-    # run_test gives it, and fit no null
-    stream = derive_stream(args.seed, "test")
-    cal = task.sample_joint(args.n_cal, stream.child("cal"))
-    clf = c2st.lc2st_nf_train(flow, cal, _classifier(args), stream.child("train"))
-    maps = c2st.probability_heatmap(clf, flow, x_o, args.n_v, args.bins, derive_stream(args.seed, "heatmap"))
+    # the maps need only the ℓ-C2ST-NF classifier: fit no null
+    run = c2st.run_test(
+        "lc2st-nf", task, flow, x_o, args.n_cal, 0, args.n_v, _classifier(args), derive_stream(args.seed, "test")
+    )
+    maps = c2st.probability_heatmap(run.classifier, flow, x_o, args.n_v, args.bins, derive_stream(args.seed, "heatmap"))
     out = _out_dir(args)
     with (out / "heatmap.csv").open("w", encoding="utf-8") as fh:
         fh.write("dim_i,dim_j,bin_i,bin_j,count,mean_prob\n")

@@ -247,7 +247,28 @@ def _interleave(gw: list[np.ndarray], gb: list[np.ndarray]) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-class ConditionalFlow:
+class _FlowSampling:
+    """Draws of a conditional flow ``forward(z, xs)`` with a standard-normal
+    base: ``sample(x_o, n)`` is ``sample_conditional`` on ``x_o`` repeated n
+    times."""
+
+    m: int
+    d: int
+
+    def sample(self, x_o: np.ndarray, n: int, stream: RngStream) -> np.ndarray:
+        if n < 0:
+            raise ConfigurationError("n must be nonnegative")
+        x_o = np.asarray(x_o, dtype=np.float64).reshape(1, -1)
+        return self.sample_conditional(np.broadcast_to(x_o, (n, self.d)), stream)
+
+    def sample_conditional(self, xs: np.ndarray, stream: RngStream) -> np.ndarray:
+        xs = np.atleast_2d(xs)
+        z = stream.generator().standard_normal((xs.shape[0], self.m))
+        theta, _ = self.forward(z, xs)
+        return theta
+
+
+class ConditionalFlow(_FlowSampling):
     """Invertible conditional transform with standard-normal base."""
 
     def __init__(self, m: int, d: int, layers: list):
@@ -284,22 +305,6 @@ class ConditionalFlow:
         z, logdet_inv = self.inverse(thetas, xs)
         base = -0.5 * (np.sum(z * z, axis=1) + self.m * _LOG_2PI)
         return base + logdet_inv
-
-    def sample(self, x_o: np.ndarray, n: int, stream: RngStream) -> np.ndarray:
-        if n < 0:
-            raise ConfigurationError("n must be nonnegative")
-        if n == 0:
-            return np.empty((0, self.m))
-        z = stream.generator().standard_normal((n, self.m))
-        xs = np.broadcast_to(np.asarray(x_o, dtype=np.float64).reshape(1, -1), (n, self.d))
-        theta, _ = self.forward(z, xs)
-        return theta
-
-    def sample_conditional(self, xs: np.ndarray, stream: RngStream) -> np.ndarray:
-        xs = np.atleast_2d(xs)
-        z = stream.generator().standard_normal((xs.shape[0], self.m))
-        theta, _ = self.forward(z, xs)
-        return theta
 
     # -- parameters ----------------------------------------------------------
 
@@ -352,7 +357,7 @@ def build_coupling_flow(
 # ---------------------------------------------------------------------------
 
 
-class ConditionalAffineFlow:
+class ConditionalAffineFlow(_FlowSampling):
     """Diagonal affine conditional flow theta = mean(x) + scale(x) * z.
 
     ``mean_fn``/``scale_fn`` map a batch of observations (n, d) to (n, m)
@@ -389,22 +394,6 @@ class ConditionalAffineFlow:
     def log_prob(self, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
         z, logdet_inv = self.inverse(thetas, xs)
         return -0.5 * (np.sum(z * z, axis=1) + self.m * _LOG_2PI) + logdet_inv
-
-    def sample(self, x_o: np.ndarray, n: int, stream: RngStream) -> np.ndarray:
-        if n < 0:
-            raise ConfigurationError("n must be nonnegative")
-        if n == 0:
-            return np.empty((0, self.m))
-        z = stream.generator().standard_normal((n, self.m))
-        xs = np.broadcast_to(np.asarray(x_o, dtype=np.float64).reshape(1, -1), (n, self.d))
-        theta, _ = self.forward(z, xs)
-        return theta
-
-    def sample_conditional(self, xs: np.ndarray, stream: RngStream) -> np.ndarray:
-        xs = np.atleast_2d(xs)
-        z = stream.generator().standard_normal((xs.shape[0], self.m))
-        theta, _ = self.forward(z, xs)
-        return theta
 
     def to_dict(self) -> dict:
         if self.spec is None:

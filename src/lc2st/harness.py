@@ -94,6 +94,10 @@ class ExperimentPlan:
             for v in grid:
                 _check_count(f"{name} entry", v, 1)
         _estimator_kind(self.estimator)  # type-I runs never read the spec: check its keys here
+        if self.reuse_null and self.method != "lc2st-nf":
+            raise ConfigurationError(
+                f"reuse_null needs method 'lc2st-nf', whose null is estimator-independent; got {self.method!r}"
+            )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -317,9 +321,10 @@ def _observation(plan: ExperimentPlan, task, obs_index: int):
     return task.observation(derive_stream(plan.seed, "obs", obs_index))
 
 
-def _run_single(plan_dict: dict, n_train: int, n_cal: int, obs_index: int, run_index: int, alternative: bool):
-    """Execute one (cell, observation, run) triple; returns (record, timing) dicts.
-    A library error is re-raised as its own type with the cell in its message."""
+def _run_single(plan_dict: dict, n_train: int, n_cal: int, obs_index: int, run_index: int, alternative: bool, ensemble=None):
+    """Execute one (cell, observation, run) triple, reusing ``ensemble`` if
+    given; returns (record, timing) dicts.  A library error is re-raised as
+    its own type with the cell in its message."""
     try:
         plan = ExperimentPlan.from_dict(plan_dict)
         task = make_task(plan.task, **plan.task_params)
@@ -327,11 +332,12 @@ def _run_single(plan_dict: dict, n_train: int, n_cal: int, obs_index: int, run_i
         stream = derive_stream(plan.seed, "run", n_train, n_cal, obs_index, run_index)
         estimator = _exact_or_alt(plan, task, n_train, stream, alternative, flow=plan.method == "lc2st-nf")
         run = c2st.run_test(
-            plan.method, task, estimator, x_o, n_cal, plan.n_null, plan.n_v, _classifier_fit(plan.classifier), stream
+            plan.method, task, estimator, x_o, n_cal, plan.n_null, plan.n_v, _classifier_fit(plan.classifier), stream,
+            ensemble=ensemble,
         )
     except Lc2stError as exc:
         raise type(exc)(f"cell (n_train={n_train}, n_cal={n_cal}, obs={obs_index}, run={run_index}): {exc}") from exc
-    result = run.result
+    result = run.results[0]
     reject = result.p_value is not None and result.p_value < plan.alpha
     record = {
         "n_train": n_train,
@@ -527,16 +533,14 @@ def run_oracle_correlation(plan: ExperimentPlan, n_permutations: int = 10_000) -
         )
         _, x_o = _observation(plan, task, i)
         stream = derive_stream(plan.seed, "corr", i)
-        # oracle two-class MSE statistic at x_o (no null ensemble)
-        oracle_stat = c2st.run_test("oracle-c2st-mse", task, estimator, x_o, n_cal, 0, plan.n_v, fit_fn, stream).result.statistic
-        # local single-class statistic at x_o (statistic only, no null ensemble)
-        cal = task.sample_joint(n_cal, stream.child("cal"))
-        data = c2st.lc2st_training_set(estimator, cal, stream.child("estimator"))
-        clf = fit_fn(data, stream.child("lfit"))
-        local_stat = c2st.t_mse0(
-            clf, estimator.sample(x_o, plan.n_v, stream.child("leval")), x_o
-        )
-        pairs.append({"obs_index": i, "distortion_frac": frac, "oracle": oracle_stat, "local": local_stat})
+        # the oracle and the local statistic at x_o, neither with a null
+        # ensemble; the local test's streams are apart from the oracle's
+        oracle = c2st.run_test("oracle-c2st-mse", task, estimator, x_o, n_cal, 0, plan.n_v, fit_fn, stream)
+        local = c2st.run_test("lc2st", task, estimator, x_o, n_cal, 0, plan.n_v, fit_fn, stream.child("local"))
+        pairs.append({
+            "obs_index": i, "distortion_frac": frac,
+            "oracle": oracle.results[0].statistic, "local": local.results[0].statistic,
+        })
 
     # imported here, not at module level: scipy.stats is most of the time and
     # memory of `import lc2st`, and only this study needs it
@@ -544,15 +548,17 @@ def run_oracle_correlation(plan: ExperimentPlan, n_permutations: int = 10_000) -
 
     a = rankdata([p["oracle"] for p in pairs])
     b = rankdata([p["local"] for p in pairs])
-    rho = float(np.corrcoef(a, b)[0, 1])
+    a, b = a - a.mean(), b - b.mean()
+
+    def rho(bs: np.ndarray) -> np.ndarray:
+        # Pearson's r of the ranks, per row of bs: a permutation keeps b's norm
+        return bs @ a / np.sqrt((a @ a) * (b @ b))
+
+    observed = rho(b)
     rng = derive_stream(plan.seed, "corr", "perm").generator()
-    exceed = 0
-    for _ in range(n_permutations):
-        rho_perm = float(np.corrcoef(a, rng.permutation(b))[0, 1])
-        if rho_perm >= rho:
-            exceed += 1
-    p_value = (1 + exceed) / (n_permutations + 1)
-    return CorrelationResult(pairs=pairs, spearman_rho=rho, p_value=float(p_value))
+    permuted = rho(rng.permuted(np.tile(b, (n_permutations, 1)), axis=1))
+    p_value = (1 + np.count_nonzero(permuted >= observed)) / (n_permutations + 1)
+    return CorrelationResult(pairs=pairs, spearman_rho=float(observed), p_value=float(p_value))
 
 
 # ---------------------------------------------------------------------------
@@ -578,9 +584,9 @@ class BenchResult:
 def run_runtime_bench(plan: ExperimentPlan) -> BenchResult:
     """Median per-phase wall-clock over >= 3 repetitions per cell.
 
-    With ``reuse_null=True`` (flow variant) the null ensemble is precomputed
-    once per cell and passed to every repetition's ``run_test``, so the null
-    phase reports exactly zero, which is the amortization being measured.
+    With ``reuse_null=True`` (``lc2st-nf`` only) one null ensemble per cell
+    is passed to every repetition's ``run_test``, so the null phase reports
+    exactly zero, which is the amortization being measured.
     """
     task = make_task(plan.task, **plan.task_params)
     fit_fn = _classifier_fit(plan.classifier)
@@ -588,25 +594,13 @@ def run_runtime_bench(plan: ExperimentPlan) -> BenchResult:
     for nt in plan.n_train_grid:
         for nc in plan.n_cal_grid:
             phase_times: dict[str, list[float]] = {"train": [], "null": [], "evaluate": []}
-            reuse = plan.reuse_null and plan.method == "lc2st-nf"
-            shared_ensemble = None
-            if reuse:
+            shared = None
+            if plan.reuse_null:
                 stream0 = derive_stream(plan.seed, "bench-null", int(nt), int(nc))
                 cal0 = task.sample_joint(int(nc), stream0.child("cal"))
-                shared_ensemble = c2st.lc2st_nf_null(
-                    cal0.xs, task.m, fit_fn, max(plan.n_null, 1), stream0.child("null")
-                )
+                shared = c2st.lc2st_nf_null(cal0.xs, task.m, fit_fn, plan.n_null, stream0.child("null"))
             for rep in range(max(plan.n_reps, 3)):
-                if reuse:
-                    stream = derive_stream(plan.seed, "bench", int(nt), int(nc), rep)
-                    _, x_o = _observation(plan, task, 0)
-                    flow = _exact_or_alt(plan, task, int(nt), stream, alternative=False, flow=True)
-                    timing = c2st.run_test(
-                        "lc2st-nf", task, flow, x_o, int(nc), plan.n_null, plan.n_v, fit_fn, stream,
-                        ensemble=shared_ensemble,
-                    ).seconds
-                else:
-                    _, timing = _run_single(plan.to_dict(), int(nt), int(nc), 0, rep, alternative=False)
+                _, timing = _run_single(plan.to_dict(), int(nt), int(nc), 0, rep, alternative=False, ensemble=shared)
                 for phase in ("train", "null", "evaluate"):
                     phase_times[phase].append(timing[phase])
             for phase in ("train", "null", "evaluate"):
@@ -637,7 +631,7 @@ def run_runtime_bench(plan: ExperimentPlan) -> BenchResult:
 class AmortizedResult:
     records: list[dict]  # flow_label, obs_index, run_index, p_value, reject
     null_train_seconds: float
-    extra_null_seconds: float  # additional null training after the first ensemble
+    extra_null_seconds: float  # the runs' own null seconds, summed: 0 when the null is reused
 
     def rejection_rate(self, flow_label: str) -> float:
         rec = [r for r in self.records if r["flow_label"] == flow_label]
@@ -648,14 +642,15 @@ def run_amortized_type1(plan: ExperimentPlan, flows: dict[str, object]) -> Amort
     """Reuse one precomputed flow-variant null ensemble across flows and observations.
 
     The ensemble is trained once from a single calibration draw; every
-    (flow, run) then refreshes calibration data, retrains only the main
-    classifier, and evaluates all observations against the shared ensemble.
-    No further null training happens, which is the amortization claim.
+    (flow, run) is then one ``run_test`` at all observations with that
+    ensemble, which refreshes calibration data and trains only the main
+    classifier.  No further null training happens, which is the amortization
+    claim: ``extra_null_seconds`` sums the null seconds the runs report.
     """
     task = make_task(plan.task, **plan.task_params)
     fit_fn = _classifier_fit(plan.classifier)
     n_cal = int(plan.n_cal_grid[-1])
-    observations = [_observation(plan, task, i)[1] for i in range(plan.n_observations)]
+    observations = np.array([_observation(plan, task, i)[1] for i in range(plan.n_observations)])
 
     stream0 = derive_stream(plan.seed, "amortized-null")
     cal0 = task.sample_joint(n_cal, stream0.child("cal"))
@@ -666,20 +661,19 @@ def run_amortized_type1(plan: ExperimentPlan, flows: dict[str, object]) -> Amort
     for label, flow in flows.items():
         for run in range(plan.n_runs):
             stream = derive_stream(plan.seed, "amortized", label, run)
-            cal = task.sample_joint(n_cal, stream.child("cal"))
-            clf = c2st.lc2st_nf_train(flow, cal, fit_fn, stream.child("train"))
-            for obs_index, x_o in enumerate(observations):
-                result = c2st.lc2st_nf_evaluate(
-                    clf, ensemble, x_o, task.m, plan.n_v, stream.child("test", obs_index)
-                )
-                records.append(
-                    {
-                        "flow_label": label,
-                        "obs_index": obs_index,
-                        "run_index": run,
-                        "statistic": result.statistic,
-                        "p_value": result.p_value,
-                        "reject": bool(result.p_value is not None and result.p_value < plan.alpha),
-                    }
-                )
+            test = c2st.run_test(
+                "lc2st-nf", task, flow, observations, n_cal, plan.n_null, plan.n_v, fit_fn, stream, ensemble=ensemble
+            )
+            extra_null += test.seconds["null"]
+            records.extend(
+                {
+                    "flow_label": label,
+                    "obs_index": obs_index,
+                    "run_index": run,
+                    "statistic": result.statistic,
+                    "p_value": result.p_value,
+                    "reject": bool(result.p_value is not None and result.p_value < plan.alpha),
+                }
+                for obs_index, result in enumerate(test.results)
+            )
     return AmortizedResult(records=records, null_train_seconds=ensemble.fit_seconds, extra_null_seconds=extra_null)

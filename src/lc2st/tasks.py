@@ -87,10 +87,13 @@ class PosteriorBase:
 
     def mean(self, x_o: np.ndarray) -> np.ndarray:
         """Posterior mean at ``x_o``, or one row per row of a (n, d) ``x_o``.
-        This default is a Monte Carlo estimate, one row at a time."""
+        This default is a Monte Carlo estimate, one per distinct row: a
+        repeated observation (``sample``'s rows) costs one."""
         x_o = np.asarray(x_o, dtype=np.float64)
         if x_o.ndim == 2:
-            return np.vstack([self.mean(x) for x in x_o])
+            distinct = {x.tobytes(): x for x in x_o}
+            means = {key: self.mean(x) for key, x in distinct.items()}
+            return np.vstack([means[x.tobytes()] for x in x_o])
         draws = self.sample(x_o, 8192, _stream_from_array("posterior-mean", x_o))
         return draws.mean(axis=0)
 
@@ -201,10 +204,6 @@ class ConjugateGaussianPosterior(PosteriorBase):
     def mean(self, x_o: np.ndarray) -> np.ndarray:
         """Posterior mean at ``x_o``, or one row per row of a (n, m) ``x_o``."""
         return np.asarray(x_o, dtype=np.float64) * self.shrinkage
-
-    def sample(self, x_o: np.ndarray, n: int, stream: RngStream) -> np.ndarray:
-        z = stream.generator().standard_normal((n, self.m))
-        return self.mean(x_o) + np.sqrt(self.post_var) * z
 
     def sample_conditional(self, xs: np.ndarray, stream: RngStream) -> np.ndarray:
         xs = np.atleast_2d(xs)
@@ -494,21 +493,13 @@ class DistortedPosterior(PosteriorBase):
     def is_identity(self) -> bool:
         return self.scale == 1.0 and not np.any(self.mean_shift)
 
-    def _transform(self, thetas: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        if self.is_identity:
-            return thetas
-        return self.mean_shift + self.scale * (thetas - mu) + mu
-
-    def sample(self, x_o: np.ndarray, n: int, stream: RngStream) -> np.ndarray:
-        draws = self.base.sample(x_o, n, stream)
-        return self._transform(draws, self.base.mean(x_o))
-
     def sample_conditional(self, xs: np.ndarray, stream: RngStream) -> np.ndarray:
         xs = np.atleast_2d(xs)
         draws = self.base.sample_conditional(xs, stream)
         if self.is_identity:
             return draws
-        return self._transform(draws, self.base.mean(xs))
+        mu = self.base.mean(xs)
+        return self.mean_shift + self.scale * (draws - mu) + mu
 
     def mean(self, x_o: np.ndarray) -> np.ndarray:
         return self.base.mean(x_o) + self.mean_shift

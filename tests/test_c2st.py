@@ -22,6 +22,7 @@ from lc2st import (
     lc2st_nf_null,
     lc2st_nf_train,
     lc2st_train,
+    mlp_factory,
     p_value_from_null,
     pp_plot,
     probability_heatmap,
@@ -33,7 +34,7 @@ from lc2st import (
     t_mse0,
 )
 from lc2st.c2st import TestResult, append_conditioning, heatmap_rows
-from lc2st.classifiers import qda_fit
+from lc2st.classifiers import MlpConfig, qda_fit
 
 QUADRATURE_GRID = np.linspace(-16.0, 16.0, 4001)
 
@@ -381,8 +382,9 @@ class TestRunTest:
         self.task = gaussian_conjugate_task(m=2, noise_std=1.0)
         self.x_o = np.array([0.6, -0.2])
 
-    def _run(self, method, estimator, n_null=8, **kw):
-        return run_test(method, self.task, estimator, self.x_o, 300, n_null, 300, qda_factory(), RngStream(seed=9), **kw)
+    def _run(self, method, estimator, n_null=8, fit_fn=None, **kw):
+        fit_fn = fit_fn or qda_factory()
+        return run_test(method, self.task, estimator, self.x_o, 300, n_null, 300, fit_fn, RngStream(seed=9), **kw)
 
     def test_given_ensemble_is_used_and_not_timed(self):
         flow = conjugate_affine_flow(2, 1.0)
@@ -393,14 +395,14 @@ class TestRunTest:
         shared = lc2st_nf_null(cal.xs, 2, qda_factory(), 8, stream.child("null"))
         reused = self._run("lc2st-nf", flow, n_null=0, ensemble=shared)
         assert reused.ensemble is shared and reused.seconds["null"] == 0.0
-        assert np.array_equal(reused.result.null_statistics, fitted.result.null_statistics)
-        assert reused.result.statistic == fitted.result.statistic
+        assert np.array_equal(reused.results[0].null_statistics, fitted.results[0].null_statistics)
+        assert reused.results[0].statistic == fitted.results[0].statistic
 
     @pytest.mark.parametrize("method", ["lc2st", "lc2st-nf", "oracle-c2st-acc", "oracle-c2st-mse"])
     def test_zero_null_gives_no_p_value(self, method):
         estimator = conjugate_affine_flow(2, 1.0) if method == "lc2st-nf" else self.task.reference
         run = self._run(method, estimator, n_null=0)
-        assert len(run.ensemble) == 0 and run.result.p_value is None and run.result.p_value_kind is None
+        assert len(run.ensemble) == 0 and run.results[0].p_value is None and run.results[0].p_value_kind is None
         assert run.seconds["null"] == 0.0 and run.seconds["train"] > 0.0 and run.seconds["evaluate"] > 0.0
 
     def test_oracle_null_is_free_permutation_scored_on_fresh_draws(self):
@@ -413,9 +415,30 @@ class TestRunTest:
             ref.sample(x_o, 300, stream.child("q-val")), ref.sample(x_o, 300, stream.child("p-val"))
         )
         null = fit_null_ensemble(train, qda_factory(), 8, stream.child("null"))
-        assert run.result.statistic == t_acc(qda_factory()(train, stream.child("fit")), val)
-        assert run.result.null_statistics.tolist() == [t_acc(member, val) for member in null.classifiers]
-        assert run.result.p_value_kind == "conservative" and run.result.method == "oracle-c2st-acc"
+        assert run.results[0].statistic == t_acc(qda_factory()(train, stream.child("fit")), val)
+        assert run.results[0].null_statistics.tolist() == [t_acc(member, val) for member in null.classifiers]
+        assert run.results[0].p_value_kind == "conservative" and run.results[0].method == "oracle-c2st-acc"
+
+    def test_given_ensemble_calls_no_null_step(self):
+        cal = self.task.sample_joint(300, RngStream(seed=3))
+        shared = lc2st_nf_null(cal.xs, 2, qda_factory(), 4, RngStream(seed=4))
+        fit = CountingFitter(qda_factory())
+        self._run("lc2st-nf", conjugate_affine_flow(2, 1.0), fit_fn=fit, ensemble=shared)
+        assert (fit.calls, fit.ensembles) == (1, 0)
+
+    def test_ensemble_it_cannot_use_is_rejected(self):
+        cal = self.task.sample_joint(300, RngStream(seed=3))
+        flow = conjugate_affine_flow(2, 1.0)
+        nf_null = lc2st_nf_null(cal.xs, 2, qda_factory(), 4, RngStream(seed=4))
+        for method in ("lc2st", "oracle-c2st-mse"):
+            with pytest.raises(ConfigurationError, match=f"only lc2st-nf .* got {method!r} with a 'nf-resampled'"):
+                self._run(method, self.task.reference, ensemble=nf_null)
+        _, permutation = lc2st_train(self.task.reference, cal, qda_factory(), 4, RngStream(seed=5))
+        with pytest.raises(ConfigurationError, match="over 2 latents; got 'lc2st-nf' with a 'permutation' null"):
+            self._run("lc2st-nf", flow, ensemble=permutation)
+        wide = lc2st_nf_null(cal.xs, 3, qda_factory(), 4, RngStream(seed=4))
+        with pytest.raises(ConfigurationError, match="'nf-resampled' null over 3$"):
+            self._run("lc2st-nf", flow, ensemble=wide)
 
     def test_unknown_method_and_missing_reference_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown method"):
@@ -424,6 +447,59 @@ class TestRunTest:
         with pytest.raises(ConfigurationError, match="reference posterior"):
             self._run("oracle-c2st-mse", conjugate_affine_flow(2, 1.0))
 
+
+
+class CountingFitter:
+    """A fitter that counts its single fits and its ensemble fits."""
+
+    def __init__(self, fit):
+        self.fit, self.calls, self.ensembles = fit, 0, 0
+
+    def __call__(self, data, stream):
+        self.calls += 1
+        return self.fit(data, stream)
+
+    def ensemble(self, members, streams):
+        self.ensembles += 1
+        return self.fit.ensemble(members, streams)
+
+
+class TestManyObservations:
+    """One run_test at k observations: one training, and row j is bitwise the
+    one-observation test at row j."""
+
+    OBSERVATIONS = np.array([[0.6, -0.2], [-1.1, 0.4], [0.0, 2.0]])
+
+    @pytest.mark.parametrize("method", ["lc2st", "lc2st-nf"])
+    @pytest.mark.parametrize(
+        "fit", [qda_factory(), mlp_factory(MlpConfig(hidden_sizes=(8,), max_epochs=4, patience=4))], ids=["qda", "mlp"]
+    )
+    def test_batch_equals_one_test_per_row(self, method, fit):
+        task = gaussian_conjugate_task(m=2, noise_std=1.0)
+        if method == "lc2st-nf":
+            estimator = conjugate_affine_flow(2, 1.0, scale_mult=1.2)
+        else:
+            estimator = distort(task.reference, [0.2, 0.0], 1.2)
+        counting = CountingFitter(fit)
+        batch = run_test(method, task, estimator, self.OBSERVATIONS, 200, 6, 150, counting, RngStream(seed=71))
+        assert (counting.calls, counting.ensembles) == (1, 1)
+        assert len(batch.results) == len(self.OBSERVATIONS) and len(batch.ensemble) == 6
+        for x_o, result in zip(self.OBSERVATIONS, batch.results):
+            single = run_test(method, task, estimator, x_o, 200, 6, 150, fit, RngStream(seed=71))
+            assert result.to_json_dict() == single.results[0].to_json_dict()
+        # the rows share the evaluation stream but not the observation
+        assert len({r.statistic for r in batch.results}) == len(self.OBSERVATIONS)
+        with pytest.raises(ConfigurationError, match="at least one observation"):
+            run_test(method, task, estimator, np.empty((0, 2)), 200, 6, 150, fit, RngStream(seed=71))
+
+    @pytest.mark.parametrize("method", ["oracle-c2st-acc", "oracle-c2st-mse"])
+    def test_oracle_takes_one_observation(self, method):
+        task = gaussian_conjugate_task(m=2, noise_std=1.0)
+        with pytest.raises(ConfigurationError, match="got 3, need 1"):
+            run_test(method, task, task.reference, self.OBSERVATIONS, 100, 0, 100, qda_factory(), RngStream(seed=1))
+        one = run_test(method, task, task.reference, self.OBSERVATIONS[:1], 100, 4, 100, qda_factory(), RngStream(seed=1))
+        row = run_test(method, task, task.reference, self.OBSERVATIONS[0], 100, 4, 100, qda_factory(), RngStream(seed=1))
+        assert one.results[0].to_json_dict() == row.results[0].to_json_dict()
 
 class TestPPPlot:
     def _null_ensemble(self, n_members=40, seed=51):

@@ -950,9 +950,9 @@ class TestStackedQdaNullSeededIdentity:
                 run_test(method, task, estimator, x_o, 300, 40, 400, fitter, RngStream(seed=seed))
                 for fitter in (qda_factory(), PerMemberQda())
             )
-            assert stacked.result.statistic == oracle.result.statistic
-            np.testing.assert_allclose(stacked.result.null_statistics, oracle.result.null_statistics, rtol=1e-10, atol=0)
-            assert stacked.result.p_value == oracle.result.p_value
+            assert stacked.results[0].statistic == oracle.results[0].statistic
+            np.testing.assert_allclose(stacked.results[0].null_statistics, oracle.results[0].null_statistics, rtol=1e-10, atol=0)
+            assert stacked.results[0].p_value == oracle.results[0].p_value
             if method.startswith("oracle"):
                 # the per-member statistics, one member at a time
                 stream = RngStream(seed=seed)
@@ -962,7 +962,7 @@ class TestStackedQdaNullSeededIdentity:
                 )
                 stat_fn = t_acc if method == "oracle-c2st-acc" else t_mse
                 expected = [stat_fn(member, val) for member in oracle.ensemble.classifiers]
-                np.testing.assert_allclose(stacked.result.null_statistics, expected, rtol=1e-10, atol=0)
+                np.testing.assert_allclose(stacked.results[0].null_statistics, expected, rtol=1e-10, atol=0)
 
     def test_sigma_sweep(self, monkeypatch):
         plan = ExperimentPlan(

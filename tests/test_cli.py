@@ -74,7 +74,7 @@ def test_lc2st_result_equals_library_train_and_evaluate(tmp_path, affine_flow):
         flow = ["--flow", str(affine_flow)] if method == "lc2st-nf" else []
         assert main(["test", "--method", method, "--task", "gaussian_conjugate", *args, *flow, "--out", str(out)]) == 0
         estimator = load_flow(affine_flow) if flow else task.reference
-        run_test(method, task, estimator, x_o, 400, 15, 300, qda_factory(), stream).result.save(expected)
+        run_test(method, task, estimator, x_o, 400, 15, 300, qda_factory(), stream).results[0].save(expected)
         assert (out / "result.json").read_text() == expected.read_text(), method
     cal = task.sample_joint(400, stream.child("cal"))
     clf, ensemble = lc2st_train(task.reference, cal, qda_factory(), 15, stream)

@@ -10,6 +10,8 @@ from lc2st import (
     TrainingError,
     conjugate_affine_flow,
     derive_stream,
+    distort,
+    lc2st_nf_null,
     make_task,
     qda_factory,
     run_test,
@@ -59,6 +61,12 @@ class TestPlan:
             ExperimentPlan(**{**SMALL_TYPE1, "n_cal_grid": []})
         # degenerate alpha = 1 stays constructible for the trivial-rejection case
         ExperimentPlan(**{**SMALL_TYPE1, "alpha": 1.0})
+
+    @pytest.mark.parametrize("method", ["lc2st", "oracle-c2st-acc", "oracle-c2st-mse"])
+    def test_reuse_null_only_for_lc2st_nf(self, method):
+        with pytest.raises(ConfigurationError, match=f"reuse_null.*{method!r}"):
+            ExperimentPlan(**{**SMALL_TYPE1, "kind": "bench", "method": method, "reuse_null": True})
+        ExperimentPlan(**{**SMALL_TYPE1, "kind": "bench", "method": "lc2st-nf", "reuse_null": True})
 
     @pytest.mark.parametrize(
         "key, value",
@@ -210,7 +218,7 @@ class TestTypeOne:
         _, x_o = task.observation(derive_stream(plan.seed, "obs", 1))
         stream = derive_stream(plan.seed, "run", 1, 200, 1, 2)
         estimator = conjugate_affine_flow(2, 1.0) if method == "lc2st-nf" else task.reference
-        result = run_test(method, task, estimator, x_o, 200, 12, 200, qda_factory(), stream).result
+        result = run_test(method, task, estimator, x_o, 200, 12, 200, qda_factory(), stream).results[0]
         assert (record.statistic, record.p_value) == (result.statistic, result.p_value)
 
     def test_error_names_its_cell(self):
@@ -338,6 +346,22 @@ class TestCorrelation:
         assert res.p_value < 0.05
         assert len(res.pairs) == 12
 
+    def test_pairs_are_run_tests_and_rho_is_spearman(self):
+        from scipy.stats import spearmanr
+
+        plan = self._plan(n_observations=5, n_cal_grid=[300], n_v=300)
+        res = run_oracle_correlation(plan, n_permutations=500)
+        task = make_task(plan.task, **plan.task_params)
+        _, x_o = task.observation(derive_stream(plan.seed, "obs", 4))
+        estimator = distort(task.reference, [1.5, 1.5], 1.0)  # observation 4 of 5: the full distortion
+        stream = derive_stream(plan.seed, "corr", 4)
+        local = run_test("lc2st", task, estimator, x_o, 300, 0, 300, qda_factory(), stream.child("local"))
+        oracle = run_test("oracle-c2st-mse", task, estimator, x_o, 300, 0, 300, qda_factory(), stream)
+        assert (res.pairs[4]["local"], res.pairs[4]["oracle"]) == (local.results[0].statistic, oracle.results[0].statistic)
+        expected = spearmanr([p["oracle"] for p in res.pairs], [p["local"] for p in res.pairs]).statistic
+        assert res.spearman_rho == pytest.approx(expected, abs=1e-12)
+        assert res.p_value * 501 == pytest.approx(round(res.p_value * 501), abs=1e-9)
+
     def test_single_observation_rejected(self):
         with pytest.raises(ConfigurationError):
             run_oracle_correlation(self._plan(n_observations=1))
@@ -426,3 +450,21 @@ class TestAmortized:
         assert len(res.records) == 2 * 10 * 3
         assert res.rejection_rate("scale2") >= 0.9
         assert 0.0 <= res.rejection_rate("exact") <= 0.2
+
+    def test_records_are_one_run_test_per_flow_and_run(self):
+        plan = ExperimentPlan(
+            **{**SMALL_TYPE1, "method": "lc2st-nf", "n_cal_grid": [300], "n_observations": 3, "n_null": 5, "n_v": 300}
+        )
+        flow = conjugate_affine_flow(2, 1.0)
+        res = run_amortized_type1(plan, {"exact": flow})
+        task = make_task(plan.task, **plan.task_params)
+        stream0 = derive_stream(plan.seed, "amortized-null")
+        shared = lc2st_nf_null(task.sample_joint(300, stream0.child("cal")).xs, 2, qda_factory(), 5, stream0.child("null"))
+        observations = np.array([task.observation(derive_stream(plan.seed, "obs", i))[1] for i in range(3)])
+        run = run_test(
+            "lc2st-nf", task, flow, observations, 300, 5, 300, qda_factory(),
+            derive_stream(plan.seed, "amortized", "exact", 1), ensemble=shared,
+        )
+        got = [(r["obs_index"], r["statistic"], r["p_value"]) for r in res.records if r["run_index"] == 1]
+        assert got == [(j, r.statistic, r.p_value) for j, r in enumerate(run.results)]
+        assert res.extra_null_seconds == 0.0

@@ -8,6 +8,8 @@ from lc2st import (
     ConfigurationError,
     OracleUnavailableError,
     RngStream,
+    build_coupling_flow,
+    conjugate_affine_flow,
     distort,
     gaussian_conjugate_task,
     gaussian_linear_uniform_task,
@@ -326,7 +328,8 @@ class _RowwiseDistorted(DistortedPosterior):
     def sample_conditional(self, xs, stream):
         xs = np.atleast_2d(xs)
         draws = self.base.sample_conditional(xs, stream)
-        return self._transform(draws, np.vstack([self.base.mean(x) for x in xs]))
+        mu = np.vstack([self.base.mean(x) for x in xs])
+        return self.mean_shift + self.scale * (draws - mu) + mu
 
 
 class TestRowMeans:
@@ -334,6 +337,15 @@ class TestRowMeans:
         post = gaussian_conjugate_task(m=3, noise_std=0.7).reference
         xs = np.random.default_rng(170).standard_normal((50, 3)) * 3.0
         assert post.mean(xs).tobytes() == np.vstack([post.mean(x) for x in xs]).tobytes()
+
+    def test_monte_carlo_row_means_estimate_each_distinct_row_once(self, monkeypatch):
+        post = two_moons_task().reference
+        xs = np.array([[0.1, 0.2], [-0.3, 0.4], [0.1, 0.2], [0.1, 0.2], [-0.3, 0.4]])
+        per_row = np.vstack([post.mean(x) for x in xs])
+        calls = []
+        sample = type(post).sample
+        monkeypatch.setattr(type(post), "sample", lambda self, *a: calls.append(1) or sample(self, *a))
+        assert post.mean(xs).tobytes() == per_row.tobytes() and len(calls) == 2
 
     @pytest.mark.parametrize("task", [gaussian_mixture_task(), gaussian_linear_uniform_task(m=3)], ids=lambda t: t.name)
     def test_mixture_row_means_agree_with_per_row_means(self, task):
@@ -357,8 +369,31 @@ class TestRowMeans:
         x_o = np.array([0.4, -0.6])
         for seed in (172, 173, 174):
             batched, rowwise = (
-                run_test("lc2st", task, est, x_o, 400, 30, 500, qda_factory(), RngStream(seed=seed)).result
+                run_test("lc2st", task, est, x_o, 400, 30, 500, qda_factory(), RngStream(seed=seed)).results[0]
                 for est in (distort(task.reference, [0.3, 0.0], 1.3), _RowwiseDistorted(task.reference, [0.3, 0.0], 1.3))
             )
             assert batched.p_value == rowwise.p_value and batched.statistic == rowwise.statistic
             assert batched.null_statistics.tobytes() == rowwise.null_statistics.tobytes()
+
+
+def _estimators():
+    """Every estimator type: each task's reference, distortions of them, an
+    affine flow and a coupling flow."""
+    out = {}
+    for name in ("gaussian_conjugate", "two_moons", "gaussian_mixture", "gaussian_linear_uniform"):
+        task = make_task(name)
+        out[name] = (task, task.reference)
+        out[f"{name}-distorted"] = (task, distort(task.reference, np.full(task.m, 0.3), 1.4))
+    task = gaussian_conjugate_task(m=2)
+    out["affine-flow"] = (task, conjugate_affine_flow(2, 1.0, scale_mult=1.3, shift=0.2))
+    out["coupling-flow"] = (task, build_coupling_flow(2, 2, n_layers=3, hidden=(8,), stream=RngStream(seed=4)))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_estimators()))
+def test_sample_is_sample_conditional_on_the_repeated_observation(name):
+    task, estimator = _estimators()[name]
+    _, x_o = task.observation(RngStream(seed=12))
+    draws = estimator.sample(x_o, 64, RngStream(seed=13))
+    rows = estimator.sample_conditional(np.tile(x_o, (64, 1)), RngStream(seed=13))
+    assert draws.shape == (64, task.m) and np.array_equal(draws, rows)
