@@ -52,6 +52,7 @@ from .core import (
     JointDataset,
     NumericError,
     RngStream,
+    generators,
 )
 from .nets import sigmoid
 
@@ -379,15 +380,16 @@ class Relabeled:
     def __len__(self) -> int:
         return len(self.subs)
 
-    def labels(self, sub: RngStream) -> np.ndarray:
-        rng = sub.child("perm").generator()
-        if self.paired:
-            flips = (rng.random(self.data.n // 2) < 0.5).astype(np.int64)
-            return np.concatenate([flips, 1 - flips])
-        return self.data.labels[rng.permutation(self.data.n)]
+    def _labels(self) -> np.ndarray:
+        """(H, ·) int8, row h member h's flips of the upper n/2 rows if paired, else its n labels."""
+        n = self.data.n
+        out = np.empty((len(self), n // 2 if self.paired else n), dtype=np.int8)
+        for row, rng in zip(out, generators(sub.child("perm") for sub in self.subs)):
+            row[:] = rng.random(n // 2) < 0.5 if self.paired else self.data.labels[rng.permutation(n)]
+        return out
 
     def __iter__(self):
-        return (self.data.with_labels(self.labels(sub)) for sub in self.subs)
+        return (self.data.with_labels(np.concatenate([row, 1 - row]) if self.paired else row) for row in self._labels())
 
     def class_moments(self):
         """(counts, centre, sums, scatters) as ``qda_fit_moments`` takes them,
@@ -399,7 +401,7 @@ class Relabeled:
         ws, n, dim = self.data.ws, self.data.n, self.data.dim
         centre = ws.mean(axis=0)
         half = n // 2 if self.paired else n
-        weights = np.array([self.labels(sub)[:half] for sub in self.subs], dtype=np.int8).reshape(len(self), half)
+        weights = self._labels()
         upper, lower = ws[:half] - centre, ws[half:] - centre
         total, class1 = np.zeros(dim + dim * dim), np.zeros((len(self), dim + dim * dim))
         for rows in row_slices(half):
@@ -441,13 +443,10 @@ def fit_null_ensemble(
     :class:`Relabeled` description.
     """
     t0 = time.perf_counter()
-    if paired:
-        k = data.n // 2
-        expected = np.concatenate([np.zeros(k, dtype=np.int64), np.ones(k, dtype=np.int64)])
-        if data.n % 2 or not np.array_equal(data.labels, expected):
-            raise ConfigurationError(
-                "paired permutation requires class-0 rows stacked above class-1 rows, equal counts"
-            )
+    if n_null < 0:
+        raise ConfigurationError("n_null must be nonnegative")
+    if paired and (data.n % 2 or np.any(data.labels != (np.arange(data.n) >= data.n // 2))):
+        raise ConfigurationError("paired permutation requires class-0 rows stacked above class-1 rows, equal counts")
     subs = [stream.child("trial", h) for h in range(n_null)]
     # the fit streams are derived only by fitters that read them (MLP)
     classifiers = fit_fn.ensemble(Relabeled(data, subs, paired), (sub.child("fit") for sub in subs))
@@ -577,13 +576,14 @@ class Resampled:
     def __len__(self) -> int:
         return len(self.subs)
 
-    def latents(self, sub: RngStream) -> np.ndarray:
-        """Member latents (2, n, m): class 0's draws, then class 1's."""
-        return sub.child("z").generator().standard_normal((2, len(self.xs), self.m))
+    def _latents(self):
+        """Each member's latents (2, n, m), class 0's then class 1's, in a buffer the next overwrites."""
+        z = np.empty((2, len(self.xs), self.m))
+        for rng in generators(sub.child("z") for sub in self.subs):
+            yield rng.standard_normal(out=z)
 
     def __iter__(self):
-        for sub in self.subs:
-            z0, z1 = self.latents(sub)
+        for z0, z1 in self._latents():
             yield LabeledPairDataset.from_class_arrays(np.hstack([z0, self.xs]), np.hstack([z1, self.xs]))
 
     def class_moments(self):
@@ -598,8 +598,7 @@ class Resampled:
         scatters = np.empty((len(self), 2, m + d_x, m + d_x))
         sums[..., m:] = xc.sum(axis=0)
         scatters[..., m:, m:] = xc.T @ xc
-        for h, sub in enumerate(self.subs):
-            z = self.latents(sub)
+        for h, z in enumerate(self._latents()):
             zt = np.swapaxes(z, 1, 2)
             sums[h, :, :m] = z.sum(axis=1)
             scatters[h, :, :m, :m] = zt @ z
@@ -712,6 +711,10 @@ def run_test(
     """
     if method not in _STAT_UPPER:
         raise ConfigurationError(f"unknown method {method!r}; valid: {sorted(_STAT_UPPER)}")
+    if n_cal < 1:
+        raise ConfigurationError(f"n_cal must be at least 1, got {n_cal}")
+    if n_null < 0:
+        raise ConfigurationError(f"n_null must be nonnegative, got {n_null}")
     observations = np.atleast_2d(x_o)
     if method.startswith("oracle"):
         if task.reference is None:

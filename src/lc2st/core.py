@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,6 +28,7 @@ __all__ = [
     "UndefinedPointError",
     "reject_unknown_keys",
     "RngStream",
+    "generators",
     "JointDataset",
     "LabeledPairDataset",
     "SplitConfig",
@@ -98,7 +100,8 @@ class RngStream:
 
     Streams are cheap value objects; derive as many as needed with
     :meth:`child` and give each worker its own.  Never share a ``Generator``
-    instance between workers.
+    instance between workers.  Null ensemble members draw through
+    :func:`generators`, whose yielded generator is valid only until the next.
     """
 
     seed: int
@@ -134,6 +137,19 @@ class RngStream:
                 raise ConfigurationError(f"stream path elements must be uint64 or str, got {part!r}")
         a, b = struct.unpack("<QQ", h.digest())
         return RngStream(seed=a, stream_id=b)
+
+
+def generators(streams: Iterable[RngStream]) -> Iterator[np.random.Generator]:
+    """One ``Generator`` re-keyed to the start of each of ``streams`` in turn (Philox key
+    ``[stream_id, seed]``, counter 0, nothing buffered): its draws are bitwise
+    ``stream.generator()``'s, without building a Philox per stream.  Every yield is the
+    same object, valid only until the next one."""
+    rng = np.random.Generator(np.random.Philox(key=0))
+    start = rng.bit_generator.state  # a copy, taken before any draw
+    for stream in streams:
+        start["state"]["key"][:] = (stream.stream_id, stream.seed)
+        rng.bit_generator.state = start
+        yield rng
 
 
 def derive_stream(master_seed: int, *path: int | str) -> RngStream:

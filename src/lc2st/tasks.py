@@ -110,14 +110,13 @@ def _rejection_rows(xs, m: int, propose, stream: RngStream) -> np.ndarray:
     ``propose(xs, rng) -> (thetas, accepted)`` makes one proposal per row.
     Each round proposes k = max(1, _ROUND_PROPOSALS // unfilled) times for
     every unfilled row from ``stream.child("round", r)`` and keeps each row's
-    first accepted proposal, which is exact for i.i.d. proposals.
+    first accepted proposal, which is exact for i.i.d. proposals.  Rounds go
+    on while some row was filled in the last ``_MAX_ROUNDS`` of them.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     out = np.empty((xs.shape[0], m))
-    todo = np.arange(xs.shape[0])
-    for r in range(_MAX_ROUNDS):
-        if todo.size == 0:
-            break
+    todo, r, idle = np.arange(xs.shape[0]), 0, 0
+    while todo.size and idle < _MAX_ROUNDS:
         k = max(1, _ROUND_PROPOSALS // todo.size)
         thetas, accepted = propose(xs[np.repeat(todo, k)], stream.child("round", r).generator())
         accepted = accepted.reshape(todo.size, k)
@@ -125,10 +124,11 @@ def _rejection_rows(xs, m: int, propose, stream: RngStream) -> np.ndarray:
         first = accepted.argmax(axis=1)[hit]
         out[todo[hit]] = thetas.reshape(todo.size, k, m)[hit, first]
         todo = todo[~hit]
+        r, idle = r + 1, 0 if hit.any() else idle + 1
     if todo.size:
         raise OracleUnavailableError(
-            f"{todo.size} of {xs.shape[0]} rows found no accepted proposal in {_MAX_ROUNDS} rounds "
-            f"(first: row {todo[0]}, x={xs[todo[0]].tolist()}); the prior (almost) never produces it"
+            f"{todo.size} of {xs.shape[0]} rows found no accepted proposal in {r} rounds, the last {_MAX_ROUNDS} "
+            f"filling none (first: row {todo[0]}, x={xs[todo[0]].tolist()}); the prior (almost) never produces it"
         )
     return out
 

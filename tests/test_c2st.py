@@ -33,6 +33,7 @@ from lc2st import (
     t_mse,
     t_mse0,
 )
+from lc2st import core
 from lc2st.c2st import TestResult, append_conditioning, heatmap_rows
 from lc2st.classifiers import MlpConfig, qda_fit
 
@@ -440,6 +441,13 @@ class TestRunTest:
         with pytest.raises(ConfigurationError, match="'nf-resampled' null over 3$"):
             self._run("lc2st-nf", flow, ensemble=wide)
 
+    @pytest.mark.parametrize("method", ["lc2st", "lc2st-nf", "oracle-c2st-acc", "oracle-c2st-mse"])
+    @pytest.mark.parametrize("n_cal, n_null, field", [(0, 8, "n_cal"), (-5, 8, "n_cal"), (300, -5, "n_null")])
+    def test_bad_sizes_name_their_field(self, method, n_cal, n_null, field):
+        estimator = conjugate_affine_flow(2, 1.0) if method == "lc2st-nf" else self.task.reference
+        with pytest.raises(ConfigurationError, match=f"^{field} must be"):
+            run_test(method, self.task, estimator, self.x_o, n_cal, n_null, 300, qda_factory(), RngStream(seed=9))
+
     def test_unknown_method_and_missing_reference_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown method"):
             self._run("c2st", self.task.reference)
@@ -447,6 +455,48 @@ class TestRunTest:
         with pytest.raises(ConfigurationError, match="reference posterior"):
             self._run("oracle-c2st-mse", conjugate_affine_flow(2, 1.0))
 
+
+
+class TestOnePhiloxPerNull:
+    """Every member of a null ensemble draws from one re-keyed Philox."""
+
+    @pytest.fixture
+    def philox_built(self, monkeypatch):
+        built, philox = [], core.np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(kwargs)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(core.np.random, "Philox", counting)
+        return built
+
+    @pytest.mark.parametrize("paired", [True, False])
+    def test_permutation_null(self, philox_built, paired):
+        rng = np.random.default_rng(160)
+        data = LabeledPairDataset.from_class_arrays(rng.standard_normal((40, 4)), rng.standard_normal((40, 4)) + 0.5)
+        null = fit_null_ensemble(data, qda_factory(), 100, RngStream(seed=161), paired=paired)
+        assert len(null) == 100 and len(philox_built) == 1
+
+    def test_nf_resampled_null(self, philox_built):
+        xs = np.random.default_rng(162).standard_normal((40, 2))
+        null = lc2st_nf_null(xs, 2, qda_factory(), 100, RngStream(seed=163))
+        assert len(null) == 100 and len(philox_built) == 1
+
+
+class TestPermutationNullInputs:
+    @pytest.mark.parametrize("n0, n1, swap", [(3, 4, False), (4, 3, False), (3, 3, True)])
+    def test_paired_null_requires_stacked_equal_classes(self, n0, n1, swap):
+        data = LabeledPairDataset.from_class_arrays(np.zeros((n0, 2)), np.ones((n1, 2)))
+        if swap:  # equal counts, class 1 on top
+            data = data.with_labels(1 - data.labels)
+        with pytest.raises(ConfigurationError, match="paired permutation requires"):
+            fit_null_ensemble(data, qda_factory(), 1, RngStream(seed=165), paired=True)
+
+    def test_negative_null_size_is_rejected(self):
+        data = LabeledPairDataset.from_class_arrays(np.zeros((3, 2)), np.ones((3, 2)))
+        with pytest.raises(ConfigurationError, match="n_null must be nonnegative"):
+            fit_null_ensemble(data, qda_factory(), -1, RngStream(seed=164))
 
 
 class CountingFitter:

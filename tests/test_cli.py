@@ -186,6 +186,15 @@ def test_lc2st_nf_without_flow_is_usage_error(tmp_path, capsys):
     assert err.startswith("error: usage:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("method", ["lc2st", "oracle-c2st-acc", "oracle-c2st-mse"])
+@pytest.mark.parametrize("flag, field", [("--n-cal", "n_cal"), ("--n-null", "n_null")])
+def test_negative_size_is_usage_error_naming_its_field(tmp_path, capsys, method, flag, field):
+    code = main(["test", "--method", method, flag, "-5", "--n-v", "50", "--out", str(tmp_path)])
+    assert code == 2 and not (tmp_path / "result.json").exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: usage: {field} must be") and err.count("\n") == 1
+
+
 def test_unknown_flag_exits_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["test", "--no-such-flag", "--out", str(tmp_path)])

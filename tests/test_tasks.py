@@ -145,6 +145,13 @@ class TestTwoMoons:
         with pytest.raises(OracleUnavailableError, match="rows found no accepted proposal"):
             task.reference.sample(np.array([5.0, 5.0]), 10, RngStream(seed=8))
 
+    @pytest.mark.parametrize("x_o", [[-1.0281267625122597, -0.2528929059022708], [-0.008269354526533601, 1.2707608691447216]])
+    def test_rare_observation_fills_every_row(self, x_o):
+        # observations the simulator made, accepting about one proposal in 10^3: rows
+        # were still unfilled after 1000 rounds, so the loop keeps going while rows fill
+        draws = two_moons_task().reference.sample(np.array(x_o), 1000, RngStream(seed=8))
+        assert draws.shape == (1000, 2) and np.all(np.abs(draws) <= 1.0)
+
     def test_eps_is_no_longer_a_parameter(self):
         with pytest.raises(ConfigurationError, match="'eps'"):
             make_task("two_moons", eps=0.05)
