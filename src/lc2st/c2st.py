@@ -38,7 +38,6 @@ which can never return zero.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,6 +52,7 @@ from .core import (
     NumericError,
     RngStream,
     generators,
+    save_json,
 )
 from .nets import sigmoid
 
@@ -317,9 +317,7 @@ class TestResult:
         }
 
     def save(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        save_json(self.to_json_dict(), path)
 
 
 @dataclass
@@ -715,6 +713,8 @@ def run_test(
         raise ConfigurationError(f"n_cal must be at least 1, got {n_cal}")
     if n_null < 0:
         raise ConfigurationError(f"n_null must be nonnegative, got {n_null}")
+    if n_v < 1:
+        raise ConfigurationError(f"n_v must be at least 1, got {n_v}")
     observations = np.atleast_2d(x_o)
     if method.startswith("oracle"):
         if task.reference is None:

@@ -9,14 +9,14 @@ Either way a single-line reason goes to stderr.
 from __future__ import annotations
 
 import argparse
-import json
+import os
+import platform
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import c2st
-from .classifiers import MlpConfig, mlp_factory, qda_factory
 from .core import (
     ConfigurationError,
     DataFormatError,
@@ -24,17 +24,20 @@ from .core import (
     RngStream,
     derive_stream,
     save_dataset,
+    save_json,
 )
 from .flows import NpeConfig, build_coupling_flow, flow_fit_npe, load_flow, save_flow
 from .harness import (
     ExperimentPlan,
+    _build_estimator,
+    _classifier_fit,
     run_oracle_correlation,
     run_power,
     run_runtime_bench,
     run_sigma_sweep,
     run_type1,
 )
-from .tasks import distort, make_task
+from .tasks import make_task
 
 _USAGE_ERRORS = (ConfigurationError, DataFormatError, FileNotFoundError)
 
@@ -46,22 +49,17 @@ def _task_params(args) -> dict:
 
 def _classifier(args):
     if args.clf == "qda":
-        return qda_factory()
-    cfg = MlpConfig(hidden_mult=args.hidden_mult, max_epochs=args.epochs)
-    return mlp_factory(cfg)
+        return _classifier_fit({"kind": "qda"})
+    return _classifier_fit({"kind": "mlp", "hidden_mult": args.hidden_mult, "max_epochs": args.epochs})
 
 
 def _estimator(args, task):
-    if getattr(args, "flow", None):
+    if args.flow:
         return load_flow(args.flow)
-    if task.reference is None:
-        raise ConfigurationError(f"task {task.name!r} has no reference posterior to test")
-    est = task.reference
-    shift = getattr(args, "distort_shift", 0.0) or 0.0
-    scale = getattr(args, "distort_scale", 1.0) or 1.0
-    if shift != 0.0 or scale != 1.0:
-        est = distort(est, np.full(task.m, shift), scale)
-    return est
+    spec = {"kind": "exact"}
+    if args.distort_shift != 0.0 or args.distort_scale != 1.0:
+        spec = {"kind": "distortion", "shift": args.distort_shift, "scale": args.distort_scale}
+    return _build_estimator(spec, task, flow=False)
 
 
 def _observation(args, task):
@@ -171,9 +169,7 @@ def _cmd_sweep(args) -> int:
         result = run_sigma_sweep(plan)
         result.save_power_csv(out / "power.csv", "mse0")
         result.save_power_csv(out / "power_acc0.csv", "acc0")
-        with (out / "results.json").open("w", encoding="utf-8") as fh:
-            json.dump({"plan": plan.to_dict(), "records": result.records}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        save_json({"plan": plan.to_dict(), "records": result.records}, out / "results.json")
         return 0
     if plan.kind == "correlation":
         result = run_oracle_correlation(plan)
@@ -183,39 +179,38 @@ def _cmd_sweep(args) -> int:
                 fh.write(
                     f"{p['obs_index']},{p['distortion_frac']!r},{p['oracle']!r},{p['local']!r}\n"
                 )
-        with (out / "results.json").open("w", encoding="utf-8") as fh:
-            json.dump(
-                {"plan": plan.to_dict(), "spearman_rho": result.spearman_rho, "p_value": result.p_value},
-                fh, indent=2, sort_keys=True,
-            )
-            fh.write("\n")
+        payload = {"plan": plan.to_dict(), "spearman_rho": result.spearman_rho, "p_value": result.p_value}
+        save_json(payload, out / "results.json")
         return 0
     if plan.kind == "bench":
-        result = run_runtime_bench(plan)
-        result.save_csv(out / "runtime.csv")
-        return 0
+        return _save_bench(plan, out)
     if plan.kind == "type1":
         sweep = run_type1(plan)
         sweep.save_rates_csv(out / "type1.csv", "rate")
-    elif plan.kind == "power":
+    else:
         sweep = run_power(plan)
         sweep.save_rates_csv(out / "power.csv", "tpr")
-    else:
-        raise ConfigurationError(f"unknown plan kind {plan.kind!r}")
     sweep.save_json(out / "results.json")
     sweep.save_runtime_csv(out / "runtime.csv")
     return 0
 
 
-def _cmd_bench(args) -> int:
-    plan = ExperimentPlan.load(args.plan)
-    result = run_runtime_bench(plan)
-    out = _out_dir(args)
-    result.save_csv(out / "runtime.csv")
-    with (out / "machine.json").open("w", encoding="utf-8") as fh:
-        json.dump(result.machine, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _save_bench(plan: ExperimentPlan, out: Path) -> int:
+    """A bench plan's per-phase medians (``runtime.csv``) and the machine they
+    were timed on (``machine.json``), for ``sweep`` and ``bench`` alike."""
+    run_runtime_bench(plan).save_runtime_csv(out / "runtime.csv")
+    machine = {
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+    }
+    save_json(machine, out / "machine.json")
     return 0
+
+
+def _cmd_bench(args) -> int:
+    return _save_bench(ExperimentPlan.load(args.plan), _out_dir(args))
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ __all__ = [
     "LabeledPairDataset",
     "SplitConfig",
     "split_joint",
+    "save_json",
     "save_dataset",
     "load_dataset",
     "load_metadata",
@@ -345,8 +346,13 @@ def save_dataset(
         for row in rows:
             fh.write(",".join(_format_value(v) for v in row) + "\n")
     meta = {"m": data.m, "d": data.d, "N": data.n, "seed": seed, "task_name": task_name}
-    with _sidecar_path(path).open("w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+    save_json(meta, _sidecar_path(path))
+
+
+def save_json(payload, path: str | Path) -> None:
+    """Write ``payload`` as indented JSON with sorted keys and a final newline."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

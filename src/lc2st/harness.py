@@ -3,18 +3,22 @@
 A plan fixes the task, validation method, grids over simulation budgets, run
 counts, and the master seed; every run derives its own stream from
 ``hash(master seed, n_train, n_cal, observation, run)`` so any single cell
-rerun standalone reproduces its slice of the full sweep.  Set ``LC2ST_THREADS``
-to run independent (cell, observation, run) triples on a process pool.
+rerun standalone reproduces its slice of the full sweep.  Type-I, power and
+bench plans run their (cell, observation, run) triples through one loop, on a
+process pool when ``LC2ST_THREADS`` > 1.  A bench plan is a type-I sweep timed
+per phase: its ``n_runs`` (>= 3) x ``n_observations`` triples per cell run one
+at a time, never on the pool, and with ``reuse_null`` (``lc2st-nf`` only)
+share one null ensemble per cell.
 
 Result files split into a deterministic part (records + aggregates, byte-stable
-for a fixed plan and seed) and wall-clock tables kept separate.
+for a fixed plan and seed) and the wall-clock medians per cell and phase
+(``runtime.csv``), kept separate.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import platform
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from numbers import Integral, Real
@@ -24,9 +28,11 @@ import numpy as np
 
 from . import c2st
 from .classifiers import MlpConfig, mlp_factory, qda_factory
-from .core import ConfigurationError, LabeledPairDataset, Lc2stError, RngStream, derive_stream, reject_unknown_keys
+from .core import (
+    ConfigurationError, LabeledPairDataset, Lc2stError, RngStream, derive_stream, reject_unknown_keys, save_json,
+)
 from .flows import NpeConfig, build_coupling_flow, conjugate_affine_flow, flow_fit_npe
-from .tasks import GaussianShiftPair, distort, gaussian_shift_samples, make_task
+from .tasks import ConjugateGaussianPosterior, GaussianShiftPair, distort, gaussian_shift_samples, make_task
 
 __all__ = [
     "METHODS",
@@ -40,7 +46,6 @@ __all__ = [
     "run_sigma_sweep",
     "CorrelationResult",
     "run_oracle_correlation",
-    "BenchResult",
     "run_runtime_bench",
     "AmortizedResult",
     "run_amortized_type1",
@@ -74,7 +79,6 @@ class ExperimentPlan:
     estimator: dict = field(default_factory=lambda: {"kind": "exact"})
     sigma_grid: list | None = None
     n_per_class: int = 10_000
-    n_reps: int = 3
     reuse_null: bool = False
 
     def __post_init__(self) -> None:
@@ -82,7 +86,9 @@ class ExperimentPlan:
             raise ConfigurationError(f"unknown plan kind {self.kind!r}")
         if self.method not in METHODS:
             raise ConfigurationError(f"unknown method {self.method!r}; valid: {METHODS}")
-        lows = {"n_observations": 1, "n_runs": 1, "n_v": 1, "n_per_class": 1, "n_reps": 1, "n_null": 0, "seed": 0}
+        # a bench cell's phase times are medians over at least 3 runs
+        n_runs_low = 3 if self.kind == "bench" else 1
+        lows = {"n_observations": 1, "n_runs": n_runs_low, "n_v": 1, "n_per_class": 1, "n_null": 0, "seed": 0}
         for name, low in lows.items():
             _check_count(name, getattr(self, name), low)
         if isinstance(self.alpha, bool) or not isinstance(self.alpha, Real) or not 0.0 < self.alpha <= 1.0:
@@ -93,10 +99,17 @@ class ExperimentPlan:
                 raise ConfigurationError(f"{name} must be a nonempty list, got {grid!r}")
             for v in grid:
                 _check_count(f"{name} entry", v, 1)
+        if self.sigma_grid is not None:
+            if not isinstance(self.sigma_grid, (list, tuple)) or not self.sigma_grid:
+                raise ConfigurationError(f"sigma_grid must be None or a nonempty list, got {self.sigma_grid!r}")
+            for v in self.sigma_grid:
+                if isinstance(v, bool) or not isinstance(v, Real) or not v > 0:
+                    raise ConfigurationError(f"sigma_grid entry must be a positive number, got {v!r}")
         _estimator_kind(self.estimator)  # type-I runs never read the spec: check its keys here
-        if self.reuse_null and self.method != "lc2st-nf":
+        if self.reuse_null and (self.kind, self.method) != ("bench", "lc2st-nf"):
             raise ConfigurationError(
-                f"reuse_null needs method 'lc2st-nf', whose null is estimator-independent; got {self.method!r}"
+                "reuse_null needs a bench plan of method 'lc2st-nf', whose null is estimator-independent; "
+                f"got a {self.kind!r} plan of method {self.method!r}"
             )
 
     def to_dict(self) -> dict:
@@ -108,9 +121,7 @@ class ExperimentPlan:
         return ExperimentPlan(**data)
 
     def save(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        save_json(self.to_dict(), path)
 
     @staticmethod
     def load(path: str | Path) -> "ExperimentPlan":
@@ -139,11 +150,6 @@ def _classifier_fit(spec: dict):
     return mlp_factory(MlpConfig(**params))
 
 
-def _shift_vector(shift, m: int) -> np.ndarray:
-    arr = np.asarray(shift, dtype=np.float64)
-    return np.full(m, float(arr)) if arr.ndim == 0 else arr
-
-
 _ESTIMATOR_KEYS = {
     "exact": set(),
     "distortion": {"shift", "scale"},
@@ -160,64 +166,38 @@ def _estimator_kind(spec: dict) -> str:
     return kind
 
 
-def _sampler_estimator(plan: ExperimentPlan, task, n_train: int, stream: RngStream):
-    """Estimator q(.|x) as a sampler (for lc2st and the oracle methods)."""
-    spec = plan.estimator
+def _build_estimator(spec: dict, task, flow: bool, n_train: int = 0, stream: RngStream | None = None):
+    """The estimator ``spec`` names for ``task``, as a flow when ``flow``
+    (lc2st-nf needs the inverse transform) and as a sampler otherwise.
+
+    ``exact`` and ``distortion`` derive from the reference posterior, as a
+    closed-form flow only for the conjugate task; ``npe`` trains a coupling
+    flow on ``n_train`` pairs from ``stream.child("estimator-build")``.
+    """
     kind = _estimator_kind(spec)
-    if kind == "exact":
-        if task.reference is None:
-            raise ConfigurationError(f"task {task.name!r} has no reference posterior")
-        return task.reference
-    if kind == "distortion":
-        if task.reference is None:
-            raise ConfigurationError(f"task {task.name!r} has no reference posterior to distort")
-        return distort(
-            task.reference,
-            _shift_vector(spec.get("shift", 0.0), task.m),
-            spec.get("scale", 1.0),
-        )
-    return _npe_flow(plan, task, n_train, stream)
-
-
-def _npe_flow(plan: ExperimentPlan, task, n_train: int, stream: RngStream):
-    spec = plan.estimator
-    train = task.sample_joint(n_train, stream.child("npe-data"))
-    flow = build_coupling_flow(
-        task.m,
-        task.d,
-        n_layers=spec.get("n_layers", 5),
-        hidden=tuple(spec.get("hidden", (64, 64))),
-        stream=stream.child("npe-init"),
-    )
-    cfg = NpeConfig(
-        batch_size=spec.get("batch_size", 100),
-        learning_rate=spec.get("learning_rate", 1e-3),
-        max_epochs=spec.get("max_epochs", 200),
-        patience=spec.get("patience", 20),
-    )
-    fitted, _ = flow_fit_npe(flow, train, cfg, stream.child("npe-fit"))
-    return fitted
-
-
-def _flow_estimator(plan: ExperimentPlan, task, n_train: int, stream: RngStream):
-    """Estimator as a flow (for lc2st-nf, which needs the inverse transform)."""
-    spec = plan.estimator
-    kind = _estimator_kind(spec)
-    if kind in ("exact", "distortion"):
-        if task.name != "gaussian_conjugate":
-            raise ConfigurationError(
-                f"no closed-form flow for task {task.name!r}; train one with estimator kind 'npe'"
-            )
-        noise_std = plan.task_params.get("noise_std", 1.0)
-        if kind == "exact":
-            return conjugate_affine_flow(task.m, noise_std)
-        return conjugate_affine_flow(
+    if kind == "npe":
+        build = stream.child("estimator-build")
+        train = task.sample_joint(n_train, build.child("npe-data"))
+        net = build_coupling_flow(
             task.m,
-            noise_std,
-            scale_mult=spec.get("scale", 1.0),
-            shift=float(spec.get("shift", 0.0)),
+            task.d,
+            n_layers=spec.get("n_layers", 5),
+            hidden=tuple(spec.get("hidden", (64, 64))),
+            stream=build.child("npe-init"),
         )
-    return _npe_flow(plan, task, n_train, stream)
+        settings = {k: v for k, v in spec.items() if k not in ("kind", "n_layers", "hidden")}
+        cfg = NpeConfig(**{"max_epochs": 200, **settings})
+        return flow_fit_npe(net, train, cfg, build.child("npe-fit"))[0]
+    reference = task.reference
+    if reference is None:
+        raise ConfigurationError(f"task {task.name!r} has no reference posterior")
+    shift, scale = np.asarray(spec.get("shift", 0.0), dtype=np.float64), spec.get("scale", 1.0)
+    if not flow:
+        shift = np.full(task.m, float(shift)) if shift.ndim == 0 else shift
+        return reference if kind == "exact" else distort(reference, shift, scale)
+    if not isinstance(reference, ConjugateGaussianPosterior):
+        raise ConfigurationError(f"no closed-form flow for task {task.name!r}; train one with estimator kind 'npe'")
+    return conjugate_affine_flow(task.m, reference.noise_std, scale_mult=scale, shift=float(shift))
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +272,7 @@ class SweepResult:
         }
 
     def save_json(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        save_json(self.to_json_dict(), path)
 
     def save_rates_csv(self, path: str | Path, value_name: str = "rate") -> None:
         with Path(path).open("w", encoding="utf-8") as fh:
@@ -302,18 +280,25 @@ class SweepResult:
             for a in self.aggregates():
                 fh.write(f"{a.n_train},{a.n_cal},{a.rejection_rate!r},{a.se!r}\n")
 
+    def phase_medians(self) -> list[dict]:
+        """Median seconds of each phase per cell, cells in sorted order: the rows of ``runtime.csv``."""
+        rows = []
+        for nt, nc in sorted({(t["n_train"], t["n_cal"]) for t in self.timings}):
+            for phase in ("train", "null", "evaluate"):
+                vals = [t[phase] for t in self.timings if t["n_train"] == nt and t["n_cal"] == nc]
+                rows.append({"method": self.plan.method, "n_train": nt, "n_cal": nc, "phase": phase,
+                             "median_seconds": float(np.median(vals))})
+        return rows
+
     def save_runtime_csv(self, path: str | Path) -> None:
         with Path(path).open("w", encoding="utf-8") as fh:
             fh.write("method,n_train,n_cal,phase,median_seconds\n")
-            cells = sorted({(t["n_train"], t["n_cal"]) for t in self.timings})
-            for nt, nc in cells:
-                for phase in ("train", "null", "evaluate"):
-                    vals = [t[phase] for t in self.timings if t["n_train"] == nt and t["n_cal"] == nc]
-                    fh.write(f"{self.plan.method},{nt},{nc},{phase},{float(np.median(vals))!r}\n")
+            for r in self.phase_medians():
+                fh.write(f"{r['method']},{r['n_train']},{r['n_cal']},{r['phase']},{r['median_seconds']!r}\n")
 
 
 # ---------------------------------------------------------------------------
-# Single-run execution (shared by sweeps and the bench)
+# Single-run execution
 # ---------------------------------------------------------------------------
 
 
@@ -321,16 +306,17 @@ def _observation(plan: ExperimentPlan, task, obs_index: int):
     return task.observation(derive_stream(plan.seed, "obs", obs_index))
 
 
-def _run_single(plan_dict: dict, n_train: int, n_cal: int, obs_index: int, run_index: int, alternative: bool, ensemble=None):
-    """Execute one (cell, observation, run) triple, reusing ``ensemble`` if
-    given; returns (record, timing) dicts.  A library error is re-raised as
-    its own type with the cell in its message."""
+def _run_single(
+    plan: ExperimentPlan, spec: dict, n_train: int, n_cal: int, obs_index: int, run_index: int, ensemble=None
+):
+    """Execute one (cell, observation, run) triple of the estimator ``spec``
+    names, reusing ``ensemble`` if given; returns (record, timing) dicts.  A
+    library error is re-raised as its own type with the cell in its message."""
     try:
-        plan = ExperimentPlan.from_dict(plan_dict)
         task = make_task(plan.task, **plan.task_params)
         _, x_o = _observation(plan, task, obs_index)
         stream = derive_stream(plan.seed, "run", n_train, n_cal, obs_index, run_index)
-        estimator = _exact_or_alt(plan, task, n_train, stream, alternative, flow=plan.method == "lc2st-nf")
+        estimator = _build_estimator(spec, task, plan.method == "lc2st-nf", n_train, stream)
         run = c2st.run_test(
             plan.method, task, estimator, x_o, n_cal, plan.n_null, plan.n_v, _classifier_fit(plan.classifier), stream,
             ensemble=ensemble,
@@ -353,40 +339,23 @@ def _run_single(plan_dict: dict, n_train: int, n_cal: int, obs_index: int, run_i
     return record, {"n_train": n_train, "n_cal": n_cal, **run.seconds}
 
 
-def _exact_or_alt(plan: ExperimentPlan, task, n_train: int, stream: RngStream, alternative: bool, flow: bool):
-    """Exact reference (null runs) or the plan's estimator (power runs)."""
-    if alternative:
-        build = _flow_estimator if flow else _sampler_estimator
-        return build(plan, task, n_train, stream.child("estimator-build"))
-    if flow:
-        null_plan = ExperimentPlan.from_dict({**plan.to_dict(), "estimator": {"kind": "exact"}})
-        return _flow_estimator(null_plan, task, n_train, stream.child("estimator-build"))
-    if task.reference is None:
-        raise ConfigurationError(f"task {task.name!r} has no reference posterior")
-    return task.reference
-
-
-def _pool_map(args_list: list[tuple]):
-    workers = int(os.environ.get("LC2ST_THREADS", "1"))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_single_star, args_list))
-    return [_run_single_star(a) for a in args_list]
-
-
-def _run_single_star(args: tuple):
-    return _run_single(*args)
-
-
-def _run_sweep(plan: ExperimentPlan, alternative: bool) -> SweepResult:
+def _run_sweep(plan: ExperimentPlan, spec: dict, nulls: dict) -> SweepResult:
+    """Every (cell, observation, run) triple of ``plan``; a cell's triples
+    reuse ``nulls[(n_train, n_cal)]`` if given.  A bench plan's triples run
+    one at a time, so that their timings do not share the machine."""
     args = [
-        (plan.to_dict(), int(nt), int(nc), obs, run, alternative)
+        (plan, spec, int(nt), int(nc), obs, run, nulls.get((int(nt), int(nc))))
         for nt in plan.n_train_grid
         for nc in plan.n_cal_grid
         for obs in range(plan.n_observations)
         for run in range(plan.n_runs)
     ]
-    outputs = _pool_map(args)
+    workers = 1 if plan.kind == "bench" else int(os.environ.get("LC2ST_THREADS", "1"))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outputs = list(pool.map(_run_single, *zip(*args)))
+    else:
+        outputs = [_run_single(*a) for a in args]
     records = [RunRecord(**rec) for rec, _ in outputs]
     timings = [t for _, t in outputs]
     records.sort(key=lambda r: (r.n_train, r.n_cal, r.obs_index, r.run_index))
@@ -400,10 +369,7 @@ def _run_sweep(plan: ExperimentPlan, alternative: bool) -> SweepResult:
 
 def run_type1(plan: ExperimentPlan) -> SweepResult:
     """Rejection rates with the estimator set to the exact reference (null holds)."""
-    task = make_task(plan.task, **plan.task_params)
-    if task.reference is None:
-        raise ConfigurationError(f"type-I runs need a reference posterior; task {plan.task!r} has none")
-    return _run_sweep(plan, alternative=False)
+    return _run_sweep(plan, {"kind": "exact"}, {})
 
 
 def run_power(plan: ExperimentPlan) -> SweepResult:
@@ -412,14 +378,10 @@ def run_power(plan: ExperimentPlan) -> SweepResult:
     kind = _estimator_kind(spec)
     if kind == "exact":
         raise ConfigurationError("power runs need a non-exact estimator spec")
-    if kind == "distortion":
-        scale = spec.get("scale", 1.0)
-        shift = np.asarray(spec.get("shift", 0.0), dtype=np.float64)
-        if scale == 1.0 and not np.any(shift):
-            raise ConfigurationError(
-                "estimator is the identity distortion; it does not differ from the reference"
-            )
-    return _run_sweep(plan, alternative=True)
+    task = make_task(plan.task, **plan.task_params)
+    if kind == "distortion" and _build_estimator(spec, task, flow=False).is_identity:
+        raise ConfigurationError("estimator is the identity distortion; it does not differ from the reference")
+    return _run_sweep(plan, spec, {})
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +476,6 @@ def run_oracle_correlation(plan: ExperimentPlan, n_permutations: int = 10_000) -
     if plan.n_observations < 2:
         raise ConfigurationError("correlation needs at least 2 observations")
     task = make_task(plan.task, **plan.task_params)
-    if task.reference is None:
-        raise ConfigurationError("correlation study needs a reference posterior")
     spec = plan.estimator
     kind = _estimator_kind(spec)
     if kind not in ("exact", "distortion"):
@@ -526,11 +486,12 @@ def run_oracle_correlation(plan: ExperimentPlan, n_permutations: int = 10_000) -
     pairs = []
     for i in range(plan.n_observations):
         frac = 0.0 if exact else (i + 1) / plan.n_observations
-        estimator = task.reference if exact else distort(
-            task.reference,
-            _shift_vector(np.asarray(spec.get("shift", 0.0)) * frac, task.m),
-            1.0 + (spec.get("scale", 1.0) - 1.0) * frac,
-        )
+        graded = spec if exact else {
+            "kind": kind,
+            "shift": np.asarray(spec.get("shift", 0.0)) * frac,
+            "scale": 1.0 + (spec.get("scale", 1.0) - 1.0) * frac,
+        }
+        estimator = _build_estimator(graded, task, flow=False)
         _, x_o = _observation(plan, task, i)
         stream = derive_stream(plan.seed, "corr", i)
         # the oracle and the local statistic at x_o, neither with a null
@@ -566,60 +527,26 @@ def run_oracle_correlation(plan: ExperimentPlan, n_permutations: int = 10_000) -
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BenchResult:
-    plan: ExperimentPlan
-    rows: list[dict]  # method, n_train, n_cal, phase, median_seconds
-    machine: dict
+def run_runtime_bench(plan: ExperimentPlan) -> SweepResult:
+    """The type-I sweep of ``plan``, its triples run one at a time for their
+    timings (``SweepResult.phase_medians``).
 
-    def save_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8") as fh:
-            fh.write("method,n_train,n_cal,phase,median_seconds\n")
-            for row in self.rows:
-                fh.write(
-                    f"{row['method']},{row['n_train']},{row['n_cal']},{row['phase']},{row['median_seconds']!r}\n"
-                )
-
-
-def run_runtime_bench(plan: ExperimentPlan) -> BenchResult:
-    """Median per-phase wall-clock over >= 3 repetitions per cell.
-
-    With ``reuse_null=True`` (``lc2st-nf`` only) one null ensemble per cell
-    is passed to every repetition's ``run_test``, so the null phase reports
-    exactly zero, which is the amortization being measured.
+    With ``reuse_null=True`` (``lc2st-nf`` only) each cell's triples share one
+    null ensemble fitted beforehand, so the null phase reports exactly zero,
+    which is the amortization being measured.
     """
-    task = make_task(plan.task, **plan.task_params)
-    fit_fn = _classifier_fit(plan.classifier)
-    rows: list[dict] = []
-    for nt in plan.n_train_grid:
-        for nc in plan.n_cal_grid:
-            phase_times: dict[str, list[float]] = {"train": [], "null": [], "evaluate": []}
-            shared = None
-            if plan.reuse_null:
+    if plan.kind != "bench":
+        raise ConfigurationError(f"the runtime bench runs bench plans, got a {plan.kind!r} plan")
+    nulls = {}
+    if plan.reuse_null:
+        task = make_task(plan.task, **plan.task_params)
+        fit_fn = _classifier_fit(plan.classifier)
+        for nt in plan.n_train_grid:
+            for nc in plan.n_cal_grid:
                 stream0 = derive_stream(plan.seed, "bench-null", int(nt), int(nc))
                 cal0 = task.sample_joint(int(nc), stream0.child("cal"))
-                shared = c2st.lc2st_nf_null(cal0.xs, task.m, fit_fn, plan.n_null, stream0.child("null"))
-            for rep in range(max(plan.n_reps, 3)):
-                _, timing = _run_single(plan.to_dict(), int(nt), int(nc), 0, rep, alternative=False, ensemble=shared)
-                for phase in ("train", "null", "evaluate"):
-                    phase_times[phase].append(timing[phase])
-            for phase in ("train", "null", "evaluate"):
-                rows.append(
-                    {
-                        "method": plan.method,
-                        "n_train": int(nt),
-                        "n_cal": int(nc),
-                        "phase": phase,
-                        "median_seconds": float(np.median(phase_times[phase])),
-                    }
-                )
-    machine = {
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "cpu_count": os.cpu_count(),
-    }
-    return BenchResult(plan=plan, rows=rows, machine=machine)
+                nulls[int(nt), int(nc)] = c2st.lc2st_nf_null(cal0.xs, task.m, fit_fn, plan.n_null, stream0.child("null"))
+    return _run_sweep(plan, {"kind": "exact"}, nulls)
 
 
 # ---------------------------------------------------------------------------

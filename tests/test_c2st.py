@@ -442,11 +442,12 @@ class TestRunTest:
             self._run("lc2st-nf", flow, ensemble=wide)
 
     @pytest.mark.parametrize("method", ["lc2st", "lc2st-nf", "oracle-c2st-acc", "oracle-c2st-mse"])
-    @pytest.mark.parametrize("n_cal, n_null, field", [(0, 8, "n_cal"), (-5, 8, "n_cal"), (300, -5, "n_null")])
+    @pytest.mark.parametrize("n_cal, n_null, field", [(0, 8, "n_cal"), (-5, 8, "n_cal"), (300, -5, "n_null"), (300, 8, "n_v")])
     def test_bad_sizes_name_their_field(self, method, n_cal, n_null, field):
         estimator = conjugate_affine_flow(2, 1.0) if method == "lc2st-nf" else self.task.reference
+        n_v = -5 if field == "n_v" else 300
         with pytest.raises(ConfigurationError, match=f"^{field} must be"):
-            run_test(method, self.task, estimator, self.x_o, n_cal, n_null, 300, qda_factory(), RngStream(seed=9))
+            run_test(method, self.task, estimator, self.x_o, n_cal, n_null, n_v, qda_factory(), RngStream(seed=9))
 
     def test_unknown_method_and_missing_reference_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown method"):

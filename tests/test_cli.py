@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from lc2st import (
+    MlpConfig,
     conjugate_affine_flow,
     derive_stream,
+    distort,
     lc2st_evaluate,
     lc2st_nf_train,
     lc2st_train,
@@ -15,6 +17,7 @@ from lc2st import (
     load_flow,
     load_metadata,
     make_task,
+    mlp_factory,
     probability_heatmap,
     qda_factory,
     run_test,
@@ -82,6 +85,23 @@ def test_lc2st_result_equals_library_train_and_evaluate(tmp_path, affine_flow):
     assert (tmp_path / "lc2st" / "result.json").read_text() == (tmp_path / "steps.json").read_text()
 
 
+@pytest.mark.parametrize(
+    "flags, estimator, fit",
+    [
+        (["--distort-shift", "0.3"], lambda task: distort(task.reference, np.full(2, 0.3), 1.0), qda_factory),
+        (["--clf", "mlp", "--epochs", "3"], lambda task: task.reference, lambda: mlp_factory(MlpConfig(hidden_mult=10, max_epochs=3))),
+    ],
+)
+def test_flagged_result_equals_run_test(tmp_path, flags, estimator, fit):
+    args = ["--n-cal", "200", "--n-null", "5", "--n-v", "200", "--x-seed", "3", "--seed", "5"]
+    assert main(["test", "--method", "lc2st", *args, *flags, "--out", str(tmp_path)]) == 0
+    task = make_task("gaussian_conjugate")
+    _, x_o = task.observation(derive_stream(3, "obs", 0))
+    run = run_test("lc2st", task, estimator(task), x_o, 200, 5, 200, fit(), derive_stream(5, "test"))
+    run.results[0].save(tmp_path / "expected.json")
+    assert (tmp_path / "result.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
+
+
 def test_conservative_result_records_p_value_kind(tmp_path):
     args = ["test", "--method", "lc2st", "--n-cal", "300", "--n-null", "10", "--n-v", "300"]
     for flag, kind in (([], "strict"), (["--conservative"], "conservative")):
@@ -140,6 +160,13 @@ def test_wrongly_typed_plan_value_is_named(tmp_path, capsys):
     assert "n_runs" in err
 
 
+def test_string_sigma_grid_is_named(tmp_path, capsys):
+    plan = {**ExperimentPlan(kind="sigma-sweep").to_dict(), "sigma_grid": "12"}
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    err = _usage_error(capsys, ["sweep", "--plan", str(tmp_path / "plan.json"), "--out", str(tmp_path)])
+    assert "sigma_grid" in err and not (tmp_path / "power.csv").exists()
+
+
 @pytest.mark.parametrize(
     "estimator, key",
     [
@@ -187,9 +214,9 @@ def test_lc2st_nf_without_flow_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("method", ["lc2st", "oracle-c2st-acc", "oracle-c2st-mse"])
-@pytest.mark.parametrize("flag, field", [("--n-cal", "n_cal"), ("--n-null", "n_null")])
+@pytest.mark.parametrize("flag, field", [("--n-cal", "n_cal"), ("--n-null", "n_null"), ("--n-v", "n_v")])
 def test_negative_size_is_usage_error_naming_its_field(tmp_path, capsys, method, flag, field):
-    code = main(["test", "--method", method, flag, "-5", "--n-v", "50", "--out", str(tmp_path)])
+    code = main(["test", "--method", method, "--n-v", "50", flag, "-5", "--out", str(tmp_path)])
     assert code == 2 and not (tmp_path / "result.json").exists()
     err = capsys.readouterr().err
     assert err.startswith(f"error: usage: {field} must be") and err.count("\n") == 1
@@ -337,7 +364,7 @@ def test_bench_outputs(tmp_path):
         n_train_grid=[1],
         n_cal_grid=[200],
         n_observations=1,
-        n_runs=1,
+        n_runs=3,
         n_null=5,
         n_v=200,
         seed=2,
@@ -347,4 +374,6 @@ def test_bench_outputs(tmp_path):
     out = tmp_path / "bench"
     assert main(["bench", "--plan", str(plan_path), "--out", str(out)]) == 0
     assert (out / "runtime.csv").exists()
-    assert json.loads((out / "machine.json").read_text())["cpu_count"] >= 1
+    machine = json.loads((out / "machine.json").read_text())
+    assert machine["cpu_count"] >= 1
+    assert set(machine) == {"platform", "python", "numpy", "cpu_count"}

@@ -7,10 +7,13 @@ import pytest
 
 from lc2st import (
     ConfigurationError,
+    NpeConfig,
     TrainingError,
+    build_coupling_flow,
     conjugate_affine_flow,
     derive_stream,
     distort,
+    flow_fit_npe,
     lc2st_nf_null,
     make_task,
     qda_factory,
@@ -67,10 +70,18 @@ class TestPlan:
         with pytest.raises(ConfigurationError, match=f"reuse_null.*{method!r}"):
             ExperimentPlan(**{**SMALL_TYPE1, "kind": "bench", "method": method, "reuse_null": True})
         ExperimentPlan(**{**SMALL_TYPE1, "kind": "bench", "method": "lc2st-nf", "reuse_null": True})
+        for kind in ("type1", "power", "sigma-sweep", "correlation"):
+            with pytest.raises(ConfigurationError, match=f"reuse_null.*{kind!r}"):
+                ExperimentPlan(**{**SMALL_TYPE1, "kind": kind, "method": "lc2st-nf", "reuse_null": True})
+        with pytest.raises(ConfigurationError, match="n_runs must be an integer >= 3, got 2"):
+            ExperimentPlan(**{**SMALL_TYPE1, "kind": "bench", "n_runs": 2})
 
     @pytest.mark.parametrize(
         "key, value",
-        [("n_null", 2.5), ("n_v", True), ("seed", "0"), ("alpha", "0.05"), ("n_cal_grid", [100.0]), ("n_train_grid", 5)],
+        [
+            ("n_null", 2.5), ("n_v", True), ("seed", "0"), ("alpha", "0.05"), ("n_cal_grid", [100.0]), ("n_train_grid", 5),
+            ("sigma_grid", "12"), ("sigma_grid", ["x"]), ("sigma_grid", [True]), ("sigma_grid", []), ("sigma_grid", [0.5, -1.0]),
+        ],
     )
     def test_wrongly_typed_field_is_named(self, key, value):
         with pytest.raises(ConfigurationError, match=key):
@@ -275,6 +286,34 @@ class TestPower:
         assert len(res.records) == 1
         assert res.records[0].p_value is not None
 
+    @pytest.mark.parametrize(
+        "method, estimator",
+        [
+            ("lc2st", {"kind": "distortion", "shift": 0.4, "scale": 1.3}),
+            ("lc2st-nf", {"kind": "distortion", "shift": 0.4, "scale": 1.3}),
+            ("oracle-c2st-mse", {"kind": "distortion", "shift": 0.4, "scale": 1.3}),
+            ("lc2st", {"kind": "npe", "max_epochs": 2, "n_layers": 2, "hidden": [8]}),
+        ],
+    )
+    def test_record_equals_run_test(self, method, estimator):
+        over = {"method": method, "n_train_grid": [200], "n_cal_grid": [200], "n_v": 200, "n_null": 12}
+        plan = ExperimentPlan(**{**SMALL_TYPE1, **over, "kind": "power", "task_params": {"m": 2, "noise_std": 1.5}, "estimator": estimator})
+        record = [r for r in run_power(plan).records if (r.obs_index, r.run_index) == (1, 2)][0]
+        task = make_task(plan.task, **plan.task_params)
+        _, x_o = task.observation(derive_stream(plan.seed, "obs", 1))
+        stream = derive_stream(plan.seed, "run", 200, 200, 1, 2)
+        if estimator["kind"] == "npe":
+            build = stream.child("estimator-build")
+            flow = build_coupling_flow(2, 2, n_layers=2, hidden=(8,), stream=build.child("npe-init"))
+            train = task.sample_joint(200, build.child("npe-data"))
+            q, _ = flow_fit_npe(flow, train, NpeConfig(max_epochs=2), build.child("npe-fit"))
+        elif method == "lc2st-nf":
+            q = conjugate_affine_flow(2, 1.5, scale_mult=1.3, shift=0.4)
+        else:
+            q = distort(task.reference, np.full(2, 0.4), 1.3)
+        result = run_test(method, task, q, x_o, 200, 12, 200, qda_factory(), stream).results[0]
+        assert (record.statistic, record.p_value) == (result.statistic, result.p_value)
+
 
 class TestSigmaSweep:
     def test_requires_grid(self):
@@ -377,13 +416,12 @@ class TestCorrelation:
 class TestBench:
     def test_phases_and_zero_null(self):
         plan = ExperimentPlan(
-            **{**SMALL_TYPE1, "kind": "bench", "n_null": 0, "n_reps": 3, "n_cal_grid": [300]}
+            **{**SMALL_TYPE1, "kind": "bench", "n_null": 0, "n_runs": 3, "n_cal_grid": [300]}
         )
         res = run_runtime_bench(plan)
-        rows = {r["phase"]: r["median_seconds"] for r in res.rows}
+        rows = {r["phase"]: r["median_seconds"] for r in res.phase_medians()}
         assert rows["null"] == 0.0
         assert rows["train"] > 0.0 and rows["evaluate"] > 0.0
-        assert set(res.machine) == {"platform", "python", "numpy", "cpu_count"}
 
     def test_more_data_costs_more_training_time(self):
         plan = ExperimentPlan(
@@ -391,13 +429,14 @@ class TestBench:
                 **SMALL_TYPE1,
                 "kind": "bench",
                 "n_null": 0,
-                "n_reps": 7,
+                "n_runs": 7,
+                "n_observations": 1,
                 "n_cal_grid": [4000, 16000],
                 "n_v": 200,
             }
         )
         res = run_runtime_bench(plan)
-        train = {r["n_cal"]: r["median_seconds"] for r in res.rows if r["phase"] == "train"}
+        train = {r["n_cal"]: r["median_seconds"] for r in res.phase_medians() if r["phase"] == "train"}
         assert train[16000] > train[4000]
 
     def test_reuse_null_reports_exact_zero(self):
@@ -413,17 +452,51 @@ class TestBench:
             }
         )
         res = run_runtime_bench(plan)
-        rows = {r["phase"]: r["median_seconds"] for r in res.rows}
+        rows = {r["phase"]: r["median_seconds"] for r in res.phase_medians()}
         assert rows["null"] == 0.0
 
     def test_csv_schema(self, tmp_path):
         plan = ExperimentPlan(**{**SMALL_TYPE1, "kind": "bench", "n_null": 2, "n_cal_grid": [200], "n_v": 200})
         res = run_runtime_bench(plan)
         path = tmp_path / "runtime.csv"
-        res.save_csv(path)
+        res.save_runtime_csv(path)
         lines = path.read_text().splitlines()
         assert lines[0] == "method,n_train,n_cal,phase,median_seconds"
         assert len(lines) == 1 + 3
+
+    def test_records_are_the_type1_sweep(self):
+        bench = ExperimentPlan(**{**SMALL_TYPE1, "kind": "bench", "n_cal_grid": [300, 200], "n_null": 4, "n_v": 200})
+        res = run_runtime_bench(bench)
+        type1 = ExperimentPlan(**{**bench.to_dict(), "kind": "type1"})
+        assert res.records == run_type1(type1).records
+        with pytest.raises(ConfigurationError, match="bench plans, got a 'type1' plan"):
+            run_runtime_bench(type1)
+        assert len(res.timings) == 2 * 2 * 3
+        assert [(r["n_cal"], r["phase"]) for r in res.phase_medians()][::3] == [(200, "train"), (300, "train")]
+
+    def test_reused_null_is_the_cells_bench_null(self):
+        plan = ExperimentPlan(
+            **{**SMALL_TYPE1, "kind": "bench", "method": "lc2st-nf", "reuse_null": True, "n_cal_grid": [300, 200],
+               "n_null": 5, "n_v": 300}
+        )
+        res = run_runtime_bench(plan)
+        assert all(t["null"] == 0.0 for t in res.timings) and len(res.timings) == 12
+        task = make_task(plan.task, **plan.task_params)
+        for r in res.records:
+            stream0 = derive_stream(plan.seed, "bench-null", 1, r.n_cal)
+            null = lc2st_nf_null(task.sample_joint(r.n_cal, stream0.child("cal")).xs, 2, qda_factory(), 5, stream0.child("null"))
+            _, x_o = task.observation(derive_stream(plan.seed, "obs", r.obs_index))
+            stream = derive_stream(plan.seed, "run", 1, r.n_cal, r.obs_index, r.run_index)
+            run = run_test("lc2st-nf", task, conjugate_affine_flow(2, 1.0), x_o, r.n_cal, 5, 300, qda_factory(), stream, ensemble=null)
+            assert (r.statistic, r.p_value) == (run.results[0].statistic, run.results[0].p_value)
+
+    def test_bench_ignores_the_worker_pool(self, monkeypatch):
+        import lc2st.harness as hmod
+
+        monkeypatch.setenv("LC2ST_THREADS", "2")
+        monkeypatch.setattr(hmod, "ProcessPoolExecutor", None)  # would fail if used
+        plan = ExperimentPlan(**{**SMALL_TYPE1, "kind": "bench", "n_null": 2, "n_cal_grid": [200], "n_v": 200})
+        assert len(run_runtime_bench(plan).records) == 6
 
 
 class TestAmortized:
