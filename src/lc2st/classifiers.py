@@ -31,7 +31,7 @@ from .core import (
     TrainingError,
     UndefinedPointError,
 )
-from .nets import Adam, MlpParams, mlp_backward, mlp_forward, mlp_init, sigmoid
+from .nets import Adam, MlpParams, grad_check, mlp_backward, mlp_forward, mlp_init, sigmoid
 
 __all__ = [
     "ProbClassifier",
@@ -526,13 +526,10 @@ def mlp_fit(data: LabeledPairDataset, cfg: MlpConfig | None = None, stream: RngS
 
 
 def mlp_grad_check(model: MlpModel, ws: np.ndarray, labels: np.ndarray, step: float = 1e-5) -> float:
-    """Max relative disagreement between backprop and central finite differences.
-
-    Per-coordinate error is |analytic - fd| / (|analytic| + 1e-8) on the batch
-    cross-entropy; the maximum over all parameters is returned.  Finite
-    differences assume the loss is smooth within ``step`` of each coordinate,
-    so callers should keep rectifier pre-activations away from zero.
-    """
+    """Max relative disagreement (``nets.grad_check``) between backprop and
+    central finite differences of the batch cross-entropy.  Finite differences
+    assume the loss is smooth within ``step`` of each coordinate, so callers
+    should keep rectifier pre-activations away from zero."""
     ws = _check_features(ws, model.dim)
     if len(ws) == 0:
         raise ConfigurationError("gradient check needs a nonempty batch")
@@ -540,25 +537,7 @@ def mlp_grad_check(model: MlpModel, ws: np.ndarray, labels: np.ndarray, step: fl
     inputs = model._standardize(ws)
     params = model.params
     _, gw, gb = _bce_loss_and_grad(params, inputs, labels)
-    analytic: list[np.ndarray] = []
-    for w, b in zip(gw, gb):
-        analytic.append(w)
-        analytic.append(b)
-    worst = 0.0
-    for arr, grad in zip(params.flat(), analytic):
-        flat = arr.ravel()
-        gflat = grad.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = _bce_loss(params, inputs, labels)
-            flat[i] = orig - step
-            down = _bce_loss(params, inputs, labels)
-            flat[i] = orig
-            fd = (up - down) / (2.0 * step)
-            err = abs(gflat[i] - fd) / (abs(gflat[i]) + 1e-8)
-            worst = max(worst, err)
-    return worst
+    return grad_check(params.flat(), MlpParams(gw, gb).flat(), lambda: _bce_loss(params, inputs, labels), step)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ __all__ = [
     "UndefinedPointError",
     "reject_unknown_keys",
     "RngStream",
+    "derive_stream",
     "generators",
     "JointDataset",
     "LabeledPairDataset",

@@ -14,8 +14,9 @@ Two flow families share one interface (``forward``, ``inverse``, ``log_prob``,
   controlled latent distortions.
 
 The base distribution is always standard normal in the m-dimensional latent
-space.  For m = 1, where coupling cannot split coordinates, the trainable flow
-falls back to element-wise affine blocks conditioned on x alone.
+space.  For m = 1, where coupling cannot split coordinates, every block has an
+all-False mask: nothing passes through, so the block is an element-wise affine
+map conditioned on x alone.
 """
 
 from __future__ import annotations
@@ -35,13 +36,12 @@ from .core import (
     RngStream,
     TrainingError,
 )
-from .nets import Adam, MlpParams, mlp_backward, mlp_forward, mlp_init
+from .nets import Adam, MlpParams, grad_check, mlp_backward, mlp_forward, mlp_init
 
 __all__ = [
     "S_MAX",
     "CouplingLayer",
     "PermutationLayer",
-    "ElementwiseAffineLayer",
     "ConditionalFlow",
     "ConditionalAffineFlow",
     "conjugate_affine_flow",
@@ -85,7 +85,8 @@ class CouplingLayer:
     """Affine coupling: masked coordinates pass through and condition the rest.
 
     The conditioner is a rectifier network taking (masked coords ++ x) and
-    emitting a shift and raw log-scale for each transformed coordinate.
+    emitting a shift and raw log-scale for each transformed coordinate.  An
+    all-False mask passes nothing through: the conditioner sees x alone.
     """
 
     kind = "coupling"
@@ -95,8 +96,8 @@ class CouplingLayer:
         self.params = params
         self.id_pass = np.flatnonzero(self.mask)
         self.id_xform = np.flatnonzero(~self.mask)
-        if len(self.id_xform) == 0 or len(self.id_pass) == 0:
-            raise ConfigurationError("coupling mask must pass some and transform some coordinates")
+        if len(self.id_xform) == 0:
+            raise ConfigurationError("coupling mask must transform some coordinates")
 
     @staticmethod
     def create(mask: np.ndarray, d: int, hidden: tuple[int, ...], stream: RngStream) -> "CouplingLayer":
@@ -117,10 +118,6 @@ class CouplingLayer:
         out[:, self.id_xform] = z[:, self.id_xform] * np.exp(s) + t
         return out, s.sum(axis=1)
 
-    def inverse(self, y: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        z, logdet, _ = self.inverse_cached(y, xs)
-        return z, logdet
-
     def inverse_cached(self, y: np.ndarray, xs: np.ndarray):
         u = y[:, self.id_pass]
         net_cache: list = []
@@ -140,11 +137,13 @@ class CouplingLayer:
         # logdet contribution is -sum(s): chain both the value path and it
         g_s = -g_w * w - g_logdet[:, None]
         g_raw = g_s * (1.0 - (s / S_MAX) ** 2)
-        gw, gb, g_in = mlp_backward(self.params, cache["net"], np.hstack([g_t, g_raw]))
-        g_y = np.zeros_like(g_z)
+        n_pass = len(self.id_pass)
+        gw, gb, g_in = mlp_backward(self.params, cache["net"], np.hstack([g_t, g_raw]), input_grad=n_pass > 0)
+        g_y = g_z.copy()
         g_y[:, self.id_xform] = g_v
-        g_y[:, self.id_pass] = g_z[:, self.id_pass] + g_in[:, : len(self.id_pass)]
-        return g_y, _interleave(gw, gb)
+        if n_pass:
+            g_y[:, self.id_pass] += g_in[:, :n_pass]
+        return g_y, MlpParams(gw, gb).flat()
 
     def to_dict(self) -> dict:
         return {
@@ -168,9 +167,6 @@ class PermutationLayer:
     def forward(self, z: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return z[:, self.perm], np.zeros(z.shape[0])
 
-    def inverse(self, y: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return y[:, self.inv_perm], np.zeros(y.shape[0])
-
     def inverse_cached(self, y: np.ndarray, xs: np.ndarray):
         return y[:, self.inv_perm], np.zeros(y.shape[0]), None
 
@@ -181,79 +177,25 @@ class PermutationLayer:
         return {"type": self.kind, "perm": self.perm.tolist()}
 
 
-class ElementwiseAffineLayer:
-    """Conditional element-wise affine block; the m = 1 coupling fallback.
-
-    The conditioner sees only x and emits shift/raw log-scale for every
-    coordinate.
-    """
-
-    kind = "elementwise"
-
-    def __init__(self, m: int, params: MlpParams):
-        self.m = m
-        self.params = params
-
-    @staticmethod
-    def create(m: int, d: int, hidden: tuple[int, ...], stream: RngStream) -> "ElementwiseAffineLayer":
-        return ElementwiseAffineLayer(m, mlp_init([d, *hidden, 2 * m], stream, zero_last=True))
-
-    def _shift_scale(self, xs: np.ndarray, cache: list | None = None):
-        out = mlp_forward(self.params, xs, cache)
-        return out[:, : self.m], _clamp_scale(out[:, self.m :])
-
-    def forward(self, z: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        t, s = self._shift_scale(xs)
-        return z * np.exp(s) + t, s.sum(axis=1)
-
-    def inverse(self, y: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        z, logdet, _ = self.inverse_cached(y, xs)
-        return z, logdet
-
-    def inverse_cached(self, y: np.ndarray, xs: np.ndarray):
-        net_cache: list = []
-        t, s = self._shift_scale(xs, net_cache)
-        w = (y - t) * np.exp(-s)
-        return w, -s.sum(axis=1), {"net": net_cache, "s": s, "w": w}
-
-    def inverse_backward(self, cache, g_z: np.ndarray, g_logdet: np.ndarray):
-        s, w = cache["s"], cache["w"]
-        g_y = g_z * np.exp(-s)
-        g_t = -g_y
-        g_s = -g_z * w - g_logdet[:, None]
-        g_raw = g_s * (1.0 - (s / S_MAX) ** 2)
-        gw, gb, _ = mlp_backward(self.params, cache["net"], np.hstack([g_t, g_raw]), input_grad=False)
-        return g_y, _interleave(gw, gb)
-
-    def to_dict(self) -> dict:
-        return {
-            "type": self.kind,
-            "m": self.m,
-            "weights": [w.tolist() for w in self.params.weights],
-            "biases": [b.tolist() for b in self.params.biases],
-        }
-
-
-def _interleave(gw: list[np.ndarray], gb: list[np.ndarray]) -> list[np.ndarray]:
-    out: list[np.ndarray] = []
-    for w, b in zip(gw, gb):
-        out.append(w)
-        out.append(b)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Trainable flow
 # ---------------------------------------------------------------------------
 
 
-class _FlowSampling:
-    """Draws of a conditional flow ``forward(z, xs)`` with a standard-normal
-    base: ``sample(x_o, n)`` is ``sample_conditional`` on ``x_o`` repeated n
-    times."""
+class _Flow:
+    """What both flow families derive from their ``forward(z, xs)`` and
+    ``inverse(thetas, xs)`` maps and a standard-normal base: the density, and
+    draws (``sample(x_o, n)`` is ``sample_conditional`` on ``x_o`` repeated n
+    times)."""
 
     m: int
     d: int
+
+    def log_prob(self, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """Change-of-variables density: log u(T^{-1}(theta;x)) + log|det J_inv|."""
+        z, logdet_inv = self.inverse(thetas, xs)
+        base = -0.5 * (np.sum(z * z, axis=1) + self.m * _LOG_2PI)
+        return base + logdet_inv
 
     def sample(self, x_o: np.ndarray, n: int, stream: RngStream) -> np.ndarray:
         if n < 0:
@@ -268,7 +210,7 @@ class _FlowSampling:
         return theta
 
 
-class ConditionalFlow(_FlowSampling):
+class ConditionalFlow(_Flow):
     """Invertible conditional transform with standard-normal base."""
 
     def __init__(self, m: int, d: int, layers: list):
@@ -294,17 +236,11 @@ class ConditionalFlow(_FlowSampling):
         out, xs = _pair(thetas, xs, self.d)
         logdet = np.zeros(out.shape[0])
         for k, layer in zip(range(len(self.layers) - 1, -1, -1), reversed(self.layers)):
-            out, ld = layer.inverse(out, xs)
+            out, ld, _ = layer.inverse_cached(out, xs)
             if not np.all(np.isfinite(out)):
                 raise NumericError(f"inverse pass produced non-finite values at layer {k}")
             logdet += ld
         return out, logdet
-
-    def log_prob(self, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """Change-of-variables density: log u(T^{-1}(theta;x)) + log|det J_inv|."""
-        z, logdet_inv = self.inverse(thetas, xs)
-        base = -0.5 * (np.sum(z * z, axis=1) + self.m * _LOG_2PI)
-        return base + logdet_inv
 
     # -- parameters ----------------------------------------------------------
 
@@ -330,24 +266,20 @@ def build_coupling_flow(
     stream: RngStream | None = None,
 ) -> ConditionalFlow:
     """Fresh identity-initialized flow: alternating half-dimension masks with
-    coordinate reversals between blocks; element-wise blocks when m = 1."""
+    coordinate reversals between blocks.  When m = 1 every block has the
+    all-False mask, an element-wise affine map conditioned on x alone, and no
+    reversal follows."""
     if m < 1 or d < 1 or n_layers < 1:
         raise ConfigurationError("m, d, and n_layers must be positive")
     stream = stream or RngStream(seed=0)
     layers: list = []
-    if m == 1:
-        for k in range(n_layers):
-            layers.append(ElementwiseAffineLayer.create(1, d, hidden, stream.child("layer", k)))
-        return ConditionalFlow(m, d, layers)
-    half = (m + 1) // 2
-    base_mask = np.zeros(m, dtype=bool)
-    base_mask[:half] = True
+    half = np.arange(m) < (m + 1) // 2
+    masks = (half, ~half) if m > 1 else (np.zeros(1, dtype=bool),) * 2
     for k in range(n_layers):
-        mask = base_mask if k % 2 == 0 else ~base_mask
-        layers.append(CouplingLayer.create(mask, d, hidden, stream.child("layer", k)))
+        layers.append(CouplingLayer.create(masks[k % 2], d, hidden, stream.child("layer", k)))
         # A reversal after every mask pair regroups the halves without undoing
         # the alternation (a reversal after every block would cancel it).
-        if k % 2 == 1 and k < n_layers - 1:
+        if m > 1 and k % 2 == 1 and k < n_layers - 1:
             layers.append(PermutationLayer(np.arange(m)[::-1]))
     return ConditionalFlow(m, d, layers)
 
@@ -357,7 +289,7 @@ def build_coupling_flow(
 # ---------------------------------------------------------------------------
 
 
-class ConditionalAffineFlow(_FlowSampling):
+class ConditionalAffineFlow(_Flow):
     """Diagonal affine conditional flow theta = mean(x) + scale(x) * z.
 
     ``mean_fn``/``scale_fn`` map a batch of observations (n, d) to (n, m)
@@ -390,10 +322,6 @@ class ConditionalAffineFlow(_FlowSampling):
         thetas, xs = _pair(thetas, xs, self.d)
         mean, scale = self._coeffs(xs)
         return (thetas - mean) / scale, -np.sum(np.log(scale), axis=1)
-
-    def log_prob(self, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        z, logdet_inv = self.inverse(thetas, xs)
-        return -0.5 * (np.sum(z * z, axis=1) + self.m * _LOG_2PI) + logdet_inv
 
     def to_dict(self) -> dict:
         if self.spec is None:
@@ -441,6 +369,15 @@ class NpeConfig:
     patience: int = 20
     holdout_frac: float = 0.1
 
+    def __post_init__(self) -> None:
+        for name, low in (("batch_size", 1), ("max_epochs", 0), ("patience", 1)):
+            if getattr(self, name) < low:
+                raise ConfigurationError(f"NpeConfig.{name} must be at least {low}, got {getattr(self, name)!r}")
+        if not self.learning_rate > 0:
+            raise ConfigurationError(f"NpeConfig.learning_rate must be positive, got {self.learning_rate!r}")
+        if not 0 <= self.holdout_frac < 1:
+            raise ConfigurationError(f"NpeConfig.holdout_frac must lie in [0, 1), got {self.holdout_frac!r}")
+
 
 def npe_loss(flow: ConditionalFlow, thetas: np.ndarray, xs: np.ndarray) -> float:
     """Mean negative log-likelihood of (theta, x) pairs under the flow."""
@@ -461,37 +398,19 @@ def _npe_loss_and_grads(flow: ConditionalFlow, thetas: np.ndarray, xs: np.ndarra
     loss = float(np.mean(0.5 * np.sum(z * z, axis=1) + 0.5 * flow.m * _LOG_2PI - logdet))
     g = z / n
     g_logdet = np.full(n, -1.0 / n)
-    grads_by_layer: dict[int, list[np.ndarray]] = {}
+    # backprop meets the layers in flow order, the order of parameter_arrays
+    flat: list[np.ndarray] = []
     for layer, cache in reversed(stack):
         g, layer_grads = layer.inverse_backward(cache, g, g_logdet)
-        grads_by_layer[id(layer)] = layer_grads
-    flat: list[np.ndarray] = []
-    for layer in flow.layers:
-        if layer.params is not None:
-            flat.extend(grads_by_layer[id(layer)])
+        flat.extend(layer_grads)
     return loss, flat
 
 
 def npe_grad_check(flow: ConditionalFlow, thetas: np.ndarray, xs: np.ndarray, step: float = 1e-5) -> float:
     """Max relative error of the analytic NPE-loss gradient vs central finite
-    differences; same convention as the classifier gradient check."""
-    thetas, xs = _pair(thetas, xs, flow.d)
+    differences, by ``nets.grad_check``."""
     _, grads = _npe_loss_and_grads(flow, thetas, xs)
-    worst = 0.0
-    for arr, grad in zip(flow.parameter_arrays(), grads):
-        flat = arr.ravel()
-        gflat = grad.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = npe_loss(flow, thetas, xs)
-            flat[i] = orig - step
-            down = npe_loss(flow, thetas, xs)
-            flat[i] = orig
-            fd = (up - down) / (2.0 * step)
-            err = abs(gflat[i] - fd) / (abs(gflat[i]) + 1e-8)
-            worst = max(worst, err)
-    return worst
+    return grad_check(flow.parameter_arrays(), grads, lambda: npe_loss(flow, thetas, xs), step)
 
 
 def flow_fit_npe(
@@ -585,7 +504,9 @@ def _layer_from_dict(entry: dict):
     if kind == "coupling":
         return CouplingLayer(np.asarray(entry["mask"], dtype=bool), params)
     if kind == "elementwise":
-        return ElementwiseAffineLayer(entry["m"], params)
+        # The element-wise block of older checkpoints: a coupling that passes
+        # nothing through.
+        return CouplingLayer(np.zeros(entry["m"], dtype=bool), params)
     raise ConfigurationError(f"unknown layer type {kind!r} in checkpoint")
 
 

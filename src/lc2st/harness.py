@@ -197,6 +197,8 @@ def _build_estimator(spec: dict, task, flow: bool, n_train: int = 0, stream: Rng
         return reference if kind == "exact" else distort(reference, shift, scale)
     if not isinstance(reference, ConjugateGaussianPosterior):
         raise ConfigurationError(f"no closed-form flow for task {task.name!r}; train one with estimator kind 'npe'")
+    if shift.ndim:
+        raise ConfigurationError(f"estimator key 'shift' must be a scalar for a flow, got {spec['shift']!r}")
     return conjugate_affine_flow(task.m, reference.noise_std, scale_mult=scale, shift=float(shift))
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import RngStream
 
-__all__ = ["MlpParams", "mlp_init", "mlp_forward", "mlp_backward", "Adam", "relu", "sigmoid"]
+__all__ = ["MlpParams", "mlp_init", "mlp_forward", "mlp_backward", "Adam", "grad_check", "relu", "sigmoid"]
 
 
 def relu(a: np.ndarray) -> np.ndarray:
@@ -141,6 +141,26 @@ def mlp_backward(
         # and much faster as a broadcast
         g = np.multiply(g, w_t, out=g_in[k]) if g.shape[-1] == 1 else np.matmul(g, w_t, out=g_in[k])
     return gw, gb, g
+
+
+def grad_check(arrays: list[np.ndarray], grads: list[np.ndarray], loss, step: float = 1e-5) -> float:
+    """Max over coordinates of |analytic - fd| / (|analytic| + 1e-8), where fd
+    is the central difference of ``loss()`` as each coordinate of ``arrays``
+    is moved by +-``step`` in place and then restored."""
+    worst = 0.0
+    for arr, grad in zip(arrays, grads):
+        flat = arr.ravel()
+        gflat = grad.ravel()
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            up = loss()
+            flat[i] = orig - step
+            down = loss()
+            flat[i] = orig
+            fd = (up - down) / (2.0 * step)
+            worst = max(worst, abs(gflat[i] - fd) / (abs(gflat[i]) + 1e-8))
+    return worst
 
 
 class Adam:

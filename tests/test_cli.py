@@ -377,3 +377,19 @@ def test_bench_outputs(tmp_path):
     machine = json.loads((out / "machine.json").read_text())
     assert machine["cpu_count"] >= 1
     assert set(machine) == {"platform", "python", "numpy", "cpu_count"}
+
+
+def test_vector_shift_for_a_flow_is_a_usage_error(tmp_path, capsys):
+    plan = ExperimentPlan(
+        kind="power", method="lc2st-nf", n_train_grid=[1], n_cal_grid=[50], n_runs=3, n_observations=1, n_null=2,
+        n_v=50, estimator={"kind": "distortion", "shift": [0.3, -0.2]},
+    )
+    plan.save(tmp_path / "plan.json")
+    err = _usage_error(capsys, ["sweep", "--plan", str(tmp_path / "plan.json"), "--out", str(tmp_path)])
+    assert "'shift'" in err and not (tmp_path / "power.csv").exists()
+
+
+def test_negative_npe_epochs_is_a_usage_error(tmp_path, capsys):
+    argv = ["train-npe", "--task", "gaussian_conjugate", "--n-train", "20", "--epochs", "-3", "--out", str(tmp_path)]
+    err = _usage_error(capsys, argv)
+    assert "NpeConfig.max_epochs" in err and not (tmp_path / "flow.json").exists()

@@ -1,10 +1,13 @@
 """Flow invertibility, densities, training, and checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
 from lc2st import (
     ConditionalAffineFlow,
+    ConditionalFlow,
     ConfigurationError,
     NpeConfig,
     NumericError,
@@ -18,6 +21,7 @@ from lc2st import (
     save_flow,
 )
 from lc2st.flows import S_MAX, CouplingLayer, npe_loss
+from lc2st.nets import MlpParams, mlp_forward
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -247,3 +251,55 @@ class TestCheckpoints:
         thetas = rng.standard_normal((20, 2))
         xs = rng.standard_normal((20, 2))
         assert np.array_equal(loaded.log_prob(thetas, xs), flow.log_prob(thetas, xs))
+
+
+def _elementwise_maps(params, z, y, xs):
+    # The m = 1 block written out: (t, s) from the conditioner on xs alone,
+    # s smoothly clamped; forward z*exp(s) + t, inverse (y - t)*exp(-s).
+    out = mlp_forward(params, xs)
+    t, s = out[:, :1], S_MAX * np.tanh(out[:, 1:] / S_MAX)
+    return z * np.exp(s) + t, (y - t) * np.exp(-s), s[:, 0]
+
+
+class TestOneDimensionalBlocks:
+    def test_trained_block_is_elementwise_affine_in_x(self):
+        task = gaussian_conjugate_task(m=1, noise_std=0.8)
+        train = task.sample_joint(400, RngStream(seed=40))
+        flow = build_coupling_flow(1, 1, n_layers=3, hidden=(8,), stream=RngStream(seed=41))
+        fitted, _ = flow_fit_npe(flow, train, NpeConfig(max_epochs=5), RngStream(seed=42))
+        rng = np.random.default_rng(43)
+        z, y, xs = rng.standard_normal((30, 1)), rng.standard_normal((30, 1)), rng.standard_normal((30, 1))
+        for layer in fitted.layers:
+            block = ConditionalFlow(1, 1, [layer])
+            fwd, inv, s = _elementwise_maps(layer.params, z, y, xs)
+            assert not np.all(s == 0.0)
+            assert np.array_equal(block.forward(z, xs)[0], fwd)
+            assert np.array_equal(block.forward(z, xs)[1], s)
+            assert np.array_equal(block.inverse(y, xs)[0], inv)
+            assert np.array_equal(block.inverse(y, xs)[1], -s)
+
+    def test_elementwise_checkpoint_loads_as_that_block(self, tmp_path):
+        weights = [[[0.5, -0.3, 0.8], [0.1, 0.7, -0.4]], [[0.2, -0.6], [0.9, 0.3], [-0.5, 0.4]]]
+        biases = [[0.05, -0.1, 0.2], [0.3, -0.2]]
+        layer = {"type": "elementwise", "m": 1, "weights": weights, "biases": biases}
+        path = tmp_path / "flow.json"
+        path.write_text(json.dumps({"kind": "coupling-flow", "m": 1, "d": 2, "layers": [layer]}))
+        flow = load_flow(path)
+        params = MlpParams([np.asarray(w) for w in weights], [np.asarray(b) for b in biases])
+        rng = np.random.default_rng(44)
+        z, y, xs = rng.standard_normal((25, 1)), rng.standard_normal((25, 1)), rng.standard_normal((25, 2))
+        fwd, inv, s = _elementwise_maps(params, z, y, xs)
+        assert np.array_equal(flow.forward(z, xs)[0], fwd)
+        assert np.array_equal(flow.inverse(y, xs)[0], inv)
+        assert np.array_equal(flow.inverse(y, xs)[1], -s)
+        expected = -0.5 * (inv[:, 0] ** 2 + LOG_2PI) - s
+        assert np.array_equal(flow.log_prob(y, xs), expected)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("batch_size", 0), ("max_epochs", -3), ("patience", 0), ("learning_rate", 0.0), ("holdout_frac", 1.0), ("holdout_frac", -0.1)],
+)
+def test_npe_config_rejects_bad_field(key, value):
+    with pytest.raises(ConfigurationError, match=rf"^NpeConfig\.{key} "):
+        NpeConfig(**{key: value})

@@ -541,3 +541,22 @@ class TestAmortized:
         got = [(r["obs_index"], r["statistic"], r["p_value"]) for r in res.records if r["run_index"] == 1]
         assert got == [(j, r.statistic, r.p_value) for j, r in enumerate(run.results)]
         assert res.extra_null_seconds == 0.0
+
+
+class TestEstimatorSpecChecks:
+    def test_vector_shift_for_a_flow_is_named_with_its_cell(self):
+        estimator = {"kind": "distortion", "shift": [0.3, -0.2]}
+        over = {"kind": "power", "n_cal_grid": [100], "n_null": 2, "n_v": 100, "estimator": estimator}
+        plan = ExperimentPlan(**{**SMALL_TYPE1, **over, "method": "lc2st-nf"})
+        with pytest.raises(ConfigurationError, match=r"^cell \(n_train=1, n_cal=100, obs=0, run=0\): .*'shift'.*\[0\.3, -0\.2\]"):
+            run_power(plan)
+        # a sampler takes the vector shift as it is
+        assert len(run_power(ExperimentPlan(**{**SMALL_TYPE1, **over})).records) == 2 * 3
+
+    @pytest.mark.parametrize("key, value", [("batch_size", 0), ("max_epochs", -3)])
+    def test_bad_npe_setting_is_named_with_its_cell(self, key, value):
+        estimator = {"kind": "npe", "n_layers": 1, "hidden": [4], key: value}
+        over = {"kind": "power", "n_train_grid": [50], "n_cal_grid": [100], "n_null": 2, "n_v": 100, "estimator": estimator}
+        plan = ExperimentPlan(**{**SMALL_TYPE1, **over})
+        with pytest.raises(ConfigurationError, match=rf"^cell \(n_train=50, n_cal=100, obs=0, run=0\): NpeConfig\.{key}"):
+            run_power(plan)
