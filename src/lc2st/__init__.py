@@ -90,7 +90,6 @@ from .tasks import (
 from .harness import (
     ExperimentPlan,
     SweepResult,
-    run_amortized_type1,
     run_oracle_correlation,
     run_power,
     run_runtime_bench,

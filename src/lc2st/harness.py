@@ -4,11 +4,15 @@ A plan fixes the task, validation method, grids over simulation budgets, run
 counts, and the master seed; every run derives its own stream from
 ``hash(master seed, n_train, n_cal, observation, run)`` so any single cell
 rerun standalone reproduces its slice of the full sweep.  Type-I, power and
-bench plans run their (cell, observation, run) triples through one loop, on a
-process pool when ``LC2ST_THREADS`` > 1.  A bench plan is a type-I sweep timed
-per phase: its ``n_runs`` (>= 3) x ``n_observations`` triples per cell run one
-at a time, never on the pool, and with ``reuse_null`` (``lc2st-nf`` only)
-share one null ensemble per cell.
+bench plans run their (cell, observation, run) triples through one loop.  The
+estimator under test is an input to every test, as in sbibm: each ``n_train``
+builds the task and the estimator once, from ``hash(master seed, n_train)``,
+and its triples share them.  With ``LC2ST_THREADS`` = N > 1, each
+``n_train``'s triples split into N contiguous chunks on a process pool, each
+chunk building its own copies.  With ``reuse_null`` (``lc2st-nf`` only) the
+sweep fits one null ensemble per cell and every triple of the cell reuses it.
+A bench plan is a type-I sweep timed per phase: its ``n_runs`` (>= 3) x
+``n_observations`` triples per cell run one at a time, never on the pool.
 
 Result files split into a deterministic part (records + aggregates, byte-stable
 for a fixed plan and seed) and the wall-clock medians per cell and phase
@@ -29,7 +33,7 @@ import numpy as np
 from . import c2st
 from .classifiers import MlpConfig, mlp_factory, qda_factory
 from .core import (
-    ConfigurationError, LabeledPairDataset, Lc2stError, RngStream, derive_stream, reject_unknown_keys, save_json,
+    ConfigurationError, LabeledPairDataset, Lc2stError, derive_stream, reject_unknown_keys, save_json,
 )
 from .flows import NpeConfig, build_coupling_flow, conjugate_affine_flow, flow_fit_npe
 from .tasks import ConjugateGaussianPosterior, GaussianShiftPair, distort, gaussian_shift_samples, make_task
@@ -47,8 +51,6 @@ __all__ = [
     "CorrelationResult",
     "run_oracle_correlation",
     "run_runtime_bench",
-    "AmortizedResult",
-    "run_amortized_type1",
 ]
 
 METHODS = ("oracle-c2st-acc", "oracle-c2st-mse", "lc2st", "lc2st-nf")
@@ -106,10 +108,10 @@ class ExperimentPlan:
                 if isinstance(v, bool) or not isinstance(v, Real) or not v > 0:
                     raise ConfigurationError(f"sigma_grid entry must be a positive number, got {v!r}")
         _estimator_kind(self.estimator)  # type-I runs never read the spec: check its keys here
-        if self.reuse_null and (self.kind, self.method) != ("bench", "lc2st-nf"):
+        if self.reuse_null and (self.kind not in ("type1", "power", "bench") or self.method != "lc2st-nf"):
             raise ConfigurationError(
-                "reuse_null needs a bench plan of method 'lc2st-nf', whose null is estimator-independent; "
-                f"got a {self.kind!r} plan of method {self.method!r}"
+                "reuse_null needs a type-I, power or bench plan of method 'lc2st-nf', whose null is "
+                f"estimator-independent; got a {self.kind!r} plan of method {self.method!r}"
             )
 
     def to_dict(self) -> dict:
@@ -166,28 +168,28 @@ def _estimator_kind(spec: dict) -> str:
     return kind
 
 
-def _build_estimator(spec: dict, task, flow: bool, n_train: int = 0, stream: RngStream | None = None):
+def _build_estimator(spec: dict, task, flow: bool, n_train: int = 0, seed: int = 0):
     """The estimator ``spec`` names for ``task``, as a flow when ``flow``
     (lc2st-nf needs the inverse transform) and as a sampler otherwise.
 
     ``exact`` and ``distortion`` derive from the reference posterior, as a
     closed-form flow only for the conjugate task; ``npe`` trains a coupling
-    flow on ``n_train`` pairs from ``stream.child("estimator-build")``.
+    flow on ``n_train`` pairs from ``hash(seed, "estimator", n_train)``.
     """
     kind = _estimator_kind(spec)
     if kind == "npe":
-        build = stream.child("estimator-build")
-        train = task.sample_joint(n_train, build.child("npe-data"))
+        stream = derive_stream(seed, "estimator", n_train)
+        train = task.sample_joint(n_train, stream.child("npe-data"))
         net = build_coupling_flow(
             task.m,
             task.d,
             n_layers=spec.get("n_layers", 5),
             hidden=tuple(spec.get("hidden", (64, 64))),
-            stream=build.child("npe-init"),
+            stream=stream.child("npe-init"),
         )
         settings = {k: v for k, v in spec.items() if k not in ("kind", "n_layers", "hidden")}
         cfg = NpeConfig(**{"max_epochs": 200, **settings})
-        return flow_fit_npe(net, train, cfg, build.child("npe-fit"))[0]
+        return flow_fit_npe(net, train, cfg, stream.child("npe-fit"))[0]
     reference = task.reference
     if reference is None:
         raise ConfigurationError(f"task {task.name!r} has no reference posterior")
@@ -235,6 +237,7 @@ class SweepResult:
     records: list[RunRecord]
     timings: list[dict]
     small_sample_warning: bool
+    null_fit_seconds: float = 0.0  # the shared nulls' fit time under reuse_null, else 0
 
     def aggregates(self) -> list[CellAggregate]:
         """Rejection rate and binomial SE per cell, recomputed from the records."""
@@ -308,20 +311,30 @@ def _observation(plan: ExperimentPlan, task, obs_index: int):
     return task.observation(derive_stream(plan.seed, "obs", obs_index))
 
 
-def _run_single(
-    plan: ExperimentPlan, spec: dict, n_train: int, n_cal: int, obs_index: int, run_index: int, ensemble=None
-):
-    """Execute one (cell, observation, run) triple of the estimator ``spec``
-    names, reusing ``ensemble`` if given; returns (record, timing) dicts.  A
-    library error is re-raised as its own type with the cell in its message."""
+def _run_job(plan: ExperimentPlan, spec: dict, n_train: int, triples: list):
+    """The (n_cal, observation, run, ensemble) ``triples`` of one ``n_train``,
+    all testing one estimator built from the ``spec`` and the ``n_train``
+    alone, so any split of a cell's triples into jobs gives the same records.
+    Returns (record, timing) dicts; a library error names its cell."""
     try:
         task = make_task(plan.task, **plan.task_params)
+        fit_fn = _classifier_fit(plan.classifier)
+        estimator = _build_estimator(spec, task, plan.method == "lc2st-nf", n_train, plan.seed)
+    except Lc2stError as exc:
+        raise type(exc)(f"cell (n_train={n_train}): {exc}") from exc
+    return [_run_single(plan, task, estimator, fit_fn, n_train, *triple) for triple in triples]
+
+
+def _run_single(plan: ExperimentPlan, task, estimator, fit_fn, n_train: int, n_cal: int, obs_index: int,
+                run_index: int, ensemble):
+    """Execute one (cell, observation, run) triple, reusing ``ensemble`` if
+    given; returns (record, timing) dicts.  A library error is re-raised as
+    its own type with the cell in its message."""
+    try:
         _, x_o = _observation(plan, task, obs_index)
         stream = derive_stream(plan.seed, "run", n_train, n_cal, obs_index, run_index)
-        estimator = _build_estimator(spec, task, plan.method == "lc2st-nf", n_train, stream)
         run = c2st.run_test(
-            plan.method, task, estimator, x_o, n_cal, plan.n_null, plan.n_v, _classifier_fit(plan.classifier), stream,
-            ensemble=ensemble,
+            plan.method, task, estimator, x_o, n_cal, plan.n_null, plan.n_v, fit_fn, stream, ensemble=ensemble
         )
     except Lc2stError as exc:
         raise type(exc)(f"cell (n_train={n_train}, n_cal={n_cal}, obs={obs_index}, run={run_index}): {exc}") from exc
@@ -341,23 +354,39 @@ def _run_single(
     return record, {"n_train": n_train, "n_cal": n_cal, **run.seconds}
 
 
-def _run_sweep(plan: ExperimentPlan, spec: dict, nulls: dict) -> SweepResult:
-    """Every (cell, observation, run) triple of ``plan``; a cell's triples
-    reuse ``nulls[(n_train, n_cal)]`` if given.  A bench plan's triples run
-    one at a time, so that their timings do not share the machine."""
-    args = [
-        (plan, spec, int(nt), int(nc), obs, run, nulls.get((int(nt), int(nc))))
-        for nt in plan.n_train_grid
-        for nc in plan.n_cal_grid
-        for obs in range(plan.n_observations)
-        for run in range(plan.n_runs)
-    ]
-    workers = 1 if plan.kind == "bench" else int(os.environ.get("LC2ST_THREADS", "1"))
+def _run_sweep(plan: ExperimentPlan, spec: dict) -> SweepResult:
+    """Every (cell, observation, run) triple of ``plan``, one job per
+    ``n_train`` or, on a pool of N workers, N per ``n_train``.  With
+    ``reuse_null`` each cell's null is fitted here, once, on a calibration
+    draw of its own, and every triple of the cell reuses it.  A bench plan's
+    triples run one at a time, so that their timings do not share the machine."""
+    nulls = {}
+    if plan.reuse_null:
+        task = make_task(plan.task, **plan.task_params)
+        fit_fn = _classifier_fit(plan.classifier)
+        for nt in map(int, plan.n_train_grid):
+            for nc in map(int, plan.n_cal_grid):
+                stream0 = derive_stream(plan.seed, "bench-null", nt, nc)
+                cal0 = task.sample_joint(nc, stream0.child("cal"))
+                nulls[nt, nc] = c2st.lc2st_nf_null(cal0.xs, task.m, fit_fn, plan.n_null, stream0.child("null"))
+    workers = 1 if plan.kind == "bench" else max(1, int(os.environ.get("LC2ST_THREADS", "1")))
+    jobs = []
+    for nt in map(int, plan.n_train_grid):
+        triples = [
+            (int(nc), obs, run, nulls.get((nt, int(nc))))
+            for nc in plan.n_cal_grid
+            for obs in range(plan.n_observations)
+            for run in range(plan.n_runs)
+        ]
+        size = -(-len(triples) // workers)  # at most `workers` contiguous chunks
+        jobs += [(plan, spec, nt, triples[i:i + size]) for i in range(0, len(triples), size)]
     if workers > 1:
+        # tasks and closed-form flows hold closures and cannot be pickled:
+        # each job builds its own
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(_run_single, *zip(*args)))
+            outputs = [out for job in pool.map(_run_job, *zip(*jobs)) for out in job]
     else:
-        outputs = [_run_single(*a) for a in args]
+        outputs = [out for job in jobs for out in _run_job(*job)]
     records = [RunRecord(**rec) for rec, _ in outputs]
     timings = [t for _, t in outputs]
     records.sort(key=lambda r: (r.n_train, r.n_cal, r.obs_index, r.run_index))
@@ -366,12 +395,13 @@ def _run_sweep(plan: ExperimentPlan, spec: dict, nulls: dict) -> SweepResult:
         records=records,
         timings=timings,
         small_sample_warning=plan.n_runs == 1,
+        null_fit_seconds=sum((null.fit_seconds for null in nulls.values()), 0.0),
     )
 
 
 def run_type1(plan: ExperimentPlan) -> SweepResult:
     """Rejection rates with the estimator set to the exact reference (null holds)."""
-    return _run_sweep(plan, {"kind": "exact"}, {})
+    return _run_sweep(plan, {"kind": "exact"})
 
 
 def run_power(plan: ExperimentPlan) -> SweepResult:
@@ -383,7 +413,7 @@ def run_power(plan: ExperimentPlan) -> SweepResult:
     task = make_task(plan.task, **plan.task_params)
     if kind == "distortion" and _build_estimator(spec, task, flow=False).is_identity:
         raise ConfigurationError("estimator is the identity distortion; it does not differ from the reference")
-    return _run_sweep(plan, spec, {})
+    return _run_sweep(plan, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -530,79 +560,14 @@ def run_oracle_correlation(plan: ExperimentPlan, n_permutations: int = 10_000) -
 
 
 def run_runtime_bench(plan: ExperimentPlan) -> SweepResult:
-    """The type-I sweep of ``plan``, its triples run one at a time for their
-    timings (``SweepResult.phase_medians``).
+    """The type-I sweep of a bench plan, its triples run one at a time for
+    their timings (``SweepResult.phase_medians``).
 
-    With ``reuse_null=True`` (``lc2st-nf`` only) each cell's triples share one
-    null ensemble fitted beforehand, so the null phase reports exactly zero,
-    which is the amortization being measured.
+    With ``reuse_null=True`` each cell's triples reuse the one null the sweep
+    fits, so the null phase reports exactly zero, which is the amortization
+    being measured; ``SweepResult.null_fit_seconds`` holds what the shared
+    nulls cost.
     """
     if plan.kind != "bench":
         raise ConfigurationError(f"the runtime bench runs bench plans, got a {plan.kind!r} plan")
-    nulls = {}
-    if plan.reuse_null:
-        task = make_task(plan.task, **plan.task_params)
-        fit_fn = _classifier_fit(plan.classifier)
-        for nt in plan.n_train_grid:
-            for nc in plan.n_cal_grid:
-                stream0 = derive_stream(plan.seed, "bench-null", int(nt), int(nc))
-                cal0 = task.sample_joint(int(nc), stream0.child("cal"))
-                nulls[int(nt), int(nc)] = c2st.lc2st_nf_null(cal0.xs, task.m, fit_fn, plan.n_null, stream0.child("null"))
-    return _run_sweep(plan, {"kind": "exact"}, nulls)
-
-
-# ---------------------------------------------------------------------------
-# Amortized reuse of one flow-variant null ensemble
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class AmortizedResult:
-    records: list[dict]  # flow_label, obs_index, run_index, p_value, reject
-    null_train_seconds: float
-    extra_null_seconds: float  # the runs' own null seconds, summed: 0 when the null is reused
-
-    def rejection_rate(self, flow_label: str) -> float:
-        rec = [r for r in self.records if r["flow_label"] == flow_label]
-        return float(np.mean([r["reject"] for r in rec]))
-
-
-def run_amortized_type1(plan: ExperimentPlan, flows: dict[str, object]) -> AmortizedResult:
-    """Reuse one precomputed flow-variant null ensemble across flows and observations.
-
-    The ensemble is trained once from a single calibration draw; every
-    (flow, run) is then one ``run_test`` at all observations with that
-    ensemble, which refreshes calibration data and trains only the main
-    classifier.  No further null training happens, which is the amortization
-    claim: ``extra_null_seconds`` sums the null seconds the runs report.
-    """
-    task = make_task(plan.task, **plan.task_params)
-    fit_fn = _classifier_fit(plan.classifier)
-    n_cal = int(plan.n_cal_grid[-1])
-    observations = np.array([_observation(plan, task, i)[1] for i in range(plan.n_observations)])
-
-    stream0 = derive_stream(plan.seed, "amortized-null")
-    cal0 = task.sample_joint(n_cal, stream0.child("cal"))
-    ensemble = c2st.lc2st_nf_null(cal0.xs, task.m, fit_fn, plan.n_null, stream0.child("null"))
-
-    records: list[dict] = []
-    extra_null = 0.0
-    for label, flow in flows.items():
-        for run in range(plan.n_runs):
-            stream = derive_stream(plan.seed, "amortized", label, run)
-            test = c2st.run_test(
-                "lc2st-nf", task, flow, observations, n_cal, plan.n_null, plan.n_v, fit_fn, stream, ensemble=ensemble
-            )
-            extra_null += test.seconds["null"]
-            records.extend(
-                {
-                    "flow_label": label,
-                    "obs_index": obs_index,
-                    "run_index": run,
-                    "statistic": result.statistic,
-                    "p_value": result.p_value,
-                    "reject": bool(result.p_value is not None and result.p_value < plan.alpha),
-                }
-                for obs_index, result in enumerate(test.results)
-            )
-    return AmortizedResult(records=records, null_train_seconds=ensemble.fit_seconds, extra_null_seconds=extra_null)
+    return _run_sweep(plan, {"kind": "exact"})

@@ -22,7 +22,6 @@ from lc2st import (
 from lc2st.harness import (
     METHODS,
     ExperimentPlan,
-    run_amortized_type1,
     run_oracle_correlation,
     run_power,
     run_runtime_bench,
@@ -67,10 +66,11 @@ class TestPlan:
 
     @pytest.mark.parametrize("method", ["lc2st", "oracle-c2st-acc", "oracle-c2st-mse"])
     def test_reuse_null_only_for_lc2st_nf(self, method):
-        with pytest.raises(ConfigurationError, match=f"reuse_null.*{method!r}"):
-            ExperimentPlan(**{**SMALL_TYPE1, "kind": "bench", "method": method, "reuse_null": True})
-        ExperimentPlan(**{**SMALL_TYPE1, "kind": "bench", "method": "lc2st-nf", "reuse_null": True})
-        for kind in ("type1", "power", "sigma-sweep", "correlation"):
+        for kind in ("type1", "power", "bench"):
+            with pytest.raises(ConfigurationError, match=f"reuse_null.*{method!r}"):
+                ExperimentPlan(**{**SMALL_TYPE1, "kind": kind, "method": method, "reuse_null": True})
+            ExperimentPlan(**{**SMALL_TYPE1, "kind": kind, "method": "lc2st-nf", "reuse_null": True})
+        for kind in ("sigma-sweep", "correlation"):
             with pytest.raises(ConfigurationError, match=f"reuse_null.*{kind!r}"):
                 ExperimentPlan(**{**SMALL_TYPE1, "kind": kind, "method": "lc2st-nf", "reuse_null": True})
         with pytest.raises(ConfigurationError, match="n_runs must be an integer >= 3, got 2"):
@@ -199,15 +199,20 @@ class TestTypeOne:
         finally:
             hmod.make_task = orig
 
-    def test_worker_pool_matches_sequential(self):
-        plan = ExperimentPlan(**SMALL_TYPE1)
-        seq = run_type1(plan)
-        os.environ["LC2ST_THREADS"] = "2"
-        try:
-            par = run_type1(plan)
-        finally:
-            del os.environ["LC2ST_THREADS"]
-        assert [r.__dict__ for r in seq.records] == [r.__dict__ for r in par.records]
+    def test_worker_pool_matches_sequential(self, monkeypatch):
+        npe = {"kind": "npe", "max_epochs": 2, "n_layers": 2, "hidden": [8]}
+        sweeps = [
+            (run_type1, ExperimentPlan(**SMALL_TYPE1)),
+            # each worker trains its own copy of the n_train's flow
+            (run_power, ExperimentPlan(**{**SMALL_TYPE1, "kind": "power", "n_train_grid": [150], "estimator": npe})),
+            (run_type1, ExperimentPlan(**{**SMALL_TYPE1, "method": "lc2st-nf", "reuse_null": True, "n_null": 5})),
+        ]
+        for run, plan in sweeps:
+            monkeypatch.delenv("LC2ST_THREADS", raising=False)
+            seq = run(plan)
+            monkeypatch.setenv("LC2ST_THREADS", "2")
+            par = run(plan)
+            assert [r.__dict__ for r in seq.records] == [r.__dict__ for r in par.records]
 
     def test_nf_method_smoke(self):
         plan = ExperimentPlan(**{**SMALL_TYPE1, "method": "lc2st-nf"})
@@ -303,7 +308,7 @@ class TestPower:
         _, x_o = task.observation(derive_stream(plan.seed, "obs", 1))
         stream = derive_stream(plan.seed, "run", 200, 200, 1, 2)
         if estimator["kind"] == "npe":
-            build = stream.child("estimator-build")
+            build = derive_stream(plan.seed, "estimator", 200)
             flow = build_coupling_flow(2, 2, n_layers=2, hidden=(8,), stream=build.child("npe-init"))
             train = task.sample_joint(200, build.child("npe-data"))
             q, _ = flow_fit_npe(flow, train, NpeConfig(max_epochs=2), build.child("npe-fit"))
@@ -313,6 +318,18 @@ class TestPower:
             q = distort(task.reference, np.full(2, 0.4), 1.3)
         result = run_test(method, task, q, x_o, 200, 12, 200, qda_factory(), stream).results[0]
         assert (record.statistic, record.p_value) == (result.statistic, result.p_value)
+
+    def test_npe_trains_one_flow_per_n_train(self, monkeypatch):
+        import lc2st.harness as hmod
+
+        fits = []
+        monkeypatch.delenv("LC2ST_THREADS", raising=False)
+        monkeypatch.setattr(hmod, "flow_fit_npe", lambda *args: fits.append(args) or flow_fit_npe(*args))
+        npe = {"kind": "npe", "max_epochs": 2, "n_layers": 2, "hidden": [8]}
+        over = {"n_train_grid": [100, 200], "n_cal_grid": [200], "n_observations": 2, "n_runs": 2, "n_v": 200, "n_null": 5}
+        res = run_power(ExperimentPlan(**{**SMALL_TYPE1, **over, "kind": "power", "estimator": npe}))
+        assert len(res.records) == 2 * 2 * 2
+        assert [train.n for _, train, _, _ in fits] == [100, 200]
 
 
 class TestSigmaSweep:
@@ -475,20 +492,25 @@ class TestBench:
         assert [(r["n_cal"], r["phase"]) for r in res.phase_medians()][::3] == [(200, "train"), (300, "train")]
 
     def test_reused_null_is_the_cells_bench_null(self):
-        plan = ExperimentPlan(
-            **{**SMALL_TYPE1, "kind": "bench", "method": "lc2st-nf", "reuse_null": True, "n_cal_grid": [300, 200],
-               "n_null": 5, "n_v": 300}
-        )
-        res = run_runtime_bench(plan)
-        assert all(t["null"] == 0.0 for t in res.timings) and len(res.timings) == 12
-        task = make_task(plan.task, **plan.task_params)
-        for r in res.records:
-            stream0 = derive_stream(plan.seed, "bench-null", 1, r.n_cal)
-            null = lc2st_nf_null(task.sample_joint(r.n_cal, stream0.child("cal")).xs, 2, qda_factory(), 5, stream0.child("null"))
-            _, x_o = task.observation(derive_stream(plan.seed, "obs", r.obs_index))
-            stream = derive_stream(plan.seed, "run", 1, r.n_cal, r.obs_index, r.run_index)
-            run = run_test("lc2st-nf", task, conjugate_affine_flow(2, 1.0), x_o, r.n_cal, 5, 300, qda_factory(), stream, ensemble=null)
-            assert (r.statistic, r.p_value) == (run.results[0].statistic, run.results[0].p_value)
+        reuse = {**SMALL_TYPE1, "method": "lc2st-nf", "reuse_null": True, "n_cal_grid": [300, 200], "n_null": 5, "n_v": 300}
+        scale2 = {"kind": "distortion", "scale": 2.0}
+        sweeps = [
+            (run_runtime_bench, ExperimentPlan(**{**reuse, "kind": "bench"}), conjugate_affine_flow(2, 1.0)),
+            (run_type1, ExperimentPlan(**{**reuse, "kind": "type1"}), conjugate_affine_flow(2, 1.0)),
+            (run_power, ExperimentPlan(**{**reuse, "kind": "power", "estimator": scale2}), conjugate_affine_flow(2, 1.0, scale_mult=2.0)),
+        ]
+        task = make_task("gaussian_conjugate", m=2, noise_std=1.0)
+        for sweep, plan, flow in sweeps:
+            res = sweep(plan)
+            assert all(t["null"] == 0.0 for t in res.timings) and len(res.timings) == 12
+            assert res.null_fit_seconds > 0.0 and "null_fit_seconds" not in res.to_json_dict()
+            for r in res.records:
+                stream0 = derive_stream(plan.seed, "bench-null", 1, r.n_cal)
+                null = lc2st_nf_null(task.sample_joint(r.n_cal, stream0.child("cal")).xs, 2, qda_factory(), 5, stream0.child("null"))
+                _, x_o = task.observation(derive_stream(plan.seed, "obs", r.obs_index))
+                stream = derive_stream(plan.seed, "run", 1, r.n_cal, r.obs_index, r.run_index)
+                run = run_test("lc2st-nf", task, flow, x_o, r.n_cal, 5, 300, qda_factory(), stream, ensemble=null)
+                assert (r.statistic, r.p_value) == (run.results[0].statistic, run.results[0].p_value)
 
     def test_bench_ignores_the_worker_pool(self, monkeypatch):
         import lc2st.harness as hmod
@@ -499,56 +521,12 @@ class TestBench:
         assert len(run_runtime_bench(plan).records) == 6
 
 
-class TestAmortized:
-    def test_reuse_across_flows_and_observations(self):
-        plan = ExperimentPlan(
-            **{
-                **SMALL_TYPE1,
-                "method": "lc2st-nf",
-                "n_cal_grid": [1500],
-                "n_observations": 3,
-                "n_runs": 10,
-                "n_null": 40,
-                "n_v": 1500,
-                "seed": 5,
-            }
-        )
-        flows = {
-            "exact": conjugate_affine_flow(2, 1.0),
-            "scale2": conjugate_affine_flow(2, 1.0, scale_mult=2.0),
-        }
-        res = run_amortized_type1(plan, flows)
-        assert res.extra_null_seconds == 0.0
-        assert res.null_train_seconds > 0.0
-        assert len(res.records) == 2 * 10 * 3
-        assert res.rejection_rate("scale2") >= 0.9
-        assert 0.0 <= res.rejection_rate("exact") <= 0.2
-
-    def test_records_are_one_run_test_per_flow_and_run(self):
-        plan = ExperimentPlan(
-            **{**SMALL_TYPE1, "method": "lc2st-nf", "n_cal_grid": [300], "n_observations": 3, "n_null": 5, "n_v": 300}
-        )
-        flow = conjugate_affine_flow(2, 1.0)
-        res = run_amortized_type1(plan, {"exact": flow})
-        task = make_task(plan.task, **plan.task_params)
-        stream0 = derive_stream(plan.seed, "amortized-null")
-        shared = lc2st_nf_null(task.sample_joint(300, stream0.child("cal")).xs, 2, qda_factory(), 5, stream0.child("null"))
-        observations = np.array([task.observation(derive_stream(plan.seed, "obs", i))[1] for i in range(3)])
-        run = run_test(
-            "lc2st-nf", task, flow, observations, 300, 5, 300, qda_factory(),
-            derive_stream(plan.seed, "amortized", "exact", 1), ensemble=shared,
-        )
-        got = [(r["obs_index"], r["statistic"], r["p_value"]) for r in res.records if r["run_index"] == 1]
-        assert got == [(j, r.statistic, r.p_value) for j, r in enumerate(run.results)]
-        assert res.extra_null_seconds == 0.0
-
-
 class TestEstimatorSpecChecks:
     def test_vector_shift_for_a_flow_is_named_with_its_cell(self):
         estimator = {"kind": "distortion", "shift": [0.3, -0.2]}
         over = {"kind": "power", "n_cal_grid": [100], "n_null": 2, "n_v": 100, "estimator": estimator}
         plan = ExperimentPlan(**{**SMALL_TYPE1, **over, "method": "lc2st-nf"})
-        with pytest.raises(ConfigurationError, match=r"^cell \(n_train=1, n_cal=100, obs=0, run=0\): .*'shift'.*\[0\.3, -0\.2\]"):
+        with pytest.raises(ConfigurationError, match=r"^cell \(n_train=1\): .*'shift'.*\[0\.3, -0\.2\]"):
             run_power(plan)
         # a sampler takes the vector shift as it is
         assert len(run_power(ExperimentPlan(**{**SMALL_TYPE1, **over})).records) == 2 * 3
@@ -558,5 +536,5 @@ class TestEstimatorSpecChecks:
         estimator = {"kind": "npe", "n_layers": 1, "hidden": [4], key: value}
         over = {"kind": "power", "n_train_grid": [50], "n_cal_grid": [100], "n_null": 2, "n_v": 100, "estimator": estimator}
         plan = ExperimentPlan(**{**SMALL_TYPE1, **over})
-        with pytest.raises(ConfigurationError, match=rf"^cell \(n_train=50, n_cal=100, obs=0, run=0\): NpeConfig\.{key}"):
+        with pytest.raises(ConfigurationError, match=rf"^cell \(n_train=50\): NpeConfig\.{key}"):
             run_power(plan)
