@@ -28,10 +28,9 @@ from .core import (
     FitError,
     LabeledPairDataset,
     RngStream,
-    TrainingError,
     UndefinedPointError,
 )
-from .nets import Adam, MlpParams, grad_check, mlp_backward, mlp_forward, mlp_init, sigmoid
+from .nets import MlpParams, grad_check, mlp_backward, mlp_forward, mlp_init, row_views, sigmoid, train_minibatch
 
 __all__ = [
     "ProbClassifier",
@@ -364,36 +363,23 @@ def _bce_loss_and_grad(params: MlpParams, inputs: np.ndarray, labels: np.ndarray
     return _bce_losses(z, labels), gw, gb
 
 
-def _bce_loss(params: MlpParams, inputs: np.ndarray, labels: np.ndarray) -> float:
-    return float(_bce_losses(mlp_forward(params, inputs)[..., 0], labels))
-
-
 def _unflatten(flat: np.ndarray, shapes: list[tuple]) -> MlpParams:
-    """Stacked params viewing consecutive columns of ``flat`` (members, size);
-    ``shapes`` are one member's weight and bias shapes, interleaved."""
-    arrays, start = [], 0
-    for shape in shapes:
-        size = int(np.prod(shape))
-        arrays.append(flat[:, start : start + size].reshape(len(flat), *shape))
-        start += size
+    """Stacked params viewing the rows of ``flat`` (members, size); ``shapes``
+    are one member's weight and bias shapes, interleaved."""
+    arrays = row_views(flat, shapes)
     return MlpParams(arrays[0::2], arrays[1::2])
 
 
-def _first_failing(ok: np.ndarray) -> int | None:
-    return None if ok.all() else int(np.argmin(ok))
-
-
 def _fit_lockstep(datasets: list[LabeledPairDataset], cfg: MlpConfig, streams: list[RngStream]) -> list[MlpModel]:
-    """Train one network per dataset, all members in one minibatch Adam loop.
+    """Train one network per dataset, all as one stack in ``nets.train_minibatch``.
 
-    Every member draws its initialization, holdout split and per-epoch
-    shuffles from its own stream and stops early on its own holdout loss, so
-    member h is bit for bit the net that training on ``datasets[h]`` alone
-    gives.  Members that stop are dropped from the stacked arrays.  The
+    Every member draws its initialization, holdout split and shuffles from
+    its own stream and stops early on its own holdout loss, so member h is
+    bit for bit the net that training on ``datasets[h]`` alone gives.  The
     datasets must share one shape; members that share one feature matrix (a
-    label-permutation null) gather their batches from it.  Divergence
-    (non-finite loss or parameters) raises ``TrainingError`` naming the
-    member and the epoch.
+    label-permutation null) gather their batches from it.  Divergence (a
+    non-finite loss, checked every step, or parameter, checked every epoch)
+    raises ``TrainingError`` naming the member and the epoch.
     """
     n_members = len(datasets)
     if len(streams) != n_members:
@@ -423,91 +409,40 @@ def _fit_lockstep(datasets: list[LabeledPairDataset], cfg: MlpConfig, streams: l
     # the finiteness check each touch one array.
     flat = np.stack([np.concatenate([a.ravel() for a in arrays]) for arrays in inits])
 
-    n_val = int(round(cfg.holdout_frac * n))
-    use_val = 1 <= n_val <= n - 2
-    n_val = n_val if use_val else 0
-    perms = np.stack([s.child("holdout").generator().permutation(n) for s in streams])
-    val_idx, tr_idx = perms[:, :n_val], perms[:, n_val:]
-    n_tr = n - n_val
-    tr_rows, tr_labels = tr_idx + offsets, np.take_along_axis(labels, tr_idx, axis=1)
-    x_val, y_val = feats[val_idx + offsets], np.take_along_axis(labels, val_idx, axis=1)
-    shufflers = [s.child("shuffle").generator() for s in streams]
-
-    # Per-member state is indexed by the member; the stacked arrays hold only
-    # the members still training, in the order of ``active``.
-    active = np.arange(n_members)
-    opt = Adam([flat], lr=cfg.learning_rate)
-    params, best = _unflatten(flat, shapes), flat.copy()
-    best_val = np.full(n_members, np.inf)
-    best_epoch = np.zeros(n_members, dtype=np.int64)
-    since_best = np.zeros(n_members, dtype=np.int64)
-    epochs_run = np.full(n_members, cfg.max_epochs)
-    last_loss = np.full(n_members, np.nan)
-    x_epoch = np.empty((n_members, n_tr, dim))
+    grad = np.empty_like(flat)
+    params, grads = _unflatten(flat, shapes), _unflatten(grad, shapes)
     # step buffers, allocated once: fresh arrays of this size cost more in
     # page faults than the arithmetic; views of the first members and rows
     # serve a compacted stack and a short last batch
-    rows = min(cfg.batch_size, n_tr)
-    acts = [np.empty((n_members, rows, w.shape[-1])) for w in params.weights]
+    size = min(cfg.batch_size, n)
+    acts = [np.empty((n_members, size, w.shape[-1])) for w in params.weights]
     # no input grad: the first layer's input needs no buffer
-    grad_in = [None, *(np.empty((n_members, rows, w.shape[-2])) for w in params.weights[1:])]
-    grad = np.empty_like(flat)
-    grads = _unflatten(grad, shapes)
-    for epoch in range(cfg.max_epochs):
-        order = np.stack([shufflers[h].permutation(n_tr) for h in active])
-        xs = np.take(feats, np.take_along_axis(tr_rows, order, axis=1), axis=0, out=x_epoch[: len(active)], mode="clip")
-        ys = np.take_along_axis(tr_labels, order, axis=1)
-        for start in range(0, n_tr, cfg.batch_size):
-            batch = slice(start, start + cfg.batch_size)
-            xb, yb = xs[:, batch], ys[:, batch]
-            k, b = yb.shape
-            out = [a[:k, :b] for a in acts], (grads.weights, grads.biases, [g if g is None else g[:k, :b] for g in grad_in])
-            loss, _, _ = _bce_loss_and_grad(params, xb, yb, out)
-            bad = _first_failing(np.isfinite(loss))
-            if bad is not None:
-                h = active[bad]
-                raise TrainingError(
-                    f"member {h}: loss diverged at epoch {epoch} (loss={loss[bad]}); "
-                    f"last finite loss {last_loss[h]}"
-                )
-            opt.step([grad[:k]])
-            last_loss[active] = loss
-        bad = _first_failing(np.isfinite(flat).all(axis=1))
-        if bad is not None:
-            raise TrainingError(f"member {active[bad]}: parameters diverged at epoch {epoch}")
-        if not use_val:
-            continue
-        val_loss = _bce_losses(mlp_forward(params, x_val)[..., 0], y_val)
-        improved = val_loss < best_val[active]
-        better = active[improved]
-        best_val[better] = val_loss[improved]
-        best_epoch[better] = epoch + 1
-        best[better] = flat[improved]
-        since_best[active] = np.where(improved, 0, since_best[active] + 1)
-        stop = since_best[active] >= cfg.patience
-        if stop.any():
-            epochs_run[active[stop]] = epoch + 1
-            keep = ~stop
-            active = active[keep]
-            if len(active) == 0:
-                break
-            (flat,) = opt.take(keep)
-            params, grads = _unflatten(flat, shapes), _unflatten(grad[: len(active)], shapes)
-            tr_rows, tr_labels, x_val, y_val = tr_rows[keep], tr_labels[keep], x_val[keep], y_val[keep]
+    grad_in = [None, *(np.empty((n_members, size, w.shape[-2])) for w in params.weights[1:])]
 
-    final = _unflatten(best if use_val else flat, shapes)
-    metadata = {"hidden_sizes": tuple(int(h) for h in hidden), "n_train": n_tr}
+    def batch_loss(xb, yb):
+        k, b = yb.shape
+        out = [a[:k, :b] for a in acts], (grads.weights, grads.biases, [g if g is None else g[:k, :b] for g in grad_in])
+        return _bce_loss_and_grad(params, xb, yb, out)[0], grad[:k]
+
+    def take(kept):
+        nonlocal params, grads
+        params, grads = _unflatten(kept, shapes), _unflatten(grad[: len(kept)], shapes)
+
+    holdout_loss = lambda xs, ys: _bce_losses(mlp_forward(params, xs)[..., 0], ys)  # noqa: E731
+    fit = train_minibatch(flat, feats, np.arange(n) + offsets, labels, cfg, streams, batch_loss, holdout_loss, take)
+    final, sizes = _unflatten(fit.params, shapes), tuple(int(h) for h in hidden)
     return [
         MlpModel(
-            params=MlpParams([w[h] for w in final.weights], [b[h, 0] for b in final.biases]),
-            feat_mean=feat_mean[0 if shared else h],
-            feat_std=feat_std[0 if shared else h],
-            metadata={
-                **metadata,
-                "epochs_run": int(epochs_run[h]),
-                "best_epoch": int(best_epoch[h] if use_val else epochs_run[h]),
-                "final_train_loss": float(last_loss[h]),
-                "holdout_loss": float(best_val[h]) if use_val else None,
+            MlpParams([w[h] for w in final.weights], [b[h, 0] for b in final.biases]),
+            feat_mean[0 if shared else h],
+            feat_std[0 if shared else h],
+            {
+                "hidden_sizes": sizes,
+                "n_train": fit.n_train,
+                "epochs_run": int(fit.epochs_run[h]),
+                "best_epoch": int(fit.best_epoch[h]),
+                "final_train_loss": float(fit.last_loss[h]),
+                "holdout_loss": float(fit.best_loss[h]) if fit.n_holdout else None,
             },
         )
         for h in range(n_members)
@@ -515,13 +450,10 @@ def _fit_lockstep(datasets: list[LabeledPairDataset], cfg: MlpConfig, streams: l
 
 
 def mlp_fit(data: LabeledPairDataset, cfg: MlpConfig | None = None, stream: RngStream | None = None) -> MlpModel:
-    """Train the rectifier network on a balanced labeled dataset.
-
-    Deterministic given ``stream``: initialization, the holdout split, and the
-    per-epoch shuffles all derive from it.  This is the one-member case of
-    the lockstep ensemble trainer; divergence raises ``TrainingError``
-    naming member 0 and the epoch.
-    """
+    """Train the rectifier network on a balanced labeled dataset: the
+    one-member case of :func:`_fit_lockstep`, deterministic given ``stream``.
+    Divergence (a non-finite loss, checked every step, or parameter, checked
+    every epoch) raises ``TrainingError`` naming member 0 and the epoch."""
     return _fit_lockstep([data], cfg or MlpConfig(), [stream or RngStream(seed=0)])[0]
 
 
@@ -534,10 +466,10 @@ def mlp_grad_check(model: MlpModel, ws: np.ndarray, labels: np.ndarray, step: fl
     if len(ws) == 0:
         raise ConfigurationError("gradient check needs a nonempty batch")
     labels = np.asarray(labels, dtype=np.float64).ravel()
-    inputs = model._standardize(ws)
-    params = model.params
+    inputs, params = model._standardize(ws), model.params
     _, gw, gb = _bce_loss_and_grad(params, inputs, labels)
-    return grad_check(params.flat(), MlpParams(gw, gb).flat(), lambda: _bce_loss(params, inputs, labels), step)
+    loss = lambda: float(_bce_losses(mlp_forward(params, inputs)[..., 0], labels))  # noqa: E731
+    return grad_check(params.flat(), MlpParams(gw, gb).flat(), loss, step)
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ class FitError(Lc2stError):
 
 
 class TrainingError(Lc2stError):
-    """Iterative training diverged; carries diagnostics in the message."""
+    """Iterative training diverged; the message names the epoch, and NPE errors carry the flow in ``.flow``."""
 
 
 class NumericError(Lc2stError):

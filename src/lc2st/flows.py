@@ -21,8 +21,9 @@ map conditioned on x alone.
 
 from __future__ import annotations
 
-import copy as _copy
 import json
+from collections.abc import Sequence
+from numbers import Integral
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,7 +37,7 @@ from .core import (
     RngStream,
     TrainingError,
 )
-from .nets import Adam, MlpParams, grad_check, mlp_backward, mlp_forward, mlp_init
+from .nets import MlpParams, grad_check, mlp_backward, mlp_forward, mlp_init, row_views, train_minibatch
 
 __all__ = [
     "S_MAX",
@@ -102,10 +103,8 @@ class CouplingLayer:
     @staticmethod
     def create(mask: np.ndarray, d: int, hidden: tuple[int, ...], stream: RngStream) -> "CouplingLayer":
         mask = np.asarray(mask, dtype=bool)
-        n_pass = int(mask.sum())
-        n_xform = int((~mask).sum())
-        params = mlp_init([n_pass + d, *hidden, 2 * n_xform], stream, zero_last=True)
-        return CouplingLayer(mask, params)
+        sizes = [int(mask.sum()) + d, *hidden, 2 * int((~mask).sum())]
+        return CouplingLayer(mask, mlp_init(sizes, stream, zero_last=True))
 
     def _shift_scale(self, passthrough: np.ndarray, xs: np.ndarray, cache: list | None = None):
         out = mlp_forward(self.params, np.hstack([passthrough, xs]), cache)
@@ -245,17 +244,27 @@ class ConditionalFlow(_Flow):
     # -- parameters ----------------------------------------------------------
 
     def parameter_arrays(self) -> list[np.ndarray]:
-        arrays: list[np.ndarray] = []
+        return [a for layer in self.layers if layer.params is not None for a in layer.params.flat()]
+
+    def on_row(self) -> tuple["ConditionalFlow", np.ndarray]:
+        """A copy whose parameters are views of one (1, P) row, and the row."""
+        arrays = self.parameter_arrays()
+        row = np.concatenate([a.ravel() for a in arrays])[None]
+        views = iter(row_views(row, [a.shape for a in arrays]))
+        layers = []
         for layer in self.layers:
             if layer.params is not None:
-                arrays.extend(layer.params.flat())
-        return arrays
-
-    def copy(self) -> "ConditionalFlow":
-        return _copy.deepcopy(self)
+                own = [next(views)[0] for _ in range(2 * layer.params.n_layers)]
+                layer = CouplingLayer(layer.mask, MlpParams(own[0::2], own[1::2]))
+            layers.append(layer)
+        return ConditionalFlow(self.m, self.d, layers), row
 
     def to_dict(self) -> dict:
         return {"kind": "coupling-flow", "m": self.m, "d": self.d, "layers": [l.to_dict() for l in self.layers]}
+
+
+def _positive_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool) and value >= 1
 
 
 def build_coupling_flow(
@@ -269,8 +278,12 @@ def build_coupling_flow(
     coordinate reversals between blocks.  When m = 1 every block has the
     all-False mask, an element-wise affine map conditioned on x alone, and no
     reversal follows."""
-    if m < 1 or d < 1 or n_layers < 1:
-        raise ConfigurationError("m, d, and n_layers must be positive")
+    if m < 1 or d < 1:
+        raise ConfigurationError("m and d must be positive")
+    if not _positive_int(n_layers):
+        raise ConfigurationError(f"n_layers must be an integer >= 1, got {n_layers!r}")
+    if not isinstance(hidden, Sequence) or not all(map(_positive_int, hidden)):
+        raise ConfigurationError(f"hidden must be a sequence of integers >= 1, got {hidden!r}")
     stream = stream or RngStream(seed=0)
     layers: list = []
     half = np.arange(m) < (m + 1) // 2
@@ -421,65 +434,36 @@ def flow_fit_npe(
 ) -> tuple[ConditionalFlow, dict]:
     """Fit the flow by maximizing sum_n log q(theta_n | x_n).
 
-    Minibatch Adam with early stopping on a holdout fraction of ``train``;
-    deterministic given ``stream``.  Returns a trained copy and the loss trace
-    (per-epoch train and holdout NLL).  A non-finite loss raises
-    ``TrainingError`` carrying the last finite checkpoint in ``.flow``.
+    The one-member case of ``nets.train_minibatch``, deterministic given
+    ``stream``.  Returns a trained copy and the loss trace (per-epoch train
+    and holdout NLL).  A non-finite loss (checked every step) or parameter
+    (every epoch) raises ``TrainingError`` whose ``.flow`` holds the
+    best-holdout parameters: the initial ones before any improvement, and
+    always without a holdout.
     """
     if train.n == 0:
         raise ConfigurationError("training dataset is empty")
     cfg = cfg or NpeConfig()
     stream = stream or RngStream(seed=0)
-    flow = flow.copy()
+    flow, row = flow.on_row()
+    m, grad = flow.m, np.empty_like(row)
 
-    perm = stream.child("holdout").generator().permutation(train.n)
-    n_val = int(round(cfg.holdout_frac * train.n))
-    use_val = 1 <= n_val <= train.n - 2
-    val_idx, tr_idx = (perm[:n_val], perm[n_val:]) if use_val else (perm[:0], perm)
-    th_tr, x_tr = train.thetas[tr_idx], train.xs[tr_idx]
-    th_val, x_val = train.thetas[val_idx], train.xs[val_idx]
+    def batch_loss(batch, _):
+        loss, grads = _npe_loss_and_grads(flow, batch[0, :, :m], batch[0, :, m:])
+        np.concatenate([g.ravel() for g in grads], out=grad[0])
+        return np.atleast_1d(loss), grad
 
-    params = flow.parameter_arrays()
-    opt = Adam(params, lr=cfg.learning_rate)
-    shuffle_rng = stream.child("shuffle").generator()
-    trace: dict[str, list[float]] = {"train_nll": [], "holdout_nll": []}
-    best_val = np.inf
-    best_state = [a.copy() for a in params]
-    since_best = 0
-    last_good = [a.copy() for a in params]
-    for epoch in range(cfg.max_epochs):
-        order = shuffle_rng.permutation(len(th_tr))
-        epoch_losses = []
-        for start in range(0, len(th_tr), cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            loss, grads = _npe_loss_and_grads(flow, th_tr[idx], x_tr[idx])
-            if not np.isfinite(loss):
-                err = TrainingError(f"NPE loss diverged at epoch {epoch}")
-                for a, saved in zip(params, last_good):
-                    a[...] = saved
-                err.flow = flow
-                raise err
-            for a, saved in zip(params, last_good):
-                saved[...] = a
-            opt.step(grads)
-            epoch_losses.append(loss)
-        trace["train_nll"].append(float(np.mean(epoch_losses)))
-        if use_val:
-            val_nll = npe_loss(flow, th_val, x_val)
-            trace["holdout_nll"].append(val_nll)
-            if val_nll < best_val:
-                best_val = val_nll
-                best_state = [a.copy() for a in params]
-                since_best = 0
-            else:
-                since_best += 1
-                if since_best >= cfg.patience:
-                    break
-    if use_val and cfg.max_epochs > 0:
-        for a, saved in zip(params, best_state):
-            a[...] = saved
-    trace["best_holdout_nll"] = float(best_val) if use_val else None
-    return flow, trace
+    holdout_loss = lambda pairs, _: np.atleast_1d(npe_loss(flow, pairs[0, :, :m], pairs[0, :, m:]))  # noqa: E731
+    # one member whose table is the (theta, x) pairs; NPE has no labels
+    pairs, no_labels = np.hstack([train.thetas, train.xs]), np.zeros((1, train.n))
+    try:
+        fit = train_minibatch(row, pairs, np.arange(train.n)[None], no_labels, cfg, [stream], batch_loss, holdout_loss)
+    except TrainingError as err:
+        err.args, err.flow = (f"NPE {err}",), flow
+        raise
+    row[...] = fit.params
+    nll = {"train_nll": [float(t[0]) for t in fit.train_loss], "holdout_nll": [float(v[0]) for v in fit.holdout_loss]}
+    return flow, {**nll, "best_holdout_nll": float(fit.best_loss[0]) if fit.n_holdout else None}
 
 
 # ---------------------------------------------------------------------------

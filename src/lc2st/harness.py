@@ -184,7 +184,7 @@ def _build_estimator(spec: dict, task, flow: bool, n_train: int = 0, seed: int =
             task.m,
             task.d,
             n_layers=spec.get("n_layers", 5),
-            hidden=tuple(spec.get("hidden", (64, 64))),
+            hidden=spec.get("hidden", (64, 64)),
             stream=stream.child("npe-init"),
         )
         settings = {k: v for k, v in spec.items() if k not in ("kind", "n_layers", "hidden")}

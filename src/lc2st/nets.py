@@ -6,18 +6,26 @@ layers only, float64 throughout, deterministic given an RngStream.
 
 Parameters may carry a leading member axis: weights (H, fan_in, fan_out) and
 biases (H, 1, fan_out) hold H independent nets, as ``torch.func``'s stacked
-module state does.  The same forward, backward and Adam code serves both
-layouts through ``np.matmul`` broadcasting, and member h of a stack computes
-bit for bit what the 2-D net of its slices computes.
+module state does.  The same forward and backward code serves both layouts
+through ``np.matmul`` broadcasting, and member h of a stack computes bit for
+bit what the 2-D net of its slices computes.
+
+:func:`train_minibatch` is the one training loop: early-stopped minibatch
+Adam on a (members, parameters) array, with losses and gradients from the
+caller.  MLP classifiers (a null ensemble is one stack) and NPE flows (one
+member) both train through it.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
-from .core import RngStream
+from .core import RngStream, TrainingError
 
 __all__ = ["MlpParams", "mlp_init", "mlp_forward", "mlp_backward", "Adam", "grad_check", "relu", "sigmoid"]
+__all__ += ["row_views", "train_minibatch"]
 
 
 def relu(a: np.ndarray) -> np.ndarray:
@@ -52,11 +60,7 @@ class MlpParams:
         return len(self.weights)
 
     def flat(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return [a for pair in zip(self.weights, self.biases) for a in pair]
 
 
 def mlp_init(
@@ -164,46 +168,125 @@ def grad_check(arrays: list[np.ndarray], grads: list[np.ndarray], loss, step: fl
 
 
 class Adam:
-    """Adaptive-moment gradient descent over a list of parameter arrays.
+    """Adaptive-moment gradient descent on a (members, parameters) array.
 
-    Stacked members advance together and share the step count, so each
-    member's update is the one it would take alone.  Every step works in
-    two scratch arrays per parameter array, allocated once.
-    """
+    Members advance together and share the step count, so each member's
+    update is the one it would take alone.  Every step works in two scratch
+    arrays, allocated once."""
 
-    def __init__(self, arrays: list[np.ndarray], lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.arrays = arrays
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.m = [np.zeros_like(a) for a in arrays]
-        self.v = [np.zeros_like(a) for a in arrays]
-        self.scratch = [(np.empty_like(a), np.empty_like(a)) for a in arrays]
+    def __init__(self, params: np.ndarray, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        self.params, self.lr, self.beta1, self.beta2, self.eps = params, lr, beta1, beta2, eps
+        self.m, self.v = np.zeros_like(params), np.zeros_like(params)
+        self.scratch = np.empty_like(params), np.empty_like(params)
         self.t = 0
 
-    def step(self, grads: list[np.ndarray]) -> None:
+    def step(self, grad: np.ndarray) -> None:
         self.t += 1
-        b1t = 1.0 - self.beta1**self.t
-        b2t = 1.0 - self.beta2**self.t
+        b1t, b2t = 1.0 - self.beta1**self.t, 1.0 - self.beta2**self.t
         # a -= lr * (m / b1t) / (sqrt(v / b2t) + eps), evaluated in that order
-        for a, g, m, v, (x, y) in zip(self.arrays, grads, self.m, self.v, self.scratch):
-            m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=x)
-            v *= self.beta2
-            np.multiply(g, 1.0 - self.beta2, out=x)
-            v += np.multiply(x, g, out=x)
-            np.sqrt(np.divide(v, b2t, out=x), out=x)
-            x += self.eps
-            np.divide(m, b1t, out=y)
-            y *= self.lr
-            a -= np.divide(y, x, out=y)
+        a, m, v, (x, y) = self.params, self.m, self.v, self.scratch
+        m *= self.beta1
+        m += np.multiply(grad, 1.0 - self.beta1, out=x)
+        v *= self.beta2
+        np.multiply(grad, 1.0 - self.beta2, out=x)
+        v += np.multiply(x, grad, out=x)
+        np.sqrt(np.divide(v, b2t, out=x), out=x)
+        x += self.eps
+        np.divide(m, b1t, out=y)
+        y *= self.lr
+        a -= np.divide(y, x, out=y)
 
-    def take(self, members: np.ndarray) -> list[np.ndarray]:
-        """Keep the selected members of stacked arrays, with their moments;
-        returns the new parameter arrays."""
-        self.arrays = [a[members] for a in self.arrays]
-        self.m = [m[members] for m in self.m]
-        self.v = [v[members] for v in self.v]
-        self.scratch = [(x[: len(a)], y[: len(a)]) for a, (x, y) in zip(self.arrays, self.scratch)]
-        return self.arrays
+    def take(self, members: np.ndarray) -> np.ndarray:
+        """Keep the selected members (rows), with their moments; returns the new parameters."""
+        self.params, self.m, self.v = self.params[members], self.m[members], self.v[members]
+        self.scratch = tuple(x[: len(self.params)] for x in self.scratch)
+        return self.params
+
+def row_views(flat: np.ndarray, shapes: list[tuple]) -> list[np.ndarray]:
+    """Views of consecutive columns of ``flat`` (members, size), one per shape, shaped (members, *shape)."""
+    cuts = np.cumsum([int(np.prod(shape)) for shape in shapes])[:-1]
+    return [part.reshape(len(flat), *shape) for part, shape in zip(np.split(flat, cuts, axis=1), shapes)]
+
+
+def train_minibatch(flat, table, rows, labels, cfg, streams: list[RngStream], batch_loss, holdout_loss, take=None):
+    """Early-stopped minibatch Adam on ``flat`` (H, P), one member per row.
+
+    Member h learns from the rows ``table[rows[h]]`` with ``labels[h]``.  Its
+    stream's ``holdout`` child sets ``round(cfg.holdout_frac * n)`` of its n
+    rows aside (if that is at least one and leaves two) and its ``shuffle``
+    child orders the rest each epoch.  ``batch_loss(inputs, labels)`` gives
+    the losses and (k, P) gradients of the k members still training on a
+    (k, b, columns) batch, and ``holdout_loss`` their holdout losses after
+    each epoch.  A member with no improvement in ``cfg.patience`` epochs
+    leaves ``flat``, and ``take(flat)`` gets the new array.  A non-finite
+    loss (checked every step) or parameter (every epoch) raises
+    ``TrainingError`` naming the member and epoch, after setting the given
+    ``flat`` to each member's best-holdout row, which is finite.
+
+    Returns ``params`` (best-holdout rows, or the last without a holdout),
+    the per-member ``epochs_run``, ``best_epoch``, ``best_loss`` and
+    ``last_loss``, the per-epoch ``train_loss`` (mean batch loss) and
+    ``holdout_loss`` of the members training, ``n_train`` and ``n_holdout``.
+    """
+    n_members, n = rows.shape
+    n_val = int(round(cfg.holdout_frac * n))
+    n_val = n_val if 1 <= n_val <= n - 2 else 0
+    perms = np.stack([s.child("holdout").generator().permutation(n) for s in streams])
+    rows, labels = np.take_along_axis(rows, perms, axis=1), np.take_along_axis(labels, perms, axis=1)
+    x_val, y_val, tr_rows, tr_labels = table[rows[:, :n_val]], labels[:, :n_val], rows[:, n_val:], labels[:, n_val:]
+    shufflers = [s.child("shuffle").generator() for s in streams]
+    # Per-member state is indexed by the member; ``flat`` and the training
+    # data hold the members still training, in the order of ``active``.
+    active, n_tr, given = np.arange(n_members), n - n_val, flat
+    opt, best = Adam(flat, lr=cfg.learning_rate), flat.copy()
+    best_loss, last_loss = np.full(n_members, np.inf), np.full(n_members, np.nan)
+    best_epoch, since_best = np.zeros((2, n_members), dtype=np.int64)
+    epochs_run = np.full(n_members, cfg.max_epochs)
+    starts = range(0, n_tr, cfg.batch_size)
+    x_epoch, losses = np.empty((n_members, n_tr, table.shape[1])), np.empty((n_members, len(starts)))
+    train_loss, holdout_trace = [], []
+    for epoch in range(cfg.max_epochs):
+        k = len(active)
+        order = np.stack([shufflers[h].permutation(n_tr) for h in active])
+        xs = np.take(table, np.take_along_axis(tr_rows, order, axis=1), axis=0, out=x_epoch[:k], mode="clip")
+        ys = np.take_along_axis(tr_labels, order, axis=1)
+        for j, start in enumerate(starts):
+            batch = slice(start, start + cfg.batch_size)
+            loss, grad = batch_loss(xs[:, batch], ys[:, batch])
+            ok = np.isfinite(loss)
+            if not ok.all():
+                b = int(np.argmin(ok))
+                last = losses[b, j - 1] if j else last_loss[active[b]]
+                given[...] = best
+                raise TrainingError(f"member {active[b]}: loss diverged at epoch {epoch} (loss={loss[b]}); last finite loss {last}")
+            opt.step(grad)
+            losses[:k, j] = loss
+        last_loss[active] = losses[:k, -1]
+        train_loss.append(losses[:k].mean(axis=1))
+        ok = np.isfinite(flat).all(axis=1)
+        if not ok.all():
+            given[...] = best
+            raise TrainingError(f"member {active[np.argmin(ok)]}: parameters diverged at epoch {epoch}")
+        if not n_val:
+            continue
+        val = holdout_loss(x_val, y_val)
+        holdout_trace.append(val)
+        improved = val < best_loss[active]
+        better = active[improved]
+        best_loss[better], best_epoch[better], best[better] = val[improved], epoch + 1, flat[improved]
+        since_best[active] = np.where(improved, 0, since_best[active] + 1)
+        stop = since_best[active] >= cfg.patience
+        if stop.any():
+            epochs_run[active[stop]] = epoch + 1
+            keep = ~stop
+            active = active[keep]
+            if len(active) == 0:
+                break
+            flat = opt.take(keep)
+            tr_rows, tr_labels, x_val, y_val = tr_rows[keep], tr_labels[keep], x_val[keep], y_val[keep]
+            take(flat)
+    return SimpleNamespace(
+        params=best if n_val else flat, best_epoch=best_epoch if n_val else epochs_run, epochs_run=epochs_run,
+        best_loss=best_loss, last_loss=last_loss, train_loss=train_loss, holdout_loss=holdout_trace, n_train=n_tr,
+        n_holdout=n_val,
+    )

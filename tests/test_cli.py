@@ -7,9 +7,12 @@ import pytest
 
 from lc2st import (
     MlpConfig,
+    NpeConfig,
+    build_coupling_flow,
     conjugate_affine_flow,
     derive_stream,
     distort,
+    flow_fit_npe,
     lc2st_evaluate,
     lc2st_nf_train,
     lc2st_train,
@@ -100,6 +103,21 @@ def test_flagged_result_equals_run_test(tmp_path, flags, estimator, fit):
     run = run_test("lc2st", task, estimator(task), x_o, 200, 5, 200, fit(), derive_stream(5, "test"))
     run.results[0].save(tmp_path / "expected.json")
     assert (tmp_path / "result.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
+
+
+def test_train_npe_equals_flow_fit_npe(tmp_path):
+    argv = ["train-npe", "--task", "gaussian_conjugate", "--n-train", "120", "--layers", "2", "--hidden", "8"]
+    assert main([*argv, "--epochs", "6", "--seed", "4", "--out", str(tmp_path / "cli")]) == 0
+    task = make_task("gaussian_conjugate")
+    train = task.sample_joint(120, derive_stream(4, "npe-data"))
+    flow = build_coupling_flow(task.m, task.d, n_layers=2, hidden=(8, 8), stream=derive_stream(4, "npe-init"))
+    fitted, trace = flow_fit_npe(flow, train, NpeConfig(max_epochs=6), derive_stream(4, "npe-fit"))
+    save_flow(fitted, tmp_path / "flow.json")
+    rows = [f"{e},{tr!r},{va!r}\n" for e, (tr, va) in enumerate(zip(trace["train_nll"], trace["holdout_nll"]))]
+    (tmp_path / "loss_trace.csv").write_text("epoch,train_nll,holdout_nll\n" + "".join(rows))
+    assert len(rows) == 6
+    for name in ("flow.json", "loss_trace.csv"):
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 def test_conservative_result_records_p_value_kind(tmp_path):
@@ -390,6 +408,7 @@ def test_vector_shift_for_a_flow_is_a_usage_error(tmp_path, capsys):
 
 
 def test_negative_npe_epochs_is_a_usage_error(tmp_path, capsys):
-    argv = ["train-npe", "--task", "gaussian_conjugate", "--n-train", "20", "--epochs", "-3", "--out", str(tmp_path)]
-    err = _usage_error(capsys, argv)
-    assert "NpeConfig.max_epochs" in err and not (tmp_path / "flow.json").exists()
+    argv = ["train-npe", "--task", "gaussian_conjugate", "--n-train", "20", "--out", str(tmp_path)]
+    for flags, named in ((["--epochs", "-3"], "NpeConfig.max_epochs"), (["--hidden", "0"], "hidden"), (["--hidden", "-3"], "hidden")):
+        err = _usage_error(capsys, [*argv, *flags])
+        assert f": {named} " in err and not (tmp_path / "flow.json").exists()

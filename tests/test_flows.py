@@ -1,5 +1,6 @@
 """Flow invertibility, densities, training, and checkpoints."""
 
+import copy
 import json
 
 import numpy as np
@@ -12,6 +13,7 @@ from lc2st import (
     NpeConfig,
     NumericError,
     RngStream,
+    TrainingError,
     build_coupling_flow,
     conjugate_affine_flow,
     flow_fit_npe,
@@ -20,7 +22,7 @@ from lc2st import (
     npe_grad_check,
     save_flow,
 )
-from lc2st.flows import S_MAX, CouplingLayer, npe_loss
+from lc2st.flows import S_MAX, CouplingLayer, _npe_loss_and_grads, npe_loss
 from lc2st.nets import MlpParams, mlp_forward
 
 LOG_2PI = np.log(2.0 * np.pi)
@@ -226,6 +228,110 @@ class TestNpeTraining:
             thetas = rng.standard_normal((12, m))
             xs = rng.standard_normal((12, 2))
             assert npe_grad_check(flow, thetas, xs) <= 1e-4
+
+
+class _SerialAdam:
+    """Adam over a list of parameter arrays, one array at a time."""
+
+    def __init__(self, arrays, lr):
+        self.arrays, self.lr, self.beta1, self.beta2, self.eps = arrays, lr, 0.9, 0.999, 1e-8
+        self.m = [np.zeros_like(a) for a in arrays]
+        self.v = [np.zeros_like(a) for a in arrays]
+        self.t = 0
+
+    def step(self, grads):
+        self.t += 1
+        b1t = 1.0 - self.beta1**self.t
+        b2t = 1.0 - self.beta2**self.t
+        for a, g, m, v in zip(self.arrays, grads, self.m, self.v):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            a -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+
+
+def serial_npe_fit(flow, train, cfg, stream):
+    """The per-array NPE training loop that the shared minibatch trainer
+    replaced, kept only as its oracle."""
+    flow = copy.deepcopy(flow)
+    perm = stream.child("holdout").generator().permutation(train.n)
+    n_val = int(round(cfg.holdout_frac * train.n))
+    use_val = 1 <= n_val <= train.n - 2
+    val_idx, tr_idx = (perm[:n_val], perm[n_val:]) if use_val else (perm[:0], perm)
+    th_tr, x_tr = train.thetas[tr_idx], train.xs[tr_idx]
+    th_val, x_val = train.thetas[val_idx], train.xs[val_idx]
+    params = flow.parameter_arrays()
+    opt = _SerialAdam(params, lr=cfg.learning_rate)
+    shuffle_rng = stream.child("shuffle").generator()
+    trace = {"train_nll": [], "holdout_nll": []}
+    best_val, best_state, since_best = np.inf, [a.copy() for a in params], 0
+    for epoch in range(cfg.max_epochs):
+        order = shuffle_rng.permutation(len(th_tr))
+        epoch_losses = []
+        for start in range(0, len(th_tr), cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            loss, grads = _npe_loss_and_grads(flow, th_tr[idx], x_tr[idx])
+            if not np.isfinite(loss):
+                raise TrainingError(f"NPE loss diverged at epoch {epoch}")
+            opt.step(grads)
+            epoch_losses.append(loss)
+        trace["train_nll"].append(float(np.mean(epoch_losses)))
+        if use_val:
+            val_nll = npe_loss(flow, th_val, x_val)
+            trace["holdout_nll"].append(val_nll)
+            if val_nll < best_val:
+                best_val, best_state, since_best = val_nll, [a.copy() for a in params], 0
+            else:
+                since_best += 1
+                if since_best >= cfg.patience:
+                    break
+    if use_val:
+        for a, saved in zip(params, best_state):
+            a[...] = saved
+    trace["best_holdout_nll"] = float(best_val) if use_val else None
+    return flow, trace
+
+
+# (m, training pairs, config): each case's training rows leave a short last batch
+NPE_CASES = {
+    "early-stopping": (2, 120, NpeConfig(batch_size=32, learning_rate=1e-2, max_epochs=40, patience=2, holdout_frac=0.25)),
+    "one-parameter": (1, 90, NpeConfig(batch_size=25, learning_rate=1e-2, max_epochs=30, patience=3)),
+    "fixed-budget": (3, 80, NpeConfig(batch_size=30, learning_rate=5e-3, max_epochs=8, patience=8, holdout_frac=0.2)),
+    "no-holdout": (2, 2, NpeConfig(batch_size=1, learning_rate=1e-2, max_epochs=5)),
+    "zero-epochs": (2, 50, NpeConfig(batch_size=16, max_epochs=0)),
+}
+
+
+class TestNpeSerialOracle:
+    @pytest.mark.parametrize("case", list(NPE_CASES))
+    def test_fit_matches_serial_loop(self, case):
+        m, n, cfg = NPE_CASES[case]
+        stream = RngStream(seed=50 + m)
+        train = gaussian_conjugate_task(m=m, noise_std=1.0).sample_joint(n, stream.child("data"))
+        flow = build_coupling_flow(m, m, n_layers=3, hidden=(8, 8), stream=stream.child("init"))
+        fitted, trace = flow_fit_npe(flow, train, cfg, stream.child("fit"))
+        ref, ref_trace = serial_npe_fit(flow, train, cfg, stream.child("fit"))
+        for got, want in zip(fitted.parameter_arrays(), ref.parameter_arrays(), strict=True):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert trace == ref_trace
+        epochs = len(trace["train_nll"])
+        assert {
+            "early-stopping": 0 < epochs < cfg.max_epochs,
+            "one-parameter": 0 < epochs < cfg.max_epochs,
+            "fixed-budget": epochs == cfg.max_epochs,
+            "no-holdout": epochs == cfg.max_epochs and trace["holdout_nll"] == [] and trace["best_holdout_nll"] is None,
+            "zero-epochs": epochs == 0 and trace["best_holdout_nll"] == np.inf,
+        }[case]
+
+    def test_divergence_names_the_epoch_and_keeps_a_finite_flow(self):
+        stream = RngStream(seed=3)
+        train = gaussian_conjugate_task(m=2, noise_std=1.0).sample_joint(300, stream.child("data"))
+        flow = build_coupling_flow(2, 2, n_layers=2, hidden=(16, 16), stream=stream.child("init"))
+        with np.errstate(all="ignore"), pytest.raises(TrainingError, match=r"epoch 0\b") as info:
+            flow_fit_npe(flow, train, NpeConfig(max_epochs=5, learning_rate=1e200), stream.child("fit"))
+        arrays = info.value.flow.parameter_arrays()
+        assert arrays and all(np.isfinite(a).all() for a in arrays)
 
 
 class TestCheckpoints:

@@ -531,10 +531,14 @@ class TestEstimatorSpecChecks:
         # a sampler takes the vector shift as it is
         assert len(run_power(ExperimentPlan(**{**SMALL_TYPE1, **over})).records) == 2 * 3
 
-    @pytest.mark.parametrize("key, value", [("batch_size", 0), ("max_epochs", -3)])
+    @pytest.mark.parametrize(
+        "key, value", [("batch_size", 0), ("max_epochs", -3), ("hidden", [0]), ("hidden", 5), ("n_layers", "3")]
+    )
     def test_bad_npe_setting_is_named_with_its_cell(self, key, value):
         estimator = {"kind": "npe", "n_layers": 1, "hidden": [4], key: value}
         over = {"kind": "power", "n_train_grid": [50], "n_cal_grid": [100], "n_null": 2, "n_v": 100, "estimator": estimator}
         plan = ExperimentPlan(**{**SMALL_TYPE1, **over})
-        with pytest.raises(ConfigurationError, match=rf"^cell \(n_train=50\): NpeConfig\.{key}"):
+        # flow sizes are build_coupling_flow's arguments, the rest NpeConfig's fields
+        named = key if key in ("hidden", "n_layers") else rf"NpeConfig\.{key}"
+        with pytest.raises(ConfigurationError, match=rf"^cell \(n_train=50\): {named} "):
             run_power(plan)
