@@ -4,8 +4,7 @@ Statistics
 ----------
 * :func:`t_acc`  -- two-class accuracy with ties predicted as class 0;
 * :func:`t_mse`  -- sum of the two per-class mean squared deviations of the
-  predicted class-1 probability from one half (range [0, 1/2]); the
-  ``bounded`` variant averages the terms instead (range [0, 1/4]);
+  predicted class-1 probability from one half (range [0, 1/2]);
 * :func:`t_mse0` -- single-class MSE statistic over estimator draws only,
   the workhorse of the local test (range [0, 1/4]);
 * :func:`t_acc0` -- single-class accuracy, provided only to reproduce its
@@ -30,6 +29,12 @@ It calls the public steps, which stay usable on their own:
 ``lc2st_evaluate``; ``lc2st_nf_train``, ``lc2st_nf_null`` and
 ``lc2st_nf_evaluate``.
 
+A null ensemble's ``classifiers`` is its fitter's stack (``QdaStack`` or
+``MlpStack``), whose ``log_odds`` scores every member on a block of rows at
+once; :func:`single_class_statistics` and the local tests' null statistics
+share one ``t_mse0`` kernel over it.  The main classifier is always scored by
+its public statistic, through ``predict_proba``.
+
 p-values use the strict-exceedance count (number of null statistics above
 the observed one, over n_null); ``conservative=True`` switches to the
 finite-sample correction (1 + ties-or-above) / (n_null + 1),
@@ -44,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifiers import BLOCK_ROWS, MlpModel, QdaModel, QdaStack, quad_features, row_slices
+from .classifiers import row_slices
 from .core import (
     ConfigurationError,
     LabeledPairDataset,
@@ -128,18 +133,12 @@ def t_acc(clf, val: LabeledPairDataset) -> float:
     return float(np.mean(predicted == val.labels))
 
 
-def t_mse(clf, val: LabeledPairDataset, bounded: bool = False) -> float:
-    """Sum over both classes of the per-class mean of (d - 1/2)^2.
-
-    The literal normalization sums the two per-class means (range [0, 1/2]);
-    ``bounded=True`` halves it so the statistic shares the [0, 1/4] range of
-    the single-class version.
-    """
+def t_mse(clf, val: LabeledPairDataset) -> float:
+    """Sum over both classes of the per-class mean of (d - 1/2)^2 (range [0, 1/2])."""
     _require_balanced(val)
     d = np.asarray(clf.predict_proba(val.ws))
     sq = (d - 0.5) ** 2
-    total = float(np.mean(sq[val.labels == 0]) + np.mean(sq[val.labels == 1]))
-    return total / 2.0 if bounded else total
+    return float(np.mean(sq[val.labels == 0]) + np.mean(sq[val.labels == 1]))
 
 
 def t_mse0(clf, points: np.ndarray, x_o: np.ndarray | None = None) -> float:
@@ -164,76 +163,38 @@ def t_acc0(clf, points: np.ndarray, x_o: np.ndarray | None = None) -> float:
     return float(np.mean(d <= 0.5))
 
 
-# Elements in one hidden activation of a stacked-MLP block: 1 MB of float64,
-# so larger ensembles are scored a chunk of members at a time.  Bigger
-# temporaries cost more in page faults than they save in calls.
-_MLP_CHUNK_ELEMENTS = 1 << 17
-
-
-def _stacks(classifiers) -> tuple[np.ndarray | None, list[MlpModel] | None]:
-    """The classifiers stacked once for scoring: a (features, classifiers)
-    matrix of QDA coefficients when all are QDA (a ``QdaStack`` has it
-    already), member-axis MlpModels over consecutive chunks of members when
-    all are MLPs of one shape, else (None, None)."""
-    if isinstance(classifiers, QdaStack):
-        return classifiers.coef, None
-    if classifiers and all(isinstance(c, QdaModel) for c in classifiers):
-        return np.column_stack([c.coef for c in classifiers]), None
-    if classifiers and all(isinstance(c, MlpModel) for c in classifiers):
-        if len({tuple(w.shape for w in c.params.weights) for c in classifiers}) == 1:
-            width = BLOCK_ROWS * max(w.shape[-1] for w in classifiers[0].params.weights)
-            size = max(1, _MLP_CHUNK_ELEMENTS // width)
-            return None, [MlpModel.stack(classifiers[i : i + size]) for i in range(0, len(classifiers), size)]
-    return None, None
-
-
-def _log_odds(clf, ws: np.ndarray) -> np.ndarray:
-    if hasattr(clf, "log_odds"):
-        return clf.log_odds(ws)
-    d = np.asarray(clf.predict_proba(ws), dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        return np.log(d) - np.log1p(-d)
-
-
-def _log_odds_blocks(classifiers, ws: np.ndarray, coef: np.ndarray | None, mlp: list[MlpModel] | None):
-    """Yield (rows, classifiers) log-odds blocks over the row blocks of ``ws``:
-    one product with the stacked QDA ``coef``, one forward pass per stacked
-    ``mlp`` chunk, else one column per classifier (its ``log_odds``, or the
-    logit of its ``predict_proba``)."""
-    ws = np.atleast_2d(np.asarray(ws, dtype=np.float64))
-    if coef is not None and len(coef) != ws.shape[1] * (ws.shape[1] + 3) // 2 + 1:
-        raise ConfigurationError(f"feature dimension {ws.shape[1]} does not match the QDA coefficients")
+def _mse0(classifiers, ws: np.ndarray, class0: np.ndarray | None = None) -> np.ndarray:
+    """``t_mse0`` of every member of the stack ``classifiers`` on the rows
+    ``ws``, summing (d - 1/2)^2 as tanh(l/2)^2 / 4: no branch on the sign of
+    the log-odds l.  A given ``class0`` gains each member's count of rows
+    with sigmoid(l) <= 1/2, the tie rule of ``t_acc0``."""
+    sq = np.zeros(len(classifiers))
     for rows in row_slices(len(ws)):
-        block = ws[rows]
-        if coef is not None:
-            yield quad_features(block) @ coef
-        elif mlp is not None:
-            yield np.concatenate([stack.log_odds(block) for stack in mlp]).T
-        else:
-            yield np.array([_log_odds(clf, block) for clf in classifiers]).reshape(-1, len(block)).T
+        logits = classifiers.log_odds(ws[rows])
+        if class0 is not None:
+            class0 += (sigmoid(logits) <= 0.5).sum(axis=0)
+        half = np.tanh(np.multiply(logits, 0.5, out=logits), out=logits)
+        sq += np.einsum("ij,ij->j", half, half)
+    return sq / (4.0 * len(ws))
 
 
 def single_class_statistics(classifiers, ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``t_mse0`` and ``t_acc0`` of every classifier on the rows ``ws``, from
-    one scoring pass; d = sigmoid(log-odds) keeps the tie rule of ``t_acc0``."""
+    """``t_mse0`` and ``t_acc0`` of every member of the stack ``classifiers``
+    on the rows ``ws``, from one scoring pass."""
     ws = np.atleast_2d(np.asarray(ws, dtype=np.float64))
     if len(ws) == 0:
         raise ConfigurationError("need at least one evaluation point")
-    sq, class0 = np.zeros(len(classifiers)), np.zeros(len(classifiers))
-    for logits in _log_odds_blocks(classifiers, ws, *_stacks(classifiers)):
-        d = sigmoid(logits)
-        sq += np.square(d - 0.5).sum(axis=0)
-        class0 += (d <= 0.5).sum(axis=0)
-    return sq / len(ws), class0 / len(ws)
+    class0 = np.zeros(len(classifiers))
+    mse0 = _mse0(classifiers, ws, class0)
+    return mse0, class0 / len(ws)
 
 
 def _two_class_statistics(classifiers, val: LabeledPairDataset) -> tuple[np.ndarray, np.ndarray]:
-    """``t_acc`` and ``t_mse`` of every classifier on the balanced set ``val``,
-    from one scoring pass."""
+    """``t_acc`` and ``t_mse`` of every member of the stack ``classifiers``
+    on the balanced set ``val``, from one scoring pass."""
     correct, sq = np.zeros(len(classifiers)), np.zeros((2, len(classifiers)))
-    blocks = _log_odds_blocks(classifiers, val.ws, *_stacks(classifiers))
-    for rows, logits in zip(row_slices(val.n), blocks):
-        d, labels = sigmoid(logits), val.labels[rows]
+    for rows in row_slices(val.n):
+        d, labels = sigmoid(classifiers.log_odds(val.ws[rows])), val.labels[rows]
         correct += ((d > 0.5) == labels[:, None]).sum(axis=0)
         sq += [np.square(d[labels == c] - 0.5).sum(axis=0) for c in (0, 1)]
     return correct / val.n, sq[0] / val.n_class0 + sq[1] / val.n_class1
@@ -323,34 +284,23 @@ class TestResult:
 @dataclass
 class NullEnsemble:
     """Classifiers fitted under the null construction, with their seed ledger
-    and the wall-clock seconds their fit took.  A QDA null is a ``QdaStack``
-    fitted from stacked class moments: ``coef`` is its (features, members)
-    matrix, and its members are built as QdaModels only on demand.  A list of
-    members is stacked once, at construction: into ``coef`` when all are QDA,
-    into ``mlp`` (chunks of members) when all are MLPs."""
+    and the wall-clock seconds their fit took.  ``classifiers`` is the
+    fitter's stack (``QdaStack``, ``MlpStack``): its ``log_odds`` scores
+    every member at once and ``classifiers[h]`` builds member h.  An empty
+    null is never scored."""
 
-    classifiers: list | QdaStack
+    classifiers: object
     provenance: str  # 'permutation' | 'nf-resampled'
     streams: list[tuple[int, int]] = field(default_factory=list)
     latent_dim: int | None = None
     fit_seconds: float = 0.0
-    coef: np.ndarray | None = field(init=False, repr=False)
-    mlp: list[MlpModel] | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.provenance not in ("permutation", "nf-resampled"):
             raise ConfigurationError(f"unknown ensemble provenance {self.provenance!r}")
-        self.coef, self.mlp = _stacks(self.classifiers)
 
     def __len__(self) -> int:
         return len(self.classifiers)
-
-    def with_main(self, clf):
-        """``clf`` ahead of the members, as one sequence to score: the main
-        classifier is column 0."""
-        if isinstance(clf, QdaModel) and isinstance(self.classifiers, QdaStack):
-            return self.classifiers.prepend(clf)
-        return [clf, *self.classifiers]
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +324,11 @@ class Relabeled:
     data: LabeledPairDataset
     subs: list[RngStream]
     paired: bool
+
+    def __post_init__(self) -> None:
+        data = self.data
+        if self.paired and (data.n % 2 or np.any(data.labels != (np.arange(data.n) >= data.n // 2))):
+            raise ConfigurationError("paired permutation requires class-0 rows stacked above class-1 rows, equal counts")
 
     def __len__(self) -> int:
         return len(self.subs)
@@ -440,18 +395,20 @@ def fit_null_ensemble(
     One ``fit_fn.ensemble`` call fits every member from their
     :class:`Relabeled` description.
     """
+    return _fit_null(lambda subs: Relabeled(data, subs, paired), fit_fn, n_null, stream, "permutation")
+
+
+def _fit_null(members, fit_fn, n_null: int, stream: RngStream, provenance: str, latent_dim: int | None = None):
+    """The null of ``n_null`` members on the streams ``stream/trial/h``,
+    described by ``members(subs)``, from one timed ``fit_fn.ensemble`` call."""
     t0 = time.perf_counter()
     if n_null < 0:
         raise ConfigurationError("n_null must be nonnegative")
-    if paired and (data.n % 2 or np.any(data.labels != (np.arange(data.n) >= data.n // 2))):
-        raise ConfigurationError("paired permutation requires class-0 rows stacked above class-1 rows, equal counts")
     subs = [stream.child("trial", h) for h in range(n_null)]
     # the fit streams are derived only by fitters that read them (MLP)
-    classifiers = fit_fn.ensemble(Relabeled(data, subs, paired), (sub.child("fit") for sub in subs))
+    classifiers = fit_fn.ensemble(members(subs), (sub.child("fit") for sub in subs))
     streams = [(sub.seed, sub.stream_id) for sub in subs]
-    return NullEnsemble(
-        classifiers=classifiers, provenance="permutation", streams=streams, fit_seconds=time.perf_counter() - t0
-    )
+    return NullEnsemble(classifiers, provenance, streams, latent_dim, time.perf_counter() - t0)
 
 
 def lc2st_training_set(estimator, cal: JointDataset, stream: RngStream) -> LabeledPairDataset:
@@ -490,16 +447,6 @@ def lc2st_train(
     return clf, ensemble
 
 
-def _evaluate_mse0(clf, ensemble: NullEnsemble, ws: np.ndarray):
-    """``t_mse0`` of ``clf`` and of every null member on the rows ``ws``.
-    Members sum (d - 1/2)^2 as tanh(l/2)^2 / 4: no branch on the sign of l."""
-    sq = np.zeros(len(ensemble))
-    for logits in _log_odds_blocks(ensemble.classifiers, ws, ensemble.coef, ensemble.mlp):
-        half = np.tanh(np.multiply(logits, 0.5, out=logits), out=logits)
-        sq += np.einsum("ij,ij->j", half, half)
-    return t_mse0(clf, ws), sq / (4.0 * len(ws))
-
-
 def lc2st_evaluate(
     clf,
     ensemble: NullEnsemble,
@@ -514,15 +461,19 @@ def lc2st_evaluate(
     Fresh estimator draws are shared by the trained classifier and every null
     classifier, so all statistics are computed on the same sample set.
     """
+    draw = lambda eval_stream: estimator.sample(np.asarray(x_o, dtype=np.float64), n_v, eval_stream)  # noqa: E731
+    return _evaluate("lc2st", clf, ensemble, draw, x_o, n_v, stream, conservative)
+
+
+def _evaluate(method: str, clf, ensemble: NullEnsemble, draw, x_o, n_v: int, stream: RngStream, conservative: bool):
+    """``method``'s ``t_mse0`` test at ``x_o``: the classifier and every null
+    member scored on the points ``draw(stream.child("eval"))`` at ``x_o``."""
     if n_v < 1:
         raise ConfigurationError("n_v must be at least 1")
-    theta_q = estimator.sample(np.asarray(x_o, dtype=np.float64), n_v, stream.child("eval"))
-    ws = append_conditioning(theta_q, x_o)
-    stat, nulls = _evaluate_mse0(clf, ensemble, ws)
+    ws = append_conditioning(draw(stream.child("eval")), x_o)
+    nulls = _mse0(ensemble.classifiers, ws) if len(ensemble) else None
     seeds = {"seed": int(stream.seed), "stream_id": int(stream.stream_id)}
-    return TestResult.from_stats(
-        "lc2st", stat, nulls if len(ensemble) else None, x_o, n_v, seeds, conservative
-    )
+    return TestResult.from_stats(method, t_mse0(clf, ws), nulls, x_o, n_v, seeds, conservative)
 
 
 # ---------------------------------------------------------------------------
@@ -618,17 +569,8 @@ def lc2st_nf_null(
     the same observations (:class:`Resampled`), so one ensemble is reusable
     across flows and observations.  ``n_null=0`` returns an empty ensemble.
     """
-    t0 = time.perf_counter()
-    if n_null < 0:
-        raise ConfigurationError("n_null must be nonnegative")
     cal_xs = np.atleast_2d(np.asarray(cal_xs, dtype=np.float64))
-    subs = [stream.child("trial", h) for h in range(n_null)]
-    classifiers = fit_fn.ensemble(Resampled(cal_xs, m, subs), (sub.child("fit") for sub in subs))
-    streams = [(sub.seed, sub.stream_id) for sub in subs]
-    return NullEnsemble(
-        classifiers=classifiers, provenance="nf-resampled", streams=streams, latent_dim=m,
-        fit_seconds=time.perf_counter() - t0,
-    )
+    return _fit_null(lambda subs: Resampled(cal_xs, m, subs), fit_fn, n_null, stream, "nf-resampled", m)
 
 
 def lc2st_nf_evaluate(
@@ -645,15 +587,8 @@ def lc2st_nf_evaluate(
     Evaluation latents are standard normal and independent of the observation;
     the same draws feed the trained classifier and every null classifier.
     """
-    if n_v < 1:
-        raise ConfigurationError("n_v must be at least 1")
-    z = stream.child("eval").generator().standard_normal((n_v, m))
-    ws = append_conditioning(z, x_o)
-    stat, nulls = _evaluate_mse0(clf, ensemble, ws)
-    seeds = {"seed": int(stream.seed), "stream_id": int(stream.stream_id)}
-    return TestResult.from_stats(
-        "lc2st-nf", stat, nulls if len(ensemble) else None, x_o, n_v, seeds, conservative
-    )
+    draw = lambda eval_stream: eval_stream.generator().standard_normal((n_v, m))  # noqa: E731
+    return _evaluate("lc2st-nf", clf, ensemble, draw, x_o, n_v, stream, conservative)
 
 
 # ---------------------------------------------------------------------------
@@ -823,8 +758,9 @@ def pp_plot(
 ) -> PPPlotData:
     """Local PP-plot: CDF of class-0 probabilities with (1-alpha) null bands.
 
-    The band at each level is the empirical [alpha/2, 1-alpha/2] quantile
-    range of the null classifiers' CDFs on the same evaluation points.
+    The CDF is that of ``1 - clf.predict_proba(eval_ws)``.  The band at each
+    level is the empirical [alpha/2, 1-alpha/2] quantile range of the null
+    classifiers' CDFs on the same evaluation points.
     """
     eval_ws = np.atleast_2d(np.asarray(eval_ws, dtype=np.float64))
     if eval_ws.shape[0] == 0:
@@ -836,17 +772,20 @@ def pp_plot(
         raise ConfigurationError("levels must be nondecreasing and lie strictly inside (0, 1)")
     if len(ensemble) == 0:
         raise ConfigurationError("pp_plot needs a nonempty null ensemble")
-    # Column 0 is the main classifier.  Rows counted by the number of levels
-    # below their class-0 probability accumulate to the ECDF numerators.
-    models, width = ensemble.with_main(clf), len(levels) + 1
-    counts = np.zeros(len(models) * width, dtype=np.int64)
-    for logits in _log_odds_blocks(models, eval_ws, *_stacks(models)):
-        below = np.searchsorted(levels, 1.0 - sigmoid(logits), side="left")
-        counts += np.bincount((below + width * np.arange(len(models))).ravel(), minlength=counts.size)
-    cdfs = np.cumsum(counts.reshape(len(models), width), axis=1)[:, :-1] / eval_ws.shape[0]
-    lower = np.quantile(cdfs[1:], alpha / 2.0, axis=0)
-    upper = np.quantile(cdfs[1:], 1.0 - alpha / 2.0, axis=0)
-    return PPPlotData(levels=levels, cdf=cdfs[0], lower=lower, upper=upper)
+    n = len(eval_ws)
+    class0 = np.sort(1.0 - np.asarray(clf.predict_proba(eval_ws), dtype=np.float64))
+    cdf = np.searchsorted(class0, levels, side="right") / n
+    # Member rows counted by the number of levels below their class-0
+    # probability accumulate to the ECDF numerators.
+    members, width = ensemble.classifiers, len(levels) + 1
+    counts = np.zeros(len(members) * width, dtype=np.int64)
+    for rows in row_slices(n):
+        below = np.searchsorted(levels, 1.0 - sigmoid(members.log_odds(eval_ws[rows])), side="left")
+        counts += np.bincount((below + width * np.arange(len(members))).ravel(), minlength=counts.size)
+    cdfs = np.cumsum(counts.reshape(len(members), width), axis=1)[:, :-1] / n
+    lower = np.quantile(cdfs, alpha / 2.0, axis=0)
+    upper = np.quantile(cdfs, 1.0 - alpha / 2.0, axis=0)
+    return PPPlotData(levels=levels, cdf=cdf, lower=lower, upper=upper)
 
 
 # ---------------------------------------------------------------------------

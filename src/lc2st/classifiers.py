@@ -12,6 +12,11 @@ Three families, all exposing ``predict_proba(ws) -> P(C=1 | w)``:
   minibatch Adam on binary cross-entropy with early stopping; null ensembles
   of such nets train as one stack, every member in the same Adam loop.
 
+A fitter's ``ensemble`` returns its family's stack, :class:`QdaStack` or
+:class:`MlpStack`, which scores itself: ``stack.log_odds(ws)`` gives the
+(rows, members) log-odds of every member, and ``stack[h]`` builds member h
+as a QdaModel or MlpModel.
+
 The decision rule everywhere is ``predict 1 iff d > 1/2``: exact ties go to
 class 0, which makes accuracy statistics deterministic.
 """
@@ -29,6 +34,7 @@ from .core import (
     LabeledPairDataset,
     RngStream,
     UndefinedPointError,
+    check_count,
 )
 from .nets import MlpParams, grad_check, mlp_backward, mlp_forward, mlp_init, row_views, sigmoid, train_minibatch
 
@@ -44,6 +50,7 @@ __all__ = [
     "analytic_bayes",
     "MlpConfig",
     "MlpModel",
+    "MlpStack",
     "mlp_fit",
     "mlp_grad_check",
     "CalibrationCurve",
@@ -193,9 +200,10 @@ def qda_fit(data: LabeledPairDataset, ridge: float | None = None) -> QdaModel:
 @dataclass(frozen=True)
 class QdaStack:
     """H QDA members fitted together: (H, 2, d) class ``means``, (H, 2, d, d)
-    ``covs``, (H, 2) ``priors`` and their (F, H) ``coef``.  Scoring reads
-    ``coef``; ``stack[h]`` builds member h as a :class:`QdaModel` only when
-    asked for, for checkpoints and inspection."""
+    ``covs``, (H, 2) ``priors`` and their (F, H) ``coef``.  ``log_odds``
+    scores every member in one product with ``coef``; ``stack[h]`` builds
+    member h as a :class:`QdaModel` only when asked for, for checkpoints and
+    inspection."""
 
     means: np.ndarray
     covs: np.ndarray
@@ -208,14 +216,9 @@ class QdaStack:
     def __getitem__(self, h: int) -> QdaModel:
         return QdaModel(*self.means[h], *self.covs[h], *self.priors[h])
 
-    def prepend(self, model: QdaModel) -> "QdaStack":
-        """``model`` as member 0, ahead of these members."""
-        return QdaStack(
-            np.concatenate([[[model.mu0, model.mu1]], self.means]),
-            np.concatenate([[[model.cov0, model.cov1]], self.covs]),
-            np.concatenate([[[model.prior0, model.prior1]], self.priors]),
-            np.column_stack([model.coef, self.coef]),
-        )
+    def log_odds(self, ws: np.ndarray) -> np.ndarray:
+        """(rows, H) log-odds of every member on the rows ``ws``."""
+        return quad_features(_check_features(ws, self.means.shape[-1])) @ self.coef
 
 
 def qda_fit_moments(counts, centre, sums, scatters, ridge: float | None = None) -> QdaStack:
@@ -302,10 +305,9 @@ class MlpConfig:
 
     def __post_init__(self) -> None:
         for name in ("batch_size", "max_epochs", "patience", "hidden_mult"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"MlpConfig.{name} must be at least 1, got {getattr(self, name)!r}")
-        if self.hidden_sizes is not None and any(h < 1 for h in self.hidden_sizes):
-            raise ConfigurationError(f"MlpConfig.hidden_sizes entries must be at least 1, got {self.hidden_sizes!r}")
+            check_count(f"MlpConfig.{name}", getattr(self, name), 1)
+        for h in self.hidden_sizes or ():
+            check_count("MlpConfig.hidden_sizes entry", h, 1)
         if not self.learning_rate > 0:
             raise ConfigurationError(f"MlpConfig.learning_rate must be positive, got {self.learning_rate!r}")
         if not 0 <= self.holdout_frac < 1:
@@ -314,25 +316,12 @@ class MlpConfig:
 
 @dataclass
 class MlpModel:
-    """Fitted network plus the input standardization baked in at fit time.
-
-    :meth:`stack` joins same-shaped models into one whose params carry a
-    leading member axis (see ``nets``); its ``log_odds`` has one row per member.
-    """
+    """Fitted network plus the input standardization baked in at fit time."""
 
     params: MlpParams
     feat_mean: np.ndarray
     feat_std: np.ndarray
     metadata: dict
-
-    @staticmethod
-    def stack(models: list["MlpModel"]) -> "MlpModel":
-        return MlpModel(
-            params=MlpParams.stack([m.params for m in models]),
-            feat_mean=np.stack([m.feat_mean for m in models])[:, None, :],
-            feat_std=np.stack([m.feat_std for m in models])[:, None, :],
-            metadata={},
-        )
 
     @property
     def dim(self) -> int:
@@ -347,6 +336,56 @@ class MlpModel:
 
     def predict_proba(self, ws: np.ndarray) -> np.ndarray:
         return sigmoid(self.log_odds(ws))
+
+
+# Elements in one hidden activation of a block of stacked members: 1 MB of
+# float64, so larger stacks are scored a chunk of members at a time.  Bigger
+# temporaries cost more in page faults than they save in calls.
+_MLP_CHUNK_ELEMENTS = 1 << 17
+
+
+@dataclass(frozen=True)
+class MlpStack:
+    """H networks trained together: their (H, P) parameter rows ``flat``,
+    one member's weight and bias ``shapes`` (interleaved), the input
+    standardization ``feat_mean`` and ``feat_std`` ((1, d) when every member
+    trained on one feature matrix, else (H, d)) and each member's
+    ``metadata``.  ``log_odds`` scores chunks of members as views of
+    ``flat``; ``stack[h]`` builds member h as an :class:`MlpModel`."""
+
+    flat: np.ndarray
+    shapes: list[tuple]
+    feat_mean: np.ndarray
+    feat_std: np.ndarray
+    metadata: list[dict]
+    params: MlpParams = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "params", _unflatten(self.flat, self.shapes))
+
+    def __len__(self) -> int:
+        return len(self.flat)
+
+    def __getitem__(self, h: int) -> MlpModel:
+        params = MlpParams([w[h] for w in self.params.weights], [b[h, 0] for b in self.params.biases])
+        s = 0 if len(self.feat_mean) == 1 else h
+        return MlpModel(params, self.feat_mean[s], self.feat_std[s], self.metadata[h])
+
+    def log_odds(self, ws: np.ndarray) -> np.ndarray:
+        """(rows, H) log-odds of every member on the rows ``ws``, one forward
+        pass per chunk of members whose widest activation over
+        ``BLOCK_ROWS`` rows fits ``_MLP_CHUNK_ELEMENTS``.  A shared
+        standardization is applied once."""
+        ws = _check_features(ws, self.feat_mean.shape[1])
+        size = max(1, _MLP_CHUNK_ELEMENTS // (BLOCK_ROWS * max(shape[-1] for shape in self.shapes[0::2])))
+        shared = (ws - self.feat_mean[0]) / self.feat_std[0] if len(self.feat_mean) == 1 else None
+        out = []
+        for start in range(0, len(self), size):
+            part = slice(start, start + size)
+            params = MlpParams([w[part] for w in self.params.weights], [b[part] for b in self.params.biases])
+            inputs = shared if shared is not None else (ws - self.feat_mean[part, None]) / self.feat_std[part, None]
+            out.append(mlp_forward(params, inputs)[..., 0])
+        return np.concatenate(out).T
 
 
 def _bce_losses(z: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -370,8 +409,9 @@ def _unflatten(flat: np.ndarray, shapes: list[tuple]) -> MlpParams:
     return MlpParams(arrays[0::2], arrays[1::2])
 
 
-def _fit_lockstep(datasets: list[LabeledPairDataset], cfg: MlpConfig, streams: list[RngStream]) -> list[MlpModel]:
-    """Train one network per dataset, all as one stack in ``nets.train_minibatch``.
+def _fit_lockstep(datasets: list[LabeledPairDataset], cfg: MlpConfig, streams: list[RngStream]) -> MlpStack | list:
+    """Train one network per dataset, all as one :class:`MlpStack` in
+    ``nets.train_minibatch`` (an empty list for no datasets).
 
     Every member draws its initialization, holdout split and shuffles from
     its own stream and stops early on its own holdout loss, so member h is
@@ -430,23 +470,19 @@ def _fit_lockstep(datasets: list[LabeledPairDataset], cfg: MlpConfig, streams: l
 
     holdout_loss = lambda xs, ys: _bce_losses(mlp_forward(params, xs)[..., 0], ys)  # noqa: E731
     fit = train_minibatch(flat, feats, np.arange(n) + offsets, labels, cfg, streams, batch_loss, holdout_loss, take)
-    final, sizes = _unflatten(fit.params, shapes), tuple(int(h) for h in hidden)
-    return [
-        MlpModel(
-            MlpParams([w[h] for w in final.weights], [b[h, 0] for b in final.biases]),
-            feat_mean[0 if shared else h],
-            feat_std[0 if shared else h],
-            {
-                "hidden_sizes": sizes,
-                "n_train": fit.n_train,
-                "epochs_run": int(fit.epochs_run[h]),
-                "best_epoch": int(fit.best_epoch[h]),
-                "final_train_loss": float(fit.last_loss[h]),
-                "holdout_loss": float(fit.best_loss[h]) if fit.n_holdout else None,
-            },
-        )
+    sizes = tuple(int(h) for h in hidden)
+    metadata = [
+        {
+            "hidden_sizes": sizes,
+            "n_train": fit.n_train,
+            "epochs_run": int(fit.epochs_run[h]),
+            "best_epoch": int(fit.best_epoch[h]),
+            "final_train_loss": float(fit.last_loss[h]),
+            "holdout_loss": float(fit.best_loss[h]) if fit.n_holdout else None,
+        }
         for h in range(n_members)
     ]
+    return MlpStack(fit.params, shapes, np.stack(feat_mean), np.stack(feat_std), metadata)
 
 
 def mlp_fit(data: LabeledPairDataset, cfg: MlpConfig | None = None, stream: RngStream | None = None) -> MlpModel:
@@ -607,9 +643,10 @@ class MlpFitter:
     def __call__(self, data: LabeledPairDataset, stream: RngStream) -> MlpModel:
         return mlp_fit(data, self.cfg, stream)
 
-    def ensemble(self, datasets: Iterable[LabeledPairDataset], streams: Iterable[RngStream]) -> list[MlpModel]:
-        """All members trained in lockstep; member h equals ``self(datasets[h], streams[h])``.
-        A null construction's member description iterates as its datasets."""
+    def ensemble(self, datasets: Iterable[LabeledPairDataset], streams: Iterable[RngStream]) -> MlpStack | list:
+        """All members trained in lockstep as one :class:`MlpStack`; member h
+        equals ``self(datasets[h], streams[h])``.  A null construction's
+        member description iterates as its datasets."""
         return _fit_lockstep(list(datasets), self.cfg, list(streams))
 
 

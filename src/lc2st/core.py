@@ -13,6 +13,7 @@ import json
 import struct
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ __all__ = [
     "OracleUnavailableError",
     "UndefinedPointError",
     "reject_unknown_keys",
+    "check_count",
     "RngStream",
     "derive_stream",
     "generators",
@@ -84,6 +86,13 @@ def reject_unknown_keys(keys, valid, what: str) -> None:
     unknown = sorted(set(keys) - set(valid))
     if unknown:
         raise ConfigurationError(f"unknown {what} {unknown[0]!r}; valid: {sorted(valid)}")
+
+
+def check_count(name: str, value, low: int) -> None:
+    """Raise ``ConfigurationError`` naming ``name`` unless ``value`` is an
+    integer (not a bool) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+        raise ConfigurationError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

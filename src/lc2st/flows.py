@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from numbers import Integral
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,6 +35,7 @@ from .core import (
     NumericError,
     RngStream,
     TrainingError,
+    check_count,
 )
 from .nets import MlpParams, grad_check, mlp_backward, mlp_forward, mlp_init, row_views, train_minibatch
 
@@ -263,10 +263,6 @@ class ConditionalFlow(_Flow):
         return {"kind": "coupling-flow", "m": self.m, "d": self.d, "layers": [l.to_dict() for l in self.layers]}
 
 
-def _positive_int(value) -> bool:
-    return isinstance(value, Integral) and not isinstance(value, bool) and value >= 1
-
-
 def build_coupling_flow(
     m: int,
     d: int,
@@ -280,10 +276,11 @@ def build_coupling_flow(
     reversal follows."""
     if m < 1 or d < 1:
         raise ConfigurationError("m and d must be positive")
-    if not _positive_int(n_layers):
-        raise ConfigurationError(f"n_layers must be an integer >= 1, got {n_layers!r}")
-    if not isinstance(hidden, Sequence) or not all(map(_positive_int, hidden)):
+    check_count("n_layers", n_layers, 1)
+    if not isinstance(hidden, Sequence):
         raise ConfigurationError(f"hidden must be a sequence of integers >= 1, got {hidden!r}")
+    for h in hidden:
+        check_count("hidden entry", h, 1)
     stream = stream or RngStream(seed=0)
     layers: list = []
     half = np.arange(m) < (m + 1) // 2
@@ -384,8 +381,7 @@ class NpeConfig:
 
     def __post_init__(self) -> None:
         for name, low in (("batch_size", 1), ("max_epochs", 0), ("patience", 1)):
-            if getattr(self, name) < low:
-                raise ConfigurationError(f"NpeConfig.{name} must be at least {low}, got {getattr(self, name)!r}")
+            check_count(f"NpeConfig.{name}", getattr(self, name), low)
         if not self.learning_rate > 0:
             raise ConfigurationError(f"NpeConfig.learning_rate must be positive, got {self.learning_rate!r}")
         if not 0 <= self.holdout_frac < 1:

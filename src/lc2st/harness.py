@@ -25,7 +25,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
-from numbers import Integral, Real
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ import numpy as np
 from . import c2st
 from .classifiers import MlpConfig, mlp_factory, qda_factory
 from .core import (
-    ConfigurationError, LabeledPairDataset, Lc2stError, derive_stream, reject_unknown_keys, save_json,
+    ConfigurationError, LabeledPairDataset, Lc2stError, check_count, derive_stream, reject_unknown_keys, save_json,
 )
 from .flows import NpeConfig, build_coupling_flow, conjugate_affine_flow, flow_fit_npe
 from .tasks import ConjugateGaussianPosterior, GaussianShiftPair, distort, gaussian_shift_samples, make_task
@@ -92,7 +92,7 @@ class ExperimentPlan:
         n_runs_low = 3 if self.kind == "bench" else 1
         lows = {"n_observations": 1, "n_runs": n_runs_low, "n_v": 1, "n_per_class": 1, "n_null": 0, "seed": 0}
         for name, low in lows.items():
-            _check_count(name, getattr(self, name), low)
+            check_count(name, getattr(self, name), low)
         if isinstance(self.alpha, bool) or not isinstance(self.alpha, Real) or not 0.0 < self.alpha <= 1.0:
             raise ConfigurationError(f"alpha must be a number in (0, 1], got {self.alpha!r}")
         for name in ("n_train_grid", "n_cal_grid"):
@@ -100,7 +100,7 @@ class ExperimentPlan:
             if not isinstance(grid, (list, tuple)) or not grid:
                 raise ConfigurationError(f"{name} must be a nonempty list, got {grid!r}")
             for v in grid:
-                _check_count(f"{name} entry", v, 1)
+                check_count(f"{name} entry", v, 1)
         if self.sigma_grid is not None:
             if not isinstance(self.sigma_grid, (list, tuple)) or not self.sigma_grid:
                 raise ConfigurationError(f"sigma_grid must be None or a nonempty list, got {self.sigma_grid!r}")
@@ -129,11 +129,6 @@ class ExperimentPlan:
     def load(path: str | Path) -> "ExperimentPlan":
         with Path(path).open("r", encoding="utf-8") as fh:
             return ExperimentPlan.from_dict(json.load(fh))
-
-
-def _check_count(name: str, value, low: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
-        raise ConfigurationError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 _CLASSIFIER_KEYS = {"qda": {"ridge"}, "mlp": {f.name for f in fields(MlpConfig)}}
@@ -454,6 +449,8 @@ def run_sigma_sweep(plan: ExperimentPlan) -> SigmaSweepResult:
     """
     if not plan.sigma_grid:
         raise ConfigurationError("sigma-sweep plans need a sigma_grid")
+    if plan.n_null < 1:
+        raise ConfigurationError("sigma-sweep plans need n_null >= 1: their p-values come from the null")
     fit_fn = _classifier_fit(plan.classifier)
     dim = int(plan.task_params.get("dim", 2))
     records: list[dict] = []
@@ -466,10 +463,10 @@ def run_sigma_sweep(plan: ExperimentPlan) -> SigmaSweepResult:
             val_q = pair.sample_q(plan.n_v, stream.child("val"))
             clf = fit_fn(train, stream.child("fit"))
             ensemble = c2st.fit_null_ensemble(train, fit_fn, plan.n_null, stream.child("null"))
-            mse0, acc0 = c2st.single_class_statistics(ensemble.with_main(clf), val_q)
-            stat_mse0, stat_acc0 = float(mse0[0]), float(acc0[0])
-            p_mse0 = c2st.p_value_from_null(stat_mse0, mse0[1:])
-            p_acc0 = c2st.p_value_from_null(stat_acc0, acc0[1:])
+            stat_mse0, stat_acc0 = c2st.t_mse0(clf, val_q), c2st.t_acc0(clf, val_q)
+            mse0, acc0 = c2st.single_class_statistics(ensemble.classifiers, val_q)
+            p_mse0 = c2st.p_value_from_null(stat_mse0, mse0)
+            p_acc0 = c2st.p_value_from_null(stat_acc0, acc0)
             records.append(
                 {
                     "sigma": float(sig),

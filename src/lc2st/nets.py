@@ -47,14 +47,6 @@ class MlpParams:
         self.weights = weights
         self.biases = biases
 
-    @staticmethod
-    def stack(members: list["MlpParams"]) -> "MlpParams":
-        """One stack of same-shaped 2-D nets: (H, fan_in, fan_out) weights, (H, 1, fan_out) biases."""
-        return MlpParams(
-            [np.stack(ws) for ws in zip(*(p.weights for p in members))],
-            [np.stack(bs)[:, None, :] for bs in zip(*(p.biases for p in members))],
-        )
-
     @property
     def n_layers(self) -> int:
         return len(self.weights)

@@ -105,9 +105,8 @@ class TestStatistics:
         assert t_mse(_Const(0.5), self.val) == 0.0
 
     def test_tmse_constant_one_hits_literal_bound(self):
-        # both per-class sums are 1/4: literal total 1/2, bounded variant 1/4
+        # both per-class sums are 1/4: literal total 1/2
         assert t_mse(_Const(1.0), self.val) == pytest.approx(0.5)
-        assert t_mse(_Const(1.0), self.val, bounded=True) == pytest.approx(0.25)
 
     def test_tmse_matches_quadrature_for_bayes_classifier(self):
         sigma = 2.0
@@ -117,7 +116,6 @@ class TestStatistics:
         p, q = gaussian_shift_samples(pair, 100_000, RngStream(seed=1))
         val = LabeledPairDataset.from_class_arrays(q, p)
         assert abs(t_mse(clf, val) - oracle["mse_literal"]) <= 0.005
-        assert abs(t_mse(clf, val, bounded=True) - oracle["mse_avg"]) <= 0.005
 
     def test_tmse0_bounds_and_constants(self):
         pts = np.zeros((10, 2))
@@ -588,16 +586,24 @@ class TestPPPlot:
 
     def test_monotone_and_ordered_bands_random_inputs(self):
         rng = np.random.default_rng(58)
-        members = [_Const(v) for v in rng.uniform(0.2, 0.8, size=20)]
-        from lc2st.c2st import NullEnsemble
-
-        ensemble = NullEnsemble(classifiers=members, provenance="nf-resampled")
+        ensemble = lc2st_nf_null(rng.standard_normal((100, 1)), 2, qda_factory(), 20, RngStream(seed=59))
         ws = rng.standard_normal((200, 3))
         data = pp_plot(_Const(rng.random()), ensemble, ws)
         assert np.all(np.diff(data.cdf) >= 0)
         assert np.all(np.diff(data.lower) >= -1e-12)
         assert np.all(np.diff(data.upper) >= -1e-12)
         assert np.all(data.lower <= data.upper + 1e-12)
+
+    @pytest.mark.parametrize("fit", [qda_factory(), mlp_factory(MlpConfig((8,), max_epochs=3))], ids=["qda", "mlp"])
+    def test_cdf_is_the_ecdf_of_class0_probabilities(self, fit):
+        task, cal, ensemble = self._null_ensemble(n_members=10, seed=60)
+        clf = lc2st_nf_train(conjugate_affine_flow(2, 1.0, scale_mult=1.5), cal, fit, RngStream(seed=61))
+        ws = append_conditioning(RngStream(seed=62).generator().standard_normal((1500, 2)), cal.xs[0])
+        levels = np.concatenate([np.linspace(0.01, 0.99, 60), [0.5, 0.5]])
+        levels.sort()
+        data = pp_plot(clf, ensemble, ws, levels=levels)
+        ecdf = np.mean((1.0 - clf.predict_proba(ws))[:, None] <= levels, axis=0)
+        assert data.cdf.tobytes() == ecdf.tobytes()
 
     def test_empty_eval_set_rejected(self):
         _, _, ensemble = self._null_ensemble()

@@ -36,13 +36,13 @@ from lc2st import harness
 from lc2st.c2st import (
     Relabeled,
     Resampled,
-    _log_odds_blocks,
     append_conditioning,
     pp_plot,
     run_test,
     single_class_statistics,
 )
-from lc2st.classifiers import BLOCK_ROWS, MlpModel, QdaFitter, QdaModel, QdaStack, qda_factory, quad_features, row_slices
+from lc2st import classifiers
+from lc2st.classifiers import BLOCK_ROWS, MlpModel, MlpStack, QdaFitter, QdaModel, QdaStack, qda_factory, row_slices
 from lc2st.flows import conjugate_affine_flow
 from lc2st.harness import ExperimentPlan, run_sigma_sweep
 from lc2st.nets import MlpParams, mlp_backward, mlp_forward, mlp_init, relu, sigmoid
@@ -428,7 +428,7 @@ class TestQuadraticFeatureScoring:
             ))
             for h in range(n_members)
         ]
-        return NullEnsemble(members, "permutation")
+        return NullEnsemble(qda_stack(members), "permutation")
 
     def test_blocked_ensemble_statistics_match_per_member_path(self):
         ensemble = self._ensemble(7, seed=95)
@@ -459,28 +459,27 @@ class TestQuadraticFeatureScoring:
         tie = QdaModel(np.zeros(4), np.zeros(4), np.eye(4), np.eye(4))
         members = [tie, *self._ensemble(4, seed=102).classifiers]
         ws = np.random.default_rng(103).standard_normal((BLOCK_ROWS + 17, 4))
-        mse0, acc0 = single_class_statistics(members, ws)
+        mse0, acc0 = single_class_statistics(qda_stack(members), ws)
         assert acc0[0] == 1.0 and mse0[0] == 0.0
         assert list(acc0) == [t_acc0(m, ws) for m in members]
         np.testing.assert_allclose(mse0, [t_mse0(m, ws) for m in members], rtol=1e-12, atol=0)
 
     def test_mlp_members_share_the_block_loop(self):
         rng = np.random.default_rng(104)
-        members = [
-            mlp_fit(
-                LabeledPairDataset.from_class_arrays(rng.standard_normal((60, 4)), rng.standard_normal((60, 4))),
-                MlpConfig(hidden_sizes=(6,), max_epochs=3),
-                RngStream(seed=105 + h),
-            )
-            for h in range(3)
+        datasets = [
+            LabeledPairDataset.from_class_arrays(rng.standard_normal((60, 4)), rng.standard_normal((60, 4)))
+            for _ in range(3)
         ]
-        ensemble = NullEnsemble(members, "permutation")
-        assert ensemble.coef is None
+        stack = mlp_factory(MlpConfig(hidden_sizes=(6,), max_epochs=3)).ensemble(
+            datasets, [RngStream(seed=105 + h) for h in range(3)]
+        )
+        assert isinstance(stack, MlpStack)
+        ensemble = NullEnsemble(stack, "permutation")
         theta = rng.standard_normal((BLOCK_ROWS + 5, 2))
         x_o = np.array([0.3, 0.3])
-        result = lc2st_evaluate(members[0], ensemble, _FixedDraws(theta), x_o, len(theta), RngStream(seed=108))
+        result = lc2st_evaluate(stack[0], ensemble, _FixedDraws(theta), x_o, len(theta), RngStream(seed=108))
         ws = append_conditioning(theta, x_o)
-        np.testing.assert_allclose(result.null_statistics, [t_mse0(m, ws) for m in members], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(result.null_statistics, [t_mse0(m, ws) for m in stack], rtol=1e-12, atol=0)
         assert result.p_value == p_value_from_null(result.statistic, result.null_statistics)
 
     def test_checkpoint_round_trip_keeps_coef_bytes(self, tmp_path):
@@ -684,7 +683,7 @@ class TestLockstepEnsemble:
         cfg = MlpConfig((6, 6), batch_size=30, max_epochs=25, patience=2)
         stream = RngStream(seed=127)
         ensemble = lc2st_nf_null(cal_xs, 2, mlp_factory(cfg), 4, stream)
-        assert ensemble.mlp is not None and ensemble.coef is None
+        assert isinstance(ensemble.classifiers, MlpStack) and len(ensemble.classifiers.feat_mean) == 4
         for h, model in enumerate(ensemble.classifiers):
             sub = stream.child("trial", h)
             rng = sub.child("z").generator()
@@ -698,19 +697,28 @@ class TestLockstepEnsemble:
             mlp_factory(MlpConfig(max_epochs=1)).ensemble(datasets, [RngStream(seed=1), RngStream(seed=2)])
 
     @pytest.mark.parametrize("width, chunks", [(8, 1), (50, 3)])
-    def test_stacked_scoring_matches_members_bitwise(self, width, chunks):
+    def test_stacked_scoring_matches_members_bitwise(self, width, chunks, monkeypatch):
         # width 50 leaves room for two members per 1 MB activation, so five
-        # members are scored in three chunks
-        datasets = _shared_features(5, 20, 3, seed=131)
-        members = mlp_factory(MlpConfig((width,), max_epochs=2)).ensemble(
-            datasets, [RngStream(seed=140 + h) for h in range(5)]
-        )
-        ensemble = NullEnsemble(members, "permutation")
-        assert len(ensemble.mlp) == chunks
-        ws = np.random.default_rng(132).standard_normal((BLOCK_ROWS + 76, 3))
-        got = np.vstack(list(_log_odds_blocks(members, ws, ensemble.coef, ensemble.mlp)))
-        expected = np.vstack([np.column_stack([m.log_odds(ws[rows]) for m in members]) for rows in row_slices(len(ws))])
-        assert got.tobytes() == expected.tobytes()
+        # members are scored in three chunks.  A permutation null's members
+        # share one standardization, a resampled null's each have their own.
+        forward = classifiers.mlp_forward
+        passes = []
+        monkeypatch.setattr(classifiers, "mlp_forward", lambda *a, **k: passes.append(1) or forward(*a, **k))
+        xs = np.random.default_rng(133).standard_normal((20, 1))
+        for members, n_standardizations in (
+            (_shared_features(5, 20, 3, seed=131), 1),
+            (Resampled(xs, 2, [RngStream(seed=134).child("trial", h) for h in range(5)]), 5),
+        ):
+            stack = mlp_factory(MlpConfig((width,), max_epochs=2)).ensemble(
+                members, [RngStream(seed=140 + h) for h in range(5)]
+            )
+            assert len(stack) == 5 and len(stack.feat_mean) == n_standardizations
+            ws = np.random.default_rng(132).standard_normal((BLOCK_ROWS + 76, 3))
+            passes.clear()
+            got = np.vstack([stack.log_odds(ws[rows]) for rows in row_slices(len(ws))])
+            assert len(passes) == 2 * chunks
+            expected = np.vstack([np.column_stack([m.log_odds(ws[rows]) for m in stack]) for rows in row_slices(len(ws))])
+            assert got.tobytes() == expected.tobytes()
 
 
 def _diverging_data(seed, gap):
@@ -769,6 +777,13 @@ class TestMlpConfigValidation:
             ("patience", 0),
             ("hidden_mult", 0),
             ("hidden_sizes", (8, 0)),
+            ("max_epochs", 2.5),
+            ("batch_size", 2.5),
+            ("batch_size", "10"),
+            ("patience", True),
+            ("hidden_mult", 2.5),
+            ("hidden_sizes", (8, 2.5)),
+            ("hidden_sizes", (True,)),
             ("learning_rate", 0.0),
             ("learning_rate", -1e-3),
             ("learning_rate", float("nan")),
@@ -794,7 +809,17 @@ class PerMemberQda(QdaFitter):
     Kept here only as the oracle for the stacked fit from class moments."""
 
     def ensemble(self, members, streams):
-        return [qda_fit(data, self.ridge) for data in members]
+        return qda_stack([qda_fit(data, self.ridge) for data in members])
+
+
+def qda_stack(models):
+    """The QdaStack whose member h is ``models[h]``."""
+    return QdaStack(
+        np.stack([[m.mu0, m.mu1] for m in models]),
+        np.stack([[m.cov0, m.cov1] for m in models]),
+        np.array([[m.prior0, m.prior1] for m in models]),
+        np.column_stack([m.coef for m in models]),
+    )
 
 
 def per_member_datasets(kind, inputs, n_null, stream):
@@ -868,7 +893,7 @@ class TestStackedQdaNull:
             assert_columns_close(stack.means[h].T, np.column_stack([ref.mu0, ref.mu1]))
             assert_columns_close(stack.covs[h].reshape(2, -1).T, np.column_stack([ref.cov0.ravel(), ref.cov1.ravel()]))
             assert stack.priors[h].tolist() == [ref.prior0, ref.prior1]
-        assert_columns_close(stacked.coef, oracle.coef)
+        assert_columns_close(stacked.classifiers.coef, oracle.classifiers.coef)
         assert stacked.streams == oracle.streams
 
     def test_near_singular_members_keep_the_condition_scaled_bound(self):
@@ -879,7 +904,7 @@ class TestStackedQdaNull:
         stacked, oracle = fit_null("paired", data, qda_factory()), fit_null("paired", data, PerMemberQda())
         pts = np.random.default_rng(153).standard_normal((2000, 4)) + 3.0
         pts[:, 3] = pts[:, 0] + 1e-3 * np.random.default_rng(154).standard_normal(2000)
-        logits = quad_features(pts) @ stacked.coef
+        logits = stacked.classifiers.log_odds(pts)
         for h, ref in enumerate(oracle.classifiers):
             assert np.linalg.cond(ref.cov0) > 1e5
             assert_log_odds_match(ref, pts, got=logits[:, h])
@@ -907,7 +932,7 @@ class TestStackedQdaNull:
         inputs = null_inputs(kind, 4)
         stacked, oracle = fit_null(kind, inputs, qda_factory(0.5)), fit_null(kind, inputs, PerMemberQda(0.5))
         plain = fit_null(kind, inputs, qda_factory(0.0))
-        assert_columns_close(stacked.coef, oracle.coef)
+        assert_columns_close(stacked.classifiers.coef, oracle.classifiers.coef)
         added = stacked.classifiers.covs - plain.classifiers.covs
         np.testing.assert_allclose(added, np.broadcast_to(0.5 * np.eye(4), added.shape), rtol=0, atol=1e-12)
         with pytest.raises(ConfigurationError, match="ridge must be nonnegative"):
@@ -917,19 +942,19 @@ class TestStackedQdaNull:
         stacked = fit_null("nf", null_inputs("nf", 4), qda_factory())
         member = stacked.classifiers[3]
         assert isinstance(member, QdaModel)
-        assert member.coef.tobytes() == stacked.coef[:, 3].tobytes()
+        assert member.coef.tobytes() == stacked.classifiers.coef[:, 3].tobytes()
         save_classifier(member, tmp_path / "member.json")
         assert load_classifier(tmp_path / "member.json").coef.tobytes() == member.coef.tobytes()
 
     def test_scoring_rejects_a_wrong_feature_dimension(self):
         stacked = fit_null("paired", null_inputs("paired", 4), qda_factory())
-        with pytest.raises(ConfigurationError, match="feature dimension 3"):
+        with pytest.raises(ConfigurationError, match="feature dimension 4, got 3"):
             single_class_statistics(stacked.classifiers, np.zeros((5, 3)))
 
     def test_empty_null(self):
         for kind in NULL_KINDS:
             ensemble = fit_null(kind, null_inputs(kind, 2), qda_factory(), n_null=0)
-            assert len(ensemble) == 0 and ensemble.coef.shape == (6, 0)
+            assert len(ensemble) == 0 and ensemble.classifiers.coef.shape == (6, 0)
 
 
 class TestStackedQdaNullSeededIdentity:

@@ -338,6 +338,12 @@ class TestSigmaSweep:
         with pytest.raises(ConfigurationError):
             run_sigma_sweep(plan)
 
+    @pytest.mark.parametrize("classifier", [{"kind": "qda"}, {"kind": "mlp", "max_epochs": 1}])
+    def test_requires_a_null(self, classifier):
+        plan = ExperimentPlan(**{**SMALL_TYPE1, "kind": "sigma-sweep", "sigma_grid": [1.0], "n_null": 0, "classifier": classifier})
+        with pytest.raises(ConfigurationError, match="n_null >= 1"):
+            run_sigma_sweep(plan)
+
     def test_small_sweep_separates_statistics(self):
         plan = ExperimentPlan(
             **{
@@ -532,7 +538,11 @@ class TestEstimatorSpecChecks:
         assert len(run_power(ExperimentPlan(**{**SMALL_TYPE1, **over})).records) == 2 * 3
 
     @pytest.mark.parametrize(
-        "key, value", [("batch_size", 0), ("max_epochs", -3), ("hidden", [0]), ("hidden", 5), ("n_layers", "3")]
+        "key, value",
+        [
+            ("batch_size", 0), ("max_epochs", -3), ("hidden", [0]), ("hidden", 5), ("n_layers", "3"),
+            ("max_epochs", 2.5), ("batch_size", 2.5), ("batch_size", "10"), ("patience", True),
+        ],
     )
     def test_bad_npe_setting_is_named_with_its_cell(self, key, value):
         estimator = {"kind": "npe", "n_layers": 1, "hidden": [4], key: value}
