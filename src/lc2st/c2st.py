@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +57,6 @@ from .core import (
     JointDataset,
     NumericError,
     RngStream,
-    generators,
     save_json,
 )
 from .nets import sigmoid
@@ -316,13 +316,17 @@ def _moment_rows(w: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Relabeled:
     """Members of a label-permutation null: every member keeps ``data``'s
-    rows, and member h draws its labels from ``subs[h].child("perm")``.
+    rows under its own labels, all drawn by one generator on the ``perm``
+    child of ``stream``.  Paired, member h's flips of the upper n/2 rows are
+    row h of (n_null, n/2) random bits; free, its class-1 rows are a uniform
+    subset, drawn member by member.  Member h never depends on ``n_null``.
     Iterating yields the members' datasets (what an MLP trains on);
     ``class_moments`` gives all their class moments at once (what QDA fits
     from), without building them."""
 
     data: LabeledPairDataset
-    subs: list[RngStream]
+    stream: RngStream
+    n_null: int
     paired: bool
 
     def __post_init__(self) -> None:
@@ -331,14 +335,18 @@ class Relabeled:
             raise ConfigurationError("paired permutation requires class-0 rows stacked above class-1 rows, equal counts")
 
     def __len__(self) -> int:
-        return len(self.subs)
+        return self.n_null
 
     def _labels(self) -> np.ndarray:
-        """(H, ·) int8, row h member h's flips of the upper n/2 rows if paired, else its n labels."""
-        n = self.data.n
-        out = np.empty((len(self), n // 2 if self.paired else n), dtype=np.int8)
-        for row, rng in zip(out, generators(sub.child("perm") for sub in self.subs)):
-            row[:] = rng.random(n // 2) < 0.5 if self.paired else self.data.labels[rng.permutation(n)]
+        """(H, ·) uint8, row h member h's flips of the upper n/2 rows if paired, else its n labels."""
+        n, rng = self.data.n, self.stream.child("perm").generator()
+        if self.paired:
+            # 64 flips per raw Philox word, little-endian on every platform
+            words = rng.bit_generator.random_raw((self.n_null, -(-n // 128))).astype("<u8", copy=False)
+            return np.unpackbits(words.view(np.uint8), axis=1, count=n // 2, bitorder="little")
+        out = np.zeros((self.n_null, n), dtype=np.uint8)
+        for row in out:
+            row[rng.choice(n, self.data.n_class1, replace=False)] = 1
         return out
 
     def __iter__(self):
@@ -379,7 +387,7 @@ def fit_null_ensemble(
     stream: RngStream,
     paired: bool = False,
 ) -> NullEnsemble:
-    """Permutation null: refit on label-permuted copies, fresh permutation per trial.
+    """Permutation null: refit on label-permuted copies, fresh labels per member.
 
     ``paired=False`` permutes all labels freely, the right symmetry when the
     rows are independent draws (oracle tests on samples from two distributions).
@@ -393,22 +401,22 @@ def fit_null_ensemble(
     ``from_class_arrays`` with equal class counts.
 
     One ``fit_fn.ensemble`` call fits every member from their
-    :class:`Relabeled` description.
+    :class:`Relabeled` description, whose labels are one draw on ``stream``.
     """
-    return _fit_null(lambda subs: Relabeled(data, subs, paired), fit_fn, n_null, stream, "permutation")
+    return _fit_null(lambda: Relabeled(data, stream, n_null, paired), fit_fn, n_null, stream, "permutation")
 
 
 def _fit_null(members, fit_fn, n_null: int, stream: RngStream, provenance: str, latent_dim: int | None = None):
-    """The null of ``n_null`` members on the streams ``stream/trial/h``,
-    described by ``members(subs)``, from one timed ``fit_fn.ensemble`` call."""
+    """The null of ``n_null`` members described by ``members()``, from one
+    timed ``fit_fn.ensemble`` call.  Its ledger holds the keys of the
+    member streams ``stream/trial/h`` (:meth:`RngStream.child_keys`); only
+    fitters that read them (MLP) derive their ``trial/h/fit`` streams."""
     t0 = time.perf_counter()
     if n_null < 0:
         raise ConfigurationError("n_null must be nonnegative")
-    subs = [stream.child("trial", h) for h in range(n_null)]
-    # the fit streams are derived only by fitters that read them (MLP)
-    classifiers = fit_fn.ensemble(members(subs), (sub.child("fit") for sub in subs))
-    streams = [(sub.seed, sub.stream_id) for sub in subs]
-    return NullEnsemble(classifiers, provenance, streams, latent_dim, time.perf_counter() - t0)
+    keys = stream.child_keys("trial", n_null)
+    classifiers = fit_fn.ensemble(members(), (RngStream(*key).child("fit") for key in keys))
+    return NullEnsemble(classifiers, provenance, keys, latent_dim, time.perf_counter() - t0)
 
 
 def lc2st_training_set(estimator, cal: JointDataset, stream: RngStream) -> LabeledPairDataset:
@@ -513,47 +521,87 @@ def lc2st_nf_train(flow, cal: JointDataset, fit_fn, stream: RngStream):
 
 @dataclass(frozen=True)
 class Resampled:
-    """Members of the flow variant's null: member h pairs two fresh
-    standard-normal latent draws from ``subs[h].child("z")``, one per class,
-    with the same observations ``xs``.  Iterated and moments as
-    :class:`Relabeled`."""
+    """Members of the flow variant's null: member h pairs fresh
+    standard-normal latents z (n, m), one per class, with the observations
+    ``xs``.  ``class_moments`` draws the class moments a QDA member reads
+    exactly (:meth:`statistics`); iterating yields row draws for MLP
+    members, member h's from ``stream/trial/h/z``, so the two share no
+    draws.  Member h never depends on ``n_null``."""
 
     xs: np.ndarray
     m: int
-    subs: list[RngStream]
+    stream: RngStream
+    n_null: int
 
     def __len__(self) -> int:
-        return len(self.subs)
-
-    def _latents(self):
-        """Each member's latents (2, n, m), class 0's then class 1's, in a buffer the next overwrites."""
-        z = np.empty((2, len(self.xs), self.m))
-        for rng in generators(sub.child("z") for sub in self.subs):
-            yield rng.standard_normal(out=z)
+        return self.n_null
 
     def __iter__(self):
-        for z0, z1 in self._latents():
+        for key in self.stream.child_keys("trial", self.n_null):
+            z0, z1 = RngStream(*key).child("z").generator().standard_normal((2, len(self.xs), self.m))
             yield LabeledPairDataset.from_class_arrays(np.hstack([z0, self.xs]), np.hstack([z1, self.xs]))
 
-    def class_moments(self):
+    @cached_property
+    def basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """(r, xc): the centred observations xc and their coordinates r
+        (k, d_x) in an orthonormal basis q of xc's columns, xc = q r.  r is
+        the pivoted Cholesky factor of xc'xc (r'r = xc'xc), stopped at
+        pivots below the Gram matrix's rounding, so k is xc's rank and
+        rank-deficient ``xs`` need no other path."""
+        xc = self.xs - self.xs.mean(axis=0)
+        gram = xc.T @ xc
+        rest, rows = gram.copy(), []
+        for _ in range(len(gram)):
+            j = np.argmax(rest.diagonal())
+            if rest[j, j] <= gram.diagonal().max() * max(xc.shape) * np.finfo(float).eps:
+                break
+            rows.append(rest[j] / np.sqrt(rest[j, j]))
+            rest -= np.outer(rows[-1], rows[-1])
+        return np.reshape(rows, (len(rows), len(gram))), xc
+
+    def statistics(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every member's and class's (G, W), drawn exactly: for latents z of
+        i.i.d. N(0, 1) and the orthonormal u = [1/sqrt(n), q] (see
+        :attr:`basis`), G = u'z (H, 2, 1 + k, m) is i.i.d. N(0, 1) and
+        W = z'z - G'G (H, 2, m, m) is Wishart_m(n - 1 - k, I), independent
+        of G.  W is Bartlett's A A', A lower triangular with
+        A_ii^2 ~ chi^2(n - 1 - k - i) and N(0, 1) below the diagonal.  One
+        generator on ``stream.child("z")`` draws member by member."""
+        m, n, rank = self.m, len(self.xs), len(self.basis[0])
+        below, size = np.tril_indices(m, -1), (1 + rank) * m
+        # a degree of freedom below 1 leaves a class too small for any QDA fit
+        shapes = np.maximum(n - 1 - rank - np.arange(m), 0) / 2.0
+        normals, chi2 = np.empty((self.n_null, 2, size + len(below[0]))), np.empty((self.n_null, 2, m))
+        rng = self.stream.child("z").generator()
+        for h in range(self.n_null):
+            rng.standard_normal(out=normals[h])
+            chi2[h] = 2.0 * rng.standard_gamma(shapes, (2, m))
+        a = np.zeros((self.n_null, 2, m, m))
+        a[..., below[0], below[1]] = normals[..., size:]
+        a[..., range(m), range(m)] = np.sqrt(chi2)
+        return normals[..., :size].reshape(self.n_null, 2, 1 + rank, m), a @ np.swapaxes(a, -1, -2)
+
+    def moments(self, g: np.ndarray, w: np.ndarray):
         """(counts, centre, sums, scatters) as ``qda_fit_moments`` takes them,
-        about (0, mean of ``xs``).  The observation block is the same for
-        every member and class, so it is computed once; each member adds its
-        latent sums and two small products, z'z and z'x."""
-        m, (n, d_x) = self.m, self.xs.shape
-        x_mean = self.xs.mean(axis=0)
-        xc = self.xs - x_mean
-        sums = np.empty((len(self), 2, m + d_x))
-        scatters = np.empty((len(self), 2, m + d_x, m + d_x))
+        about (0, mean of ``xs``), of latents with the statistics (G, W):
+        sum z = sqrt(n) G_0, z'z = G'G + W and z'xc = G_q' r."""
+        r, xc = self.basis
+        m, (n, d_x) = self.m, xc.shape
+        sums = np.empty((*g.shape[:2], m + d_x))
+        scatters = np.empty((*g.shape[:2], m + d_x, m + d_x))
+        gt = np.swapaxes(g, -1, -2)
+        sums[..., :m] = np.sqrt(n) * g[..., 0, :]
         sums[..., m:] = xc.sum(axis=0)
-        scatters[..., m:, m:] = xc.T @ xc
-        for h, z in enumerate(self._latents()):
-            zt = np.swapaxes(z, 1, 2)
-            sums[h, :, :m] = z.sum(axis=1)
-            scatters[h, :, :m, :m] = zt @ z
-            scatters[h, :, :m, m:] = zt @ xc
+        scatters[..., :m, :m] = gt @ g + w
+        scatters[..., :m, m:] = gt[..., 1:] @ r
         scatters[..., m:, :m] = np.swapaxes(scatters[..., :m, m:], -1, -2)
-        return np.full((len(self), 2), n), np.concatenate([np.zeros(m), x_mean]), sums, scatters
+        scatters[..., m:, m:] = xc.T @ xc
+        return np.full(g.shape[:2], n), np.concatenate([np.zeros(m), self.xs.mean(axis=0)]), sums, scatters
+
+    def class_moments(self):
+        """Every member's class moments, from O(m^2 + m d_x) draws per
+        member and class instead of 2 n m."""
+        return self.moments(*self.statistics())
 
 
 def lc2st_nf_null(
@@ -565,12 +613,13 @@ def lc2st_nf_null(
 ) -> NullEnsemble:
     """Estimator-independent null ensemble for the flow variant.
 
-    Each trial draws fresh standard-normal latents for both classes against
-    the same observations (:class:`Resampled`), so one ensemble is reusable
-    across flows and observations.  ``n_null=0`` returns an empty ensemble.
+    Each member pairs fresh standard-normal latents for both classes with
+    the same observations (:class:`Resampled`: QDA members draw their exact
+    class moments, MLP members rows), so one ensemble is reusable across
+    flows and observations.  ``n_null=0`` returns an empty ensemble.
     """
     cal_xs = np.atleast_2d(np.asarray(cal_xs, dtype=np.float64))
-    return _fit_null(lambda subs: Resampled(cal_xs, m, subs), fit_fn, n_null, stream, "nf-resampled", m)
+    return _fit_null(lambda: Resampled(cal_xs, m, stream, n_null), fit_fn, n_null, stream, "nf-resampled", m)
 
 
 def lc2st_nf_evaluate(

@@ -35,6 +35,7 @@ from .core import (
     RngStream,
     UndefinedPointError,
     check_count,
+    check_real,
 )
 from .nets import MlpParams, grad_check, mlp_backward, mlp_forward, mlp_init, row_views, sigmoid, train_minibatch
 
@@ -306,12 +307,14 @@ class MlpConfig:
     def __post_init__(self) -> None:
         for name in ("batch_size", "max_epochs", "patience", "hidden_mult"):
             check_count(f"MlpConfig.{name}", getattr(self, name), 1)
+        if self.hidden_sizes is not None:
+            if not isinstance(self.hidden_sizes, (list, tuple)):
+                raise ConfigurationError(f"MlpConfig.hidden_sizes must be a sequence of integers >= 1, got {self.hidden_sizes!r}")
+            object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
         for h in self.hidden_sizes or ():
             check_count("MlpConfig.hidden_sizes entry", h, 1)
-        if not self.learning_rate > 0:
-            raise ConfigurationError(f"MlpConfig.learning_rate must be positive, got {self.learning_rate!r}")
-        if not 0 <= self.holdout_frac < 1:
-            raise ConfigurationError(f"MlpConfig.holdout_frac must lie in [0, 1), got {self.holdout_frac!r}")
+        check_real("MlpConfig.learning_rate", self.learning_rate, "positive", lambda v: v > 0)
+        check_real("MlpConfig.holdout_frac", self.holdout_frac, "in [0, 1)", lambda v: 0 <= v < 1)
 
 
 @dataclass
@@ -622,6 +625,10 @@ class QdaFitter:
     """QDA fit ``(data, stream) -> QdaModel``; QDA ignores the stream."""
 
     ridge: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.ridge is not None:
+            check_real("QdaFitter.ridge", self.ridge, "nonnegative", lambda v: v >= 0)
 
     def __call__(self, data: LabeledPairDataset, stream: RngStream) -> QdaModel:
         return qda_fit(data, ridge=self.ridge)

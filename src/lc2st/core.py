@@ -11,9 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +28,9 @@ __all__ = [
     "UndefinedPointError",
     "reject_unknown_keys",
     "check_count",
+    "check_real",
     "RngStream",
     "derive_stream",
-    "generators",
     "JointDataset",
     "LabeledPairDataset",
     "SplitConfig",
@@ -95,6 +94,14 @@ def check_count(name: str, value, low: int) -> None:
         raise ConfigurationError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def check_real(name: str, value, what: str, valid) -> None:
+    """Raise ``ConfigurationError`` naming ``name`` unless ``value`` is a real
+    number (not a bool) for which ``valid(value)`` holds; ``what`` says
+    which values are valid."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not valid(value):
+        raise ConfigurationError(f"{name} must be {what}, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Seeded random-number contract
 # ---------------------------------------------------------------------------
@@ -111,8 +118,8 @@ class RngStream:
 
     Streams are cheap value objects; derive as many as needed with
     :meth:`child` and give each worker its own.  Never share a ``Generator``
-    instance between workers.  Null ensemble members draw through
-    :func:`generators`, whose yielded generator is valid only until the next.
+    instance between workers.  A null's member keys come from
+    :meth:`child_keys`, one hashed prefix for all members.
     """
 
     seed: int
@@ -137,6 +144,23 @@ class RngStream:
         """
         if not path:
             raise ConfigurationError("child() requires at least one path element")
+        h = self._hashed(path)
+        a, b = struct.unpack("<QQ", h.digest())
+        return RngStream(seed=a, stream_id=b)
+
+    def child_keys(self, label: str, n: int) -> list[tuple[int, int]]:
+        """(seed, stream_id) of ``child(label, h)`` for h in ``range(n)``,
+        bitwise, from one hashed prefix: each key copies the hash state of
+        (seed, stream_id, label) and adds h, with no stream built."""
+        prefix = self._hashed((label,))
+        keys = []
+        for h in range(n):
+            state = prefix.copy()
+            state.update(b"i" + h.to_bytes(8, "little"))
+            keys.append(struct.unpack("<QQ", state.digest()))
+        return keys
+
+    def _hashed(self, path):
         h = hashlib.blake2b(digest_size=16)
         h.update(struct.pack("<QQ", self.seed, self.stream_id))
         for part in path:
@@ -146,21 +170,7 @@ class RngStream:
                 h.update(b"i" + struct.pack("<Q", int(part)))
             else:
                 raise ConfigurationError(f"stream path elements must be uint64 or str, got {part!r}")
-        a, b = struct.unpack("<QQ", h.digest())
-        return RngStream(seed=a, stream_id=b)
-
-
-def generators(streams: Iterable[RngStream]) -> Iterator[np.random.Generator]:
-    """One ``Generator`` re-keyed to the start of each of ``streams`` in turn (Philox key
-    ``[stream_id, seed]``, counter 0, nothing buffered): its draws are bitwise
-    ``stream.generator()``'s, without building a Philox per stream.  Every yield is the
-    same object, valid only until the next one."""
-    rng = np.random.Generator(np.random.Philox(key=0))
-    start = rng.bit_generator.state  # a copy, taken before any draw
-    for stream in streams:
-        start["state"]["key"][:] = (stream.stream_id, stream.seed)
-        rng.bit_generator.state = start
-        yield rng
+        return h
 
 
 def derive_stream(master_seed: int, *path: int | str) -> RngStream:

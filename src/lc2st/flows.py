@@ -36,6 +36,7 @@ from .core import (
     RngStream,
     TrainingError,
     check_count,
+    check_real,
 )
 from .nets import MlpParams, grad_check, mlp_backward, mlp_forward, mlp_init, row_views, train_minibatch
 
@@ -382,10 +383,8 @@ class NpeConfig:
     def __post_init__(self) -> None:
         for name, low in (("batch_size", 1), ("max_epochs", 0), ("patience", 1)):
             check_count(f"NpeConfig.{name}", getattr(self, name), low)
-        if not self.learning_rate > 0:
-            raise ConfigurationError(f"NpeConfig.learning_rate must be positive, got {self.learning_rate!r}")
-        if not 0 <= self.holdout_frac < 1:
-            raise ConfigurationError(f"NpeConfig.holdout_frac must lie in [0, 1), got {self.holdout_frac!r}")
+        check_real("NpeConfig.learning_rate", self.learning_rate, "positive", lambda v: v > 0)
+        check_real("NpeConfig.holdout_frac", self.holdout_frac, "in [0, 1)", lambda v: 0 <= v < 1)
 
 
 def npe_loss(flow: ConditionalFlow, thetas: np.ndarray, xs: np.ndarray) -> float:

@@ -142,8 +142,6 @@ def _classifier_fit(spec: dict):
     reject_unknown_keys(params, _CLASSIFIER_KEYS[kind], f"{kind} classifier key")
     if kind == "qda":
         return qda_factory(**params)
-    if params.get("hidden_sizes") is not None:
-        params["hidden_sizes"] = tuple(params["hidden_sizes"])
     return mlp_factory(MlpConfig(**params))
 
 

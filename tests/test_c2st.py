@@ -34,8 +34,9 @@ from lc2st import (
     t_mse0,
 )
 from lc2st import core
-from lc2st.c2st import TestResult, append_conditioning, heatmap_rows
-from lc2st.classifiers import MlpConfig, qda_fit
+from lc2st.c2st import Relabeled, Resampled, TestResult, append_conditioning, heatmap_rows, single_class_statistics
+from lc2st.classifiers import MlpConfig, QdaStack, qda_fit
+from scipy.stats import ks_2samp
 
 QUADRATURE_GRID = np.linspace(-16.0, 16.0, 4001)
 
@@ -457,7 +458,7 @@ class TestRunTest:
 
 
 class TestOnePhiloxPerNull:
-    """Every member of a null ensemble draws from one re-keyed Philox."""
+    """Every member of a QDA null ensemble draws from the null's one Philox."""
 
     @pytest.fixture
     def philox_built(self, monkeypatch):
@@ -481,6 +482,149 @@ class TestOnePhiloxPerNull:
         xs = np.random.default_rng(162).standard_normal((40, 2))
         null = lc2st_nf_null(xs, 2, qda_factory(), 100, RngStream(seed=163))
         assert len(null) == 100 and len(philox_built) == 1
+
+
+def old_member_datasets(data, n_null, stream, paired):
+    """A permutation null's members as they were drawn before one draw per
+    null: member h's labels from its own ``trial/h/perm`` stream, uniform
+    flips of the upper half if paired, else a permutation of the labels."""
+    out = []
+    for h in range(n_null):
+        rng = stream.child("trial", h).child("perm").generator()
+        if paired:
+            flips = (rng.random(data.n // 2) < 0.5).astype(np.int64)
+            out.append(data.with_labels(np.concatenate([flips, 1 - flips])))
+        else:
+            out.append(data.with_labels(data.labels[rng.permutation(data.n)]))
+    return out
+
+
+def qda_null_statistics(datasets, ws):
+    """``t_mse0`` on ``ws`` of ``qda_fit`` on each dataset."""
+    return np.array([t_mse0(qda_fit(data), ws) for data in datasets])
+
+
+def row_moments(z, xs):
+    """(sums, scatters) over the rows [z, xs] about (0, mean of xs)."""
+    w = np.hstack([z, xs - xs.mean(axis=0)])
+    return w.sum(axis=0), w.T @ w
+
+
+def latent_basis(members):
+    """The orthonormal u = [1/sqrt(n), q] of a flow null's members, q = xc r^+
+    spanning their centred observations xc = q r."""
+    r, xc = members.basis
+    return np.hstack([np.full((len(xc), 1), len(xc) ** -0.5), xc @ np.linalg.pinv(r)])
+
+
+def assert_relative(got, want, rtol):
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+class TestOneDrawNulls:
+    """The null draws themselves: a permutation null's labels are one draw on
+    the null's stream, a flow null's QDA members draw their exact class
+    moments, and member h never depends on how many members follow it."""
+
+    @staticmethod
+    def paired_data(n, seed):
+        """n calibration pairs whose two classes share their observations."""
+        rng = np.random.default_rng(seed)
+        xs = rng.standard_normal((n, 2))
+        theta0, theta1 = (0.5 * xs + rng.standard_normal((n, 2)) for _ in range(2))
+        return LabeledPairDataset.from_class_arrays(np.hstack([theta0, xs]), np.hstack([theta1, xs]))
+
+    @pytest.mark.parametrize("paired", [True, False])
+    def test_label_prefix_is_stable(self, paired):
+        rng, stream = np.random.default_rng(171), RngStream(seed=172)
+        # 75 flips take two raw words per member; the free set has one more class-1 row
+        data = self.paired_data(75, 170) if paired else LabeledPairDataset.from_class_arrays(
+            rng.standard_normal((30, 3)), rng.standard_normal((31, 3)) + 0.3
+        )
+        for n_null in (1, 7):
+            short, longer = (list(Relabeled(data, stream, h, paired)) for h in (n_null, n_null + 5))
+            for a, b in zip(short, longer[:n_null], strict=True):
+                assert np.array_equal(a.labels, b.labels)
+            short, longer = (fit_null_ensemble(data, qda_factory(), h, stream, paired) for h in (n_null, n_null + 5))
+            assert longer.streams[:n_null] == short.streams
+            assert_relative(longer.classifiers.coef[:, :n_null], short.classifiers.coef, 1e-12)
+
+    def test_exact_statistics_prefix_is_stable(self):
+        xs, stream = np.random.default_rng(173).standard_normal((40, 2)), RngStream(seed=174)
+        for n_null in (1, 7):
+            short, longer = (Resampled(xs, 3, stream, h) for h in (n_null, n_null + 5))
+            for a, b in zip(short.statistics(), longer.statistics(), strict=True):
+                assert np.array_equal(a, b[:n_null])
+            for a, b in zip(short, list(longer)[:n_null], strict=True):  # the MLP members' rows
+                assert np.array_equal(a.ws, b.ws)
+            short, longer = (lc2st_nf_null(xs, 3, qda_factory(), h, stream) for h in (n_null, n_null + 5))
+            assert_relative(longer.classifiers.coef[:, :n_null], short.classifiers.coef, 1e-12)
+
+    @pytest.mark.parametrize("deficient", [False, True])
+    def test_exact_moments_reproduce_row_moments(self, deficient):
+        rng = np.random.default_rng(175)
+        xs = rng.standard_normal((50, 4)) * [1.0, 2.0, 0.5, 3.0] + 2.0
+        if deficient:  # one column a combination of two others, one constant: rank 2
+            xs[:, 2] = xs[:, 0] - 2.0 * xs[:, 1]
+            xs[:, 3] = 7.0
+        members = Resampled(xs, 3, RngStream(seed=176), 2)
+        u = latent_basis(members)
+        assert u.shape == (50, 3 if deficient else 5)
+        np.testing.assert_allclose(u.T @ u, np.eye(len(u.T)), rtol=0, atol=1e-12)
+        for _ in range(3):
+            z = rng.standard_normal((2, 2, 50, 3))
+            g = u.T @ z
+            w = np.swapaxes(z, -1, -2) @ z - np.swapaxes(g, -1, -2) @ g
+            counts, centre, sums, scatters = members.moments(g, w)
+            assert counts.tolist() == [[50, 50]] * 2
+            assert np.array_equal(centre, np.concatenate([np.zeros(3), xs.mean(axis=0)]))
+            for h in range(2):
+                for c in range(2):
+                    want_sums, want_scatters = row_moments(z[h, c], xs)
+                    assert_relative(sums[h, c], want_sums, 1e-12)
+                    assert_relative(scatters[h, c], want_scatters, 1e-12)
+
+    @pytest.mark.parametrize("deficient", [False, True])
+    def test_exact_statistics_have_their_moments(self, deficient):
+        # G i.i.d. N(0, 1); W Wishart with n - 1 - rank degrees of freedom:
+        # mean df I, variance 2 df on the diagonal and df off it
+        xs = np.random.default_rng(186).standard_normal((40, 3))
+        if deficient:
+            xs[:, 2] = xs[:, 0] + xs[:, 1]
+        g, w = Resampled(xs, 2, RngStream(seed=187), 10_000).statistics()
+        df = 40 - 1 - (2 if deficient else 3)
+        assert g.shape == (10_000, 2, 3 if deficient else 4, 2) and w.shape == (10_000, 2, 2, 2)
+        g, w, variances = g.ravel(), w.reshape(-1, 4), np.array([2 * df, df, df, 2 * df])
+        assert abs(g.mean()) < 5 / np.sqrt(g.size) and abs(g.var() - 1.0) < 5 * np.sqrt(2 / g.size)
+        np.testing.assert_array_less(np.abs(w.mean(axis=0) - [df, 0, 0, df]), 5 * np.sqrt(variances / len(w)))
+        np.testing.assert_allclose(w.var(axis=0), variances, rtol=0.1)
+        assert np.array_equal(w[:, 1], w[:, 2])
+
+    def test_rank_deficient_observations_fit(self):
+        xs = np.random.default_rng(177).standard_normal((60, 3))
+        xs[:, 2] = 1.5
+        null = lc2st_nf_null(xs, 2, qda_factory(), 10, RngStream(seed=178))
+        assert isinstance(null.classifiers, QdaStack) and np.all(np.isfinite(null.classifiers.coef))
+
+    @pytest.mark.parametrize("n_cal", [40, 1000])
+    def test_exact_nf_null_matches_row_path(self, n_cal):
+        rng = np.random.default_rng(179 + n_cal)
+        xs = rng.standard_normal((n_cal, 2))
+        ws = append_conditioning(rng.standard_normal((1000, 2)), [0.4, -0.8])
+        exact = lc2st_nf_null(xs, 2, qda_factory(), 300, RngStream(seed=180))
+        rows = qda_null_statistics(Resampled(xs, 2, RngStream(seed=181), 300), ws)
+        ks = ks_2samp(single_class_statistics(exact.classifiers, ws)[0], rows)
+        assert ks.pvalue > 1e-3, f"exact and row-drawn nulls differ: KS p = {ks.pvalue}"
+
+    @pytest.mark.parametrize("n_cal", [40, 1000])
+    @pytest.mark.parametrize("paired", [True, False])
+    def test_label_draws_match_per_member_draws(self, paired, n_cal):
+        data = self.paired_data(n_cal, 182 + n_cal)
+        ws = np.hstack([np.random.default_rng(183).standard_normal((1000, 2)) - 0.2, np.full((1000, 2), 0.5)])
+        new = fit_null_ensemble(data, qda_factory(), 300, RngStream(seed=184), paired)
+        old = qda_null_statistics(old_member_datasets(data, 300, RngStream(seed=185), paired), ws)
+        ks = ks_2samp(single_class_statistics(new.classifiers, ws)[0], old)
+        assert ks.pvalue > 1e-3, f"one-draw and per-member labels differ: KS p = {ks.pvalue}"
 
 
 class TestPermutationNullInputs:

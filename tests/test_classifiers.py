@@ -673,10 +673,9 @@ class TestLockstepEnsemble:
         cfg = MlpConfig((6,), batch_size=25, max_epochs=15, patience=3)
         stream = RngStream(seed=125)
         ensemble = fit_null_ensemble(data, mlp_factory(cfg), 5, stream)
-        for h, model in enumerate(ensemble.classifiers):
-            sub = stream.child("trial", h)
-            permuted = data.with_labels(data.labels[sub.child("perm").generator().permutation(data.n)])
-            assert_same_fit(model, serial_mlp_fit(permuted, cfg, sub.child("fit")))
+        members = list(Relabeled(data, stream, 5, paired=False))
+        for h, (model, permuted) in enumerate(zip(ensemble.classifiers, members, strict=True)):
+            assert_same_fit(model, serial_mlp_fit(permuted, cfg, stream.child("trial", h).child("fit")))
 
     def test_nf_null_members_match_serial_loop(self):
         cal_xs = np.random.default_rng(126).standard_normal((70, 2))
@@ -707,7 +706,7 @@ class TestLockstepEnsemble:
         xs = np.random.default_rng(133).standard_normal((20, 1))
         for members, n_standardizations in (
             (_shared_features(5, 20, 3, seed=131), 1),
-            (Resampled(xs, 2, [RngStream(seed=134).child("trial", h) for h in range(5)]), 5),
+            (Resampled(xs, 2, RngStream(seed=134), 5), 5),
         ):
             stack = mlp_factory(MlpConfig((width,), max_epochs=2)).ensemble(
                 members, [RngStream(seed=140 + h) for h in range(5)]
@@ -789,6 +788,11 @@ class TestMlpConfigValidation:
             ("learning_rate", float("nan")),
             ("holdout_frac", 1.0),
             ("holdout_frac", -0.1),
+            ("hidden_sizes", 5),
+            ("hidden_sizes", "8"),
+            ("learning_rate", "0.1"),
+            ("learning_rate", True),
+            ("holdout_frac", "0.1"),
         ],
     )
     def test_invalid_field_is_named(self, field, value):
@@ -798,6 +802,20 @@ class TestMlpConfigValidation:
     def test_boundary_values_are_valid(self):
         MlpConfig(hidden_sizes=(1,), batch_size=1, max_epochs=1, patience=1, hidden_mult=1, holdout_frac=0.0)
 
+    def test_hidden_sizes_list_becomes_a_tuple(self):
+        assert MlpConfig(hidden_sizes=[8, 4]).hidden_sizes == (8, 4)
+
+
+class TestQdaFitterValidation:
+    @pytest.mark.parametrize("ridge", ["1", -1.0, float("nan"), True, [0.1]])
+    def test_invalid_ridge_is_named(self, ridge):
+        with pytest.raises(ConfigurationError, match=r"^QdaFitter\.ridge must be nonnegative"):
+            qda_factory(ridge)
+
+    @pytest.mark.parametrize("ridge", [None, 0, 0.0, 1e-3, np.float64(2.0)])
+    def test_valid_ridge_is_kept(self, ridge):
+        assert qda_factory(ridge).ridge is ridge
+
 
 # ---------------------------------------------------------------------------
 # Stacked QDA null fits against the per-member path they replaced
@@ -805,11 +823,30 @@ class TestMlpConfigValidation:
 
 
 class PerMemberQda(QdaFitter):
-    """The per-member QDA null: ``qda_fit`` on each member's dataset in turn.
-    Kept here only as the oracle for the stacked fit from class moments."""
+    """The per-member QDA null: ``qda_fit`` on each member's dataset in turn,
+    a flow null's members being rows with its exact statistics.  Kept here
+    only as the oracle for the stacked fit from class moments."""
 
     def ensemble(self, members, streams):
-        return qda_stack([qda_fit(data, self.ridge) for data in members])
+        datasets = exact_latent_datasets(members) if isinstance(members, Resampled) else members
+        return qda_stack([qda_fit(data, self.ridge) for data in datasets])
+
+
+def exact_latent_datasets(members):
+    """Member datasets whose latents have exactly the statistics (G, W) that
+    ``members.statistics()`` draws: z = u G + v L' for the basis
+    u = [1/sqrt(n), q] with xc = q r, orthonormal columns v orthogonal to u
+    and W = L L', so that u'z = G and z'z = G'G + W."""
+    r, xc = members.basis
+    u = np.hstack([np.full((len(xc), 1), len(xc) ** -0.5), xc @ np.linalg.pinv(r)])
+    (n, cols), m = u.shape, members.m
+    if n - cols < m:  # W is singular, but a class this small fails any QDA fit on its size
+        return list(members)
+    v = np.linalg.qr(np.hstack([u, np.random.default_rng(0).standard_normal((n, m))]))[0][:, cols:]
+    return [
+        LabeledPairDataset.from_class_arrays(*(np.hstack([u @ gc + v @ np.linalg.cholesky(wc).T, members.xs]) for gc, wc in zip(g, w)))
+        for g, w in zip(*members.statistics())
+    ]
 
 
 def qda_stack(models):
@@ -823,20 +860,28 @@ def qda_stack(models):
 
 
 def per_member_datasets(kind, inputs, n_null, stream):
-    """Member datasets drawn as the per-member null drew them, trial by trial."""
+    """Member datasets drawn member by member as a null's members are: labels
+    from the null's one ``perm`` generator, paired flips the bits of raw
+    64-bit words (least significant first, whole words per member), free
+    labels a uniform class-1 subset; latents (the rows an MLP member of a
+    flow null trains on) from each member's ``trial/h/z`` stream."""
+    rng = stream.child("perm").generator()
     out = []
     for h in range(n_null):
-        sub = stream.child("trial", h)
         if kind == "nf":
             xs, m = inputs
-            rng = sub.child("z").generator()
-            z0, z1 = rng.standard_normal((len(xs), m)), rng.standard_normal((len(xs), m))
+            latents = stream.child("trial", h).child("z").generator()
+            z0, z1 = latents.standard_normal((len(xs), m)), latents.standard_normal((len(xs), m))
             out.append(LabeledPairDataset.from_class_arrays(np.hstack([z0, xs]), np.hstack([z1, xs])))
         elif kind == "paired":
-            flips = (sub.child("perm").generator().random(inputs.n // 2) < 0.5).astype(np.int64)
+            half = inputs.n // 2
+            words = [int(rng.bit_generator.random_raw()) for _ in range(-(-half // 64))]
+            flips = np.array([(words[j // 64] >> (j % 64)) & 1 for j in range(half)], dtype=np.int64)
             out.append(inputs.with_labels(np.concatenate([flips, 1 - flips])))
         else:
-            out.append(inputs.with_labels(inputs.labels[sub.child("perm").generator().permutation(inputs.n)]))
+            labels = np.zeros(inputs.n, dtype=np.int64)
+            labels[rng.choice(inputs.n, inputs.n_class1, replace=False)] = 1
+            out.append(inputs.with_labels(labels))
     return out
 
 
@@ -875,8 +920,7 @@ class TestStackedQdaNull:
     @pytest.mark.parametrize("kind", NULL_KINDS)
     def test_member_descriptions_are_the_per_member_draws(self, kind):
         inputs, stream = null_inputs(kind, 3), RngStream(seed=152)
-        subs = [stream.child("trial", h) for h in range(5)]
-        members = Resampled(*inputs, subs) if kind == "nf" else Relabeled(inputs, subs, kind == "paired")
+        members = Resampled(*inputs, stream, 5) if kind == "nf" else Relabeled(inputs, stream, 5, kind == "paired")
         expected = per_member_datasets(kind, inputs, 5, stream)
         assert len(members) == 5
         for got, want in zip(members, expected, strict=True):

@@ -397,6 +397,14 @@ def test_bench_outputs(tmp_path):
     assert set(machine) == {"platform", "python", "numpy", "cpu_count"}
 
 
+@pytest.mark.parametrize("classifier, named", [({"kind": "mlp", "hidden_sizes": 5}, "MlpConfig.hidden_sizes"), ({"kind": "qda", "ridge": "1"}, "QdaFitter.ridge")])
+def test_bad_classifier_setting_is_a_usage_error(tmp_path, capsys, classifier, named):
+    plan = ExperimentPlan(kind="type1", n_train_grid=[1], n_cal_grid=[50], n_runs=1, n_observations=1, classifier=classifier)
+    plan.save(tmp_path / "plan.json")
+    err = _usage_error(capsys, ["sweep", "--plan", str(tmp_path / "plan.json"), "--out", str(tmp_path)])
+    assert f"cell (n_train=1): {named} " in err and not (tmp_path / "results.json").exists()
+
+
 def test_vector_shift_for_a_flow_is_a_usage_error(tmp_path, capsys):
     plan = ExperimentPlan(
         kind="power", method="lc2st-nf", n_train_grid=[1], n_cal_grid=[50], n_runs=3, n_observations=1, n_null=2,

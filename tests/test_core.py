@@ -16,7 +16,6 @@ from lc2st import (
     save_dataset,
     split_joint,
 )
-from lc2st.core import generators
 
 
 def make_joint(n, m=2, d=2, seed=0):
@@ -41,37 +40,16 @@ class TestRngStream:
         assert s.child("null", 3) != s.child("null", 4)
         assert s.child("null") != s.child("fit")
 
+    @pytest.mark.parametrize("n", [0, 1, 100])
+    def test_child_keys_are_the_children_bitwise(self, n):
+        for s in (RngStream(seed=123, stream_id=7), RngStream(seed=(1 << 64) - 1, stream_id=(1 << 64) - 1)):
+            assert s.child_keys("trial", n) == [(c.seed, c.stream_id) for c in (s.child("trial", h) for h in range(n))]
+
     def test_rejects_out_of_range_seed(self):
         with pytest.raises(ConfigurationError):
             RngStream(seed=-1)
         with pytest.raises(ConfigurationError):
             RngStream(seed=1 << 64)
-
-
-class TestGenerators:
-    STREAMS = [RngStream(seed=123, stream_id=7), RngStream(seed=0), RngStream(seed=(1 << 64) - 1, stream_id=3)]
-
-    @staticmethod
-    def draws(rng, h):
-        """Stream h's draws; the ``uint32`` count is odd, so each stream ends
-        with a buffered half-word the next one must not read."""
-        out = [rng.random(7), rng.permutation(11), np.empty((2, 5, 3))]
-        rng.standard_normal(out=out[2])
-        return [*out, rng.integers(0, 1000, 5 + 2 * h, dtype=np.uint32)]
-
-    def test_each_yield_draws_bitwise_as_a_fresh_generator(self):
-        streams = self.STREAMS + [s.child("perm", h) for s in self.STREAMS for h in range(3)]
-        got = [self.draws(rng, h) for h, rng in enumerate(generators(streams))]
-        assert len(got) == len(streams)
-        for h, (stream, draws) in enumerate(zip(streams, got)):
-            fresh = stream.generator()
-            want = [fresh.random(7), fresh.permutation(11), fresh.standard_normal((2, 5, 3))]
-            want.append(fresh.integers(0, 1000, 5 + 2 * h, dtype=np.uint32))
-            for a, b in zip(draws, want, strict=True):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
-
-    def test_no_streams_yield_nothing(self):
-        assert list(generators([])) == []
 
 
 class TestDatasets:

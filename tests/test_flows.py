@@ -407,6 +407,7 @@ class TestOneDimensionalBlocks:
     [
         ("batch_size", 0), ("max_epochs", -3), ("patience", 0), ("learning_rate", 0.0), ("holdout_frac", 1.0),
         ("holdout_frac", -0.1), ("max_epochs", 2.5), ("batch_size", 2.5), ("batch_size", "10"), ("patience", True),
+        ("learning_rate", "0.1"), ("holdout_frac", "0.1"),
     ],
 )
 def test_npe_config_rejects_bad_field(key, value):

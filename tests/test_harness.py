@@ -1,6 +1,7 @@
 """Experiment plans, sweeps, benchmarks, and the correlation study."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -525,6 +526,23 @@ class TestBench:
         monkeypatch.setattr(hmod, "ProcessPoolExecutor", None)  # would fail if used
         plan = ExperimentPlan(**{**SMALL_TYPE1, "kind": "bench", "n_null": 2, "n_cal_grid": [200], "n_v": 200})
         assert len(run_runtime_bench(plan).records) == 6
+
+
+class TestClassifierSpecChecks:
+    @pytest.mark.parametrize(
+        "spec, named",
+        [
+            ({"kind": "mlp", "hidden_sizes": 5}, "MlpConfig.hidden_sizes"),
+            ({"kind": "mlp", "learning_rate": "0.1"}, "MlpConfig.learning_rate"),
+            ({"kind": "mlp", "holdout_frac": "0.1"}, "MlpConfig.holdout_frac"),
+            ({"kind": "qda", "ridge": "1"}, "QdaFitter.ridge"),
+            ({"kind": "qda", "ridge": -1.0}, "QdaFitter.ridge"),
+        ],
+    )
+    def test_bad_classifier_setting_is_named_with_its_cell(self, spec, named):
+        plan = ExperimentPlan(**{**SMALL_TYPE1, "classifier": spec})
+        with pytest.raises(ConfigurationError, match=rf"^cell \(n_train=1\): {re.escape(named)} "):
+            run_type1(plan)
 
 
 class TestEstimatorSpecChecks:
