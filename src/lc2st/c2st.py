@@ -163,16 +163,23 @@ def t_acc0(clf, points: np.ndarray, x_o: np.ndarray | None = None) -> float:
     return float(np.mean(d <= 0.5))
 
 
+# The largest binary64 log-odds l with nets.sigmoid(l) <= 1/2, found by a
+# bisection over doubles: l <= CLASS0_LOGIT counts the same rows as
+# sigmoid(l) <= 1/2, NaN and infinities included, without the exponentials.
+CLASS0_LOGIT = float.fromhex("0x1.67fffffffffffp-53")
+
+
 def _mse0(classifiers, ws: np.ndarray, class0: np.ndarray | None = None) -> np.ndarray:
     """``t_mse0`` of every member of the stack ``classifiers`` on the rows
     ``ws``, summing (d - 1/2)^2 as tanh(l/2)^2 / 4: no branch on the sign of
     the log-odds l.  A given ``class0`` gains each member's count of rows
-    with sigmoid(l) <= 1/2, the tie rule of ``t_acc0``."""
+    with sigmoid(l) <= 1/2 (as l <= ``CLASS0_LOGIT``), the tie rule of
+    ``t_acc0``."""
     sq = np.zeros(len(classifiers))
     for rows in row_slices(len(ws)):
         logits = classifiers.log_odds(ws[rows])
         if class0 is not None:
-            class0 += (sigmoid(logits) <= 0.5).sum(axis=0)
+            class0 += (logits <= CLASS0_LOGIT).sum(axis=0)
         half = np.tanh(np.multiply(logits, 0.5, out=logits), out=logits)
         sq += np.einsum("ij,ij->j", half, half)
     return sq / (4.0 * len(ws))

@@ -37,7 +37,8 @@ from .core import (
     check_count,
     check_real,
 )
-from .nets import MlpParams, grad_check, mlp_backward, mlp_forward, mlp_init, row_views, sigmoid, train_minibatch
+from .nets import MlpParams, grad_check, mlp_backward, mlp_buffers, mlp_forward, mlp_grad_buffers, mlp_init, row_views
+from .nets import sigmoid, train_minibatch, with_ones
 
 __all__ = [
     "ProbClassifier",
@@ -328,14 +329,14 @@ class MlpModel:
 
     @property
     def dim(self) -> int:
-        return self.params.weights[0].shape[-2]
+        return self.params.layers[0].shape[-2] - 1
 
     def _standardize(self, ws: np.ndarray) -> np.ndarray:
         return (ws - self.feat_mean) / self.feat_std
 
     def log_odds(self, ws: np.ndarray) -> np.ndarray:
         ws = _check_features(ws, self.dim)
-        return mlp_forward(self.params, self._standardize(ws))[..., 0]
+        return mlp_forward(self.params, with_ones(self._standardize(ws)))[..., 0]
 
     def predict_proba(self, ws: np.ndarray) -> np.ndarray:
         return sigmoid(self.log_odds(ws))
@@ -350,7 +351,7 @@ _MLP_CHUNK_ELEMENTS = 1 << 17
 @dataclass(frozen=True)
 class MlpStack:
     """H networks trained together: their (H, P) parameter rows ``flat``,
-    one member's weight and bias ``shapes`` (interleaved), the input
+    one member's folded layer ``shapes`` ((fan_in + 1, fan_out)), the input
     standardization ``feat_mean`` and ``feat_std`` ((1, d) when every member
     trained on one feature matrix, else (H, d)) and each member's
     ``metadata``.  ``log_odds`` scores chunks of members as views of
@@ -364,13 +365,13 @@ class MlpStack:
     params: MlpParams = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "params", _unflatten(self.flat, self.shapes))
+        object.__setattr__(self, "params", MlpParams(row_views(self.flat, self.shapes)))
 
     def __len__(self) -> int:
         return len(self.flat)
 
     def __getitem__(self, h: int) -> MlpModel:
-        params = MlpParams([w[h] for w in self.params.weights], [b[h, 0] for b in self.params.biases])
+        params = MlpParams([a[h] for a in self.params.layers])
         s = 0 if len(self.feat_mean) == 1 else h
         return MlpModel(params, self.feat_mean[s], self.feat_std[s], self.metadata[h])
 
@@ -380,13 +381,13 @@ class MlpStack:
         ``BLOCK_ROWS`` rows fits ``_MLP_CHUNK_ELEMENTS``.  A shared
         standardization is applied once."""
         ws = _check_features(ws, self.feat_mean.shape[1])
-        size = max(1, _MLP_CHUNK_ELEMENTS // (BLOCK_ROWS * max(shape[-1] for shape in self.shapes[0::2])))
-        shared = (ws - self.feat_mean[0]) / self.feat_std[0] if len(self.feat_mean) == 1 else None
+        size = max(1, _MLP_CHUNK_ELEMENTS // (BLOCK_ROWS * max(shape[-1] for shape in self.shapes)))
+        shared = with_ones((ws - self.feat_mean[0]) / self.feat_std[0]) if len(self.feat_mean) == 1 else None
         out = []
         for start in range(0, len(self), size):
             part = slice(start, start + size)
-            params = MlpParams([w[part] for w in self.params.weights], [b[part] for b in self.params.biases])
-            inputs = shared if shared is not None else (ws - self.feat_mean[part, None]) / self.feat_std[part, None]
+            params = MlpParams([a[part] for a in self.params.layers])
+            inputs = shared if shared is not None else with_ones((ws - self.feat_mean[part, None]) / self.feat_std[part, None])
             out.append(mlp_forward(params, inputs)[..., 0])
         return np.concatenate(out).T
 
@@ -401,15 +402,7 @@ def _bce_loss_and_grad(params: MlpParams, inputs: np.ndarray, labels: np.ndarray
     cache: list = []
     z = mlp_forward(params, inputs, cache, acts)[..., 0]
     gz = ((sigmoid(z) - labels) / labels.shape[-1])[..., None]
-    gw, gb, _ = mlp_backward(params, cache, gz, grads, input_grad=False)
-    return _bce_losses(z, labels), gw, gb
-
-
-def _unflatten(flat: np.ndarray, shapes: list[tuple]) -> MlpParams:
-    """Stacked params viewing the rows of ``flat`` (members, size); ``shapes``
-    are one member's weight and bias shapes, interleaved."""
-    arrays = row_views(flat, shapes)
-    return MlpParams(arrays[0::2], arrays[1::2])
+    return _bce_losses(z, labels), mlp_backward(params, cache, gz, grads, input_grad=False)[0]
 
 
 def _fit_lockstep(datasets: list[LabeledPairDataset], cfg: MlpConfig, streams: list[RngStream]) -> MlpStack | list:
@@ -441,35 +434,37 @@ def _fit_lockstep(datasets: list[LabeledPairDataset], cfg: MlpConfig, streams: l
     sources = [first] if shared else datasets
     feat_mean = [data.ws.mean(axis=0) for data in sources]
     feat_std = [np.where(s < 1e-12, 1.0, s) for s in (data.ws.std(axis=0) for data in sources)]
-    feats = np.concatenate([(d.ws - mu) / sd for d, mu, sd in zip(sources, feat_mean, feat_std)])
+    # the table's ones column is every first layer's bias input
+    feats = with_ones(np.concatenate([(d.ws - mu) / sd for d, mu, sd in zip(sources, feat_mean, feat_std)]))
     offsets = np.zeros((n_members, 1), dtype=np.int64) if shared else n * np.arange(n_members)[:, None]
     labels = np.stack([data.labels for data in datasets]).astype(np.float64)
 
     hidden = cfg.hidden_sizes if cfg.hidden_sizes is not None else (cfg.hidden_mult * dim,) * 2
-    inits = [mlp_init([dim, *hidden, 1], s.child("init")).flat() for s in streams]
-    shapes = [np.atleast_2d(a).shape for a in inits[0]]
+    inits = [mlp_init([dim, *hidden, 1], s.child("init")).layers for s in streams]
+    shapes = [a.shape for a in inits[0]]
     # All parameters of a member in one row, so Adam, the best-epoch copy and
-    # the finiteness check each touch one array.
+    # the finiteness check each touch one array; its folded layers, and their
+    # gradients in the rows of ``grad``, are views.
     flat = np.stack([np.concatenate([a.ravel() for a in arrays]) for arrays in inits])
 
     grad = np.empty_like(flat)
-    params, grads = _unflatten(flat, shapes), _unflatten(grad, shapes)
+    params, grads = MlpParams(row_views(flat, shapes)), row_views(grad, shapes)
     # step buffers, allocated once: fresh arrays of this size cost more in
     # page faults than the arithmetic; views of the first members and rows
     # serve a compacted stack and a short last batch
     size = min(cfg.batch_size, n)
-    acts = [np.empty((n_members, size, w.shape[-1])) for w in params.weights]
-    # no input grad: the first layer's input needs no buffer
-    grad_in = [None, *(np.empty((n_members, size, w.shape[-2])) for w in params.weights[1:])]
+    acts = mlp_buffers(params, (n_members, size))
+    grads_in, masks = mlp_grad_buffers(params, (n_members, size))
 
     def batch_loss(xb, yb):
         k, b = yb.shape
-        out = [a[:k, :b] for a in acts], (grads.weights, grads.biases, [g if g is None else g[:k, :b] for g in grad_in])
+        rows = lambda bufs: [a[:k, :b] for a in bufs]  # noqa: E731
+        out = rows(acts), (grads, rows(grads_in), rows(masks))
         return _bce_loss_and_grad(params, xb, yb, out)[0], grad[:k]
 
     def take(kept):
         nonlocal params, grads
-        params, grads = _unflatten(kept, shapes), _unflatten(grad[: len(kept)], shapes)
+        params, grads = MlpParams(row_views(kept, shapes)), row_views(grad[: len(kept)], shapes)
 
     holdout_loss = lambda xs, ys: _bce_losses(mlp_forward(params, xs)[..., 0], ys)  # noqa: E731
     fit = train_minibatch(flat, feats, np.arange(n) + offsets, labels, cfg, streams, batch_loss, holdout_loss, take)
@@ -505,10 +500,10 @@ def mlp_grad_check(model: MlpModel, ws: np.ndarray, labels: np.ndarray, step: fl
     if len(ws) == 0:
         raise ConfigurationError("gradient check needs a nonempty batch")
     labels = np.asarray(labels, dtype=np.float64).ravel()
-    inputs, params = model._standardize(ws), model.params
-    _, gw, gb = _bce_loss_and_grad(params, inputs, labels)
+    inputs, params = with_ones(model._standardize(ws)), model.params
+    _, grads = _bce_loss_and_grad(params, inputs, labels)
     loss = lambda: float(_bce_losses(mlp_forward(params, inputs)[..., 0], labels))  # noqa: E731
-    return grad_check(params.flat(), MlpParams(gw, gb).flat(), loss, step)
+    return grad_check(params.layers, grads, loss, step)
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +547,8 @@ def calibration_curve(clf: ProbClassifier, data: LabeledPairDataset, bins: int) 
 
 def save_classifier(clf, path) -> None:
     """Serialize a fitted QDA or MLP model as JSON (shapes are implicit in the
-    nested row-major arrays; floats use the shortest round-trip decimals)."""
+    nested row-major arrays; floats use the shortest round-trip decimals).
+    An MLP's layers are written as separate weights and biases."""
     import json
     from pathlib import Path
 
@@ -600,12 +596,8 @@ def load_classifier(path):
             prior1=payload["prior1"],
         )
     if kind == "mlp":
-        params = MlpParams(
-            [np.asarray(w, dtype=np.float64) for w in payload["weights"]],
-            [np.asarray(b, dtype=np.float64) for b in payload["biases"]],
-        )
         return MlpModel(
-            params=params,
+            params=MlpParams.from_split(payload["weights"], payload["biases"]),
             feat_mean=np.asarray(payload["feat_mean"], dtype=np.float64),
             feat_std=np.asarray(payload["feat_std"], dtype=np.float64),
             metadata=payload.get("metadata", {}),

@@ -108,7 +108,7 @@ class CouplingLayer:
         return CouplingLayer(mask, mlp_init(sizes, stream, zero_last=True))
 
     def _shift_scale(self, passthrough: np.ndarray, xs: np.ndarray, cache: list | None = None):
-        out = mlp_forward(self.params, np.hstack([passthrough, xs]), cache)
+        out = mlp_forward(self.params, np.hstack([passthrough, xs, np.ones((len(xs), 1))]), cache)
         b = len(self.id_xform)
         return out[:, :b], _clamp_scale(out[:, b:])
 
@@ -138,12 +138,12 @@ class CouplingLayer:
         g_s = -g_w * w - g_logdet[:, None]
         g_raw = g_s * (1.0 - (s / S_MAX) ** 2)
         n_pass = len(self.id_pass)
-        gw, gb, g_in = mlp_backward(self.params, cache["net"], np.hstack([g_t, g_raw]), input_grad=n_pass > 0)
+        grads, g_in = mlp_backward(self.params, cache["net"], np.hstack([g_t, g_raw]), input_grad=n_pass > 0)
         g_y = g_z.copy()
         g_y[:, self.id_xform] = g_v
         if n_pass:
             g_y[:, self.id_pass] += g_in[:, :n_pass]
-        return g_y, MlpParams(gw, gb).flat()
+        return g_y, grads
 
     def to_dict(self) -> dict:
         return {
@@ -245,7 +245,7 @@ class ConditionalFlow(_Flow):
     # -- parameters ----------------------------------------------------------
 
     def parameter_arrays(self) -> list[np.ndarray]:
-        return [a for layer in self.layers if layer.params is not None for a in layer.params.flat()]
+        return [a for layer in self.layers if layer.params is not None for a in layer.params.layers]
 
     def on_row(self) -> tuple["ConditionalFlow", np.ndarray]:
         """A copy whose parameters are views of one (1, P) row, and the row."""
@@ -255,8 +255,7 @@ class ConditionalFlow(_Flow):
         layers = []
         for layer in self.layers:
             if layer.params is not None:
-                own = [next(views)[0] for _ in range(2 * layer.params.n_layers)]
-                layer = CouplingLayer(layer.mask, MlpParams(own[0::2], own[1::2]))
+                layer = CouplingLayer(layer.mask, MlpParams([next(views)[0] for _ in range(layer.params.n_layers)]))
             layers.append(layer)
         return ConditionalFlow(self.m, self.d, layers), row
 
@@ -476,10 +475,7 @@ def _layer_from_dict(entry: dict):
     kind = entry["type"]
     if kind == "permutation":
         return PermutationLayer(np.asarray(entry["perm"], dtype=np.int64))
-    params = MlpParams(
-        [np.asarray(w, dtype=np.float64) for w in entry["weights"]],
-        [np.asarray(b, dtype=np.float64) for b in entry["biases"]],
-    )
+    params = MlpParams.from_split(entry["weights"], entry["biases"])
     if kind == "coupling":
         return CouplingLayer(np.asarray(entry["mask"], dtype=bool), params)
     if kind == "elementwise":

@@ -9,10 +9,12 @@ estimator under test is an input to every test, as in sbibm: each ``n_train``
 builds the task and the estimator once, from ``hash(master seed, n_train)``,
 and its triples share them.  With ``LC2ST_THREADS`` = N > 1, each
 ``n_train``'s triples split into N contiguous chunks on a process pool, each
-chunk building its own copies.  With ``reuse_null`` (``lc2st-nf`` only) the
-sweep fits one null ensemble per cell and every triple of the cell reuses it.
-A bench plan is a type-I sweep timed per phase: its ``n_runs`` (>= 3) x
-``n_observations`` triples per cell run one at a time, never on the pool.
+chunk building its own task and closed-form estimator; an NPE flow is
+trained once, in the parent, and sent to every chunk.  With ``reuse_null``
+(``lc2st-nf`` only) the sweep fits one null ensemble per cell and every triple
+of the cell reuses it.  A bench plan is a type-I sweep timed per phase: its
+``n_runs`` (>= 3) x ``n_observations`` triples per cell run one at a time,
+never on the pool.
 
 Result files split into a deterministic part (records + aggregates, byte-stable
 for a fixed plan and seed) and the wall-clock medians per cell and phase
@@ -304,17 +306,25 @@ def _observation(plan: ExperimentPlan, task, obs_index: int):
     return task.observation(derive_stream(plan.seed, "obs", obs_index))
 
 
-def _run_job(plan: ExperimentPlan, spec: dict, n_train: int, triples: list):
-    """The (n_cal, observation, run, ensemble) ``triples`` of one ``n_train``,
-    all testing one estimator built from the ``spec`` and the ``n_train``
-    alone, so any split of a cell's triples into jobs gives the same records.
-    Returns (record, timing) dicts; a library error names its cell."""
+def _job_inputs(plan: ExperimentPlan, spec: dict, n_train: int, estimator=None):
+    """The task, the classifier fit and the estimator (``estimator`` if
+    given) of one ``n_train``'s triples; a library error names the cell."""
     try:
         task = make_task(plan.task, **plan.task_params)
         fit_fn = _classifier_fit(plan.classifier)
-        estimator = _build_estimator(spec, task, plan.method == "lc2st-nf", n_train, plan.seed)
+        if estimator is None:
+            estimator = _build_estimator(spec, task, plan.method == "lc2st-nf", n_train, plan.seed)
     except Lc2stError as exc:
         raise type(exc)(f"cell (n_train={n_train}): {exc}") from exc
+    return task, fit_fn, estimator
+
+
+def _run_job(plan: ExperimentPlan, spec: dict, n_train: int, triples: list, estimator=None):
+    """The (n_cal, observation, run, ensemble) ``triples`` of one ``n_train``,
+    all testing the estimator built (or given, built so) from the ``spec``
+    and the ``n_train`` alone, so any split of a cell's triples into jobs
+    gives the same records.  Returns (record, timing) dicts."""
+    task, fit_fn, estimator = _job_inputs(plan, spec, n_train, estimator)
     return [_run_single(plan, task, estimator, fit_fn, n_train, *triple) for triple in triples]
 
 
@@ -351,8 +361,10 @@ def _run_sweep(plan: ExperimentPlan, spec: dict) -> SweepResult:
     """Every (cell, observation, run) triple of ``plan``, one job per
     ``n_train`` or, on a pool of N workers, N per ``n_train``.  With
     ``reuse_null`` each cell's null is fitted here, once, on a calibration
-    draw of its own, and every triple of the cell reuses it.  A bench plan's
-    triples run one at a time, so that their timings do not share the machine."""
+    draw of its own, and every triple of the cell reuses it.  An NPE flow is
+    trained here too, once per ``n_train``, and every job of the ``n_train``
+    tests it.  A bench plan's triples run one at a time, so that their
+    timings do not share the machine."""
     nulls = {}
     if plan.reuse_null:
         task = make_task(plan.task, **plan.task_params)
@@ -371,11 +383,12 @@ def _run_sweep(plan: ExperimentPlan, spec: dict) -> SweepResult:
             for obs in range(plan.n_observations)
             for run in range(plan.n_runs)
         ]
+        flow = _job_inputs(plan, spec, nt)[2] if spec.get("kind") == "npe" else None
         size = -(-len(triples) // workers)  # at most `workers` contiguous chunks
-        jobs += [(plan, spec, nt, triples[i:i + size]) for i in range(0, len(triples), size)]
+        jobs += [(plan, spec, nt, triples[i:i + size], flow) for i in range(0, len(triples), size)]
     if workers > 1:
         # tasks and closed-form flows hold closures and cannot be pickled:
-        # each job builds its own
+        # each job builds its own task and closed-form estimator
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = [out for job in pool.map(_run_job, *zip(*jobs)) for out in job]
     else:

@@ -4,11 +4,14 @@ Plain-numpy multilayer perceptrons with rectifier hidden layers, manual
 backpropagation, and an Adam optimizer.  Kept deliberately minimal: dense
 layers only, float64 throughout, deterministic given an RngStream.
 
-Parameters may carry a leading member axis: weights (H, fan_in, fan_out) and
-biases (H, 1, fan_out) hold H independent nets, as ``torch.func``'s stacked
-module state does.  The same forward and backward code serves both layouts
-through ``np.matmul`` broadcasting, and member h of a stack computes bit for
-bit what the 2-D net of its slices computes.
+A dense layer is one (fan_in + 1, fan_out) matrix [W; b] and every layer
+input ends in a ones column, so a layer is one matrix product and its bias
+gradient the last row of its weight gradient.  A parameter row that stores
+each layer's weights followed by its bias holds [W; b] in place: layers and
+gradients are views of (members, parameters) arrays.  A leading member axis,
+(H, fan_in + 1, fan_out), holds H nets, as ``torch.func``'s stacked module
+state does; ``np.matmul`` broadcasting serves both layouts, and member h of a
+stack computes bit for bit what the 2-D net of its slices computes.
 
 :func:`train_minibatch` is the one training loop: early-stopped minibatch
 Adam on a (members, parameters) array, with losses and gradients from the
@@ -25,7 +28,7 @@ import numpy as np
 from .core import RngStream, TrainingError
 
 __all__ = ["MlpParams", "mlp_init", "mlp_forward", "mlp_backward", "Adam", "grad_check", "relu", "sigmoid"]
-__all__ += ["row_views", "train_minibatch"]
+__all__ += ["mlp_buffers", "mlp_grad_buffers", "row_views", "train_minibatch", "with_ones"]
 
 
 def relu(a: np.ndarray) -> np.ndarray:
@@ -41,102 +44,138 @@ def sigmoid(a: np.ndarray) -> np.ndarray:
 
 
 class MlpParams:
-    """Weights/biases of a dense net: hidden layers use relu, output is linear."""
+    """A dense net as its layers [W; b], (fan_in + 1, fan_out) each, which
+    act on inputs ending in a ones column (:func:`with_ones`).  Hidden layers
+    use relu, the output is linear; ``weights`` and ``biases`` are views."""
 
-    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
-        self.weights = weights
-        self.biases = biases
+    def __init__(self, layers: list[np.ndarray]):
+        self.layers = layers
+
+    @classmethod
+    def from_split(cls, weights: list[np.ndarray], biases: list[np.ndarray]) -> "MlpParams":
+        """Folded float64 copies of (fan_in, fan_out) weights and (fan_out,)
+        biases, arrays or nested lists."""
+        return cls([np.vstack([w, b], dtype=np.float64) for w, b in zip(weights, biases)])
 
     @property
     def n_layers(self) -> int:
-        return len(self.weights)
+        return len(self.layers)
 
-    def flat(self) -> list[np.ndarray]:
-        return [a for pair in zip(self.weights, self.biases) for a in pair]
+    @property
+    def weights(self) -> list[np.ndarray]:
+        return [a[..., :-1, :] for a in self.layers]
+
+    @property
+    def biases(self) -> list[np.ndarray]:
+        return [a[..., -1, :] for a in self.layers]
 
 
-def mlp_init(
-    sizes: list[int],
-    stream: RngStream,
-    *,
-    zero_last: bool = False,
-) -> MlpParams:
+def mlp_init(sizes: list[int], stream: RngStream, *, zero_last: bool = False) -> MlpParams:
     """He-normal initialization for relu stacks; biases zero.
 
     ``zero_last`` zeroes the output layer, which flow conditioners use so a
     fresh flow is the identity map.
     """
     rng = stream.generator()
-    weights, biases = [], []
+    layers = []
     for k, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
         last = k == len(sizes) - 2
-        if last and zero_last:
-            w = np.zeros((fan_in, fan_out))
-        else:
+        layer = np.zeros((fan_in + 1, fan_out))
+        if not (last and zero_last):
             scale = np.sqrt(2.0 / fan_in) if not last else np.sqrt(1.0 / fan_in)
-            w = rng.normal(0.0, scale, size=(fan_in, fan_out))
-        weights.append(w)
-        biases.append(np.zeros(fan_out))
-    return MlpParams(weights, biases)
+            layer[:-1] = rng.normal(0.0, scale, size=(fan_in, fan_out))
+        layers.append(layer)
+    return MlpParams(layers)
 
 
-def mlp_forward(
-    params: MlpParams,
-    inputs: np.ndarray,
-    cache: list | None = None,
-    out: list[np.ndarray] | None = None,
-) -> np.ndarray:
-    """Linear output of the net; pass ``cache=[]`` to record activations for backward.
+def with_ones(x: np.ndarray) -> np.ndarray:
+    """``x`` (..., n, k) with a trailing ones column: the input layout of
+    :func:`mlp_forward`."""
+    return np.concatenate([x, np.ones((*x.shape[:-1], 1))], axis=-1)
 
-    For stacked params, ``inputs`` is (H, n, fan_in), or (n, fan_in) shared by
-    every member, and the output is (H, n, fan_out).  ``out`` gives one array
-    per layer to hold that layer's output, so repeated passes reuse memory.
+
+def mlp_buffers(params: MlpParams, shape: tuple) -> list[np.ndarray]:
+    """One output array per layer for inputs of leading ``shape`` (rows, or
+    members and rows): a hidden layer's ends in its next layer's ones column,
+    set here."""
+    last = params.n_layers - 1
+    out = [np.empty((*shape, a.shape[-1] + (k != last))) for k, a in enumerate(params.layers)]
+    for a in out[:-1]:
+        a[..., -1] = 1.0
+    return out
+
+
+def mlp_forward(params: MlpParams, inputs: np.ndarray, cache: list | None = None, out: list | None = None) -> np.ndarray:
+    """Linear output of the net on ``inputs`` that end in a ones column; pass
+    ``cache=[]`` to record activations for backward.
+
+    Each layer is one product, written into the first fan_out columns of its
+    output, whose last column holds the ones of the next layer's input; relu
+    keeps them at one.  For stacked params, ``inputs`` is (H, n, fan_in + 1),
+    or (n, fan_in + 1) shared by every member, and the output is
+    (H, n, fan_out).  ``out`` gives the layers' outputs as
+    :func:`mlp_buffers` makes them, so repeated passes reuse memory.
     """
     h = inputs
+    if out is None:
+        out = mlp_buffers(params, np.broadcast_shapes(h.shape[:-2], params.layers[0].shape[:-2]) + h.shape[-2:-1])
     if cache is not None:
         cache.append(h)
-    for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = np.matmul(h, w, out=None if out is None else out[k])
-        h += b
-        if k != params.n_layers - 1:
+    last = params.n_layers - 1
+    for k, layer in enumerate(params.layers):
+        np.matmul(h, layer, out=out[k] if k == last else out[k][..., :-1])
+        h = out[k]
+        if k != last:
             np.maximum(h, 0.0, out=h)
         if cache is not None:
             cache.append(h)
     return h
 
 
-def mlp_backward(
-    params: MlpParams,
-    cache: list,
-    grad_out: np.ndarray,
-    out: tuple[list, list, list] | None = None,
-    input_grad: bool = True,
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray | None]:
+def mlp_grad_buffers(params: MlpParams, shape: tuple) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The grads wrt each layer's input and the relu masks that
+    ``mlp_backward(..., out=(layer grads, *these))`` fills, shaped like the
+    layer inputs (leading ``shape``), ones column included: a grad's last
+    column stays zero, and the relu gate runs over whole contiguous rows."""
+    grads_in = [np.zeros((*shape, a.shape[-2])) for a in params.layers]
+    return grads_in, [np.empty(g.shape, dtype=bool) for g in grads_in]
+
+
+def mlp_backward(params: MlpParams, cache: list, grad_out: np.ndarray, out: tuple | None = None, input_grad: bool = True):
     """Backprop ``grad_out`` (d loss / d linear output) through a cached forward.
 
-    Returns (weight grads, bias grads, grad wrt inputs), shaped like the
-    params and the inputs.  ``out`` = (weight grads, bias grads, grads wrt
-    each layer's input) gives arrays to hold the results.  Callers that train
-    only the parameters pass ``input_grad=False``: the last product, with the
-    first layer's weights, is skipped and the input grad is None.
+    Returns (layer grads, grad wrt inputs): each layer's gradient is one
+    product of its input, ones column included, with the gradient of its
+    output, so its last row is the bias gradient; the input grad has no ones
+    column.  ``out`` = (layer grads, :func:`mlp_grad_buffers`) gives arrays
+    to hold the results.  Callers that train only the parameters pass
+    ``input_grad=False``: the last product, with the first layer's weights,
+    is skipped and the input grad is None.
     """
     n = params.n_layers
-    gw, gb, g_in = out if out is not None else ([None] * n, [None] * n, [None] * n)
+    grads, grads_in, masks = out if out is not None else ([None] * n, *mlp_grad_buffers(params, grad_out.shape[:-1]))
     g = grad_out
     for k in range(n - 1, -1, -1):
         if k != n - 1:
-            # relu applied after this layer's affine map: gate by activation sign
-            np.multiply(g, cache[k + 1] > 0, out=g)
-        w_t = np.swapaxes(params.weights[k], -1, -2)
-        gw[k] = np.matmul(np.swapaxes(cache[k], -1, -2), g, out=gw[k])
-        summed = g.shape[:-2] + g.shape[-1:]
-        gb[k] = np.sum(g, axis=-2, out=None if gb[k] is None else gb[k].reshape(summed)).reshape(params.biases[k].shape)
+            # relu applied after this layer's product: gate by activation sign
+            # (the ones column's zero grad passes as it is)
+            full = grads_in[k + 1]
+            np.multiply(full, np.greater(cache[k + 1], 0.0, out=masks[k + 1]), out=full)
+            g = full[..., :-1]
+        grads[k] = np.matmul(np.swapaxes(cache[k], -1, -2), g, out=grads[k])
         if k == 0 and not input_grad:
-            return gw, gb, None
-        # one output unit: the product is an outer product, exact either way
-        # and much faster as a broadcast
-        g = np.multiply(g, w_t, out=g_in[k]) if g.shape[-1] == 1 else np.matmul(g, w_t, out=g_in[k])
-    return gw, gb, g
+            return grads, None
+        # a contiguous copy of W^T: BLAS multiplies by it faster than by the
+        # transposed view, by more than the copy costs
+        w_t = np.ascontiguousarray(np.swapaxes(params.layers[k][..., :-1, :], -1, -2))
+        g_in = grads_in[k][..., :-1]
+        if g.shape[-1] == 1:
+            # one output unit: an outer product, which einsum forms faster
+            # than a broadcast multiply or a k = 1 matrix product
+            np.einsum("...ij,...jk->...ik", g, w_t, out=g_in)
+        else:
+            np.matmul(g, w_t, out=g_in)
+    return grads, g_in
 
 
 def grad_check(arrays: list[np.ndarray], grads: list[np.ndarray], loss, step: float = 1e-5) -> float:
@@ -163,36 +202,39 @@ class Adam:
     """Adaptive-moment gradient descent on a (members, parameters) array.
 
     Members advance together and share the step count, so each member's
-    update is the one it would take alone.  Every step works in two scratch
-    arrays, allocated once."""
+    update is the one it would take alone.  A step is Kingma & Ba's efficient
+    form, a -= lr_t * m / (sqrt(v) + eps * sqrt(1 - beta2^t)) with
+    lr_t = lr * sqrt(1 - beta2^t) / (1 - beta1^t), and ``m`` is kept divided
+    by 1 - beta1: 11 passes over the array, in one scratch array."""
 
     def __init__(self, params: np.ndarray, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params, self.lr, self.beta1, self.beta2, self.eps = params, lr, beta1, beta2, eps
         self.m, self.v = np.zeros_like(params), np.zeros_like(params)
-        self.scratch = np.empty_like(params), np.empty_like(params)
+        self.scratch = np.empty_like(params)
         self.t = 0
 
     def step(self, grad: np.ndarray) -> None:
         self.t += 1
-        b1t, b2t = 1.0 - self.beta1**self.t, 1.0 - self.beta2**self.t
-        # a -= lr * (m / b1t) / (sqrt(v / b2t) + eps), evaluated in that order
-        a, m, v, (x, y) = self.params, self.m, self.v, self.scratch
+        root = np.sqrt(1.0 - self.beta2**self.t)
+        lr_t = self.lr * (1.0 - self.beta1) * root / (1.0 - self.beta1**self.t)
+        a, m, v, x = self.params, self.m, self.v, self.scratch
         m *= self.beta1
-        m += np.multiply(grad, 1.0 - self.beta1, out=x)
+        m += grad
         v *= self.beta2
         np.multiply(grad, 1.0 - self.beta2, out=x)
         v += np.multiply(x, grad, out=x)
-        np.sqrt(np.divide(v, b2t, out=x), out=x)
-        x += self.eps
-        np.divide(m, b1t, out=y)
-        y *= self.lr
-        a -= np.divide(y, x, out=y)
+        np.sqrt(v, out=x)
+        x += self.eps * root
+        np.divide(m, x, out=x)
+        x *= lr_t
+        a -= x
 
     def take(self, members: np.ndarray) -> np.ndarray:
         """Keep the selected members (rows), with their moments; returns the new parameters."""
         self.params, self.m, self.v = self.params[members], self.m[members], self.v[members]
-        self.scratch = tuple(x[: len(self.params)] for x in self.scratch)
+        self.scratch = self.scratch[: len(self.params)]
         return self.params
+
 
 def row_views(flat: np.ndarray, shapes: list[tuple]) -> list[np.ndarray]:
     """Views of consecutive columns of ``flat`` (members, size), one per shape, shaped (members, *shape)."""

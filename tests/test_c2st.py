@@ -34,8 +34,17 @@ from lc2st import (
     t_mse0,
 )
 from lc2st import core
-from lc2st.c2st import Relabeled, Resampled, TestResult, append_conditioning, heatmap_rows, single_class_statistics
+from lc2st.c2st import (
+    CLASS0_LOGIT,
+    Relabeled,
+    Resampled,
+    TestResult,
+    append_conditioning,
+    heatmap_rows,
+    single_class_statistics,
+)
 from lc2st.classifiers import MlpConfig, QdaStack, qda_fit
+from lc2st.nets import sigmoid
 from scipy.stats import ks_2samp
 
 QUADRATURE_GRID = np.linspace(-16.0, 16.0, 4001)
@@ -455,6 +464,48 @@ class TestRunTest:
         with pytest.raises(ConfigurationError, match="reference posterior"):
             self._run("oracle-c2st-mse", conjugate_affine_flow(2, 1.0))
 
+
+
+class _FixedLogOdds:
+    """A stack whose members' log-odds are the columns of ``logits``, at the
+    rows that its one feature indexes."""
+
+    def __init__(self, logits):
+        self.logits = logits
+
+    def __len__(self):
+        return self.logits.shape[1]
+
+    def log_odds(self, ws):
+        return self.logits[ws[:, 0].astype(np.int64)]
+
+
+class TestClass0Logit:
+    """``t_acc0`` counts l <= CLASS0_LOGIT instead of sigmoid(l) <= 1/2."""
+
+    def test_is_the_largest_double_whose_sigmoid_is_at_most_one_half(self):
+        # bisection over the bit patterns of the positive doubles in [0, 1];
+        # sigmoid is monotone and sigmoid(0) = 1/2 < sigmoid(1)
+        lo, hi = 0, int(np.float64(1.0).view(np.int64))
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if sigmoid(np.int64(mid).view(np.float64)) <= 0.5:
+                lo = mid
+            else:
+                hi = mid
+        assert np.int64(lo).view(np.float64) == CLASS0_LOGIT
+
+    def test_counts_equal_sigmoid_counts(self):
+        rng, L = np.random.default_rng(175), CLASS0_LOGIT
+        neighbours = [L, np.nextafter(L, np.inf), np.nextafter(L, -np.inf), np.nextafter(np.nextafter(L, np.inf), np.inf)]
+        special = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0), *neighbours]
+        blocks = [rng.standard_normal((1500, 6)) * scale for scale in (1e-16, 1e-14, 1.0, 40.0)]
+        blocks.append(rng.permutation(np.repeat(special, 20)).reshape(-1, 4))
+        for block in blocks:
+            with np.errstate(invalid="ignore"):
+                want = (sigmoid(block) <= 0.5).sum(axis=0) / len(block)
+            _, got = single_class_statistics(_FixedLogOdds(block), np.arange(len(block))[:, None])
+            assert got.tobytes() == want.tobytes()
 
 
 class TestOnePhiloxPerNull:

@@ -1,5 +1,7 @@
 """QDA, analytic Bayes probabilities, the MLP, and calibration curves."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
@@ -45,7 +47,19 @@ from lc2st import classifiers
 from lc2st.classifiers import BLOCK_ROWS, MlpModel, MlpStack, QdaFitter, QdaModel, QdaStack, qda_factory, row_slices
 from lc2st.flows import conjugate_affine_flow
 from lc2st.harness import ExperimentPlan, run_sigma_sweep
-from lc2st.nets import MlpParams, mlp_backward, mlp_forward, mlp_init, relu, sigmoid
+from lc2st import nets
+from lc2st.nets import (
+    Adam,
+    MlpParams,
+    mlp_backward,
+    mlp_buffers,
+    mlp_forward,
+    mlp_grad_buffers,
+    mlp_init,
+    relu,
+    sigmoid,
+    with_ones,
+)
 from lc2st.tasks import distort, gaussian_conjugate_task
 
 
@@ -210,8 +224,8 @@ def _fd_oracle_valid(model, ws, labels, step=1e-5):
         return False
     from lc2st.classifiers import _bce_loss_and_grad
 
-    _, gw, gb = _bce_loss_and_grad(model.params, model._standardize(ws), labels.astype(float))
-    vals = np.concatenate([np.abs(g).ravel() for pair in zip(gw, gb) for g in pair])
+    _, grads = _bce_loss_and_grad(model.params, with_ones(model._standardize(ws)), labels.astype(float))
+    vals = np.concatenate([np.abs(g).ravel() for g in grads])
     nonzero = vals[vals > 0]
     return nonzero.size == 0 or float(nonzero.min()) > 1e-6
 
@@ -237,7 +251,7 @@ class TestGradCheck:
     def test_zero_weight_network_linear_regime(self):
         # With all parameters zero the loss is locally constant in everything
         # except the output bias, whose path is smooth.
-        params = MlpParams(
+        params = MlpParams.from_split(
             [np.zeros((2, 8)), np.zeros((8, 1))], [np.zeros(8), np.zeros(1)]
         )
         model = MlpModel(params=params, feat_mean=np.zeros(2), feat_std=np.ones(2), metadata={})
@@ -505,32 +519,38 @@ def masked_sigmoid(a):
 
 
 def _serial_forward(params, inputs, cache=None):
+    """One 2-D net on ``inputs`` that end in a ones column: each folded layer
+    [W; b] is one product, and a hidden layer's output gains the ones column
+    of the next layer's input."""
     h = inputs
     if cache is not None:
         cache.append(h)
-    for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-        a = h @ w + b
-        h = a if k == params.n_layers - 1 else relu(a)
+    for k, layer in enumerate(params.layers):
+        a = h @ layer
+        h = a if k == params.n_layers - 1 else np.hstack([relu(a), np.ones((len(a), 1))])
         if cache is not None:
             cache.append(h)
     return h
 
 
 def _serial_backward(params, cache, grad_out):
-    gw = [np.zeros_like(w) for w in params.weights]
-    gb = [np.zeros_like(b) for b in params.biases]
+    """Layer gradients (the bias gradient is the last row, from the ones
+    column) and the gradient wrt the inputs, without their ones column."""
+    grads = [None] * params.n_layers
     g = grad_out
     for k in range(params.n_layers - 1, -1, -1):
-        h_in = cache[k]
         if k != params.n_layers - 1:
-            g = g * (cache[k + 1] > 0)
-        gw[k] = h_in.T @ g
-        gb[k] = g.sum(axis=0)
-        g = g @ params.weights[k].T
-    return gw, gb, g
+            g = g * (cache[k + 1][:, :-1] > 0)
+        grads[k] = cache[k].T @ g
+        w_t = params.layers[k][:-1].T
+        g = np.einsum("ij,jk->ik", g, w_t) if g.shape[-1] == 1 else g @ w_t
+    return grads, g
 
 
 class _SerialAdam:
+    """Adam over a list of parameter arrays, one array at a time, in Kingma &
+    Ba's efficient form with the first moment kept divided by 1 - beta1."""
+
     def __init__(self, arrays, lr):
         self.arrays, self.lr, self.beta1, self.beta2, self.eps = arrays, lr, 0.9, 0.999, 1e-8
         self.m = [np.zeros_like(a) for a in arrays]
@@ -539,14 +559,14 @@ class _SerialAdam:
 
     def step(self, grads):
         self.t += 1
-        b1t = 1.0 - self.beta1**self.t
-        b2t = 1.0 - self.beta2**self.t
+        root = np.sqrt(1.0 - self.beta2**self.t)
+        lr_t = self.lr * (1.0 - self.beta1) * root / (1.0 - self.beta1**self.t)
         for a, g, m, v in zip(self.arrays, grads, self.m, self.v):
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += g
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
-            a -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            a -= lr_t * (m / (np.sqrt(v) + self.eps * root))
 
 
 def _serial_loss(params, inputs, labels):
@@ -560,7 +580,7 @@ def serial_mlp_fit(data, cfg, stream):
     feat_mean = data.ws.mean(axis=0)
     feat_std = data.ws.std(axis=0)
     feat_std = np.where(feat_std < 1e-12, 1.0, feat_std)
-    ws = (data.ws - feat_mean) / feat_std
+    ws = with_ones((data.ws - feat_mean) / feat_std)
     labels = data.labels.astype(np.float64)
     hidden = cfg.hidden_sizes if cfg.hidden_sizes is not None else (cfg.hidden_mult * data.dim,) * 2
     params = mlp_init([data.dim, *hidden, 1], stream.child("init"))
@@ -570,9 +590,9 @@ def serial_mlp_fit(data, cfg, stream):
     val_idx, train_idx = (perm[:n_val], perm[n_val:]) if use_val else (perm[:0], perm)
     ws_tr, y_tr = ws[train_idx], labels[train_idx]
     ws_val, y_val = ws[val_idx], labels[val_idx]
-    opt = _SerialAdam(params.flat(), lr=cfg.learning_rate)
+    opt = _SerialAdam(params.layers, lr=cfg.learning_rate)
     shuffle_rng = stream.child("shuffle").generator()
-    copy = lambda p: MlpParams([w.copy() for w in p.weights], [b.copy() for b in p.biases])  # noqa: E731
+    copy = lambda p: MlpParams([a.copy() for a in p.layers])  # noqa: E731
     best_val, best_params, best_epoch, since_best, last_loss, epochs_run = np.inf, copy(params), 0, 0, np.nan, 0
     for epoch in range(cfg.max_epochs):
         epochs_run = epoch + 1
@@ -585,10 +605,9 @@ def serial_mlp_fit(data, cfg, stream):
             if not np.isfinite(loss):
                 raise TrainingError(f"loss diverged at epoch {epoch}")
             gz = ((masked_sigmoid(z) - y_tr[idx]) / len(idx)).reshape(-1, 1)
-            gw, gb, _ = _serial_backward(params, cache, gz)
-            opt.step([g for pair in zip(gw, gb) for g in pair])
+            opt.step(_serial_backward(params, cache, gz)[0])
             last_loss = loss
-        if not all(np.all(np.isfinite(a)) for a in params.flat()):
+        if not all(np.all(np.isfinite(a)) for a in params.layers):
             raise TrainingError(f"parameters diverged at epoch {epoch}")
         if use_val:
             val_loss = _serial_loss(params, ws_val, y_val)
@@ -612,8 +631,8 @@ def serial_mlp_fit(data, cfg, stream):
 def assert_same_fit(model, ref):
     """Bit-identical parameters, standardization and training metadata."""
     for got, want in zip(
-        [*model.params.flat(), model.feat_mean, model.feat_std],
-        [*ref.params.flat(), ref.feat_mean, ref.feat_std],
+        [*model.params.layers, model.feat_mean, model.feat_std],
+        [*ref.params.layers, ref.feat_mean, ref.feat_std],
     ):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert model.metadata == ref.metadata
@@ -718,6 +737,125 @@ class TestLockstepEnsemble:
             assert len(passes) == 2 * chunks
             expected = np.vstack([np.column_stack([m.log_odds(ws[rows]) for m in stack]) for rows in row_slices(len(ws))])
             assert got.tobytes() == expected.tobytes()
+
+
+def _unfolded_step(weights, biases, inputs, grad_out):
+    """One forward and backward pass in the arithmetic before the biases were
+    folded in: ``h @ w + b`` per layer and bias grads as ``g.sum(axis=-2)``.
+    Returns the output, the weight and bias grads and the input grad."""
+    cache, h = [inputs], inputs
+    for k, (w, b) in enumerate(zip(weights, biases)):
+        h = h @ w + b
+        h = h if k == len(weights) - 1 else relu(h)
+        cache.append(h)
+    gw, gb, g = [None] * len(weights), [None] * len(weights), grad_out
+    for k in range(len(weights) - 1, -1, -1):
+        if k != len(weights) - 1:
+            g = g * (cache[k + 1] > 0)
+        gw[k], gb[k] = np.swapaxes(cache[k], -1, -2) @ g, g.sum(axis=-2)
+        g = g @ np.swapaxes(weights[k], -1, -2)
+    return h, gw, gb, g
+
+
+def assert_close_normwise(got, want, rtol=1e-13):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+class TestFoldedLayers:
+    """Dense layers are [W; b] matrices over inputs with a ones column."""
+
+    @pytest.mark.parametrize("n_members, batch, full", [(1, 37, 37), (20, 100, 100), (20, 63, 100)])
+    def test_step_matches_unfolded_arithmetic(self, n_members, batch, full):
+        # a batch shorter than the buffers is a trainer's short last batch
+        rng = np.random.default_rng(180 + n_members + batch)
+        layers = [mlp_init([4, 12, 9, 1], RngStream(seed=181 + h)).layers for h in range(n_members)]
+        params = MlpParams([np.stack([m[k] for m in layers]) for k in range(3)])
+        for a in params.layers:
+            a[:, -1] = rng.standard_normal(a[:, -1].shape)  # nonzero biases
+        inputs = rng.standard_normal((n_members, batch, 4))
+        grad_out = rng.standard_normal((n_members, batch, 1))
+        acts = [a[:, :batch] for a in mlp_buffers(params, (n_members, full))]
+        grads_in, masks = ([a[:, :batch] for a in bufs] for bufs in mlp_grad_buffers(params, (n_members, full)))
+        grads = [np.empty(a.shape) for a in params.layers]
+        cache = []
+        out = mlp_forward(params, with_ones(inputs), cache, acts)
+        got, _ = mlp_backward(params, cache, grad_out.copy(), (grads, grads_in, masks), input_grad=False)
+        want_out, gw, gb, _ = _unfolded_step(
+            [w.copy() for w in params.weights], [b[:, None] for b in params.biases], inputs, grad_out
+        )
+        assert_close_normwise(out, want_out)
+        for layer, w, b in zip(got, gw, gb, strict=True):
+            assert_close_normwise(layer[:, :-1], w)
+            assert_close_normwise(layer[:, -1], b)
+
+    def test_input_grad_matches_unfolded_arithmetic(self):
+        # the flows' path: a 2-D net with allocated buffers and the input grad
+        rng = np.random.default_rng(183)
+        params = mlp_init([3, 8, 8, 4], RngStream(seed=184))
+        for a in params.layers:
+            a[-1] = rng.standard_normal(a.shape[-1])
+        inputs, grad_out = rng.standard_normal((25, 3)), rng.standard_normal((25, 4))
+        cache = []
+        out = mlp_forward(params, with_ones(inputs), cache)
+        grads, g_in = mlp_backward(params, cache, grad_out.copy())
+        want_out, gw, gb, want_in = _unfolded_step(params.weights, params.biases, inputs, grad_out)
+        assert_close_normwise(out, want_out)
+        assert_close_normwise(g_in, want_in)
+        for layer, w, b in zip(grads, gw, gb, strict=True):
+            assert_close_normwise(layer[:-1], w)
+            assert_close_normwise(layer[-1], b)
+
+    def test_adam_step_matches_textbook_form(self):
+        rng = np.random.default_rng(185)
+        a, want = rng.standard_normal((20, 50)), None
+        opt, m, v = Adam(a.copy(), lr=1e-2), np.zeros_like(a), np.zeros_like(a)
+        want = a.copy()
+        for t in range(1, 30):
+            g = rng.standard_normal(a.shape)
+            opt.step(g)
+            m, v = 0.9 * m + 0.1 * g, 0.999 * v + 0.001 * g * g
+            want -= 1e-2 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
+        assert_close_normwise(opt.params, want)
+
+    def test_layers_are_views_of_the_parameter_and_gradient_rows(self, monkeypatch):
+        seen = []
+        backward, step = classifiers.mlp_backward, nets.Adam.step
+        monkeypatch.setattr(classifiers, "mlp_backward", lambda p, c, g, out, **k: seen.append((p, out[0])) or backward(p, c, g, out, **k))
+        monkeypatch.setattr(nets.Adam, "step", lambda self, grad: seen.append((self.params, grad)) or step(self, grad))
+        stack = mlp_factory(MlpConfig((6, 5), batch_size=20, max_epochs=2)).ensemble(
+            _separated_members(3, 30, 2, seed=186), [RngStream(seed=187 + h) for h in range(3)]
+        )
+        assert len(seen) == 2 * 2 * 3  # two epochs of three batches, each a backward and a step
+        for (params, layer_grads), (rows, grad) in zip(seen[0::2], seen[1::2]):
+            for layer, layer_grad in zip(params.layers, layer_grads, strict=True):
+                assert np.shares_memory(layer, rows) and np.shares_memory(layer_grad, grad)
+        for layer in stack.params.layers:
+            assert np.shares_memory(layer, stack.flat)
+        member = stack[1]
+        for layer, own in zip(member.params.layers, stack.params.layers, strict=True):
+            assert np.shares_memory(layer, stack.flat) and np.array_equal(layer, own[1])
+
+    def test_old_format_checkpoint_scores_bitwise(self, tmp_path):
+        # checkpoints keep separate weights and biases, as before the fold
+        _, data = gaussian_pair_data(1.5, 300, seed=188)
+        clf = mlp_fit(data, MlpConfig(hidden_sizes=(7, 5), max_epochs=8), RngStream(seed=189))
+        payload = {
+            "kind": "mlp",
+            "weights": [w.tolist() for w in clf.params.weights],
+            "biases": [b.tolist() for b in clf.params.biases],
+            "feat_mean": clf.feat_mean.tolist(),
+            "feat_std": clf.feat_std.tolist(),
+            "metadata": {"hidden_sizes": [7, 5]},
+        }
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(payload))
+        loaded = load_classifier(path)
+        pts = np.random.default_rng(190).standard_normal((300, 2)) * 2.0
+        assert loaded.predict_proba(pts).tobytes() == clf.predict_proba(pts).tobytes()
+        save_classifier(clf, tmp_path / "new.json")
+        saved = json.loads((tmp_path / "new.json").read_text())
+        assert {k: saved[k] for k in ("weights", "biases")} == {k: payload[k] for k in ("weights", "biases")}
 
 
 def _diverging_data(seed, gap):
@@ -1056,10 +1194,10 @@ class TestStackedQdaNullSeededIdentity:
 def test_backward_without_input_grad_keeps_parameter_grads():
     params = mlp_init([3, 5, 4, 1], RngStream(seed=166))
     cache: list = []
-    out = mlp_forward(params, np.random.default_rng(167).standard_normal((20, 3)), cache)
+    out = mlp_forward(params, with_ones(np.random.default_rng(167).standard_normal((20, 3))), cache)
     g = np.random.default_rng(168).standard_normal(out.shape)
-    gw, gb, g_in = mlp_backward(params, cache, g.copy())
-    gw_only, gb_only, none = mlp_backward(params, cache, g.copy(), input_grad=False)
+    grads, g_in = mlp_backward(params, cache, g.copy())
+    grads_only, none = mlp_backward(params, cache, g.copy(), input_grad=False)
     assert g_in.shape == (20, 3) and none is None
-    for a, b in zip([*gw, *gb], [*gw_only, *gb_only], strict=True):
+    for a, b in zip(grads, grads_only, strict=True):
         assert a.tobytes() == b.tobytes()

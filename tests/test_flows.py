@@ -23,7 +23,7 @@ from lc2st import (
     save_flow,
 )
 from lc2st.flows import S_MAX, CouplingLayer, _npe_loss_and_grads, npe_loss
-from lc2st.nets import MlpParams, mlp_forward
+from lc2st.nets import MlpParams, mlp_forward, with_ones
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -231,7 +231,8 @@ class TestNpeTraining:
 
 
 class _SerialAdam:
-    """Adam over a list of parameter arrays, one array at a time."""
+    """Adam over a list of parameter arrays, one array at a time, in Kingma &
+    Ba's efficient form with the first moment kept divided by 1 - beta1."""
 
     def __init__(self, arrays, lr):
         self.arrays, self.lr, self.beta1, self.beta2, self.eps = arrays, lr, 0.9, 0.999, 1e-8
@@ -241,14 +242,14 @@ class _SerialAdam:
 
     def step(self, grads):
         self.t += 1
-        b1t = 1.0 - self.beta1**self.t
-        b2t = 1.0 - self.beta2**self.t
+        root = np.sqrt(1.0 - self.beta2**self.t)
+        lr_t = self.lr * (1.0 - self.beta1) * root / (1.0 - self.beta1**self.t)
         for a, g, m, v in zip(self.arrays, grads, self.m, self.v):
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += g
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
-            a -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            a -= lr_t * (m / (np.sqrt(v) + self.eps * root))
 
 
 def serial_npe_fit(flow, train, cfg, stream):
@@ -348,6 +349,29 @@ class TestCheckpoints:
             loaded.sample(xs[0], 20, RngStream(seed=33)), flow.sample(xs[0], 20, RngStream(seed=33))
         )
 
+    def test_old_format_checkpoint_scores_bitwise(self, tmp_path):
+        # coupling layers keep separate weights and biases, as before the fold
+        task = gaussian_conjugate_task(m=2, noise_std=1.0)
+        flow = build_coupling_flow(2, 2, n_layers=3, hidden=(8, 8), stream=RngStream(seed=35))
+        flow, _ = flow_fit_npe(flow, task.sample_joint(200, RngStream(seed=36)), NpeConfig(max_epochs=3), RngStream(seed=37))
+
+        def entry(layer):
+            if layer.params is None:
+                return {"type": "permutation", "perm": layer.perm.tolist()}
+            weights = [w.tolist() for w in layer.params.weights]
+            return {"type": "coupling", "mask": layer.mask.astype(int).tolist(), "weights": weights,
+                    "biases": [b.tolist() for b in layer.params.biases]}
+
+        payload = {"kind": "coupling-flow", "m": 2, "d": 2, "layers": [entry(layer) for layer in flow.layers]}
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(payload))
+        loaded = load_flow(path)
+        rng = np.random.default_rng(38)
+        thetas, xs = rng.standard_normal((60, 2)), rng.standard_normal((60, 2))
+        assert loaded.log_prob(thetas, xs).tobytes() == flow.log_prob(thetas, xs).tobytes()
+        assert loaded.sample(xs[0], 30, RngStream(seed=39)).tobytes() == flow.sample(xs[0], 30, RngStream(seed=39)).tobytes()
+        assert flow.to_dict() == payload
+
     def test_affine_flow_round_trip(self, tmp_path):
         flow = conjugate_affine_flow(2, 0.7, scale_mult=1.5, shift=0.2)
         path = tmp_path / "affine.json"
@@ -362,7 +386,7 @@ class TestCheckpoints:
 def _elementwise_maps(params, z, y, xs):
     # The m = 1 block written out: (t, s) from the conditioner on xs alone,
     # s smoothly clamped; forward z*exp(s) + t, inverse (y - t)*exp(-s).
-    out = mlp_forward(params, xs)
+    out = mlp_forward(params, with_ones(xs))
     t, s = out[:, :1], S_MAX * np.tanh(out[:, 1:] / S_MAX)
     return z * np.exp(s) + t, (y - t) * np.exp(-s), s[:, 0]
 
@@ -391,7 +415,7 @@ class TestOneDimensionalBlocks:
         path = tmp_path / "flow.json"
         path.write_text(json.dumps({"kind": "coupling-flow", "m": 1, "d": 2, "layers": [layer]}))
         flow = load_flow(path)
-        params = MlpParams([np.asarray(w) for w in weights], [np.asarray(b) for b in biases])
+        params = MlpParams.from_split([np.asarray(w) for w in weights], [np.asarray(b) for b in biases])
         rng = np.random.default_rng(44)
         z, y, xs = rng.standard_normal((25, 1)), rng.standard_normal((25, 1)), rng.standard_normal((25, 2))
         fwd, inv, s = _elementwise_maps(params, z, y, xs)

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.stats import kstest
 
 from lc2st import (
     ConfigurationError,
@@ -204,7 +205,7 @@ class TestTypeOne:
         npe = {"kind": "npe", "max_epochs": 2, "n_layers": 2, "hidden": [8]}
         sweeps = [
             (run_type1, ExperimentPlan(**SMALL_TYPE1)),
-            # each worker trains its own copy of the n_train's flow
+            # the n_train's flow is trained once and sent to both workers
             (run_power, ExperimentPlan(**{**SMALL_TYPE1, "kind": "power", "n_train_grid": [150], "estimator": npe})),
             (run_type1, ExperimentPlan(**{**SMALL_TYPE1, "method": "lc2st-nf", "reuse_null": True, "n_null": 5})),
         ]
@@ -237,6 +238,15 @@ class TestTypeOne:
         estimator = conjugate_affine_flow(2, 1.0) if method == "lc2st-nf" else task.reference
         result = run_test(method, task, estimator, x_o, 200, 12, 200, qda_factory(), stream).results[0]
         assert (record.statistic, record.p_value) == (result.statistic, result.p_value)
+
+    def test_mlp_p_values_are_uniform(self):
+        # a small MLP keeps type-I control: 4 observations x 50 runs of the
+        # lc2st test with the exact estimator, each with a 20-member null
+        mlp = {"kind": "mlp", "hidden_sizes": [8], "max_epochs": 10, "patience": 10}
+        over = {"n_cal_grid": [100], "n_observations": 4, "n_runs": 50, "n_null": 20, "n_v": 500, "seed": 0}
+        res = run_type1(ExperimentPlan(**{**SMALL_TYPE1, **over, "classifier": mlp}))
+        pvals = np.array([r.p_value for r in res.records])
+        assert len(pvals) == 200 and kstest(pvals, "uniform").pvalue > 0.01
 
     def test_error_names_its_cell(self):
         diverging = {"kind": "mlp", "hidden_sizes": [8], "learning_rate": 1e300, "max_epochs": 30}
@@ -331,6 +341,40 @@ class TestPower:
         res = run_power(ExperimentPlan(**{**SMALL_TYPE1, **over, "kind": "power", "estimator": npe}))
         assert len(res.records) == 2 * 2 * 2
         assert [train.n for _, train, _, _ in fits] == [100, 200]
+
+    def test_npe_trains_one_flow_per_n_train_on_the_pool(self, monkeypatch):
+        import lc2st.harness as hmod
+
+        fits, jobs = [], []
+        run_job = hmod._run_job
+        monkeypatch.setenv("LC2ST_THREADS", "2")
+        monkeypatch.setattr(hmod, "ProcessPoolExecutor", _InProcessPool)
+        monkeypatch.setattr(hmod, "_run_job", lambda *args: jobs.append(args[2]) or run_job(*args))
+        monkeypatch.setattr(hmod, "flow_fit_npe", lambda *args: fits.append(args) or flow_fit_npe(*args))
+        npe = {"kind": "npe", "max_epochs": 2, "n_layers": 2, "hidden": [8]}
+        over = {"n_train_grid": [100, 200], "n_cal_grid": [200], "n_observations": 2, "n_runs": 2, "n_v": 200, "n_null": 5}
+        plan = ExperimentPlan(**{**SMALL_TYPE1, **over, "kind": "power", "estimator": npe})
+        res = run_power(plan)
+        assert jobs == [100, 100, 200, 200]
+        assert [train.n for _, train, _, _ in fits] == [100, 200]
+        monkeypatch.delenv("LC2ST_THREADS")
+        assert [r.__dict__ for r in res.records] == [r.__dict__ for r in run_power(plan).records]
+
+
+class _InProcessPool:
+    """A ProcessPoolExecutor stand-in that runs its jobs here, so that
+    patched functions see the calls the workers would make."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    map = staticmethod(map)
 
 
 class TestSigmaSweep:
