@@ -224,7 +224,10 @@ def p_value_from_null(statistic: float, null_statistics: np.ndarray, conservativ
 
 @dataclass(frozen=True)
 class TestResult:
-    """Outcome of one local test at one observation."""
+    """Outcome of one test at one observation.  ``points`` are the rows its
+    statistic scored, conditioning columns included (an oracle test's
+    ``val`` rows), for the PP-plot and heatmap that explain it; they are
+    not part of ``result.json``."""
 
     __test__ = False  # statistical test result, not a pytest case
 
@@ -237,6 +240,7 @@ class TestResult:
     n_h: int
     seeds: dict
     p_value_kind: str | None = "strict"
+    points: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         upper = _STAT_UPPER.get(self.method)
@@ -263,13 +267,14 @@ class TestResult:
         n_v: int,
         seeds: dict,
         conservative: bool = False,
+        points: np.ndarray | None = None,
     ) -> "TestResult":
         nulls = None if null_statistics is None else np.asarray(null_statistics, dtype=np.float64)
         if nulls is None or nulls.size == 0:
-            return TestResult(method, statistic, None, None, np.asarray(x_o), n_v, 0, seeds, None)
+            return TestResult(method, statistic, None, None, np.asarray(x_o), n_v, 0, seeds, None, points)
         kind = "conservative" if conservative else "strict"
         p = p_value_from_null(statistic, nulls, conservative=conservative)
-        return TestResult(method, statistic, nulls, p, np.asarray(x_o), n_v, int(nulls.size), seeds, kind)
+        return TestResult(method, statistic, nulls, p, np.asarray(x_o), n_v, int(nulls.size), seeds, kind, points)
 
     def to_json_dict(self) -> dict:
         return {
@@ -488,7 +493,7 @@ def _evaluate(method: str, clf, ensemble: NullEnsemble, draw, x_o, n_v: int, str
     ws = append_conditioning(draw(stream.child("eval")), x_o)
     nulls = _mse0(ensemble.classifiers, ws) if len(ensemble) else None
     seeds = {"seed": int(stream.seed), "stream_id": int(stream.stream_id)}
-    return TestResult.from_stats(method, t_mse0(clf, ws), nulls, x_o, n_v, seeds, conservative)
+    return TestResult.from_stats(method, t_mse0(clf, ws), nulls, x_o, n_v, seeds, conservative, ws)
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +693,8 @@ def run_test(
     ``stream.child("test")``, so row j's result is a one-observation test's
     at row j.  The oracle methods train on ``n_cal`` estimator and reference
     draws at their one observation against a free permutation null, and
-    score ``t_acc`` or ``t_mse`` on ``n_v`` fresh draws of each.
+    score ``t_acc`` or ``t_mse`` on ``n_v`` fresh draws of each.  Each
+    result keeps the rows it scored as its ``points``.
     ``n_null=0`` leaves the null empty and the p-values None.  Only
     ``lc2st-nf``'s null is estimator-independent: it alone takes a given
     ``ensemble`` (``nf-resampled`` over ``task.m`` latents), fits none and
@@ -751,7 +757,8 @@ def run_test(
         stat = (t_acc if method == "oracle-c2st-acc" else t_mse)(clf, val)
         acc, mse = _two_class_statistics(ensemble.classifiers, val) if len(ensemble) else (None, None)
         seeds = {"seed": int(stream.seed), "stream_id": int(stream.stream_id)}
-        results = [TestResult.from_stats(method, stat, acc if method == "oracle-c2st-acc" else mse, x_o, n_v, seeds, conservative)]
+        nulls = acc if method == "oracle-c2st-acc" else mse
+        results = [TestResult.from_stats(method, stat, nulls, x_o, n_v, seeds, conservative, val.ws)]
     null = ensemble.fit_seconds if n_fit else 0.0
     return TestRun(results, clf, ensemble, {"train": t1 - t0 - null, "null": null, "evaluate": time.perf_counter() - t1})
 
@@ -865,29 +872,25 @@ class MarginalHeatmap:
     mean_prob: np.ndarray
 
 
-def probability_heatmap(
-    clf,
-    flow,
-    x_o: np.ndarray,
-    n: int,
-    bins: int,
-    stream: RngStream,
-) -> list[MarginalHeatmap]:
+def probability_heatmap(clf, flow, eval_ws: np.ndarray, bins: int) -> list[MarginalHeatmap]:
     """Mean class-0 probability per histogram bin, for all 1-D and 2-D marginals.
 
-    Latents are drawn from the base distribution, mapped through the flow at
-    ``x_o`` to parameter space for binning, while probabilities are evaluated
-    on the latent inputs (z, x_o) -- high class-0 probability marks regions
-    where the estimator carries more mass than the joint data supports.
+    ``eval_ws`` are the latent rows (z, x) the ℓ-C2ST-NF statistic scored
+    (its result's ``points``): z, the first ``flow.m`` columns, is mapped
+    through the flow at x to parameter space for binning, while the
+    probabilities are those of the rows themselves -- high class-0
+    probability marks regions where the estimator carries more mass than the
+    joint data supports.
     """
     if bins < 2:
         raise ConfigurationError("need at least 2 bins per axis")
-    if n < 1:
+    eval_ws = np.atleast_2d(np.asarray(eval_ws, dtype=np.float64))
+    if eval_ws.shape[1] != flow.m + flow.d:
+        raise ConfigurationError(f"heatmap rows need {flow.m} latent and {flow.d} conditioning columns, got {eval_ws.shape[1]}")
+    if len(eval_ws) == 0:
         raise ConfigurationError("need at least one sample")
-    z = stream.child("z").generator().standard_normal((n, flow.m))
-    xs = np.broadcast_to(np.asarray(x_o, dtype=np.float64).reshape(1, -1), (n, flow.d))
-    thetas, _ = flow.forward(z, xs)
-    d0 = 1.0 - np.asarray(clf.predict_proba(append_conditioning(z, x_o)))
+    thetas, _ = flow.forward(eval_ws[:, : flow.m], eval_ws[:, flow.m :])
+    d0 = 1.0 - np.asarray(clf.predict_proba(eval_ws))
     out: list[MarginalHeatmap] = []
     edges = [np.histogram_bin_edges(thetas[:, i], bins=bins) for i in range(flow.m)]
     for i in range(flow.m):

@@ -1,6 +1,8 @@
 """Command-line interface.
 
-Subcommands: simulate, train-npe, test, ppplot, heatmap, sweep, bench.
+Subcommands: simulate, train-npe, test, sweep, bench.  ``test`` writes its
+result and, from the same classifier, null and scored points, the PP-plot
+and heatmap that explain it.
 Usage problems (unknown flags, missing files, dimension mismatches) exit 2;
 runtime failures (failed fits, diverged training, exhausted oracles) exit 1.
 Either way a single-line reason goes to stderr.
@@ -54,12 +56,14 @@ def _classifier(args):
 
 
 def _estimator(args, task):
+    given = {k: v for k, v in (("shift", args.distort_shift), ("scale", args.distort_scale)) if v is not None}
     if args.flow:
+        if given:
+            raise ConfigurationError(f"--distort-{next(iter(given))} does not apply to a --flow checkpoint")
         return load_flow(args.flow)
-    spec = {"kind": "exact"}
-    if args.distort_shift != 0.0 or args.distort_scale != 1.0:
-        spec = {"kind": "distortion", "shift": args.distort_shift, "scale": args.distort_scale}
-    return _build_estimator(spec, task, flow=False)
+    if given.get("shift", 0.0) == 0.0 and given.get("scale", 1.0) == 1.0:
+        given = {}  # the identity distortion is the exact posterior
+    return _build_estimator({"kind": "distortion" if given else "exact", **given}, task, flow=False)
 
 
 def _observation(args, task):
@@ -70,6 +74,14 @@ def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _write_csv(path: Path, header: str, rows) -> None:
+    """``rows`` under ``header``, floats as their repr (round-trip exact)."""
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -96,16 +108,17 @@ def _cmd_train_npe(args) -> int:
     fitted, trace = flow_fit_npe(flow, train, cfg, derive_stream(args.seed, "npe-fit"))
     out = _out_dir(args)
     save_flow(fitted, out / "flow.json")
-    with (out / "loss_trace.csv").open("w", encoding="utf-8") as fh:
-        fh.write("epoch,train_nll,holdout_nll\n")
-        holdout = trace["holdout_nll"] or [float("nan")] * len(trace["train_nll"])
-        for epoch, (tr, va) in enumerate(zip(trace["train_nll"], holdout)):
-            fh.write(f"{epoch},{tr!r},{va!r}\n")
+    holdout = trace["holdout_nll"] or [float("nan")] * len(trace["train_nll"])
+    rows = ((epoch, tr, va) for epoch, (tr, va) in enumerate(zip(trace["train_nll"], holdout)))
+    _write_csv(out / "loss_trace.csv", "epoch,train_nll,holdout_nll", rows)
     return 0
 
 
-def _run_test(args, task):
-    """The subcommand's test through ``c2st.run_test``: (run, estimator, x_o)."""
+def _cmd_test(args) -> int:
+    """One ``run_test``: ``result.json``, and from its classifier, null and
+    scored points ``ppplot.csv`` (local tests with a null) and
+    ``heatmap.csv`` (lc2st-nf)."""
+    task = make_task(args.task, **_task_params(args))
     if args.method == "lc2st-nf" and not args.flow:
         raise ConfigurationError("method lc2st-nf requires --flow <checkpoint>")
     _, x_o = _observation(args, task)
@@ -114,51 +127,17 @@ def _run_test(args, task):
         args.method, task, estimator, x_o, args.n_cal, args.n_null, args.n_v, _classifier(args),
         derive_stream(args.seed, "test"), conservative=args.conservative,
     )
-    return run, estimator, x_o
-
-
-def _cmd_test(args) -> int:
-    run, _, _ = _run_test(args, make_task(args.task, **_task_params(args)))
-    run.results[0].save(_out_dir(args) / "result.json")
-    return 0
-
-
-def _cmd_ppplot(args) -> int:
-    if args.method not in ("lc2st", "lc2st-nf"):
-        raise ConfigurationError(f"method {args.method!r} is not a local test")
-    run, estimator, x_o = _run_test(args, make_task(args.task, **_task_params(args)))
-    stream = derive_stream(args.seed, "ppplot")
-    if args.method == "lc2st":
-        points = estimator.sample(x_o, args.n_v, stream)
-    else:
-        points = stream.generator().standard_normal((args.n_v, estimator.m))
-    ws = c2st.append_conditioning(points, x_o)
-    data = c2st.pp_plot(run.classifier, run.ensemble, ws, alpha=args.alpha)
+    result, csvs = run.results[0], {}
+    if args.method in ("lc2st", "lc2st-nf") and len(run.ensemble):
+        pp = c2st.pp_plot(run.classifier, run.ensemble, result.points, alpha=args.alpha)
+        csvs["ppplot.csv"] = ("level,cdf,lower,upper", pp.rows())
+    if args.method == "lc2st-nf":
+        maps = c2st.probability_heatmap(run.classifier, estimator, result.points, args.bins)
+        csvs["heatmap.csv"] = ("dim_i,dim_j,bin_i,bin_j,count,mean_prob", c2st.heatmap_rows(maps))
     out = _out_dir(args)
-    with (out / "ppplot.csv").open("w", encoding="utf-8") as fh:
-        fh.write("level,cdf,lower,upper\n")
-        for level, cdf, lower, upper in data.rows():
-            fh.write(f"{level!r},{cdf!r},{lower!r},{upper!r}\n")
-    run.results[0].save(out / "result.json")
-    return 0
-
-
-def _cmd_heatmap(args) -> int:
-    task = make_task(args.task, **_task_params(args))
-    if not args.flow:
-        raise ConfigurationError("heatmap requires --flow <checkpoint>")
-    flow = load_flow(args.flow)
-    _, x_o = _observation(args, task)
-    # the maps need only the ℓ-C2ST-NF classifier: fit no null
-    run = c2st.run_test(
-        "lc2st-nf", task, flow, x_o, args.n_cal, 0, args.n_v, _classifier(args), derive_stream(args.seed, "test")
-    )
-    maps = c2st.probability_heatmap(run.classifier, flow, x_o, args.n_v, args.bins, derive_stream(args.seed, "heatmap"))
-    out = _out_dir(args)
-    with (out / "heatmap.csv").open("w", encoding="utf-8") as fh:
-        fh.write("dim_i,dim_j,bin_i,bin_j,count,mean_prob\n")
-        for row in c2st.heatmap_rows(maps):
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+    result.save(out / "result.json")
+    for name, (header, rows) in csvs.items():
+        _write_csv(out / name, header, rows)
     return 0
 
 
@@ -173,12 +152,8 @@ def _cmd_sweep(args) -> int:
         return 0
     if plan.kind == "correlation":
         result = run_oracle_correlation(plan)
-        with (out / "correlation.csv").open("w", encoding="utf-8") as fh:
-            fh.write("obs_index,distortion_frac,oracle_stat,local_stat\n")
-            for p in result.pairs:
-                fh.write(
-                    f"{p['obs_index']},{p['distortion_frac']!r},{p['oracle']!r},{p['local']!r}\n"
-                )
+        rows = ((p["obs_index"], p["distortion_frac"], p["oracle"], p["local"]) for p in result.pairs)
+        _write_csv(out / "correlation.csv", "obs_index,distortion_frac,oracle_stat,local_stat", rows)
         payload = {"plan": plan.to_dict(), "spearman_rho": result.spearman_rho, "p_value": result.p_value}
         save_json(payload, out / "results.json")
         return 0
@@ -226,28 +201,6 @@ def _add_task_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bound", type=float, default=None)
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    """What every classifier-training subcommand reads: sizes, seeds, classifier, flow."""
-    p.add_argument("--n-cal", dest="n_cal", type=int, default=1000)
-    p.add_argument("--n-v", dest="n_v", type=int, default=10_000)
-    p.add_argument("--x-seed", dest="x_seed", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--clf", choices=["qda", "mlp"], default="qda")
-    p.add_argument("--hidden-mult", dest="hidden_mult", type=int, default=10)
-    p.add_argument("--epochs", type=int, default=1000)
-    p.add_argument("--flow", default=None, help="flow checkpoint JSON")
-
-
-def _add_test_flags(p: argparse.ArgumentParser) -> None:
-    _add_run_flags(p)
-    p.add_argument("--method", choices=["lc2st", "lc2st-nf", "oracle-c2st-acc", "oracle-c2st-mse"], default="lc2st")
-    p.add_argument("--n-null", dest="n_null", type=int, default=100)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--distort-shift", dest="distort_shift", type=float, default=0.0)
-    p.add_argument("--distort-scale", dest="distort_scale", type=float, default=1.0)
-    p.add_argument("--conservative", action="store_true", help="(1+k)/(n+1) p-values")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lc2st", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -269,24 +222,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_train_npe)
 
-    p = sub.add_parser("test", help="run one local or oracle test at a seeded observation")
+    p = sub.add_parser("test", help="one test at a seeded observation, with its PP-plot and heatmap")
     _add_task_flags(p)
-    _add_test_flags(p)
+    p.add_argument("--method", choices=["lc2st", "lc2st-nf", "oracle-c2st-acc", "oracle-c2st-mse"], default="lc2st")
+    p.add_argument("--n-cal", dest="n_cal", type=int, default=1000)
+    p.add_argument("--n-null", dest="n_null", type=int, default=100)
+    p.add_argument("--n-v", dest="n_v", type=int, default=10_000)
+    p.add_argument("--x-seed", dest="x_seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--clf", choices=["qda", "mlp"], default="qda")
+    p.add_argument("--hidden-mult", dest="hidden_mult", type=int, default=10)
+    p.add_argument("--epochs", type=int, default=1000)
+    p.add_argument("--flow", default=None, help="flow checkpoint JSON")
+    p.add_argument("--distort-shift", dest="distort_shift", type=float, default=None)
+    p.add_argument("--distort-scale", dest="distort_scale", type=float, default=None)
+    p.add_argument("--conservative", action="store_true", help="(1+k)/(n+1) p-values")
+    p.add_argument("--alpha", type=float, default=0.05, help="PP-plot band: the null's 1-alpha range")
+    p.add_argument("--bins", type=int, default=20, help="heatmap bins per axis (lc2st-nf)")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_test)
-
-    p = sub.add_parser("ppplot", help="PP-plot of predicted class-0 probabilities")
-    _add_task_flags(p)
-    _add_test_flags(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_ppplot)
-
-    p = sub.add_parser("heatmap", help="predicted-probability heatmaps over flow marginals")
-    _add_task_flags(p)
-    _add_run_flags(p)
-    p.add_argument("--bins", type=int, default=20)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_heatmap)
 
     p = sub.add_parser("sweep", help="run an experiment plan (type1/power/sigma-sweep/correlation)")
     p.add_argument("--plan", required=True)

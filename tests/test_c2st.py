@@ -731,6 +731,7 @@ class TestManyObservations:
         for x_o, result in zip(self.OBSERVATIONS, batch.results):
             single = run_test(method, task, estimator, x_o, 200, 6, 150, fit, RngStream(seed=71))
             assert result.to_json_dict() == single.results[0].to_json_dict()
+            assert result.points.tobytes() == single.results[0].points.tobytes()
         # the rows share the evaluation stream but not the observation
         assert len({r.statistic for r in batch.results}) == len(self.OBSERVATIONS)
         with pytest.raises(ConfigurationError, match="at least one observation"):
@@ -744,6 +745,12 @@ class TestManyObservations:
         one = run_test(method, task, task.reference, self.OBSERVATIONS[:1], 100, 4, 100, qda_factory(), RngStream(seed=1))
         row = run_test(method, task, task.reference, self.OBSERVATIONS[0], 100, 4, 100, qda_factory(), RngStream(seed=1))
         assert one.results[0].to_json_dict() == row.results[0].to_json_dict()
+        # the points are the val rows: estimator draws above reference draws
+        x_o, stream = self.OBSERVATIONS[0], RngStream(seed=1)
+        val = LabeledPairDataset.from_class_arrays(
+            task.reference.sample(x_o, 100, stream.child("q-val")), task.reference.sample(x_o, 100, stream.child("p-val"))
+        )
+        assert np.array_equal(row.results[0].points, val.ws)
 
 class TestPPPlot:
     def _null_ensemble(self, n_members=40, seed=51):
@@ -812,11 +819,15 @@ class TestHeatmap:
         self.fit = qda_factory()
         self.x_o = np.array([0.3, -0.3])
 
+    def rows(self, seed, n):
+        """n latent rows (z, x_o), z drawn on ``RngStream(seed=seed).child("z")``."""
+        return append_conditioning(RngStream(seed=seed).child("z").generator().standard_normal((n, 2)), self.x_o)
+
     def test_consistent_estimator_mostly_chance_level(self):
         flow = conjugate_affine_flow(2, 1.0)
         cal = self.task.sample_joint(10_000, RngStream(seed=59))
         clf = lc2st_nf_train(flow, cal, self.fit, RngStream(seed=60))
-        maps = probability_heatmap(clf, flow, self.x_o, 20_000, 8, RngStream(seed=61))
+        maps = probability_heatmap(clf, flow, self.rows(61, 20_000), 8)
         for hm in maps:
             probs = hm.mean_prob[hm.counts > 50]
             assert np.mean((probs >= 0.4) & (probs <= 0.6)) >= 0.95
@@ -825,7 +836,7 @@ class TestHeatmap:
         shifted = conjugate_affine_flow(2, 1.0, shift=1.0)
         cal = self.task.sample_joint(10_000, RngStream(seed=62))
         clf = lc2st_nf_train(shifted, cal, self.fit, RngStream(seed=63))
-        maps = probability_heatmap(clf, shifted, self.x_o, 20_000, 10, RngStream(seed=64))
+        maps = probability_heatmap(clf, shifted, self.rows(64, 20_000), 10)
         for hm in maps:
             if hm.dims[0] != hm.dims[1]:
                 continue
@@ -837,14 +848,14 @@ class TestHeatmap:
 
     def test_single_sample_single_bin(self):
         flow = conjugate_affine_flow(2, 1.0)
-        maps = probability_heatmap(_Const(0.25), flow, self.x_o, 1, 2, RngStream(seed=65))
+        maps = probability_heatmap(_Const(0.25), flow, self.rows(65, 1), 2)
         for hm in maps:
             assert hm.counts.sum() == 1
             assert np.nanmax(hm.mean_prob) == pytest.approx(0.75)
 
     def test_rows_schema(self):
         flow = conjugate_affine_flow(2, 1.0)
-        maps = probability_heatmap(_Const(0.5), flow, self.x_o, 50, 4, RngStream(seed=66))
+        maps = probability_heatmap(_Const(0.5), flow, self.rows(66, 50), 4)
         rows = heatmap_rows(maps)
         # 2 one-dim marginals (4 bins) + 1 two-dim marginal (16 bins)
         assert len(rows) == 2 * 4 + 16
@@ -853,7 +864,9 @@ class TestHeatmap:
     def test_bins_validation(self):
         flow = conjugate_affine_flow(2, 1.0)
         with pytest.raises(ConfigurationError):
-            probability_heatmap(_Const(0.5), flow, self.x_o, 10, 1, RngStream(seed=67))
+            probability_heatmap(_Const(0.5), flow, self.rows(67, 10), 1)
+        with pytest.raises(ConfigurationError, match="2 latent and 2 conditioning columns, got 3"):
+            probability_heatmap(_Const(0.5), flow, self.rows(67, 10)[:, :3], 4)
 
 
 class TestCrossMethodInvariants:

@@ -1,5 +1,6 @@
 """CLI contracts: subcommands, output files, exit codes."""
 
+import argparse
 import json
 
 import numpy as np
@@ -14,21 +15,23 @@ from lc2st import (
     distort,
     flow_fit_npe,
     lc2st_evaluate,
-    lc2st_nf_train,
     lc2st_train,
     load_dataset,
     load_flow,
     load_metadata,
     make_task,
     mlp_factory,
+    pp_plot,
     probability_heatmap,
     qda_factory,
     run_test,
     save_flow,
 )
+from lc2st import cli
 from lc2st.c2st import heatmap_rows
-from lc2st.cli import main
+from lc2st.cli import build_parser, main
 from lc2st.harness import METHODS, ExperimentPlan
+from test_c2st import CountingFitter
 
 
 def test_simulate_writes_dataset_and_sidecar(tmp_path):
@@ -138,18 +141,56 @@ def test_nf_without_null_reports_no_p_value(tmp_path, affine_flow):
     assert payload["null_statistics"] == [] and payload["n_h"] == 0
 
 
-def test_heatmap_equals_nf_classifier_and_probability_heatmap(tmp_path, affine_flow):
-    # the heatmap trains the lc2st-nf classifier on run_test's streams and no null
-    args = ["--flow", str(affine_flow), "--n-cal", "300", "--n-v", "400", "--bins", "4", "--x-seed", "2", "--seed", "6"]
-    assert main(["heatmap", *args, "--out", str(tmp_path)]) == 0
+def _csv_text(header, rows) -> str:
+    lines = [",".join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
+    return "\n".join([header, *lines]) + "\n"
+
+
+def test_one_training_writes_result_ppplot_and_heatmap(tmp_path, monkeypatch, affine_flow):
+    # one main fit and one null ensemble; both plots are those of the
+    # classifier, null and scored points behind result.json
+    fitters, classifier = [], cli._classifier
+
+    def counting(args):
+        fitters.append(CountingFitter(classifier(args)))
+        return fitters[-1]
+
+    monkeypatch.setattr(cli, "_classifier", counting)
+    args = ["--flow", str(affine_flow), "--n-cal", "300", "--n-null", "8", "--n-v", "400", "--bins", "4", "--x-seed", "2", "--seed", "6"]
+    assert main(["test", "--method", "lc2st-nf", *args, "--out", str(tmp_path / "cli")]) == 0
+    assert [(f.calls, f.ensembles) for f in fitters] == [(1, 1)]
+    assert sorted(p.name for p in (tmp_path / "cli").iterdir()) == ["heatmap.csv", "ppplot.csv", "result.json"]
     task, flow = make_task("gaussian_conjugate"), load_flow(affine_flow)
     _, x_o = task.observation(derive_stream(2, "obs", 0))
-    stream = derive_stream(6, "test")
-    clf = lc2st_nf_train(flow, task.sample_joint(300, stream.child("cal")), qda_factory(), stream.child("train"))
-    rows = heatmap_rows(probability_heatmap(clf, flow, x_o, 400, 4, derive_stream(6, "heatmap")))
-    lines = [",".join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
-    expected = "\n".join(["dim_i,dim_j,bin_i,bin_j,count,mean_prob", *lines]) + "\n"
-    assert (tmp_path / "heatmap.csv").read_text() == expected
+    run = run_test("lc2st-nf", task, flow, x_o, 300, 8, 400, qda_factory(), derive_stream(6, "test"))
+    result = run.results[0]
+    result.save(tmp_path / "result.json")
+    (tmp_path / "ppplot.csv").write_text(
+        _csv_text("level,cdf,lower,upper", pp_plot(run.classifier, run.ensemble, result.points).rows())
+    )
+    maps = probability_heatmap(run.classifier, flow, result.points, 4)
+    (tmp_path / "heatmap.csv").write_text(_csv_text("dim_i,dim_j,bin_i,bin_j,count,mean_prob", heatmap_rows(maps)))
+    for name in ("result.json", "ppplot.csv", "heatmap.csv"):
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+def test_alpha_sets_only_the_ppplot_band(tmp_path):
+    args = ["test", "--method", "lc2st", "--n-cal", "300", "--n-null", "20", "--n-v", "300", "--x-seed", "4"]
+    for alpha in ("0.2", "0.05"):
+        assert main([*args, "--alpha", alpha, "--out", str(tmp_path / alpha)]) == 0
+    assert (tmp_path / "0.2" / "result.json").read_bytes() == (tmp_path / "0.05" / "result.json").read_bytes()
+    wide, narrow = ([r.split(",") for r in (tmp_path / a / "ppplot.csv").read_text().splitlines()] for a in ("0.2", "0.05"))
+    assert [r[:2] for r in wide] == [r[:2] for r in narrow]
+    assert [r[2:] for r in wide] != [r[2:] for r in narrow]
+
+
+def test_subcommands_are_the_five(tmp_path, capsys):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == ["simulate", "train-npe", "test", "sweep", "bench"]
+    for command in ("ppplot", "heatmap"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--method", "lc2st", "--out", str(tmp_path)])
+        assert exc.value.code == 2 and f"invalid choice: '{command}'" in capsys.readouterr().err
 
 
 def _usage_error(capsys, argv) -> str:
@@ -222,6 +263,13 @@ def test_oracle_method_via_cli(tmp_path):
     assert code == 0
     payload = json.loads((out / "result.json").read_text())
     assert payload["p_value"] == 0.0  # scale-2 distortion is blatant
+    assert [p.name for p in out.iterdir()] == ["result.json"]  # no PP-plot or heatmap for an oracle test
+
+
+@pytest.mark.parametrize("flag", [["--distort-shift", "0.5"], ["--distort-scale", "3"]])
+def test_distortion_of_a_flow_checkpoint_is_a_usage_error(tmp_path, capsys, affine_flow, flag):
+    err = _usage_error(capsys, ["test", "--method", "lc2st", "--flow", str(affine_flow), *flag, "--out", str(tmp_path)])
+    assert flag[0] in err and not (tmp_path / "result.json").exists()
 
 
 def test_lc2st_nf_without_flow_is_usage_error(tmp_path, capsys):
@@ -259,15 +307,6 @@ def test_fit_failure_is_runtime_error(tmp_path, capsys):
     assert err.startswith("error: runtime:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize(
-    "flag", [["--method", "lc2st"], ["--n-null", "5"], ["--conservative"], ["--alpha", "0.1"], ["--distort-shift", "0.3"]]
-)
-def test_heatmap_rejects_flags_it_does_not_read(tmp_path, affine_flow, flag):
-    with pytest.raises(SystemExit) as exc:
-        main(["heatmap", "--flow", str(affine_flow), *flag, "--out", str(tmp_path)])
-    assert exc.value.code == 2
-
-
 def test_train_npe_then_nf_test_and_heatmap(tmp_path):
     flow_dir = tmp_path / "flow"
     code = main(
@@ -289,22 +328,12 @@ def test_train_npe_then_nf_test_and_heatmap(tmp_path):
         [
             "test", "--method", "lc2st-nf", "--task", "gaussian_conjugate",
             "--flow", str(flow_dir / "flow.json"), "--n-cal", "300", "--n-null", "10",
-            "--n-v", "300", "--out", str(test_dir),
+            "--n-v", "300", "--bins", "5", "--out", str(test_dir),
         ]
     )
     assert code == 0
     assert (test_dir / "result.json").exists()
-
-    heat_dir = tmp_path / "heat"
-    code = main(
-        [
-            "heatmap", "--task", "gaussian_conjugate", "--flow", str(flow_dir / "flow.json"),
-            "--n-cal", "300", "--n-v", "500", "--bins", "5",
-            "--out", str(heat_dir),
-        ]
-    )
-    assert code == 0
-    lines = (heat_dir / "heatmap.csv").read_text().splitlines()
+    lines = (test_dir / "heatmap.csv").read_text().splitlines()
     assert lines[0] == "dim_i,dim_j,bin_i,bin_j,count,mean_prob"
     assert len(lines) == 1 + 2 * 5 + 25
 
@@ -313,7 +342,7 @@ def test_ppplot_writes_monotone_cdf(tmp_path):
     out = tmp_path / "pp"
     code = main(
         [
-            "ppplot", "--method", "lc2st", "--task", "gaussian_conjugate",
+            "test", "--method", "lc2st", "--task", "gaussian_conjugate",
             "--n-cal", "400", "--n-null", "20", "--n-v", "400", "--out", str(out),
         ]
     )
