@@ -29,11 +29,12 @@ It calls the public steps, which stay usable on their own:
 ``lc2st_evaluate``; ``lc2st_nf_train``, ``lc2st_nf_null`` and
 ``lc2st_nf_evaluate``.
 
-A null ensemble's ``classifiers`` is its fitter's stack (``QdaStack`` or
-``MlpStack``), whose ``log_odds`` scores every member on a block of rows at
-once; :func:`single_class_statistics` and the local tests' null statistics
-share one ``t_mse0`` kernel over it.  The main classifier is always scored by
-its public statistic, through ``predict_proba``.
+A null ensemble's ``classifiers`` is its fitter's stack (an H-member
+``QdaModel`` or an ``MlpStack``), whose ``log_odds`` scores every member on a
+block of rows at once; :func:`single_class_statistics` and the local tests'
+null statistics share one ``t_mse0`` kernel over it.  The main classifier (a
+one-member ``QdaModel`` for QDA) is always scored by its public statistic,
+through ``predict_proba``.
 
 p-values use the strict-exceedance count (number of null statistics above
 the observed one, over n_null); ``conservative=True`` switches to the
@@ -297,9 +298,9 @@ class TestResult:
 class NullEnsemble:
     """Classifiers fitted under the null construction, with their seed ledger
     and the wall-clock seconds their fit took.  ``classifiers`` is the
-    fitter's stack (``QdaStack``, ``MlpStack``): its ``log_odds`` scores
-    every member at once and ``classifiers[h]`` builds member h.  An empty
-    null is never scored."""
+    fitter's stack (an H-member ``QdaModel``, an ``MlpStack``): its
+    ``log_odds`` scores every member at once and ``classifiers[h]`` builds
+    member h.  An empty null is never scored."""
 
     classifiers: object
     provenance: str  # 'permutation' | 'nf-resampled'

@@ -3,19 +3,20 @@
 Three families, all exposing ``predict_proba(ws) -> P(C=1 | w)``:
 
 * :func:`qda_fit` -- closed-form quadratic discriminant analysis, the Bayes
-  classifier when both classes are Gaussian; its log-odds is one coefficient
-  vector over :func:`quad_features`, and :func:`qda_fit_moments` fits a whole
-  ensemble from stacked class moments into one (features, members) matrix;
+  classifier when both classes are Gaussian: the one-member case of
+  :func:`qda_fit_moments`, which fits H members from their class moments.  A
+  :class:`QdaModel` holds one coefficient vector over :func:`quad_features`
+  per member, as one (features, members) matrix;
 * :func:`analytic_bayes` -- exact class probability p/(p+q) from a pair of
   log-densities, used as an oracle in tests;
 * :func:`mlp_fit` -- a small rectifier network with a sigmoid head trained by
   minibatch Adam on binary cross-entropy with early stopping; null ensembles
   of such nets train as one stack, every member in the same Adam loop.
 
-A fitter's ``ensemble`` returns its family's stack, :class:`QdaStack` or
-:class:`MlpStack`, which scores itself: ``stack.log_odds(ws)`` gives the
-(rows, members) log-odds of every member, and ``stack[h]`` builds member h
-as a QdaModel or MlpModel.
+A fitter's ``ensemble`` returns its family's stack, a :class:`QdaModel` of
+H members or an :class:`MlpStack`, which scores itself:
+``stack.log_odds(ws)`` gives the (rows, members) log-odds of every member,
+and ``stack[h]`` builds member h as a one-member QdaModel or an MlpModel.
 
 The decision rule everywhere is ``predict 1 iff d > 1/2``: exact ties go to
 class 0, which makes accuracy statistics deterministic.
@@ -30,6 +31,7 @@ import numpy as np
 
 from .core import (
     ConfigurationError,
+    DataFormatError,
     FitError,
     LabeledPairDataset,
     RngStream,
@@ -46,7 +48,6 @@ __all__ = [
     "QdaModel",
     "qda_coefficients",
     "qda_fit",
-    "QdaStack",
     "qda_fit_moments",
     "AnalyticBayesClassifier",
     "analytic_bayes",
@@ -130,106 +131,87 @@ def qda_coefficients(means: np.ndarray, covs: np.ndarray, priors: np.ndarray) ->
     return np.vstack([*(sym[:, i, i:].T for i in diag), (lin[:, 1] - lin[:, 0]).T, const])
 
 
-@dataclass
-class QdaModel:
-    """Gaussian class-conditional classifier with per-class mean/covariance;
-    ``coef`` is its :func:`qda_coefficients` column."""
-
-    mu0: np.ndarray
-    mu1: np.ndarray
-    cov0: np.ndarray
-    cov1: np.ndarray
-    prior0: float = 0.5
-    prior1: float = 0.5
-    coef: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.mu0 = np.asarray(self.mu0, dtype=np.float64).ravel()
-        self.mu1 = np.asarray(self.mu1, dtype=np.float64).ravel()
-        self.cov0 = np.asarray(self.cov0, dtype=np.float64)
-        self.cov1 = np.asarray(self.cov1, dtype=np.float64)
-        if not np.isclose(self.prior0 + self.prior1, 1.0):
-            raise ConfigurationError("class priors must sum to one")
-        self.coef = qda_coefficients(
-            np.stack([self.mu0, self.mu1])[None], np.stack([self.cov0, self.cov1])[None], np.array([[self.prior0, self.prior1]])
-        )[:, 0]
-
-    @property
-    def dim(self) -> int:
-        return self.mu0.shape[0]
-
-    def log_odds(self, ws: np.ndarray) -> np.ndarray:
-        ws = _check_features(ws, self.dim)
-        out = np.empty(len(ws))
-        for rows in row_slices(len(ws)):
-            out[rows] = quad_features(ws[rows]) @ self.coef
-        return out
-
-    def predict_proba(self, ws: np.ndarray) -> np.ndarray:
-        return sigmoid(self.log_odds(ws))
-
-
-def qda_fit(data: LabeledPairDataset, ridge: float | None = None) -> QdaModel:
-    """Fit QDA by the per-class sample mean and covariance.
-
-    ``ridge * I`` is added to each covariance; the default ridge is
-    ``1e-6 * trace(cov) / dim``, enough to survive nearly-degenerate
-    calibration sets without moving well-conditioned fits.
-    """
-    dim = data.dim
-    rows = [data.class_rows(0), data.class_rows(1)]
-    for label, w in enumerate(rows):
-        if w.shape[0] < dim + 1:
-            raise FitError(
-                f"class {label} has {w.shape[0]} samples, need at least dim+1={dim + 1}"
-            )
-    mus, covs = [], []
-    for w in rows:
-        mu = w.mean(axis=0)
-        cov = np.cov(w, rowvar=False, ddof=1).reshape(dim, dim)
-        r = ridge if ridge is not None else 1e-6 * float(np.trace(cov)) / dim
-        if r < 0:
-            raise ConfigurationError("ridge must be nonnegative")
-        covs.append(cov + r * np.eye(dim))
-        mus.append(mu)
-    n0, n1 = rows[0].shape[0], rows[1].shape[0]
-    return QdaModel(
-        mu0=mus[0], mu1=mus[1], cov0=covs[0], cov1=covs[1],
-        prior0=n0 / (n0 + n1), prior1=n1 / (n0 + n1),
-    )
-
-
 @dataclass(frozen=True)
-class QdaStack:
-    """H QDA members fitted together: (H, 2, d) class ``means``, (H, 2, d, d)
-    ``covs``, (H, 2) ``priors`` and their (F, H) ``coef``.  ``log_odds``
-    scores every member in one product with ``coef``; ``stack[h]`` builds
-    member h as a :class:`QdaModel` only when asked for, for checkpoints and
-    inspection."""
+class QdaModel:
+    """H Gaussian class-conditional classifiers: (H, 2, d) class ``means``,
+    (H, 2, d, d) ``covs``, (H, 2) ``priors`` and their (F, H)
+    :func:`qda_coefficients` ``coef``.  A fitted classifier has one member, a
+    null ensemble one per null member.  ``log_odds`` scores every member,
+    ``predict_proba`` is its one-member case and ``model[h]`` is member h as
+    a one-member model.  Shapes that do not match, and priors outside (0, 1)
+    or not summing to one, raise ``ConfigurationError``."""
 
     means: np.ndarray
     covs: np.ndarray
     priors: np.ndarray
-    coef: np.ndarray = field(repr=False)
+    coef: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        try:
+            means, covs, priors = (np.asarray(a, dtype=np.float64) for a in (self.means, self.covs, self.priors))
+        except ValueError as exc:
+            raise ConfigurationError(f"QDA means, covariances and priors must be regular arrays: {exc}") from None
+        if means.ndim != 3 or means.shape[1] != 2 or covs.shape != means.shape + means.shape[-1:] or priors.shape != means.shape[:2]:
+            raise ConfigurationError(
+                f"QDA shapes must be (H, 2, d), (H, 2, d, d) and (H, 2): got means {means.shape}, covs {covs.shape}, priors {priors.shape}"
+            )
+        valid = np.all((priors > 0) & (priors < 1), axis=1) & (np.abs(priors.sum(axis=1) - 1.0) <= 1e-8)
+        if not valid.all():
+            h = int(np.argmin(valid))
+            raise ConfigurationError(f"class priors must lie in (0, 1) and sum to one, member {h} has {priors[h].tolist()}")
+        for name, value in (("means", means), ("covs", covs), ("priors", priors), ("coef", qda_coefficients(means, covs, priors))):
+            object.__setattr__(self, name, value)
+
+    @property
+    def dim(self) -> int:
+        return self.means.shape[-1]
 
     def __len__(self) -> int:
         return len(self.means)
 
     def __getitem__(self, h: int) -> QdaModel:
-        return QdaModel(*self.means[h], *self.covs[h], *self.priors[h])
+        return QdaModel(self.means[h][None], self.covs[h][None], self.priors[h][None])
 
     def log_odds(self, ws: np.ndarray) -> np.ndarray:
-        """(rows, H) log-odds of every member on the rows ``ws``."""
-        return quad_features(_check_features(ws, self.means.shape[-1])) @ self.coef
+        """(rows, H) log-odds of every member on the rows ``ws``, one product
+        with ``coef`` per block of ``BLOCK_ROWS`` rows."""
+        ws = _check_features(ws, self.dim)
+        out = np.empty((len(ws), len(self)))
+        for rows in row_slices(len(ws)):
+            np.matmul(quad_features(ws[rows]), self.coef, out=out[rows])
+        return out
+
+    def predict_proba(self, ws: np.ndarray) -> np.ndarray:
+        """P(C=1 | w) on the rows ``ws`` of a one-member model."""
+        if len(self) != 1:
+            raise ConfigurationError(f"predict_proba scores one member, this QDA model has {len(self)}; use log_odds")
+        return sigmoid(self.log_odds(ws)[:, 0])
 
 
-def qda_fit_moments(counts, centre, sums, scatters, ridge: float | None = None) -> QdaStack:
+def qda_fit(data: LabeledPairDataset, ridge: float | None = None) -> QdaModel:
+    """Fit QDA by the per-class sample mean and covariance: the one-member
+    case of :func:`qda_fit_moments`, each class's sum and scatter taken about
+    the mean of all rows.
+
+    ``ridge * I`` is added to each covariance; the default ridge is
+    ``1e-6 * trace(cov) / dim``, enough to survive nearly-degenerate
+    calibration sets without moving well-conditioned fits.
+    """
+    centre = data.ws.sum(axis=0) / max(data.n, 1)  # an empty set fails the class-size check
+    centred = [data.class_rows(label) - centre for label in (0, 1)]
+    sums, scatters = np.array([[w.sum(axis=0) for w in centred]]), np.array([[w.T @ w for w in centred]])
+    return qda_fit_moments(np.array([[len(w) for w in centred]]), centre, sums, scatters, ridge)
+
+
+def qda_fit_moments(counts, centre, sums, scatters, ridge: float | None = None) -> QdaModel:
     """Fit H QDA members at once from their class moments about ``centre``.
 
     ``counts`` (H, 2) are the class sizes, ``sums`` (H, 2, d) and
     ``scatters`` (H, 2, d, d) the sums of w - centre and of its outer
-    products over each class's rows.  Means, covariances, the ridge rule and
-    the errors are those of :func:`qda_fit` on each member's rows, to rounding.
+    products over each class's rows.  Each class's mean and sample covariance
+    (divisor n - 1) follow, plus ``ridge * I`` as :func:`qda_fit` describes.
+    A class with fewer than d + 1 rows raises ``FitError``, a negative ridge
+    ``ConfigurationError``.
     """
     dim = len(centre)
     small = np.argwhere(counts < dim + 1)
@@ -243,8 +225,7 @@ def qda_fit_moments(counts, centre, sums, scatters, ridge: float | None = None) 
     covs = (scatters - sums[..., :, None] * sums[..., None, :] / n) / (n - 1)
     r = 1e-6 * np.trace(covs, axis1=-2, axis2=-1) / dim if ridge is None else np.full(counts.shape, ridge)
     covs += r[..., None, None] * np.eye(dim)
-    priors = counts / counts.sum(axis=1, keepdims=True)
-    return QdaStack(means, covs, priors, qda_coefficients(means, covs, priors))
+    return QdaModel(means, covs, counts / counts.sum(axis=1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------
@@ -545,23 +526,22 @@ def calibration_curve(clf: ProbClassifier, data: LabeledPairDataset, bins: int) 
 # ---------------------------------------------------------------------------
 
 
+_QDA_KEYS = ("mu0", "mu1", "cov0", "cov1", "prior0", "prior1")
+
+
 def save_classifier(clf, path) -> None:
-    """Serialize a fitted QDA or MLP model as JSON (shapes are implicit in the
-    nested row-major arrays; floats use the shortest round-trip decimals).
-    An MLP's layers are written as separate weights and biases."""
+    """Serialize a fitted one-member QDA model or an MLP model as JSON (shapes
+    are implicit in the nested row-major arrays; floats use the shortest
+    round-trip decimals).  A QDA model is written as its two class means,
+    covariances and priors, an MLP's layers as separate weights and biases."""
     import json
     from pathlib import Path
 
     if isinstance(clf, QdaModel):
-        payload = {
-            "kind": "qda",
-            "mu0": clf.mu0.tolist(),
-            "mu1": clf.mu1.tolist(),
-            "cov0": clf.cov0.tolist(),
-            "cov1": clf.cov1.tolist(),
-            "prior0": clf.prior0,
-            "prior1": clf.prior1,
-        }
+        if len(clf) != 1:
+            raise ConfigurationError(f"a QDA checkpoint holds one member, this model has {len(clf)}; save model[h]")
+        values = [*clf.means[0].tolist(), *clf.covs[0].tolist(), *clf.priors[0].tolist()]
+        payload = {"kind": "qda", **dict(zip(_QDA_KEYS, values))}
     elif isinstance(clf, MlpModel):
         payload = {
             "kind": "mlp",
@@ -579,29 +559,27 @@ def save_classifier(clf, path) -> None:
 
 
 def load_classifier(path):
-    """Restore a classifier written by :func:`save_classifier`."""
+    """Restore a classifier written by :func:`save_classifier`; a missing key
+    raises ``DataFormatError`` naming the file and the key."""
     import json
     from pathlib import Path
 
     with Path(path).open("r", encoding="utf-8") as fh:
         payload = json.load(fh)
     kind = payload.get("kind")
-    if kind == "qda":
-        return QdaModel(
-            mu0=np.asarray(payload["mu0"]),
-            mu1=np.asarray(payload["mu1"]),
-            cov0=np.asarray(payload["cov0"]),
-            cov1=np.asarray(payload["cov1"]),
-            prior0=payload["prior0"],
-            prior1=payload["prior1"],
-        )
-    if kind == "mlp":
-        return MlpModel(
-            params=MlpParams.from_split(payload["weights"], payload["biases"]),
-            feat_mean=np.asarray(payload["feat_mean"], dtype=np.float64),
-            feat_std=np.asarray(payload["feat_std"], dtype=np.float64),
-            metadata=payload.get("metadata", {}),
-        )
+    try:
+        if kind == "qda":
+            mu0, mu1, cov0, cov1, prior0, prior1 = (payload[key] for key in _QDA_KEYS)
+            return QdaModel([[mu0, mu1]], [[cov0, cov1]], [[prior0, prior1]])
+        if kind == "mlp":
+            return MlpModel(
+                params=MlpParams.from_split(payload["weights"], payload["biases"]),
+                feat_mean=np.asarray(payload["feat_mean"], dtype=np.float64),
+                feat_std=np.asarray(payload["feat_std"], dtype=np.float64),
+                metadata=payload.get("metadata", {}),
+            )
+    except KeyError as exc:
+        raise DataFormatError(f"classifier checkpoint {str(path)!r} lacks key {exc.args[0]!r}") from None
     raise ConfigurationError(f"unknown classifier kind {kind!r} in checkpoint")
 
 
@@ -625,11 +603,10 @@ class QdaFitter:
     def __call__(self, data: LabeledPairDataset, stream: RngStream) -> QdaModel:
         return qda_fit(data, ridge=self.ridge)
 
-    def ensemble(self, members, streams: Iterable[RngStream]) -> QdaStack:
-        """Every member in one stacked fit from ``members.class_moments()``
-        (see :func:`qda_fit_moments`), with no member dataset or QdaModel
-        built; ``QdaStack[h]`` builds one on demand.  QDA draws nothing, so
-        ``streams`` is never read."""
+    def ensemble(self, members, streams: Iterable[RngStream]) -> QdaModel:
+        """Every member in one fit from ``members.class_moments()`` (see
+        :func:`qda_fit_moments`) into one H-member QdaModel, with no member
+        dataset built.  QDA draws nothing, so ``streams`` is never read."""
         return qda_fit_moments(*members.class_moments(), ridge=self.ridge)
 
 

@@ -43,7 +43,7 @@ from lc2st.c2st import (
     heatmap_rows,
     single_class_statistics,
 )
-from lc2st.classifiers import MlpConfig, QdaStack, qda_fit
+from lc2st.classifiers import MlpConfig, QdaModel, qda_fit
 from lc2st.nets import sigmoid
 from scipy.stats import ks_2samp
 
@@ -655,7 +655,7 @@ class TestOneDrawNulls:
         xs = np.random.default_rng(177).standard_normal((60, 3))
         xs[:, 2] = 1.5
         null = lc2st_nf_null(xs, 2, qda_factory(), 10, RngStream(seed=178))
-        assert isinstance(null.classifiers, QdaStack) and np.all(np.isfinite(null.classifiers.coef))
+        assert isinstance(null.classifiers, QdaModel) and np.all(np.isfinite(null.classifiers.coef))
 
     @pytest.mark.parametrize("n_cal", [40, 1000])
     def test_exact_nf_null_matches_row_path(self, n_cal):

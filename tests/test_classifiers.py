@@ -8,6 +8,7 @@ from scipy.linalg import solve_triangular
 
 from lc2st import (
     ConfigurationError,
+    DataFormatError,
     FitError,
     GaussianShiftPair,
     LabeledPairDataset,
@@ -44,7 +45,7 @@ from lc2st.c2st import (
     single_class_statistics,
 )
 from lc2st import classifiers
-from lc2st.classifiers import BLOCK_ROWS, MlpModel, MlpStack, QdaFitter, QdaModel, QdaStack, qda_factory, row_slices
+from lc2st.classifiers import BLOCK_ROWS, MlpModel, MlpStack, QdaFitter, QdaModel, qda_factory, row_slices
 from lc2st.flows import conjugate_affine_flow
 from lc2st.harness import ExperimentPlan, run_sigma_sweep
 from lc2st import nets
@@ -94,10 +95,7 @@ class TestQda:
     def test_exactness_against_analytic_bayes(self):
         # With true moments plugged in, QDA *is* the Bayes classifier.
         pair = GaussianShiftPair(sigma=2.0, dim=2)
-        clf = QdaModel(
-            mu0=np.zeros(2), mu1=np.zeros(2),
-            cov0=4.0 * np.eye(2), cov1=np.eye(2),
-        )
+        clf = QdaModel([[np.zeros(2), np.zeros(2)]], [[4.0 * np.eye(2), np.eye(2)]], [[0.5, 0.5]])
         bayes = analytic_bayes(pair.log_prob_p, pair.log_prob_q)
         pts = np.random.default_rng(3).standard_normal((1000, 2)) * 2.0
         assert np.max(np.abs(clf.predict_proba(pts) - bayes.predict_proba(pts))) <= 1e-10
@@ -375,7 +373,24 @@ def reference_log_odds(model, ws):
         y = solve_triangular(chol, (ws - mu).T, lower=True)
         return np.log(prior) - 0.5 * (np.sum(y * y, axis=0) + 2.0 * np.sum(np.log(np.diag(chol))))
 
-    return log_density(model.mu1, model.cov1, model.prior1) - log_density(model.mu0, model.cov0, model.prior0)
+    (mu0, mu1), (cov0, cov1), (prior0, prior1) = model.means[0], model.covs[0], model.priors[0]
+    return log_density(mu1, cov1, prior1) - log_density(mu0, cov0, prior0)
+
+
+def reference_qda_fit(data, ridge=None):
+    """Per-class ``mean`` and ``np.cov`` (divisor n - 1) plus the ridge rule,
+    with the library's error texts: the QDA fit that class moments replaced,
+    kept here only as the oracle for ``qda_fit``."""
+    dim, rows = data.dim, [data.class_rows(0), data.class_rows(1)]
+    for label, w in enumerate(rows):
+        if len(w) < dim + 1:
+            raise FitError(f"class {label} has {len(w)} samples, need at least dim+1={dim + 1}")
+    if ridge is not None and ridge < 0:
+        raise ConfigurationError("ridge must be nonnegative")
+    covs = [np.cov(w, rowvar=False, ddof=1).reshape(dim, dim) for w in rows]
+    covs = [c + (1e-6 * np.trace(c) / dim if ridge is None else ridge) * np.eye(dim) for c in covs]
+    counts = np.array([len(w) for w in rows])
+    return QdaModel([[w.mean(axis=0) for w in rows]], [covs], [counts / counts.sum()])
 
 
 def assert_log_odds_match(model, ws, got=None):
@@ -385,9 +400,9 @@ def assert_log_odds_match(model, ws, got=None):
     form loses accuracy in proportion to the covariance condition number, so
     beyond 1e4 the bound grows with it."""
     ref = reference_log_odds(model, ws)
-    cond = max(np.linalg.cond(model.cov0), np.linalg.cond(model.cov1))
+    cond = np.linalg.cond(model.covs[0]).max()
     tol = 1e-10 * (1.0 + np.abs(ref)) * max(1.0, cond / 1e4)
-    assert np.all(np.abs((model.log_odds(ws) if got is None else got) - ref) <= tol)
+    assert np.all(np.abs((model.log_odds(ws)[:, 0] if got is None else got) - ref) <= tol)
 
 
 def distinct_classes(dim, seed, n=500):
@@ -424,14 +439,14 @@ class TestQuadraticFeatureScoring:
         ws = data.ws.copy()
         ws[:, 3] = ws[:, 0]  # rank-deficient class covariances
         clf = qda_fit(LabeledPairDataset(ws, data.labels))
-        assert np.linalg.cond(clf.cov0) > 1e5
+        assert np.linalg.cond(clf.covs[0, 0]) > 1e5
         pts = np.random.default_rng(91).standard_normal((2000, 4))
         pts[:, 3] = pts[:, 0] + 1e-3 * np.random.default_rng(92).standard_normal(2000)
         assert_log_odds_match(clf, pts)
 
     def test_unequal_priors(self):
         fit = qda_fit(distinct_classes(3, seed=93))
-        clf = QdaModel(fit.mu0, fit.mu1, fit.cov0, fit.cov1, prior0=0.1, prior1=0.9)
+        clf = QdaModel(fit.means, fit.covs, [[0.1, 0.9]])
         assert_log_odds_match(clf, np.random.default_rng(94).standard_normal((500, 3)))
 
     def _ensemble(self, n_members, seed):
@@ -470,7 +485,7 @@ class TestQuadraticFeatureScoring:
     def test_single_pass_statistics_keep_tie_rule(self):
         # identical classes: every log-odds is exactly 0, so d = 1/2 and the
         # tie rule predicts class 0 for every row
-        tie = QdaModel(np.zeros(4), np.zeros(4), np.eye(4), np.eye(4))
+        tie = QdaModel(np.zeros((1, 2, 4)), np.broadcast_to(np.eye(4), (1, 2, 4, 4)), [[0.5, 0.5]])
         members = [tie, *self._ensemble(4, seed=102).classifiers]
         ws = np.random.default_rng(103).standard_normal((BLOCK_ROWS + 17, 4))
         mse0, acc0 = single_class_statistics(qda_stack(members), ws)
@@ -495,6 +510,36 @@ class TestQuadraticFeatureScoring:
         ws = append_conditioning(theta, x_o)
         np.testing.assert_allclose(result.null_statistics, [t_mse0(m, ws) for m in stack], rtol=1e-12, atol=0)
         assert result.p_value == p_value_from_null(result.statistic, result.null_statistics)
+
+    @pytest.mark.parametrize("case", ["dim-1", "dim-2", "dim-4", "dim-6", "near-singular", "ridge-0.5", "small-class", "negative-ridge"])
+    def test_qda_fit_matches_reference_fit(self, case):
+        dim = int(case[4:]) if case.startswith("dim") else 4
+        n = 3 if case == "small-class" else 300
+        rng = np.random.default_rng(110 + dim + len(case))
+        data = LabeledPairDataset.from_class_arrays(
+            rng.standard_normal((n, dim)) + 3.0, rng.standard_normal((n + 1, dim)) * 1.3 + 3.3
+        )
+        pts = rng.standard_normal((2000, dim)) + 3.0
+        if case == "near-singular":
+            ws = data.ws.copy()
+            ws[:, 3] = ws[:, 0]  # rank-deficient class covariances
+            data = LabeledPairDataset(ws, data.labels)
+            pts[:, 3] = pts[:, 0] + 1e-3 * rng.standard_normal(2000)
+        ridge = {"ridge-0.5": 0.5, "negative-ridge": -1.0}.get(case)
+        if case in ("small-class", "negative-ridge"):
+            error = FitError if case == "small-class" else ConfigurationError
+            with pytest.raises(error) as want:
+                reference_qda_fit(data, ridge)
+            with pytest.raises(error) as got:
+                qda_fit(data, ridge)
+            assert str(got.value) == str(want.value)
+            return
+        fit, ref = qda_fit(data, ridge), reference_qda_fit(data, ridge)
+        assert_columns_close(fit.means[0].T, ref.means[0].T)
+        assert_columns_close(fit.covs[0].reshape(2, -1).T, ref.covs[0].reshape(2, -1).T)
+        assert fit.priors.tolist() == ref.priors.tolist() == [[n / (2 * n + 1), (n + 1) / (2 * n + 1)]]
+        assert case != "near-singular" or np.linalg.cond(ref.covs[0, 0]) > 1e5
+        assert_log_odds_match(ref, pts, got=fit.log_odds(pts)[:, 0])
 
     def test_checkpoint_round_trip_keeps_coef_bytes(self, tmp_path):
         clf = qda_fit(distinct_classes(4, seed=109))
@@ -944,6 +989,51 @@ class TestMlpConfigValidation:
         assert MlpConfig(hidden_sizes=[8, 4]).hidden_sizes == (8, 4)
 
 
+class TestQdaModelValidation:
+    @pytest.mark.parametrize("priors", [[-0.5, 1.5], [0.0, 1.0], [0.3, 0.3], [np.nan, 0.5]])
+    def test_priors_outside_the_simplex_are_rejected(self, priors):
+        with pytest.raises(ConfigurationError, match=r"class priors must lie in \(0, 1\) and sum to one, member 0"):
+            QdaModel(np.zeros((1, 2, 2)), np.broadcast_to(np.eye(2), (1, 2, 2, 2)), [priors])
+
+    @pytest.mark.parametrize(
+        "means, covs, priors",
+        [
+            ((1, 2, 2), (1, 2, 3, 3), (1, 2)),  # covariances of another dimension
+            ((1, 2, 2), (1, 2, 2, 2), (2, 2)),  # priors of another member count
+            ((2, 2), (2, 2, 2), (2,)),  # no member axis
+            ((1, 3, 2), (1, 3, 2, 2), (1, 3)),  # three classes
+        ],
+    )
+    def test_mismatched_shapes_are_rejected(self, means, covs, priors):
+        with pytest.raises(ConfigurationError, match=r"QDA shapes must be \(H, 2, d\)"):
+            QdaModel(np.zeros(means), np.broadcast_to(np.eye(covs[-1]), covs), np.full(priors, 0.5))
+
+    def test_ragged_means_are_rejected(self):
+        with pytest.raises(ConfigurationError, match="must be regular arrays"):
+            QdaModel([[[0.0, 0.0], [0.0]]], [[np.eye(2), np.eye(2)]], [[0.5, 0.5]])
+
+    def test_a_multi_member_model_is_scored_only_by_log_odds(self, tmp_path):
+        stack = fit_null("paired", null_inputs("paired", 2), qda_factory()).classifiers
+        with pytest.raises(ConfigurationError, match="one member, this QDA model has 12"):
+            stack.predict_proba(np.zeros((3, 2)))
+        with pytest.raises(ConfigurationError, match="one member, this model has 12"):
+            save_classifier(stack, tmp_path / "qda.json")
+        assert not (tmp_path / "qda.json").exists()
+        assert stack[-1].predict_proba(np.zeros((3, 2))).shape == (3,)
+
+    @pytest.mark.parametrize("key", ["mu0", "cov1", "prior1", "weights", "feat_std"])
+    def test_missing_checkpoint_key_names_the_file_and_the_key(self, tmp_path, key):
+        _, data = gaussian_pair_data(1.5, 200, seed=45)
+        qda = key in ("mu0", "cov1", "prior1")
+        path = tmp_path / "clf.json"
+        save_classifier(qda_fit(data) if qda else mlp_fit(data, MlpConfig(hidden_sizes=(4,), max_epochs=2), RngStream(seed=46)), path)
+        payload = json.loads(path.read_text())
+        del payload[key]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError, match=f"classifier checkpoint '{path}' lacks key '{key}'"):
+            load_classifier(path)
+
+
 class TestQdaFitterValidation:
     @pytest.mark.parametrize("ridge", ["1", -1.0, float("nan"), True, [0.1]])
     def test_invalid_ridge_is_named(self, ridge):
@@ -961,13 +1051,14 @@ class TestQdaFitterValidation:
 
 
 class PerMemberQda(QdaFitter):
-    """The per-member QDA null: ``qda_fit`` on each member's dataset in turn,
-    a flow null's members being rows with its exact statistics.  Kept here
-    only as the oracle for the stacked fit from class moments."""
+    """The per-member QDA null: ``reference_qda_fit`` on each member's
+    dataset in turn, a flow null's members being rows with its exact
+    statistics.  Kept here only as the oracle for the stacked fit from class
+    moments; its main fit is the library's ``qda_fit``."""
 
     def ensemble(self, members, streams):
         datasets = exact_latent_datasets(members) if isinstance(members, Resampled) else members
-        return qda_stack([qda_fit(data, self.ridge) for data in datasets])
+        return qda_stack([reference_qda_fit(data, self.ridge) for data in datasets])
 
 
 def exact_latent_datasets(members):
@@ -988,13 +1079,8 @@ def exact_latent_datasets(members):
 
 
 def qda_stack(models):
-    """The QdaStack whose member h is ``models[h]``."""
-    return QdaStack(
-        np.stack([[m.mu0, m.mu1] for m in models]),
-        np.stack([[m.cov0, m.cov1] for m in models]),
-        np.array([[m.prior0, m.prior1] for m in models]),
-        np.column_stack([m.coef for m in models]),
-    )
+    """The QdaModel whose member h is the one-member ``models[h]``."""
+    return QdaModel(*(np.concatenate([getattr(m, name) for m in models]) for name in ("means", "covs", "priors")))
 
 
 def per_member_datasets(kind, inputs, n_null, stream):
@@ -1070,11 +1156,11 @@ class TestStackedQdaNull:
         inputs = null_inputs(kind, dim)
         stacked, oracle = fit_null(kind, inputs, qda_factory()), fit_null(kind, inputs, PerMemberQda())
         stack = stacked.classifiers
-        assert isinstance(stack, QdaStack) and len(stacked) == len(oracle) == 12
+        assert isinstance(stack, QdaModel) and len(stacked) == len(oracle) == 12
         for h, ref in enumerate(oracle.classifiers):
-            assert_columns_close(stack.means[h].T, np.column_stack([ref.mu0, ref.mu1]))
-            assert_columns_close(stack.covs[h].reshape(2, -1).T, np.column_stack([ref.cov0.ravel(), ref.cov1.ravel()]))
-            assert stack.priors[h].tolist() == [ref.prior0, ref.prior1]
+            assert_columns_close(stack.means[h].T, ref.means[0].T)
+            assert_columns_close(stack.covs[h].reshape(2, -1).T, ref.covs[0].reshape(2, -1).T)
+            assert stack.priors[h].tolist() == ref.priors[0].tolist()
         assert_columns_close(stacked.classifiers.coef, oracle.classifiers.coef)
         assert stacked.streams == oracle.streams
 
@@ -1088,7 +1174,7 @@ class TestStackedQdaNull:
         pts[:, 3] = pts[:, 0] + 1e-3 * np.random.default_rng(154).standard_normal(2000)
         logits = stacked.classifiers.log_odds(pts)
         for h, ref in enumerate(oracle.classifiers):
-            assert np.linalg.cond(ref.cov0) > 1e5
+            assert np.linalg.cond(ref.covs[0, 0]) > 1e5
             assert_log_odds_match(ref, pts, got=logits[:, h])
 
     @pytest.mark.parametrize("kind", NULL_KINDS)
