@@ -12,6 +12,7 @@ Three families, all exposing ``predict_proba(ws) -> P(C=1 | w)``:
 * :func:`mlp_fit` -- a small rectifier network with a sigmoid head trained by
   minibatch Adam on binary cross-entropy with early stopping; null ensembles
   of such nets train as one stack, every member in the same Adam loop.
+  Training runs in float32, scoring in float64.
 
 A fitter's ``ensemble`` returns its family's stack, a :class:`QdaModel` of
 H members or an :class:`MlpStack`, which scores itself:
@@ -331,8 +332,8 @@ _MLP_CHUNK_ELEMENTS = 1 << 17
 
 @dataclass(frozen=True)
 class MlpStack:
-    """H networks trained together: their (H, P) parameter rows ``flat``,
-    one member's folded layer ``shapes`` ((fan_in + 1, fan_out)), the input
+    """H networks trained together: their (H, P) parameter rows ``flat``
+    (float64), one member's folded layer ``shapes`` ((fan_in + 1, fan_out)), the input
     standardization ``feat_mean`` and ``feat_std`` ((1, d) when every member
     trained on one feature matrix, else (H, d)) and each member's
     ``metadata``.  ``log_odds`` scores chunks of members as views of
@@ -373,17 +374,19 @@ class MlpStack:
         return np.concatenate(out).T
 
 
-def _bce_losses(z: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Binary cross-entropy in logits, softplus(z) - y*z, averaged over the last axis."""
-    return np.mean(np.logaddexp(0.0, z) - labels * z, axis=-1)
+def _bce_losses(z: np.ndarray, labels: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    """Binary cross-entropy in logits, max(z, 0) + log1p(e) - y*z with e =
+    exp(-|z|) (which a batch's gradient sigmoid shares), averaged over the last axis."""
+    e = np.exp(np.minimum(z, -z)) if e is None else e
+    return np.mean(np.maximum(z, 0.0) + np.log1p(e) - labels * z, axis=-1)
 
 
-def _bce_loss_and_grad(params: MlpParams, inputs: np.ndarray, labels: np.ndarray, buffers=None):
-    acts, grads = (None, None) if buffers is None else buffers
+def _bce_loss_and_grad(params: MlpParams, inputs: np.ndarray, labels: np.ndarray, acts=None, grads=None):
     cache: list = []
     z = mlp_forward(params, inputs, cache, acts)[..., 0]
-    gz = ((sigmoid(z) - labels) / labels.shape[-1])[..., None]
-    return _bce_losses(z, labels), mlp_backward(params, cache, gz, grads, input_grad=False)[0]
+    e = np.exp(np.minimum(z, -z))
+    gz = ((sigmoid(z, e) - labels) / labels.shape[-1])[..., None]
+    return _bce_losses(z, labels, e), mlp_backward(params, cache, gz, grads, input_grad=False)[0]
 
 
 def _fit_lockstep(datasets: list[LabeledPairDataset], cfg: MlpConfig, streams: list[RngStream]) -> MlpStack | list:
@@ -396,7 +399,9 @@ def _fit_lockstep(datasets: list[LabeledPairDataset], cfg: MlpConfig, streams: l
     datasets must share one shape; members that share one feature matrix (a
     label-permutation null) gather their batches from it.  Divergence (a
     non-finite loss, checked every step, or parameter, checked every epoch)
-    raises ``TrainingError`` naming the member and the epoch.
+    raises ``TrainingError`` naming the member and the epoch.  Training runs
+    in float32 (feature table, labels, parameters and their gradients, Adam),
+    and the trained rows are cast to float64 once, so the stack scores in float64.
     """
     n_members = len(datasets)
     if len(streams) != n_members:
@@ -416,9 +421,9 @@ def _fit_lockstep(datasets: list[LabeledPairDataset], cfg: MlpConfig, streams: l
     feat_mean = [data.ws.mean(axis=0) for data in sources]
     feat_std = [np.where(s < 1e-12, 1.0, s) for s in (data.ws.std(axis=0) for data in sources)]
     # the table's ones column is every first layer's bias input
-    feats = with_ones(np.concatenate([(d.ws - mu) / sd for d, mu, sd in zip(sources, feat_mean, feat_std)]))
+    feats = with_ones(np.concatenate([(d.ws - mu) / sd for d, mu, sd in zip(sources, feat_mean, feat_std)])).astype(np.float32)
     offsets = np.zeros((n_members, 1), dtype=np.int64) if shared else n * np.arange(n_members)[:, None]
-    labels = np.stack([data.labels for data in datasets]).astype(np.float64)
+    labels = np.stack([data.labels for data in datasets]).astype(np.float32)
 
     hidden = cfg.hidden_sizes if cfg.hidden_sizes is not None else (cfg.hidden_mult * dim,) * 2
     inits = [mlp_init([dim, *hidden, 1], s.child("init")).layers for s in streams]
@@ -426,7 +431,7 @@ def _fit_lockstep(datasets: list[LabeledPairDataset], cfg: MlpConfig, streams: l
     # All parameters of a member in one row, so Adam, the best-epoch copy and
     # the finiteness check each touch one array; its folded layers, and their
     # gradients in the rows of ``grad``, are views.
-    flat = np.stack([np.concatenate([a.ravel() for a in arrays]) for arrays in inits])
+    flat = np.stack([np.concatenate([a.ravel() for a in arrays]) for arrays in inits]).astype(np.float32)
 
     grad = np.empty_like(flat)
     params, grads = MlpParams(row_views(flat, shapes)), row_views(grad, shapes)
@@ -441,13 +446,18 @@ def _fit_lockstep(datasets: list[LabeledPairDataset], cfg: MlpConfig, streams: l
         k, b = yb.shape
         rows = lambda bufs: [a[:k, :b] for a in bufs]  # noqa: E731
         out = rows(acts), (grads, rows(grads_in), rows(masks))
-        return _bce_loss_and_grad(params, xb, yb, out)[0], grad[:k]
+        return _bce_loss_and_grad(params, xb, yb, *out)[0], grad[:k]
 
     def take(kept):
         nonlocal params, grads
         params, grads = MlpParams(row_views(kept, shapes)), row_views(grad[: len(kept)], shapes)
 
-    holdout_loss = lambda xs, ys: _bce_losses(mlp_forward(params, xs)[..., 0], ys)  # noqa: E731
+    val_acts = []  # the holdout rows' buffers, allocated at the first epoch
+
+    def holdout_loss(xs, ys):
+        val_acts[:] = val_acts or mlp_buffers(params, xs.shape[:2])
+        return _bce_losses(mlp_forward(params, xs, out=[a[: len(xs)] for a in val_acts])[..., 0], ys)
+
     fit = train_minibatch(flat, feats, np.arange(n) + offsets, labels, cfg, streams, batch_loss, holdout_loss, take)
     sizes = tuple(int(h) for h in hidden)
     metadata = [
@@ -461,7 +471,7 @@ def _fit_lockstep(datasets: list[LabeledPairDataset], cfg: MlpConfig, streams: l
         }
         for h in range(n_members)
     ]
-    return MlpStack(fit.params, shapes, np.stack(feat_mean), np.stack(feat_std), metadata)
+    return MlpStack(fit.params.astype(np.float64), shapes, np.stack(feat_mean), np.stack(feat_std), metadata)
 
 
 def mlp_fit(data: LabeledPairDataset, cfg: MlpConfig | None = None, stream: RngStream | None = None) -> MlpModel:

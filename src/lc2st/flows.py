@@ -38,7 +38,7 @@ from .core import (
     check_count,
     check_real,
 )
-from .nets import MlpParams, grad_check, mlp_backward, mlp_forward, mlp_init, row_views, train_minibatch
+from .nets import MlpParams, grad_check, mlp_backward, mlp_forward, mlp_grad_buffers, mlp_init, row_views, train_minibatch
 
 __all__ = [
     "S_MAX",
@@ -108,7 +108,7 @@ class CouplingLayer:
         return CouplingLayer(mask, mlp_init(sizes, stream, zero_last=True))
 
     def _shift_scale(self, passthrough: np.ndarray, xs: np.ndarray, cache: list | None = None):
-        out = mlp_forward(self.params, np.hstack([passthrough, xs, np.ones((len(xs), 1))]), cache)
+        out = mlp_forward(self.params, np.concatenate([passthrough, xs, np.ones((len(xs), 1))], axis=1), cache)
         b = len(self.id_xform)
         return out[:, :b], _clamp_scale(out[:, b:])
 
@@ -119,31 +119,28 @@ class CouplingLayer:
         return out, s.sum(axis=1)
 
     def inverse_cached(self, y: np.ndarray, xs: np.ndarray):
-        u = y[:, self.id_pass]
         net_cache: list = []
-        t, s = self._shift_scale(u, xs, net_cache)
-        w = (y[:, self.id_xform] - t) * np.exp(-s)
+        t, s = self._shift_scale(y[:, self.id_pass], xs, net_cache)
         z = y.copy()
-        z[:, self.id_xform] = w
-        cache = {"net": net_cache, "s": s, "w": w}
-        return z, -s.sum(axis=1), cache
+        z[:, self.id_xform] = w = (y[:, self.id_xform] - t) * np.exp(-s)
+        return z, -s.sum(axis=1), {"net": net_cache, "s": s, "w": w}
 
-    def inverse_backward(self, cache, g_z: np.ndarray, g_logdet: np.ndarray):
+    def inverse_backward(self, cache, g_z: np.ndarray, g_logdet: np.ndarray, grads: list[np.ndarray]) -> np.ndarray:
         s, w = cache["s"], cache["w"]
         g_w = g_z[:, self.id_xform]
         exp_neg_s = np.exp(-s)
         g_v = g_w * exp_neg_s
-        g_t = -g_v
         # logdet contribution is -sum(s): chain both the value path and it
         g_s = -g_w * w - g_logdet[:, None]
-        g_raw = g_s * (1.0 - (s / S_MAX) ** 2)
+        g_out = np.concatenate([-g_v, g_s * (1.0 - (s / S_MAX) ** 2)], axis=1)
         n_pass = len(self.id_pass)
-        grads, g_in = mlp_backward(self.params, cache["net"], np.hstack([g_t, g_raw]), input_grad=n_pass > 0)
+        out = (grads, *mlp_grad_buffers(self.params, g_out.shape[:-1]))  # layer grads into ``grads``
+        _, g_in = mlp_backward(self.params, cache["net"], g_out, out, input_grad=n_pass > 0)
         g_y = g_z.copy()
         g_y[:, self.id_xform] = g_v
         if n_pass:
             g_y[:, self.id_pass] += g_in[:, :n_pass]
-        return g_y, grads
+        return g_y
 
     def to_dict(self) -> dict:
         return {
@@ -170,8 +167,8 @@ class PermutationLayer:
     def inverse_cached(self, y: np.ndarray, xs: np.ndarray):
         return y[:, self.inv_perm], np.zeros(y.shape[0]), None
 
-    def inverse_backward(self, cache, g_z: np.ndarray, g_logdet: np.ndarray):
-        return g_z[:, self.perm], []
+    def inverse_backward(self, cache, g_z: np.ndarray, g_logdet: np.ndarray, grads: list[np.ndarray]) -> np.ndarray:
+        return g_z[:, self.perm]
 
     def to_dict(self) -> dict:
         return {"type": self.kind, "perm": self.perm.tolist()}
@@ -194,8 +191,7 @@ class _Flow:
     def log_prob(self, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Change-of-variables density: log u(T^{-1}(theta;x)) + log|det J_inv|."""
         z, logdet_inv = self.inverse(thetas, xs)
-        base = -0.5 * (np.sum(z * z, axis=1) + self.m * _LOG_2PI)
-        return base + logdet_inv
+        return -0.5 * (np.sum(z * z, axis=1) + self.m * _LOG_2PI) + logdet_inv
 
     def sample(self, x_o: np.ndarray, n: int, stream: RngStream) -> np.ndarray:
         if n < 0:
@@ -206,17 +202,14 @@ class _Flow:
     def sample_conditional(self, xs: np.ndarray, stream: RngStream) -> np.ndarray:
         xs = np.atleast_2d(xs)
         z = stream.generator().standard_normal((xs.shape[0], self.m))
-        theta, _ = self.forward(z, xs)
-        return theta
+        return self.forward(z, xs)[0]
 
 
 class ConditionalFlow(_Flow):
     """Invertible conditional transform with standard-normal base."""
 
     def __init__(self, m: int, d: int, layers: list):
-        self.m = m
-        self.d = d
-        self.layers = layers
+        self.m, self.d, self.layers = m, d, layers
 
     # -- map evaluation ------------------------------------------------------
 
@@ -308,11 +301,7 @@ class ConditionalAffineFlow(_Flow):
     """
 
     def __init__(self, m: int, d: int, mean_fn, scale_fn, spec: dict | None = None):
-        self.m = m
-        self.d = d
-        self.mean_fn = mean_fn
-        self.scale_fn = scale_fn
-        self.spec = spec
+        self.m, self.d, self.mean_fn, self.scale_fn, self.spec = m, d, mean_fn, scale_fn, spec
 
     def _coeffs(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mean = np.asarray(self.mean_fn(xs), dtype=np.float64)
@@ -391,26 +380,23 @@ def npe_loss(flow: ConditionalFlow, thetas: np.ndarray, xs: np.ndarray) -> float
     return float(-np.mean(flow.log_prob(thetas, xs)))
 
 
-def _npe_loss_and_grads(flow: ConditionalFlow, thetas: np.ndarray, xs: np.ndarray):
-    thetas, xs = _pair(thetas, xs, flow.d)
-    n = thetas.shape[0]
-    out = thetas
-    logdet = np.zeros(n)
-    stack = []
+def _npe_loss_and_grads(flow: ConditionalFlow, thetas: np.ndarray, xs: np.ndarray, grads: list | None = None):
+    """Mean NLL of the pairs and its gradients, into ``grads`` (one array per ``flow.parameter_arrays()``)."""
+    z, xs = _pair(thetas, xs, flow.d)
+    n, logdet, stack = len(z), np.zeros(len(z)), []
     for layer in reversed(flow.layers):
-        out, ld, cache = layer.inverse_cached(out, xs)
+        z, ld, cache = layer.inverse_cached(z, xs)
         logdet += ld
         stack.append((layer, cache))
-    z = out
     loss = float(np.mean(0.5 * np.sum(z * z, axis=1) + 0.5 * flow.m * _LOG_2PI - logdet))
-    g = z / n
-    g_logdet = np.full(n, -1.0 / n)
+    g, g_logdet = z / n, np.full(n, -1.0 / n)
     # backprop meets the layers in flow order, the order of parameter_arrays
-    flat: list[np.ndarray] = []
+    grads = grads if grads is not None else [np.empty_like(a) for a in flow.parameter_arrays()]
+    views = iter(grads)
     for layer, cache in reversed(stack):
-        g, layer_grads = layer.inverse_backward(cache, g, g_logdet)
-        flat.extend(layer_grads)
-    return loss, flat
+        own = [next(views) for _ in range(layer.params.n_layers)] if layer.params is not None else []
+        g = layer.inverse_backward(cache, g, g_logdet, own)
+    return loss, grads
 
 
 def npe_grad_check(flow: ConditionalFlow, thetas: np.ndarray, xs: np.ndarray, step: float = 1e-5) -> float:
@@ -441,11 +427,10 @@ def flow_fit_npe(
     stream = stream or RngStream(seed=0)
     flow, row = flow.on_row()
     m, grad = flow.m, np.empty_like(row)
+    grads = [g[0] for g in row_views(grad, [a.shape for a in flow.parameter_arrays()])]  # views, as the layers
 
     def batch_loss(batch, _):
-        loss, grads = _npe_loss_and_grads(flow, batch[0, :, :m], batch[0, :, m:])
-        np.concatenate([g.ravel() for g in grads], out=grad[0])
-        return np.atleast_1d(loss), grad
+        return np.atleast_1d(_npe_loss_and_grads(flow, batch[0, :, :m], batch[0, :, m:], grads)[0]), grad
 
     holdout_loss = lambda pairs, _: np.atleast_1d(npe_loss(flow, pairs[0, :, :m], pairs[0, :, m:]))  # noqa: E731
     # one member whose table is the (theta, x) pairs; NPE has no labels

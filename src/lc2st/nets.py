@@ -2,7 +2,8 @@
 
 Plain-numpy multilayer perceptrons with rectifier hidden layers, manual
 backpropagation, and an Adam optimizer.  Kept deliberately minimal: dense
-layers only, float64 throughout, deterministic given an RngStream.
+layers only, deterministic given an RngStream; arrays take the dtype of the
+parameters they serve (MLP classifiers train in float32, NPE flows in float64).
 
 A dense layer is one (fan_in + 1, fan_out) matrix [W; b] and every layer
 input ends in a ones column, so a layer is one matrix product and its bias
@@ -21,6 +22,7 @@ member) both train through it.
 
 from __future__ import annotations
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,11 +37,11 @@ def relu(a: np.ndarray) -> np.ndarray:
     return np.maximum(a, 0.0)
 
 
-def sigmoid(a: np.ndarray) -> np.ndarray:
+def sigmoid(a: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
     # Stable in both tails: 1 / (1 + e^-a) for a >= 0 and e^a / (1 + e^a)
-    # below, both from e = exp(-|a|), which never overflows.  min(a, -a)
-    # passes a NaN through with its sign, as the branch-per-sign form did.
-    e = np.exp(np.minimum(a, -a))
+    # below, both from e = exp(-|a|) (a caller may pass it), which never
+    # overflows.  min(a, -a) passes a NaN through with its sign.
+    e = np.exp(np.minimum(a, -a)) if e is None else e
     return np.where(a >= 0, 1.0, e) / (1.0 + e)
 
 
@@ -97,9 +99,9 @@ def with_ones(x: np.ndarray) -> np.ndarray:
 def mlp_buffers(params: MlpParams, shape: tuple) -> list[np.ndarray]:
     """One output array per layer for inputs of leading ``shape`` (rows, or
     members and rows): a hidden layer's ends in its next layer's ones column,
-    set here."""
+    set here, in the layers' dtype."""
     last = params.n_layers - 1
-    out = [np.empty((*shape, a.shape[-1] + (k != last))) for k, a in enumerate(params.layers)]
+    out = [np.empty((*shape, a.shape[-1] + (k != last)), dtype=a.dtype) for k, a in enumerate(params.layers)]
     for a in out[:-1]:
         a[..., -1] = 1.0
     return out
@@ -135,9 +137,10 @@ def mlp_forward(params: MlpParams, inputs: np.ndarray, cache: list | None = None
 def mlp_grad_buffers(params: MlpParams, shape: tuple) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """The grads wrt each layer's input and the relu masks that
     ``mlp_backward(..., out=(layer grads, *these))`` fills, shaped like the
-    layer inputs (leading ``shape``), ones column included: a grad's last
-    column stays zero, and the relu gate runs over whole contiguous rows."""
-    grads_in = [np.zeros((*shape, a.shape[-2])) for a in params.layers]
+    layer inputs (leading ``shape``, the layers' dtype), ones column included:
+    a grad's last column stays zero, and the relu gate runs over whole
+    contiguous rows."""
+    grads_in = [np.zeros((*shape, a.shape[-2]), dtype=a.dtype) for a in params.layers]
     return grads_in, [np.empty(g.shape, dtype=bool) for g in grads_in]
 
 
@@ -205,7 +208,8 @@ class Adam:
     update is the one it would take alone.  A step is Kingma & Ba's efficient
     form, a -= lr_t * m / (sqrt(v) + eps * sqrt(1 - beta2^t)) with
     lr_t = lr * sqrt(1 - beta2^t) / (1 - beta1^t), and ``m`` is kept divided
-    by 1 - beta1: 11 passes over the array, in one scratch array."""
+    by 1 - beta1: 11 passes over the array, in one scratch array, all in the
+    parameters' dtype (the step scalars are Python floats)."""
 
     def __init__(self, params: np.ndarray, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params, self.lr, self.beta1, self.beta2, self.eps = params, lr, beta1, beta2, eps
@@ -215,7 +219,7 @@ class Adam:
 
     def step(self, grad: np.ndarray) -> None:
         self.t += 1
-        root = np.sqrt(1.0 - self.beta2**self.t)
+        root = math.sqrt(1.0 - self.beta2**self.t)
         lr_t = self.lr * (1.0 - self.beta1) * root / (1.0 - self.beta1**self.t)
         a, m, v, x = self.params, self.m, self.v, self.scratch
         m *= self.beta1
@@ -255,7 +259,8 @@ def train_minibatch(flat, table, rows, labels, cfg, streams: list[RngStream], ba
     leaves ``flat``, and ``take(flat)`` gets the new array.  A non-finite
     loss (checked every step) or parameter (every epoch) raises
     ``TrainingError`` naming the member and epoch, after setting the given
-    ``flat`` to each member's best-holdout row, which is finite.
+    ``flat`` to each member's best-holdout row, which is finite.  Batches
+    take the dtype of ``table``, the best rows and Adam's that of ``flat``.
 
     Returns ``params`` (best-holdout rows, or the last without a holdout),
     the per-member ``epochs_run``, ``best_epoch``, ``best_loss`` and
@@ -277,7 +282,7 @@ def train_minibatch(flat, table, rows, labels, cfg, streams: list[RngStream], ba
     best_epoch, since_best = np.zeros((2, n_members), dtype=np.int64)
     epochs_run = np.full(n_members, cfg.max_epochs)
     starts = range(0, n_tr, cfg.batch_size)
-    x_epoch, losses = np.empty((n_members, n_tr, table.shape[1])), np.empty((n_members, len(starts)))
+    x_epoch, losses = np.empty((n_members, n_tr, table.shape[1]), dtype=table.dtype), np.empty((n_members, len(starts)))
     train_loss, holdout_trace = [], []
     for epoch in range(cfg.max_epochs):
         k = len(active)

@@ -1,6 +1,8 @@
 """QDA, analytic Bayes probabilities, the MLP, and calibration curves."""
 
 import json
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -554,8 +556,9 @@ class TestQuadraticFeatureScoring:
 
 
 def masked_sigmoid(a):
-    """The sigmoid before the single-expression form: gather/scatter by sign."""
-    out = np.empty_like(a, dtype=np.float64)
+    """The sigmoid before the single-expression form: gather/scatter by sign,
+    in the dtype of ``a``."""
+    out = np.empty_like(a)
     pos = a >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
     e = np.exp(a[~pos])
@@ -572,7 +575,7 @@ def _serial_forward(params, inputs, cache=None):
         cache.append(h)
     for k, layer in enumerate(params.layers):
         a = h @ layer
-        h = a if k == params.n_layers - 1 else np.hstack([relu(a), np.ones((len(a), 1))])
+        h = a if k == params.n_layers - 1 else np.hstack([relu(a), np.ones((len(a), 1), dtype=a.dtype)])
         if cache is not None:
             cache.append(h)
     return h
@@ -594,7 +597,8 @@ def _serial_backward(params, cache, grad_out):
 
 class _SerialAdam:
     """Adam over a list of parameter arrays, one array at a time, in Kingma &
-    Ba's efficient form with the first moment kept divided by 1 - beta1."""
+    Ba's efficient form with the first moment kept divided by 1 - beta1.  The
+    step scalars are Python floats, so the arrays' dtype sets the arithmetic."""
 
     def __init__(self, arrays, lr):
         self.arrays, self.lr, self.beta1, self.beta2, self.eps = arrays, lr, 0.9, 0.999, 1e-8
@@ -604,7 +608,7 @@ class _SerialAdam:
 
     def step(self, grads):
         self.t += 1
-        root = np.sqrt(1.0 - self.beta2**self.t)
+        root = float(np.sqrt(1.0 - self.beta2**self.t))
         lr_t = self.lr * (1.0 - self.beta1) * root / (1.0 - self.beta1**self.t)
         for a, g, m, v in zip(self.arrays, grads, self.m, self.v):
             m *= self.beta1
@@ -614,21 +618,28 @@ class _SerialAdam:
             a -= lr_t * (m / (np.sqrt(v) + self.eps * root))
 
 
+def _serial_bce(z, labels):
+    """Mean binary cross-entropy in logits, softplus(z) - y*z, with
+    softplus(z) = max(z, 0) + log1p(exp(-|z|))."""
+    return float(np.mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - labels * z))
+
+
 def _serial_loss(params, inputs, labels):
-    z = _serial_forward(params, inputs).ravel()
-    return float(np.mean(np.logaddexp(0.0, z) - labels * z))
+    return _serial_bce(_serial_forward(params, inputs).ravel(), labels)
 
 
 def serial_mlp_fit(data, cfg, stream):
     """The one-network-at-a-time training loop and 2-D net primitives that the
-    lockstep trainer replaced, kept only as its oracle."""
+    lockstep trainer replaced, kept only as its oracle.  It trains in float32
+    (features standardized in float64, then cast; labels; parameters) and
+    casts the trained parameters to float64."""
     feat_mean = data.ws.mean(axis=0)
     feat_std = data.ws.std(axis=0)
     feat_std = np.where(feat_std < 1e-12, 1.0, feat_std)
-    ws = with_ones((data.ws - feat_mean) / feat_std)
-    labels = data.labels.astype(np.float64)
+    ws = with_ones((data.ws - feat_mean) / feat_std).astype(np.float32)
+    labels = data.labels.astype(np.float32)
     hidden = cfg.hidden_sizes if cfg.hidden_sizes is not None else (cfg.hidden_mult * data.dim,) * 2
-    params = mlp_init([data.dim, *hidden, 1], stream.child("init"))
+    params = MlpParams([a.astype(np.float32) for a in mlp_init([data.dim, *hidden, 1], stream.child("init")).layers])
     perm = stream.child("holdout").generator().permutation(data.n)
     n_val = int(round(cfg.holdout_frac * data.n))
     use_val = 1 <= n_val <= data.n - 2
@@ -646,7 +657,7 @@ def serial_mlp_fit(data, cfg, stream):
             idx = order[start : start + cfg.batch_size]
             cache = []
             z = _serial_forward(params, ws_tr[idx], cache).ravel()
-            loss = float(np.mean(np.logaddexp(0.0, z) - y_tr[idx] * z))
+            loss = _serial_bce(z, y_tr[idx])
             if not np.isfinite(loss):
                 raise TrainingError(f"loss diverged at epoch {epoch}")
             gz = ((masked_sigmoid(z) - y_tr[idx]) / len(idx)).reshape(-1, 1)
@@ -670,7 +681,8 @@ def serial_mlp_fit(data, cfg, stream):
         "holdout_loss": best_val if use_val else None,
         "n_train": int(len(ws_tr)),
     }
-    return MlpModel(best_params if use_val else params, feat_mean, feat_std, metadata)
+    trained = best_params if use_val else params
+    return MlpModel(MlpParams([a.astype(np.float64) for a in trained.layers]), feat_mean, feat_std, metadata)
 
 
 def assert_same_fit(model, ref):
@@ -911,32 +923,86 @@ def _diverging_data(seed, gap):
 
 
 def _huge_lr(patience):
-    # Adam moves every weight by about the learning rate per step, so 5e101
-    # overflows the logits of some members after a few epochs, not at once
-    return MlpConfig((8, 8), batch_size=20, learning_rate=5e101, max_epochs=30, patience=patience)
+    # Adam moves every weight by about the learning rate per step, so 5e11
+    # overflows the float32 logits of some members after a few epochs, not at
+    # once; float64 arithmetic would hold them finite for the whole budget
+    return MlpConfig((8, 8), batch_size=20, learning_rate=5e11, max_epochs=30, patience=patience)
+
+
+def _solo_divergence_epoch(data, cfg, stream):
+    """The epoch that a member's own (float32) solo fit diverges at."""
+    with pytest.raises(TrainingError) as err:
+        mlp_fit(data, cfg, stream)
+    return int(re.match(r"member 0: (loss|parameters) diverged at epoch (\d+)", str(err.value)).group(2))
 
 
 class TestLockstepDivergence:
     def test_error_names_the_first_diverging_member(self):
-        datasets = [_diverging_data(0, 0.0), _diverging_data(4, 3.0), _diverging_data(2, 3.0)]
-        streams = [RngStream(seed=s) for s in (0, 4, 2)]
+        datasets = [_diverging_data(0, 0.0), _diverging_data(5, 3.0), _diverging_data(6, 3.0)]
+        streams = [RngStream(seed=s) for s in (0, 5, 6)]
         with np.errstate(all="ignore"):
-            # alone, member 1 diverges at epoch 6 and member 2 at epoch 4
-            with pytest.raises(TrainingError, match=r"^member 0: loss diverged at epoch 6"):
-                mlp_fit(datasets[1], _huge_lr(30), streams[1])
-            with pytest.raises(TrainingError, match=r"^member 2: loss diverged at epoch 4 "):
+            # alone, member 0 never diverges and members 1 and 2 diverge at
+            # different epochs, neither at once
+            assert mlp_fit(datasets[0], _huge_lr(30), streams[0]).metadata["epochs_run"] == 30
+            epochs = {h: _solo_divergence_epoch(datasets[h], _huge_lr(30), streams[h]) for h in (1, 2)}
+            first = min(epochs, key=epochs.get)
+            assert 0 < epochs[first] < epochs[3 - first]
+            with pytest.raises(TrainingError, match=rf"^member {first}: loss diverged at epoch {epochs[first]} "):
                 mlp_factory(_huge_lr(30)).ensemble(datasets, streams)
 
     def test_stopped_member_never_raises(self):
-        datasets = [_diverging_data(2, 3.0), _diverging_data(0, 0.0)]
-        streams = [RngStream(seed=2), RngStream(seed=0)]
+        datasets = [_diverging_data(5, 3.0), _diverging_data(3, 0.0)]
+        streams = [RngStream(seed=5), RngStream(seed=3)]
         with np.errstate(all="ignore"):
-            with pytest.raises(TrainingError, match="epoch 4"):
-                mlp_fit(datasets[0], _huge_lr(30), streams[0])
-            # with patience 3, member 0 stops before epoch 4 while member 1
-            # trains through it
+            diverges_at = _solo_divergence_epoch(datasets[0], _huge_lr(30), streams[0])
+            solo = [mlp_fit(data, _huge_lr(3), s).metadata["epochs_run"] for data, s in zip(datasets, streams)]
             members = mlp_factory(_huge_lr(3)).ensemble(datasets, streams)
-        assert [m.metadata["epochs_run"] for m in members] == [4, 5]
+        # with patience 3, member 0 stops before its divergence epoch while
+        # member 1 trains through it
+        assert solo[0] <= diverges_at < solo[1]
+        assert [m.metadata["epochs_run"] for m in members] == solo
+
+    def test_float32_overflow_names_the_member_and_keeps_finite_best_rows(self, monkeypatch):
+        given = []
+        train = classifiers.train_minibatch
+        monkeypatch.setattr(classifiers, "train_minibatch", lambda flat, *a: given.append(flat) or train(flat, *a))
+        datasets = [_diverging_data(0, 0.0), _diverging_data(3, 3.0)]
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingError, match=r"^member 1: loss diverged at epoch \d+ \(loss=(nan|inf)\)"):
+                mlp_factory(_huge_lr(30)).ensemble(datasets, [RngStream(seed=0), RngStream(seed=3)])
+        (flat,) = given
+        assert flat.dtype == np.float32 and np.isfinite(flat).all()
+
+
+class TestTrainingDtypes:
+    def test_trained_layers_are_float64(self):
+        stack = mlp_factory(MlpConfig((6, 5), max_epochs=3)).ensemble(
+            _separated_members(3, 30, 2, seed=191), [RngStream(seed=192 + h) for h in range(3)]
+        )
+        assert stack.flat.dtype == np.float64
+        for model in [*stack, mlp_fit(_separated_members(1, 30, 2, seed=193)[0], MlpConfig((6,), max_epochs=2))]:
+            assert all(layer.dtype == np.float64 for layer in model.params.layers)
+            assert model.log_odds(np.zeros((4, 2))).dtype == np.float64
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_buffers_take_the_parameters_dtype(self, dtype):
+        # float64 rows are the flows' path, float32 the classifiers'
+        params = MlpParams([a.astype(dtype) for a in mlp_init([3, 4, 1], RngStream(seed=194)).layers])
+        grads_in, masks = mlp_grad_buffers(params, (5,))
+        assert all(a.dtype == dtype for a in [*mlp_buffers(params, (5,)), *grads_in])
+        seen = []
+
+        def batch_loss(xb, yb):
+            seen.append(xb.dtype)
+            return np.zeros(len(xb)), np.zeros_like(flat)
+
+        flat, table = np.zeros((2, 7), dtype=dtype), np.ones((10, 3), dtype=dtype)
+        cfg = SimpleNamespace(holdout_frac=0.2, learning_rate=1e-3, max_epochs=2, batch_size=4, patience=5)
+        fit = nets.train_minibatch(
+            flat, table, np.tile(np.arange(10), (2, 1)), np.zeros((2, 10), dtype=dtype), cfg,
+            [RngStream(seed=195), RngStream(seed=196)], batch_loss, lambda xs, ys: seen.append(xs.dtype) or np.ones(len(xs)),
+        )
+        assert fit.params.dtype == dtype and set(seen) == {np.dtype(dtype)}
 
 
 class TestSigmoid:
