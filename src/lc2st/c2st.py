@@ -51,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifiers import row_slices
+from .classifiers import BLOCK_ROWS, append_conditioning, row_slices
 from .core import (
     ConfigurationError,
     LabeledPairDataset,
@@ -102,15 +102,6 @@ _STAT_UPPER = {
 }
 
 
-def append_conditioning(points: np.ndarray, x_o: np.ndarray | None) -> np.ndarray:
-    """Feature rows for classifier queries: points, or (points ++ x_o)."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if x_o is None:
-        return points
-    x_o = np.asarray(x_o, dtype=np.float64).ravel()
-    return np.hstack([points, np.broadcast_to(x_o, (points.shape[0], x_o.shape[0]))])
-
-
 # ---------------------------------------------------------------------------
 # Statistics
 # ---------------------------------------------------------------------------
@@ -143,11 +134,12 @@ def t_mse(clf, val: LabeledPairDataset) -> float:
 
 
 def t_mse0(clf, points: np.ndarray, x_o: np.ndarray | None = None) -> float:
-    """Single-class MSE statistic: mean of (d - 1/2)^2 over estimator draws."""
-    ws = append_conditioning(points, x_o)
-    if len(ws) == 0:
+    """Single-class MSE statistic: mean of (d - 1/2)^2 over estimator draws,
+    d the probability at [point, x_o], x_o passed to the classifier as ``given``."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if len(points) == 0:
         raise ConfigurationError("need at least one evaluation point")
-    d = np.asarray(clf.predict_proba(ws))
+    d = np.asarray(clf.predict_proba(points, given=x_o))
     return float(np.mean((d - 0.5) ** 2))
 
 
@@ -157,10 +149,10 @@ def t_acc0(clf, points: np.ndarray, x_o: np.ndarray | None = None) -> float:
     Kept only for the documented failure-mode comparison; unlike t_mse0 it is
     not a sufficient statistic for local consistency.
     """
-    ws = append_conditioning(points, x_o)
-    if len(ws) == 0:
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if len(points) == 0:
         raise ConfigurationError("need at least one evaluation point")
-    d = np.asarray(clf.predict_proba(ws))
+    d = np.asarray(clf.predict_proba(points, given=x_o))
     return float(np.mean(d <= 0.5))
 
 
@@ -170,31 +162,32 @@ def t_acc0(clf, points: np.ndarray, x_o: np.ndarray | None = None) -> float:
 CLASS0_LOGIT = float.fromhex("0x1.67fffffffffffp-53")
 
 
-def _mse0(classifiers, ws: np.ndarray, class0: np.ndarray | None = None) -> np.ndarray:
-    """``t_mse0`` of every member of the stack ``classifiers`` on the rows
-    ``ws``, summing (d - 1/2)^2 as tanh(l/2)^2 / 4: no branch on the sign of
-    the log-odds l.  A given ``class0`` gains each member's count of rows
-    with sigmoid(l) <= 1/2 (as l <= ``CLASS0_LOGIT``), the tie rule of
-    ``t_acc0``."""
-    sq = np.zeros(len(classifiers))
-    for rows in row_slices(len(ws)):
-        logits = classifiers.log_odds(ws[rows])
+def _mse0(classifiers, points: np.ndarray, given: np.ndarray | None = None, class0: np.ndarray | None = None) -> np.ndarray:
+    """``t_mse0`` of every member of the stack ``classifiers`` at the rows
+    [points, given], summing (d - 1/2)^2 as tanh(l/2)^2 / 4: no branch on the
+    sign of the log-odds l.  Each block of ``BLOCK_ROWS`` points is scored
+    into one reused (BLOCK_ROWS, H) buffer.  A given ``class0`` gains each
+    member's count of rows with sigmoid(l) <= 1/2 (as l <= ``CLASS0_LOGIT``),
+    the tie rule of ``t_acc0``."""
+    sq, buffer = np.zeros(len(classifiers)), np.empty((min(len(points), BLOCK_ROWS), len(classifiers)))
+    for rows in row_slices(len(points)):
+        block = points[rows]
+        logits = classifiers.log_odds(block, given, out=buffer[: len(block)])
         if class0 is not None:
             class0 += (logits <= CLASS0_LOGIT).sum(axis=0)
         half = np.tanh(np.multiply(logits, 0.5, out=logits), out=logits)
         sq += np.einsum("ij,ij->j", half, half)
-    return sq / (4.0 * len(ws))
+    return sq / (4.0 * len(points))
 
 
-def single_class_statistics(classifiers, ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def single_class_statistics(classifiers, points: np.ndarray, given: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``t_mse0`` and ``t_acc0`` of every member of the stack ``classifiers``
-    on the rows ``ws``, from one scoring pass."""
-    ws = np.atleast_2d(np.asarray(ws, dtype=np.float64))
-    if len(ws) == 0:
+    at the rows [points, given], from one scoring pass."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if len(points) == 0:
         raise ConfigurationError("need at least one evaluation point")
     class0 = np.zeros(len(classifiers))
-    mse0 = _mse0(classifiers, ws, class0)
-    return mse0, class0 / len(ws)
+    return _mse0(classifiers, points, given, class0), class0 / len(points)
 
 
 def _two_class_statistics(classifiers, val: LabeledPairDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -488,13 +481,14 @@ def lc2st_evaluate(
 
 def _evaluate(method: str, clf, ensemble: NullEnsemble, draw, x_o, n_v: int, stream: RngStream, conservative: bool):
     """``method``'s ``t_mse0`` test at ``x_o``: the classifier and every null
-    member scored on the points ``draw(stream.child("eval"))`` at ``x_o``."""
+    member scored on the points ``draw(stream.child("eval"))``, ``x_o`` passed
+    as ``given``; the result's ``points`` carry the x_o columns."""
     if n_v < 1:
         raise ConfigurationError("n_v must be at least 1")
-    ws = append_conditioning(draw(stream.child("eval")), x_o)
-    nulls = _mse0(ensemble.classifiers, ws) if len(ensemble) else None
+    points = np.atleast_2d(np.asarray(draw(stream.child("eval")), dtype=np.float64))
+    nulls = _mse0(ensemble.classifiers, points, x_o) if len(ensemble) else None
     seeds = {"seed": int(stream.seed), "stream_id": int(stream.stream_id)}
-    return TestResult.from_stats(method, t_mse0(clf, ws), nulls, x_o, n_v, seeds, conservative, ws)
+    return TestResult.from_stats(method, t_mse0(clf, points, x_o), nulls, x_o, n_v, seeds, conservative, append_conditioning(points, x_o))
 
 
 # ---------------------------------------------------------------------------

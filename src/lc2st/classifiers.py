@@ -1,6 +1,7 @@
 """Probabilistic binary classifiers over feature vectors.
 
-Three families, all exposing ``predict_proba(ws) -> P(C=1 | w)``:
+Three families, all exposing ``predict_proba(points, given=None) -> P(C=1 | w)`` at the
+rows w = [points, given], ``given`` (a local test's x_o) shared by every row:
 
 * :func:`qda_fit` -- closed-form quadratic discriminant analysis, the Bayes
   classifier when both classes are Gaussian: the one-member case of
@@ -16,7 +17,7 @@ Three families, all exposing ``predict_proba(ws) -> P(C=1 | w)``:
 
 A fitter's ``ensemble`` returns its family's stack, a :class:`QdaModel` of
 H members or an :class:`MlpStack`, which scores itself:
-``stack.log_odds(ws)`` gives the (rows, members) log-odds of every member,
+``stack.log_odds(points, given)`` gives the (rows, members) log-odds of every member,
 and ``stack[h]`` builds member h as a one-member QdaModel or an MlpModel.
 
 The decision rule everywhere is ``predict 1 iff d > 1/2``: exact ties go to
@@ -25,6 +26,7 @@ class 0, which makes accuracy statistics deterministic.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Protocol
 
@@ -45,6 +47,7 @@ from .nets import sigmoid, train_minibatch, with_ones
 
 __all__ = [
     "ProbClassifier",
+    "append_conditioning",
     "quad_features",
     "QdaModel",
     "qda_coefficients",
@@ -69,14 +72,24 @@ __all__ = [
 
 
 class ProbClassifier(Protocol):
-    def predict_proba(self, ws: np.ndarray) -> np.ndarray: ...
+    def predict_proba(self, points: np.ndarray, given: np.ndarray | None = None) -> np.ndarray: ...
 
 
-def _check_features(ws: np.ndarray, dim: int) -> np.ndarray:
-    ws = np.atleast_2d(np.asarray(ws, dtype=np.float64))
-    if ws.shape[1] != dim:
-        raise ConfigurationError(f"expected feature dimension {dim}, got {ws.shape[1]}")
-    return ws
+def append_conditioning(points: np.ndarray, x_o: np.ndarray | None) -> np.ndarray:
+    """Feature rows for classifier queries: points, or (points ++ x_o)."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if x_o is None:
+        return points
+    x_o = np.asarray(x_o, dtype=np.float64).ravel()
+    return np.hstack([points, np.broadcast_to(x_o, (points.shape[0], x_o.shape[0]))])
+
+
+def _check_features(points: np.ndarray, given: np.ndarray | None, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    given = np.zeros(0) if given is None else np.asarray(given, dtype=np.float64).ravel()
+    if points.shape[1] + len(given) != dim:
+        raise ConfigurationError(f"expected feature dimension {dim}, got {points.shape[1]} point and {len(given)} given columns")
+    return points, given
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +145,17 @@ def qda_coefficients(means: np.ndarray, covs: np.ndarray, priors: np.ndarray) ->
     return np.vstack([*(sym[:, i, i:].T for i in diag), (lin[:, 1] - lin[:, 0]).T, const])
 
 
+@functools.cache
+def _given_fold(m: int, dim: int) -> tuple[np.ndarray, tuple]:
+    """The 0/1 (F_m, F) matrix that takes each :func:`quad_features` column
+    of [z, x], z of m columns, to the column of z whose multiple it is, and
+    the (i, j) pairs of its quadratic columns."""
+    i, j = np.triu_indices(dim)
+    term = m * (m + 1) // 2 + np.minimum(np.arange(dim + 1), m)  # z_i's linear term, or the constant for i >= m
+    targets = np.concatenate([np.where(j < m, np.cumsum(j < m) - 1, term[i]), term])
+    return (np.arange(term[-1] + 1)[:, None] == targets).astype(np.float64), (i, j)
+
+
 @dataclass(frozen=True)
 class QdaModel:
     """H Gaussian class-conditional classifiers: (H, 2, d) class ``means``,
@@ -173,20 +197,27 @@ class QdaModel:
     def __getitem__(self, h: int) -> QdaModel:
         return QdaModel(self.means[h][None], self.covs[h][None], self.priors[h][None])
 
-    def log_odds(self, ws: np.ndarray) -> np.ndarray:
-        """(rows, H) log-odds of every member on the rows ``ws``, one product
-        with ``coef`` per block of ``BLOCK_ROWS`` rows."""
-        ws = _check_features(ws, self.dim)
-        out = np.empty((len(ws), len(self)))
-        for rows in row_slices(len(ws)):
-            np.matmul(quad_features(ws[rows]), self.coef, out=out[rows])
+    def log_odds(self, points: np.ndarray, given: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+        """(rows, H) log-odds of every member at the rows [points, given],
+        into ``out`` if given.  One (F_m, F) matrix from ``given`` maps
+        ``coef`` onto :func:`quad_features` of the m point columns z alone:
+        z_i z_j keeps its coefficient, z_i x_j's joins z_i's times x_j, and
+        the x x, x and constant terms fold into the constant.  Then one
+        product per block of ``BLOCK_ROWS`` rows."""
+        points, given = _check_features(points, given, self.dim)
+        fold, (i, j) = _given_fold(points.shape[1], self.dim)
+        v = np.concatenate([np.ones(points.shape[1]), given])
+        coef = fold @ (np.concatenate([v[i] * v[j], v, [1.0]])[:, None] * self.coef)
+        out = np.empty((len(points), len(self))) if out is None else out
+        for rows in row_slices(len(points)):
+            np.matmul(quad_features(points[rows]), coef, out=out[rows])
         return out
 
-    def predict_proba(self, ws: np.ndarray) -> np.ndarray:
-        """P(C=1 | w) on the rows ``ws`` of a one-member model."""
+    def predict_proba(self, points: np.ndarray, given: np.ndarray | None = None) -> np.ndarray:
+        """P(C=1 | w) at the rows w = [points, given] of a one-member model."""
         if len(self) != 1:
             raise ConfigurationError(f"predict_proba scores one member, this QDA model has {len(self)}; use log_odds")
-        return sigmoid(self.log_odds(ws)[:, 0])
+        return sigmoid(self.log_odds(points, given)[:, 0])
 
 
 def qda_fit(data: LabeledPairDataset, ridge: float | None = None) -> QdaModel:
@@ -246,8 +277,8 @@ class AnalyticBayesClassifier:
     log_prob_p: Callable[[np.ndarray], np.ndarray]
     log_prob_q: Callable[[np.ndarray], np.ndarray]
 
-    def predict_proba(self, ws: np.ndarray) -> np.ndarray:
-        ws = np.atleast_2d(np.asarray(ws, dtype=np.float64))
+    def predict_proba(self, points: np.ndarray, given: np.ndarray | None = None) -> np.ndarray:
+        ws = append_conditioning(points, given)
         lp = np.asarray(self.log_prob_p(ws), dtype=np.float64)
         lq = np.asarray(self.log_prob_q(ws), dtype=np.float64)
         both_zero = np.isneginf(lp) & np.isneginf(lq)
@@ -316,12 +347,13 @@ class MlpModel:
     def _standardize(self, ws: np.ndarray) -> np.ndarray:
         return (ws - self.feat_mean) / self.feat_std
 
-    def log_odds(self, ws: np.ndarray) -> np.ndarray:
-        ws = _check_features(ws, self.dim)
-        return mlp_forward(self.params, with_ones(self._standardize(ws)))[..., 0]
+    def log_odds(self, points: np.ndarray, given: np.ndarray | None = None) -> np.ndarray:
+        """Log-odds at the rows [points, given]: the one-member case of :meth:`MlpStack.log_odds`."""
+        flat, shapes = np.concatenate([a.ravel() for a in self.params.layers])[None], [a.shape for a in self.params.layers]
+        return MlpStack(flat, shapes, self.feat_mean[None], self.feat_std[None], [self.metadata]).log_odds(points, given)[:, 0]
 
-    def predict_proba(self, ws: np.ndarray) -> np.ndarray:
-        return sigmoid(self.log_odds(ws))
+    def predict_proba(self, points: np.ndarray, given: np.ndarray | None = None) -> np.ndarray:
+        return sigmoid(self.log_odds(points, given))
 
 
 # Elements in one hidden activation of a block of stacked members: 1 MB of
@@ -357,21 +389,26 @@ class MlpStack:
         s = 0 if len(self.feat_mean) == 1 else h
         return MlpModel(params, self.feat_mean[s], self.feat_std[s], self.metadata[h])
 
-    def log_odds(self, ws: np.ndarray) -> np.ndarray:
-        """(rows, H) log-odds of every member on the rows ``ws``, one forward
-        pass per chunk of members whose widest activation over
-        ``BLOCK_ROWS`` rows fits ``_MLP_CHUNK_ELEMENTS``.  A shared
-        standardization is applied once."""
-        ws = _check_features(ws, self.feat_mean.shape[1])
+    def log_odds(self, points: np.ndarray, given: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+        """(rows, H) log-odds of every member at the rows [points, given],
+        written into ``out`` if given.  The standardized ``given`` u folds
+        into each member's first layer, [W_z; W_x; b] -> [W_z; b + u W_x]
+        (u per member when standardization is), so the nets read the point
+        columns alone.  One forward pass per chunk of members whose widest
+        activation over ``BLOCK_ROWS`` rows fits ``_MLP_CHUNK_ELEMENTS``."""
+        mean, std, (first, *rest) = self.feat_mean, self.feat_std, self.params.layers
+        points, given = _check_features(points, given, mean.shape[1])
+        m = points.shape[1]
+        first = np.concatenate([first[:, :m], first[:, -1:] + ((given - mean[:, m:]) / std[:, m:])[:, None] @ first[:, m:-1]], axis=1)
+        standardized = lambda s: with_ones((points - mean[s, None, :m]) / std[s, None, :m])  # noqa: E731
+        shared = standardized(slice(None)) if len(mean) == 1 else None
         size = max(1, _MLP_CHUNK_ELEMENTS // (BLOCK_ROWS * max(shape[-1] for shape in self.shapes)))
-        shared = with_ones((ws - self.feat_mean[0]) / self.feat_std[0]) if len(self.feat_mean) == 1 else None
-        out = []
+        out = np.empty((len(points), len(self))) if out is None else out
         for start in range(0, len(self), size):
             part = slice(start, start + size)
-            params = MlpParams([a[part] for a in self.params.layers])
-            inputs = shared if shared is not None else with_ones((ws - self.feat_mean[part, None]) / self.feat_std[part, None])
-            out.append(mlp_forward(params, inputs)[..., 0])
-        return np.concatenate(out).T
+            params = MlpParams([first[part], *(a[part] for a in rest)])
+            out[:, part] = mlp_forward(params, standardized(part) if shared is None else shared)[..., 0].T
+        return out
 
 
 def _bce_losses(z: np.ndarray, labels: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
@@ -487,7 +524,7 @@ def mlp_grad_check(model: MlpModel, ws: np.ndarray, labels: np.ndarray, step: fl
     central finite differences of the batch cross-entropy.  Finite differences
     assume the loss is smooth within ``step`` of each coordinate, so callers
     should keep rectifier pre-activations away from zero."""
-    ws = _check_features(ws, model.dim)
+    ws, _ = _check_features(ws, None, model.dim)
     if len(ws) == 0:
         raise ConfigurationError("gradient check needs a nonempty batch")
     labels = np.asarray(labels, dtype=np.float64).ravel()

@@ -252,7 +252,8 @@ def train_minibatch(flat, table, rows, labels, cfg, streams: list[RngStream], ba
     Member h learns from the rows ``table[rows[h]]`` with ``labels[h]``.  Its
     stream's ``holdout`` child sets ``round(cfg.holdout_frac * n)`` of its n
     rows aside (if that is at least one and leaves two) and its ``shuffle``
-    child orders the rest each epoch.  ``batch_loss(inputs, labels)`` gives
+    child orders the rest each epoch, as successive ``permutation`` calls
+    would, several epochs at a time.  ``batch_loss(inputs, labels)`` gives
     the losses and (k, P) gradients of the k members still training on a
     (k, b, columns) batch, and ``holdout_loss`` their holdout losses after
     each epoch.  A member with no improvement in ``cfg.patience`` epochs
@@ -283,10 +284,17 @@ def train_minibatch(flat, table, rows, labels, cfg, streams: list[RngStream], ba
     epochs_run = np.full(n_members, cfg.max_epochs)
     starts = range(0, n_tr, cfg.batch_size)
     x_epoch, losses = np.empty((n_members, n_tr, table.shape[1]), dtype=table.dtype), np.empty((n_members, len(starts)))
+    # each member's epoch orders, a chunk of epochs (512 kB over all members) at a time:
+    # permuting the rows of tiled aranges draws what successive permutation(n_tr) calls draw
+    chunk = max(1, min(cfg.max_epochs, (1 << 16) // (n_members * n_tr)))
+    tiled, orders = np.tile(np.arange(n_tr), (chunk, 1)), np.empty((n_members, chunk, n_tr), dtype=np.int64)
     train_loss, holdout_trace = [], []
     for epoch in range(cfg.max_epochs):
-        k = len(active)
-        order = np.stack([shufflers[h].permutation(n_tr) for h in active])
+        k, left = len(active), cfg.max_epochs - epoch
+        if epoch % chunk == 0:
+            for h in active:
+                shufflers[h].permuted(tiled[:left], axis=1, out=orders[h, :left])
+        order = orders[active, epoch % chunk]
         xs = np.take(table, np.take_along_axis(tr_rows, order, axis=1), axis=0, out=x_epoch[:k], mode="clip")
         ys = np.take_along_axis(tr_labels, order, axis=1)
         for j, start in enumerate(starts):

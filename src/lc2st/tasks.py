@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 from .core import (
     ConfigurationError,
@@ -135,6 +134,8 @@ def _rejection_rows(xs, m: int, propose, stream: RngStream) -> np.ndarray:
 
 def _box_mass(x: np.ndarray, sd, bound: float) -> np.ndarray:
     """Per-dimension mass of N(x, sd^2) inside [-bound, bound]."""
+    from scipy.special import ndtr  # here, not at module level: `import lc2st` loads no scipy
+
     lo, hi = (-bound - x) / sd, (bound - x) / sd
     # the mirrored form for x below the box keeps both terms in the lower
     # tail, where ndtr does not round to 1

@@ -75,8 +75,8 @@ class _Const:
     def __init__(self, value):
         self.value = value
 
-    def predict_proba(self, ws):
-        return np.full(len(np.atleast_2d(ws)), self.value)
+    def predict_proba(self, ws, given=None):
+        return np.full(len(append_conditioning(ws, given)), self.value)
 
 
 class TestStatistics:
@@ -95,8 +95,8 @@ class TestStatistics:
             def __init__(self, val):
                 self.val = val
 
-            def predict_proba(self, ws):
-                ws = np.atleast_2d(ws)
+            def predict_proba(self, ws, given=None):
+                ws = append_conditioning(ws, given)
                 out = np.zeros(len(ws))
                 for i, w in enumerate(ws):
                     match = np.all(self.val.ws == w, axis=1)
@@ -476,8 +476,8 @@ class _FixedLogOdds:
     def __len__(self):
         return self.logits.shape[1]
 
-    def log_odds(self, ws):
-        return self.logits[ws[:, 0].astype(np.int64)]
+    def log_odds(self, ws, given=None, out=None):
+        return self.logits[append_conditioning(ws, given)[:, 0].astype(np.int64)]
 
 
 class TestClass0Logit:

@@ -287,8 +287,8 @@ class _FunctionClassifier:
     def __init__(self, fn):
         self.fn = fn
 
-    def predict_proba(self, ws):
-        return self.fn(np.atleast_2d(ws))
+    def predict_proba(self, ws, given=None):
+        return self.fn(append_conditioning(ws, given))
 
 
 class TestCalibrationCurve:
@@ -1353,3 +1353,67 @@ def test_backward_without_input_grad_keeps_parameter_grads():
     assert g_in.shape == (20, 3) and none is None
     for a, b in zip(grads, grads_only, strict=True):
         assert a.tobytes() == b.tobytes()
+
+
+def random_qda_stack(rng, dim, n_members=4):
+    a = rng.standard_normal((n_members, 2, dim, dim))
+    covs = a @ np.swapaxes(a, -1, -2) + 0.5 * np.eye(dim)
+    priors = rng.uniform(0.2, 0.8, n_members)
+    return QdaModel(rng.standard_normal((n_members, 2, dim)), covs, np.stack([priors, 1.0 - priors], axis=1))
+
+
+def assert_scaled_close(got, want, rtol=1e-12):
+    """Each member's log-odds within rtol of its largest magnitude over the rows."""
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= rtol * np.abs(want).max(axis=0))
+
+
+class TestGivenColumns:
+    """Scoring [points, given] with ``given`` folded into the classifier
+    equals scoring the appended rows."""
+
+    @pytest.mark.parametrize("dim", range(2, 7))
+    def test_qda_stack_matches_appended_rows(self, dim):
+        rng = np.random.default_rng(200 + dim)
+        stack = random_qda_stack(rng, dim)
+        for m in range(1, dim + 1):
+            points, given = 2.0 * rng.standard_normal((BLOCK_ROWS + 9, m)), rng.standard_normal(dim - m)
+            want = stack.log_odds(append_conditioning(points, given))
+            assert_scaled_close(stack.log_odds(points, given), want)
+            assert_scaled_close(stack[1].log_odds(points, given), want[:, 1:2])
+            np.testing.assert_allclose(stack[2].predict_proba(points, given), sigmoid(want[:, 2]), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_mlp_stack_matches_appended_rows(self, shared):
+        xs = np.random.default_rng(210).standard_normal((40, 2))
+        members = _shared_features(3, 40, 4, seed=211) if shared else Resampled(xs, 2, RngStream(seed=212), 3)
+        stack = mlp_factory(MlpConfig((7, 5), max_epochs=3)).ensemble(members, [RngStream(seed=213 + h) for h in range(3)])
+        assert len(stack.feat_mean) == (1 if shared else 3)
+        rng = np.random.default_rng(214)
+        for m in range(1, 5):
+            points, given = rng.standard_normal((300, m)), rng.standard_normal(4 - m)
+            want = stack.log_odds(append_conditioning(points, given))
+            assert_scaled_close(stack.log_odds(points, given), want)
+            for h, model in enumerate(stack):
+                assert_scaled_close(model.log_odds(points, given)[:, None], want[:, h : h + 1])
+
+    def test_a_given_of_the_wrong_length_names_both_dimensions(self):
+        rng = np.random.default_rng(220)
+        stack = random_qda_stack(rng, 4)
+        mlp = mlp_factory(MlpConfig((3,), max_epochs=1)).ensemble(_shared_features(2, 10, 4, seed=221), [RngStream(seed=1)] * 2)
+        for scorer in (stack.log_odds, stack[0].predict_proba, mlp.log_odds, mlp[0].predict_proba):
+            with pytest.raises(ConfigurationError, match="feature dimension 4, got 2 point and 3 given columns"):
+                scorer(np.zeros((5, 2)), np.zeros(3))
+
+    def test_mse0_into_one_buffer_equals_fresh_blocks_bitwise(self):
+        from lc2st.c2st import _mse0
+
+        rng = np.random.default_rng(230)
+        mlp = mlp_factory(MlpConfig((6,), max_epochs=2)).ensemble(_shared_features(3, 30, 4, seed=231), [RngStream(seed=2)] * 3)
+        points, given = rng.standard_normal((2 * BLOCK_ROWS + 37, 2)), rng.standard_normal(2)
+        for stack in (random_qda_stack(rng, 4, n_members=5), mlp):
+            sq = np.zeros(len(stack))
+            for rows in row_slices(len(points)):
+                half = np.tanh(stack.log_odds(points[rows], given) * 0.5)
+                sq += np.einsum("ij,ij->j", half, half)
+            assert _mse0(stack, points, given).tobytes() == (sq / (4.0 * len(points))).tobytes()

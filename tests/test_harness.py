@@ -110,9 +110,9 @@ class TestPlan:
 
         src = os.path.dirname(os.path.dirname(lc2st.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        code = "import sys, lc2st; print('scipy.stats' in sys.modules)"
+        code = "import sys, lc2st; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
 
     def test_classifier_spec_sets_holdout_frac(self):
         from lc2st import LabeledPairDataset, RngStream
