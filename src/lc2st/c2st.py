@@ -165,17 +165,17 @@ CLASS0_LOGIT = float.fromhex("0x1.67fffffffffffp-53")
 def _mse0(classifiers, points: np.ndarray, given: np.ndarray | None = None, class0: np.ndarray | None = None) -> np.ndarray:
     """``t_mse0`` of every member of the stack ``classifiers`` at the rows
     [points, given], summing (d - 1/2)^2 as tanh(l/2)^2 / 4: no branch on the
-    sign of the log-odds l.  Each block of ``BLOCK_ROWS`` points is scored
-    into one reused (BLOCK_ROWS, H) buffer.  A given ``class0`` gains each
-    member's count of rows with sigmoid(l) <= 1/2 (as l <= ``CLASS0_LOGIT``),
-    the tie rule of ``t_acc0``."""
+    sign of the log-odds l.  The stack scores l/2 (``scale=0.5``) for each
+    block of ``BLOCK_ROWS`` points into one reused (BLOCK_ROWS, H) buffer.
+    A given ``class0`` gains each member's count of rows with sigmoid(l) <=
+    1/2 (as l/2 <= ``CLASS0_LOGIT / 2``), the tie rule of ``t_acc0``."""
     sq, buffer = np.zeros(len(classifiers)), np.empty((min(len(points), BLOCK_ROWS), len(classifiers)))
     for rows in row_slices(len(points)):
         block = points[rows]
-        logits = classifiers.log_odds(block, given, out=buffer[: len(block)])
+        half = classifiers.log_odds(block, given, out=buffer[: len(block)], scale=0.5)
         if class0 is not None:
-            class0 += (logits <= CLASS0_LOGIT).sum(axis=0)
-        half = np.tanh(np.multiply(logits, 0.5, out=logits), out=logits)
+            class0 += (half <= CLASS0_LOGIT / 2).sum(axis=0)
+        np.tanh(half, out=half)
         sq += np.einsum("ij,ij->j", half, half)
     return sq / (4.0 * len(points))
 
@@ -219,9 +219,9 @@ def p_value_from_null(statistic: float, null_statistics: np.ndarray, conservativ
 @dataclass(frozen=True)
 class TestResult:
     """Outcome of one test at one observation.  ``points`` are the rows its
-    statistic scored, conditioning columns included (an oracle test's
-    ``val`` rows), for the PP-plot and heatmap that explain it; they are
-    not part of ``result.json``."""
+    statistic scored, its ``draws`` and their ``given`` x_o appended when
+    read (an oracle test's ``val`` rows), for the PP-plot and heatmap that
+    explain it; they are not part of ``result.json``."""
 
     __test__ = False  # statistical test result, not a pytest case
 
@@ -234,7 +234,12 @@ class TestResult:
     n_h: int
     seeds: dict
     p_value_kind: str | None = "strict"
-    points: np.ndarray | None = field(default=None, compare=False, repr=False)
+    draws: np.ndarray | None = field(default=None, compare=False, repr=False)
+    given: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def points(self) -> np.ndarray | None:
+        return None if self.draws is None else append_conditioning(self.draws, self.given)
 
     def __post_init__(self) -> None:
         upper = _STAT_UPPER.get(self.method)
@@ -261,14 +266,15 @@ class TestResult:
         n_v: int,
         seeds: dict,
         conservative: bool = False,
-        points: np.ndarray | None = None,
+        draws: np.ndarray | None = None,
+        given: np.ndarray | None = None,
     ) -> "TestResult":
         nulls = None if null_statistics is None else np.asarray(null_statistics, dtype=np.float64)
         if nulls is None or nulls.size == 0:
-            return TestResult(method, statistic, None, None, np.asarray(x_o), n_v, 0, seeds, None, points)
+            return TestResult(method, statistic, None, None, np.asarray(x_o), n_v, 0, seeds, None, draws, given)
         kind = "conservative" if conservative else "strict"
         p = p_value_from_null(statistic, nulls, conservative=conservative)
-        return TestResult(method, statistic, nulls, p, np.asarray(x_o), n_v, int(nulls.size), seeds, kind, points)
+        return TestResult(method, statistic, nulls, p, np.asarray(x_o), n_v, int(nulls.size), seeds, kind, draws, given)
 
     def to_json_dict(self) -> dict:
         return {
@@ -289,17 +295,19 @@ class TestResult:
 
 @dataclass
 class NullEnsemble:
-    """Classifiers fitted under the null construction, with their seed ledger
-    and the wall-clock seconds their fit took.  ``classifiers`` is the
-    fitter's stack (an H-member ``QdaModel``, an ``MlpStack``): its
+    """Classifiers fitted under the null construction, with the null's
+    ``stream`` and the wall-clock seconds their fit took.  ``classifiers`` is
+    the fitter's stack (an H-member ``QdaModel``, an ``MlpStack``): its
     ``log_odds`` scores every member at once and ``classifiers[h]`` builds
-    member h.  An empty null is never scored."""
+    member h.  An empty null is never scored.  A reusable null's
+    ``fitted_for`` holds the ``n_cal``, ``d`` and ``fitter`` it is valid for."""
 
     classifiers: object
     provenance: str  # 'permutation' | 'nf-resampled'
-    streams: list[tuple[int, int]] = field(default_factory=list)
+    stream: RngStream | None = None
     latent_dim: int | None = None
     fit_seconds: float = 0.0
+    fitted_for: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.provenance not in ("permutation", "nf-resampled"):
@@ -307,6 +315,11 @@ class NullEnsemble:
 
     def __len__(self) -> int:
         return len(self.classifiers)
+
+    @property
+    def streams(self) -> list[tuple[int, int]]:
+        """The seed ledger, keys of the member streams ``stream/trial/h``, derived when read."""
+        return [] if self.stream is None else self.stream.child_keys("trial", len(self))
 
 
 # ---------------------------------------------------------------------------
@@ -412,31 +425,38 @@ def fit_null_ensemble(
     return _fit_null(lambda: Relabeled(data, stream, n_null, paired), fit_fn, n_null, stream, "permutation")
 
 
-def _fit_null(members, fit_fn, n_null: int, stream: RngStream, provenance: str, latent_dim: int | None = None):
+def _fit_null(members, fit_fn, n_null: int, stream: RngStream, provenance: str, latent_dim: int | None = None, fitted_for=None):
     """The null of ``n_null`` members described by ``members()``, from one
-    timed ``fit_fn.ensemble`` call.  Its ledger holds the keys of the
-    member streams ``stream/trial/h`` (:meth:`RngStream.child_keys`); only
-    fitters that read them (MLP) derive their ``trial/h/fit`` streams."""
+    timed ``fit_fn.ensemble`` call.  The member streams ``stream/trial/h/fit``
+    are derived only by fitters that read them (MLP), and the ledger only
+    when it is read (:attr:`NullEnsemble.streams`)."""
     t0 = time.perf_counter()
     if n_null < 0:
         raise ConfigurationError("n_null must be nonnegative")
-    keys = stream.child_keys("trial", n_null)
-    classifiers = fit_fn.ensemble(members(), (RngStream(*key).child("fit") for key in keys))
-    return NullEnsemble(classifiers, provenance, keys, latent_dim, time.perf_counter() - t0)
+
+    def fit_streams():
+        yield from (RngStream(*key).child("fit") for key in stream.child_keys("trial", n_null))
+    classifiers = fit_fn.ensemble(members(), fit_streams())
+    return NullEnsemble(classifiers, provenance, stream, latent_dim, time.perf_counter() - t0, fitted_for or {})
+
+
+def _paired_table(w0: np.ndarray, w1: np.ndarray, xs: np.ndarray, bad_row: str) -> LabeledPairDataset:
+    """``from_class_arrays`` of [w0, xs] and [w1, xs], written into one array.
+    If the dataset's finiteness check fails, ``NumericError`` names the row."""
+    n, m = w0.shape
+    ws = np.empty((2 * n, m + xs.shape[1]))
+    ws[:n, :m], ws[n:, :m], ws[:n, m:], ws[n:, m:] = w0, w1, xs, xs
+    try:
+        return LabeledPairDataset(ws, np.arange(2 * n) >= n)
+    except ConfigurationError:  # the labels are valid, so a feature is not finite
+        raise NumericError(f"{bad_row} {int(np.argmin(np.isfinite(ws).all(axis=1))) % n}") from None
 
 
 def lc2st_training_set(estimator, cal: JointDataset, stream: RngStream) -> LabeledPairDataset:
     """Joint-space classification set: one estimator draw per calibration row
     (class 0) against the simulated pairs (class 1), same observations in both."""
-    theta_q = estimator.sample_conditional(cal.xs, stream)
-    theta_q = np.asarray(theta_q, dtype=np.float64)
-    bad = ~np.all(np.isfinite(theta_q), axis=1)
-    if np.any(bad):
-        raise NumericError(f"estimator produced non-finite draw at calibration row {int(np.argmax(bad))}")
-    return LabeledPairDataset.from_class_arrays(
-        np.hstack([theta_q, cal.xs]),
-        np.hstack([cal.thetas, cal.xs]),
-    )
+    theta_q = np.asarray(estimator.sample_conditional(cal.xs, stream), dtype=np.float64)
+    return _paired_table(theta_q, cal.thetas, cal.xs, "estimator produced non-finite draw at calibration row")
 
 
 def lc2st_train(
@@ -482,13 +502,13 @@ def lc2st_evaluate(
 def _evaluate(method: str, clf, ensemble: NullEnsemble, draw, x_o, n_v: int, stream: RngStream, conservative: bool):
     """``method``'s ``t_mse0`` test at ``x_o``: the classifier and every null
     member scored on the points ``draw(stream.child("eval"))``, ``x_o`` passed
-    as ``given``; the result's ``points`` carry the x_o columns."""
+    as ``given``; the result keeps the draws and x_o."""
     if n_v < 1:
         raise ConfigurationError("n_v must be at least 1")
     points = np.atleast_2d(np.asarray(draw(stream.child("eval")), dtype=np.float64))
     nulls = _mse0(ensemble.classifiers, points, x_o) if len(ensemble) else None
     seeds = {"seed": int(stream.seed), "stream_id": int(stream.stream_id)}
-    return TestResult.from_stats(method, t_mse0(clf, points, x_o), nulls, x_o, n_v, seeds, conservative, append_conditioning(points, x_o))
+    return TestResult.from_stats(method, t_mse0(clf, points, x_o), nulls, x_o, n_v, seeds, conservative, points, x_o)
 
 
 # ---------------------------------------------------------------------------
@@ -516,14 +536,7 @@ def lc2st_nf_train(flow, cal: JointDataset, fit_fn, stream: RngStream):
             except NumericError as exc:
                 raise NumericError(f"flow inverse failed at calibration row {i}: {exc}") from exc
         raise
-    bad = ~np.all(np.isfinite(z_q), axis=1)
-    if np.any(bad):
-        raise NumericError(f"flow inverse produced non-finite latent at calibration row {int(np.argmax(bad))}")
-    data = LabeledPairDataset.from_class_arrays(
-        np.hstack([z0, cal.xs]),
-        np.hstack([z_q, cal.xs]),
-    )
-    return fit_fn(data, stream.child("fit"))
+    return fit_fn(_paired_table(z0, z_q, cal.xs, "flow inverse produced non-finite latent at calibration row"), stream.child("fit"))
 
 
 @dataclass(frozen=True)
@@ -623,10 +636,12 @@ def lc2st_nf_null(
     Each member pairs fresh standard-normal latents for both classes with
     the same observations (:class:`Resampled`: QDA members draw their exact
     class moments, MLP members rows), so one ensemble is reusable across
-    flows and observations.  ``n_null=0`` returns an empty ensemble.
+    flows and observations, but only at its n_cal, d and ``fit_fn``, which
+    its ``fitted_for`` records.  ``n_null=0`` returns an empty ensemble.
     """
     cal_xs = np.atleast_2d(np.asarray(cal_xs, dtype=np.float64))
-    return _fit_null(lambda: Resampled(cal_xs, m, stream, n_null), fit_fn, n_null, stream, "nf-resampled", m)
+    fitted_for = {"n_cal": len(cal_xs), "d": cal_xs.shape[1], "fitter": fit_fn}
+    return _fit_null(lambda: Resampled(cal_xs, m, stream, n_null), fit_fn, n_null, stream, "nf-resampled", m, fitted_for)
 
 
 def lc2st_nf_evaluate(
@@ -693,7 +708,8 @@ def run_test(
     ``n_null=0`` leaves the null empty and the p-values None.  Only
     ``lc2st-nf``'s null is estimator-independent: it alone takes a given
     ``ensemble`` (``nf-resampled`` over ``task.m`` latents), fits none and
-    ignores ``n_null``.
+    ignores ``n_null``; a ``fitted_for`` field that differs from the test's
+    ``n_cal``, ``task.d`` or ``fit_fn`` raises ``ConfigurationError``.
 
     ``train`` times building the training set and fitting the classifier,
     ``null`` is the fitted ensemble's ``fit_seconds`` (0 for a given or empty
@@ -720,6 +736,10 @@ def run_test(
             f"only lc2st-nf reuses a null, nf-resampled over {task.m} latents; got {method!r} "
             f"with a {ensemble.provenance!r} null over {ensemble.latent_dim}"
         )
+    own = {"n_cal": n_cal, "d": task.d, "fitter": fit_fn}
+    for name, value in ({} if ensemble is None else ensemble.fitted_for).items():
+        if value != own[name]:
+            raise ConfigurationError(f"the given null was fitted for {name} {value!r}, this test has {name} {own[name]!r}")
     n_fit = n_null if ensemble is None else 0
     if method in ("lc2st", "lc2st-nf"):
         cal = task.sample_joint(n_cal, stream.child("cal"))

@@ -120,6 +120,16 @@ def quad_features(ws: np.ndarray) -> np.ndarray:
     return out.T
 
 
+def _cholesky_inverse(chols: np.ndarray) -> np.ndarray:
+    """L^-1 of a (..., d, d) stack of lower triangular L = D U, D diagonal:
+    U^-1 by forward substitution over its rows, then L^-1 = U^-1 D^-1."""
+    pivots = np.diagonal(chols, axis1=-2, axis2=-1)
+    unit, inv = chols / pivots[..., :, None], np.broadcast_to(np.eye(chols.shape[-1]), chols.shape).copy()
+    for i in range(1, chols.shape[-1]):
+        inv[..., i, :i] = -np.einsum("...k,...kj->...j", unit[..., i, :i], inv[..., :i, :i])
+    return inv / pivots[..., None, :]
+
+
 def qda_coefficients(means: np.ndarray, covs: np.ndarray, priors: np.ndarray) -> np.ndarray:
     """(F, H) log-odds coefficients of H QDA members over :func:`quad_features`,
     from their (H, 2, d) class means, (H, 2, d, d) covariances and (H, 2) priors.
@@ -127,13 +137,14 @@ def qda_coefficients(means: np.ndarray, covs: np.ndarray, priors: np.ndarray) ->
     With precisions P_k, the log-odds is w'Aw + b'w + c for A = -(P1 - P0)/2,
     b = P1 mu1 - P0 mu0 and c from the means, log-determinants and priors;
     a column is [upper triangle of A, off-diagonals doubled; b; c].  One
-    batched Cholesky and one inverse serve every member.
+    batched Cholesky, inverted by substitution, serves every member; a
+    covariance that is not positive definite raises ``FitError``.
     """
     try:
         chols = np.linalg.cholesky(covs)
     except np.linalg.LinAlgError as exc:
         raise FitError(f"class covariance is not positive definite: {exc}") from exc
-    inv_chols = np.linalg.inv(chols)
+    inv_chols = _cholesky_inverse(chols)
     prec = np.swapaxes(inv_chols, -1, -2) @ inv_chols
     logdet = 2.0 * np.log(np.diagonal(chols, axis1=-2, axis2=-1)).sum(axis=-1)
     lin = (prec @ means[..., None])[..., 0]
@@ -197,17 +208,19 @@ class QdaModel:
     def __getitem__(self, h: int) -> QdaModel:
         return QdaModel(self.means[h][None], self.covs[h][None], self.priors[h][None])
 
-    def log_odds(self, points: np.ndarray, given: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    def log_odds(self, points: np.ndarray, given: np.ndarray | None = None, out: np.ndarray | None = None, scale: float = 1.0) -> np.ndarray:
         """(rows, H) log-odds of every member at the rows [points, given],
-        into ``out`` if given.  One (F_m, F) matrix from ``given`` maps
-        ``coef`` onto :func:`quad_features` of the m point columns z alone:
-        z_i z_j keeps its coefficient, z_i x_j's joins z_i's times x_j, and
-        the x x, x and constant terms fold into the constant.  Then one
-        product per block of ``BLOCK_ROWS`` rows."""
+        times ``scale`` (exact for a power of two), into ``out`` if given.
+        One (F_m, F) matrix from ``given`` maps ``coef`` onto
+        :func:`quad_features` of the m point columns z alone: z_i z_j keeps
+        its coefficient, z_i x_j's joins z_i's times x_j, and the x x, x and
+        constant terms fold into the constant.  Then one product per block
+        of ``BLOCK_ROWS`` rows."""
         points, given = _check_features(points, given, self.dim)
         fold, (i, j) = _given_fold(points.shape[1], self.dim)
         v = np.concatenate([np.ones(points.shape[1]), given])
         coef = fold @ (np.concatenate([v[i] * v[j], v, [1.0]])[:, None] * self.coef)
+        coef *= scale
         out = np.empty((len(points), len(self))) if out is None else out
         for rows in row_slices(len(points)):
             np.matmul(quad_features(points[rows]), coef, out=out[rows])
@@ -223,16 +236,22 @@ class QdaModel:
 def qda_fit(data: LabeledPairDataset, ridge: float | None = None) -> QdaModel:
     """Fit QDA by the per-class sample mean and covariance: the one-member
     case of :func:`qda_fit_moments`, each class's sum and scatter taken about
-    the mean of all rows.
+    the mean of all rows, from products with no class copies: class 1's
+    (w y) w' and class 0's w w' less class 1's, w the centred rows (as
+    columns) over a ones row and y the 0/1 labels.
 
     ``ridge * I`` is added to each covariance; the default ridge is
     ``1e-6 * trace(cov) / dim``, enough to survive nearly-degenerate
     calibration sets without moving well-conditioned fits.
     """
-    centre = data.ws.sum(axis=0) / max(data.n, 1)  # an empty set fails the class-size check
-    centred = [data.class_rows(label) - centre for label in (0, 1)]
-    sums, scatters = np.array([[w.sum(axis=0) for w in centred]]), np.array([[w.T @ w for w in centred]])
-    return qda_fit_moments(np.array([[len(w) for w in centred]]), centre, sums, scatters, ridge)
+    (n, dim), n1 = data.ws.shape, data.n_class1
+    centre = np.ones(n) @ data.ws / max(n, 1)  # an empty set fails the class-size check
+    w = np.empty((dim + 1, n))
+    np.subtract(data.ws.T, centre[:, None], out=w[:dim])
+    w[dim] = 1.0
+    class1 = (w[:dim] * data.labels.astype(np.float64)) @ w.T
+    moments = np.array([[w[:dim] @ w.T - class1, class1]])
+    return qda_fit_moments(np.array([[n - n1, n1]]), centre, moments[..., dim], moments[..., :dim], ridge)
 
 
 def qda_fit_moments(counts, centre, sums, scatters, ridge: float | None = None) -> QdaModel:
@@ -389,25 +408,26 @@ class MlpStack:
         s = 0 if len(self.feat_mean) == 1 else h
         return MlpModel(params, self.feat_mean[s], self.feat_std[s], self.metadata[h])
 
-    def log_odds(self, points: np.ndarray, given: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    def log_odds(self, points: np.ndarray, given: np.ndarray | None = None, out: np.ndarray | None = None, scale: float = 1.0) -> np.ndarray:
         """(rows, H) log-odds of every member at the rows [points, given],
+        times ``scale`` (in the output layer: exact for a power of two),
         written into ``out`` if given.  The standardized ``given`` u folds
         into each member's first layer, [W_z; W_x; b] -> [W_z; b + u W_x]
         (u per member when standardization is), so the nets read the point
         columns alone.  One forward pass per chunk of members whose widest
         activation over ``BLOCK_ROWS`` rows fits ``_MLP_CHUNK_ELEMENTS``."""
-        mean, std, (first, *rest) = self.feat_mean, self.feat_std, self.params.layers
+        mean, std, layers = self.feat_mean, self.feat_std, list(self.params.layers)
         points, given = _check_features(points, given, mean.shape[1])
-        m = points.shape[1]
-        first = np.concatenate([first[:, :m], first[:, -1:] + ((given - mean[:, m:]) / std[:, m:])[:, None] @ first[:, m:-1]], axis=1)
+        m, first = points.shape[1], layers[0]
+        layers[0] = np.concatenate([first[:, :m], first[:, -1:] + ((given - mean[:, m:]) / std[:, m:])[:, None] @ first[:, m:-1]], axis=1)
+        layers[-1] = layers[-1] * scale
         standardized = lambda s: with_ones((points - mean[s, None, :m]) / std[s, None, :m])  # noqa: E731
         shared = standardized(slice(None)) if len(mean) == 1 else None
         size = max(1, _MLP_CHUNK_ELEMENTS // (BLOCK_ROWS * max(shape[-1] for shape in self.shapes)))
         out = np.empty((len(points), len(self))) if out is None else out
         for start in range(0, len(self), size):
             part = slice(start, start + size)
-            params = MlpParams([first[part], *(a[part] for a in rest)])
-            out[:, part] = mlp_forward(params, standardized(part) if shared is None else shared)[..., 0].T
+            out[:, part] = mlp_forward(MlpParams([a[part] for a in layers]), standardized(part) if shared is None else shared)[..., 0].T
         return out
 
 

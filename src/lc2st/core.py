@@ -256,7 +256,7 @@ class LabeledPairDataset:
         labels = np.asarray(self.labels)
         if labels.ndim != 1 or labels.shape[0] != self.ws.shape[0]:
             raise ConfigurationError("labels must be a vector aligned with ws rows")
-        if labels.size and not np.all(np.isin(labels, (0, 1))):
+        if not ((labels == 0) | (labels == 1)).all():
             raise ConfigurationError("labels must be binary (0 or 1)")
         labels = np.ascontiguousarray(labels.astype(np.int64))
         labels.setflags(write=False)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from numbers import Real
 from pathlib import Path
@@ -389,6 +388,7 @@ def _run_sweep(plan: ExperimentPlan, spec: dict) -> SweepResult:
     if workers > 1:
         # tasks and closed-form flows hold closures and cannot be pickled:
         # each job builds its own task and closed-form estimator
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = [out for job in pool.map(_run_job, *zip(*jobs)) for out in job]
     else:

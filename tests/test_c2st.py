@@ -1,5 +1,7 @@
 """Test statistics, local test procedures, PP-plots, and heatmaps."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from lc2st import (
     lc2st_nf_null,
     lc2st_nf_train,
     lc2st_train,
+    lc2st_training_set,
     mlp_factory,
     p_value_from_null,
     pp_plot,
@@ -430,10 +433,11 @@ class TestRunTest:
 
     def test_given_ensemble_calls_no_null_step(self):
         cal = self.task.sample_joint(300, RngStream(seed=3))
-        shared = lc2st_nf_null(cal.xs, 2, qda_factory(), 4, RngStream(seed=4))
         fit = CountingFitter(qda_factory())
+        shared = lc2st_nf_null(cal.xs, 2, fit, 4, RngStream(seed=4))
+        assert (fit.calls, fit.ensembles) == (0, 1)
         self._run("lc2st-nf", conjugate_affine_flow(2, 1.0), fit_fn=fit, ensemble=shared)
-        assert (fit.calls, fit.ensembles) == (1, 0)
+        assert (fit.calls, fit.ensembles) == (1, 1)
 
     def test_ensemble_it_cannot_use_is_rejected(self):
         cal = self.task.sample_joint(300, RngStream(seed=3))
@@ -448,6 +452,28 @@ class TestRunTest:
         wide = lc2st_nf_null(cal.xs, 3, qda_factory(), 4, RngStream(seed=4))
         with pytest.raises(ConfigurationError, match="'nf-resampled' null over 3$"):
             self._run("lc2st-nf", flow, ensemble=wide)
+
+    def test_null_fitted_at_another_n_cal_is_rejected_before_any_fit(self):
+        fit = CountingFitter(qda_factory())
+        null = lc2st_nf_null(self.task.sample_joint(50, RngStream(seed=3)).xs, 2, fit, 4, RngStream(seed=4))
+        with pytest.raises(ConfigurationError, match="^the given null was fitted for n_cal 50, this test has n_cal 300$"):
+            self._run("lc2st-nf", conjugate_affine_flow(2, 1.0), fit_fn=fit, ensemble=null)
+        assert (fit.calls, fit.ensembles) == (0, 1)
+
+    def test_null_fitted_at_another_observation_dimension_is_rejected(self):
+        xs = np.random.default_rng(5).standard_normal((300, 3))
+        null = lc2st_nf_null(xs, 2, qda_factory(), 4, RngStream(seed=4))
+        with pytest.raises(ConfigurationError, match="^the given null was fitted for d 3, this test has d 2$"):
+            self._run("lc2st-nf", conjugate_affine_flow(2, 1.0), ensemble=null)
+
+    def test_null_fitted_by_another_fitter_is_rejected(self):
+        xs = self.task.sample_joint(300, RngStream(seed=3)).xs
+        null = lc2st_nf_null(xs, 2, qda_factory(), 4, RngStream(seed=4))
+        mlp = mlp_factory(MlpConfig(hidden_sizes=(4,), max_epochs=1))
+        for fit in (mlp, qda_factory(0.1)):
+            want = f"^the given null was fitted for fitter QdaFitter\\(ridge=None\\), this test has fitter {re.escape(repr(fit))}$"
+            with pytest.raises(ConfigurationError, match=want):
+                self._run("lc2st-nf", conjugate_affine_flow(2, 1.0), fit_fn=fit, ensemble=null)
 
     @pytest.mark.parametrize("method", ["lc2st", "lc2st-nf", "oracle-c2st-acc", "oracle-c2st-mse"])
     @pytest.mark.parametrize("n_cal, n_null, field", [(0, 8, "n_cal"), (-5, 8, "n_cal"), (300, -5, "n_null"), (300, 8, "n_v")])
@@ -476,8 +502,8 @@ class _FixedLogOdds:
     def __len__(self):
         return self.logits.shape[1]
 
-    def log_odds(self, ws, given=None, out=None):
-        return self.logits[append_conditioning(ws, given)[:, 0].astype(np.int64)]
+    def log_odds(self, ws, given=None, out=None, scale=1.0):
+        return scale * self.logits[append_conditioning(ws, given)[:, 0].astype(np.int64)]
 
 
 class TestClass0Logit:
@@ -947,3 +973,61 @@ def _empty_nf_ensemble():
     from lc2st.c2st import NullEnsemble
 
     return NullEnsemble([], "nf-resampled", latent_dim=2)
+
+
+class TestTrainingTables:
+    """The local tests' training tables are written into one array and equal
+    the stacked class arrays they replaced, bitwise."""
+
+    def setup_method(self):
+        self.task = gaussian_conjugate_task(m=2, noise_std=1.0)
+        self.cal = self.task.sample_joint(150, RngStream(seed=340))
+
+    def test_nf_table_equals_stacked_class_arrays(self):
+        flow, seen = conjugate_affine_flow(2, 1.0, scale_mult=1.3), []
+        lc2st_nf_train(flow, self.cal, lambda data, stream: seen.append(data), RngStream(seed=341))
+        z0 = RngStream(seed=341).child("z").generator().standard_normal((self.cal.n, 2))
+        z_q, _ = flow.inverse(self.cal.thetas, self.cal.xs)
+        want = LabeledPairDataset.from_class_arrays(np.hstack([z0, self.cal.xs]), np.hstack([z_q, self.cal.xs]))
+        assert seen[0].ws.tobytes() == want.ws.tobytes() and seen[0].labels.tobytes() == want.labels.tobytes()
+
+    def test_joint_table_equals_stacked_class_arrays(self):
+        estimator = distort(self.task.reference, [0.3, 0.0], 1.2)
+        got = lc2st_training_set(estimator, self.cal, RngStream(seed=342))
+        theta_q = estimator.sample_conditional(self.cal.xs, RngStream(seed=342))
+        want = LabeledPairDataset.from_class_arrays(np.hstack([theta_q, self.cal.xs]), np.hstack([self.cal.thetas, self.cal.xs]))
+        assert got.ws.tobytes() == want.ws.tobytes() and got.labels.tobytes() == want.labels.tobytes()
+
+    def test_non_finite_latent_names_its_row(self):
+        class NanFlow:
+            m = 2
+
+            def inverse(self, thetas, xs):
+                z = np.array(thetas)
+                z[[11, 40], 1] = np.nan
+                return z, np.zeros(len(z))
+
+        with pytest.raises(NumericError, match="non-finite latent at calibration row 11$"):
+            lc2st_nf_train(NanFlow(), self.cal, qda_factory(), RngStream(seed=343))
+
+
+class TestOnDemand:
+    """A result appends x_o to its draws, and a null derives its ledger, only
+    when they are read."""
+
+    def test_points_append_x_o_when_read(self):
+        run = run_test("lc2st-nf", gaussian_conjugate_task(m=2, noise_std=1.0), conjugate_affine_flow(2, 1.0),
+                       np.array([0.6, -0.2]), 200, 4, 150, qda_factory(), RngStream(seed=344))
+        result = run.results[0]
+        assert result.draws.shape == (150, 2) and result.given.tolist() == [0.6, -0.2]
+        assert result.points.tobytes() == append_conditioning(result.draws, result.given).tobytes()
+
+    @pytest.mark.parametrize("fit", [qda_factory(), mlp_factory(MlpConfig(hidden_sizes=(4,), max_epochs=1))], ids=["qda", "mlp"])
+    def test_null_ledger_is_derived_when_read(self, monkeypatch, fit):
+        calls, child_keys = [], RngStream.child_keys
+        monkeypatch.setattr(RngStream, "child_keys", lambda self, *a: calls.append(a) or child_keys(self, *a))
+        xs, stream = np.random.default_rng(345).standard_normal((60, 2)), RngStream(seed=346)
+        null = lc2st_nf_null(xs, 2, fit, 5, stream)
+        # an MLP null derives its members' fit and latent streams, a QDA null none
+        assert len(calls) == (0 if fit == qda_factory() else 2)
+        assert null.streams == child_keys(stream, "trial", 5) and calls[-1] == ("trial", 5)

@@ -1417,3 +1417,68 @@ class TestGivenColumns:
                 half = np.tanh(stack.log_odds(points[rows], given) * 0.5)
                 sq += np.einsum("ij,ij->j", half, half)
             assert _mse0(stack, points, given).tobytes() == (sq / (4.0 * len(points))).tobytes()
+
+
+class TestQdaFromProducts:
+    """``qda_fit`` takes its moments from matrix products over the rows and
+    ``qda_coefficients`` inverts its Cholesky factors by substitution; both
+    agree with the class-rows and general-inverse paths they replaced."""
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    @pytest.mark.parametrize("order", ["blocks", "interleaved"])
+    def test_fit_matches_class_rows_reference(self, dim, order):
+        rng = np.random.default_rng(300 + dim)
+        # one more class-0 row than class-1 rows, far from the origin
+        w0, w1 = rng.standard_normal((41, dim)) + 50.0, 1.3 * rng.standard_normal((40, dim)) + 50.3
+        data = LabeledPairDataset.from_class_arrays(w0, w1)
+        if order == "interleaved":
+            perm = rng.permutation(data.n)
+            data = LabeledPairDataset(data.ws[perm], data.labels[perm])
+        for ridge in (None, 0.1):
+            got, want = qda_fit(data, ridge), reference_qda_fit(data, ridge)
+            for name in ("means", "covs", "priors", "coef"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
+
+    def test_too_few_rows_in_a_class_still_fails(self):
+        rng = np.random.default_rng(310)
+        data = LabeledPairDataset(rng.standard_normal((6, 3)), [0, 1, 0, 1, 0, 1])
+        with pytest.raises(FitError, match=r"class 0 has 3 samples, need at least dim\+1=4"):
+            qda_fit(data)
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    @pytest.mark.parametrize("members", [1, 7, 100])
+    def test_substitution_inverse_matches_general_inverse(self, dim, members):
+        rng = np.random.default_rng(320 + dim)
+        a = rng.standard_normal((members, 2, dim, dim + 2))
+        chols = np.linalg.cholesky(a @ np.swapaxes(a, -1, -2) / (dim + 2) + 0.1 * np.eye(dim))
+        got, want = classifiers._cholesky_inverse(chols), np.linalg.inv(chols)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max(axis=(-2, -1), keepdims=True))
+        assert np.all(np.triu(got, 1) == 0.0)
+
+    def test_covariance_not_positive_definite_still_fails(self):
+        covs = np.stack([np.eye(3), np.diag([1.0, -1e-3, 1.0])])[None]
+        with pytest.raises(FitError, match="not positive definite"):
+            QdaModel(np.zeros((1, 2, 3)), covs, [[0.5, 0.5]])
+
+
+class TestScaledLogOdds:
+    """``log_odds(..., scale=0.5)`` is bitwise half the log-odds."""
+
+    def test_qda_stack(self):
+        rng = np.random.default_rng(330)
+        stack = random_qda_stack(rng, 4, n_members=6)
+        points = rng.standard_normal((BLOCK_ROWS + 11, 2))
+        for given in (rng.standard_normal(2), None):
+            ws = points if given is not None else np.hstack([points, points])
+            assert stack.log_odds(ws, given, scale=0.5).tobytes() == (0.5 * stack.log_odds(ws, given)).tobytes()
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_mlp_stack(self, shared):
+        xs = np.random.default_rng(331).standard_normal((40, 2))
+        members = _shared_features(3, 40, 4, seed=332) if shared else Resampled(xs, 2, RngStream(seed=333), 3)
+        stack = mlp_factory(MlpConfig((7, 5), max_epochs=3)).ensemble(members, [RngStream(seed=334 + h) for h in range(3)])
+        assert len(stack.feat_mean) == (1 if shared else 3)
+        rng = np.random.default_rng(335)
+        for points, given in ((rng.standard_normal((300, 2)), rng.standard_normal(2)), (rng.standard_normal((300, 4)), None)):
+            assert stack.log_odds(points, given, scale=0.5).tobytes() == (0.5 * stack.log_odds(points, given)).tobytes()

@@ -75,6 +75,12 @@ class TestDatasets:
         with pytest.raises(ConfigurationError):
             LabeledPairDataset(np.zeros((2, 1)), [0, 2])
 
+    @pytest.mark.parametrize("bad", [0.5, 2, -1, np.nan])
+    def test_each_non_binary_label_is_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="binary"):
+            LabeledPairDataset(np.zeros((2, 1)), [0, bad])
+        assert LabeledPairDataset(np.zeros((2, 1)), [1.0, 0.0]).labels.tolist() == [1, 0]
+
     def test_class_accessors(self):
         data = LabeledPairDataset.from_class_arrays(np.zeros((3, 2)), np.ones((3, 2)))
         assert data.n_class0 == data.n_class1 == 3

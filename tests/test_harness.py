@@ -110,7 +110,7 @@ class TestPlan:
 
         src = os.path.dirname(os.path.dirname(lc2st.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        code = "import sys, lc2st; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        code = "import sys, lc2st; print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')))"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
         assert out.stdout.strip() == "[]"
 
@@ -348,7 +348,7 @@ class TestPower:
         fits, jobs = [], []
         run_job = hmod._run_job
         monkeypatch.setenv("LC2ST_THREADS", "2")
-        monkeypatch.setattr(hmod, "ProcessPoolExecutor", _InProcessPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InProcessPool)
         monkeypatch.setattr(hmod, "_run_job", lambda *args: jobs.append(args[2]) or run_job(*args))
         monkeypatch.setattr(hmod, "flow_fit_npe", lambda *args: fits.append(args) or flow_fit_npe(*args))
         npe = {"kind": "npe", "max_epochs": 2, "n_layers": 2, "hidden": [8]}
@@ -564,10 +564,8 @@ class TestBench:
                 assert (r.statistic, r.p_value) == (run.results[0].statistic, run.results[0].p_value)
 
     def test_bench_ignores_the_worker_pool(self, monkeypatch):
-        import lc2st.harness as hmod
-
         monkeypatch.setenv("LC2ST_THREADS", "2")
-        monkeypatch.setattr(hmod, "ProcessPoolExecutor", None)  # would fail if used
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", None)  # would fail if used
         plan = ExperimentPlan(**{**SMALL_TYPE1, "kind": "bench", "n_null": 2, "n_cal_grid": [200], "n_v": 200})
         assert len(run_runtime_bench(plan).records) == 6
 
