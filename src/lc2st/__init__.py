@@ -11,12 +11,10 @@ estimators, PP-plot and heatmap diagnostics, and an experiment harness.
 
 from .classifiers import (
     AnalyticBayesClassifier,
-    CalibrationCurve,
     MlpConfig,
     MlpModel,
     QdaModel,
     analytic_bayes,
-    calibration_curve,
     mlp_factory,
     mlp_fit,
     mlp_grad_check,
@@ -35,14 +33,12 @@ from .core import (
     NumericError,
     OracleUnavailableError,
     RngStream,
-    SplitConfig,
     TrainingError,
     UndefinedPointError,
     derive_stream,
     load_dataset,
     load_metadata,
     save_dataset,
-    split_joint,
 )
 from .c2st import (
     NullEnsemble,
@@ -92,7 +88,6 @@ from .harness import (
     SweepResult,
     run_oracle_correlation,
     run_power,
-    run_runtime_bench,
     run_sigma_sweep,
     run_type1,
 )

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from .nets import MlpParams, grad_check, mlp_backward, mlp_buffers, mlp_forward,
 from .nets import sigmoid, train_minibatch, with_ones
 
 __all__ = [
-    "ProbClassifier",
     "append_conditioning",
     "quad_features",
     "QdaModel",
@@ -60,8 +59,6 @@ __all__ = [
     "MlpStack",
     "mlp_fit",
     "mlp_grad_check",
-    "CalibrationCurve",
-    "calibration_curve",
     "save_classifier",
     "load_classifier",
     "QdaFitter",
@@ -69,10 +66,6 @@ __all__ = [
     "qda_factory",
     "mlp_factory",
 ]
-
-
-class ProbClassifier(Protocol):
-    def predict_proba(self, points: np.ndarray, given: np.ndarray | None = None) -> np.ndarray: ...
 
 
 def append_conditioning(points: np.ndarray, x_o: np.ndarray | None) -> np.ndarray:
@@ -552,40 +545,6 @@ def mlp_grad_check(model: MlpModel, ws: np.ndarray, labels: np.ndarray, step: fl
     _, grads = _bce_loss_and_grad(params, inputs, labels)
     loss = lambda: float(_bce_losses(mlp_forward(params, inputs)[..., 0], labels))  # noqa: E731
     return grad_check(params.layers, grads, loss, step)
-
-
-# ---------------------------------------------------------------------------
-# Calibration diagnostics
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CalibrationCurve:
-    """Per-bin mean predicted probability vs empirical class-1 frequency.
-
-    Bins with no members keep their edges but carry NaN in both columns.
-    """
-
-    bin_edges: np.ndarray
-    mean_predicted: np.ndarray
-    frequency: np.ndarray
-    counts: np.ndarray
-
-
-def calibration_curve(clf: ProbClassifier, data: LabeledPairDataset, bins: int) -> CalibrationCurve:
-    """Equal-width reliability curve of ``clf`` on ``data``."""
-    if bins < 2:
-        raise ConfigurationError("need at least 2 bins")
-    probs = np.asarray(clf.predict_proba(data.ws), dtype=np.float64)
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    idx = np.clip(np.digitize(probs, edges[1:-1]), 0, bins - 1)
-    counts = np.bincount(idx, minlength=bins).astype(np.int64)
-    sum_pred = np.bincount(idx, weights=probs, minlength=bins)
-    sum_pos = np.bincount(idx, weights=data.labels.astype(np.float64), minlength=bins)
-    with np.errstate(invalid="ignore"):
-        mean_pred = np.where(counts > 0, sum_pred / np.maximum(counts, 1), np.nan)
-        freq = np.where(counts > 0, sum_pos / np.maximum(counts, 1), np.nan)
-    return CalibrationCurve(bin_edges=edges, mean_predicted=mean_pred, frequency=freq, counts=counts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Subcommands: simulate, train-npe, test, sweep, bench.  ``test`` writes its
-result and, from the same classifier, null and scored points, the PP-plot
-and heatmap that explain it.
+Subcommands: simulate, train-npe, test, sweep.  ``test`` writes its result
+and, from the same classifier, null and scored points, the PP-plot and
+heatmap that explain it.  ``sweep`` runs any plan, a bench plan included.
 Usage problems (unknown flags, missing files, dimension mismatches) exit 2;
 runtime failures (failed fits, diverged training, exhausted oracles) exit 1.
 Either way a single-line reason goes to stderr.
@@ -35,7 +35,6 @@ from .harness import (
     _classifier_fit,
     run_oracle_correlation,
     run_power,
-    run_runtime_bench,
     run_sigma_sweep,
     run_type1,
 )
@@ -157,35 +156,24 @@ def _cmd_sweep(args) -> int:
         payload = {"plan": plan.to_dict(), "spearman_rho": result.spearman_rho, "p_value": result.p_value}
         save_json(payload, out / "results.json")
         return 0
+    sweep = run_power(plan) if plan.kind == "power" else run_type1(plan)
+    sweep.save_runtime_csv(out / "runtime.csv")
     if plan.kind == "bench":
-        return _save_bench(plan, out)
+        # a bench plan's per-phase medians, and the machine they were timed on
+        machine = {
+            "platform": platform.platform(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+        }
+        save_json(machine, out / "machine.json")
+        return 0
     if plan.kind == "type1":
-        sweep = run_type1(plan)
         sweep.save_rates_csv(out / "type1.csv", "rate")
     else:
-        sweep = run_power(plan)
         sweep.save_rates_csv(out / "power.csv", "tpr")
     sweep.save_json(out / "results.json")
-    sweep.save_runtime_csv(out / "runtime.csv")
     return 0
-
-
-def _save_bench(plan: ExperimentPlan, out: Path) -> int:
-    """A bench plan's per-phase medians (``runtime.csv``) and the machine they
-    were timed on (``machine.json``), for ``sweep`` and ``bench`` alike."""
-    run_runtime_bench(plan).save_runtime_csv(out / "runtime.csv")
-    machine = {
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "cpu_count": os.cpu_count(),
-    }
-    save_json(machine, out / "machine.json")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    return _save_bench(ExperimentPlan.load(args.plan), _out_dir(args))
 
 
 # ---------------------------------------------------------------------------
@@ -242,15 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_test)
 
-    p = sub.add_parser("sweep", help="run an experiment plan (type1/power/sigma-sweep/correlation)")
+    p = sub.add_parser("sweep", help="run an experiment plan (type1/power/sigma-sweep/correlation/bench)")
     p.add_argument("--plan", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_sweep)
-
-    p = sub.add_parser("bench", help="runtime benchmark per method and cell")
-    p.add_argument("--plan", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_bench)
 
     return parser
 

@@ -1,4 +1,4 @@
-"""Core domain types: datasets, seeded RNG streams, splitting, serialization.
+"""Core domain types: datasets, seeded RNG streams, serialization.
 
 Everything downstream (tasks, classifiers, flows, tests, sweeps) builds on the
 types in this module.  All arrays are float64, validated finite at
@@ -33,8 +33,6 @@ __all__ = [
     "derive_stream",
     "JointDataset",
     "LabeledPairDataset",
-    "SplitConfig",
-    "split_joint",
     "save_json",
     "save_dataset",
     "load_dataset",
@@ -227,9 +225,6 @@ class JointDataset:
     def d(self) -> int:
         return self.xs.shape[1]
 
-    def take(self, indices: np.ndarray) -> "JointDataset":
-        return JointDataset(self.thetas[indices], self.xs[indices])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, JointDataset):
             return NotImplemented
@@ -282,9 +277,6 @@ class LabeledPairDataset:
     def n_class1(self) -> int:
         return int(self.labels.sum())
 
-    def class_rows(self, label: int) -> np.ndarray:
-        return self.ws[self.labels == label]
-
     def with_labels(self, labels: np.ndarray) -> "LabeledPairDataset":
         """Same features under a new (e.g. permuted) labeling."""
         return LabeledPairDataset(self.ws, labels)
@@ -296,37 +288,6 @@ class LabeledPairDataset:
         ws = np.vstack([w0, w1])
         labels = np.concatenate([np.zeros(len(w0), dtype=np.int64), np.ones(len(w1), dtype=np.int64)])
         return LabeledPairDataset(ws, labels)
-
-
-@dataclass(frozen=True)
-class SplitConfig:
-    """Disjoint train/calibration split sizes plus the seed that fixes it."""
-
-    n_train: int
-    n_cal: int
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_train < 0 or self.n_cal < 0:
-            raise ConfigurationError("split sizes must be nonnegative")
-        if not (0 <= self.seed < _U64):
-            raise ConfigurationError("seed must be an unsigned 64-bit integer")
-
-
-def split_joint(data: JointDataset, cfg: SplitConfig) -> tuple[JointDataset, JointDataset]:
-    """Split ``data`` into disjoint (train, cal) subsets by uniform sampling.
-
-    Indices are sampled without replacement from a permutation seeded by
-    ``cfg.seed``; equal configs give byte-identical outputs.
-    """
-    total = cfg.n_train + cfg.n_cal
-    if total > data.n:
-        raise ConfigurationError(
-            f"split needs {cfg.n_train}+{cfg.n_cal}={total} rows but dataset has {data.n}"
-        )
-    rng = RngStream(seed=cfg.seed).child("split").generator()
-    perm = rng.permutation(data.n)
-    return data.take(np.sort(perm[: cfg.n_train])), data.take(np.sort(perm[cfg.n_train : total]))
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ and its triples share them.  With ``LC2ST_THREADS`` = N > 1, each
 chunk building its own task and closed-form estimator; an NPE flow is
 trained once, in the parent, and sent to every chunk.  With ``reuse_null``
 (``lc2st-nf`` only) the sweep fits one null ensemble per cell and every triple
-of the cell reuses it.  A bench plan is a type-I sweep timed per phase: its
-``n_runs`` (>= 3) x ``n_observations`` triples per cell run one at a time,
-never on the pool.
+of the cell reuses it.  A bench plan is a type-I sweep timed per phase, run by
+``run_type1``: its ``n_runs`` (>= 3) x ``n_observations`` triples per cell run
+one at a time, never on the pool.
 
 Result files split into a deterministic part (records + aggregates, byte-stable
 for a fixed plan and seed) and the wall-clock medians per cell and phase
@@ -51,7 +51,6 @@ __all__ = [
     "run_sigma_sweep",
     "CorrelationResult",
     "run_oracle_correlation",
-    "run_runtime_bench",
 ]
 
 METHODS = ("oracle-c2st-acc", "oracle-c2st-mse", "lc2st", "lc2st-nf")
@@ -94,6 +93,9 @@ class ExperimentPlan:
         lows = {"n_observations": 1, "n_runs": n_runs_low, "n_v": 1, "n_per_class": 1, "n_null": 0, "seed": 0}
         for name, low in lows.items():
             check_count(name, getattr(self, name), low)
+        for name in ("task_params", "classifier", "estimator"):
+            if not isinstance(getattr(self, name), dict):
+                raise ConfigurationError(f"{name} must be an object, got {getattr(self, name)!r}")
         if isinstance(self.alpha, bool) or not isinstance(self.alpha, Real) or not 0.0 < self.alpha <= 1.0:
             raise ConfigurationError(f"alpha must be a number in (0, 1], got {self.alpha!r}")
         for name in ("n_train_grid", "n_cal_grid"):
@@ -187,15 +189,16 @@ def _build_estimator(spec: dict, task, flow: bool, n_train: int = 0, seed: int =
     reference = task.reference
     if reference is None:
         raise ConfigurationError(f"task {task.name!r} has no reference posterior")
-    shift, scale = np.asarray(spec.get("shift", 0.0), dtype=np.float64), spec.get("scale", 1.0)
+    shift = spec.get("shift", 0.0)
+    distorted = distort(reference, shift, spec.get("scale", 1.0))  # checks both values
     if not flow:
-        shift = np.full(task.m, float(shift)) if shift.ndim == 0 else shift
-        return reference if kind == "exact" else distort(reference, shift, scale)
+        return reference if kind == "exact" else distorted
     if not isinstance(reference, ConjugateGaussianPosterior):
         raise ConfigurationError(f"no closed-form flow for task {task.name!r}; train one with estimator kind 'npe'")
-    if shift.ndim:
-        raise ConfigurationError(f"estimator key 'shift' must be a scalar for a flow, got {spec['shift']!r}")
-    return conjugate_affine_flow(task.m, reference.noise_std, scale_mult=scale, shift=float(shift))
+    if np.ndim(shift):
+        raise ConfigurationError(f"estimator key 'shift' must be a scalar for a flow, got {shift!r}")
+    return conjugate_affine_flow(task.m, reference.noise_std, scale_mult=distorted.scale,
+                                 shift=float(distorted.mean_shift[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +409,13 @@ def _run_sweep(plan: ExperimentPlan, spec: dict) -> SweepResult:
 
 
 def run_type1(plan: ExperimentPlan) -> SweepResult:
-    """Rejection rates with the estimator set to the exact reference (null holds)."""
+    """Rejection rates with the estimator set to the exact reference (null holds).
+
+    A bench plan runs here too, its triples one at a time for their timings
+    (``SweepResult.phase_medians``).  With ``reuse_null`` the null phase
+    reports exactly zero, which is the amortization being measured, and
+    ``SweepResult.null_fit_seconds`` holds what the shared nulls cost.
+    """
     return _run_sweep(plan, {"kind": "exact"})
 
 
@@ -462,8 +471,9 @@ def run_sigma_sweep(plan: ExperimentPlan) -> SigmaSweepResult:
         raise ConfigurationError("sigma-sweep plans need a sigma_grid")
     if plan.n_null < 1:
         raise ConfigurationError("sigma-sweep plans need n_null >= 1: their p-values come from the null")
+    reject_unknown_keys(plan.task_params, {"dim"}, "sigma-sweep task key")
     fit_fn = _classifier_fit(plan.classifier)
-    dim = int(plan.task_params.get("dim", 2))
+    dim = plan.task_params.get("dim", 2)
     records: list[dict] = []
     for sig in plan.sigma_grid:
         pair = GaussianShiftPair(sigma=float(sig), dim=dim)
@@ -520,6 +530,7 @@ def run_oracle_correlation(plan: ExperimentPlan, n_permutations: int = 10_000) -
     kind = _estimator_kind(spec)
     if kind not in ("exact", "distortion"):
         raise ConfigurationError("correlation study expects an exact or distortion estimator spec")
+    _build_estimator(spec, task, flow=False)  # checks the spec's values before they are graded
     exact = kind == "exact"
     fit_fn = _classifier_fit(plan.classifier)
     n_cal = int(plan.n_cal_grid[-1])
@@ -560,22 +571,3 @@ def run_oracle_correlation(plan: ExperimentPlan, n_permutations: int = 10_000) -
     permuted = rho(rng.permuted(np.tile(b, (n_permutations, 1)), axis=1))
     p_value = (1 + np.count_nonzero(permuted >= observed)) / (n_permutations + 1)
     return CorrelationResult(pairs=pairs, spearman_rho=float(observed), p_value=float(p_value))
-
-
-# ---------------------------------------------------------------------------
-# Runtime bench
-# ---------------------------------------------------------------------------
-
-
-def run_runtime_bench(plan: ExperimentPlan) -> SweepResult:
-    """The type-I sweep of a bench plan, its triples run one at a time for
-    their timings (``SweepResult.phase_medians``).
-
-    With ``reuse_null=True`` each cell's triples reuse the one null the sweep
-    fits, so the null phase reports exactly zero, which is the amortization
-    being measured; ``SweepResult.null_fit_seconds`` holds what the shared
-    nulls cost.
-    """
-    if plan.kind != "bench":
-        raise ConfigurationError(f"the runtime bench runs bench plans, got a {plan.kind!r} plan")
-    return _run_sweep(plan, {"kind": "exact"})

@@ -31,6 +31,8 @@ from .core import (
     JointDataset,
     OracleUnavailableError,
     RngStream,
+    check_count,
+    check_real,
     reject_unknown_keys,
 )
 
@@ -437,10 +439,8 @@ class GaussianShiftPair:
     dim: int = 2
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0:
-            raise ConfigurationError("sigma must be positive")
-        if self.dim < 1:
-            raise ConfigurationError("dim must be at least 1")
+        check_real("sigma", self.sigma, "positive", lambda v: v > 0)
+        check_count("dim", self.dim, 1)
 
     def log_prob_p(self, thetas: np.ndarray) -> np.ndarray:
         return _std_normal_logpdf(np.atleast_2d(thetas))
@@ -474,13 +474,16 @@ class DistortedPosterior(PosteriorBase):
 
     Draws are ``theta' = mean_shift + scale * (theta - mu) + mu`` with ``mu``
     the base posterior mean at the conditioning observation, so
-    (mean_shift=0, scale=1) is the identity.
+    (mean_shift=0, scale=1) is the identity.  A number as ``mean_shift``
+    shifts every coordinate by it.
     """
 
     def __init__(self, base: PosteriorBase, mean_shift, scale: float):
-        mean_shift = np.asarray(mean_shift, dtype=np.float64).ravel()
-        if scale <= 0:
-            raise ConfigurationError("scale must be positive")
+        check_real("scale", scale, "positive", lambda v: v > 0)
+        shift = np.asarray(mean_shift)
+        if shift.dtype.kind not in "iuf":
+            raise ConfigurationError(f"mean_shift must be a number or a list of numbers, got {mean_shift!r}")
+        mean_shift = np.full(base.m, shift, dtype=np.float64) if shift.ndim == 0 else shift.astype(np.float64).ravel()
         if not np.all(np.isfinite(mean_shift)):
             raise ConfigurationError("mean_shift must be finite")
         if mean_shift.shape[0] != base.m:

@@ -33,7 +33,6 @@ from lc2st.flows import ConditionalAffineFlow
 from lc2st.harness import (
     ExperimentPlan,
     run_power,
-    run_runtime_bench,
     run_sigma_sweep,
     run_type1,
 )
@@ -259,7 +258,7 @@ def test_criterion_7_amortized_null_ensemble_reuse():
         n_v=2000,
         seed=11,
     )
-    bench = run_runtime_bench(bench_plan)
+    bench = run_type1(bench_plan)
     null_rows = [r for r in bench.phase_medians() if r["phase"] == "null"]
     assert null_rows and all(r["median_seconds"] == 0.0 for r in null_rows)
     print(f"\n[acceptance] criterion 7 detail: exact rate {exact_rate:.3f}, scale-2 power {power_rate:.3f}, "

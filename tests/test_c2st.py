@@ -148,8 +148,8 @@ class TestStatistics:
         pair = GaussianShiftPair(sigma=1.7, dim=2)
         clf = analytic_bayes(pair.log_prob_p, pair.log_prob_q)
         total = t_mse(clf, self.val)
-        part0 = t_mse0(clf, self.val.class_rows(0))
-        part1 = t_mse0(clf, self.val.class_rows(1))
+        part0 = t_mse0(clf, self.val.ws[self.val.labels == 0])
+        part1 = t_mse0(clf, self.val.ws[self.val.labels == 1])
         assert total == pytest.approx(part0 + part1, abs=1e-15)
 
     def test_tacc0_tie_rule(self):

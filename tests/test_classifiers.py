@@ -19,7 +19,6 @@ from lc2st import (
     RngStream,
     UndefinedPointError,
     analytic_bayes,
-    calibration_curve,
     gaussian_shift_samples,
     lc2st_evaluate,
     load_classifier,
@@ -283,64 +282,6 @@ class TestGradCheck:
         assert worst <= 1e-4
 
 
-class _FunctionClassifier:
-    def __init__(self, fn):
-        self.fn = fn
-
-    def predict_proba(self, ws, given=None):
-        return self.fn(append_conditioning(ws, given))
-
-
-class TestCalibrationCurve:
-    def _calibrated_setup(self, n=100_000, seed=32):
-        rng = np.random.default_rng(seed)
-        # Balanced construction: true probability is sigmoid of a linear score
-        ws = rng.standard_normal((n, 2))
-        probs = 1.0 / (1.0 + np.exp(-(ws[:, 0] + 0.5 * ws[:, 1])))
-        labels = (rng.random(n) < probs).astype(int)
-        # trim to balance within one
-        idx0 = np.flatnonzero(labels == 0)
-        idx1 = np.flatnonzero(labels == 1)
-        k = min(len(idx0), len(idx1))
-        keep = np.concatenate([idx0[:k], idx1[:k]])
-        data = LabeledPairDataset(ws[keep], labels[keep])
-        clf = _FunctionClassifier(lambda w: 1.0 / (1.0 + np.exp(-(w[:, 0] + 0.5 * w[:, 1]))))
-        return clf, data
-
-    def test_calibrated_classifier_within_binomial_error(self):
-        clf, data = self._calibrated_setup()
-        curve = calibration_curve(clf, data, bins=10)
-        for mean_p, freq, count in zip(curve.mean_predicted, curve.frequency, curve.counts):
-            if count < 50:
-                continue
-            se = np.sqrt(mean_p * (1 - mean_p) / count)
-            assert abs(mean_p - freq) <= 3 * se + 0.01
-
-    def test_constant_half_single_bin(self):
-        clf = _FunctionClassifier(lambda w: np.full(len(w), 0.5))
-        rng = np.random.default_rng(33)
-        ws = rng.standard_normal((2000, 2))
-        labels = np.repeat([0, 1], 1000)
-        curve = calibration_curve(clf, LabeledPairDataset(ws, labels), bins=10)
-        occupied = np.flatnonzero(curve.counts > 0)
-        assert len(occupied) == 1
-        assert abs(curve.frequency[occupied[0]] - 0.5) <= 0.05
-        assert np.all(np.isnan(curve.frequency[curve.counts == 0]))
-
-    def test_overconfident_classifier_detected(self):
-        clf, data = self._calibrated_setup(seed=34)
-        honest = np.asarray(clf.predict_proba(data.ws))
-        sharpened = _FunctionClassifier(
-            lambda w, h=honest: None  # placeholder, replaced below
-        )
-        # squash probabilities toward the extremes while labels stay honest
-        probs2 = honest**2 / (honest**2 + (1 - honest) ** 2)
-        sharpened.fn = lambda w: probs2
-        curve = calibration_curve(sharpened, data, bins=10)
-        top = np.flatnonzero(curve.counts > 100)[-1]
-        assert curve.frequency[top] < curve.mean_predicted[top]
-
-
 class TestCheckpoints:
     def test_qda_round_trip(self, tmp_path):
         from lc2st import load_classifier, save_classifier
@@ -383,7 +324,7 @@ def reference_qda_fit(data, ridge=None):
     """Per-class ``mean`` and ``np.cov`` (divisor n - 1) plus the ridge rule,
     with the library's error texts: the QDA fit that class moments replaced,
     kept here only as the oracle for ``qda_fit``."""
-    dim, rows = data.dim, [data.class_rows(0), data.class_rows(1)]
+    dim, rows = data.dim, [data.ws[data.labels == 0], data.ws[data.labels == 1]]
     for label, w in enumerate(rows):
         if len(w) < dim + 1:
             raise FitError(f"class {label} has {len(w)} samples, need at least dim+1={dim + 1}")

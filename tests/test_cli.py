@@ -186,8 +186,8 @@ def test_alpha_sets_only_the_ppplot_band(tmp_path):
 
 def test_subcommands_are_the_five(tmp_path, capsys):
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    assert list(sub.choices) == ["simulate", "train-npe", "test", "sweep", "bench"]
-    for command in ("ppplot", "heatmap"):
+    assert list(sub.choices) == ["simulate", "train-npe", "test", "sweep"]
+    for command in ("ppplot", "heatmap", "bench"):
         with pytest.raises(SystemExit) as exc:
             main([command, "--method", "lc2st", "--out", str(tmp_path)])
         assert exc.value.code == 2 and f"invalid choice: '{command}'" in capsys.readouterr().err
@@ -419,8 +419,9 @@ def test_bench_outputs(tmp_path):
     plan_path = tmp_path / "plan.json"
     plan.save(plan_path)
     out = tmp_path / "bench"
-    assert main(["bench", "--plan", str(plan_path), "--out", str(out)]) == 0
-    assert (out / "runtime.csv").exists()
+    assert main(["sweep", "--plan", str(plan_path), "--out", str(out)]) == 0
+    assert (out / "runtime.csv").read_text().splitlines()[0] == "method,n_train,n_cal,phase,median_seconds"
+    assert sorted(p.name for p in out.iterdir()) == ["machine.json", "runtime.csv"]
     machine = json.loads((out / "machine.json").read_text())
     assert machine["cpu_count"] >= 1
     assert set(machine) == {"platform", "python", "numpy", "cpu_count"}
@@ -442,6 +443,14 @@ def test_vector_shift_for_a_flow_is_a_usage_error(tmp_path, capsys):
     plan.save(tmp_path / "plan.json")
     err = _usage_error(capsys, ["sweep", "--plan", str(tmp_path / "plan.json"), "--out", str(tmp_path)])
     assert "'shift'" in err and not (tmp_path / "power.csv").exists()
+
+
+@pytest.mark.parametrize("over, named", [({"estimator": {"kind": "distortion", "scale": "2"}}, "scale"), ({"classifier": "qda"}, "classifier")])
+def test_wrongly_typed_plan_value_is_a_usage_error(tmp_path, capsys, over, named):
+    plan = {"kind": "power", "n_train_grid": [1], "n_cal_grid": [50], "n_runs": 1, "n_observations": 1, "n_null": 2, "n_v": 50}
+    (tmp_path / "plan.json").write_text(json.dumps({**plan, **over}))
+    err = _usage_error(capsys, ["sweep", "--plan", str(tmp_path / "plan.json"), "--out", str(tmp_path)])
+    assert f": {named} must be" in err and not (tmp_path / "power.csv").exists()
 
 
 def test_negative_npe_epochs_is_a_usage_error(tmp_path, capsys):

@@ -10,11 +10,9 @@ from lc2st import (
     JointDataset,
     LabeledPairDataset,
     RngStream,
-    SplitConfig,
     load_dataset,
     load_metadata,
     save_dataset,
-    split_joint,
 )
 
 
@@ -84,40 +82,7 @@ class TestDatasets:
     def test_class_accessors(self):
         data = LabeledPairDataset.from_class_arrays(np.zeros((3, 2)), np.ones((3, 2)))
         assert data.n_class0 == data.n_class1 == 3
-        assert np.all(data.class_rows(1) == 1.0)
-
-
-class TestSplit:
-    def test_sizes(self):
-        train, cal = split_joint(make_joint(10), SplitConfig(n_train=6, n_cal=4, seed=1))
-        assert train.n == 6 and cal.n == 4
-
-    def test_disjoint_origin_indices(self):
-        data = JointDataset(np.arange(20.0).reshape(10, 2), np.arange(20.0).reshape(10, 2))
-        train, cal = split_joint(data, SplitConfig(n_train=6, n_cal=4, seed=1))
-        train_keys = {tuple(r) for r in train.thetas}
-        cal_keys = {tuple(r) for r in cal.thetas}
-        assert not train_keys & cal_keys
-        assert len(train_keys | cal_keys) == 10
-
-    def test_oversized_split_rejected(self):
-        with pytest.raises(ConfigurationError):
-            split_joint(make_joint(10), SplitConfig(n_train=8, n_cal=4, seed=1))
-
-    def test_deterministic(self):
-        data = make_joint(50)
-        cfg = SplitConfig(n_train=30, n_cal=10, seed=9)
-        a_train, a_cal = split_joint(data, cfg)
-        b_train, b_cal = split_joint(data, cfg)
-        assert a_train == b_train and a_cal == b_cal
-
-    def test_seeds_give_distinct_splits(self):
-        data = make_joint(100)
-        seen = set()
-        for seed in range(100):
-            train, _ = split_joint(data, SplitConfig(n_train=50, n_cal=50, seed=seed))
-            seen.add(tuple(map(tuple, train.thetas)))
-        assert len(seen) >= 99
+        assert np.all(data.ws[data.labels == 1] == 1.0)
 
 
 class TestSerialization:

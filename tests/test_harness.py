@@ -26,7 +26,6 @@ from lc2st.harness import (
     ExperimentPlan,
     run_oracle_correlation,
     run_power,
-    run_runtime_bench,
     run_sigma_sweep,
     run_type1,
 )
@@ -83,6 +82,7 @@ class TestPlan:
         [
             ("n_null", 2.5), ("n_v", True), ("seed", "0"), ("alpha", "0.05"), ("n_cal_grid", [100.0]), ("n_train_grid", 5),
             ("sigma_grid", "12"), ("sigma_grid", ["x"]), ("sigma_grid", [True]), ("sigma_grid", []), ("sigma_grid", [0.5, -1.0]),
+            ("task_params", [1]), ("classifier", "qda"), ("estimator", "exact"),
         ],
     )
     def test_wrongly_typed_field_is_named(self, key, value):
@@ -263,6 +263,13 @@ class TestPower:
         with pytest.raises(ConfigurationError, match="identity"):
             run_power(plan)
 
+    @pytest.mark.parametrize("kind", ["power", "correlation"])
+    @pytest.mark.parametrize("over, named", [({"scale": "2"}, "scale"), ({"scale": True}, "scale"), ({"shift": "a"}, "mean_shift")])
+    def test_non_numeric_distortion_value_is_named(self, kind, over, named):
+        plan = ExperimentPlan(**{**SMALL_TYPE1, "kind": kind, "estimator": {"kind": "distortion", **over}})
+        with pytest.raises(ConfigurationError, match=f"^{named} must be"):
+            (run_power if kind == "power" else run_oracle_correlation)(plan)
+
     def test_exact_estimator_rejected_for_power(self):
         plan = ExperimentPlan(**{**SMALL_TYPE1, "kind": "power"})
         with pytest.raises(ConfigurationError):
@@ -389,6 +396,16 @@ class TestSigmaSweep:
         with pytest.raises(ConfigurationError, match="n_null >= 1"):
             run_sigma_sweep(plan)
 
+    @pytest.mark.parametrize(
+        "params, message",
+        [({"dimm": 3}, "unknown sigma-sweep task key 'dimm'"), ({"dim": 2.7}, "dim must be an integer >= 1, got 2.7"),
+         ({"dim": True}, "dim must be an integer >= 1, got True"), ({"dim": "x"}, "dim must be an integer >= 1, got 'x'")],
+    )
+    def test_bad_task_params_are_named(self, params, message):
+        over = {"kind": "sigma-sweep", "sigma_grid": [1.0], "task_params": params, "n_per_class": 50, "n_runs": 1, "n_null": 2}
+        with pytest.raises(ConfigurationError, match=message):
+            run_sigma_sweep(ExperimentPlan(**{**SMALL_TYPE1, **over}))
+
     def test_small_sweep_separates_statistics(self):
         plan = ExperimentPlan(
             **{
@@ -412,6 +429,7 @@ class TestSigmaSweep:
             **{
                 **SMALL_TYPE1,
                 "kind": "sigma-sweep",
+                "task_params": {},
                 "sigma_grid": [1.0],
                 "n_per_class": 200,
                 "n_runs": 2,
@@ -486,7 +504,7 @@ class TestBench:
         plan = ExperimentPlan(
             **{**SMALL_TYPE1, "kind": "bench", "n_null": 0, "n_runs": 3, "n_cal_grid": [300]}
         )
-        res = run_runtime_bench(plan)
+        res = run_type1(plan)
         rows = {r["phase"]: r["median_seconds"] for r in res.phase_medians()}
         assert rows["null"] == 0.0
         assert rows["train"] > 0.0 and rows["evaluate"] > 0.0
@@ -503,7 +521,7 @@ class TestBench:
                 "n_v": 200,
             }
         )
-        res = run_runtime_bench(plan)
+        res = run_type1(plan)
         train = {r["n_cal"]: r["median_seconds"] for r in res.phase_medians() if r["phase"] == "train"}
         assert train[16000] > train[4000]
 
@@ -519,13 +537,13 @@ class TestBench:
                 "n_v": 300,
             }
         )
-        res = run_runtime_bench(plan)
+        res = run_type1(plan)
         rows = {r["phase"]: r["median_seconds"] for r in res.phase_medians()}
         assert rows["null"] == 0.0
 
     def test_csv_schema(self, tmp_path):
         plan = ExperimentPlan(**{**SMALL_TYPE1, "kind": "bench", "n_null": 2, "n_cal_grid": [200], "n_v": 200})
-        res = run_runtime_bench(plan)
+        res = run_type1(plan)
         path = tmp_path / "runtime.csv"
         res.save_runtime_csv(path)
         lines = path.read_text().splitlines()
@@ -534,11 +552,9 @@ class TestBench:
 
     def test_records_are_the_type1_sweep(self):
         bench = ExperimentPlan(**{**SMALL_TYPE1, "kind": "bench", "n_cal_grid": [300, 200], "n_null": 4, "n_v": 200})
-        res = run_runtime_bench(bench)
+        res = run_type1(bench)
         type1 = ExperimentPlan(**{**bench.to_dict(), "kind": "type1"})
         assert res.records == run_type1(type1).records
-        with pytest.raises(ConfigurationError, match="bench plans, got a 'type1' plan"):
-            run_runtime_bench(type1)
         assert len(res.timings) == 2 * 2 * 3
         assert [(r["n_cal"], r["phase"]) for r in res.phase_medians()][::3] == [(200, "train"), (300, "train")]
 
@@ -546,7 +562,7 @@ class TestBench:
         reuse = {**SMALL_TYPE1, "method": "lc2st-nf", "reuse_null": True, "n_cal_grid": [300, 200], "n_null": 5, "n_v": 300}
         scale2 = {"kind": "distortion", "scale": 2.0}
         sweeps = [
-            (run_runtime_bench, ExperimentPlan(**{**reuse, "kind": "bench"}), conjugate_affine_flow(2, 1.0)),
+            (run_type1, ExperimentPlan(**{**reuse, "kind": "bench"}), conjugate_affine_flow(2, 1.0)),
             (run_type1, ExperimentPlan(**{**reuse, "kind": "type1"}), conjugate_affine_flow(2, 1.0)),
             (run_power, ExperimentPlan(**{**reuse, "kind": "power", "estimator": scale2}), conjugate_affine_flow(2, 1.0, scale_mult=2.0)),
         ]
@@ -567,7 +583,7 @@ class TestBench:
         monkeypatch.setenv("LC2ST_THREADS", "2")
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", None)  # would fail if used
         plan = ExperimentPlan(**{**SMALL_TYPE1, "kind": "bench", "n_null": 2, "n_cal_grid": [200], "n_v": 200})
-        assert len(run_runtime_bench(plan).records) == 6
+        assert len(run_type1(plan).records) == 6
 
 
 class TestClassifierSpecChecks:

@@ -84,6 +84,11 @@ class TestGaussianShiftPair:
         with pytest.raises(ConfigurationError):
             GaussianShiftPair(sigma=0.0)
 
+    @pytest.mark.parametrize("sigma, dim, named", [("2", 2, "sigma"), (True, 2, "sigma"), (2.0, 2.5, "dim"), (2.0, False, "dim")])
+    def test_wrongly_typed_value_is_named(self, sigma, dim, named):
+        with pytest.raises(ConfigurationError, match=f"^{named} must be"):
+            GaussianShiftPair(sigma=sigma, dim=dim)
+
     def test_energy_distance_null_over_seeds(self):
         # At sigma=1 the two sample sets share a distribution: a permutation
         # test on the energy statistic should almost never reject at the 1% level.
@@ -326,6 +331,10 @@ class TestDistortion:
     def test_invalid_scale(self):
         with pytest.raises(ConfigurationError):
             distort(self.task.reference, np.zeros(2), 0.0)
+
+    def test_number_shift_moves_every_coordinate(self):
+        a, b = distort(self.task.reference, 0.3, 1.2), distort(self.task.reference, np.full(2, 0.3), 1.2)
+        assert np.array_equal(a.mean_shift, b.mean_shift)
 
 
 class _RowwiseDistorted(DistortedPosterior):
