@@ -29,11 +29,11 @@ It calls the public steps, which stay usable on their own:
 ``lc2st_evaluate``; ``lc2st_nf_train``, ``lc2st_nf_null`` and
 ``lc2st_nf_evaluate``.
 
-A null ensemble's ``classifiers`` is its fitter's stack (an H-member
-``QdaModel`` or an ``MlpStack``), whose ``log_odds`` scores every member on a
+A null ensemble's ``classifiers`` is its fitter's H-member model (a
+``QdaModel`` or an ``MlpModel``), whose ``log_odds`` scores every member on a
 block of rows at once; :func:`single_class_statistics` and the local tests'
 null statistics share one ``t_mse0`` kernel over it.  The main classifier (a
-one-member ``QdaModel`` for QDA) is always scored by its public statistic,
+one-member model of the same type) is always scored by its public statistic,
 through ``predict_proba``.
 
 p-values use the strict-exceedance count (number of null statistics above
@@ -297,8 +297,8 @@ class TestResult:
 class NullEnsemble:
     """Classifiers fitted under the null construction, with the null's
     ``stream`` and the wall-clock seconds their fit took.  ``classifiers`` is
-    the fitter's stack (an H-member ``QdaModel``, an ``MlpStack``): its
-    ``log_odds`` scores every member at once and ``classifiers[h]`` builds
+    the fitter's H-member model (a ``QdaModel`` or an ``MlpModel``): its
+    ``log_odds`` scores every member at once and ``classifiers[h]`` is
     member h.  An empty null is never scored.  A reusable null's
     ``fitted_for`` holds the ``n_cal``, ``d`` and ``fitter`` it is valid for."""
 

@@ -11,14 +11,16 @@ rows w = [points, given], ``given`` (a local test's x_o) shared by every row:
 * :func:`analytic_bayes` -- exact class probability p/(p+q) from a pair of
   log-densities, used as an oracle in tests;
 * :func:`mlp_fit` -- a small rectifier network with a sigmoid head trained by
-  minibatch Adam on binary cross-entropy with early stopping; null ensembles
-  of such nets train as one stack, every member in the same Adam loop.
+  minibatch Adam on binary cross-entropy with early stopping: the one-member
+  case of a lockstep fit, which trains a null ensemble's nets as one
+  :class:`MlpModel` of H members, every member in the same Adam loop.
   Training runs in float32, scoring in float64.
 
-A fitter's ``ensemble`` returns its family's stack, a :class:`QdaModel` of
-H members or an :class:`MlpStack`, which scores itself:
-``stack.log_odds(points, given)`` gives the (rows, members) log-odds of every member,
-and ``stack[h]`` builds member h as a one-member QdaModel or an MlpModel.
+Each family has one model type whose fitted classifier is its one-member
+case.  A fitter's ``ensemble`` returns an H-member model, which scores
+itself: ``model.log_odds(points, given)`` gives the (rows, members) log-odds
+of every member, and ``model[h]`` is member h as a one-member model.
+``predict_proba`` (and an MLP's ``metadata``) read one-member models only.
 
 The decision rule everywhere is ``predict 1 iff d > 1/2``: exact ties go to
 class 0, which makes accuracy statistics deterministic.
@@ -56,7 +58,6 @@ __all__ = [
     "analytic_bayes",
     "MlpConfig",
     "MlpModel",
-    "MlpStack",
     "mlp_fit",
     "mlp_grad_check",
     "save_classifier",
@@ -83,6 +84,12 @@ def _check_features(points: np.ndarray, given: np.ndarray | None, dim: int) -> t
     if points.shape[1] + len(given) != dim:
         raise ConfigurationError(f"expected feature dimension {dim}, got {points.shape[1]} point and {len(given)} given columns")
     return points, given
+
+
+def _one_member(model, what: str, hint: str) -> None:
+    """Raise ``ConfigurationError`` naming the member count unless the QdaModel or MlpModel has one member."""
+    if len(model) != 1:
+        raise ConfigurationError(f"{what} one member, this model has {len(model)}; {hint}")
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +228,7 @@ class QdaModel:
 
     def predict_proba(self, points: np.ndarray, given: np.ndarray | None = None) -> np.ndarray:
         """P(C=1 | w) at the rows w = [points, given] of a one-member model."""
-        if len(self) != 1:
-            raise ConfigurationError(f"predict_proba scores one member, this QDA model has {len(self)}; use log_odds")
+        _one_member(self, "QDA predict_proba scores", "use log_odds")
         return sigmoid(self.log_odds(points, given)[:, 0])
 
 
@@ -343,63 +349,49 @@ class MlpConfig:
         check_real("MlpConfig.holdout_frac", self.holdout_frac, "in [0, 1)", lambda v: 0 <= v < 1)
 
 
-@dataclass
-class MlpModel:
-    """Fitted network plus the input standardization baked in at fit time."""
-
-    params: MlpParams
-    feat_mean: np.ndarray
-    feat_std: np.ndarray
-    metadata: dict
-
-    @property
-    def dim(self) -> int:
-        return self.params.layers[0].shape[-2] - 1
-
-    def _standardize(self, ws: np.ndarray) -> np.ndarray:
-        return (ws - self.feat_mean) / self.feat_std
-
-    def log_odds(self, points: np.ndarray, given: np.ndarray | None = None) -> np.ndarray:
-        """Log-odds at the rows [points, given]: the one-member case of :meth:`MlpStack.log_odds`."""
-        flat, shapes = np.concatenate([a.ravel() for a in self.params.layers])[None], [a.shape for a in self.params.layers]
-        return MlpStack(flat, shapes, self.feat_mean[None], self.feat_std[None], [self.metadata]).log_odds(points, given)[:, 0]
-
-    def predict_proba(self, points: np.ndarray, given: np.ndarray | None = None) -> np.ndarray:
-        return sigmoid(self.log_odds(points, given))
-
-
 # Elements in one hidden activation of a block of stacked members: 1 MB of
-# float64, so larger stacks are scored a chunk of members at a time.  Bigger
+# float64, so models of more members are scored a chunk at a time.  Bigger
 # temporaries cost more in page faults than they save in calls.
 _MLP_CHUNK_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
-class MlpStack:
+class MlpModel:
     """H networks trained together: their (H, P) parameter rows ``flat``
     (float64), one member's folded layer ``shapes`` ((fan_in + 1, fan_out)), the input
     standardization ``feat_mean`` and ``feat_std`` ((1, d) when every member
-    trained on one feature matrix, else (H, d)) and each member's
-    ``metadata``.  ``log_odds`` scores chunks of members as views of
-    ``flat``; ``stack[h]`` builds member h as an :class:`MlpModel`."""
+    trained on one feature matrix, else (H, d)) and each member's training
+    record in ``records``.  A fitted classifier has one member, a null
+    ensemble one per null member.  ``log_odds`` scores chunks of members as
+    views of ``flat``, ``predict_proba`` and ``metadata`` are its one-member
+    cases, and ``model[h]`` is member h as a one-member model over views."""
 
     flat: np.ndarray
     shapes: list[tuple]
     feat_mean: np.ndarray
     feat_std: np.ndarray
-    metadata: list[dict]
+    records: list[dict]
     params: MlpParams = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", MlpParams(row_views(self.flat, self.shapes)))
 
+    @property
+    def dim(self) -> int:
+        return self.shapes[0][0] - 1
+
+    @property
+    def metadata(self) -> dict:
+        """The training record of a one-member model."""
+        _one_member(self, "metadata describes", "read model[h].metadata")
+        return self.records[0]
+
     def __len__(self) -> int:
         return len(self.flat)
 
     def __getitem__(self, h: int) -> MlpModel:
-        params = MlpParams([a[h] for a in self.params.layers])
         s = 0 if len(self.feat_mean) == 1 else h
-        return MlpModel(params, self.feat_mean[s], self.feat_std[s], self.metadata[h])
+        return MlpModel(self.flat[h][None], self.shapes, self.feat_mean[s][None], self.feat_std[s][None], [self.records[h]])
 
     def log_odds(self, points: np.ndarray, given: np.ndarray | None = None, out: np.ndarray | None = None, scale: float = 1.0) -> np.ndarray:
         """(rows, H) log-odds of every member at the rows [points, given],
@@ -423,6 +415,11 @@ class MlpStack:
             out[:, part] = mlp_forward(MlpParams([a[part] for a in layers]), standardized(part) if shared is None else shared)[..., 0].T
         return out
 
+    def predict_proba(self, points: np.ndarray, given: np.ndarray | None = None) -> np.ndarray:
+        """P(C=1 | w) at the rows w = [points, given] of a one-member model."""
+        _one_member(self, "MLP predict_proba scores", "use log_odds")
+        return sigmoid(self.log_odds(points, given)[:, 0])
+
 
 def _bce_losses(z: np.ndarray, labels: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
     """Binary cross-entropy in logits, max(z, 0) + log1p(e) - y*z with e =
@@ -439,9 +436,9 @@ def _bce_loss_and_grad(params: MlpParams, inputs: np.ndarray, labels: np.ndarray
     return _bce_losses(z, labels, e), mlp_backward(params, cache, gz, grads, input_grad=False)[0]
 
 
-def _fit_lockstep(datasets: list[LabeledPairDataset], cfg: MlpConfig, streams: list[RngStream]) -> MlpStack | list:
-    """Train one network per dataset, all as one :class:`MlpStack` in
-    ``nets.train_minibatch`` (an empty list for no datasets).
+def _fit_lockstep(datasets: list[LabeledPairDataset], cfg: MlpConfig, streams: list[RngStream]) -> MlpModel | list:
+    """Train one network per dataset, all as one H-member :class:`MlpModel`
+    in ``nets.train_minibatch`` (an empty list for no datasets).
 
     Every member draws its initialization, holdout split and shuffles from
     its own stream and stops early on its own holdout loss, so member h is
@@ -451,7 +448,7 @@ def _fit_lockstep(datasets: list[LabeledPairDataset], cfg: MlpConfig, streams: l
     non-finite loss, checked every step, or parameter, checked every epoch)
     raises ``TrainingError`` naming the member and the epoch.  Training runs
     in float32 (feature table, labels, parameters and their gradients, Adam),
-    and the trained rows are cast to float64 once, so the stack scores in float64.
+    and the trained rows are cast to float64 once, so the model scores in float64.
     """
     n_members = len(datasets)
     if len(streams) != n_members:
@@ -510,7 +507,7 @@ def _fit_lockstep(datasets: list[LabeledPairDataset], cfg: MlpConfig, streams: l
 
     fit = train_minibatch(flat, feats, np.arange(n) + offsets, labels, cfg, streams, batch_loss, holdout_loss, take)
     sizes = tuple(int(h) for h in hidden)
-    metadata = [
+    records = [
         {
             "hidden_sizes": sizes,
             "n_train": fit.n_train,
@@ -521,29 +518,30 @@ def _fit_lockstep(datasets: list[LabeledPairDataset], cfg: MlpConfig, streams: l
         }
         for h in range(n_members)
     ]
-    return MlpStack(fit.params.astype(np.float64), shapes, np.stack(feat_mean), np.stack(feat_std), metadata)
+    return MlpModel(fit.params.astype(np.float64), shapes, np.stack(feat_mean), np.stack(feat_std), records)
 
 
 def mlp_fit(data: LabeledPairDataset, cfg: MlpConfig | None = None, stream: RngStream | None = None) -> MlpModel:
-    """Train the rectifier network on a balanced labeled dataset: the
-    one-member case of :func:`_fit_lockstep`, deterministic given ``stream``.
+    """Train the rectifier network on a balanced labeled dataset: the one-member
+    :class:`MlpModel` of :func:`_fit_lockstep`, deterministic given ``stream``.
     Divergence (a non-finite loss, checked every step, or parameter, checked
     every epoch) raises ``TrainingError`` naming member 0 and the epoch."""
-    return _fit_lockstep([data], cfg or MlpConfig(), [stream or RngStream(seed=0)])[0]
+    return _fit_lockstep([data], cfg or MlpConfig(), [stream or RngStream(seed=0)])
 
 
 def mlp_grad_check(model: MlpModel, ws: np.ndarray, labels: np.ndarray, step: float = 1e-5) -> float:
     """Max relative disagreement (``nets.grad_check``) between backprop and
-    central finite differences of the batch cross-entropy.  Finite differences
-    assume the loss is smooth within ``step`` of each coordinate, so callers
-    should keep rectifier pre-activations away from zero."""
+    central finite differences of a one-member model's batch cross-entropy.  Finite
+    differences assume the loss is smooth within ``step`` of each coordinate,
+    so callers should keep rectifier pre-activations away from zero."""
+    _one_member(model, "the gradient check takes", "check model[h]")
     ws, _ = _check_features(ws, None, model.dim)
     if len(ws) == 0:
         raise ConfigurationError("gradient check needs a nonempty batch")
     labels = np.asarray(labels, dtype=np.float64).ravel()
-    inputs, params = with_ones(model._standardize(ws)), model.params
+    inputs, params = with_ones((ws - model.feat_mean) / model.feat_std), model.params
     _, grads = _bce_loss_and_grad(params, inputs, labels)
-    loss = lambda: float(_bce_losses(mlp_forward(params, inputs)[..., 0], labels))  # noqa: E731
+    loss = lambda: float(_bce_losses(mlp_forward(params, inputs)[..., 0], labels)[0])  # noqa: E731
     return grad_check(params.layers, grads, loss, step)
 
 
@@ -556,29 +554,29 @@ _QDA_KEYS = ("mu0", "mu1", "cov0", "cov1", "prior0", "prior1")
 
 
 def save_classifier(clf, path) -> None:
-    """Serialize a fitted one-member QDA model or an MLP model as JSON (shapes
-    are implicit in the nested row-major arrays; floats use the shortest
+    """Serialize a fitted one-member QDA or MLP model as JSON (shapes are
+    implicit in the nested row-major arrays; floats use the shortest
     round-trip decimals).  A QDA model is written as its two class means,
-    covariances and priors, an MLP's layers as separate weights and biases."""
+    covariances and priors, an MLP's layers as separate weights and biases.
+    A model of more members raises ``ConfigurationError``."""
     import json
     from pathlib import Path
 
+    if not isinstance(clf, (QdaModel, MlpModel)):
+        raise ConfigurationError(f"cannot serialize classifier of type {type(clf).__name__}")
+    _one_member(clf, "a checkpoint holds", "save model[h]")
     if isinstance(clf, QdaModel):
-        if len(clf) != 1:
-            raise ConfigurationError(f"a QDA checkpoint holds one member, this model has {len(clf)}; save model[h]")
         values = [*clf.means[0].tolist(), *clf.covs[0].tolist(), *clf.priors[0].tolist()]
         payload = {"kind": "qda", **dict(zip(_QDA_KEYS, values))}
-    elif isinstance(clf, MlpModel):
+    else:
         payload = {
             "kind": "mlp",
-            "weights": [w.tolist() for w in clf.params.weights],
-            "biases": [b.tolist() for b in clf.params.biases],
-            "feat_mean": clf.feat_mean.tolist(),
-            "feat_std": clf.feat_std.tolist(),
+            "weights": [w[0].tolist() for w in clf.params.weights],
+            "biases": [b[0].tolist() for b in clf.params.biases],
+            "feat_mean": clf.feat_mean[0].tolist(),
+            "feat_std": clf.feat_std[0].tolist(),
             "metadata": {k: v for k, v in clf.metadata.items() if not isinstance(v, np.ndarray)},
         }
-    else:
-        raise ConfigurationError(f"cannot serialize classifier of type {type(clf).__name__}")
     with Path(path).open("w", encoding="utf-8") as fh:
         json.dump(payload, fh)
         fh.write("\n")
@@ -598,12 +596,9 @@ def load_classifier(path):
             mu0, mu1, cov0, cov1, prior0, prior1 = (payload[key] for key in _QDA_KEYS)
             return QdaModel([[mu0, mu1]], [[cov0, cov1]], [[prior0, prior1]])
         if kind == "mlp":
-            return MlpModel(
-                params=MlpParams.from_split(payload["weights"], payload["biases"]),
-                feat_mean=np.asarray(payload["feat_mean"], dtype=np.float64),
-                feat_std=np.asarray(payload["feat_std"], dtype=np.float64),
-                metadata=payload.get("metadata", {}),
-            )
+            layers = MlpParams.from_split(payload["weights"], payload["biases"]).layers
+            mean, std = (np.asarray(payload[key], dtype=np.float64)[None] for key in ("feat_mean", "feat_std"))
+            return MlpModel(np.concatenate([a.ravel() for a in layers])[None], [a.shape for a in layers], mean, std, [payload.get("metadata", {})])
     except KeyError as exc:
         raise DataFormatError(f"classifier checkpoint {str(path)!r} lacks key {exc.args[0]!r}") from None
     raise ConfigurationError(f"unknown classifier kind {kind!r} in checkpoint")
@@ -645,9 +640,9 @@ class MlpFitter:
     def __call__(self, data: LabeledPairDataset, stream: RngStream) -> MlpModel:
         return mlp_fit(data, self.cfg, stream)
 
-    def ensemble(self, datasets: Iterable[LabeledPairDataset], streams: Iterable[RngStream]) -> MlpStack | list:
-        """All members trained in lockstep as one :class:`MlpStack`; member h
-        equals ``self(datasets[h], streams[h])``.  A null construction's
+    def ensemble(self, datasets: Iterable[LabeledPairDataset], streams: Iterable[RngStream]) -> MlpModel | list:
+        """All members trained in lockstep as one H-member :class:`MlpModel`;
+        member h equals ``self(datasets[h], streams[h])``.  A null construction's
         member description iterates as its datasets."""
         return _fit_lockstep(list(datasets), self.cfg, list(streams))
 

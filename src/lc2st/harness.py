@@ -116,6 +116,11 @@ class ExperimentPlan:
                 "reuse_null needs a type-I, power or bench plan of method 'lc2st-nf', whose null is "
                 f"estimator-independent; got a {self.kind!r} plan of method {self.method!r}"
             )
+        if self.kind == "sigma-sweep":  # run_sigma_sweep reads none of these fields: they keep their defaults
+            default = ExperimentPlan()
+            for name in ("task", "method", "n_train_grid", "n_cal_grid", "n_observations", "estimator"):
+                if getattr(self, name) != getattr(default, name):
+                    raise ConfigurationError(f"a sigma-sweep plan does not read {name}, got {getattr(self, name)!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

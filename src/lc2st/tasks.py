@@ -221,10 +221,8 @@ class ConjugateGaussianPosterior(PosteriorBase):
 
 def gaussian_conjugate_task(m: int = 2, noise_std: float = 1.0) -> Task:
     """Gaussian prior/likelihood task whose posterior is known in closed form."""
-    if m < 1:
-        raise ConfigurationError("m must be at least 1")
-    if noise_std <= 0:
-        raise ConfigurationError("noise_std must be positive")
+    check_count("m", m, 1)
+    check_real("noise_std", noise_std, "positive and finite", lambda v: 0 < v < np.inf)
 
     def prior_sample(n: int, stream: RngStream) -> np.ndarray:
         return stream.generator().standard_normal((n, m))
@@ -375,6 +373,7 @@ class MixturePosterior(PosteriorBase):
 
 def gaussian_mixture_task(bound: float = 10.0, sds=(1.0, 0.1), weights=(0.5, 0.5)) -> Task:
     """Two-component Gaussian location mixture with a uniform box prior."""
+    check_real("bound", bound, "positive and finite", lambda v: 0 < v < np.inf)
     weights = np.asarray(weights, dtype=np.float64)
     sds = np.asarray(sds, dtype=np.float64)
     if np.any(sds <= 0) or not np.isclose(weights.sum(), 1.0):
@@ -402,8 +401,9 @@ def gaussian_mixture_task(bound: float = 10.0, sds=(1.0, 0.1), weights=(0.5, 0.5
 
 def gaussian_linear_uniform_task(m: int = 10, noise_var: float = 0.1, bound: float = 1.0) -> Task:
     """Gaussian likelihood centred on theta with a uniform box prior."""
-    if noise_var <= 0 or bound <= 0:
-        raise ConfigurationError("noise_var and bound must be positive")
+    check_count("m", m, 1)
+    for name, value in (("noise_var", noise_var), ("bound", bound)):
+        check_real(name, value, "positive and finite", lambda v: 0 < v < np.inf)
 
     def prior_sample(n: int, stream: RngStream) -> np.ndarray:
         return stream.generator().uniform(-bound, bound, size=(n, m))

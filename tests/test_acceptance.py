@@ -53,7 +53,6 @@ def test_criterion_1_covariance_scale_power_pattern():
     t0 = time.perf_counter()
     plan = ExperimentPlan(
         kind="sigma-sweep",
-        method="oracle-c2st-mse",
         sigma_grid=[0.6, 0.8, 1.0, 1.5],
         task_params={"dim": 2},
         n_per_class=10_000,
@@ -62,9 +61,6 @@ def test_criterion_1_covariance_scale_power_pattern():
         n_v=10_000,
         alpha=0.05,
         seed=42,
-        n_train_grid=[1],
-        n_cal_grid=[1],
-        n_observations=1,
     )
     result = run_sigma_sweep(plan)
     mse0 = {s: tpr for s, (tpr, _) in result.power("mse0").items()}

@@ -46,7 +46,7 @@ from lc2st.c2st import (
     single_class_statistics,
 )
 from lc2st import classifiers
-from lc2st.classifiers import BLOCK_ROWS, MlpModel, MlpStack, QdaFitter, QdaModel, qda_factory, row_slices
+from lc2st.classifiers import BLOCK_ROWS, MlpModel, QdaFitter, QdaModel, qda_factory, row_slices
 from lc2st.flows import conjugate_affine_flow
 from lc2st.harness import ExperimentPlan, run_sigma_sweep
 from lc2st import nets
@@ -202,12 +202,18 @@ class TestMlp:
         assert np.isfinite(model.metadata["final_train_loss"])
 
 
+def one_member_mlp(params, dim):
+    """The one-member MlpModel of the 2-D ``params``, with no standardization."""
+    flat = np.concatenate([a.ravel() for a in params.layers])[None]
+    return MlpModel(flat, [a.shape for a in params.layers], np.zeros((1, dim)), np.ones((1, dim)), [{}])
+
+
 def _kink_margin(model, ws):
     """Smallest |rectifier pre-activation| over the batch (FD validity guard)."""
-    h = model._standardize(ws)
+    h = (ws - model.feat_mean) / model.feat_std
     margin = np.inf
     for k, (w, b) in enumerate(zip(model.params.weights, model.params.biases)):
-        a = h @ w + b
+        a = h @ w[0] + b[0]
         if k < model.params.n_layers - 1:
             margin = min(margin, float(np.min(np.abs(a))))
             h = relu(a)
@@ -223,7 +229,7 @@ def _fd_oracle_valid(model, ws, labels, step=1e-5):
         return False
     from lc2st.classifiers import _bce_loss_and_grad
 
-    _, grads = _bce_loss_and_grad(model.params, with_ones(model._standardize(ws)), labels.astype(float))
+    _, grads = _bce_loss_and_grad(model.params, with_ones((ws - model.feat_mean) / model.feat_std), labels.astype(float))
     vals = np.concatenate([np.abs(g).ravel() for g in grads])
     nonzero = vals[vals > 0]
     return nonzero.size == 0 or float(nonzero.min()) > 1e-6
@@ -232,7 +238,7 @@ def _fd_oracle_valid(model, ws, labels, step=1e-5):
 def _random_model_and_batch(rng, depth, width, dim, batch=8):
     sizes = [dim] + [width] * depth + [1]
     params = mlp_init(sizes, RngStream(seed=int(rng.integers(2**32))))
-    model = MlpModel(params=params, feat_mean=np.zeros(dim), feat_std=np.ones(dim), metadata={})
+    model = one_member_mlp(params, dim)
     for _ in range(200):
         ws = rng.standard_normal((batch, dim))
         labels = rng.integers(0, 2, size=batch)
@@ -253,7 +259,7 @@ class TestGradCheck:
         params = MlpParams.from_split(
             [np.zeros((2, 8)), np.zeros((8, 1))], [np.zeros(8), np.zeros(1)]
         )
-        model = MlpModel(params=params, feat_mean=np.zeros(2), feat_std=np.ones(2), metadata={})
+        model = one_member_mlp(params, 2)
         rng = np.random.default_rng(27)
         ws = rng.standard_normal((16, 2))
         labels = rng.integers(0, 2, size=16)
@@ -445,7 +451,7 @@ class TestQuadraticFeatureScoring:
         stack = mlp_factory(MlpConfig(hidden_sizes=(6,), max_epochs=3)).ensemble(
             datasets, [RngStream(seed=105 + h) for h in range(3)]
         )
-        assert isinstance(stack, MlpStack)
+        assert isinstance(stack, MlpModel) and len(stack) == 3
         ensemble = NullEnsemble(stack, "permutation")
         theta = rng.standard_normal((BLOCK_ROWS + 5, 2))
         x_o = np.array([0.3, 0.3])
@@ -623,7 +629,8 @@ def serial_mlp_fit(data, cfg, stream):
         "n_train": int(len(ws_tr)),
     }
     trained = best_params if use_val else params
-    return MlpModel(MlpParams([a.astype(np.float64) for a in trained.layers]), feat_mean, feat_std, metadata)
+    flat = np.concatenate([a.ravel() for a in trained.layers]).astype(np.float64)[None]
+    return MlpModel(flat, [a.shape for a in trained.layers], feat_mean[None], feat_std[None], [metadata])
 
 
 def assert_same_fit(model, ref):
@@ -699,7 +706,7 @@ class TestLockstepEnsemble:
         cfg = MlpConfig((6, 6), batch_size=30, max_epochs=25, patience=2)
         stream = RngStream(seed=127)
         ensemble = lc2st_nf_null(cal_xs, 2, mlp_factory(cfg), 4, stream)
-        assert isinstance(ensemble.classifiers, MlpStack) and len(ensemble.classifiers.feat_mean) == 4
+        assert isinstance(ensemble.classifiers, MlpModel) and len(ensemble.classifiers.feat_mean) == 4
         for h, model in enumerate(ensemble.classifiers):
             sub = stream.child("trial", h)
             rng = sub.child("z").generator()
@@ -832,7 +839,7 @@ class TestFoldedLayers:
             assert np.shares_memory(layer, stack.flat)
         member = stack[1]
         for layer, own in zip(member.params.layers, stack.params.layers, strict=True):
-            assert np.shares_memory(layer, stack.flat) and np.array_equal(layer, own[1])
+            assert np.shares_memory(layer, stack.flat) and np.array_equal(layer, own[1:2])
 
     def test_old_format_checkpoint_scores_bitwise(self, tmp_path):
         # checkpoints keep separate weights and biases, as before the fold
@@ -840,10 +847,10 @@ class TestFoldedLayers:
         clf = mlp_fit(data, MlpConfig(hidden_sizes=(7, 5), max_epochs=8), RngStream(seed=189))
         payload = {
             "kind": "mlp",
-            "weights": [w.tolist() for w in clf.params.weights],
-            "biases": [b.tolist() for b in clf.params.biases],
-            "feat_mean": clf.feat_mean.tolist(),
-            "feat_std": clf.feat_std.tolist(),
+            "weights": [w[0].tolist() for w in clf.params.weights],
+            "biases": [b[0].tolist() for b in clf.params.biases],
+            "feat_mean": clf.feat_mean[0].tolist(),
+            "feat_std": clf.feat_std[0].tolist(),
             "metadata": {"hidden_sizes": [7, 5]},
         }
         path = tmp_path / "old.json"
@@ -854,6 +861,62 @@ class TestFoldedLayers:
         save_classifier(clf, tmp_path / "new.json")
         saved = json.loads((tmp_path / "new.json").read_text())
         assert {k: saved[k] for k in ("weights", "biases")} == {k: payload[k] for k in ("weights", "biases")}
+
+
+ONE_MEMBER_ACCESSORS = {
+    "predict_proba": (lambda model, path: model.predict_proba(np.zeros((4, 2))), "MLP predict_proba scores", "use log_odds"),
+    "metadata": (lambda model, path: model.metadata, "metadata describes", "read model[h].metadata"),
+    "save_classifier": (lambda model, path: save_classifier(model, path), "a checkpoint holds", "save model[h]"),
+    "mlp_grad_check": (lambda model, path: mlp_grad_check(model, np.zeros((4, 2)), [0, 1, 0, 1]), "the gradient check takes", "check model[h]"),
+}
+
+
+class TestOneMlpType:
+    """A fitted MLP is the one-member case of the H-member MlpModel."""
+
+    @staticmethod
+    def three_members():
+        cfg = MlpConfig((6,), batch_size=20, max_epochs=2)
+        return mlp_factory(cfg).ensemble(_separated_members(3, 30, 2, seed=240), [RngStream(seed=241 + h) for h in range(3)])
+
+    @pytest.mark.parametrize("accessor", sorted(ONE_MEMBER_ACCESSORS))
+    def test_one_member_accessors_refuse_three_members(self, accessor, tmp_path):
+        call, what, hint = ONE_MEMBER_ACCESSORS[accessor]
+        model = self.three_members()
+        with pytest.raises(ConfigurationError) as err:
+            call(model, tmp_path / "mlp.json")
+        assert str(err.value) == f"{what} one member, this model has 3; {hint}"
+        assert not (tmp_path / "mlp.json").exists()
+        call(model[1], tmp_path / "mlp.json")  # the member itself is accepted
+
+    def test_members_are_views_of_the_parameter_rows(self):
+        model = self.three_members()
+        ws = np.random.default_rng(242).standard_normal((50, 2))
+        for h, row in ((1, 1), (-1, 2)):
+            member = model[h]
+            assert len(member) == 1 and member.metadata is model.records[row]
+            assert np.shares_memory(member.flat, model.flat) and member.flat.tobytes() == model.flat[row].tobytes()
+            assert all(np.shares_memory(layer, model.flat) for layer in member.params.layers)
+            assert np.shares_memory(member.feat_mean, model.feat_mean) and member.feat_std.shape == (1, 2)
+            assert member.log_odds(ws).tobytes() == np.ascontiguousarray(model.log_odds(ws)[:, row : row + 1]).tobytes()
+
+    def test_saved_fit_loads_and_scores_bitwise(self, tmp_path):
+        _, data = gaussian_pair_data(1.5, 300, seed=243)
+        clf = mlp_fit(data, MlpConfig(hidden_sizes=(7, 5), max_epochs=8), RngStream(seed=244))
+        assert len(clf) == 1 and clf.feat_mean.shape == (1, 2)
+        save_classifier(clf, tmp_path / "mlp.json")
+        payload = json.loads((tmp_path / "mlp.json").read_text())
+        # the one-member checkpoint format: 2-D weights, 1-D biases and standardization
+        assert [np.shape(w) for w in payload["weights"]] == [(2, 7), (7, 5), (5, 1)]
+        assert [np.shape(b) for b in payload["biases"]] == [(7,), (5,), (1,)]
+        assert np.shape(payload["feat_mean"]) == np.shape(payload["feat_std"]) == (2,)
+        loaded = load_classifier(tmp_path / "mlp.json")
+        assert len(loaded) == 1 and loaded.flat.tobytes() == clf.flat.tobytes()
+        assert loaded.metadata == {**clf.metadata, "hidden_sizes": [7, 5]}
+        rng = np.random.default_rng(245)
+        for points, given in ((rng.standard_normal((300, 2)), None), (rng.standard_normal((300, 1)), rng.standard_normal(1))):
+            assert loaded.log_odds(points, given).tobytes() == clf.log_odds(points, given).tobytes()
+            assert loaded.predict_proba(points, given).tobytes() == clf.predict_proba(points, given).tobytes()
 
 
 def _diverging_data(seed, gap):
@@ -1021,7 +1084,7 @@ class TestQdaModelValidation:
 
     def test_a_multi_member_model_is_scored_only_by_log_odds(self, tmp_path):
         stack = fit_null("paired", null_inputs("paired", 2), qda_factory()).classifiers
-        with pytest.raises(ConfigurationError, match="one member, this QDA model has 12"):
+        with pytest.raises(ConfigurationError, match="QDA predict_proba scores one member, this model has 12"):
             stack.predict_proba(np.zeros((3, 2)))
         with pytest.raises(ConfigurationError, match="one member, this model has 12"):
             save_classifier(stack, tmp_path / "qda.json")
@@ -1266,8 +1329,7 @@ class TestStackedQdaNullSeededIdentity:
 
     def test_sigma_sweep(self, monkeypatch):
         plan = ExperimentPlan(
-            kind="sigma-sweep", method="lc2st", task="gaussian_conjugate", task_params={"dim": 3},
-            n_train_grid=[1], n_cal_grid=[1], n_observations=1, n_runs=3, sigma_grid=[0.8, 1.0],
+            kind="sigma-sweep", task_params={"dim": 3}, n_runs=3, sigma_grid=[0.8, 1.0],
             n_per_class=300, n_null=40, n_v=400, seed=163,
         )
         stacked = run_sigma_sweep(plan).records
@@ -1336,7 +1398,7 @@ class TestGivenColumns:
             want = stack.log_odds(append_conditioning(points, given))
             assert_scaled_close(stack.log_odds(points, given), want)
             for h, model in enumerate(stack):
-                assert_scaled_close(model.log_odds(points, given)[:, None], want[:, h : h + 1])
+                assert_scaled_close(model.log_odds(points, given), want[:, h : h + 1])
 
     def test_a_given_of_the_wrong_length_names_both_dimensions(self):
         rng = np.random.default_rng(220)

@@ -356,7 +356,6 @@ def test_ppplot_writes_monotone_cdf(tmp_path):
 def test_sweep_sigma_plan_power_csv(tmp_path):
     plan = ExperimentPlan(
         kind="sigma-sweep",
-        method="oracle-c2st-mse",
         sigma_grid=[1.0],
         task_params={"dim": 2},
         n_per_class=300,
@@ -364,9 +363,6 @@ def test_sweep_sigma_plan_power_csv(tmp_path):
         n_null=10,
         n_v=300,
         seed=9,
-        n_train_grid=[1],
-        n_cal_grid=[1],
-        n_observations=1,
     )
     plan_path = tmp_path / "plan.json"
     plan.save(plan_path)
@@ -445,7 +441,10 @@ def test_vector_shift_for_a_flow_is_a_usage_error(tmp_path, capsys):
     assert "'shift'" in err and not (tmp_path / "power.csv").exists()
 
 
-@pytest.mark.parametrize("over, named", [({"estimator": {"kind": "distortion", "scale": "2"}}, "scale"), ({"classifier": "qda"}, "classifier")])
+@pytest.mark.parametrize(
+    "over, named",
+    [({"estimator": {"kind": "distortion", "scale": "2"}}, "scale"), ({"classifier": "qda"}, "classifier"), ({"kind": "type1", "task_params": {"m": 2.5}}, "m")],
+)
 def test_wrongly_typed_plan_value_is_a_usage_error(tmp_path, capsys, over, named):
     plan = {"kind": "power", "n_train_grid": [1], "n_cal_grid": [50], "n_runs": 1, "n_observations": 1, "n_null": 2, "n_v": 50}
     (tmp_path / "plan.json").write_text(json.dumps({**plan, **over}))

@@ -44,6 +44,9 @@ SMALL_TYPE1 = dict(
     n_v=500,
     seed=3,
 )
+# a sigma sweep reads none of the type-I plan's task, method, grids or n_observations
+SMALL_SIGMA = {k: v for k, v in SMALL_TYPE1.items() if k not in ("task", "method", "n_train_grid", "n_cal_grid", "n_observations")}
+SMALL_SIGMA["kind"] = "sigma-sweep"
 
 
 class TestPlan:
@@ -386,13 +389,13 @@ class _InProcessPool:
 
 class TestSigmaSweep:
     def test_requires_grid(self):
-        plan = ExperimentPlan(**{**SMALL_TYPE1, "kind": "sigma-sweep"})
+        plan = ExperimentPlan(**SMALL_SIGMA)
         with pytest.raises(ConfigurationError):
             run_sigma_sweep(plan)
 
     @pytest.mark.parametrize("classifier", [{"kind": "qda"}, {"kind": "mlp", "max_epochs": 1}])
     def test_requires_a_null(self, classifier):
-        plan = ExperimentPlan(**{**SMALL_TYPE1, "kind": "sigma-sweep", "sigma_grid": [1.0], "n_null": 0, "classifier": classifier})
+        plan = ExperimentPlan(**{**SMALL_SIGMA, "sigma_grid": [1.0], "n_null": 0, "classifier": classifier})
         with pytest.raises(ConfigurationError, match="n_null >= 1"):
             run_sigma_sweep(plan)
 
@@ -402,15 +405,23 @@ class TestSigmaSweep:
          ({"dim": True}, "dim must be an integer >= 1, got True"), ({"dim": "x"}, "dim must be an integer >= 1, got 'x'")],
     )
     def test_bad_task_params_are_named(self, params, message):
-        over = {"kind": "sigma-sweep", "sigma_grid": [1.0], "task_params": params, "n_per_class": 50, "n_runs": 1, "n_null": 2}
+        over = {"sigma_grid": [1.0], "task_params": params, "n_per_class": 50, "n_runs": 1, "n_null": 2}
         with pytest.raises(ConfigurationError, match=message):
-            run_sigma_sweep(ExperimentPlan(**{**SMALL_TYPE1, **over}))
+            run_sigma_sweep(ExperimentPlan(**{**SMALL_SIGMA, **over}))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("task", "no_such_task"), ("method", "oracle-c2st-acc"), ("n_train_grid", [7]), ("n_cal_grid", [7]),
+         ("n_observations", 3), ("estimator", {"kind": "npe"})],
+    )
+    def test_fields_it_never_reads_are_rejected(self, key, value):
+        with pytest.raises(ConfigurationError, match=f"^a sigma-sweep plan does not read {key}, got {re.escape(repr(value))}$"):
+            ExperimentPlan(**{**SMALL_SIGMA, "sigma_grid": [1.0], key: value})
 
     def test_small_sweep_separates_statistics(self):
         plan = ExperimentPlan(
             **{
-                **SMALL_TYPE1,
-                "kind": "sigma-sweep",
+                **SMALL_SIGMA,
                 "sigma_grid": [0.6, 1.0],
                 "n_per_class": 2000,
                 "n_runs": 10,
@@ -427,8 +438,7 @@ class TestSigmaSweep:
     def test_power_csv_schema(self, tmp_path):
         plan = ExperimentPlan(
             **{
-                **SMALL_TYPE1,
-                "kind": "sigma-sweep",
+                **SMALL_SIGMA,
                 "task_params": {},
                 "sigma_grid": [1.0],
                 "n_per_class": 200,

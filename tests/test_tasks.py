@@ -287,6 +287,23 @@ class TestSimulatorContracts:
         with pytest.raises(ConfigurationError):
             make_task("nope")
 
+    @pytest.mark.parametrize(
+        "name, params, named",
+        [
+            ("gaussian_conjugate", {"m": 2.5}, "m"),
+            ("gaussian_conjugate", {"m": True}, "m"),
+            ("gaussian_conjugate", {"noise_std": "1"}, "noise_std"),
+            ("gaussian_linear_uniform", {"m": 2.0}, "m"),
+            ("gaussian_linear_uniform", {"bound": "1"}, "bound"),
+            ("gaussian_linear_uniform", {"noise_var": float("inf")}, "noise_var"),
+            ("gaussian_mixture", {"bound": "x"}, "bound"),
+            ("gaussian_mixture", {"bound": -1.0}, "bound"),
+        ],
+    )
+    def test_wrongly_typed_parameter_is_named(self, name, params, named):
+        with pytest.raises(ConfigurationError, match=f"^{named} must be"):
+            make_task(name, **params)
+
 
 class TestDistortion:
     def setup_method(self):
