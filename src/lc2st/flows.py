@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -328,6 +329,15 @@ class ConditionalAffineFlow(_Flow):
         return {"kind": "affine-flow", "m": self.m, "d": self.d, "spec": self.spec}
 
 
+# the conjugate flow's maps, module-level so that the flow pickles
+def _affine_mean(shrink: float, shift: float, xs: np.ndarray) -> np.ndarray:
+    return xs * shrink + shift
+
+
+def _constant_scale(m: int, sd: float, xs: np.ndarray) -> np.ndarray:
+    return np.full((xs.shape[0], m), sd)
+
+
 def conjugate_affine_flow(
     m: int,
     noise_std: float,
@@ -344,15 +354,8 @@ def conjugate_affine_flow(
         raise ConfigurationError("noise_std and scale_mult must be positive")
     shrink = 1.0 / (1.0 + noise_std**2)
     sd = float(np.sqrt(noise_std**2 * shrink)) * scale_mult
-
-    def mean_fn(xs: np.ndarray) -> np.ndarray:
-        return xs * shrink + shift
-
-    def scale_fn(xs: np.ndarray) -> np.ndarray:
-        return np.full((xs.shape[0], m), sd)
-
     spec = {"name": "conjugate", "m": m, "noise_std": noise_std, "scale_mult": scale_mult, "shift": shift}
-    return ConditionalAffineFlow(m, m, mean_fn, scale_fn, spec=spec)
+    return ConditionalAffineFlow(m, m, partial(_affine_mean, shrink, shift), partial(_constant_scale, m, sd), spec=spec)
 
 
 # ---------------------------------------------------------------------------

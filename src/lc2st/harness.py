@@ -6,15 +6,14 @@ counts, and the master seed; every run derives its own stream from
 rerun standalone reproduces its slice of the full sweep.  Type-I, power and
 bench plans run their (cell, observation, run) triples through one loop.  The
 estimator under test is an input to every test, as in sbibm: each ``n_train``
-builds the task and the estimator once, from ``hash(master seed, n_train)``,
-and its triples share them.  With ``LC2ST_THREADS`` = N > 1, each
-``n_train``'s triples split into N contiguous chunks on a process pool, each
-chunk building its own task and closed-form estimator; an NPE flow is
-trained once, in the parent, and sent to every chunk.  With ``reuse_null``
-(``lc2st-nf`` only) the sweep fits one null ensemble per cell and every triple
-of the cell reuses it.  A bench plan is a type-I sweep timed per phase, run by
-``run_type1``: its ``n_runs`` (>= 3) x ``n_observations`` triples per cell run
-one at a time, never on the pool.
+builds the task, the classifier fit and the estimator once, from
+``hash(master seed, n_train)``, and its triples share them.  With
+``reuse_null`` (``lc2st-nf`` only) the sweep also fits one null ensemble per
+cell, and every triple of the cell reuses it.  With ``LC2ST_THREADS`` = N > 1,
+each ``n_train``'s triples split into N contiguous chunks on a process pool,
+and every chunk is sent the inputs built for its ``n_train``.  A bench plan
+(``run_type1``) is a type-I sweep timed per phase: its ``n_runs`` (>= 3) x
+``n_observations`` triples per cell run one at a time, never on the pool.
 
 Result files split into a deterministic part (records + aggregates, byte-stable
 for a fixed plan and seed) and the wall-clock medians per cell and phase
@@ -313,25 +312,11 @@ def _observation(plan: ExperimentPlan, task, obs_index: int):
     return task.observation(derive_stream(plan.seed, "obs", obs_index))
 
 
-def _job_inputs(plan: ExperimentPlan, spec: dict, n_train: int, estimator=None):
-    """The task, the classifier fit and the estimator (``estimator`` if
-    given) of one ``n_train``'s triples; a library error names the cell."""
-    try:
-        task = make_task(plan.task, **plan.task_params)
-        fit_fn = _classifier_fit(plan.classifier)
-        if estimator is None:
-            estimator = _build_estimator(spec, task, plan.method == "lc2st-nf", n_train, plan.seed)
-    except Lc2stError as exc:
-        raise type(exc)(f"cell (n_train={n_train}): {exc}") from exc
-    return task, fit_fn, estimator
-
-
-def _run_job(plan: ExperimentPlan, spec: dict, n_train: int, triples: list, estimator=None):
+def _run_job(plan: ExperimentPlan, task, estimator, fit_fn, n_train: int, triples: list):
     """The (n_cal, observation, run, ensemble) ``triples`` of one ``n_train``,
-    all testing the estimator built (or given, built so) from the ``spec``
-    and the ``n_train`` alone, so any split of a cell's triples into jobs
-    gives the same records.  Returns (record, timing) dicts."""
-    task, fit_fn, estimator = _job_inputs(plan, spec, n_train, estimator)
+    all with the inputs built for that ``n_train``; each triple draws from
+    its own stream, so any split of the triples into jobs gives the same
+    records.  Returns (record, timing) dicts."""
     return [_run_single(plan, task, estimator, fit_fn, n_train, *triple) for triple in triples]
 
 
@@ -366,36 +351,37 @@ def _run_single(plan: ExperimentPlan, task, estimator, fit_fn, n_train: int, n_c
 
 def _run_sweep(plan: ExperimentPlan, spec: dict) -> SweepResult:
     """Every (cell, observation, run) triple of ``plan``, one job per
-    ``n_train`` or, on a pool of N workers, N per ``n_train``.  With
-    ``reuse_null`` each cell's null is fitted here, once, on a calibration
-    draw of its own, and every triple of the cell reuses it.  An NPE flow is
-    trained here too, once per ``n_train``, and every job of the ``n_train``
-    tests it.  A bench plan's triples run one at a time, so that their
-    timings do not share the machine."""
-    nulls = {}
-    if plan.reuse_null:
-        task = make_task(plan.task, **plan.task_params)
-        fit_fn = _classifier_fit(plan.classifier)
-        for nt in map(int, plan.n_train_grid):
-            for nc in map(int, plan.n_cal_grid):
+    ``n_train`` or, on a pool of N workers, N per ``n_train``.  Each
+    ``n_train``'s task, classifier fit and estimator (an NPE flow is trained)
+    are built here, once, and every job of the ``n_train`` takes them; a
+    library error names the cell.  With ``reuse_null`` each cell's null is
+    fitted here too, once, on a calibration draw of its own, and every
+    triple of the cell reuses it.  A bench plan's triples run one at a time,
+    so that their timings do not share the machine."""
+    workers = 1 if plan.kind == "bench" else max(1, int(os.environ.get("LC2ST_THREADS", "1")))
+    jobs, null_fit_seconds = [], 0.0
+    for nt in map(int, plan.n_train_grid):
+        nulls = {}
+        try:
+            task = make_task(plan.task, **plan.task_params)
+            fit_fn = _classifier_fit(plan.classifier)
+            estimator = _build_estimator(spec, task, plan.method == "lc2st-nf", nt, plan.seed)
+            for nc in map(int, plan.n_cal_grid) if plan.reuse_null else ():
                 stream0 = derive_stream(plan.seed, "bench-null", nt, nc)
                 cal0 = task.sample_joint(nc, stream0.child("cal"))
-                nulls[nt, nc] = c2st.lc2st_nf_null(cal0.xs, task.m, fit_fn, plan.n_null, stream0.child("null"))
-    workers = 1 if plan.kind == "bench" else max(1, int(os.environ.get("LC2ST_THREADS", "1")))
-    jobs = []
-    for nt in map(int, plan.n_train_grid):
+                nulls[nc] = c2st.lc2st_nf_null(cal0.xs, task.m, fit_fn, plan.n_null, stream0.child("null"))
+                null_fit_seconds += nulls[nc].fit_seconds
+        except Lc2stError as exc:
+            raise type(exc)(f"cell (n_train={nt}): {exc}") from exc
         triples = [
-            (int(nc), obs, run, nulls.get((nt, int(nc))))
+            (int(nc), obs, run, nulls.get(int(nc)))
             for nc in plan.n_cal_grid
             for obs in range(plan.n_observations)
             for run in range(plan.n_runs)
         ]
-        flow = _job_inputs(plan, spec, nt)[2] if spec.get("kind") == "npe" else None
         size = -(-len(triples) // workers)  # at most `workers` contiguous chunks
-        jobs += [(plan, spec, nt, triples[i:i + size], flow) for i in range(0, len(triples), size)]
+        jobs += [(plan, task, estimator, fit_fn, nt, triples[i:i + size]) for i in range(0, len(triples), size)]
     if workers > 1:
-        # tasks and closed-form flows hold closures and cannot be pickled:
-        # each job builds its own task and closed-form estimator
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = [out for job in pool.map(_run_job, *zip(*jobs)) for out in job]
@@ -409,7 +395,7 @@ def _run_sweep(plan: ExperimentPlan, spec: dict) -> SweepResult:
         records=records,
         timings=timings,
         small_sample_warning=plan.n_runs == 1,
-        null_fit_seconds=sum((null.fit_seconds for null in nulls.values()), 0.0),
+        null_fit_seconds=null_fit_seconds,
     )
 
 

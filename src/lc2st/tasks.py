@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -169,6 +170,7 @@ class Task:
 
     def sample_joint(self, n: int, stream: RngStream) -> JointDataset:
         """Draw n rows (theta, x) from the joint: prior then simulator."""
+        check_count("n", n, 0)
         thetas = self.prior_sample(n, stream.child("prior"))
         xs = self.simulate(thetas, stream.child("sim")) if n > 0 else np.empty((0, self.d))
         return JointDataset(thetas, xs)
@@ -178,6 +180,20 @@ class Task:
         theta_o = self.prior_sample(1, stream.child("prior"))
         x_o = self.simulate(theta_o, stream.child("sim"))
         return theta_o[0], x_o[0]
+
+
+# module-level priors and simulators, bound with partial, so that a task pickles
+def _normal_prior(m: int, n: int, stream: RngStream) -> np.ndarray:
+    return stream.generator().standard_normal((n, m))
+
+
+def _uniform_prior(bound: float, m: int, n: int, stream: RngStream) -> np.ndarray:
+    return stream.generator().uniform(-bound, bound, size=(n, m))
+
+
+def _gaussian_noise(sd: float, thetas: np.ndarray, stream: RngStream) -> np.ndarray:
+    thetas = np.atleast_2d(thetas)
+    return thetas + sd * stream.generator().standard_normal(thetas.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -223,20 +239,12 @@ def gaussian_conjugate_task(m: int = 2, noise_std: float = 1.0) -> Task:
     """Gaussian prior/likelihood task whose posterior is known in closed form."""
     check_count("m", m, 1)
     check_real("noise_std", noise_std, "positive and finite", lambda v: 0 < v < np.inf)
-
-    def prior_sample(n: int, stream: RngStream) -> np.ndarray:
-        return stream.generator().standard_normal((n, m))
-
-    def simulate(thetas: np.ndarray, stream: RngStream) -> np.ndarray:
-        thetas = np.atleast_2d(thetas)
-        return thetas + noise_std * stream.generator().standard_normal(thetas.shape)
-
     return Task(
         name="gaussian_conjugate",
         m=m,
         d=m,
-        prior_sample=prior_sample,
-        simulate=simulate,
+        prior_sample=partial(_normal_prior, m),
+        simulate=partial(_gaussian_noise, noise_std),
         reference=ConjugateGaussianPosterior(m=m, noise_std=noise_std),
     )
 
@@ -291,15 +299,11 @@ def two_moons_task() -> Task:
 
     Uniform prior on [-1, 1]^2; the reference posterior is exact.
     """
-
-    def prior_sample(n: int, stream: RngStream) -> np.ndarray:
-        return stream.generator().uniform(-1.0, 1.0, size=(n, 2))
-
     return Task(
         name="two_moons",
         m=2,
         d=2,
-        prior_sample=prior_sample,
+        prior_sample=partial(_uniform_prior, 1.0, 2),
         simulate=_two_moons_simulate,
         reference=TwoMoonsPosterior(),
     )
@@ -371,30 +375,31 @@ class MixturePosterior(PosteriorBase):
         return np.where(inside, log_mix - float(np.log(self._component_masses(x_o).sum())), -np.inf)
 
 
+def _mixture_noise(weights: np.ndarray, sds: np.ndarray, thetas: np.ndarray, stream: RngStream) -> np.ndarray:
+    thetas = np.atleast_2d(thetas)
+    rng = stream.generator()
+    comp = rng.choice(len(weights), size=thetas.shape[0], p=weights)
+    return thetas + sds[comp, None] * rng.standard_normal(thetas.shape)
+
+
 def gaussian_mixture_task(bound: float = 10.0, sds=(1.0, 0.1), weights=(0.5, 0.5)) -> Task:
-    """Two-component Gaussian location mixture with a uniform box prior."""
+    """Gaussian location mixture, a component per entry of ``sds`` and ``weights``, with a uniform box prior."""
     check_real("bound", bound, "positive and finite", lambda v: 0 < v < np.inf)
-    weights = np.asarray(weights, dtype=np.float64)
-    sds = np.asarray(sds, dtype=np.float64)
-    if np.any(sds <= 0) or not np.isclose(weights.sum(), 1.0):
-        raise ConfigurationError("mixture needs positive scales and weights summing to one")
-    m = 2
-
-    def prior_sample(n: int, stream: RngStream) -> np.ndarray:
-        return stream.generator().uniform(-bound, bound, size=(n, m))
-
-    def simulate(thetas: np.ndarray, stream: RngStream) -> np.ndarray:
-        thetas = np.atleast_2d(thetas)
-        rng = stream.generator()
-        comp = rng.choice(len(weights), size=thetas.shape[0], p=weights)
-        return thetas + sds[comp, None] * rng.standard_normal(thetas.shape)
-
+    for name, value, what, valid in (("sds", sds, "positive and finite", lambda v: 0 < v < np.inf),
+                                     ("weights", weights, "in (0, 1]", lambda v: 0 < v <= 1)):
+        if not isinstance(value, (list, tuple, np.ndarray)) or not len(value):
+            raise ConfigurationError(f"{name} must be a nonempty list, got {value!r}")
+        for v in value:
+            check_real(f"{name} entry", v, what, valid)
+    if len(weights) != len(sds) or abs(sum(weights) - 1.0) > 1e-9:  # numpy's sampler allows 1.5e-8
+        raise ConfigurationError(f"weights must be a list as long as sds, summing to one, got {weights!r}")
+    weights, sds, m = np.asarray(weights, dtype=np.float64), np.asarray(sds, dtype=np.float64), 2
     return Task(
         name="gaussian_mixture",
         m=m,
         d=m,
-        prior_sample=prior_sample,
-        simulate=simulate,
+        prior_sample=partial(_uniform_prior, bound, m),
+        simulate=partial(_mixture_noise, weights, sds),
         reference=MixturePosterior(m=m, weights=weights, sds=sds, bound=bound),
     )
 
@@ -404,20 +409,12 @@ def gaussian_linear_uniform_task(m: int = 10, noise_var: float = 0.1, bound: flo
     check_count("m", m, 1)
     for name, value in (("noise_var", noise_var), ("bound", bound)):
         check_real(name, value, "positive and finite", lambda v: 0 < v < np.inf)
-
-    def prior_sample(n: int, stream: RngStream) -> np.ndarray:
-        return stream.generator().uniform(-bound, bound, size=(n, m))
-
-    def simulate(thetas: np.ndarray, stream: RngStream) -> np.ndarray:
-        thetas = np.atleast_2d(thetas)
-        return thetas + np.sqrt(noise_var) * stream.generator().standard_normal(thetas.shape)
-
     return Task(
         name="gaussian_linear_uniform",
         m=m,
         d=m,
-        prior_sample=prior_sample,
-        simulate=simulate,
+        prior_sample=partial(_uniform_prior, bound, m),
+        simulate=partial(_gaussian_noise, np.sqrt(noise_var)),
         reference=MixturePosterior(m=m, weights=[1.0], sds=[np.sqrt(noise_var)], bound=bound),
     )
 

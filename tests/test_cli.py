@@ -200,6 +200,13 @@ def _usage_error(capsys, argv) -> str:
     return err
 
 
+def test_negative_simulate_count_is_a_usage_error(tmp_path, capsys):
+    err = _usage_error(capsys, ["simulate", "--task", "two_moons", "--n", "-5", "--out", str(tmp_path / "sim")])
+    assert err.startswith("error: usage: n must be an integer >= 0") and not (tmp_path / "sim").exists()
+    assert main(["simulate", "--task", "two_moons", "--n", "0", "--out", str(tmp_path / "empty")]) == 0
+    assert load_dataset(tmp_path / "empty" / "dataset.csv").n == 0
+
+
 def test_task_parameter_the_builder_does_not_take_is_named(tmp_path, capsys):
     err = _usage_error(capsys, ["simulate", "--task", "gaussian_conjugate", "--bound", "2", "--n", "5", "--out", str(tmp_path)])
     assert "'bound'" in err
@@ -443,7 +450,11 @@ def test_vector_shift_for_a_flow_is_a_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "over, named",
-    [({"estimator": {"kind": "distortion", "scale": "2"}}, "scale"), ({"classifier": "qda"}, "classifier"), ({"kind": "type1", "task_params": {"m": 2.5}}, "m")],
+    [
+        ({"estimator": {"kind": "distortion", "scale": "2"}}, "scale"), ({"classifier": "qda"}, "classifier"),
+        ({"kind": "type1", "task_params": {"m": 2.5}}, "m"),
+        ({"kind": "type1", "task": "gaussian_mixture", "task_params": {"weights": [1.0]}}, "weights"),
+    ],
 )
 def test_wrongly_typed_plan_value_is_a_usage_error(tmp_path, capsys, over, named):
     plan = {"kind": "power", "n_train_grid": [1], "n_cal_grid": [50], "n_runs": 1, "n_observations": 1, "n_null": 2, "n_v": 50}

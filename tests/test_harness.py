@@ -1,6 +1,7 @@
 """Experiment plans, sweeps, benchmarks, and the correlation study."""
 
 import os
+import pickle
 import re
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.stats import kstest
 from lc2st import (
     ConfigurationError,
     NpeConfig,
+    RngStream,
     TrainingError,
     build_coupling_flow,
     conjugate_affine_flow,
@@ -24,11 +26,13 @@ from lc2st import (
 from lc2st.harness import (
     METHODS,
     ExperimentPlan,
+    _build_estimator,
     run_oracle_correlation,
     run_power,
     run_sigma_sweep,
     run_type1,
 )
+from lc2st.tasks import TASK_BUILDERS
 
 SMALL_TYPE1 = dict(
     kind="type1",
@@ -359,7 +363,7 @@ class TestPower:
         run_job = hmod._run_job
         monkeypatch.setenv("LC2ST_THREADS", "2")
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InProcessPool)
-        monkeypatch.setattr(hmod, "_run_job", lambda *args: jobs.append(args[2]) or run_job(*args))
+        monkeypatch.setattr(hmod, "_run_job", lambda *args: jobs.append(args[4]) or run_job(*args))
         monkeypatch.setattr(hmod, "flow_fit_npe", lambda *args: fits.append(args) or flow_fit_npe(*args))
         npe = {"kind": "npe", "max_epochs": 2, "n_layers": 2, "hidden": [8]}
         over = {"n_train_grid": [100, 200], "n_cal_grid": [200], "n_observations": 2, "n_runs": 2, "n_v": 200, "n_null": 5}
@@ -370,10 +374,29 @@ class TestPower:
         monkeypatch.delenv("LC2ST_THREADS")
         assert [r.__dict__ for r in res.records] == [r.__dict__ for r in run_power(plan).records]
 
+    def test_inputs_are_built_once_per_n_train_on_the_pool(self, monkeypatch):
+        import lc2st.harness as hmod
+
+        builds = []
+        monkeypatch.setenv("LC2ST_THREADS", "2")
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InProcessPool)
+        for name in ("make_task", "_classifier_fit", "_build_estimator"):
+            monkeypatch.setattr(hmod, name, _counted(builds, name, getattr(hmod, name)))
+        over = {"method": "lc2st-nf", "n_train_grid": [1, 2], "n_cal_grid": [100], "n_null": 2, "n_v": 100}
+        res = run_type1(ExperimentPlan(**{**SMALL_TYPE1, **over}))
+        assert len(res.records) == 2 * 2 * 3
+        assert builds == ["make_task", "_classifier_fit", "_build_estimator"] * 2
+
+
+def _counted(calls: list, name: str, fn):
+    """``fn``, appending ``name`` to ``calls`` at each call."""
+    return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
 
 class _InProcessPool:
     """A ProcessPoolExecutor stand-in that runs its jobs here, so that
-    patched functions see the calls the workers would make."""
+    patched functions see the calls the workers would make.  Each job's
+    arguments take a pickle round trip, as on a real pool."""
 
     def __init__(self, max_workers):
         self.max_workers = max_workers
@@ -384,7 +407,32 @@ class _InProcessPool:
     def __exit__(self, *exc):
         return False
 
-    map = staticmethod(map)
+    @staticmethod
+    def map(fn, *iterables):
+        return map(fn, *(pickle.loads(pickle.dumps(list(it))) for it in iterables))
+
+
+_ESTIMATOR_CASES = [
+    pytest.param(name, spec, flow, id=f"{name}-{spec['kind']}-{'flow' if flow else 'sampler'}")
+    for name in sorted(TASK_BUILDERS)
+    for spec in ({"kind": "exact"}, {"kind": "distortion", "shift": 0.3, "scale": 1.2})
+    for flow in ((False, True) if name == "gaussian_conjugate" else (False,))
+]
+
+
+@pytest.mark.parametrize("name, spec, flow", _ESTIMATOR_CASES)
+def test_pickled_task_and_estimator_draw_bitwise_the_same(name, spec, flow):
+    # a sweep on a process pool sends each n_train's task and estimator to its workers
+    task = make_task(name)
+    estimator = _build_estimator(spec, task, flow)
+    copy_task, copy = pickle.loads(pickle.dumps((task, estimator)))
+    data, copied = (t.sample_joint(64, RngStream(seed=5)) for t in (task, copy_task))
+    assert data.thetas.tobytes() == copied.thetas.tobytes() and data.xs.tobytes() == copied.xs.tobytes()
+    draws = estimator.sample_conditional(data.xs, RngStream(seed=6))
+    assert draws.tobytes() == copy.sample_conditional(data.xs, RngStream(seed=6)).tobytes()
+    if flow:
+        for a, b in zip(estimator.inverse(data.thetas, data.xs), copy.inverse(data.thetas, data.xs)):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestSigmaSweep:
@@ -608,9 +656,11 @@ class TestClassifierSpecChecks:
         ],
     )
     def test_bad_classifier_setting_is_named_with_its_cell(self, spec, named):
-        plan = ExperimentPlan(**{**SMALL_TYPE1, "classifier": spec})
-        with pytest.raises(ConfigurationError, match=rf"^cell \(n_train=1\): {re.escape(named)} "):
-            run_type1(plan)
+        # a reuse_null plan fits its nulls with the same fitter, built in the same place
+        for over in ({}, {"method": "lc2st-nf", "reuse_null": True}):
+            plan = ExperimentPlan(**{**SMALL_TYPE1, **over, "classifier": spec})
+            with pytest.raises(ConfigurationError, match=rf"^cell \(n_train=1\): {re.escape(named)} "):
+                run_type1(plan)
 
 
 class TestEstimatorSpecChecks:

@@ -1,5 +1,7 @@
 """Simulators, reference posteriors, shift pairs, and distortions."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -303,6 +305,37 @@ class TestSimulatorContracts:
     def test_wrongly_typed_parameter_is_named(self, name, params, named):
         with pytest.raises(ConfigurationError, match=f"^{named} must be"):
             make_task(name, **params)
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"weights": [1.0]}, "weights must be a list as long as sds, summing to one"),
+            ({"sds": [1.0, 0.5, 0.1]}, "weights must be a list as long as sds, summing to one"),
+            ({"weights": [0.5, 0.4]}, "weights must be a list as long as sds, summing to one"),
+            ({"sds": "x"}, "sds must be a nonempty list, got 'x'"),
+            ({"sds": [], "weights": []}, "sds must be a nonempty list, got []"),
+            ({"weights": 1.0}, "weights must be a nonempty list, got 1.0"),
+            ({"weights": [1.5, -0.5]}, "weights entry must be in (0, 1], got 1.5"),
+            ({"sds": [1.0, float("nan")]}, "sds entry must be positive and finite, got nan"),
+            ({"sds": [1.0, True]}, "sds entry must be positive and finite, got True"),
+            ({"sds": [[1.0], [0.1]]}, "sds entry must be positive and finite, got [1.0]"),
+        ],
+    )
+    def test_bad_mixture_parameter_is_named(self, params, message):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}"):
+            make_task("gaussian_mixture", **params)
+
+    @pytest.mark.parametrize("sds, weights", [([0.5], [1.0]), ([1.0, 0.5, 0.1], [0.2, 0.3, 0.5]), (np.array([1.0, 0.1]), (0.5, 0.5))])
+    def test_any_number_of_mixture_components_simulates(self, sds, weights):
+        data = make_task("gaussian_mixture", sds=sds, weights=weights).sample_joint(50, RngStream(seed=19))
+        assert data.xs.shape == (50, 2) and np.all(np.isfinite(data.xs))
+
+    def test_negative_sample_count_is_named(self):
+        task = make_task("two_moons")
+        with pytest.raises(ConfigurationError, match=r"^n must be an integer >= 0, got -5$"):
+            task.sample_joint(-5, RngStream(seed=20))
+        empty = task.sample_joint(0, RngStream(seed=20))
+        assert empty.thetas.shape == empty.xs.shape == (0, 2)
 
 
 class TestDistortion:
