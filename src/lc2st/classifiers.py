@@ -12,8 +12,8 @@ rows w = [points, given], ``given`` (a local test's x_o) shared by every row:
   log-densities, used as an oracle in tests;
 * :func:`mlp_fit` -- a small rectifier network with a sigmoid head trained by
   minibatch Adam on binary cross-entropy with early stopping: the one-member
-  case of a lockstep fit, which trains a null ensemble's nets as one
-  :class:`MlpModel` of H members, every member in the same Adam loop.
+  case of a lockstep fit, which trains a null ensemble's nets into one
+  :class:`MlpModel` of H members, a chunk of members per Adam loop.
   Training runs in float32, scoring in float64.
 
 Each family has one model type whose fitted classifier is its one-member
@@ -349,9 +349,9 @@ class MlpConfig:
         check_real("MlpConfig.holdout_frac", self.holdout_frac, "in [0, 1)", lambda v: 0 <= v < 1)
 
 
-# Elements in one hidden activation of a block of stacked members: 1 MB of
-# float64, so models of more members are scored a chunk at a time.  Bigger
-# temporaries cost more in page faults than they save in calls.
+# Elements in one hidden activation of a chunk of stacked members, over a scoring
+# block or a training batch: bigger models are scored, and ensembles trained, a chunk
+# at a time, as bigger temporaries cost more in page faults and cache misses than calls.
 _MLP_CHUNK_ELEMENTS = 1 << 17
 
 
@@ -425,30 +425,39 @@ def _bce_losses(z: np.ndarray, labels: np.ndarray, e: np.ndarray | None = None) 
     """Binary cross-entropy in logits, max(z, 0) + log1p(e) - y*z with e =
     exp(-|z|) (which a batch's gradient sigmoid shares), averaged over the last axis."""
     e = np.exp(np.minimum(z, -z)) if e is None else e
-    return np.mean(np.maximum(z, 0.0) + np.log1p(e) - labels * z, axis=-1)
+    return np.add.reduce(np.maximum(z, 0.0) + np.log1p(e) - labels * z, axis=-1) / labels.shape[-1]
 
 
-def _bce_loss_and_grad(params: MlpParams, inputs: np.ndarray, labels: np.ndarray, acts=None, grads=None):
+def _bce_loss_and_grad(params: MlpParams, inputs: np.ndarray, labels: np.ndarray, acts=None, grads=None, record=True):
+    """Per-member batch losses and layer gradients.  Unless ``record``, the
+    losses are None when every |z| <= 1e30, which keeps them finite in float32
+    for batches under 10^8 rows (each row's term is at most |z| + log 2)."""
     cache: list = []
     z = mlp_forward(params, inputs, cache, acts)[..., 0]
-    e = np.exp(np.minimum(z, -z))
+    e = np.minimum(z, -z)
+    known_finite = not record and e.min() >= -1e30  # False for a NaN
+    np.exp(e, out=e)
     gz = ((sigmoid(z, e) - labels) / labels.shape[-1])[..., None]
-    return _bce_losses(z, labels, e), mlp_backward(params, cache, gz, grads, input_grad=False)[0]
+    return None if known_finite else _bce_losses(z, labels, e), mlp_backward(params, cache, gz, grads, input_grad=False)[0]
 
 
 def _fit_lockstep(datasets: list[LabeledPairDataset], cfg: MlpConfig, streams: list[RngStream]) -> MlpModel | list:
     """Train one network per dataset, all as one H-member :class:`MlpModel`
-    in ``nets.train_minibatch`` (an empty list for no datasets).
+    (an empty list for no datasets), in member-ordered chunks of as many
+    members as keep a batch's widest activation within ``_MLP_CHUNK_ELEMENTS``
+    (one ``nets.train_minibatch`` call each, whose step buffers stay in cache).
 
     Every member draws its initialization, holdout split and shuffles from
     its own stream and stops early on its own holdout loss, so member h is
-    bit for bit the net that training on ``datasets[h]`` alone gives.  The
-    datasets must share one shape; members that share one feature matrix (a
-    label-permutation null) gather their batches from it.  Divergence (a
-    non-finite loss, checked every step, or parameter, checked every epoch)
-    raises ``TrainingError`` naming the member and the epoch.  Training runs
-    in float32 (feature table, labels, parameters and their gradients, Adam),
-    and the trained rows are cast to float64 once, so the model scores in float64.
+    bit for bit the net that training on ``datasets[h]`` alone gives, in any
+    chunk.  The datasets must share one shape; members that share one
+    feature matrix (a label-permutation null) gather their batches from it.
+    Divergence (a non-finite loss, checked every step, or parameter, checked
+    every epoch) raises ``TrainingError`` naming the epoch and the member by
+    its index in ``datasets``, the first to diverge in the first chunk that
+    has one.  Training runs in float32 (feature table, labels, parameters and
+    their gradients, Adam); the trained rows are cast to float64 once, so the
+    model scores in float64.
     """
     n_members = len(datasets)
     if len(streams) != n_members:
@@ -464,61 +473,60 @@ def _fit_lockstep(datasets: list[LabeledPairDataset], cfg: MlpConfig, streams: l
     n, dim = first.n, first.dim
 
     shared = all(data.ws is first.ws for data in datasets)
-    sources = [first] if shared else datasets
-    feat_mean = [data.ws.mean(axis=0) for data in sources]
-    feat_std = [np.where(s < 1e-12, 1.0, s) for s in (data.ws.std(axis=0) for data in sources)]
-    # the table's ones column is every first layer's bias input
-    feats = with_ones(np.concatenate([(d.ws - mu) / sd for d, mu, sd in zip(sources, feat_mean, feat_std)])).astype(np.float32)
-    offsets = np.zeros((n_members, 1), dtype=np.int64) if shared else n * np.arange(n_members)[:, None]
-    labels = np.stack([data.labels for data in datasets]).astype(np.float32)
+    sources = datasets[:1] if shared else datasets
+    feat_mean = np.stack([data.ws.mean(axis=0) for data in sources])
+    feat_std = np.stack([np.where(s < 1e-12, 1.0, s) for s in (data.ws.std(axis=0) for data in sources)])
 
+    # standardized feature rows of the given sources; the ones column is every first layer's bias input
+    table = lambda hs: with_ones(np.concatenate([(sources[h].ws - feat_mean[h]) / feat_std[h] for h in hs])).astype(np.float32)  # noqa: E731
     hidden = cfg.hidden_sizes if cfg.hidden_sizes is not None else (cfg.hidden_mult * dim,) * 2
-    inits = [mlp_init([dim, *hidden, 1], s.child("init")).layers for s in streams]
-    shapes = [a.shape for a in inits[0]]
-    # All parameters of a member in one row, so Adam, the best-epoch copy and
-    # the finiteness check each touch one array; its folded layers, and their
-    # gradients in the rows of ``grad``, are views.
-    flat = np.stack([np.concatenate([a.ravel() for a in arrays]) for arrays in inits]).astype(np.float32)
+    sizes = [dim, *hidden, 1]
+    shapes = [(fan_in + 1, fan_out) for fan_in, fan_out in zip(sizes[:-1], sizes[1:])]
+    batch = min(cfg.batch_size, n)
+    step = max(1, _MLP_CHUNK_ELEMENTS // (batch * max(fan_out for _, fan_out in shapes)))
+    # step buffers for the largest chunk, allocated once (fresh arrays cost more in page faults than the
+    # arithmetic); views of their first members and rows, made once per shape, serve the rest
+    grad = np.empty((min(step, n_members), sum(a * b for a, b in shapes)), dtype=np.float32)
+    like = MlpParams(row_views(grad, shapes))
+    acts, (grads_in, masks) = mlp_buffers(like, (len(grad), batch)), mlp_grad_buffers(like, (len(grad), batch))
+    views, val_acts = {}, []  # the holdout rows' buffers, allocated at the first epoch
 
-    grad = np.empty_like(flat)
-    params, grads = MlpParams(row_views(flat, shapes)), row_views(grad, shapes)
-    # step buffers, allocated once: fresh arrays of this size cost more in
-    # page faults than the arithmetic; views of the first members and rows
-    # serve a compacted stack and a short last batch
-    size = min(cfg.batch_size, n)
-    acts = mlp_buffers(params, (n_members, size))
-    grads_in, masks = mlp_grad_buffers(params, (n_members, size))
-
-    def batch_loss(xb, yb):
+    def batch_loss(xb, yb, last):
         k, b = yb.shape
-        rows = lambda bufs: [a[:k, :b] for a in bufs]  # noqa: E731
-        out = rows(acts), (grads, rows(grads_in), rows(masks))
-        return _bce_loss_and_grad(params, xb, yb, *out)[0], grad[:k]
+        if (k, b) not in views:
+            rows = lambda bufs: [a[:k, :b] for a in bufs]  # noqa: E731
+            views[k, b] = rows(acts), (row_views(grad[:k], shapes), rows(grads_in), rows(masks))
+        return _bce_loss_and_grad(params, xb, yb, *views[k, b], record=last)[0], grad[:k]
 
     def take(kept):
-        nonlocal params, grads
-        params, grads = MlpParams(row_views(kept, shapes)), row_views(grad[: len(kept)], shapes)
-
-    val_acts = []  # the holdout rows' buffers, allocated at the first epoch
+        nonlocal params
+        params = MlpParams(row_views(kept, shapes))
 
     def holdout_loss(xs, ys):
         val_acts[:] = val_acts or mlp_buffers(params, xs.shape[:2])
         return _bce_losses(mlp_forward(params, xs, out=[a[: len(xs)] for a in val_acts])[..., 0], ys)
 
-    fit = train_minibatch(flat, feats, np.arange(n) + offsets, labels, cfg, streams, batch_loss, holdout_loss, take)
-    sizes = tuple(int(h) for h in hidden)
-    records = [
-        {
-            "hidden_sizes": sizes,
-            "n_train": fit.n_train,
-            "epochs_run": int(fit.epochs_run[h]),
-            "best_epoch": int(fit.best_epoch[h]),
-            "final_train_loss": float(fit.last_loss[h]),
-            "holdout_loss": float(fit.best_loss[h]) if fit.n_holdout else None,
-        }
-        for h in range(n_members)
-    ]
-    return MlpModel(fit.params.astype(np.float64), shapes, np.stack(feat_mean), np.stack(feat_std), records)
+    parts, records, hidden_sizes = [], [], tuple(int(h) for h in hidden)
+    shared_table = table([0]) if shared else None
+    for start in range(0, n_members, step):
+        members = range(start, min(start + step, n_members))
+        # All parameters of a member in one row, so Adam, the best-epoch copy
+        # and the finiteness check each touch one array; its folded layers,
+        # and their gradients in the rows of ``grad``, are views.
+        inits = [mlp_init(sizes, streams[h].child("init")).layers for h in members]
+        flat = np.stack([np.concatenate([a.ravel() for a in arrays]) for arrays in inits]).astype(np.float32)
+        params = MlpParams(row_views(flat, shapes))
+        offsets = np.zeros((len(members), 1), dtype=np.int64) if shared else n * np.arange(len(members))[:, None]
+        labels = np.stack([datasets[h].labels for h in members]).astype(np.float32)
+        feats, chunk_streams = shared_table if shared else table(members), [streams[h] for h in members]
+        fit = train_minibatch(flat, feats, np.arange(n) + offsets, labels, cfg, chunk_streams, batch_loss, holdout_loss, take, start)
+        parts.append(fit.params)
+        records += [
+            {"hidden_sizes": hidden_sizes, "n_train": fit.n_train, "epochs_run": int(fit.epochs_run[h]), "best_epoch": int(fit.best_epoch[h]),
+             "final_train_loss": float(fit.last_loss[h]), "holdout_loss": float(fit.best_loss[h]) if fit.n_holdout else None}
+            for h in range(len(members))
+        ]
+    return MlpModel(np.concatenate(parts, dtype=np.float64), shapes, feat_mean, feat_std, records)
 
 
 def mlp_fit(data: LabeledPairDataset, cfg: MlpConfig | None = None, stream: RngStream | None = None) -> MlpModel:

@@ -40,6 +40,7 @@ from .core import (
     check_real,
 )
 from .nets import MlpParams, grad_check, mlp_backward, mlp_forward, mlp_grad_buffers, mlp_init, row_views, train_minibatch
+from .tasks import PosteriorBase
 
 __all__ = [
     "S_MAX",
@@ -194,11 +195,8 @@ class _Flow:
         z, logdet_inv = self.inverse(thetas, xs)
         return -0.5 * (np.sum(z * z, axis=1) + self.m * _LOG_2PI) + logdet_inv
 
-    def sample(self, x_o: np.ndarray, n: int, stream: RngStream) -> np.ndarray:
-        if n < 0:
-            raise ConfigurationError("n must be nonnegative")
-        x_o = np.asarray(x_o, dtype=np.float64).reshape(1, -1)
-        return self.sample_conditional(np.broadcast_to(x_o, (n, self.d)), stream)
+    # shared by value, not inheritance: a flow is not a reference posterior
+    sample = PosteriorBase.sample
 
     def sample_conditional(self, xs: np.ndarray, stream: RngStream) -> np.ndarray:
         xs = np.atleast_2d(xs)
@@ -432,7 +430,7 @@ def flow_fit_npe(
     m, grad = flow.m, np.empty_like(row)
     grads = [g[0] for g in row_views(grad, [a.shape for a in flow.parameter_arrays()])]  # views, as the layers
 
-    def batch_loss(batch, _):
+    def batch_loss(batch, *_):
         return np.atleast_1d(_npe_loss_and_grads(flow, batch[0, :, :m], batch[0, :, m:], grads)[0]), grad
 
     holdout_loss = lambda pairs, _: np.atleast_1d(npe_loss(flow, pairs[0, :, :m], pairs[0, :, m:]))  # noqa: E731

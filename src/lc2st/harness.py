@@ -9,7 +9,7 @@ estimator under test is an input to every test, as in sbibm: each ``n_train``
 builds the task, the classifier fit and the estimator once, from
 ``hash(master seed, n_train)``, and its triples share them.  With
 ``reuse_null`` (``lc2st-nf`` only) the sweep also fits one null ensemble per
-cell, and every triple of the cell reuses it.  With ``LC2ST_THREADS`` = N > 1,
+``n_cal``, and every triple at that ``n_cal`` reuses it.  With ``LC2ST_THREADS`` = N > 1,
 each ``n_train``'s triples split into N contiguous chunks on a process pool,
 and every chunk is sent the inputs built for its ``n_train``.  A bench plan
 (``run_type1``) is a type-I sweep timed per phase: its ``n_runs`` (>= 3) x
@@ -354,19 +354,21 @@ def _run_sweep(plan: ExperimentPlan, spec: dict) -> SweepResult:
     ``n_train`` or, on a pool of N workers, N per ``n_train``.  Each
     ``n_train``'s task, classifier fit and estimator (an NPE flow is trained)
     are built here, once, and every job of the ``n_train`` takes them; a
-    library error names the cell.  With ``reuse_null`` each cell's null is
-    fitted here too, once, on a calibration draw of its own, and every
-    triple of the cell reuses it.  A bench plan's triples run one at a time,
-    so that their timings do not share the machine."""
-    workers = 1 if plan.kind == "bench" else max(1, int(os.environ.get("LC2ST_THREADS", "1")))
-    jobs, null_fit_seconds = [], 0.0
+    library error names the cell.  With ``reuse_null`` each ``n_cal``'s null
+    is fitted here too, once, at the first ``n_train``'s stream key, on a
+    calibration draw of its own (it reads no ``n_train`` or estimator), and
+    every triple at that ``n_cal`` reuses it.  A bench plan's triples run one
+    at a time, so that their timings do not share the machine."""
+    threads = os.environ.get("LC2ST_THREADS", "1")
+    check_count("LC2ST_THREADS", int(threads) if threads.isdecimal() else threads, 1)
+    workers = 1 if plan.kind == "bench" else int(threads)
+    jobs, null_fit_seconds, nulls = [], 0.0, {}
     for nt in map(int, plan.n_train_grid):
-        nulls = {}
         try:
             task = make_task(plan.task, **plan.task_params)
             fit_fn = _classifier_fit(plan.classifier)
             estimator = _build_estimator(spec, task, plan.method == "lc2st-nf", nt, plan.seed)
-            for nc in map(int, plan.n_cal_grid) if plan.reuse_null else ():
+            for nc in map(int, plan.n_cal_grid) if plan.reuse_null and not nulls else ():
                 stream0 = derive_stream(plan.seed, "bench-null", nt, nc)
                 cal0 = task.sample_joint(nc, stream0.child("cal"))
                 nulls[nc] = c2st.lc2st_nf_null(cal0.xs, task.m, fit_fn, plan.n_null, stream0.child("null"))

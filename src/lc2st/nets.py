@@ -16,8 +16,8 @@ stack computes bit for bit what the 2-D net of its slices computes.
 
 :func:`train_minibatch` is the one training loop: early-stopped minibatch
 Adam on a (members, parameters) array, with losses and gradients from the
-caller.  MLP classifiers (a null ensemble is one stack) and NPE flows (one
-member) both train through it.
+caller.  MLP classifiers (a null ensemble is a stack per member chunk) and
+NPE flows (one member) both train through it.
 """
 
 from __future__ import annotations
@@ -165,12 +165,12 @@ def mlp_backward(params: MlpParams, cache: list, grad_out: np.ndarray, out: tupl
             full = grads_in[k + 1]
             np.multiply(full, np.greater(cache[k + 1], 0.0, out=masks[k + 1]), out=full)
             g = full[..., :-1]
-        grads[k] = np.matmul(np.swapaxes(cache[k], -1, -2), g, out=grads[k])
+        grads[k] = np.matmul(cache[k].mT, g, out=grads[k])
         if k == 0 and not input_grad:
             return grads, None
         # a contiguous copy of W^T: BLAS multiplies by it faster than by the
         # transposed view, by more than the copy costs
-        w_t = np.ascontiguousarray(np.swapaxes(params.layers[k][..., :-1, :], -1, -2))
+        w_t = np.ascontiguousarray(params.layers[k][..., :-1, :].mT)
         g_in = grads_in[k][..., :-1]
         if g.shape[-1] == 1:
             # one output unit: an outer product, which einsum forms faster
@@ -246,46 +246,50 @@ def row_views(flat: np.ndarray, shapes: list[tuple]) -> list[np.ndarray]:
     return [part.reshape(len(flat), *shape) for part, shape in zip(np.split(flat, cuts, axis=1), shapes)]
 
 
-def train_minibatch(flat, table, rows, labels, cfg, streams: list[RngStream], batch_loss, holdout_loss, take=None):
+def train_minibatch(flat, table, rows, labels, cfg, streams: list[RngStream], batch_loss, holdout_loss, take=None, first=0):
     """Early-stopped minibatch Adam on ``flat`` (H, P), one member per row.
 
     Member h learns from the rows ``table[rows[h]]`` with ``labels[h]``.  Its
     stream's ``holdout`` child sets ``round(cfg.holdout_frac * n)`` of its n
     rows aside (if that is at least one and leaves two) and its ``shuffle``
     child orders the rest each epoch, as successive ``permutation`` calls
-    would, several epochs at a time.  ``batch_loss(inputs, labels)`` gives
-    the losses and (k, P) gradients of the k members still training on a
-    (k, b, columns) batch, and ``holdout_loss`` their holdout losses after
-    each epoch.  A member with no improvement in ``cfg.patience`` epochs
-    leaves ``flat``, and ``take(flat)`` gets the new array.  A non-finite
-    loss (checked every step) or parameter (every epoch) raises
-    ``TrainingError`` naming the member and epoch, after setting the given
+    would, several epochs at a time.  ``batch_loss(inputs, labels, last)``
+    gives the losses (None, except at an epoch's ``last`` batch, for losses
+    it knows are finite) and (k, P) gradients of the k members still
+    training on a (k, b, columns) batch gathered from ``table`` into one
+    buffer, and ``holdout_loss`` their holdout losses after each epoch.  A
+    member with no improvement in ``cfg.patience`` epochs leaves ``flat``,
+    and ``take(flat)`` gets the new array.  A non-finite loss (checked every
+    step) or parameter (every epoch) raises ``TrainingError`` naming the
+    member, counted from ``first``, and the epoch, after setting the given
     ``flat`` to each member's best-holdout row, which is finite.  Batches
     take the dtype of ``table``, the best rows and Adam's that of ``flat``.
 
     Returns ``params`` (best-holdout rows, or the last without a holdout),
     the per-member ``epochs_run``, ``best_epoch``, ``best_loss`` and
-    ``last_loss``, the per-epoch ``train_loss`` (mean batch loss) and
-    ``holdout_loss`` of the members training, ``n_train`` and ``n_holdout``.
+    ``last_loss``, the per-epoch ``train_loss`` (mean batch loss, NaN where
+    one was None) and ``holdout_loss`` of the members training, ``n_train``
+    and ``n_holdout``.
     """
     n_members, n = rows.shape
     n_val = int(round(cfg.holdout_frac * n))
     n_val = n_val if 1 <= n_val <= n - 2 else 0
-    perms = np.stack([s.child("holdout").generator().permutation(n) for s in streams])
-    rows, labels = np.take_along_axis(rows, perms, axis=1), np.take_along_axis(labels, perms, axis=1)
-    x_val, y_val, tr_rows, tr_labels = table[rows[:, :n_val]], labels[:, :n_val], rows[:, n_val:], labels[:, n_val:]
+    perms = np.stack([s.child("holdout").generator().permutation(n) for s in streams]) + n * np.arange(n_members)[:, None]
+    rows, labels = rows.take(perms), labels.take(perms)  # each member's in its holdout order
+    # Per-member state is indexed by the member, and so are the flat training rows and labels (member
+    # h's at h * n_tr); ``flat`` and the holdout data hold the members still training, as ``active``.
+    x_val, y_val, tr_rows, tr_labels = table[rows[:, :n_val]], labels[:, :n_val], rows[:, n_val:].ravel(), labels[:, n_val:].ravel()
     shufflers = [s.child("shuffle").generator() for s in streams]
-    # Per-member state is indexed by the member; ``flat`` and the training
-    # data hold the members still training, in the order of ``active``.
     active, n_tr, given = np.arange(n_members), n - n_val, flat
     opt, best = Adam(flat, lr=cfg.learning_rate), flat.copy()
     best_loss, last_loss = np.full(n_members, np.inf), np.full(n_members, np.nan)
     best_epoch, since_best = np.zeros((2, n_members), dtype=np.int64)
     epochs_run = np.full(n_members, cfg.max_epochs)
     starts = range(0, n_tr, cfg.batch_size)
-    x_epoch, losses = np.empty((n_members, n_tr, table.shape[1]), dtype=table.dtype), np.empty((n_members, len(starts)))
-    # each member's epoch orders, a chunk of epochs (512 kB over all members) at a time:
-    # permuting the rows of tiled aranges draws what successive permutation(n_tr) calls draw
+    x_batch = np.empty((n_members * min(cfg.batch_size, n_tr), table.shape[1]), dtype=table.dtype)
+    losses = np.full((n_members, len(starts)), np.nan)
+    # each member's epoch orders, offset to its flat rows, a chunk of epochs (512 kB over all members)
+    # at a time: permuting the rows of tiled aranges draws what successive permutation(n_tr) calls draw
     chunk = max(1, min(cfg.max_epochs, (1 << 16) // (n_members * n_tr)))
     tiled, orders = np.tile(np.arange(n_tr), (chunk, 1)), np.empty((n_members, chunk, n_tr), dtype=np.int64)
     train_loss, holdout_trace = [], []
@@ -294,26 +298,29 @@ def train_minibatch(flat, table, rows, labels, cfg, streams: list[RngStream], ba
         if epoch % chunk == 0:
             for h in active:
                 shufflers[h].permuted(tiled[:left], axis=1, out=orders[h, :left])
+                orders[h, :left] += h * n_tr
         order = orders[active, epoch % chunk]
-        xs = np.take(table, np.take_along_axis(tr_rows, order, axis=1), axis=0, out=x_epoch[:k], mode="clip")
-        ys = np.take_along_axis(tr_labels, order, axis=1)
+        idx, ys = tr_rows.take(order), tr_labels.take(order)
         for j, start in enumerate(starts):
             batch = slice(start, start + cfg.batch_size)
-            loss, grad = batch_loss(xs[:, batch], ys[:, batch])
-            ok = np.isfinite(loss)
-            if not ok.all():
-                b = int(np.argmin(ok))
-                last = losses[b, j - 1] if j else last_loss[active[b]]
-                given[...] = best
-                raise TrainingError(f"member {active[b]}: loss diverged at epoch {epoch} (loss={loss[b]}); last finite loss {last}")
+            at = idx[:, batch]
+            xb = table.take(at, axis=0, out=x_batch[: at.size].reshape(*at.shape, -1), mode="clip")
+            loss, grad = batch_loss(xb, ys[:, batch], j == len(starts) - 1)
+            if loss is not None:
+                ok = np.isfinite(loss)
+                if not ok.all():
+                    b = int(np.argmin(ok))
+                    given[...] = best
+                    last = last_loss[active[b]]
+                    raise TrainingError(f"member {first + active[b]}: loss diverged at epoch {epoch} (loss={loss[b]}); last recorded loss {last}")
+                losses[:k, j] = loss
             opt.step(grad)
-            losses[:k, j] = loss
         last_loss[active] = losses[:k, -1]
         train_loss.append(losses[:k].mean(axis=1))
         ok = np.isfinite(flat).all(axis=1)
         if not ok.all():
             given[...] = best
-            raise TrainingError(f"member {active[np.argmin(ok)]}: parameters diverged at epoch {epoch}")
+            raise TrainingError(f"member {first + active[np.argmin(ok)]}: parameters diverged at epoch {epoch}")
         if not n_val:
             continue
         val = holdout_loss(x_val, y_val)
@@ -330,7 +337,7 @@ def train_minibatch(flat, table, rows, labels, cfg, streams: list[RngStream], ba
             if len(active) == 0:
                 break
             flat = opt.take(keep)
-            tr_rows, tr_labels, x_val, y_val = tr_rows[keep], tr_labels[keep], x_val[keep], y_val[keep]
+            x_val, y_val = x_val[keep], y_val[keep]
             take(flat)
     return SimpleNamespace(
         params=best if n_val else flat, best_epoch=best_epoch if n_val else epochs_run, epochs_run=epochs_run,

@@ -72,13 +72,14 @@ def _stream_from_array(tag: str, x: np.ndarray) -> RngStream:
 
 
 class PosteriorBase:
-    """Common plumbing for reference posteriors: ``sample(x_o, n)`` is the
-    subclass's ``sample_conditional`` on ``x_o`` repeated n times."""
+    """Common plumbing for reference posteriors (and flows' ``sample``): ``sample(x_o, n)``,
+    n an integer >= 0, is the subclass's ``sample_conditional`` on ``x_o`` repeated n times."""
 
     m: int
 
     def sample(self, x_o: np.ndarray, n: int, stream: RngStream) -> np.ndarray:
-        x_o = np.asarray(x_o, dtype=np.float64)
+        check_count("n", n, 0)
+        x_o = np.atleast_1d(np.asarray(x_o, dtype=np.float64))
         return self.sample_conditional(np.broadcast_to(x_o, (n, x_o.shape[-1])), stream)
 
     def sample_conditional(self, xs: np.ndarray, stream: RngStream) -> np.ndarray:

@@ -22,6 +22,7 @@ from lc2st import (
     gaussian_shift_samples,
     lc2st_evaluate,
     load_classifier,
+    make_task,
     mlp_fit,
     mlp_grad_check,
     p_value_from_null,
@@ -978,6 +979,61 @@ class TestLockstepDivergence:
         assert flat.dtype == np.float32 and np.isfinite(flat).all()
 
 
+def _count_chunks(monkeypatch, members_per_chunk=None, rows=None, width=None):
+    """Record the member count of every ``train_minibatch`` call; with
+    ``members_per_chunk``, set the chunk budget to that many members of a
+    ``rows``-row batch whose widest layer is ``width``."""
+    calls, train = [], classifiers.train_minibatch
+    monkeypatch.setattr(classifiers, "train_minibatch", lambda flat, *a: calls.append(len(flat)) or train(flat, *a))
+    if members_per_chunk is not None:
+        monkeypatch.setattr(classifiers, "_MLP_CHUNK_ELEMENTS", members_per_chunk * rows * width)
+    return calls
+
+
+class TestMemberChunks:
+    @pytest.mark.parametrize("per_chunk", [3, 7])
+    @pytest.mark.parametrize("kind", ["relabeled", "resampled"])
+    def test_chunks_equal_the_one_chunk_fit_bitwise(self, kind, per_chunk, monkeypatch):
+        cfg = MlpConfig((8, 6), batch_size=20, max_epochs=40, patience=3)
+        data = _separated_members(1, 30, 2, seed=160)[0]
+        xs = np.random.default_rng(161).standard_normal((30, 2))
+        members = {
+            "relabeled": lambda: Relabeled(data, RngStream(seed=162), 10, paired=True),
+            "resampled": lambda: Resampled(xs, 2, RngStream(seed=162), 10),
+        }[kind]
+        streams = [RngStream(seed=163 + h) for h in range(10)]
+        whole = mlp_factory(cfg).ensemble(members(), streams)
+        calls = _count_chunks(monkeypatch, per_chunk, rows=20, width=8)
+        chunked = mlp_factory(cfg).ensemble(members(), streams)
+        assert calls == [per_chunk] * (10 // per_chunk) + [10 % per_chunk]
+        for got, want in zip([chunked.flat, chunked.feat_mean, chunked.feat_std], [whole.flat, whole.feat_mean, whole.feat_std]):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert chunked.records == whole.records
+        assert len({r["epochs_run"] for r in whole.records}) > 1  # early stopping ended members apart
+
+    def test_a_member_diverging_in_a_later_chunk_is_named_by_its_null_index(self, monkeypatch):
+        datasets = [_diverging_data(0, 0.0)] * 3 + [_diverging_data(5, 3.0)]
+        streams = [RngStream(seed=0)] * 3 + [RngStream(seed=5)]
+        with np.errstate(all="ignore"):
+            epoch = _solo_divergence_epoch(datasets[3], _huge_lr(30), streams[3])
+            calls = _count_chunks(monkeypatch, 2, rows=20, width=8)
+            with pytest.raises(TrainingError, match=rf"^member 3: loss diverged at epoch {epoch} "):
+                mlp_factory(_huge_lr(30)).ensemble(datasets, streams)
+        assert calls == [2, 2]
+
+    def test_a_twenty_member_null_of_the_default_net_is_one_chunk(self, monkeypatch):
+        # batch 100 and width 40: 32 members per chunk
+        task = make_task("gaussian_conjugate", m=2, noise_std=1.0)
+        cal = task.sample_joint(250, RngStream(seed=170))
+        data = LabeledPairDataset.from_class_arrays(
+            np.hstack([task.reference.sample_conditional(cal.xs, RngStream(seed=171)), cal.xs]), np.hstack([cal.thetas, cal.xs])
+        )
+        calls = _count_chunks(monkeypatch)
+        for n_null in (20, 33):
+            fit_null_ensemble(data, mlp_factory(MlpConfig(max_epochs=1)), n_null, RngStream(seed=172), paired=True)
+        assert calls == [20, 32, 1]
+
+
 class TestTrainingDtypes:
     def test_trained_layers_are_float64(self):
         stack = mlp_factory(MlpConfig((6, 5), max_epochs=3)).ensemble(
@@ -996,7 +1052,7 @@ class TestTrainingDtypes:
         assert all(a.dtype == dtype for a in [*mlp_buffers(params, (5,)), *grads_in])
         seen = []
 
-        def batch_loss(xb, yb):
+        def batch_loss(xb, yb, last):
             seen.append(xb.dtype)
             return np.zeros(len(xb)), np.zeros_like(flat)
 

@@ -438,6 +438,13 @@ def test_bad_classifier_setting_is_a_usage_error(tmp_path, capsys, classifier, n
     assert f"cell (n_train=1): {named} " in err and not (tmp_path / "results.json").exists()
 
 
+def test_bad_thread_count_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    ExperimentPlan(kind="type1", n_train_grid=[1], n_cal_grid=[50], n_runs=1, n_observations=1).save(tmp_path / "plan.json")
+    monkeypatch.setenv("LC2ST_THREADS", "two")
+    err = _usage_error(capsys, ["sweep", "--plan", str(tmp_path / "plan.json"), "--out", str(tmp_path)])
+    assert "LC2ST_THREADS must be an integer >= 1, got 'two'" in err and not (tmp_path / "results.json").exists()
+
+
 def test_vector_shift_for_a_flow_is_a_usage_error(tmp_path, capsys):
     plan = ExperimentPlan(
         kind="power", method="lc2st-nf", n_train_grid=[1], n_cal_grid=[50], n_runs=3, n_observations=1, n_null=2,

@@ -637,6 +637,32 @@ class TestBench:
                 run = run_test("lc2st-nf", task, flow, x_o, r.n_cal, 5, 300, qda_factory(), stream, ensemble=null)
                 assert (r.statistic, r.p_value) == (run.results[0].statistic, run.results[0].p_value)
 
+    def test_two_n_train_values_fit_one_null_per_n_cal(self, monkeypatch):
+        import lc2st.c2st as c2st_module
+
+        fitted = []
+        nf_null = c2st_module.lc2st_nf_null
+        monkeypatch.setattr(c2st_module, "lc2st_nf_null", lambda xs, *a: fitted.append(len(xs)) or nf_null(xs, *a))
+        reuse = {**SMALL_TYPE1, "method": "lc2st-nf", "reuse_null": True, "n_cal_grid": [300, 200], "n_null": 5, "n_v": 300}
+        res = run_type1(ExperimentPlan(**{**reuse, "n_train_grid": [1, 7]}))
+        assert sorted(fitted) == [200, 300]
+        # the first n_train's records are the single-n_train plan's, and the second's tests reuse its nulls
+        assert [r for r in res.records if r.n_train == 1] == run_type1(ExperimentPlan(**reuse)).records
+        task, flow = make_task("gaussian_conjugate", m=2, noise_std=1.0), conjugate_affine_flow(2, 1.0)
+        for r in (r for r in res.records if r.n_train == 7):
+            stream0 = derive_stream(reuse["seed"], "bench-null", 1, r.n_cal)
+            null = nf_null(task.sample_joint(r.n_cal, stream0.child("cal")).xs, 2, qda_factory(), 5, stream0.child("null"))
+            _, x_o = task.observation(derive_stream(reuse["seed"], "obs", r.obs_index))
+            stream = derive_stream(reuse["seed"], "run", 7, r.n_cal, r.obs_index, r.run_index)
+            run = run_test("lc2st-nf", task, flow, x_o, r.n_cal, 5, 300, qda_factory(), stream, ensemble=null)
+            assert (r.statistic, r.p_value) == (run.results[0].statistic, run.results[0].p_value)
+
+    @pytest.mark.parametrize("value", ["two", "0", "-3", "1.5", ""])
+    def test_thread_count_is_checked_by_name(self, monkeypatch, value):
+        monkeypatch.setenv("LC2ST_THREADS", value)
+        with pytest.raises(ConfigurationError, match=rf"^LC2ST_THREADS must be an integer >= 1, got '?{re.escape(value)}'?$"):
+            run_type1(ExperimentPlan(**SMALL_TYPE1))
+
     def test_bench_ignores_the_worker_pool(self, monkeypatch):
         monkeypatch.setenv("LC2ST_THREADS", "2")
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", None)  # would fail if used

@@ -463,3 +463,12 @@ def test_sample_is_sample_conditional_on_the_repeated_observation(name):
     draws = estimator.sample(x_o, 64, RngStream(seed=13))
     rows = estimator.sample_conditional(np.tile(x_o, (64, 1)), RngStream(seed=13))
     assert draws.shape == (64, task.m) and np.array_equal(draws, rows)
+
+
+@pytest.mark.parametrize("n", [-5, 2.5, "3"])
+@pytest.mark.parametrize("name", sorted(_estimators()))
+def test_sample_count_is_checked_by_name(name, n):
+    task, estimator = _estimators()[name]
+    _, x_o = task.observation(RngStream(seed=12))
+    with pytest.raises(ConfigurationError, match=rf"^n must be an integer >= 0, got {re.escape(repr(n))}$"):
+        estimator.sample(x_o, n, RngStream(seed=13))
