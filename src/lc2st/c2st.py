@@ -29,12 +29,13 @@ It calls the public steps, which stay usable on their own:
 ``lc2st_evaluate``; ``lc2st_nf_train``, ``lc2st_nf_null`` and
 ``lc2st_nf_evaluate``.
 
-A null ensemble's ``classifiers`` is its fitter's H-member model (a
-``QdaModel`` or an ``MlpModel``), whose ``log_odds`` scores every member on a
-block of rows at once; :func:`single_class_statistics` and the local tests'
-null statistics share one ``t_mse0`` kernel over it.  The main classifier (a
-one-member model of the same type) is always scored by its public statistic,
-through ``predict_proba``.
+A null's members are described, never built as datasets: the fitter reads
+:class:`Relabeled` or :class:`Resampled` for arrays (QDA the class moments,
+an MLP the feature tables and label rows) and returns one H-member model, the
+null's ``classifiers``, whose ``log_odds`` scores every member on a block of
+rows at once; :func:`single_class_statistics` and the local tests' null
+statistics share one ``t_mse0`` kernel over it.  The main classifier (a
+one-member model of the same type) is scored through ``predict_proba``.
 
 p-values use the strict-exceedance count (number of null statistics above
 the observed one, over n_null); ``conservative=True`` switches to the
@@ -339,9 +340,9 @@ class Relabeled:
     child of ``stream``.  Paired, member h's flips of the upper n/2 rows are
     row h of (n_null, n/2) random bits; free, its class-1 rows are a uniform
     subset, drawn member by member.  Member h never depends on ``n_null``.
-    Iterating yields the members' datasets (what an MLP trains on);
-    ``class_moments`` gives all their class moments at once (what QDA fits
-    from), without building them."""
+    ``member_arrays`` gives the one feature table and all members' labels
+    (what an MLP trains on), ``class_moments`` all their class moments at
+    once (what QDA fits from); neither builds a member dataset."""
 
     data: LabeledPairDataset
     stream: RngStream
@@ -368,8 +369,11 @@ class Relabeled:
             row[rng.choice(n, self.data.n_class1, replace=False)] = 1
         return out
 
-    def __iter__(self):
-        return (self.data.with_labels(np.concatenate([row, 1 - row]) if self.paired else row) for row in self._labels())
+    def member_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``data.ws``, the feature table every member shares, and the (H, n)
+        uint8 label rows, a paired member's flips f expanded to [f, 1 - f]."""
+        rows = self._labels()
+        return self.data.ws, np.concatenate([rows, 1 - rows], axis=1) if self.paired else rows
 
     def class_moments(self):
         """(counts, centre, sums, scatters) as ``qda_fit_moments`` takes them,
@@ -544,9 +548,10 @@ class Resampled:
     """Members of the flow variant's null: member h pairs fresh
     standard-normal latents z (n, m), one per class, with the observations
     ``xs``.  ``class_moments`` draws the class moments a QDA member reads
-    exactly (:meth:`statistics`); iterating yields row draws for MLP
-    members, member h's from ``stream/trial/h/z``, so the two share no
-    draws.  Member h never depends on ``n_null``."""
+    exactly (:meth:`statistics`); ``member_arrays`` hands an MLP the
+    function :meth:`tables` that draws a chunk of members' rows, member h's
+    from ``stream/trial/h/z``, so the two share no draws.  Member h never
+    depends on ``n_null``."""
 
     xs: np.ndarray
     m: int
@@ -556,10 +561,21 @@ class Resampled:
     def __len__(self) -> int:
         return self.n_null
 
-    def __iter__(self):
-        for key in self.stream.child_keys("trial", self.n_null):
-            z0, z1 = RngStream(*key).child("z").generator().standard_normal((2, len(self.xs), self.m))
-            yield LabeledPairDataset.from_class_arrays(np.hstack([z0, self.xs]), np.hstack([z1, self.xs]))
+    def member_arrays(self):
+        """:meth:`tables` and the (H, 2n) label rows, class 0's n rows first."""
+        n = len(self.xs)
+        return self.tables, np.broadcast_to(np.arange(2 * n) >= n, (self.n_null, 2 * n))
+
+    def tables(self, members: range) -> np.ndarray:
+        """The (k, 2n, m + d) feature tables of a range of members: member
+        h's latents z0 above z1, from ``stream/trial/h/z``, beside ``xs``."""
+        n, m = len(self.xs), self.m
+        out = np.empty((len(members), 2 * n, m + self.xs.shape[1]))
+        out[:, :n, m:] = out[:, n:, m:] = self.xs
+        keys = self.stream.child_keys("trial", members.stop)[members.start :] if len(members) else []  # none for a width probe
+        for table, key in zip(out, keys):
+            table[:, :m] = RngStream(*key).child("z").generator().standard_normal((2, n, m)).reshape(2 * n, m)
+        return out
 
     @cached_property
     def basis(self) -> tuple[np.ndarray, np.ndarray]:

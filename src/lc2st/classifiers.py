@@ -13,13 +13,16 @@ rows w = [points, given], ``given`` (a local test's x_o) shared by every row:
 * :func:`mlp_fit` -- a small rectifier network with a sigmoid head trained by
   minibatch Adam on binary cross-entropy with early stopping: the one-member
   case of a lockstep fit, which trains a null ensemble's nets into one
-  :class:`MlpModel` of H members, a chunk of members per Adam loop.
+  :class:`MlpModel` of H members, a chunk of members per Adam loop, from a
+  feature table (or a chunk's tables, drawn as it starts) and label rows.
   Training runs in float32, scoring in float64.
 
 Each family has one model type whose fitted classifier is its one-member
-case.  A fitter's ``ensemble`` returns an H-member model, which scores
-itself: ``model.log_odds(points, given)`` gives the (rows, members) log-odds
-of every member, and ``model[h]`` is member h as a one-member model.
+case.  A fitter's ``ensemble`` reads a null's member description for
+arrays, never member datasets (QDA its class moments, an MLP its feature
+table and label rows), and returns an H-member model, which scores itself:
+``model.log_odds(points, given)`` gives the (rows, members) log-odds of
+every member, and ``model[h]`` is member h as a one-member model.
 ``predict_proba`` (and an MLP's ``metadata``) read one-member models only.
 
 The decision rule everywhere is ``predict 1 iff d > 1/2``: exact ties go to
@@ -29,7 +32,9 @@ class 0, which makes accuracy statistics deterministic.
 from __future__ import annotations
 
 import functools
+import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
@@ -44,7 +49,7 @@ from .core import (
     check_count,
     check_real,
 )
-from .nets import MlpParams, grad_check, mlp_backward, mlp_buffers, mlp_forward, mlp_grad_buffers, mlp_init, row_views
+from .nets import fold, grad_check, mlp_backward, mlp_buffers, mlp_forward, mlp_grad_buffers, mlp_init, row_views
 from .nets import sigmoid, train_minibatch, with_ones
 
 __all__ = [
@@ -361,20 +366,21 @@ class MlpModel:
     (float64), one member's folded layer ``shapes`` ((fan_in + 1, fan_out)), the input
     standardization ``feat_mean`` and ``feat_std`` ((1, d) when every member
     trained on one feature matrix, else (H, d)) and each member's training
-    record in ``records``.  A fitted classifier has one member, a null
-    ensemble one per null member.  ``log_odds`` scores chunks of members as
-    views of ``flat``, ``predict_proba`` and ``metadata`` are its one-member
-    cases, and ``model[h]`` is member h as a one-member model over views."""
+    record in ``records``; ``layers`` are the folded (H, fan_in + 1, fan_out)
+    views of ``flat``.  A fitted classifier has one member, a null ensemble
+    one per null member.  ``log_odds`` scores chunks of members as views of
+    ``flat``, ``predict_proba`` and ``metadata`` are its one-member cases,
+    and ``model[h]`` is member h as a one-member model over views."""
 
     flat: np.ndarray
     shapes: list[tuple]
     feat_mean: np.ndarray
     feat_std: np.ndarray
     records: list[dict]
-    params: MlpParams = field(init=False, repr=False)
+    layers: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "params", MlpParams(row_views(self.flat, self.shapes)))
+        object.__setattr__(self, "layers", row_views(self.flat, self.shapes))
 
     @property
     def dim(self) -> int:
@@ -401,7 +407,7 @@ class MlpModel:
         (u per member when standardization is), so the nets read the point
         columns alone.  One forward pass per chunk of members whose widest
         activation over ``BLOCK_ROWS`` rows fits ``_MLP_CHUNK_ELEMENTS``."""
-        mean, std, layers = self.feat_mean, self.feat_std, list(self.params.layers)
+        mean, std, layers = self.feat_mean, self.feat_std, list(self.layers)
         points, given = _check_features(points, given, mean.shape[1])
         m, first = points.shape[1], layers[0]
         layers[0] = np.concatenate([first[:, :m], first[:, -1:] + ((given - mean[:, m:]) / std[:, m:])[:, None] @ first[:, m:-1]], axis=1)
@@ -412,7 +418,7 @@ class MlpModel:
         out = np.empty((len(points), len(self))) if out is None else out
         for start in range(0, len(self), size):
             part = slice(start, start + size)
-            out[:, part] = mlp_forward(MlpParams([a[part] for a in layers]), standardized(part) if shared is None else shared)[..., 0].T
+            out[:, part] = mlp_forward([a[part] for a in layers], standardized(part) if shared is None else shared)[..., 0].T
         return out
 
     def predict_proba(self, points: np.ndarray, given: np.ndarray | None = None) -> np.ndarray:
@@ -428,57 +434,55 @@ def _bce_losses(z: np.ndarray, labels: np.ndarray, e: np.ndarray | None = None) 
     return np.add.reduce(np.maximum(z, 0.0) + np.log1p(e) - labels * z, axis=-1) / labels.shape[-1]
 
 
-def _bce_loss_and_grad(params: MlpParams, inputs: np.ndarray, labels: np.ndarray, acts=None, grads=None, record=True):
+def _bce_loss_and_grad(layers: list[np.ndarray], inputs: np.ndarray, labels: np.ndarray, acts=None, grads=None, record=True):
     """Per-member batch losses and layer gradients.  Unless ``record``, the
     losses are None when every |z| <= 1e30, which keeps them finite in float32
     for batches under 10^8 rows (each row's term is at most |z| + log 2)."""
     cache: list = []
-    z = mlp_forward(params, inputs, cache, acts)[..., 0]
+    z = mlp_forward(layers, inputs, cache, acts)[..., 0]
     e = np.minimum(z, -z)
     known_finite = not record and e.min() >= -1e30  # False for a NaN
     np.exp(e, out=e)
     gz = ((sigmoid(z, e) - labels) / labels.shape[-1])[..., None]
-    return None if known_finite else _bce_losses(z, labels, e), mlp_backward(params, cache, gz, grads, input_grad=False)[0]
+    return None if known_finite else _bce_losses(z, labels, e), mlp_backward(layers, cache, gz, grads, input_grad=False)[0]
 
 
-def _fit_lockstep(datasets: list[LabeledPairDataset], cfg: MlpConfig, streams: list[RngStream]) -> MlpModel | list:
-    """Train one network per dataset, all as one H-member :class:`MlpModel`
-    (an empty list for no datasets), in member-ordered chunks of as many
-    members as keep a batch's widest activation within ``_MLP_CHUNK_ELEMENTS``
-    (one ``nets.train_minibatch`` call each, whose step buffers stay in cache).
+def _fit_lockstep(table, labels: np.ndarray, cfg: MlpConfig, streams: list[RngStream]) -> MlpModel | list:
+    """Train one network per row of the (H, n) 0/1 ``labels``, all as one
+    H-member :class:`MlpModel` (an empty list for no rows), in member-ordered
+    chunks of as many members as keep a batch's widest activation within
+    ``_MLP_CHUNK_ELEMENTS`` (one ``nets.train_minibatch`` call each).
 
-    Every member draws its initialization, holdout split and shuffles from
+    Members train on the (n, d) feature ``table``, standardized once, or, if
+    ``table`` is a function, on their own tables: ``table(members)`` draws a
+    chunk's (k, n, d) tables, for a range of members, as the chunk starts.
+    Each member draws its initialization, holdout split and shuffles from
     its own stream and stops early on its own holdout loss, so member h is
-    bit for bit the net that training on ``datasets[h]`` alone gives, in any
-    chunk.  The datasets must share one shape; members that share one
-    feature matrix (a label-permutation null) gather their batches from it.
-    Divergence (a non-finite loss, checked every step, or parameter, checked
-    every epoch) raises ``TrainingError`` naming the epoch and the member by
-    its index in ``datasets``, the first to diverge in the first chunk that
-    has one.  Training runs in float32 (feature table, labels, parameters and
-    their gradients, Adam); the trained rows are cast to float64 once, so the
-    model scores in float64.
+    bit for bit :func:`mlp_fit` on its table and label row, in any chunk.
+    Divergence (a non-finite loss, checked every step, or parameter, every
+    epoch) raises ``TrainingError`` naming the epoch and the member by its
+    row of ``labels``, the first to diverge in the first chunk that has one.
+    Training runs in float32 (features, labels, parameters, gradients and
+    Adam); the trained rows are cast to float64 once, for scoring.
     """
-    n_members = len(datasets)
+    n_members, n = labels.shape
     if len(streams) != n_members:
-        raise ConfigurationError(f"got {len(streams)} streams for {n_members} datasets")
+        raise ConfigurationError(f"got {len(streams)} streams for {n_members} members")
     if n_members == 0:
         return []
-    first = datasets[0]
-    for data in datasets:
-        if data.n_class0 < 1 or data.n_class1 < 1:
-            raise FitError("need at least one sample per class")
-        if data.ws.shape != first.ws.shape:
-            raise ConfigurationError(f"ensemble datasets differ in shape: {data.ws.shape} vs {first.ws.shape}")
-    n, dim = first.n, first.dim
+    if not (labels.any(axis=1) & ~labels.all(axis=1)).all():
+        raise FitError("need at least one sample per class")
+    draw = table if callable(table) else None
+    dim = (table if draw is None else draw(range(0))).shape[-1]  # an empty draw has the tables' width
 
-    shared = all(data.ws is first.ws for data in datasets)
-    sources = datasets[:1] if shared else datasets
-    feat_mean = np.stack([data.ws.mean(axis=0) for data in sources])
-    feat_std = np.stack([np.where(s < 1e-12, 1.0, s) for s in (data.ws.std(axis=0) for data in sources)])
+    def standardized(ws):  # each table on its own, as one float32 table of rows ending in the bias input
+        mean = np.stack([w.mean(axis=0) for w in ws])
+        std = np.stack([np.where(s < 1e-12, 1.0, s) for s in (w.std(axis=0) for w in ws)])
+        out = np.ones((*ws.shape[:-1], dim + 1), dtype=np.float32)
+        for w, rows, mu, sd in zip(ws, out, mean, std):
+            rows[:, :-1] = (w - mu) / sd
+        return out.reshape(-1, dim + 1), mean, std
 
-    # standardized feature rows of the given sources; the ones column is every first layer's bias input
-    table = lambda hs: with_ones(np.concatenate([(sources[h].ws - feat_mean[h]) / feat_std[h] for h in hs])).astype(np.float32)  # noqa: E731
     hidden = cfg.hidden_sizes if cfg.hidden_sizes is not None else (cfg.hidden_mult * dim,) * 2
     sizes = [dim, *hidden, 1]
     shapes = [(fan_in + 1, fan_out) for fan_in, fan_out in zip(sizes[:-1], sizes[1:])]
@@ -487,7 +491,7 @@ def _fit_lockstep(datasets: list[LabeledPairDataset], cfg: MlpConfig, streams: l
     # step buffers for the largest chunk, allocated once (fresh arrays cost more in page faults than the
     # arithmetic); views of their first members and rows, made once per shape, serve the rest
     grad = np.empty((min(step, n_members), sum(a * b for a, b in shapes)), dtype=np.float32)
-    like = MlpParams(row_views(grad, shapes))
+    like = row_views(grad, shapes)
     acts, (grads_in, masks) = mlp_buffers(like, (len(grad), batch)), mlp_grad_buffers(like, (len(grad), batch))
     views, val_acts = {}, []  # the holdout rows' buffers, allocated at the first epoch
 
@@ -496,45 +500,47 @@ def _fit_lockstep(datasets: list[LabeledPairDataset], cfg: MlpConfig, streams: l
         if (k, b) not in views:
             rows = lambda bufs: [a[:k, :b] for a in bufs]  # noqa: E731
             views[k, b] = rows(acts), (row_views(grad[:k], shapes), rows(grads_in), rows(masks))
-        return _bce_loss_and_grad(params, xb, yb, *views[k, b], record=last)[0], grad[:k]
+        return _bce_loss_and_grad(layers, xb, yb, *views[k, b], record=last)[0], grad[:k]
 
     def take(kept):
-        nonlocal params
-        params = MlpParams(row_views(kept, shapes))
+        nonlocal layers
+        layers = row_views(kept, shapes)
 
     def holdout_loss(xs, ys):
-        val_acts[:] = val_acts or mlp_buffers(params, xs.shape[:2])
-        return _bce_losses(mlp_forward(params, xs, out=[a[: len(xs)] for a in val_acts])[..., 0], ys)
+        val_acts[:] = val_acts or mlp_buffers(layers, xs.shape[:2])
+        return _bce_losses(mlp_forward(layers, xs, out=[a[: len(xs)] for a in val_acts])[..., 0], ys)
 
-    parts, records, hidden_sizes = [], [], tuple(int(h) for h in hidden)
-    shared_table = table([0]) if shared else None
+    parts, records, means, stds, hidden_sizes = [], [], [], [], tuple(int(h) for h in hidden)
     for start in range(0, n_members, step):
         members = range(start, min(start + step, n_members))
         # All parameters of a member in one row, so Adam, the best-epoch copy
         # and the finiteness check each touch one array; its folded layers,
         # and their gradients in the rows of ``grad``, are views.
-        inits = [mlp_init(sizes, streams[h].child("init")).layers for h in members]
+        inits = [mlp_init(sizes, streams[h].child("init")) for h in members]
         flat = np.stack([np.concatenate([a.ravel() for a in arrays]) for arrays in inits]).astype(np.float32)
-        params = MlpParams(row_views(flat, shapes))
-        offsets = np.zeros((len(members), 1), dtype=np.int64) if shared else n * np.arange(len(members))[:, None]
-        labels = np.stack([datasets[h].labels for h in members]).astype(np.float32)
-        feats, chunk_streams = shared_table if shared else table(members), [streams[h] for h in members]
-        fit = train_minibatch(flat, feats, np.arange(n) + offsets, labels, cfg, chunk_streams, batch_loss, holdout_loss, take, start)
+        layers = row_views(flat, shapes)
+        if draw or start == 0:  # a shared table is standardized once
+            feats, mean, std = standardized(draw(members) if draw else table[None])
+            means.append(mean), stds.append(std)
+        rows = np.arange(n) + n * np.arange(len(members))[:, None] if draw else np.tile(np.arange(n), (len(members), 1))
+        chunk_labels, chunk_streams = labels[start : members.stop].astype(np.float32), streams[start : members.stop]
+        fit = train_minibatch(flat, feats, rows, chunk_labels, cfg, chunk_streams, batch_loss, holdout_loss, take, start)
         parts.append(fit.params)
         records += [
             {"hidden_sizes": hidden_sizes, "n_train": fit.n_train, "epochs_run": int(fit.epochs_run[h]), "best_epoch": int(fit.best_epoch[h]),
              "final_train_loss": float(fit.last_loss[h]), "holdout_loss": float(fit.best_loss[h]) if fit.n_holdout else None}
             for h in range(len(members))
         ]
-    return MlpModel(np.concatenate(parts, dtype=np.float64), shapes, feat_mean, feat_std, records)
+    return MlpModel(np.concatenate(parts, dtype=np.float64), shapes, np.concatenate(means), np.concatenate(stds), records)
 
 
 def mlp_fit(data: LabeledPairDataset, cfg: MlpConfig | None = None, stream: RngStream | None = None) -> MlpModel:
     """Train the rectifier network on a balanced labeled dataset: the one-member
-    :class:`MlpModel` of :func:`_fit_lockstep`, deterministic given ``stream``.
-    Divergence (a non-finite loss, checked every step, or parameter, checked
-    every epoch) raises ``TrainingError`` naming member 0 and the epoch."""
-    return _fit_lockstep([data], cfg or MlpConfig(), [stream or RngStream(seed=0)])
+    :class:`MlpModel` of :func:`_fit_lockstep` on ``data.ws`` and
+    ``data.labels``, deterministic given ``stream``.  Divergence (a non-finite
+    loss, checked every step, or parameter, checked every epoch) raises
+    ``TrainingError`` naming member 0 and the epoch."""
+    return _fit_lockstep(data.ws, data.labels[None], cfg or MlpConfig(), [stream or RngStream(seed=0)])
 
 
 def mlp_grad_check(model: MlpModel, ws: np.ndarray, labels: np.ndarray, step: float = 1e-5) -> float:
@@ -547,10 +553,10 @@ def mlp_grad_check(model: MlpModel, ws: np.ndarray, labels: np.ndarray, step: fl
     if len(ws) == 0:
         raise ConfigurationError("gradient check needs a nonempty batch")
     labels = np.asarray(labels, dtype=np.float64).ravel()
-    inputs, params = with_ones((ws - model.feat_mean) / model.feat_std), model.params
-    _, grads = _bce_loss_and_grad(params, inputs, labels)
-    loss = lambda: float(_bce_losses(mlp_forward(params, inputs)[..., 0], labels)[0])  # noqa: E731
-    return grad_check(params.layers, grads, loss, step)
+    inputs, layers = with_ones((ws - model.feat_mean) / model.feat_std), model.layers
+    _, grads = _bce_loss_and_grad(layers, inputs, labels)
+    loss = lambda: float(_bce_losses(mlp_forward(layers, inputs)[..., 0], labels)[0])  # noqa: E731
+    return grad_check(layers, grads, loss, step)
 
 
 # ---------------------------------------------------------------------------
@@ -567,9 +573,6 @@ def save_classifier(clf, path) -> None:
     round-trip decimals).  A QDA model is written as its two class means,
     covariances and priors, an MLP's layers as separate weights and biases.
     A model of more members raises ``ConfigurationError``."""
-    import json
-    from pathlib import Path
-
     if not isinstance(clf, (QdaModel, MlpModel)):
         raise ConfigurationError(f"cannot serialize classifier of type {type(clf).__name__}")
     _one_member(clf, "a checkpoint holds", "save model[h]")
@@ -579,8 +582,8 @@ def save_classifier(clf, path) -> None:
     else:
         payload = {
             "kind": "mlp",
-            "weights": [w[0].tolist() for w in clf.params.weights],
-            "biases": [b[0].tolist() for b in clf.params.biases],
+            "weights": [a[0, :-1].tolist() for a in clf.layers],
+            "biases": [a[0, -1].tolist() for a in clf.layers],
             "feat_mean": clf.feat_mean[0].tolist(),
             "feat_std": clf.feat_std[0].tolist(),
             "metadata": {k: v for k, v in clf.metadata.items() if not isinstance(v, np.ndarray)},
@@ -593,18 +596,14 @@ def save_classifier(clf, path) -> None:
 def load_classifier(path):
     """Restore a classifier written by :func:`save_classifier`; a missing key
     raises ``DataFormatError`` naming the file and the key."""
-    import json
-    from pathlib import Path
-
-    with Path(path).open("r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
     kind = payload.get("kind")
     try:
         if kind == "qda":
             mu0, mu1, cov0, cov1, prior0, prior1 = (payload[key] for key in _QDA_KEYS)
             return QdaModel([[mu0, mu1]], [[cov0, cov1]], [[prior0, prior1]])
         if kind == "mlp":
-            layers = MlpParams.from_split(payload["weights"], payload["biases"]).layers
+            layers = fold(payload["weights"], payload["biases"])
             mean, std = (np.asarray(payload[key], dtype=np.float64)[None] for key in ("feat_mean", "feat_std"))
             return MlpModel(np.concatenate([a.ravel() for a in layers])[None], [a.shape for a in layers], mean, std, [payload.get("metadata", {})])
     except KeyError as exc:
@@ -615,7 +614,9 @@ def load_classifier(path):
 # ---------------------------------------------------------------------------
 # Fitters (uniform fit interface for the test procedures): ``fit(data, stream)``
 # fits one classifier, ``fit.ensemble(members, streams)`` a null ensemble from
-# a null construction's member description (see ``c2st.Relabeled``)
+# a null construction's member description (``c2st.Relabeled`` or
+# ``c2st.Resampled``), which both families read for arrays, not datasets:
+# QDA its ``class_moments()``, an MLP its ``member_arrays()``
 # ---------------------------------------------------------------------------
 
 
@@ -648,11 +649,11 @@ class MlpFitter:
     def __call__(self, data: LabeledPairDataset, stream: RngStream) -> MlpModel:
         return mlp_fit(data, self.cfg, stream)
 
-    def ensemble(self, datasets: Iterable[LabeledPairDataset], streams: Iterable[RngStream]) -> MlpModel | list:
-        """All members trained in lockstep as one H-member :class:`MlpModel`;
-        member h equals ``self(datasets[h], streams[h])``.  A null construction's
-        member description iterates as its datasets."""
-        return _fit_lockstep(list(datasets), self.cfg, list(streams))
+    def ensemble(self, members, streams: Iterable[RngStream]) -> MlpModel | list:
+        """All members in lockstep, one H-member :class:`MlpModel`, from the
+        table (or table drawer) and label rows ``members.member_arrays()``
+        gives (see :func:`_fit_lockstep`), with no member dataset built."""
+        return _fit_lockstep(*members.member_arrays(), self.cfg, list(streams))
 
 
 def qda_factory(ridge: float | None = None) -> QdaFitter:

@@ -25,14 +25,16 @@ from .core import (
     Lc2stError,
     RngStream,
     derive_stream,
+    save_csv,
     save_dataset,
     save_json,
 )
-from .flows import NpeConfig, build_coupling_flow, flow_fit_npe, load_flow, save_flow
+from .flows import NpeConfig, load_flow, save_flow, train_npe
 from .harness import (
     ExperimentPlan,
     _build_estimator,
     _classifier_fit,
+    _observation,
     run_oracle_correlation,
     run_power,
     run_sigma_sweep,
@@ -65,22 +67,10 @@ def _estimator(args, task):
     return _build_estimator({"kind": "distortion" if given else "exact", **given}, task, flow=False)
 
 
-def _observation(args, task):
-    return task.observation(derive_stream(args.x_seed, "obs", 0))
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _write_csv(path: Path, header: str, rows) -> None:
-    """``rows`` under ``header``, floats as their repr (round-trip exact)."""
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -98,18 +88,13 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_train_npe(args) -> int:
     task = make_task(args.task, **_task_params(args))
-    train = task.sample_joint(args.n_train, derive_stream(args.seed, "npe-data"))
-    flow = build_coupling_flow(
-        task.m, task.d, n_layers=args.layers, hidden=(args.hidden, args.hidden),
-        stream=derive_stream(args.seed, "npe-init"),
-    )
-    cfg = NpeConfig(max_epochs=args.epochs)
-    fitted, trace = flow_fit_npe(flow, train, cfg, derive_stream(args.seed, "npe-fit"))
+    hidden, cfg = (args.hidden, args.hidden), NpeConfig(max_epochs=args.epochs)
+    fitted, trace = train_npe(task, args.n_train, RngStream(seed=args.seed), args.layers, hidden, cfg)
     out = _out_dir(args)
     save_flow(fitted, out / "flow.json")
     holdout = trace["holdout_nll"] or [float("nan")] * len(trace["train_nll"])
     rows = ((epoch, tr, va) for epoch, (tr, va) in enumerate(zip(trace["train_nll"], holdout)))
-    _write_csv(out / "loss_trace.csv", "epoch,train_nll,holdout_nll", rows)
+    save_csv(out / "loss_trace.csv", "epoch,train_nll,holdout_nll", rows)
     return 0
 
 
@@ -120,7 +105,7 @@ def _cmd_test(args) -> int:
     task = make_task(args.task, **_task_params(args))
     if args.method == "lc2st-nf" and not args.flow:
         raise ConfigurationError("method lc2st-nf requires --flow <checkpoint>")
-    _, x_o = _observation(args, task)
+    _, x_o = _observation(task, args.x_seed)
     estimator = _estimator(args, task)
     run = c2st.run_test(
         args.method, task, estimator, x_o, args.n_cal, args.n_null, args.n_v, _classifier(args),
@@ -136,7 +121,7 @@ def _cmd_test(args) -> int:
     out = _out_dir(args)
     result.save(out / "result.json")
     for name, (header, rows) in csvs.items():
-        _write_csv(out / name, header, rows)
+        save_csv(out / name, header, rows)
     return 0
 
 
@@ -152,7 +137,7 @@ def _cmd_sweep(args) -> int:
     if plan.kind == "correlation":
         result = run_oracle_correlation(plan)
         rows = ((p["obs_index"], p["distortion_frac"], p["oracle"], p["local"]) for p in result.pairs)
-        _write_csv(out / "correlation.csv", "obs_index,distortion_frac,oracle_stat,local_stat", rows)
+        save_csv(out / "correlation.csv", "obs_index,distortion_frac,oracle_stat,local_stat", rows)
         payload = {"plan": plan.to_dict(), "spearman_rho": result.spearman_rho, "p_value": result.p_value}
         save_json(payload, out / "results.json")
         return 0

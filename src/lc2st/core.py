@@ -34,6 +34,7 @@ __all__ = [
     "JointDataset",
     "LabeledPairDataset",
     "save_json",
+    "save_csv",
     "save_dataset",
     "load_dataset",
     "load_metadata",
@@ -277,10 +278,6 @@ class LabeledPairDataset:
     def n_class1(self) -> int:
         return int(self.labels.sum())
 
-    def with_labels(self, labels: np.ndarray) -> "LabeledPairDataset":
-        """Same features under a new (e.g. permuted) labeling."""
-        return LabeledPairDataset(self.ws, labels)
-
     @staticmethod
     def from_class_arrays(w0: np.ndarray, w1: np.ndarray) -> "LabeledPairDataset":
         w0 = np.atleast_2d(np.asarray(w0, dtype=np.float64))
@@ -321,11 +318,8 @@ def save_dataset(
     """
     path = Path(path)
     header = [f"theta_{j}" for j in range(data.m)] + [f"x_{j}" for j in range(data.d)]
-    rows = np.hstack([data.thetas, data.xs])
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_value(v) for v in row) + "\n")
+    rows = ([_format_value(v) for v in row] for row in np.hstack([data.thetas, data.xs]))
+    save_csv(path, ",".join(header), rows)
     meta = {"m": data.m, "d": data.d, "N": data.n, "seed": seed, "task_name": task_name}
     save_json(meta, _sidecar_path(path))
 
@@ -335,6 +329,16 @@ def save_json(payload, path: str | Path) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def save_csv(path: str | Path, header: str, rows) -> None:
+    """Write comma-joined ``rows`` under ``header``, lines ending in "\\n" on every
+    platform, floats as their (round-trip exact) repr: pass Python floats, as
+    a numpy 2 scalar's repr names its type."""
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 def _parse_header(header_line: str, path: Path) -> tuple[int, int]:

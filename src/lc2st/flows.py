@@ -39,7 +39,7 @@ from .core import (
     check_count,
     check_real,
 )
-from .nets import MlpParams, grad_check, mlp_backward, mlp_forward, mlp_grad_buffers, mlp_init, row_views, train_minibatch
+from .nets import fold, grad_check, mlp_backward, mlp_forward, mlp_grad_buffers, mlp_init, row_views, train_minibatch
 from .tasks import PosteriorBase
 
 __all__ = [
@@ -52,6 +52,7 @@ __all__ = [
     "build_coupling_flow",
     "NpeConfig",
     "flow_fit_npe",
+    "train_npe",
     "npe_loss",
     "npe_grad_check",
     "save_flow",
@@ -88,14 +89,15 @@ def _pair(points: np.ndarray, xs: np.ndarray, d: int) -> tuple[np.ndarray, np.nd
 class CouplingLayer:
     """Affine coupling: masked coordinates pass through and condition the rest.
 
-    The conditioner is a rectifier network taking (masked coords ++ x) and
-    emitting a shift and raw log-scale for each transformed coordinate.  An
-    all-False mask passes nothing through: the conditioner sees x alone.
+    The conditioner is a rectifier network, ``params`` its folded layers,
+    taking (masked coords ++ x) and emitting a shift and raw log-scale for
+    each transformed coordinate.  An all-False mask passes nothing through:
+    the conditioner sees x alone.
     """
 
     kind = "coupling"
 
-    def __init__(self, mask: np.ndarray, params: MlpParams):
+    def __init__(self, mask: np.ndarray, params: list[np.ndarray]):
         self.mask = np.asarray(mask, dtype=bool)
         self.params = params
         self.id_pass = np.flatnonzero(self.mask)
@@ -148,8 +150,8 @@ class CouplingLayer:
         return {
             "type": self.kind,
             "mask": self.mask.astype(int).tolist(),
-            "weights": [w.tolist() for w in self.params.weights],
-            "biases": [b.tolist() for b in self.params.biases],
+            "weights": [a[:-1].tolist() for a in self.params],
+            "biases": [a[-1].tolist() for a in self.params],
         }
 
 
@@ -237,7 +239,7 @@ class ConditionalFlow(_Flow):
     # -- parameters ----------------------------------------------------------
 
     def parameter_arrays(self) -> list[np.ndarray]:
-        return [a for layer in self.layers if layer.params is not None for a in layer.params.layers]
+        return [a for layer in self.layers if layer.params is not None for a in layer.params]
 
     def on_row(self) -> tuple["ConditionalFlow", np.ndarray]:
         """A copy whose parameters are views of one (1, P) row, and the row."""
@@ -247,7 +249,7 @@ class ConditionalFlow(_Flow):
         layers = []
         for layer in self.layers:
             if layer.params is not None:
-                layer = CouplingLayer(layer.mask, MlpParams([next(views)[0] for _ in range(layer.params.n_layers)]))
+                layer = CouplingLayer(layer.mask, [next(views)[0] for _ in layer.params])
             layers.append(layer)
         return ConditionalFlow(self.m, self.d, layers), row
 
@@ -395,7 +397,7 @@ def _npe_loss_and_grads(flow: ConditionalFlow, thetas: np.ndarray, xs: np.ndarra
     grads = grads if grads is not None else [np.empty_like(a) for a in flow.parameter_arrays()]
     views = iter(grads)
     for layer, cache in reversed(stack):
-        own = [next(views) for _ in range(layer.params.n_layers)] if layer.params is not None else []
+        own = [next(views) for _ in layer.params] if layer.params is not None else []
         g = layer.inverse_backward(cache, g, g_logdet, own)
     return loss, grads
 
@@ -446,6 +448,15 @@ def flow_fit_npe(
     return flow, {**nll, "best_holdout_nll": float(fit.best_loss[0]) if fit.n_holdout else None}
 
 
+def train_npe(task, n_train: int, stream: RngStream, n_layers: int = 5, hidden=(64, 64), cfg: NpeConfig | None = None):
+    """NPE on ``task``: a :func:`build_coupling_flow` flow built on ``stream``'s
+    ``npe-init`` child, fitted by :func:`flow_fit_npe` on ``npe-fit`` to
+    ``n_train`` pairs drawn on ``npe-data``.  Returns (flow, loss trace)."""
+    train = task.sample_joint(n_train, stream.child("npe-data"))
+    flow = build_coupling_flow(task.m, task.d, n_layers, hidden, stream.child("npe-init"))
+    return flow_fit_npe(flow, train, cfg, stream.child("npe-fit"))
+
+
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
@@ -461,7 +472,7 @@ def _layer_from_dict(entry: dict):
     kind = entry["type"]
     if kind == "permutation":
         return PermutationLayer(np.asarray(entry["perm"], dtype=np.int64))
-    params = MlpParams.from_split(entry["weights"], entry["biases"])
+    params = fold(entry["weights"], entry["biases"])
     if kind == "coupling":
         return CouplingLayer(np.asarray(entry["mask"], dtype=bool), params)
     if kind == "elementwise":
@@ -472,8 +483,7 @@ def _layer_from_dict(entry: dict):
 
 
 def load_flow(path: str | Path):
-    with Path(path).open("r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
     kind = data.get("kind")
     try:
         if kind == "coupling-flow":

@@ -33,9 +33,9 @@ import numpy as np
 from . import c2st
 from .classifiers import MlpConfig, mlp_factory, qda_factory
 from .core import (
-    ConfigurationError, LabeledPairDataset, Lc2stError, check_count, derive_stream, reject_unknown_keys, save_json,
+    ConfigurationError, LabeledPairDataset, Lc2stError, check_count, derive_stream, reject_unknown_keys, save_csv, save_json,
 )
-from .flows import NpeConfig, build_coupling_flow, conjugate_affine_flow, flow_fit_npe
+from .flows import NpeConfig, conjugate_affine_flow, train_npe
 from .tasks import ConjugateGaussianPosterior, GaussianShiftPair, distort, gaussian_shift_samples, make_task
 
 __all__ = [
@@ -120,6 +120,8 @@ class ExperimentPlan:
             for name in ("task", "method", "n_train_grid", "n_cal_grid", "n_observations", "estimator"):
                 if getattr(self, name) != getattr(default, name):
                     raise ConfigurationError(f"a sigma-sweep plan does not read {name}, got {getattr(self, name)!r}")
+        if self.kind == "correlation" and len(self.n_cal_grid) > 1:  # its tests all run at one n_cal
+            raise ConfigurationError(f"a correlation plan runs at one n_cal, got n_cal_grid {self.n_cal_grid!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -178,18 +180,10 @@ def _build_estimator(spec: dict, task, flow: bool, n_train: int = 0, seed: int =
     """
     kind = _estimator_kind(spec)
     if kind == "npe":
-        stream = derive_stream(seed, "estimator", n_train)
-        train = task.sample_joint(n_train, stream.child("npe-data"))
-        net = build_coupling_flow(
-            task.m,
-            task.d,
-            n_layers=spec.get("n_layers", 5),
-            hidden=spec.get("hidden", (64, 64)),
-            stream=stream.child("npe-init"),
-        )
         settings = {k: v for k, v in spec.items() if k not in ("kind", "n_layers", "hidden")}
         cfg = NpeConfig(**{"max_epochs": 200, **settings})
-        return flow_fit_npe(net, train, cfg, stream.child("npe-fit"))[0]
+        stream = derive_stream(seed, "estimator", n_train)
+        return train_npe(task, n_train, stream, spec.get("n_layers", 5), spec.get("hidden", (64, 64)), cfg)[0]
     reference = task.reference
     if reference is None:
         raise ConfigurationError(f"task {task.name!r} has no reference posterior")
@@ -281,10 +275,8 @@ class SweepResult:
         save_json(self.to_json_dict(), path)
 
     def save_rates_csv(self, path: str | Path, value_name: str = "rate") -> None:
-        with Path(path).open("w", encoding="utf-8") as fh:
-            fh.write(f"n_train,n_cal,{value_name},se\n")
-            for a in self.aggregates():
-                fh.write(f"{a.n_train},{a.n_cal},{a.rejection_rate!r},{a.se!r}\n")
+        rows = ((a.n_train, a.n_cal, a.rejection_rate, a.se) for a in self.aggregates())
+        save_csv(path, f"n_train,n_cal,{value_name},se", rows)
 
     def phase_medians(self) -> list[dict]:
         """Median seconds of each phase per cell, cells in sorted order: the rows of ``runtime.csv``."""
@@ -297,10 +289,7 @@ class SweepResult:
         return rows
 
     def save_runtime_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8") as fh:
-            fh.write("method,n_train,n_cal,phase,median_seconds\n")
-            for r in self.phase_medians():
-                fh.write(f"{r['method']},{r['n_train']},{r['n_cal']},{r['phase']},{r['median_seconds']!r}\n")
+        save_csv(path, "method,n_train,n_cal,phase,median_seconds", (r.values() for r in self.phase_medians()))
 
 
 # ---------------------------------------------------------------------------
@@ -308,25 +297,27 @@ class SweepResult:
 # ---------------------------------------------------------------------------
 
 
-def _observation(plan: ExperimentPlan, task, obs_index: int):
-    return task.observation(derive_stream(plan.seed, "obs", obs_index))
+def _observation(task, seed: int, index: int = 0):
+    """Observation ``index`` of a master seed, the sweeps' and the CLI's:
+    ``task.observation`` on ``hash(seed, "obs", index)``."""
+    return task.observation(derive_stream(seed, "obs", index))
 
 
 def _run_job(plan: ExperimentPlan, task, estimator, fit_fn, n_train: int, triples: list):
     """The (n_cal, observation, run, ensemble) ``triples`` of one ``n_train``,
     all with the inputs built for that ``n_train``; each triple draws from
     its own stream, so any split of the triples into jobs gives the same
-    records.  Returns (record, timing) dicts."""
+    records.  Returns (record, timing) pairs."""
     return [_run_single(plan, task, estimator, fit_fn, n_train, *triple) for triple in triples]
 
 
 def _run_single(plan: ExperimentPlan, task, estimator, fit_fn, n_train: int, n_cal: int, obs_index: int,
                 run_index: int, ensemble):
     """Execute one (cell, observation, run) triple, reusing ``ensemble`` if
-    given; returns (record, timing) dicts.  A library error is re-raised as
-    its own type with the cell in its message."""
+    given; returns its ``RunRecord`` and timing dict.  A library error is
+    re-raised as its own type with the cell in its message."""
     try:
-        _, x_o = _observation(plan, task, obs_index)
+        _, x_o = _observation(task, plan.seed, obs_index)
         stream = derive_stream(plan.seed, "run", n_train, n_cal, obs_index, run_index)
         run = c2st.run_test(
             plan.method, task, estimator, x_o, n_cal, plan.n_null, plan.n_v, fit_fn, stream, ensemble=ensemble
@@ -334,18 +325,8 @@ def _run_single(plan: ExperimentPlan, task, estimator, fit_fn, n_train: int, n_c
     except Lc2stError as exc:
         raise type(exc)(f"cell (n_train={n_train}, n_cal={n_cal}, obs={obs_index}, run={run_index}): {exc}") from exc
     result = run.results[0]
-    reject = result.p_value is not None and result.p_value < plan.alpha
-    record = {
-        "n_train": n_train,
-        "n_cal": n_cal,
-        "obs_index": obs_index,
-        "run_index": run_index,
-        "statistic": result.statistic,
-        "p_value": result.p_value,
-        "reject": bool(reject),
-        "seed": stream.seed,
-        "stream_id": stream.stream_id,
-    }
+    reject = bool(result.p_value is not None and result.p_value < plan.alpha)
+    record = RunRecord(n_train, n_cal, obs_index, run_index, result.statistic, result.p_value, reject, stream.seed, stream.stream_id)
     return record, {"n_train": n_train, "n_cal": n_cal, **run.seconds}
 
 
@@ -389,7 +370,7 @@ def _run_sweep(plan: ExperimentPlan, spec: dict) -> SweepResult:
             outputs = [out for job in pool.map(_run_job, *zip(*jobs)) for out in job]
     else:
         outputs = [out for job in jobs for out in _run_job(*job)]
-    records = [RunRecord(**rec) for rec, _ in outputs]
+    records = [rec for rec, _ in outputs]
     timings = [t for _, t in outputs]
     records.sort(key=lambda r: (r.n_train, r.n_cal, r.obs_index, r.run_index))
     return SweepResult(
@@ -445,12 +426,8 @@ class SigmaSweepResult:
         return out
 
     def save_power_csv(self, path: str | Path, which: str = "mse0") -> None:
-        with Path(path).open("w", encoding="utf-8") as fh:
-            fh.write("sigma,n_runs,tpr,se\n")
-            power = self.power(which)
-            for sig in self.sigmas:
-                tpr, se = power[sig]
-                fh.write(f"{sig!r},{self.plan.n_runs},{tpr!r},{se!r}\n")
+        power = self.power(which)
+        save_csv(path, "sigma,n_runs,tpr,se", ((sig, self.plan.n_runs, *power[sig]) for sig in self.sigmas))
 
 
 def run_sigma_sweep(plan: ExperimentPlan) -> SigmaSweepResult:
@@ -526,7 +503,7 @@ def run_oracle_correlation(plan: ExperimentPlan, n_permutations: int = 10_000) -
     _build_estimator(spec, task, flow=False)  # checks the spec's values before they are graded
     exact = kind == "exact"
     fit_fn = _classifier_fit(plan.classifier)
-    n_cal = int(plan.n_cal_grid[-1])
+    n_cal = int(plan.n_cal_grid[0])
     pairs = []
     for i in range(plan.n_observations):
         frac = 0.0 if exact else (i + 1) / plan.n_observations
@@ -536,7 +513,7 @@ def run_oracle_correlation(plan: ExperimentPlan, n_permutations: int = 10_000) -
             "scale": 1.0 + (spec.get("scale", 1.0) - 1.0) * frac,
         }
         estimator = _build_estimator(graded, task, flow=False)
-        _, x_o = _observation(plan, task, i)
+        _, x_o = _observation(task, plan.seed, i)
         stream = derive_stream(plan.seed, "corr", i)
         # the oracle and the local statistic at x_o, neither with a null
         # ensemble; the local test's streams are apart from the oracle's

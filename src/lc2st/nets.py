@@ -7,9 +7,12 @@ parameters they serve (MLP classifiers train in float32, NPE flows in float64).
 
 A dense layer is one (fan_in + 1, fan_out) matrix [W; b] and every layer
 input ends in a ones column, so a layer is one matrix product and its bias
-gradient the last row of its weight gradient.  A parameter row that stores
-each layer's weights followed by its bias holds [W; b] in place: layers and
-gradients are views of (members, parameters) arrays.  A leading member axis,
+gradient the last row of its weight gradient.  A net is the plain list of
+its layers (hidden layers relu, the output linear), which every function
+here takes; :func:`fold` builds it from separate weights and biases, the
+form checkpoints store.  A parameter row that stores each layer's weights
+followed by its bias holds [W; b] in place: layers and gradients are views
+of (members, parameters) arrays.  A leading member axis,
 (H, fan_in + 1, fan_out), holds H nets, as ``torch.func``'s stacked module
 state does; ``np.matmul`` broadcasting serves both layouts, and member h of a
 stack computes bit for bit what the 2-D net of its slices computes.
@@ -29,7 +32,7 @@ import numpy as np
 
 from .core import RngStream, TrainingError
 
-__all__ = ["MlpParams", "mlp_init", "mlp_forward", "mlp_backward", "Adam", "grad_check", "relu", "sigmoid"]
+__all__ = ["fold", "mlp_init", "mlp_forward", "mlp_backward", "Adam", "grad_check", "relu", "sigmoid"]
 __all__ += ["mlp_buffers", "mlp_grad_buffers", "row_views", "train_minibatch", "with_ones"]
 
 
@@ -45,34 +48,13 @@ def sigmoid(a: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
     return np.where(a >= 0, 1.0, e) / (1.0 + e)
 
 
-class MlpParams:
-    """A dense net as its layers [W; b], (fan_in + 1, fan_out) each, which
-    act on inputs ending in a ones column (:func:`with_ones`).  Hidden layers
-    use relu, the output is linear; ``weights`` and ``biases`` are views."""
-
-    def __init__(self, layers: list[np.ndarray]):
-        self.layers = layers
-
-    @classmethod
-    def from_split(cls, weights: list[np.ndarray], biases: list[np.ndarray]) -> "MlpParams":
-        """Folded float64 copies of (fan_in, fan_out) weights and (fan_out,)
-        biases, arrays or nested lists."""
-        return cls([np.vstack([w, b], dtype=np.float64) for w, b in zip(weights, biases)])
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.layers)
-
-    @property
-    def weights(self) -> list[np.ndarray]:
-        return [a[..., :-1, :] for a in self.layers]
-
-    @property
-    def biases(self) -> list[np.ndarray]:
-        return [a[..., -1, :] for a in self.layers]
+def fold(weights, biases) -> list[np.ndarray]:
+    """Folded float64 layers [W; b] from (fan_in, fan_out) weights and
+    (fan_out,) biases, arrays or nested lists."""
+    return [np.vstack([w, b], dtype=np.float64) for w, b in zip(weights, biases)]
 
 
-def mlp_init(sizes: list[int], stream: RngStream, *, zero_last: bool = False) -> MlpParams:
+def mlp_init(sizes: list[int], stream: RngStream, *, zero_last: bool = False) -> list[np.ndarray]:
     """He-normal initialization for relu stacks; biases zero.
 
     ``zero_last`` zeroes the output layer, which flow conditioners use so a
@@ -87,7 +69,7 @@ def mlp_init(sizes: list[int], stream: RngStream, *, zero_last: bool = False) ->
             scale = np.sqrt(2.0 / fan_in) if not last else np.sqrt(1.0 / fan_in)
             layer[:-1] = rng.normal(0.0, scale, size=(fan_in, fan_out))
         layers.append(layer)
-    return MlpParams(layers)
+    return layers
 
 
 def with_ones(x: np.ndarray) -> np.ndarray:
@@ -96,35 +78,35 @@ def with_ones(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x, np.ones((*x.shape[:-1], 1))], axis=-1)
 
 
-def mlp_buffers(params: MlpParams, shape: tuple) -> list[np.ndarray]:
+def mlp_buffers(layers: list[np.ndarray], shape: tuple) -> list[np.ndarray]:
     """One output array per layer for inputs of leading ``shape`` (rows, or
     members and rows): a hidden layer's ends in its next layer's ones column,
     set here, in the layers' dtype."""
-    last = params.n_layers - 1
-    out = [np.empty((*shape, a.shape[-1] + (k != last)), dtype=a.dtype) for k, a in enumerate(params.layers)]
+    last = len(layers) - 1
+    out = [np.empty((*shape, a.shape[-1] + (k != last)), dtype=a.dtype) for k, a in enumerate(layers)]
     for a in out[:-1]:
         a[..., -1] = 1.0
     return out
 
 
-def mlp_forward(params: MlpParams, inputs: np.ndarray, cache: list | None = None, out: list | None = None) -> np.ndarray:
+def mlp_forward(layers: list[np.ndarray], inputs: np.ndarray, cache: list | None = None, out: list | None = None) -> np.ndarray:
     """Linear output of the net on ``inputs`` that end in a ones column; pass
     ``cache=[]`` to record activations for backward.
 
     Each layer is one product, written into the first fan_out columns of its
     output, whose last column holds the ones of the next layer's input; relu
-    keeps them at one.  For stacked params, ``inputs`` is (H, n, fan_in + 1),
+    keeps them at one.  For stacked layers, ``inputs`` is (H, n, fan_in + 1),
     or (n, fan_in + 1) shared by every member, and the output is
     (H, n, fan_out).  ``out`` gives the layers' outputs as
     :func:`mlp_buffers` makes them, so repeated passes reuse memory.
     """
     h = inputs
     if out is None:
-        out = mlp_buffers(params, np.broadcast_shapes(h.shape[:-2], params.layers[0].shape[:-2]) + h.shape[-2:-1])
+        out = mlp_buffers(layers, np.broadcast_shapes(h.shape[:-2], layers[0].shape[:-2]) + h.shape[-2:-1])
     if cache is not None:
         cache.append(h)
-    last = params.n_layers - 1
-    for k, layer in enumerate(params.layers):
+    last = len(layers) - 1
+    for k, layer in enumerate(layers):
         np.matmul(h, layer, out=out[k] if k == last else out[k][..., :-1])
         h = out[k]
         if k != last:
@@ -134,17 +116,17 @@ def mlp_forward(params: MlpParams, inputs: np.ndarray, cache: list | None = None
     return h
 
 
-def mlp_grad_buffers(params: MlpParams, shape: tuple) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def mlp_grad_buffers(layers: list[np.ndarray], shape: tuple) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """The grads wrt each layer's input and the relu masks that
     ``mlp_backward(..., out=(layer grads, *these))`` fills, shaped like the
     layer inputs (leading ``shape``, the layers' dtype), ones column included:
     a grad's last column stays zero, and the relu gate runs over whole
     contiguous rows."""
-    grads_in = [np.zeros((*shape, a.shape[-2]), dtype=a.dtype) for a in params.layers]
+    grads_in = [np.zeros((*shape, a.shape[-2]), dtype=a.dtype) for a in layers]
     return grads_in, [np.empty(g.shape, dtype=bool) for g in grads_in]
 
 
-def mlp_backward(params: MlpParams, cache: list, grad_out: np.ndarray, out: tuple | None = None, input_grad: bool = True):
+def mlp_backward(layers: list[np.ndarray], cache: list, grad_out: np.ndarray, out: tuple | None = None, input_grad: bool = True):
     """Backprop ``grad_out`` (d loss / d linear output) through a cached forward.
 
     Returns (layer grads, grad wrt inputs): each layer's gradient is one
@@ -155,8 +137,8 @@ def mlp_backward(params: MlpParams, cache: list, grad_out: np.ndarray, out: tupl
     ``input_grad=False``: the last product, with the first layer's weights,
     is skipped and the input grad is None.
     """
-    n = params.n_layers
-    grads, grads_in, masks = out if out is not None else ([None] * n, *mlp_grad_buffers(params, grad_out.shape[:-1]))
+    n = len(layers)
+    grads, grads_in, masks = out if out is not None else ([None] * n, *mlp_grad_buffers(layers, grad_out.shape[:-1]))
     g = grad_out
     for k in range(n - 1, -1, -1):
         if k != n - 1:
@@ -170,7 +152,7 @@ def mlp_backward(params: MlpParams, cache: list, grad_out: np.ndarray, out: tupl
             return grads, None
         # a contiguous copy of W^T: BLAS multiplies by it faster than by the
         # transposed view, by more than the copy costs
-        w_t = np.ascontiguousarray(params.layers[k][..., :-1, :].mT)
+        w_t = np.ascontiguousarray(layers[k][..., :-1, :].mT)
         g_in = grads_in[k][..., :-1]
         if g.shape[-1] == 1:
             # one output unit: an outer product, which einsum forms faster

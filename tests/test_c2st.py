@@ -570,10 +570,18 @@ def old_member_datasets(data, n_null, stream, paired):
         rng = stream.child("trial", h).child("perm").generator()
         if paired:
             flips = (rng.random(data.n // 2) < 0.5).astype(np.int64)
-            out.append(data.with_labels(np.concatenate([flips, 1 - flips])))
+            out.append(LabeledPairDataset(data.ws, np.concatenate([flips, 1 - flips])))
         else:
-            out.append(data.with_labels(data.labels[rng.permutation(data.n)]))
+            out.append(LabeledPairDataset(data.ws, data.labels[rng.permutation(data.n)]))
     return out
+
+
+def member_datasets(members):
+    """Member h's dataset, from its table and label row in a null
+    description's ``member_arrays``."""
+    table, labels = members.member_arrays()
+    tables = table(range(len(labels))) if callable(table) else [table] * len(labels)
+    return [LabeledPairDataset(ws, row) for ws, row in zip(tables, labels, strict=True)]
 
 
 def qda_null_statistics(datasets, ws):
@@ -619,7 +627,7 @@ class TestOneDrawNulls:
             rng.standard_normal((30, 3)), rng.standard_normal((31, 3)) + 0.3
         )
         for n_null in (1, 7):
-            short, longer = (list(Relabeled(data, stream, h, paired)) for h in (n_null, n_null + 5))
+            short, longer = (member_datasets(Relabeled(data, stream, h, paired)) for h in (n_null, n_null + 5))
             for a, b in zip(short, longer[:n_null], strict=True):
                 assert np.array_equal(a.labels, b.labels)
             short, longer = (fit_null_ensemble(data, qda_factory(), h, stream, paired) for h in (n_null, n_null + 5))
@@ -632,7 +640,7 @@ class TestOneDrawNulls:
             short, longer = (Resampled(xs, 3, stream, h) for h in (n_null, n_null + 5))
             for a, b in zip(short.statistics(), longer.statistics(), strict=True):
                 assert np.array_equal(a, b[:n_null])
-            for a, b in zip(short, list(longer)[:n_null], strict=True):  # the MLP members' rows
+            for a, b in zip(member_datasets(short), member_datasets(longer)[:n_null], strict=True):  # the MLP members' rows
                 assert np.array_equal(a.ws, b.ws)
             short, longer = (lc2st_nf_null(xs, 3, qda_factory(), h, stream) for h in (n_null, n_null + 5))
             assert_relative(longer.classifiers.coef[:, :n_null], short.classifiers.coef, 1e-12)
@@ -689,7 +697,7 @@ class TestOneDrawNulls:
         xs = rng.standard_normal((n_cal, 2))
         ws = append_conditioning(rng.standard_normal((1000, 2)), [0.4, -0.8])
         exact = lc2st_nf_null(xs, 2, qda_factory(), 300, RngStream(seed=180))
-        rows = qda_null_statistics(Resampled(xs, 2, RngStream(seed=181), 300), ws)
+        rows = qda_null_statistics(member_datasets(Resampled(xs, 2, RngStream(seed=181), 300)), ws)
         ks = ks_2samp(single_class_statistics(exact.classifiers, ws)[0], rows)
         assert ks.pvalue > 1e-3, f"exact and row-drawn nulls differ: KS p = {ks.pvalue}"
 
@@ -709,7 +717,7 @@ class TestPermutationNullInputs:
     def test_paired_null_requires_stacked_equal_classes(self, n0, n1, swap):
         data = LabeledPairDataset.from_class_arrays(np.zeros((n0, 2)), np.ones((n1, 2)))
         if swap:  # equal counts, class 1 on top
-            data = data.with_labels(1 - data.labels)
+            data = LabeledPairDataset(data.ws, 1 - data.labels)
         with pytest.raises(ConfigurationError, match="paired permutation requires"):
             fit_null_ensemble(data, qda_factory(), 1, RngStream(seed=165), paired=True)
 

@@ -1,7 +1,9 @@
 """QDA, analytic Bayes probabilities, the MLP, and calibration curves."""
 
 import json
+import pickle
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -53,7 +55,7 @@ from lc2st.harness import ExperimentPlan, run_sigma_sweep
 from lc2st import nets
 from lc2st.nets import (
     Adam,
-    MlpParams,
+    fold,
     mlp_backward,
     mlp_buffers,
     mlp_forward,
@@ -64,6 +66,7 @@ from lc2st.nets import (
     with_ones,
 )
 from lc2st.tasks import distort, gaussian_conjugate_task
+from test_c2st import member_datasets
 
 
 def gaussian_pair_data(sigma, n, seed, dim=2):
@@ -105,7 +108,7 @@ class TestQda:
     def test_label_swap_symmetry_exact(self):
         _, data = gaussian_pair_data(1.5, 2000, seed=4)
         clf = qda_fit(data)
-        swapped = qda_fit(data.with_labels(1 - data.labels))
+        swapped = qda_fit(LabeledPairDataset(data.ws, 1 - data.labels))
         pts = np.random.default_rng(5).standard_normal((500, 2))
         assert np.max(np.abs(swapped.predict_proba(pts) - (1.0 - clf.predict_proba(pts)))) <= 1e-10
 
@@ -182,7 +185,7 @@ class TestMlp:
         _, train = gaussian_pair_data(2.0, 2000, seed=18)
         cfg = MlpConfig(max_epochs=100)
         a = mlp_fit(train, cfg, RngStream(seed=19))
-        b = mlp_fit(train.with_labels(1 - train.labels), cfg, RngStream(seed=19))
+        b = mlp_fit(LabeledPairDataset(train.ws, 1 - train.labels), cfg, RngStream(seed=19))
         pts = np.random.default_rng(20).standard_normal((2000, 2)) * 1.5
         assert np.mean(np.abs(b.predict_proba(pts) - (1.0 - a.predict_proba(pts)))) <= 0.05
 
@@ -203,19 +206,19 @@ class TestMlp:
         assert np.isfinite(model.metadata["final_train_loss"])
 
 
-def one_member_mlp(params, dim):
-    """The one-member MlpModel of the 2-D ``params``, with no standardization."""
-    flat = np.concatenate([a.ravel() for a in params.layers])[None]
-    return MlpModel(flat, [a.shape for a in params.layers], np.zeros((1, dim)), np.ones((1, dim)), [{}])
+def one_member_mlp(layers, dim):
+    """The one-member MlpModel of the 2-D ``layers``, with no standardization."""
+    flat = np.concatenate([a.ravel() for a in layers])[None]
+    return MlpModel(flat, [a.shape for a in layers], np.zeros((1, dim)), np.ones((1, dim)), [{}])
 
 
 def _kink_margin(model, ws):
     """Smallest |rectifier pre-activation| over the batch (FD validity guard)."""
     h = (ws - model.feat_mean) / model.feat_std
     margin = np.inf
-    for k, (w, b) in enumerate(zip(model.params.weights, model.params.biases)):
-        a = h @ w[0] + b[0]
-        if k < model.params.n_layers - 1:
+    for k, layer in enumerate(model.layers):
+        a = h @ layer[0, :-1] + layer[0, -1]
+        if k < len(model.layers) - 1:
             margin = min(margin, float(np.min(np.abs(a))))
             h = relu(a)
         else:
@@ -230,7 +233,7 @@ def _fd_oracle_valid(model, ws, labels, step=1e-5):
         return False
     from lc2st.classifiers import _bce_loss_and_grad
 
-    _, grads = _bce_loss_and_grad(model.params, with_ones((ws - model.feat_mean) / model.feat_std), labels.astype(float))
+    _, grads = _bce_loss_and_grad(model.layers, with_ones((ws - model.feat_mean) / model.feat_std), labels.astype(float))
     vals = np.concatenate([np.abs(g).ravel() for g in grads])
     nonzero = vals[vals > 0]
     return nonzero.size == 0 or float(nonzero.min()) > 1e-6
@@ -257,9 +260,7 @@ class TestGradCheck:
     def test_zero_weight_network_linear_regime(self):
         # With all parameters zero the loss is locally constant in everything
         # except the output bias, whose path is smooth.
-        params = MlpParams.from_split(
-            [np.zeros((2, 8)), np.zeros((8, 1))], [np.zeros(8), np.zeros(1)]
-        )
+        params = fold([np.zeros((2, 8)), np.zeros((8, 1))], [np.zeros(8), np.zeros(1)])
         model = one_member_mlp(params, 2)
         rng = np.random.default_rng(27)
         ws = rng.standard_normal((16, 2))
@@ -445,10 +446,10 @@ class TestQuadraticFeatureScoring:
 
     def test_mlp_members_share_the_block_loop(self):
         rng = np.random.default_rng(104)
-        datasets = [
+        datasets = Members(
             LabeledPairDataset.from_class_arrays(rng.standard_normal((60, 4)), rng.standard_normal((60, 4)))
             for _ in range(3)
-        ]
+        )
         stack = mlp_factory(MlpConfig(hidden_sizes=(6,), max_epochs=3)).ensemble(
             datasets, [RngStream(seed=105 + h) for h in range(3)]
         )
@@ -521,9 +522,9 @@ def _serial_forward(params, inputs, cache=None):
     h = inputs
     if cache is not None:
         cache.append(h)
-    for k, layer in enumerate(params.layers):
+    for k, layer in enumerate(params):
         a = h @ layer
-        h = a if k == params.n_layers - 1 else np.hstack([relu(a), np.ones((len(a), 1), dtype=a.dtype)])
+        h = a if k == len(params) - 1 else np.hstack([relu(a), np.ones((len(a), 1), dtype=a.dtype)])
         if cache is not None:
             cache.append(h)
     return h
@@ -532,13 +533,13 @@ def _serial_forward(params, inputs, cache=None):
 def _serial_backward(params, cache, grad_out):
     """Layer gradients (the bias gradient is the last row, from the ones
     column) and the gradient wrt the inputs, without their ones column."""
-    grads = [None] * params.n_layers
+    grads = [None] * len(params)
     g = grad_out
-    for k in range(params.n_layers - 1, -1, -1):
-        if k != params.n_layers - 1:
+    for k in range(len(params) - 1, -1, -1):
+        if k != len(params) - 1:
             g = g * (cache[k + 1][:, :-1] > 0)
         grads[k] = cache[k].T @ g
-        w_t = params.layers[k][:-1].T
+        w_t = params[k][:-1].T
         g = np.einsum("ij,jk->ik", g, w_t) if g.shape[-1] == 1 else g @ w_t
     return grads, g
 
@@ -587,16 +588,16 @@ def serial_mlp_fit(data, cfg, stream):
     ws = with_ones((data.ws - feat_mean) / feat_std).astype(np.float32)
     labels = data.labels.astype(np.float32)
     hidden = cfg.hidden_sizes if cfg.hidden_sizes is not None else (cfg.hidden_mult * data.dim,) * 2
-    params = MlpParams([a.astype(np.float32) for a in mlp_init([data.dim, *hidden, 1], stream.child("init")).layers])
+    params = [a.astype(np.float32) for a in mlp_init([data.dim, *hidden, 1], stream.child("init"))]
     perm = stream.child("holdout").generator().permutation(data.n)
     n_val = int(round(cfg.holdout_frac * data.n))
     use_val = 1 <= n_val <= data.n - 2
     val_idx, train_idx = (perm[:n_val], perm[n_val:]) if use_val else (perm[:0], perm)
     ws_tr, y_tr = ws[train_idx], labels[train_idx]
     ws_val, y_val = ws[val_idx], labels[val_idx]
-    opt = _SerialAdam(params.layers, lr=cfg.learning_rate)
+    opt = _SerialAdam(params, lr=cfg.learning_rate)
     shuffle_rng = stream.child("shuffle").generator()
-    copy = lambda p: MlpParams([a.copy() for a in p.layers])  # noqa: E731
+    copy = lambda p: [a.copy() for a in p]  # noqa: E731
     best_val, best_params, best_epoch, since_best, last_loss, epochs_run = np.inf, copy(params), 0, 0, np.nan, 0
     for epoch in range(cfg.max_epochs):
         epochs_run = epoch + 1
@@ -611,7 +612,7 @@ def serial_mlp_fit(data, cfg, stream):
             gz = ((masked_sigmoid(z) - y_tr[idx]) / len(idx)).reshape(-1, 1)
             opt.step(_serial_backward(params, cache, gz)[0])
             last_loss = loss
-        if not all(np.all(np.isfinite(a)) for a in params.layers):
+        if not all(np.all(np.isfinite(a)) for a in params):
             raise TrainingError(f"parameters diverged at epoch {epoch}")
         if use_val:
             val_loss = _serial_loss(params, ws_val, y_val)
@@ -630,35 +631,49 @@ def serial_mlp_fit(data, cfg, stream):
         "n_train": int(len(ws_tr)),
     }
     trained = best_params if use_val else params
-    flat = np.concatenate([a.ravel() for a in trained.layers]).astype(np.float64)[None]
-    return MlpModel(flat, [a.shape for a in trained.layers], feat_mean[None], feat_std[None], [metadata])
+    flat = np.concatenate([a.ravel() for a in trained]).astype(np.float64)[None]
+    return MlpModel(flat, [a.shape for a in trained], feat_mean[None], feat_std[None], [metadata])
 
 
 def assert_same_fit(model, ref):
     """Bit-identical parameters, standardization and training metadata."""
     for got, want in zip(
-        [*model.params.layers, model.feat_mean, model.feat_std],
-        [*ref.params.layers, ref.feat_mean, ref.feat_std],
+        [*model.layers, model.feat_mean, model.feat_std],
+        [*ref.layers, ref.feat_mean, ref.feat_std],
     ):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert model.metadata == ref.metadata
 
 
+class Members(list):
+    """Member datasets as the null description ``MlpFitter.ensemble`` reads:
+    members that share one feature matrix (label permutations) train on it
+    as one table, with one standardization; otherwise each chunk's tables are
+    sliced from the members' stacked features when it starts."""
+
+    def member_arrays(self):
+        labels = np.stack([data.labels for data in self])
+        if all(data.ws is self[0].ws for data in self):
+            return self[0].ws, labels
+        tables = np.stack([data.ws for data in self])
+        return (lambda members: tables[members.start : members.stop]), labels
+
+
 def _separated_members(n_members, n_per_class, dim, seed):
     rng = np.random.default_rng(seed)
-    return [
+    return Members(
         LabeledPairDataset.from_class_arrays(
             rng.standard_normal((n_per_class, dim)), rng.standard_normal((n_per_class, dim)) + 0.3 * h
         )
         for h in range(n_members)
-    ]
+    )
 
 
 def _shared_features(n_members, n_per_class, dim, seed):
     """Label permutations of one feature matrix, as a permutation null builds."""
     base = _separated_members(1, n_per_class, dim, seed)[0]
     rng = np.random.default_rng(seed + 1)
-    return [base.with_labels(base.labels[rng.permutation(base.n)]) for _ in range(n_members)]
+    return Members(LabeledPairDataset(base.ws, base.labels[rng.permutation(base.n)]) for _ in range(n_members))
 
 
 LOCKSTEP_CASES = {
@@ -698,7 +713,7 @@ class TestLockstepEnsemble:
         cfg = MlpConfig((6,), batch_size=25, max_epochs=15, patience=3)
         stream = RngStream(seed=125)
         ensemble = fit_null_ensemble(data, mlp_factory(cfg), 5, stream)
-        members = list(Relabeled(data, stream, 5, paired=False))
+        members = member_datasets(Relabeled(data, stream, 5, paired=False))
         for h, (model, permuted) in enumerate(zip(ensemble.classifiers, members, strict=True)):
             assert_same_fit(model, serial_mlp_fit(permuted, cfg, stream.child("trial", h).child("fit")))
 
@@ -715,10 +730,9 @@ class TestLockstepEnsemble:
             data = LabeledPairDataset.from_class_arrays(np.hstack([z0, cal_xs]), np.hstack([z1, cal_xs]))
             assert_same_fit(model, serial_mlp_fit(data, cfg, sub.child("fit")))
 
-    def test_datasets_of_different_shapes_are_rejected(self):
-        datasets = [*_separated_members(1, 10, 2, seed=128), *_separated_members(1, 12, 2, seed=129)]
-        with pytest.raises(ConfigurationError, match="shape"):
-            mlp_factory(MlpConfig(max_epochs=1)).ensemble(datasets, [RngStream(seed=1), RngStream(seed=2)])
+    def test_a_stream_per_member_is_required(self):
+        with pytest.raises(ConfigurationError, match="^got 1 streams for 2 members$"):
+            mlp_factory(MlpConfig(max_epochs=1)).ensemble(_separated_members(2, 10, 2, seed=128), [RngStream(seed=1)])
 
     @pytest.mark.parametrize("width, chunks", [(8, 1), (50, 3)])
     def test_stacked_scoring_matches_members_bitwise(self, width, chunks, monkeypatch):
@@ -775,20 +789,20 @@ class TestFoldedLayers:
     def test_step_matches_unfolded_arithmetic(self, n_members, batch, full):
         # a batch shorter than the buffers is a trainer's short last batch
         rng = np.random.default_rng(180 + n_members + batch)
-        layers = [mlp_init([4, 12, 9, 1], RngStream(seed=181 + h)).layers for h in range(n_members)]
-        params = MlpParams([np.stack([m[k] for m in layers]) for k in range(3)])
-        for a in params.layers:
+        layers = [mlp_init([4, 12, 9, 1], RngStream(seed=181 + h)) for h in range(n_members)]
+        params = [np.stack([m[k] for m in layers]) for k in range(3)]
+        for a in params:
             a[:, -1] = rng.standard_normal(a[:, -1].shape)  # nonzero biases
         inputs = rng.standard_normal((n_members, batch, 4))
         grad_out = rng.standard_normal((n_members, batch, 1))
         acts = [a[:, :batch] for a in mlp_buffers(params, (n_members, full))]
         grads_in, masks = ([a[:, :batch] for a in bufs] for bufs in mlp_grad_buffers(params, (n_members, full)))
-        grads = [np.empty(a.shape) for a in params.layers]
+        grads = [np.empty(a.shape) for a in params]
         cache = []
         out = mlp_forward(params, with_ones(inputs), cache, acts)
         got, _ = mlp_backward(params, cache, grad_out.copy(), (grads, grads_in, masks), input_grad=False)
         want_out, gw, gb, _ = _unfolded_step(
-            [w.copy() for w in params.weights], [b[:, None] for b in params.biases], inputs, grad_out
+            [a[:, :-1].copy() for a in params], [a[:, -1:] for a in params], inputs, grad_out
         )
         assert_close_normwise(out, want_out)
         for layer, w, b in zip(got, gw, gb, strict=True):
@@ -799,13 +813,13 @@ class TestFoldedLayers:
         # the flows' path: a 2-D net with allocated buffers and the input grad
         rng = np.random.default_rng(183)
         params = mlp_init([3, 8, 8, 4], RngStream(seed=184))
-        for a in params.layers:
+        for a in params:
             a[-1] = rng.standard_normal(a.shape[-1])
         inputs, grad_out = rng.standard_normal((25, 3)), rng.standard_normal((25, 4))
         cache = []
         out = mlp_forward(params, with_ones(inputs), cache)
         grads, g_in = mlp_backward(params, cache, grad_out.copy())
-        want_out, gw, gb, want_in = _unfolded_step(params.weights, params.biases, inputs, grad_out)
+        want_out, gw, gb, want_in = _unfolded_step([a[:-1] for a in params], [a[-1] for a in params], inputs, grad_out)
         assert_close_normwise(out, want_out)
         assert_close_normwise(g_in, want_in)
         for layer, w, b in zip(grads, gw, gb, strict=True):
@@ -833,13 +847,13 @@ class TestFoldedLayers:
             _separated_members(3, 30, 2, seed=186), [RngStream(seed=187 + h) for h in range(3)]
         )
         assert len(seen) == 2 * 2 * 3  # two epochs of three batches, each a backward and a step
-        for (params, layer_grads), (rows, grad) in zip(seen[0::2], seen[1::2]):
-            for layer, layer_grad in zip(params.layers, layer_grads, strict=True):
+        for (layers, layer_grads), (rows, grad) in zip(seen[0::2], seen[1::2]):
+            for layer, layer_grad in zip(layers, layer_grads, strict=True):
                 assert np.shares_memory(layer, rows) and np.shares_memory(layer_grad, grad)
-        for layer in stack.params.layers:
+        for layer in stack.layers:
             assert np.shares_memory(layer, stack.flat)
         member = stack[1]
-        for layer, own in zip(member.params.layers, stack.params.layers, strict=True):
+        for layer, own in zip(member.layers, stack.layers, strict=True):
             assert np.shares_memory(layer, stack.flat) and np.array_equal(layer, own[1:2])
 
     def test_old_format_checkpoint_scores_bitwise(self, tmp_path):
@@ -848,8 +862,8 @@ class TestFoldedLayers:
         clf = mlp_fit(data, MlpConfig(hidden_sizes=(7, 5), max_epochs=8), RngStream(seed=189))
         payload = {
             "kind": "mlp",
-            "weights": [w[0].tolist() for w in clf.params.weights],
-            "biases": [b[0].tolist() for b in clf.params.biases],
+            "weights": [a[0, :-1].tolist() for a in clf.layers],
+            "biases": [a[0, -1].tolist() for a in clf.layers],
             "feat_mean": clf.feat_mean[0].tolist(),
             "feat_std": clf.feat_std[0].tolist(),
             "metadata": {"hidden_sizes": [7, 5]},
@@ -897,7 +911,7 @@ class TestOneMlpType:
             member = model[h]
             assert len(member) == 1 and member.metadata is model.records[row]
             assert np.shares_memory(member.flat, model.flat) and member.flat.tobytes() == model.flat[row].tobytes()
-            assert all(np.shares_memory(layer, model.flat) for layer in member.params.layers)
+            assert all(np.shares_memory(layer, model.flat) for layer in member.layers)
             assert np.shares_memory(member.feat_mean, model.feat_mean) and member.feat_std.shape == (1, 2)
             assert member.log_odds(ws).tobytes() == np.ascontiguousarray(model.log_odds(ws)[:, row : row + 1]).tobytes()
 
@@ -943,7 +957,7 @@ def _solo_divergence_epoch(data, cfg, stream):
 
 class TestLockstepDivergence:
     def test_error_names_the_first_diverging_member(self):
-        datasets = [_diverging_data(0, 0.0), _diverging_data(5, 3.0), _diverging_data(6, 3.0)]
+        datasets = Members([_diverging_data(0, 0.0), _diverging_data(5, 3.0), _diverging_data(6, 3.0)])
         streams = [RngStream(seed=s) for s in (0, 5, 6)]
         with np.errstate(all="ignore"):
             # alone, member 0 never diverges and members 1 and 2 diverge at
@@ -956,7 +970,7 @@ class TestLockstepDivergence:
                 mlp_factory(_huge_lr(30)).ensemble(datasets, streams)
 
     def test_stopped_member_never_raises(self):
-        datasets = [_diverging_data(5, 3.0), _diverging_data(3, 0.0)]
+        datasets = Members([_diverging_data(5, 3.0), _diverging_data(3, 0.0)])
         streams = [RngStream(seed=5), RngStream(seed=3)]
         with np.errstate(all="ignore"):
             diverges_at = _solo_divergence_epoch(datasets[0], _huge_lr(30), streams[0])
@@ -971,7 +985,7 @@ class TestLockstepDivergence:
         given = []
         train = classifiers.train_minibatch
         monkeypatch.setattr(classifiers, "train_minibatch", lambda flat, *a: given.append(flat) or train(flat, *a))
-        datasets = [_diverging_data(0, 0.0), _diverging_data(3, 3.0)]
+        datasets = Members([_diverging_data(0, 0.0), _diverging_data(3, 3.0)])
         with np.errstate(all="ignore"):
             with pytest.raises(TrainingError, match=r"^member 1: loss diverged at epoch \d+ \(loss=(nan|inf)\)"):
                 mlp_factory(_huge_lr(30)).ensemble(datasets, [RngStream(seed=0), RngStream(seed=3)])
@@ -1012,7 +1026,7 @@ class TestMemberChunks:
         assert len({r["epochs_run"] for r in whole.records}) > 1  # early stopping ended members apart
 
     def test_a_member_diverging_in_a_later_chunk_is_named_by_its_null_index(self, monkeypatch):
-        datasets = [_diverging_data(0, 0.0)] * 3 + [_diverging_data(5, 3.0)]
+        datasets = Members([_diverging_data(0, 0.0)] * 3 + [_diverging_data(5, 3.0)])
         streams = [RngStream(seed=0)] * 3 + [RngStream(seed=5)]
         with np.errstate(all="ignore"):
             epoch = _solo_divergence_epoch(datasets[3], _huge_lr(30), streams[3])
@@ -1041,13 +1055,13 @@ class TestTrainingDtypes:
         )
         assert stack.flat.dtype == np.float64
         for model in [*stack, mlp_fit(_separated_members(1, 30, 2, seed=193)[0], MlpConfig((6,), max_epochs=2))]:
-            assert all(layer.dtype == np.float64 for layer in model.params.layers)
+            assert all(layer.dtype == np.float64 for layer in model.layers)
             assert model.log_odds(np.zeros((4, 2))).dtype == np.float64
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_buffers_take_the_parameters_dtype(self, dtype):
         # float64 rows are the flows' path, float32 the classifiers'
-        params = MlpParams([a.astype(dtype) for a in mlp_init([3, 4, 1], RngStream(seed=194)).layers])
+        params = [a.astype(dtype) for a in mlp_init([3, 4, 1], RngStream(seed=194))]
         grads_in, masks = mlp_grad_buffers(params, (5,))
         assert all(a.dtype == dtype for a in [*mlp_buffers(params, (5,)), *grads_in])
         seen = []
@@ -1183,7 +1197,7 @@ class PerMemberQda(QdaFitter):
     moments; its main fit is the library's ``qda_fit``."""
 
     def ensemble(self, members, streams):
-        datasets = exact_latent_datasets(members) if isinstance(members, Resampled) else members
+        datasets = exact_latent_datasets(members) if isinstance(members, Resampled) else member_datasets(members)
         return qda_stack([reference_qda_fit(data, self.ridge) for data in datasets])
 
 
@@ -1196,7 +1210,7 @@ def exact_latent_datasets(members):
     u = np.hstack([np.full((len(xc), 1), len(xc) ** -0.5), xc @ np.linalg.pinv(r)])
     (n, cols), m = u.shape, members.m
     if n - cols < m:  # W is singular, but a class this small fails any QDA fit on its size
-        return list(members)
+        return member_datasets(members)
     v = np.linalg.qr(np.hstack([u, np.random.default_rng(0).standard_normal((n, m))]))[0][:, cols:]
     return [
         LabeledPairDataset.from_class_arrays(*(np.hstack([u @ gc + v @ np.linalg.cholesky(wc).T, members.xs]) for gc, wc in zip(g, w)))
@@ -1227,11 +1241,11 @@ def per_member_datasets(kind, inputs, n_null, stream):
             half = inputs.n // 2
             words = [int(rng.bit_generator.random_raw()) for _ in range(-(-half // 64))]
             flips = np.array([(words[j // 64] >> (j % 64)) & 1 for j in range(half)], dtype=np.int64)
-            out.append(inputs.with_labels(np.concatenate([flips, 1 - flips])))
+            out.append(LabeledPairDataset(inputs.ws, np.concatenate([flips, 1 - flips])))
         else:
             labels = np.zeros(inputs.n, dtype=np.int64)
             labels[rng.choice(inputs.n, inputs.n_class1, replace=False)] = 1
-            out.append(inputs.with_labels(labels))
+            out.append(LabeledPairDataset(inputs.ws, labels))
     return out
 
 
@@ -1266,6 +1280,82 @@ def assert_columns_close(got, want, rtol=1e-10):
     assert np.all(np.abs(got - want) <= rtol * scale)
 
 
+class TestNullArrays:
+    """An MLP null trains from its description's arrays: a relabeling's one
+    feature table and label rows, a resampling's tables drawn a chunk at a
+    time, and never a member dataset."""
+
+    @staticmethod
+    def description(kind, inputs, stream, n_null):
+        return Resampled(*inputs, stream, n_null) if kind == "nf" else Relabeled(inputs, stream, n_null, kind == "paired")
+
+    @pytest.mark.parametrize("kind", NULL_KINDS)
+    def test_an_mlp_null_builds_no_member_dataset(self, kind, monkeypatch):
+        inputs, built, init = null_inputs(kind, 3), [], LabeledPairDataset.__init__
+        monkeypatch.setattr(LabeledPairDataset, "__init__", lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+        null = fit_null(kind, inputs, mlp_factory(MlpConfig((6,), max_epochs=2)))
+        assert len(null) == 12 and built == []
+
+    @pytest.mark.parametrize("per_chunk", [2, 5])
+    @pytest.mark.parametrize("kind", NULL_KINDS)
+    def test_member_h_is_mlp_fit_on_its_table_and_label_row(self, kind, per_chunk, monkeypatch):
+        cfg, stream = MlpConfig((8, 6), batch_size=20, max_epochs=40, patience=3), RngStream(seed=262)
+        inputs = null_inputs(kind, 3, n=40)
+        calls = _count_chunks(monkeypatch, per_chunk, rows=20, width=8)
+        stack = fit_null(kind, inputs, mlp_factory(cfg), 7, stream).classifiers
+        assert calls == [per_chunk] * (7 // per_chunk) + [7 % per_chunk]
+        assert len({r["epochs_run"] for r in stack.records}) > 1  # early stopping ended members apart
+        for h, data in enumerate(member_datasets(self.description(kind, inputs, stream, 7))):
+            assert_same_fit(stack[h], mlp_fit(data, cfg, stream.child("trial", h).child("fit")))
+
+    def test_a_resampled_null_draws_each_chunk_as_it_starts(self, monkeypatch):
+        events, tables, train = [], Resampled.tables, classifiers.train_minibatch
+        monkeypatch.setattr(Resampled, "tables", lambda self, members: events.append(members) or tables(self, members))
+        monkeypatch.setattr(classifiers, "train_minibatch", lambda flat, *a: events.append(len(flat)) or train(flat, *a))
+        monkeypatch.setattr(classifiers, "_MLP_CHUNK_ELEMENTS", 3 * 20 * 8)
+        xs = np.random.default_rng(263).standard_normal((30, 2))
+        lc2st_nf_null(xs, 2, mlp_factory(MlpConfig((8,), batch_size=20, max_epochs=1)), 7, RngStream(seed=264))
+        # an empty draw gives the tables' width before the first chunk
+        assert events == [range(0), range(0, 3), 3, range(3, 6), 3, range(6, 7), 1]
+
+    def test_a_resampled_null_holds_one_chunk_of_tables(self):
+        # drawing all 64 members' rows before the first chunk trained peaked
+        # at 30.1 MiB; one chunk of 32 members' tables at a time, 19.9 MiB
+        xs = np.random.default_rng(265).standard_normal((2000, 2))
+        tracemalloc.start()
+        try:
+            null = lc2st_nf_null(xs, 2, mlp_factory(MlpConfig(max_epochs=1)), 64, RngStream(seed=266))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(null) == 64 and peak < 25 * 2**20
+
+    @pytest.mark.parametrize("kind", NULL_KINDS)
+    def test_descriptions_pickle_and_draw_the_same_arrays(self, kind):
+        inputs, stream = null_inputs(kind, 3), RngStream(seed=267)
+        members = self.description(kind, inputs, stream, 5)
+        copy = pickle.loads(pickle.dumps(members))
+        (table, labels), (got_table, got_labels) = members.member_arrays(), copy.member_arrays()
+        if kind == "nf":  # a chunk drawn by the copy is those members' rows of the whole draw
+            table, got_table = table(range(5))[2:4], got_table(range(2, 4))
+        for got, want in ((got_table, table), (got_labels, labels)):
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_a_diverging_member_of_a_shared_table_is_named_by_its_null_index(self, monkeypatch):
+        # label rows of one table, as a relabeling's: only the last separates the classes
+        base, rng = _diverging_data(5, 3.0), np.random.default_rng(7)
+        datasets = Members([*(LabeledPairDataset(base.ws, base.labels[rng.permutation(base.n)]) for _ in range(3)), base])
+        streams = [RngStream(seed=0)] * 3 + [RngStream(seed=5)]
+        with np.errstate(all="ignore"):
+            epoch = _solo_divergence_epoch(datasets[3], _huge_lr(30), streams[3])
+            for data, stream in zip(datasets[:3], streams):
+                assert mlp_fit(data, _huge_lr(30), stream).metadata["epochs_run"] == 30
+            calls = _count_chunks(monkeypatch, 2, rows=20, width=8)
+            with pytest.raises(TrainingError, match=rf"^member 3: loss diverged at epoch {epoch} "):
+                mlp_factory(_huge_lr(30)).ensemble(datasets, streams)
+        assert calls == [2, 2]
+
+
 class TestStackedQdaNull:
     @pytest.mark.parametrize("kind", NULL_KINDS)
     def test_member_descriptions_are_the_per_member_draws(self, kind):
@@ -1273,7 +1363,7 @@ class TestStackedQdaNull:
         members = Resampled(*inputs, stream, 5) if kind == "nf" else Relabeled(inputs, stream, 5, kind == "paired")
         expected = per_member_datasets(kind, inputs, 5, stream)
         assert len(members) == 5
-        for got, want in zip(members, expected, strict=True):
+        for got, want in zip(member_datasets(members), expected, strict=True):
             assert np.array_equal(got.ws, want.ws) and np.array_equal(got.labels, want.labels)
 
     @pytest.mark.parametrize("dim", [1, 2, 4, 6])

@@ -226,6 +226,14 @@ def test_wrongly_typed_plan_value_is_named(tmp_path, capsys):
     assert "n_runs" in err
 
 
+def test_correlation_plan_of_several_n_cal_is_a_usage_error(tmp_path, capsys):
+    for grid in ([100, 1000], None):  # None: the default grid, of three entries
+        plan = {"kind": "correlation", "n_observations": 3, **({} if grid is None else {"n_cal_grid": grid})}
+        (tmp_path / "plan.json").write_text(json.dumps(plan))
+        err = _usage_error(capsys, ["sweep", "--plan", str(tmp_path / "plan.json"), "--out", str(tmp_path)])
+        assert "n_cal_grid" in err and not (tmp_path / "correlation.csv").exists()
+
+
 def test_string_sigma_grid_is_named(tmp_path, capsys):
     plan = {**ExperimentPlan(kind="sigma-sweep").to_dict(), "sigma_grid": "12"}
     (tmp_path / "plan.json").write_text(json.dumps(plan))

@@ -14,6 +14,7 @@ from lc2st import (
     load_metadata,
     save_dataset,
 )
+from lc2st.core import save_csv
 
 
 def make_joint(n, m=2, d=2, seed=0):
@@ -100,6 +101,10 @@ class TestSerialization:
         save_dataset(data, path)
         assert path.read_text().splitlines()[1] == "1,2,3,4"
         assert load_dataset(path) == data
+
+    def test_csv_rows_write_floats_as_their_repr(self, tmp_path):
+        save_csv(tmp_path / "t.csv", "a,b,c", [(1, 0.1, "x"), (2, 1e-20, True), (3, float("nan"), -0.0)])
+        assert (tmp_path / "t.csv").read_text() == "a,b,c\n1,0.1,x\n2,1e-20,True\n3,nan,-0.0\n"
 
     def test_metadata_sidecar(self, tmp_path):
         path = tmp_path / "data.csv"

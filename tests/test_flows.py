@@ -23,7 +23,7 @@ from lc2st import (
     save_flow,
 )
 from lc2st.flows import S_MAX, CouplingLayer, _npe_loss_and_grads, npe_loss
-from lc2st.nets import MlpParams, mlp_forward, with_ones
+from lc2st.nets import fold, mlp_forward, with_ones
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -70,10 +70,9 @@ class TestFlowMaps:
         m, d, c = 4, 2, 0.7
         mask = np.array([True, True, False, False])
         layer = CouplingLayer.create(mask, d, hidden=(8,), stream=RngStream(seed=1))
-        layer.params.biases[-1][:] = 0.0
-        layer.params.weights[-1][:] = 0.0
+        layer.params[-1][:] = 0.0  # the output layer's weights and biases
         # outputs are [shift (2), raw log-scale (2)]; invert the smooth clamp
-        layer.params.biases[-1][2:] = S_MAX * np.arctanh(c / S_MAX)
+        layer.params[-1][-1, 2:] = S_MAX * np.arctanh(c / S_MAX)
         rng = np.random.default_rng(2)
         z = rng.standard_normal((50, m))
         x = rng.standard_normal((50, d))
@@ -84,7 +83,7 @@ class TestFlowMaps:
 
     def test_non_finite_intermediate_names_layer(self):
         flow = perturbed_flow(2, 2, 2, seed=3)
-        flow.layers[0].params.weights[0][:] = 1e308
+        flow.layers[0].params[0][:-1] = 1e308
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match="layer"):
                 flow.forward(np.ones((3, 2)) * 10, np.ones((3, 2)) * 10)
@@ -358,9 +357,9 @@ class TestCheckpoints:
         def entry(layer):
             if layer.params is None:
                 return {"type": "permutation", "perm": layer.perm.tolist()}
-            weights = [w.tolist() for w in layer.params.weights]
+            weights = [a[:-1].tolist() for a in layer.params]
             return {"type": "coupling", "mask": layer.mask.astype(int).tolist(), "weights": weights,
-                    "biases": [b.tolist() for b in layer.params.biases]}
+                    "biases": [a[-1].tolist() for a in layer.params]}
 
         payload = {"kind": "coupling-flow", "m": 2, "d": 2, "layers": [entry(layer) for layer in flow.layers]}
         path = tmp_path / "old.json"
@@ -415,7 +414,7 @@ class TestOneDimensionalBlocks:
         path = tmp_path / "flow.json"
         path.write_text(json.dumps({"kind": "coupling-flow", "m": 1, "d": 2, "layers": [layer]}))
         flow = load_flow(path)
-        params = MlpParams.from_split([np.asarray(w) for w in weights], [np.asarray(b) for b in biases])
+        params = fold([np.asarray(w) for w in weights], [np.asarray(b) for b in biases])
         rng = np.random.default_rng(44)
         z, y, xs = rng.standard_normal((25, 1)), rng.standard_normal((25, 1)), rng.standard_normal((25, 2))
         fwd, inv, s = _elementwise_maps(params, z, y, xs)

@@ -23,6 +23,7 @@ from lc2st import (
     qda_factory,
     run_test,
 )
+from lc2st import flows
 from lc2st.harness import (
     METHODS,
     ExperimentPlan,
@@ -349,7 +350,7 @@ class TestPower:
 
         fits = []
         monkeypatch.delenv("LC2ST_THREADS", raising=False)
-        monkeypatch.setattr(hmod, "flow_fit_npe", lambda *args: fits.append(args) or flow_fit_npe(*args))
+        monkeypatch.setattr(flows, "flow_fit_npe", lambda *args: fits.append(args) or flow_fit_npe(*args))
         npe = {"kind": "npe", "max_epochs": 2, "n_layers": 2, "hidden": [8]}
         over = {"n_train_grid": [100, 200], "n_cal_grid": [200], "n_observations": 2, "n_runs": 2, "n_v": 200, "n_null": 5}
         res = run_power(ExperimentPlan(**{**SMALL_TYPE1, **over, "kind": "power", "estimator": npe}))
@@ -364,7 +365,7 @@ class TestPower:
         monkeypatch.setenv("LC2ST_THREADS", "2")
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InProcessPool)
         monkeypatch.setattr(hmod, "_run_job", lambda *args: jobs.append(args[4]) or run_job(*args))
-        monkeypatch.setattr(hmod, "flow_fit_npe", lambda *args: fits.append(args) or flow_fit_npe(*args))
+        monkeypatch.setattr(flows, "flow_fit_npe", lambda *args: fits.append(args) or flow_fit_npe(*args))
         npe = {"kind": "npe", "max_epochs": 2, "n_layers": 2, "hidden": [8]}
         over = {"n_train_grid": [100, 200], "n_cal_grid": [200], "n_observations": 2, "n_runs": 2, "n_v": 200, "n_null": 5}
         plan = ExperimentPlan(**{**SMALL_TYPE1, **over, "kind": "power", "estimator": npe})
@@ -548,6 +549,12 @@ class TestCorrelation:
     def test_single_observation_rejected(self):
         with pytest.raises(ConfigurationError):
             run_oracle_correlation(self._plan(n_observations=1))
+
+    def test_a_grid_of_several_n_cal_is_rejected(self):
+        # the study runs at one n_cal: a longer grid would be cut to one entry
+        for plan in (lambda: self._plan(n_cal_grid=[300, 2000]), lambda: ExperimentPlan(kind="correlation")):
+            with pytest.raises(ConfigurationError, match=r"^a correlation plan runs at one n_cal, got n_cal_grid \["):
+                plan()
 
     def test_exact_estimator_not_significant(self):
         res = run_oracle_correlation(
