@@ -32,10 +32,10 @@ It calls the public steps, which stay usable on their own:
 A null's members are described, never built as datasets: the fitter reads
 :class:`Relabeled` or :class:`Resampled` for arrays (QDA the class moments,
 an MLP the feature tables and label rows) and returns one H-member model, the
-null's ``classifiers``, whose ``log_odds`` scores every member on a block of
-rows at once; :func:`single_class_statistics` and the local tests' null
-statistics share one ``t_mse0`` kernel over it.  The main classifier (a
-one-member model of the same type) is scored through ``predict_proba``.
+null's ``classifiers``, whose ``blocks`` fold x_o in once per call and score
+every member a block of rows at a time: the null statistics, of every method,
+and the PP-plot's band iterate them.  The main classifier (a one-member model
+of the same type) is scored through ``predict_proba``.
 
 p-values use the strict-exceedance count (number of null statistics above
 the observed one, over n_null); ``conservative=True`` switches to the
@@ -52,7 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifiers import BLOCK_ROWS, append_conditioning, row_slices
+from .classifiers import append_conditioning, row_slices
 from .core import (
     ConfigurationError,
     LabeledPairDataset,
@@ -122,8 +122,7 @@ def t_acc(clf, val: LabeledPairDataset) -> float:
     """Fraction of correct hard predictions at threshold 1/2 (ties -> class 0)."""
     _require_balanced(val)
     d = np.asarray(clf.predict_proba(val.ws))
-    predicted = (d > 0.5).astype(np.int64)
-    return float(np.mean(predicted == val.labels))
+    return float(np.mean((d > 0.5) == val.labels))
 
 
 def t_mse(clf, val: LabeledPairDataset) -> float:
@@ -166,14 +165,12 @@ CLASS0_LOGIT = float.fromhex("0x1.67fffffffffffp-53")
 def _mse0(classifiers, points: np.ndarray, given: np.ndarray | None = None, class0: np.ndarray | None = None) -> np.ndarray:
     """``t_mse0`` of every member of the stack ``classifiers`` at the rows
     [points, given], summing (d - 1/2)^2 as tanh(l/2)^2 / 4: no branch on the
-    sign of the log-odds l.  The stack scores l/2 (``scale=0.5``) for each
-    block of ``BLOCK_ROWS`` points into one reused (BLOCK_ROWS, H) buffer.
-    A given ``class0`` gains each member's count of rows with sigmoid(l) <=
-    1/2 (as l/2 <= ``CLASS0_LOGIT / 2``), the tie rule of ``t_acc0``."""
-    sq, buffer = np.zeros(len(classifiers)), np.empty((min(len(points), BLOCK_ROWS), len(classifiers)))
-    for rows in row_slices(len(points)):
-        block = points[rows]
-        half = classifiers.log_odds(block, given, out=buffer[: len(block)], scale=0.5)
+    sign of the log-odds l.  The stack's ``blocks`` give l/2 (``scale=0.5``),
+    block by block, from one fold of ``given``.  A given ``class0`` gains
+    each member's count of rows with sigmoid(l) <= 1/2 (as l/2 <=
+    ``CLASS0_LOGIT / 2``), the tie rule of ``t_acc0``."""
+    sq = np.zeros(len(classifiers))
+    for _, half in classifiers.blocks(points, given, scale=0.5):
         if class0 is not None:
             class0 += (half <= CLASS0_LOGIT / 2).sum(axis=0)
         np.tanh(half, out=half)
@@ -195,8 +192,8 @@ def _two_class_statistics(classifiers, val: LabeledPairDataset) -> tuple[np.ndar
     """``t_acc`` and ``t_mse`` of every member of the stack ``classifiers``
     on the balanced set ``val``, from one scoring pass."""
     correct, sq = np.zeros(len(classifiers)), np.zeros((2, len(classifiers)))
-    for rows in row_slices(val.n):
-        d, labels = sigmoid(classifiers.log_odds(val.ws[rows])), val.labels[rows]
+    for rows, logits in classifiers.blocks(val.ws):
+        d, labels = sigmoid(logits), val.labels[rows]
         correct += ((d > 0.5) == labels[:, None]).sum(axis=0)
         sq += [np.square(d[labels == c] - 0.5).sum(axis=0) for c in (0, 1)]
     return correct / val.n, sq[0] / val.n_class0 + sq[1] / val.n_class1
@@ -299,7 +296,7 @@ class NullEnsemble:
     """Classifiers fitted under the null construction, with the null's
     ``stream`` and the wall-clock seconds their fit took.  ``classifiers`` is
     the fitter's H-member model (a ``QdaModel`` or an ``MlpModel``): its
-    ``log_odds`` scores every member at once and ``classifiers[h]`` is
+    ``blocks`` score every member at once and ``classifiers[h]`` is
     member h.  An empty null is never scored.  A reusable null's
     ``fitted_for`` holds the ``n_cal``, ``d`` and ``fitter`` it is valid for."""
 
@@ -686,8 +683,9 @@ def lc2st_nf_evaluate(
 @dataclass(frozen=True)
 class TestRun:
     """One test's results, one per observation, with the main classifier and
-    null ensemble they share and the wall-clock seconds of the ``train``,
-    ``null`` and ``evaluate`` phases."""
+    null ensemble they share, the wall-clock seconds of the ``train``,
+    ``null`` and ``evaluate`` phases and the ``counts`` of work done:
+    ``null_members``, the null members this call fitted."""
 
     __test__ = False  # statistical test run, not a pytest case
 
@@ -695,6 +693,7 @@ class TestRun:
     classifier: object
     ensemble: NullEnsemble
     seconds: dict
+    counts: dict
 
 
 def run_test(
@@ -728,8 +727,8 @@ def run_test(
     ``n_cal``, ``task.d`` or ``fit_fn`` raises ``ConfigurationError``.
 
     ``train`` times building the training set and fitting the classifier,
-    ``null`` is the fitted ensemble's ``fit_seconds`` (0 for a given or empty
-    one) and ``evaluate`` the draws and scoring at every observation.
+    ``null`` is the fitted ensemble's ``fit_seconds`` and ``counts["null_members"]``
+    its size (both 0 for a given or empty one), ``evaluate`` the draws and scoring at every observation.
     """
     if method not in _STAT_UPPER:
         raise ConfigurationError(f"unknown method {method!r}; valid: {sorted(_STAT_UPPER)}")
@@ -791,7 +790,8 @@ def run_test(
         nulls = acc if method == "oracle-c2st-acc" else mse
         results = [TestResult.from_stats(method, stat, nulls, x_o, n_v, seeds, conservative, val.ws)]
     null = ensemble.fit_seconds if n_fit else 0.0
-    return TestRun(results, clf, ensemble, {"train": t1 - t0 - null, "null": null, "evaluate": time.perf_counter() - t1})
+    seconds = {"train": t1 - t0 - null, "null": null, "evaluate": time.perf_counter() - t1}
+    return TestRun(results, clf, ensemble, seconds, {"null_members": n_fit})
 
 
 # ---------------------------------------------------------------------------
@@ -873,8 +873,8 @@ def pp_plot(
     # probability accumulate to the ECDF numerators.
     members, width = ensemble.classifiers, len(levels) + 1
     counts = np.zeros(len(members) * width, dtype=np.int64)
-    for rows in row_slices(n):
-        below = np.searchsorted(levels, 1.0 - sigmoid(members.log_odds(eval_ws[rows])), side="left")
+    for _, logits in members.blocks(eval_ws):
+        below = np.searchsorted(levels, 1.0 - sigmoid(logits), side="left")
         counts += np.bincount((below + width * np.arange(len(members))).ravel(), minlength=counts.size)
     cdfs = np.cumsum(counts.reshape(len(members), width), axis=1)[:, :-1] / n
     lower = np.quantile(cdfs, alpha / 2.0, axis=0)
@@ -927,15 +927,12 @@ def probability_heatmap(clf, flow, eval_ws: np.ndarray, bins: int) -> list[Margi
     for i in range(flow.m):
         counts, _ = np.histogram(thetas[:, i], bins=edges[i])
         sums, _ = np.histogram(thetas[:, i], bins=edges[i], weights=d0)
-        with np.errstate(invalid="ignore"):
-            mean_prob = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-        out.append(MarginalHeatmap((i, i), edges[i], None, counts, mean_prob))
+        out.append(MarginalHeatmap((i, i), edges[i], None, counts, np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)))
     for i in range(flow.m):
         for j in range(i + 1, flow.m):
             counts, _, _ = np.histogram2d(thetas[:, i], thetas[:, j], bins=(edges[i], edges[j]))
             sums, _, _ = np.histogram2d(thetas[:, i], thetas[:, j], bins=(edges[i], edges[j]), weights=d0)
-            with np.errstate(invalid="ignore"):
-                mean_prob = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+            mean_prob = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
             out.append(MarginalHeatmap((i, j), edges[i], edges[j], counts.astype(np.int64), mean_prob))
     return out
 
@@ -944,12 +941,6 @@ def heatmap_rows(heatmaps: list[MarginalHeatmap]) -> list[tuple]:
     """Flatten heatmaps to (dim_i, dim_j, bin_i, bin_j, count, mean_prob) rows."""
     rows: list[tuple] = []
     for hm in heatmaps:
-        i, j = hm.dims
-        if i == j:
-            for bi, (c, p) in enumerate(zip(hm.counts, hm.mean_prob)):
-                rows.append((i, j, bi, 0, int(c), float(p)))
-        else:
-            for bi in range(hm.counts.shape[0]):
-                for bj in range(hm.counts.shape[1]):
-                    rows.append((i, j, bi, bj, int(hm.counts[bi, bj]), float(hm.mean_prob[bi, bj])))
+        counts, probs = (a.reshape(len(a), -1) for a in (hm.counts, hm.mean_prob))  # a 1-D marginal's bins: one column
+        rows += [(*hm.dims, bi, bj, int(c), float(probs[bi, bj])) for (bi, bj), c in np.ndenumerate(counts)]
     return rows

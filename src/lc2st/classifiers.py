@@ -21,8 +21,9 @@ Each family has one model type whose fitted classifier is its one-member
 case.  A fitter's ``ensemble`` reads a null's member description for
 arrays, never member datasets (QDA its class moments, an MLP its feature
 table and label rows), and returns an H-member model, which scores itself:
-``model.log_odds(points, given)`` gives the (rows, members) log-odds of
-every member, and ``model[h]`` is member h as a one-member model.
+``model.blocks(points, given)`` folds ``given`` (a test's x_o) into the
+coefficients once and yields every member's log-odds block by block,
+``log_odds`` joins them, and ``model[h]`` is member h as a one-member model.
 ``predict_proba`` (and an MLP's ``metadata``) read one-member models only.
 
 The decision rule everywhere is ``predict 1 iff d > 1/2``: exact ties go to
@@ -97,11 +98,6 @@ def _one_member(model, what: str, hint: str) -> None:
         raise ConfigurationError(f"{what} one member, this model has {len(model)}; {hint}")
 
 
-# ---------------------------------------------------------------------------
-# Quadratic discriminant analysis
-# ---------------------------------------------------------------------------
-
-
 # Rows per scoring block: a block's features and a 101-member ensemble's
 # log-odds stay under 1 MB, so scoring never allocates multi-MB temporaries.
 BLOCK_ROWS = 1024
@@ -110,6 +106,33 @@ BLOCK_ROWS = 1024
 def row_slices(n: int):
     """Slices covering ``range(n)`` in blocks of at most ``BLOCK_ROWS`` rows."""
     return (slice(start, start + BLOCK_ROWS) for start in range(0, n, BLOCK_ROWS))
+
+
+class _Scoring:
+    """The scoring loop of both model families: a family's ``_scorer(m,
+    given, scale)`` folds ``given`` and ``scale`` into its coefficients once
+    per call and returns the scorer of blocks of m point columns."""
+
+    def blocks(self, points: np.ndarray, given: np.ndarray | None = None, scale: float = 1.0):
+        """(rows, log-odds times ``scale``) of every member per block of
+        ``BLOCK_ROWS`` rows of [points, given], the log-odds a view of one
+        (BLOCK_ROWS, H) buffer that the next block overwrites."""
+        points, given = _check_features(points, given, self.dim)
+        score, buffer = self._scorer(points.shape[1], given, scale), np.empty((min(len(points), BLOCK_ROWS), len(self)))
+        return ((rows, score(points[rows], buffer)) for rows in row_slices(len(points)))
+
+    def log_odds(self, points: np.ndarray, given: np.ndarray | None = None, scale: float = 1.0) -> np.ndarray:
+        """(rows, H) log-odds of every member at the rows [points, given], times
+        ``scale`` (exact for a power of two): the :meth:`blocks`, concatenated."""
+        blocks, out = self.blocks(points, given, scale), np.empty((len(np.atleast_2d(points)), len(self)))
+        for rows, block in blocks:
+            out[rows] = block
+        return out
+
+
+# ---------------------------------------------------------------------------
+# Quadratic discriminant analysis
+# ---------------------------------------------------------------------------
 
 
 def quad_features(ws: np.ndarray) -> np.ndarray:
@@ -173,14 +196,14 @@ def _given_fold(m: int, dim: int) -> tuple[np.ndarray, tuple]:
 
 
 @dataclass(frozen=True)
-class QdaModel:
+class QdaModel(_Scoring):
     """H Gaussian class-conditional classifiers: (H, 2, d) class ``means``,
     (H, 2, d, d) ``covs``, (H, 2) ``priors`` and their (F, H)
     :func:`qda_coefficients` ``coef``.  A fitted classifier has one member, a
-    null ensemble one per null member.  ``log_odds`` scores every member,
-    ``predict_proba`` is its one-member case and ``model[h]`` is member h as
-    a one-member model.  Shapes that do not match, and priors outside (0, 1)
-    or not summing to one, raise ``ConfigurationError``."""
+    null ensemble one per null member.  ``blocks`` and ``log_odds`` score
+    every member, ``predict_proba`` is their one-member case and ``model[h]``
+    is member h as a one-member model.  Shapes that do not match, and priors
+    outside (0, 1) or not summing to one, raise ``ConfigurationError``."""
 
     means: np.ndarray
     covs: np.ndarray
@@ -213,23 +236,15 @@ class QdaModel:
     def __getitem__(self, h: int) -> QdaModel:
         return QdaModel(self.means[h][None], self.covs[h][None], self.priors[h][None])
 
-    def log_odds(self, points: np.ndarray, given: np.ndarray | None = None, out: np.ndarray | None = None, scale: float = 1.0) -> np.ndarray:
-        """(rows, H) log-odds of every member at the rows [points, given],
-        times ``scale`` (exact for a power of two), into ``out`` if given.
-        One (F_m, F) matrix from ``given`` maps ``coef`` onto
+    def _scorer(self, m: int, given: np.ndarray, scale: float):
+        """One (F_m, F) matrix from ``given`` maps ``coef`` onto
         :func:`quad_features` of the m point columns z alone: z_i z_j keeps
         its coefficient, z_i x_j's joins z_i's times x_j, and the x x, x and
-        constant terms fold into the constant.  Then one product per block
-        of ``BLOCK_ROWS`` rows."""
-        points, given = _check_features(points, given, self.dim)
-        fold, (i, j) = _given_fold(points.shape[1], self.dim)
-        v = np.concatenate([np.ones(points.shape[1]), given])
-        coef = fold @ (np.concatenate([v[i] * v[j], v, [1.0]])[:, None] * self.coef)
-        coef *= scale
-        out = np.empty((len(points), len(self))) if out is None else out
-        for rows in row_slices(len(points)):
-            np.matmul(quad_features(points[rows]), coef, out=out[rows])
-        return out
+        constant terms fold into the constant.  Then one product per block."""
+        fold, (i, j) = _given_fold(m, self.dim)
+        v = np.concatenate([np.ones(m), given])
+        coef = fold @ (np.concatenate([v[i] * v[j], v, [1.0]])[:, None] * self.coef) * scale
+        return lambda block, buffer: np.matmul(quad_features(block), coef, out=buffer[: len(block)])
 
     def predict_proba(self, points: np.ndarray, given: np.ndarray | None = None) -> np.ndarray:
         """P(C=1 | w) at the rows w = [points, given] of a one-member model."""
@@ -360,16 +375,21 @@ class MlpConfig:
 _MLP_CHUNK_ELEMENTS = 1 << 17
 
 
+def _member_chunk(rows: int, shapes: list[tuple]) -> int:
+    """Members per chunk: as many as keep a widest activation over ``rows`` rows within ``_MLP_CHUNK_ELEMENTS``."""
+    return max(1, _MLP_CHUNK_ELEMENTS // (rows * max(shape[-1] for shape in shapes)))
+
+
 @dataclass(frozen=True)
-class MlpModel:
+class MlpModel(_Scoring):
     """H networks trained together: their (H, P) parameter rows ``flat``
     (float64), one member's folded layer ``shapes`` ((fan_in + 1, fan_out)), the input
     standardization ``feat_mean`` and ``feat_std`` ((1, d) when every member
     trained on one feature matrix, else (H, d)) and each member's training
     record in ``records``; ``layers`` are the folded (H, fan_in + 1, fan_out)
     views of ``flat``.  A fitted classifier has one member, a null ensemble
-    one per null member.  ``log_odds`` scores chunks of members as views of
-    ``flat``, ``predict_proba`` and ``metadata`` are its one-member cases,
+    one per null member.  ``blocks`` score chunks of members as views of
+    ``flat``, ``predict_proba`` and ``metadata`` are one-member cases,
     and ``model[h]`` is member h as a one-member model over views."""
 
     flat: np.ndarray
@@ -399,27 +419,26 @@ class MlpModel:
         s = 0 if len(self.feat_mean) == 1 else h
         return MlpModel(self.flat[h][None], self.shapes, self.feat_mean[s][None], self.feat_std[s][None], [self.records[h]])
 
-    def log_odds(self, points: np.ndarray, given: np.ndarray | None = None, out: np.ndarray | None = None, scale: float = 1.0) -> np.ndarray:
-        """(rows, H) log-odds of every member at the rows [points, given],
-        times ``scale`` (in the output layer: exact for a power of two),
-        written into ``out`` if given.  The standardized ``given`` u folds
-        into each member's first layer, [W_z; W_x; b] -> [W_z; b + u W_x]
-        (u per member when standardization is), so the nets read the point
-        columns alone.  One forward pass per chunk of members whose widest
-        activation over ``BLOCK_ROWS`` rows fits ``_MLP_CHUNK_ELEMENTS``."""
-        mean, std, layers = self.feat_mean, self.feat_std, list(self.layers)
-        points, given = _check_features(points, given, mean.shape[1])
-        m, first = points.shape[1], layers[0]
+    def _scorer(self, m: int, given: np.ndarray, scale: float):
+        """The standardized ``given`` u folds into each member's first layer,
+        [W_z; W_x; b] -> [W_z; b + u W_x] (u per member when standardization
+        is), and ``scale`` into the output layer (exact for a power of two),
+        so the nets read the point columns alone.  Then one forward pass per
+        block and chunk of :func:`_member_chunk` members."""
+        mean, std, layers, first = self.feat_mean, self.feat_std, list(self.layers), self.layers[0]
         layers[0] = np.concatenate([first[:, :m], first[:, -1:] + ((given - mean[:, m:]) / std[:, m:])[:, None] @ first[:, m:-1]], axis=1)
         layers[-1] = layers[-1] * scale
-        standardized = lambda s: with_ones((points - mean[s, None, :m]) / std[s, None, :m])  # noqa: E731
-        shared = standardized(slice(None)) if len(mean) == 1 else None
-        size = max(1, _MLP_CHUNK_ELEMENTS // (BLOCK_ROWS * max(shape[-1] for shape in self.shapes)))
-        out = np.empty((len(points), len(self))) if out is None else out
-        for start in range(0, len(self), size):
-            part = slice(start, start + size)
-            out[:, part] = mlp_forward([a[part] for a in layers], standardized(part) if shared is None else shared)[..., 0].T
-        return out
+        size = _member_chunk(BLOCK_ROWS, self.shapes)
+        chunks = [(slice(s, s + size), [a[s : s + size] for a in layers]) for s in range(0, len(self), size)]
+
+        def score(block, buffer):
+            out = buffer[: len(block)]
+            standardized = lambda s: with_ones((block - mean[s, None, :m]) / std[s, None, :m])  # noqa: E731
+            shared = standardized(slice(None)) if len(mean) == 1 else None
+            for part, chunk in chunks:
+                out[:, part] = mlp_forward(chunk, standardized(part) if shared is None else shared)[..., 0].T
+            return out
+        return score
 
     def predict_proba(self, points: np.ndarray, given: np.ndarray | None = None) -> np.ndarray:
         """P(C=1 | w) at the rows w = [points, given] of a one-member model."""
@@ -487,7 +506,7 @@ def _fit_lockstep(table, labels: np.ndarray, cfg: MlpConfig, streams: list[RngSt
     sizes = [dim, *hidden, 1]
     shapes = [(fan_in + 1, fan_out) for fan_in, fan_out in zip(sizes[:-1], sizes[1:])]
     batch = min(cfg.batch_size, n)
-    step = max(1, _MLP_CHUNK_ELEMENTS // (batch * max(fan_out for _, fan_out in shapes)))
+    step = _member_chunk(batch, shapes)
     # step buffers for the largest chunk, allocated once (fresh arrays cost more in page faults than the
     # arithmetic); views of their first members and rows, made once per shape, serve the rest
     grad = np.empty((min(step, n_members), sum(a * b for a, b in shapes)), dtype=np.float32)
@@ -522,9 +541,8 @@ def _fit_lockstep(table, labels: np.ndarray, cfg: MlpConfig, streams: list[RngSt
         if draw or start == 0:  # a shared table is standardized once
             feats, mean, std = standardized(draw(members) if draw else table[None])
             means.append(mean), stds.append(std)
-        rows = np.arange(n) + n * np.arange(len(members))[:, None] if draw else np.tile(np.arange(n), (len(members), 1))
         chunk_labels, chunk_streams = labels[start : members.stop].astype(np.float32), streams[start : members.stop]
-        fit = train_minibatch(flat, feats, rows, chunk_labels, cfg, chunk_streams, batch_loss, holdout_loss, take, start)
+        fit = train_minibatch(flat, feats, chunk_labels, cfg, chunk_streams, batch_loss, holdout_loss, take, start)
         parts.append(fit.params)
         records += [
             {"hidden_sizes": hidden_sizes, "n_train": fit.n_train, "epochs_run": int(fit.epochs_run[h]), "best_epoch": int(fit.best_epoch[h]),

@@ -439,7 +439,7 @@ def flow_fit_npe(
     # one member whose table is the (theta, x) pairs; NPE has no labels
     pairs, no_labels = np.hstack([train.thetas, train.xs]), np.zeros((1, train.n))
     try:
-        fit = train_minibatch(row, pairs, np.arange(train.n)[None], no_labels, cfg, [stream], batch_loss, holdout_loss)
+        fit = train_minibatch(row, pairs, no_labels, cfg, [stream], batch_loss, holdout_loss)
     except TrainingError as err:
         err.args, err.flow = (f"NPE {err}",), flow
         raise

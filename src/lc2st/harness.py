@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass, field, fields
-from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +32,7 @@ import numpy as np
 from . import c2st
 from .classifiers import MlpConfig, mlp_factory, qda_factory
 from .core import (
-    ConfigurationError, LabeledPairDataset, Lc2stError, check_count, derive_stream, reject_unknown_keys, save_csv, save_json,
+    ConfigurationError, LabeledPairDataset, Lc2stError, check_count, check_real, derive_stream, reject_unknown_keys, save_csv, save_json,
 )
 from .flows import NpeConfig, conjugate_affine_flow, train_npe
 from .tasks import ConjugateGaussianPosterior, GaussianShiftPair, distort, gaussian_shift_samples, make_task
@@ -95,8 +94,7 @@ class ExperimentPlan:
         for name in ("task_params", "classifier", "estimator"):
             if not isinstance(getattr(self, name), dict):
                 raise ConfigurationError(f"{name} must be an object, got {getattr(self, name)!r}")
-        if isinstance(self.alpha, bool) or not isinstance(self.alpha, Real) or not 0.0 < self.alpha <= 1.0:
-            raise ConfigurationError(f"alpha must be a number in (0, 1], got {self.alpha!r}")
+        check_real("alpha", self.alpha, "a number in (0, 1]", lambda v: 0.0 < v <= 1.0)
         for name in ("n_train_grid", "n_cal_grid"):
             grid = getattr(self, name)
             if not isinstance(grid, (list, tuple)) or not grid:
@@ -107,8 +105,7 @@ class ExperimentPlan:
             if not isinstance(self.sigma_grid, (list, tuple)) or not self.sigma_grid:
                 raise ConfigurationError(f"sigma_grid must be None or a nonempty list, got {self.sigma_grid!r}")
             for v in self.sigma_grid:
-                if isinstance(v, bool) or not isinstance(v, Real) or not v > 0:
-                    raise ConfigurationError(f"sigma_grid entry must be a positive number, got {v!r}")
+                check_real("sigma_grid entry", v, "a positive number", lambda v: v > 0)
         _estimator_kind(self.estimator)  # type-I runs never read the spec: check its keys here
         if self.reuse_null and (self.kind not in ("type1", "power", "bench") or self.method != "lc2st-nf"):
             raise ConfigurationError(
@@ -314,7 +311,8 @@ def _run_job(plan: ExperimentPlan, task, estimator, fit_fn, n_train: int, triple
 def _run_single(plan: ExperimentPlan, task, estimator, fit_fn, n_train: int, n_cal: int, obs_index: int,
                 run_index: int, ensemble):
     """Execute one (cell, observation, run) triple, reusing ``ensemble`` if
-    given; returns its ``RunRecord`` and timing dict.  A library error is
+    given; returns its ``RunRecord`` and timing row (phase seconds and the
+    ``null_members`` the test fitted).  A library error is
     re-raised as its own type with the cell in its message."""
     try:
         _, x_o = _observation(task, plan.seed, obs_index)
@@ -327,7 +325,7 @@ def _run_single(plan: ExperimentPlan, task, estimator, fit_fn, n_train: int, n_c
     result = run.results[0]
     reject = bool(result.p_value is not None and result.p_value < plan.alpha)
     record = RunRecord(n_train, n_cal, obs_index, run_index, result.statistic, result.p_value, reject, stream.seed, stream.stream_id)
-    return record, {"n_train": n_train, "n_cal": n_cal, **run.seconds}
+    return record, {"n_train": n_train, "n_cal": n_cal, **run.seconds, **run.counts}
 
 
 def _run_sweep(plan: ExperimentPlan, spec: dict) -> SweepResult:
@@ -454,22 +452,12 @@ def run_sigma_sweep(plan: ExperimentPlan) -> SigmaSweepResult:
             val_q = pair.sample_q(plan.n_v, stream.child("val"))
             clf = fit_fn(train, stream.child("fit"))
             ensemble = c2st.fit_null_ensemble(train, fit_fn, plan.n_null, stream.child("null"))
-            stat_mse0, stat_acc0 = c2st.t_mse0(clf, val_q), c2st.t_acc0(clf, val_q)
             mse0, acc0 = c2st.single_class_statistics(ensemble.classifiers, val_q)
-            p_mse0 = c2st.p_value_from_null(stat_mse0, mse0)
-            p_acc0 = c2st.p_value_from_null(stat_acc0, acc0)
-            records.append(
-                {
-                    "sigma": float(sig),
-                    "run": run,
-                    "stat_mse0": stat_mse0,
-                    "p_mse0": p_mse0,
-                    "reject_mse0": bool(p_mse0 < plan.alpha),
-                    "stat_acc0": stat_acc0,
-                    "p_acc0": p_acc0,
-                    "reject_acc0": bool(p_acc0 < plan.alpha),
-                }
-            )
+            record = {"sigma": float(sig), "run": run}
+            for name, stat, nulls in (("mse0", c2st.t_mse0(clf, val_q), mse0), ("acc0", c2st.t_acc0(clf, val_q), acc0)):
+                p = c2st.p_value_from_null(stat, nulls)
+                record.update({f"stat_{name}": stat, f"p_{name}": p, f"reject_{name}": bool(p < plan.alpha)})
+            records.append(record)
     return SigmaSweepResult(plan=plan, sigmas=[float(s) for s in plan.sigma_grid], records=records)
 
 

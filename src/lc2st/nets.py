@@ -228,13 +228,15 @@ def row_views(flat: np.ndarray, shapes: list[tuple]) -> list[np.ndarray]:
     return [part.reshape(len(flat), *shape) for part, shape in zip(np.split(flat, cuts, axis=1), shapes)]
 
 
-def train_minibatch(flat, table, rows, labels, cfg, streams: list[RngStream], batch_loss, holdout_loss, take=None, first=0):
+def train_minibatch(flat, table, labels, cfg, streams: list[RngStream], batch_loss, holdout_loss, take=None, first=0):
     """Early-stopped minibatch Adam on ``flat`` (H, P), one member per row.
 
-    Member h learns from the rows ``table[rows[h]]`` with ``labels[h]``.  Its
-    stream's ``holdout`` child sets ``round(cfg.holdout_frac * n)`` of its n
-    rows aside (if that is at least one and leaves two) and its ``shuffle``
-    child orders the rest each epoch, as successive ``permutation`` calls
+    Member h learns from n rows of ``table`` with ``labels[h]``, (H, n):
+    all of ``table``, shared, or, if it stacks H tables of n rows, rows
+    h n to (h + 1) n.  Its stream's ``holdout`` child permutes them (no
+    index table is built), sets ``round(cfg.holdout_frac * n)`` aside (if
+    that is at least one and leaves two) and its ``shuffle`` child orders
+    the rest each epoch, as successive ``permutation`` calls
     would, several epochs at a time.  ``batch_loss(inputs, labels, last)``
     gives the losses (None, except at an epoch's ``last`` batch, for losses
     it knows are finite) and (k, P) gradients of the k members still
@@ -253,14 +255,16 @@ def train_minibatch(flat, table, rows, labels, cfg, streams: list[RngStream], ba
     one was None) and ``holdout_loss`` of the members training, ``n_train``
     and ``n_holdout``.
     """
-    n_members, n = rows.shape
+    n_members, n = labels.shape
     n_val = int(round(cfg.holdout_frac * n))
     n_val = n_val if 1 <= n_val <= n - 2 else 0
-    perms = np.stack([s.child("holdout").generator().permutation(n) for s in streams]) + n * np.arange(n_members)[:, None]
-    rows, labels = rows.take(perms), labels.take(perms)  # each member's in its holdout order
-    # Per-member state is indexed by the member, and so are the flat training rows and labels (member
-    # h's at h * n_tr); ``flat`` and the holdout data hold the members still training, as ``active``.
-    x_val, y_val, tr_rows, tr_labels = table[rows[:, :n_val]], labels[:, :n_val], rows[:, n_val:].ravel(), labels[:, n_val:].ravel()
+    # Each member's rows of ``table`` and labels in its holdout order.  Per-member state is indexed by the member,
+    # and so are they (h's flat at h * n); ``flat`` and the holdout data hold the members still training, as ``active``.
+    rows = np.stack([s.child("holdout").generator().permutation(n) for s in streams])
+    labels = np.take_along_axis(labels, rows, axis=1)
+    if len(table) != n:
+        rows += n * np.arange(n_members)[:, None]
+    x_val, y_val = table[rows[:, :n_val]], labels[:, :n_val]
     shufflers = [s.child("shuffle").generator() for s in streams]
     active, n_tr, given = np.arange(n_members), n - n_val, flat
     opt, best = Adam(flat, lr=cfg.learning_rate), flat.copy()
@@ -270,7 +274,7 @@ def train_minibatch(flat, table, rows, labels, cfg, streams: list[RngStream], ba
     starts = range(0, n_tr, cfg.batch_size)
     x_batch = np.empty((n_members * min(cfg.batch_size, n_tr), table.shape[1]), dtype=table.dtype)
     losses = np.full((n_members, len(starts)), np.nan)
-    # each member's epoch orders, offset to its flat rows, a chunk of epochs (512 kB over all members)
+    # each member's epoch orders, offset to its flat training rows, a chunk of epochs (512 kB over all members)
     # at a time: permuting the rows of tiled aranges draws what successive permutation(n_tr) calls draw
     chunk = max(1, min(cfg.max_epochs, (1 << 16) // (n_members * n_tr)))
     tiled, orders = np.tile(np.arange(n_tr), (chunk, 1)), np.empty((n_members, chunk, n_tr), dtype=np.int64)
@@ -280,9 +284,9 @@ def train_minibatch(flat, table, rows, labels, cfg, streams: list[RngStream], ba
         if epoch % chunk == 0:
             for h in active:
                 shufflers[h].permuted(tiled[:left], axis=1, out=orders[h, :left])
-                orders[h, :left] += h * n_tr
+                orders[h, :left] += h * n + n_val
         order = orders[active, epoch % chunk]
-        idx, ys = tr_rows.take(order), tr_labels.take(order)
+        idx, ys = rows.take(order), labels.take(order)
         for j, start in enumerate(starts):
             batch = slice(start, start + cfg.batch_size)
             at = idx[:, batch]

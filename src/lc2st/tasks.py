@@ -448,6 +448,7 @@ class GaussianShiftPair:
         return _std_normal_logpdf(thetas / self.sigma) - self.dim * np.log(self.sigma)
 
     def sample_q(self, n: int, stream: RngStream) -> np.ndarray:
+        check_count("n", n, 0)
         return self.sigma * stream.generator().standard_normal((n, self.dim))
 
 
@@ -455,11 +456,8 @@ def gaussian_shift_samples(
     pair: GaussianShiftPair, n: int, stream: RngStream
 ) -> tuple[np.ndarray, np.ndarray]:
     """n i.i.d. draws from each member of the pair (p first, then q)."""
-    if n < 0:
-        raise ConfigurationError("n must be nonnegative")
-    samples_p = stream.child("p").generator().standard_normal((n, pair.dim))
-    samples_q = pair.sample_q(n, stream.child("q"))
-    return samples_p, samples_q
+    samples_q = pair.sample_q(n, stream.child("q"))  # checks n
+    return stream.child("p").generator().standard_normal((n, pair.dim)), samples_q
 
 
 # ---------------------------------------------------------------------------

@@ -410,6 +410,15 @@ class TestRunTest:
         assert np.array_equal(reused.results[0].null_statistics, fitted.results[0].null_statistics)
         assert reused.results[0].statistic == fitted.results[0].statistic
 
+    @pytest.mark.parametrize("method", ["lc2st", "lc2st-nf", "oracle-c2st-mse"])
+    def test_counts_the_null_members_it_fits(self, method):
+        estimator = conjugate_affine_flow(2, 1.0) if method == "lc2st-nf" else self.task.reference
+        assert self._run(method, estimator).counts == {"null_members": 8}
+        assert self._run(method, estimator, n_null=0).counts == {"null_members": 0}
+        if method == "lc2st-nf":
+            given = self._run(method, estimator).ensemble
+            assert self._run(method, estimator, ensemble=given).counts == {"null_members": 0}
+
     @pytest.mark.parametrize("method", ["lc2st", "lc2st-nf", "oracle-c2st-acc", "oracle-c2st-mse"])
     def test_zero_null_gives_no_p_value(self, method):
         estimator = conjugate_affine_flow(2, 1.0) if method == "lc2st-nf" else self.task.reference
@@ -494,7 +503,7 @@ class TestRunTest:
 
 class _FixedLogOdds:
     """A stack whose members' log-odds are the columns of ``logits``, at the
-    rows that its one feature indexes."""
+    rows that its one feature indexes, scored as one block."""
 
     def __init__(self, logits):
         self.logits = logits
@@ -502,8 +511,8 @@ class _FixedLogOdds:
     def __len__(self):
         return self.logits.shape[1]
 
-    def log_odds(self, ws, given=None, out=None, scale=1.0):
-        return scale * self.logits[append_conditioning(ws, given)[:, 0].astype(np.int64)]
+    def blocks(self, ws, given=None, scale=1.0):
+        yield slice(None), scale * self.logits[append_conditioning(ws, given)[:, 0].astype(np.int64)]
 
 
 class TestClass0Logit:

@@ -44,6 +44,7 @@ from lc2st.c2st import (
     Relabeled,
     Resampled,
     append_conditioning,
+    default_levels,
     pp_plot,
     run_test,
     single_class_statistics,
@@ -1073,7 +1074,7 @@ class TestTrainingDtypes:
         flat, table = np.zeros((2, 7), dtype=dtype), np.ones((10, 3), dtype=dtype)
         cfg = SimpleNamespace(holdout_frac=0.2, learning_rate=1e-3, max_epochs=2, batch_size=4, patience=5)
         fit = nets.train_minibatch(
-            flat, table, np.tile(np.arange(10), (2, 1)), np.zeros((2, 10), dtype=dtype), cfg,
+            flat, table, np.zeros((2, 10), dtype=dtype), cfg,
             [RngStream(seed=195), RngStream(seed=196)], batch_loss, lambda xs, ys: seen.append(xs.dtype) or np.ones(len(xs)),
         )
         assert fit.params.dtype == dtype and set(seen) == {np.dtype(dtype)}
@@ -1555,17 +1556,83 @@ class TestGivenColumns:
                 scorer(np.zeros((5, 2)), np.zeros(3))
 
     def test_mse0_into_one_buffer_equals_fresh_blocks_bitwise(self):
-        from lc2st.c2st import _mse0
+        from lc2st.c2st import _mse0, _two_class_statistics
 
         rng = np.random.default_rng(230)
         mlp = mlp_factory(MlpConfig((6,), max_epochs=2)).ensemble(_shared_features(3, 30, 4, seed=231), [RngStream(seed=2)] * 3)
         points, given = rng.standard_normal((2 * BLOCK_ROWS + 37, 2)), rng.standard_normal(2)
+        ws, half_n, levels = append_conditioning(points, given), len(points) // 2, default_levels()
+        val = LabeledPairDataset.from_class_arrays(ws[:half_n], ws[half_n : 2 * half_n])
         for stack in (random_qda_stack(rng, 4, n_members=5), mlp):
-            sq = np.zeros(len(stack))
+            sq, correct, class_sq, below = np.zeros(len(stack)), np.zeros(len(stack)), np.zeros((2, len(stack))), 0
             for rows in row_slices(len(points)):
                 half = np.tanh(stack.log_odds(points[rows], given) * 0.5)
                 sq += np.einsum("ij,ij->j", half, half)
+                below += ((1.0 - sigmoid(stack.log_odds(ws[rows])))[..., None] <= levels).sum(axis=0)
             assert _mse0(stack, points, given).tobytes() == (sq / (4.0 * len(points))).tobytes()
+            for rows in row_slices(val.n):
+                d, labels = sigmoid(stack.log_odds(val.ws[rows])), val.labels[rows]
+                correct += ((d > 0.5) == labels[:, None]).sum(axis=0)
+                class_sq += [np.square(d[labels == c] - 0.5).sum(axis=0) for c in (0, 1)]
+            acc, mse = _two_class_statistics(stack, val)
+            assert acc.tobytes() == (correct / val.n).tobytes()
+            assert mse.tobytes() == (class_sq[0] / val.n_class0 + class_sq[1] / val.n_class1).tobytes()
+            # the null band is quantiles of the members' ECDFs, counts of rows over all blocks
+            cdfs = below / len(ws)
+            pp = pp_plot(stack[0], NullEnsemble(stack, "permutation"), ws, levels)
+            assert pp.lower.tobytes() == np.quantile(cdfs, 0.025, axis=0).tobytes()
+            assert pp.upper.tobytes() == np.quantile(cdfs, 0.975, axis=0).tobytes()
+
+
+class TestFoldOncePerCall:
+    """Every scoring call folds ``given`` into a model's coefficients once
+    (one ``_scorer`` call), however many blocks of rows it scores."""
+
+    @pytest.fixture
+    def folds(self, monkeypatch):
+        """[model, blocks scored] per fold, for both model families."""
+        calls = []
+        for cls in (QdaModel, MlpModel):
+            def counting(model, m, given, scale, scorer=cls._scorer):
+                score, entry = scorer(model, m, given, scale), [model, 0]
+                calls.append(entry)
+
+                def counted(block, buffer):
+                    entry[1] += 1
+                    return score(block, buffer)
+                return counted
+            monkeypatch.setattr(cls, "_scorer", counting)
+        return calls
+
+    @pytest.mark.parametrize("n_blocks", [1, 2, 3])
+    def test_one_fold_per_call(self, folds, n_blocks):
+        from lc2st.c2st import _mse0, _two_class_statistics
+
+        rng, cfg = np.random.default_rng(240 + n_blocks), MlpConfig((6,), max_epochs=2)
+        streams = [RngStream(seed=241 + h) for h in range(3)]
+        shared = mlp_factory(cfg).ensemble(_shared_features(3, 30, 4, seed=244), streams)
+        per_member = mlp_factory(cfg).ensemble(Resampled(rng.standard_normal((30, 2)), 2, RngStream(seed=245), 3), streams)
+        assert (len(shared.feat_mean), len(per_member.feat_mean)) == (1, 3)
+        n = (n_blocks - 1) * BLOCK_ROWS + 8
+        points, given = rng.standard_normal((n, 2)), rng.standard_normal(2)
+        ws = append_conditioning(points, given)
+        val = LabeledPairDataset.from_class_arrays(ws[: n // 2], ws[n // 2 :])
+        for stack in (random_qda_stack(rng, 4, n_members=5), shared, per_member):
+            clf = stack[0]
+            calls = {
+                "log_odds": lambda: stack.log_odds(points, given),
+                "_mse0": lambda: _mse0(stack, points, given),
+                "single_class_statistics": lambda: single_class_statistics(stack, points, given),
+                "_two_class_statistics": lambda: _two_class_statistics(stack, val),
+                "pp_plot": lambda: pp_plot(clf, NullEnsemble(stack, "permutation"), ws),
+            }
+            for name, call in calls.items():
+                folds.clear()
+                call()
+                got = [("null" if model is stack else "main" if model is clf else "other", blocks) for model, blocks in folds]
+                # pp_plot also scores its main classifier, through predict_proba
+                want = [("null", n_blocks)] + ([("main", n_blocks)] if name == "pp_plot" else [])
+                assert sorted(got, reverse=True) == want, name
 
 
 class TestQdaFromProducts:

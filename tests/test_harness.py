@@ -634,7 +634,7 @@ class TestBench:
         task = make_task("gaussian_conjugate", m=2, noise_std=1.0)
         for sweep, plan, flow in sweeps:
             res = sweep(plan)
-            assert all(t["null"] == 0.0 for t in res.timings) and len(res.timings) == 12
+            assert all(t["null"] == 0.0 and t["null_members"] == 0 for t in res.timings) and len(res.timings) == 12
             assert res.null_fit_seconds > 0.0 and "null_fit_seconds" not in res.to_json_dict()
             for r in res.records:
                 stream0 = derive_stream(plan.seed, "bench-null", 1, r.n_cal)

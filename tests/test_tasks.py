@@ -472,3 +472,13 @@ def test_sample_count_is_checked_by_name(name, n):
     _, x_o = task.observation(RngStream(seed=12))
     with pytest.raises(ConfigurationError, match=rf"^n must be an integer >= 0, got {re.escape(repr(n))}$"):
         estimator.sample(x_o, n, RngStream(seed=13))
+
+
+@pytest.mark.parametrize("n", [-1, 2.5, "3", True])
+@pytest.mark.parametrize("sampler", ["sample_q", "gaussian_shift_samples"])
+def test_shift_pair_count_is_checked_by_name(sampler, n):
+    pair = GaussianShiftPair(1.5, dim=3)
+    draw = pair.sample_q if sampler == "sample_q" else lambda n, stream: gaussian_shift_samples(pair, n, stream)
+    with pytest.raises(ConfigurationError, match=rf"^n must be an integer >= 0, got {re.escape(repr(n))}$"):
+        draw(n, RngStream(seed=14))
+    assert np.shape(draw(0, RngStream(seed=14))) in ((0, 3), (2, 0, 3))
