@@ -400,13 +400,7 @@ class Relabeled:
         return counts, centre, moments[..., :dim], moments[..., dim:].reshape(len(self), 2, dim, dim)
 
 
-def fit_null_ensemble(
-    data: LabeledPairDataset,
-    fit_fn,
-    n_null: int,
-    stream: RngStream,
-    paired: bool = False,
-) -> NullEnsemble:
+def fit_null_ensemble(data: LabeledPairDataset, fit_fn, n_null: int, stream: RngStream, paired: bool = False) -> NullEnsemble:
     """Permutation null: refit on label-permuted copies, fresh labels per member.
 
     ``paired=False`` permutes all labels freely, the right symmetry when the
@@ -460,13 +454,7 @@ def lc2st_training_set(estimator, cal: JointDataset, stream: RngStream) -> Label
     return _paired_table(theta_q, cal.thetas, cal.xs, "estimator produced non-finite draw at calibration row")
 
 
-def lc2st_train(
-    estimator,
-    cal: JointDataset,
-    fit_fn,
-    n_null: int,
-    stream: RngStream,
-):
+def lc2st_train(estimator, cal: JointDataset, fit_fn, n_null: int, stream: RngStream):
     """Train the local-test classifier and its permutation null ensemble.
 
     For every calibration row, one estimator draw at that row's observation
@@ -483,13 +471,7 @@ def lc2st_train(
 
 
 def lc2st_evaluate(
-    clf,
-    ensemble: NullEnsemble,
-    estimator,
-    x_o: np.ndarray,
-    n_v: int,
-    stream: RngStream,
-    conservative: bool = False,
+    clf, ensemble: NullEnsemble, estimator, x_o: np.ndarray, n_v: int, stream: RngStream, conservative: bool = False
 ) -> TestResult:
     """Local test statistic and p-value at ``x_o``.
 
@@ -637,13 +619,7 @@ class Resampled:
         return self.moments(*self.statistics())
 
 
-def lc2st_nf_null(
-    cal_xs: np.ndarray,
-    m: int,
-    fit_fn,
-    n_null: int,
-    stream: RngStream,
-) -> NullEnsemble:
+def lc2st_nf_null(cal_xs: np.ndarray, m: int, fit_fn, n_null: int, stream: RngStream) -> NullEnsemble:
     """Estimator-independent null ensemble for the flow variant.
 
     Each member pairs fresh standard-normal latents for both classes with
@@ -658,13 +634,7 @@ def lc2st_nf_null(
 
 
 def lc2st_nf_evaluate(
-    clf,
-    ensemble: NullEnsemble,
-    x_o: np.ndarray,
-    m: int,
-    n_v: int,
-    stream: RngStream,
-    conservative: bool = False,
+    clf, ensemble: NullEnsemble, x_o: np.ndarray, m: int, n_v: int, stream: RngStream, conservative: bool = False
 ) -> TestResult:
     """Flow-variant statistic and p-value at ``x_o``.
 

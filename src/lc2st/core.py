@@ -229,12 +229,7 @@ class JointDataset:
     def __eq__(self, other) -> bool:
         if not isinstance(other, JointDataset):
             return NotImplemented
-        return (
-            self.thetas.shape == other.thetas.shape
-            and self.xs.shape == other.xs.shape
-            and np.array_equal(self.thetas, other.thetas)
-            and np.array_equal(self.xs, other.xs)
-        )
+        return np.array_equal(self.thetas, other.thetas) and np.array_equal(self.xs, other.xs)  # shapes included
 
 
 @dataclass(frozen=True)

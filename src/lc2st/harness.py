@@ -433,7 +433,7 @@ def run_sigma_sweep(plan: ExperimentPlan) -> SigmaSweepResult:
 
     For each sigma and run: fit the classifier on n_per_class draws from each
     of N(0, I) and N(0, sigma^2 I), build the permutation null, and test both
-    single-class statistics on the same fresh estimator-class draws.
+    single-class statistics on fresh estimator-class draws, each stack scored once.
     """
     if not plan.sigma_grid:
         raise ConfigurationError("sigma-sweep plans need a sigma_grid")
@@ -452,9 +452,9 @@ def run_sigma_sweep(plan: ExperimentPlan) -> SigmaSweepResult:
             val_q = pair.sample_q(plan.n_v, stream.child("val"))
             clf = fit_fn(train, stream.child("fit"))
             ensemble = c2st.fit_null_ensemble(train, fit_fn, plan.n_null, stream.child("null"))
-            mse0, acc0 = c2st.single_class_statistics(ensemble.classifiers, val_q)
+            stats = [float(s[0]) for s in c2st.single_class_statistics(clf, val_q)]
             record = {"sigma": float(sig), "run": run}
-            for name, stat, nulls in (("mse0", c2st.t_mse0(clf, val_q), mse0), ("acc0", c2st.t_acc0(clf, val_q), acc0)):
+            for name, stat, nulls in zip(("mse0", "acc0"), stats, c2st.single_class_statistics(ensemble.classifiers, val_q)):
                 p = c2st.p_value_from_null(stat, nulls)
                 record.update({f"stat_{name}": stat, f"p_{name}": p, f"reject_{name}": bool(p < plan.alpha)})
             records.append(record)

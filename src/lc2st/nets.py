@@ -258,9 +258,10 @@ def train_minibatch(flat, table, labels, cfg, streams: list[RngStream], batch_lo
     n_members, n = labels.shape
     n_val = int(round(cfg.holdout_frac * n))
     n_val = n_val if 1 <= n_val <= n - 2 else 0
-    # Each member's rows of ``table`` and labels in its holdout order.  Per-member state is indexed by the member,
-    # and so are they (h's flat at h * n); ``flat`` and the holdout data hold the members still training, as ``active``.
-    rows = np.stack([s.child("holdout").generator().permutation(n) for s in streams])
+    # Each member's rows of ``table``, int32 (np.take casts them per batch), and labels in its holdout order.  Per-member
+    # state is indexed by the member, and so are they (h's flat at h * n); ``flat`` and the holdout data hold the members
+    # still training, as ``active``.
+    rows = np.stack([s.child("holdout").generator().permutation(n) for s in streams], dtype=np.int32)
     labels = np.take_along_axis(labels, rows, axis=1)
     if len(table) != n:
         rows += n * np.arange(n_members)[:, None]
@@ -274,18 +275,18 @@ def train_minibatch(flat, table, labels, cfg, streams: list[RngStream], batch_lo
     starts = range(0, n_tr, cfg.batch_size)
     x_batch = np.empty((n_members * min(cfg.batch_size, n_tr), table.shape[1]), dtype=table.dtype)
     losses = np.full((n_members, len(starts)), np.nan)
-    # each member's epoch orders, offset to its flat training rows, a chunk of epochs (512 kB over all members)
+    # each member's epoch orders, offset to its flat training rows, a chunk of epochs (256 kB over all members)
     # at a time: permuting the rows of tiled aranges draws what successive permutation(n_tr) calls draw
     chunk = max(1, min(cfg.max_epochs, (1 << 16) // (n_members * n_tr)))
-    tiled, orders = np.tile(np.arange(n_tr), (chunk, 1)), np.empty((n_members, chunk, n_tr), dtype=np.int64)
+    tiled, orders = np.tile(np.arange(n_tr), (chunk, 1)), np.empty((n_members, chunk, n_tr), dtype=np.int32)
     train_loss, holdout_trace = [], []
     for epoch in range(cfg.max_epochs):
         k, left = len(active), cfg.max_epochs - epoch
         if epoch % chunk == 0:
             for h in active:
-                shufflers[h].permuted(tiled[:left], axis=1, out=orders[h, :left])
+                orders[h, :left] = shufflers[h].permuted(tiled[:left], axis=1)  # int64: numpy shuffles 8-byte items fastest
                 orders[h, :left] += h * n + n_val
-        order = orders[active, epoch % chunk]
+        order = orders[:, epoch % chunk] if k == n_members else orders[active, epoch % chunk]  # a view until one stops
         idx, ys = rows.take(order), labels.take(order)
         for j, start in enumerate(starts):
             batch = slice(start, start + cfg.batch_size)

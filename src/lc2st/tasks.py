@@ -14,12 +14,11 @@ estimators:
 * ``sample_conditional(xs, stream)`` -- one draw per row of ``xs`` (the
   construction step of the joint-classifier training set);
 * ``log_prob(thetas, x_o)`` -- optional;
-* ``mean(x_o)`` -- posterior mean, exact where known else seeded Monte Carlo.
+* ``mean(x_o)`` -- the exact posterior mean, one row per row of ``x_o``.
 """
 
 from __future__ import annotations
 
-import hashlib
 import inspect
 from dataclasses import dataclass
 from functools import partial
@@ -60,20 +59,10 @@ def _std_normal_logpdf(z: np.ndarray) -> np.ndarray:
     return -0.5 * (np.sum(z * z, axis=1) + z.shape[1] * _LOG_2PI)
 
 
-def _stream_from_array(tag: str, x: np.ndarray) -> RngStream:
-    # Deterministic stream keyed by the observation bytes: repeated calls with
-    # the same x use identical Monte Carlo draws.
-    h = hashlib.blake2b(digest_size=16)
-    h.update(tag.encode())
-    h.update(np.ascontiguousarray(x, dtype=np.float64).tobytes())
-    a = int.from_bytes(h.digest()[:8], "little")
-    b = int.from_bytes(h.digest()[8:], "little")
-    return RngStream(seed=a, stream_id=b)
-
-
 class PosteriorBase:
     """Common plumbing for reference posteriors (and flows' ``sample``): ``sample(x_o, n)``,
-    n an integer >= 0, is the subclass's ``sample_conditional`` on ``x_o`` repeated n times."""
+    n an integer >= 0, is the subclass's ``sample_conditional`` on ``x_o`` repeated n times.  A
+    subclass gives ``mean`` only in closed form; this one raises, as ``log_prob`` does."""
 
     m: int
 
@@ -89,16 +78,7 @@ class PosteriorBase:
         raise NotImplementedError(f"{type(self).__name__} has no tractable density")
 
     def mean(self, x_o: np.ndarray) -> np.ndarray:
-        """Posterior mean at ``x_o``, or one row per row of a (n, d) ``x_o``.
-        This default is a Monte Carlo estimate, one per distinct row: a
-        repeated observation (``sample``'s rows) costs one."""
-        x_o = np.asarray(x_o, dtype=np.float64)
-        if x_o.ndim == 2:
-            distinct = {x.tobytes(): x for x in x_o}
-            means = {key: self.mean(x) for key, x in distinct.items()}
-            return np.vstack([means[x.tobytes()] for x in x_o])
-        draws = self.sample(x_o, 8192, _stream_from_array("posterior-mean", x_o))
-        return draws.mean(axis=0)
+        raise NotImplementedError(f"{type(self).__name__} has no closed-form mean")
 
 
 # Proposals per round, spread over the unfilled rows: a lone row with a low
@@ -286,13 +266,59 @@ def _invert_two_moons(xs: np.ndarray, rng: np.random.Generator):
     return thetas, (q[:, 0] <= 0.0) & np.all(np.abs(thetas) <= 1.0, axis=1)
 
 
+_SQRT2 = float(np.sqrt(2.0))
+
+
+def _moon_arcs(c, x1, r):
+    """The length of the accepted angles a at noise radius r, and the integral of sin a over them: the arc
+    [-alpha, alpha] where q0 = c - r cos a <= 0, less the arcs about -pi/4 and pi/4 beyond the diamond's
+    sides |q1| - q0 <= sqrt 2 (q1 = x1 - r sin a), by inclusion-exclusion over interval intersections."""
+    alpha = np.arccos(np.clip(c / r, 0.0, 1.0))
+    beta = [np.arccos(np.clip((_SQRT2 + c + s * x1) / (_SQRT2 * r), -1.0, 1.0)) for s in (-1.0, 1.0)]
+    # [-alpha, alpha], its intersections with the arc beyond each side, and with both
+    lo = [-alpha, np.maximum(-alpha, -np.pi / 4 - beta[0]), np.maximum(-alpha, np.pi / 4 - beta[1])]
+    hi = [alpha, np.minimum(alpha, beta[0] - np.pi / 4), np.minimum(alpha, np.pi / 4 + beta[1])]
+    lo.append(np.maximum(lo[1], lo[2]))
+    hi.append(np.minimum(hi[1], hi[2]))
+    length = sine = 0.0
+    for sign, a, b in zip((1, -1, -1, 1), lo, hi):
+        b = np.maximum(a, b)
+        length, sine = length + sign * (b - a), sine + sign * (np.cos(a) - np.cos(b))
+    return length, sine
+
+
 class TwoMoonsPosterior(PosteriorBase):
-    """Exact two-moons posterior by simulator inversion (as in sbibm)."""
+    """Exact two-moons posterior by simulator inversion (as in sbibm), with its exact mean."""
 
     m = 2
 
     def sample_conditional(self, xs: np.ndarray, stream: RngStream) -> np.ndarray:
         return _rejection_rows(xs, self.m, _invert_two_moons, stream)
+
+    def mean(self, x_o: np.ndarray) -> np.ndarray:
+        """Posterior mean at ``x_o``, or per row of a (n, 2) ``x_o``, drawing nothing: both branch signs accept
+        the same q, so it is (-1, 1) E[q1 | accepted] / sqrt 2, and at each r the arcs give E[q1; accepted] and
+        P(accepted) exactly.  r ~ N(0.1, 0.01^2), kept within 7 sd, takes 8-point Gauss-Legendre in
+        u = Phi((r - 0.1) / 0.01) through u = 3t^2 - 2t^3 (smoothing the square roots at the ends) on each piece
+        between the radii where an arc changes: the circle touches a line, passes a corner or ends on a side."""
+        from scipy.special import ndtr, ndtri  # here, not at module level: `import lc2st` loads no scipy
+
+        xs = np.asarray(x_o, dtype=np.float64).reshape(-1, 2)
+        c, x1 = xs[:, :1] - 0.25, xs[:, 1:]
+        sides = np.abs(_SQRT2 + c + x1 * [-1.0, 1.0])
+        radii = np.hstack([np.abs(c), sides, sides / _SQRT2, np.hypot(c, x1 + [-_SQRT2, _SQRT2]), np.hypot(c + _SQRT2, x1)])
+        edges = ndtr(np.pad(np.sort(np.clip((radii - 0.1) / 0.01, -7.0, 7.0)), ((0, 0), (1, 1)), constant_values=(-7.0, 7.0)))
+        row, piece = np.nonzero(np.diff(edges) > 0)
+        t, w = np.polynomial.legendre.leggauss(8)
+        t, width = (t + 1.0) / 2.0, (edges[row, piece + 1] - edges[row, piece])[:, None]
+        r = 0.1 + 0.01 * ndtri(edges[row, piece, None] + width * t * t * (3.0 - 2.0 * t))
+        length, sine = _moon_arcs(c[row], x1[row], r)
+        weights = width * 3.0 * t * (1.0 - t) * w  # du = width 6t(1 - t) dt, and dt = w / 2 on [0, 1]
+        mass, moment = (np.bincount(row, (weights * v).sum(axis=1), len(xs)) for v in (length, r * sine))
+        if not np.all(mass > 0):
+            raise OracleUnavailableError(f"x={xs[np.argmin(mass > 0)].tolist()} has no posterior: the prior never produces it")
+        q1 = xs[:, 1] - moment / mass
+        return (np.column_stack([-q1, q1]) / _SQRT2).reshape(np.shape(x_o))
 
 
 def two_moons_task() -> Task:
@@ -469,9 +495,11 @@ class DistortedPosterior(PosteriorBase):
     """Shift/scale distortion of a reference posterior: a tunable bad estimator.
 
     Draws are ``theta' = mean_shift + scale * (theta - mu) + mu`` with ``mu``
-    the base posterior mean at the conditioning observation, so
+    the base posterior's exact mean at the conditioning observation, so
     (mean_shift=0, scale=1) is the identity.  A number as ``mean_shift``
-    shifts every coordinate by it.
+    shifts every coordinate by it.  A base without a closed-form mean (no
+    reference posterior lacks one) raises ``NotImplementedError`` once a
+    distortion of it samples.
     """
 
     def __init__(self, base: PosteriorBase, mean_shift, scale: float):

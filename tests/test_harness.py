@@ -24,6 +24,7 @@ from lc2st import (
     run_test,
 )
 from lc2st import flows
+from lc2st.classifiers import _Scoring
 from lc2st.harness import (
     METHODS,
     ExperimentPlan,
@@ -299,6 +300,13 @@ class TestPower:
         assert res.aggregates()[0].rejection_rate == 1.0
         assert res.monotonicity_report() == {1: True}
 
+    def test_distorted_two_moons_shift_detected(self):
+        # the distortion is anchored at the exact two-moons mean, so the run takes well under a second
+        over = {"task": "two_moons", "task_params": {}, "n_cal_grid": [1000], "n_v": 1000, "n_null": 50, "n_runs": 5,
+                "seed": 29, "estimator": {"kind": "distortion", "shift": 0.3}}
+        res = run_power(ExperimentPlan(**{**SMALL_TYPE1, **over, "kind": "power"}))
+        assert len(res.records) == 10 and res.aggregates()[0].rejection_rate > res.plan.alpha
+
     def test_npe_estimator_smoke(self):
         plan = ExperimentPlan(
             **{
@@ -466,6 +474,15 @@ class TestSigmaSweep:
     def test_fields_it_never_reads_are_rejected(self, key, value):
         with pytest.raises(ConfigurationError, match=f"^a sigma-sweep plan does not read {key}, got {re.escape(repr(value))}$"):
             ExperimentPlan(**{**SMALL_SIGMA, "sigma_grid": [1.0], key: value})
+
+    @pytest.mark.parametrize("classifier", [{"kind": "qda"}, {"kind": "mlp", "max_epochs": 1}])
+    def test_main_classifier_is_scored_once_per_run(self, classifier, monkeypatch):
+        # every scoring path (log_odds, predict_proba, the null statistics) iterates a model's blocks
+        passes, blocks = [], _Scoring.blocks
+        monkeypatch.setattr(_Scoring, "blocks", lambda self, *a, **k: passes.append(len(self)) or blocks(self, *a, **k))
+        over = {"sigma_grid": [0.8, 1.0], "task_params": {}, "n_per_class": 200, "n_runs": 3, "n_null": 5, "n_v": 300, "classifier": classifier}
+        run_sigma_sweep(ExperimentPlan(**{**SMALL_SIGMA, **over}))
+        assert passes == [1, 5] * 6
 
     def test_small_sweep_separates_statistics(self):
         plan = ExperimentPlan(

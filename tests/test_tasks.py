@@ -23,7 +23,7 @@ from lc2st import (
 )
 from lc2st.c2st import run_test
 from lc2st.classifiers import qda_factory
-from lc2st.tasks import DistortedPosterior
+from lc2st.tasks import DistortedPosterior, PosteriorBase
 
 
 class TestConjugate:
@@ -162,6 +162,41 @@ class TestTwoMoons:
     def test_eps_is_no_longer_a_parameter(self):
         with pytest.raises(ConfigurationError, match="'eps'"):
             make_task("two_moons", eps=0.05)
+
+    # typical observations, the simulator's rows where a 16-node (first four) and a 64-node (next
+    # three) Gauss-Hermite rule in r err most, a circle near the diamond's corner (0, sqrt 2), and
+    # the point whose mean is (-0.4, 0.4) / sqrt 2 by symmetry
+    MEAN_ROWS = [
+        [0.15896894207633028, -0.38164671900484837], [-0.5619643844123989, -0.529350538141868],
+        [-0.33057577639741076, 0.5242308947239999],
+        [0.29158953448245767, -1.319431326671605], [0.009516609237539608, -1.0377167471414008],
+        [-0.1172479440550746, 0.910952068725672], [-0.3351637127458994, -0.6930111901518938],
+        [0.3045457085493306, -1.3301248862018111], [-0.9420436939840912, -0.08351019175811336],
+        [0.26779048594822746, -1.2877383824547917], [0.18, 1.34], [-0.2, 0.4],
+    ]
+
+    @pytest.mark.parametrize("i", range(len(MEAN_ROWS)))
+    def test_exact_mean_matches_exact_draws(self, i):
+        task, x_o = two_moons_task(), np.array(self.MEAN_ROWS[i])
+        draws = task.reference.sample(x_o, 400_000, RngStream(seed=176).child(i))
+        z = (draws.mean(axis=0) - task.reference.mean(x_o)) / (draws.std(axis=0) / np.sqrt(len(draws)))
+        assert np.all(np.abs(z) <= 3.0), z
+
+    def test_exact_mean_at_a_fully_accepted_circle(self):
+        # every radius keeps the whole half circle, so E[q1 | accepted] = x1 exactly
+        mean = two_moons_task().reference.mean(np.array([-0.2, 0.4]))
+        np.testing.assert_allclose(mean, np.array([-0.4, 0.4]) / np.sqrt(2.0), rtol=0, atol=1e-12)
+
+    def test_mean_draws_nothing_and_repeats_bitwise(self, monkeypatch):
+        xs, calls = two_moons_task().sample_joint(500, RngStream(seed=177)).xs, []
+        generator = RngStream.generator
+        monkeypatch.setattr(RngStream, "generator", lambda self: calls.append(1) or generator(self))
+        post = two_moons_task().reference
+        assert post.mean(xs).tobytes() == post.mean(xs).tobytes() and calls == []
+
+    def test_impossible_observation_has_no_mean(self):
+        with pytest.raises(OracleUnavailableError, match=r"^x=\[5.0, 5.0\] has no posterior"):
+            two_moons_task().reference.mean(np.array([[0.0, 0.0], [5.0, 5.0]]))
 
     def test_posterior_bimodality_at_central_observation(self):
         task = two_moons_task()
@@ -382,6 +417,18 @@ class TestDistortion:
         with pytest.raises(ConfigurationError):
             distort(self.task.reference, np.zeros(2), 0.0)
 
+    def test_base_without_closed_form_mean_is_named_when_distorted(self):
+        class NoMean(PosteriorBase):
+            m = 2
+
+            def sample_conditional(self, xs, stream):
+                return np.array(xs, dtype=np.float64)
+
+        xs = np.zeros((3, 2))
+        assert np.array_equal(distort(NoMean(), 0.0, 1.0).sample_conditional(xs, RngStream(seed=22)), xs)
+        with pytest.raises(NotImplementedError, match="^NoMean has no closed-form mean$"):
+            distort(NoMean(), 0.5, 1.0).sample_conditional(xs, RngStream(seed=22))
+
     def test_number_shift_moves_every_coordinate(self):
         a, b = distort(self.task.reference, 0.3, 1.2), distort(self.task.reference, np.full(2, 0.3), 1.2)
         assert np.array_equal(a.mean_shift, b.mean_shift)
@@ -404,14 +451,11 @@ class TestRowMeans:
         xs = np.random.default_rng(170).standard_normal((50, 3)) * 3.0
         assert post.mean(xs).tobytes() == np.vstack([post.mean(x) for x in xs]).tobytes()
 
-    def test_monte_carlo_row_means_estimate_each_distinct_row_once(self, monkeypatch):
+    def test_two_moons_row_means_are_the_per_row_means(self):
         post = two_moons_task().reference
-        xs = np.array([[0.1, 0.2], [-0.3, 0.4], [0.1, 0.2], [0.1, 0.2], [-0.3, 0.4]])
-        per_row = np.vstack([post.mean(x) for x in xs])
-        calls = []
-        sample = type(post).sample
-        monkeypatch.setattr(type(post), "sample", lambda self, *a: calls.append(1) or sample(self, *a))
-        assert post.mean(xs).tobytes() == per_row.tobytes() and len(calls) == 2
+        xs = two_moons_task().sample_joint(200, RngStream(seed=175)).xs
+        xs = np.vstack([xs, xs[:3], [[-0.2, 0.4]]])
+        assert post.mean(xs).tobytes() == np.vstack([post.mean(x) for x in xs]).tobytes()
 
     @pytest.mark.parametrize("task", [gaussian_mixture_task(), gaussian_linear_uniform_task(m=3)], ids=lambda t: t.name)
     def test_mixture_row_means_agree_with_per_row_means(self, task):
