@@ -37,10 +37,10 @@ every member a block of rows at a time: the null statistics, of every method,
 and the PP-plot's band iterate them.  The main classifier (a one-member model
 of the same type) is scored through ``predict_proba``.
 
-p-values use the strict-exceedance count (number of null statistics above
-the observed one, over n_null); ``conservative=True`` switches to the
-finite-sample correction (1 + ties-or-above) / (n_null + 1),
-which can never return zero.
+A result keeps its statistic, null statistics and p-value rule, and reads its
+p-value from them: the strict-exceedance count (null statistics above the
+observed one, over n_null), or with ``conservative=True`` the finite-sample
+correction (1 + ties-or-above) / (n_null + 1), which can never return zero.
 """
 
 from __future__ import annotations
@@ -59,6 +59,8 @@ from .core import (
     JointDataset,
     NumericError,
     RngStream,
+    check_count,
+    reject_unknown_keys,
     save_json,
 )
 from .nets import sigmoid
@@ -69,6 +71,7 @@ __all__ = [
     "t_mse0",
     "t_acc0",
     "single_class_statistics",
+    "METHODS",
     "p_value_from_null",
     "TestResult",
     "NullEnsemble",
@@ -94,13 +97,17 @@ __all__ = [
 
 _EPS = 1e-12
 
-# Upper statistic bound by method tag; accuracy-type methods are bounded by 1.
-_STAT_UPPER = {
+# Each test method with its statistic's upper bound (accuracy-type methods
+# are bounded by 1): the one list of methods, which plans and the CLI read.
+METHODS = {
     "lc2st": 0.25,
     "lc2st-nf": 0.25,
     "oracle-c2st-mse": 0.5,
     "oracle-c2st-acc": 1.0,
 }
+
+# The p-value rules by name, each with its p_value_from_null ``conservative`` flag
+_RULES = {"strict": False, "conservative": True}
 
 
 # ---------------------------------------------------------------------------
@@ -216,63 +223,51 @@ def p_value_from_null(statistic: float, null_statistics: np.ndarray, conservativ
 
 @dataclass(frozen=True)
 class TestResult:
-    """Outcome of one test at one observation.  ``points`` are the rows its
-    statistic scored, its ``draws`` and their ``given`` x_o appended when
-    read (an oracle test's ``val`` rows), for the PP-plot and heatmap that
-    explain it; they are not part of ``result.json``."""
+    """Outcome of one test at one observation: the statistic, its null
+    statistics (None without a null) and the p-value ``rule`` the caller
+    chose, "strict" or "conservative", from which ``p_value``, ``n_h`` and
+    ``p_value_kind`` are read (None, 0 and None without a null).  ``points``
+    are the rows its statistic scored, its ``draws`` and their ``given`` x_o
+    appended when read (an oracle test's ``val`` rows), for the PP-plot and
+    heatmap that explain it; they are not part of ``result.json``."""
 
     __test__ = False  # statistical test result, not a pytest case
 
     method: str
     statistic: float
     null_statistics: np.ndarray | None
-    p_value: float | None
     x_o: np.ndarray
     n_v: int
-    n_h: int
     seeds: dict
-    p_value_kind: str | None = "strict"
+    rule: str = "strict"
     draws: np.ndarray | None = field(default=None, compare=False, repr=False)
     given: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        upper = METHODS.get(self.method)
+        if upper is not None and not (-_EPS <= self.statistic <= upper + _EPS):
+            raise ConfigurationError(
+                f"statistic {self.statistic} outside [0, {upper}] for method {self.method!r}"
+            )
+        reject_unknown_keys([self.rule], _RULES, "p-value rule")
+        nulls = None if self.null_statistics is None else np.asarray(self.null_statistics, dtype=np.float64)
+        object.__setattr__(self, "null_statistics", None if nulls is None or nulls.size == 0 else nulls)
 
     @property
     def points(self) -> np.ndarray | None:
         return None if self.draws is None else append_conditioning(self.draws, self.given)
 
-    def __post_init__(self) -> None:
-        upper = _STAT_UPPER.get(self.method)
-        if upper is not None and not (-_EPS <= self.statistic <= upper + _EPS):
-            raise ConfigurationError(
-                f"statistic {self.statistic} outside [0, {upper}] for method {self.method!r}"
-            )
-        if self.null_statistics is not None:
-            nulls = np.asarray(self.null_statistics, dtype=np.float64)
-            object.__setattr__(self, "null_statistics", nulls)
-            if self.p_value_kind == "strict":
-                expected = p_value_from_null(self.statistic, nulls)
-                if self.p_value is None or abs(self.p_value - expected) > _EPS:
-                    raise ConfigurationError("p_value does not match the strict exceedance count")
-        if self.p_value is not None and not (0.0 <= self.p_value <= 1.0):
-            raise ConfigurationError("p_value must lie in [0, 1]")
+    @property
+    def p_value(self) -> float | None:
+        return None if self.null_statistics is None else p_value_from_null(self.statistic, self.null_statistics, _RULES[self.rule])
 
-    @staticmethod
-    def from_stats(
-        method: str,
-        statistic: float,
-        null_statistics: np.ndarray | None,
-        x_o: np.ndarray,
-        n_v: int,
-        seeds: dict,
-        conservative: bool = False,
-        draws: np.ndarray | None = None,
-        given: np.ndarray | None = None,
-    ) -> "TestResult":
-        nulls = None if null_statistics is None else np.asarray(null_statistics, dtype=np.float64)
-        if nulls is None or nulls.size == 0:
-            return TestResult(method, statistic, None, None, np.asarray(x_o), n_v, 0, seeds, None, draws, given)
-        kind = "conservative" if conservative else "strict"
-        p = p_value_from_null(statistic, nulls, conservative=conservative)
-        return TestResult(method, statistic, nulls, p, np.asarray(x_o), n_v, int(nulls.size), seeds, kind, draws, given)
+    @property
+    def n_h(self) -> int:
+        return 0 if self.null_statistics is None else self.null_statistics.size
+
+    @property
+    def p_value_kind(self) -> str | None:
+        return None if self.null_statistics is None else self.rule
 
     def to_json_dict(self) -> dict:
         return {
@@ -293,23 +288,19 @@ class TestResult:
 
 @dataclass
 class NullEnsemble:
-    """Classifiers fitted under the null construction, with the null's
+    """Classifiers fitted under a null construction, with the null's
     ``stream`` and the wall-clock seconds their fit took.  ``classifiers`` is
     the fitter's H-member model (a ``QdaModel`` or an ``MlpModel``): its
     ``blocks`` score every member at once and ``classifiers[h]`` is
-    member h.  An empty null is never scored.  A reusable null's
-    ``fitted_for`` holds the ``n_cal``, ``d`` and ``fitter`` it is valid for."""
+    member h.  An empty null is never scored.  ``fitted_for`` records the
+    tests the null is valid for (an ℓ-C2ST-NF null's ``method``, latent
+    ``m``, ``n_cal``, ``d`` and ``fitter``); other nulls record nothing, so
+    no test reuses them."""
 
     classifiers: object
-    provenance: str  # 'permutation' | 'nf-resampled'
     stream: RngStream | None = None
-    latent_dim: int | None = None
     fit_seconds: float = 0.0
     fitted_for: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.provenance not in ("permutation", "nf-resampled"):
-            raise ConfigurationError(f"unknown ensemble provenance {self.provenance!r}")
 
     def __len__(self) -> int:
         return len(self.classifiers)
@@ -417,22 +408,21 @@ def fit_null_ensemble(data: LabeledPairDataset, fit_fn, n_null: int, stream: Rng
     One ``fit_fn.ensemble`` call fits every member from their
     :class:`Relabeled` description, whose labels are one draw on ``stream``.
     """
-    return _fit_null(lambda: Relabeled(data, stream, n_null, paired), fit_fn, n_null, stream, "permutation")
+    return _fit_null(lambda: Relabeled(data, stream, n_null, paired), fit_fn, n_null, stream)
 
 
-def _fit_null(members, fit_fn, n_null: int, stream: RngStream, provenance: str, latent_dim: int | None = None, fitted_for=None):
+def _fit_null(members, fit_fn, n_null: int, stream: RngStream, fitted_for=None):
     """The null of ``n_null`` members described by ``members()``, from one
     timed ``fit_fn.ensemble`` call.  The member streams ``stream/trial/h/fit``
     are derived only by fitters that read them (MLP), and the ledger only
     when it is read (:attr:`NullEnsemble.streams`)."""
     t0 = time.perf_counter()
-    if n_null < 0:
-        raise ConfigurationError("n_null must be nonnegative")
+    check_count("n_null", n_null, 0)
 
     def fit_streams():
         yield from (RngStream(*key).child("fit") for key in stream.child_keys("trial", n_null))
     classifiers = fit_fn.ensemble(members(), fit_streams())
-    return NullEnsemble(classifiers, provenance, stream, latent_dim, time.perf_counter() - t0, fitted_for or {})
+    return NullEnsemble(classifiers, stream, time.perf_counter() - t0, fitted_for or {})
 
 
 def _paired_table(w0: np.ndarray, w1: np.ndarray, xs: np.ndarray, bad_row: str) -> LabeledPairDataset:
@@ -486,12 +476,12 @@ def _evaluate(method: str, clf, ensemble: NullEnsemble, draw, x_o, n_v: int, str
     """``method``'s ``t_mse0`` test at ``x_o``: the classifier and every null
     member scored on the points ``draw(stream.child("eval"))``, ``x_o`` passed
     as ``given``; the result keeps the draws and x_o."""
-    if n_v < 1:
-        raise ConfigurationError("n_v must be at least 1")
+    check_count("n_v", n_v, 1)
     points = np.atleast_2d(np.asarray(draw(stream.child("eval")), dtype=np.float64))
     nulls = _mse0(ensemble.classifiers, points, x_o) if len(ensemble) else None
     seeds = {"seed": int(stream.seed), "stream_id": int(stream.stream_id)}
-    return TestResult.from_stats(method, t_mse0(clf, points, x_o), nulls, x_o, n_v, seeds, conservative, points, x_o)
+    rule = "conservative" if conservative else "strict"
+    return TestResult(method, t_mse0(clf, points, x_o), nulls, np.asarray(x_o), n_v, seeds, rule, points, x_o)
 
 
 # ---------------------------------------------------------------------------
@@ -504,21 +494,14 @@ def lc2st_nf_train(flow, cal: JointDataset, fit_fn, stream: RngStream):
 
     Class 0 pairs fresh standard-normal latents with the calibration
     observations; class 1 uses the inverse-flow image of the simulated
-    parameters.  Under a locally consistent flow both classes are standard
-    normal at every observation.
+    parameters (a failing flow's ``NumericError`` names the row).  Under a
+    locally consistent flow both classes are standard normal at every
+    observation.
     """
     if cal.n == 0:
         raise ConfigurationError("calibration set is empty")
     z0 = stream.child("z").generator().standard_normal((cal.n, flow.m))
-    try:
-        z_q, _ = flow.inverse(cal.thetas, cal.xs)
-    except NumericError:
-        for i in range(cal.n):
-            try:
-                flow.inverse(cal.thetas[i : i + 1], cal.xs[i : i + 1])
-            except NumericError as exc:
-                raise NumericError(f"flow inverse failed at calibration row {i}: {exc}") from exc
-        raise
+    z_q, _ = flow.inverse(cal.thetas, cal.xs)
     return fit_fn(_paired_table(z0, z_q, cal.xs, "flow inverse produced non-finite latent at calibration row"), stream.child("fit"))
 
 
@@ -625,12 +608,13 @@ def lc2st_nf_null(cal_xs: np.ndarray, m: int, fit_fn, n_null: int, stream: RngSt
     Each member pairs fresh standard-normal latents for both classes with
     the same observations (:class:`Resampled`: QDA members draw their exact
     class moments, MLP members rows), so one ensemble is reusable across
-    flows and observations, but only at its n_cal, d and ``fit_fn``, which
-    its ``fitted_for`` records.  ``n_null=0`` returns an empty ensemble.
+    flows and observations, but only by ``lc2st-nf`` tests at its ``m``,
+    n_cal, d and ``fit_fn``, which ``fitted_for`` records.  ``n_null=0``
+    returns an empty ensemble.
     """
     cal_xs = np.atleast_2d(np.asarray(cal_xs, dtype=np.float64))
-    fitted_for = {"n_cal": len(cal_xs), "d": cal_xs.shape[1], "fitter": fit_fn}
-    return _fit_null(lambda: Resampled(cal_xs, m, stream, n_null), fit_fn, n_null, stream, "nf-resampled", m, fitted_for)
+    fitted_for = {"method": "lc2st-nf", "m": m, "n_cal": len(cal_xs), "d": cal_xs.shape[1], "fitter": fit_fn}
+    return _fit_null(lambda: Resampled(cal_xs, m, stream, n_null), fit_fn, n_null, stream, fitted_for)
 
 
 def lc2st_nf_evaluate(
@@ -690,24 +674,21 @@ def run_test(
     draws at their one observation against a free permutation null, and
     score ``t_acc`` or ``t_mse`` on ``n_v`` fresh draws of each.  Each
     result keeps the rows it scored as its ``points``.
-    ``n_null=0`` leaves the null empty and the p-values None.  Only
-    ``lc2st-nf``'s null is estimator-independent: it alone takes a given
-    ``ensemble`` (``nf-resampled`` over ``task.m`` latents), fits none and
-    ignores ``n_null``; a ``fitted_for`` field that differs from the test's
-    ``n_cal``, ``task.d`` or ``fit_fn`` raises ``ConfigurationError``.
+    ``n_null=0`` leaves the null empty and the p-values None.  A given
+    ``ensemble`` is the null (none is fitted, ``n_null`` is ignored) if its
+    ``fitted_for`` is this test's ``method``, ``task.m``, ``n_cal``,
+    ``task.d`` and ``fit_fn``; else ``ConfigurationError`` names the first
+    field that differs or is missing.  Only :func:`lc2st_nf_null`, whose
+    null is estimator-independent, records them, so only ``lc2st-nf`` reuses.
 
     ``train`` times building the training set and fitting the classifier,
     ``null`` is the fitted ensemble's ``fit_seconds`` and ``counts["null_members"]``
     its size (both 0 for a given or empty one), ``evaluate`` the draws and scoring at every observation.
     """
-    if method not in _STAT_UPPER:
-        raise ConfigurationError(f"unknown method {method!r}; valid: {sorted(_STAT_UPPER)}")
-    if n_cal < 1:
-        raise ConfigurationError(f"n_cal must be at least 1, got {n_cal}")
-    if n_null < 0:
-        raise ConfigurationError(f"n_null must be nonnegative, got {n_null}")
-    if n_v < 1:
-        raise ConfigurationError(f"n_v must be at least 1, got {n_v}")
+    reject_unknown_keys([method], METHODS, "method")
+    check_count("n_cal", n_cal, 1)
+    check_count("n_null", n_null, 0)
+    check_count("n_v", n_v, 1)
     observations = np.atleast_2d(x_o)
     if method.startswith("oracle"):
         if task.reference is None:
@@ -716,15 +697,12 @@ def run_test(
             raise ConfigurationError(f"oracle methods train at their observation: got {len(observations)}, need 1")
     elif len(observations) == 0:
         raise ConfigurationError("need at least one observation")
-    if ensemble is not None and (method, ensemble.provenance, ensemble.latent_dim) != ("lc2st-nf", "nf-resampled", task.m):
-        raise ConfigurationError(
-            f"only lc2st-nf reuses a null, nf-resampled over {task.m} latents; got {method!r} "
-            f"with a {ensemble.provenance!r} null over {ensemble.latent_dim}"
-        )
-    own = {"n_cal": n_cal, "d": task.d, "fitter": fit_fn}
-    for name, value in ({} if ensemble is None else ensemble.fitted_for).items():
-        if value != own[name]:
-            raise ConfigurationError(f"the given null was fitted for {name} {value!r}, this test has {name} {own[name]!r}")
+    if ensemble is not None:
+        own = {"method": method, "m": task.m, "n_cal": n_cal, "d": task.d, "fitter": fit_fn}
+        for name, value in own.items():
+            if name not in ensemble.fitted_for or ensemble.fitted_for[name] != value:
+                theirs = f"{name} {ensemble.fitted_for[name]!r}" if name in ensemble.fitted_for else f"no {name}"
+                raise ConfigurationError(f"the given null was fitted for {theirs}, this test has {name} {value!r}")
     n_fit = n_null if ensemble is None else 0
     if method in ("lc2st", "lc2st-nf"):
         cal = task.sample_joint(n_cal, stream.child("cal"))
@@ -758,7 +736,7 @@ def run_test(
         acc, mse = _two_class_statistics(ensemble.classifiers, val) if len(ensemble) else (None, None)
         seeds = {"seed": int(stream.seed), "stream_id": int(stream.stream_id)}
         nulls = acc if method == "oracle-c2st-acc" else mse
-        results = [TestResult.from_stats(method, stat, nulls, x_o, n_v, seeds, conservative, val.ws)]
+        results = [TestResult(method, stat, nulls, x_o, n_v, seeds, "conservative" if conservative else "strict", val.ws)]
     null = ensemble.fit_seconds if n_fit else 0.0
     seconds = {"train": t1 - t0 - null, "null": null, "evaluate": time.perf_counter() - t1}
     return TestRun(results, clf, ensemble, seconds, {"null_members": n_fit})

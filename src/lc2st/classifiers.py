@@ -49,6 +49,7 @@ from .core import (
     UndefinedPointError,
     check_count,
     check_real,
+    load_json_object,
 )
 from .nets import fold, grad_check, mlp_backward, mlp_buffers, mlp_forward, mlp_grad_buffers, mlp_init, row_views
 from .nets import sigmoid, train_minibatch, with_ones
@@ -614,7 +615,7 @@ def save_classifier(clf, path) -> None:
 def load_classifier(path):
     """Restore a classifier written by :func:`save_classifier`; a missing key
     raises ``DataFormatError`` naming the file and the key."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    payload = load_json_object(path, "a classifier checkpoint")
     kind = payload.get("kind")
     try:
         if kind == "qda":

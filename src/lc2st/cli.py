@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("test", help="one test at a seeded observation, with its PP-plot and heatmap")
     _add_task_flags(p)
-    p.add_argument("--method", choices=["lc2st", "lc2st-nf", "oracle-c2st-acc", "oracle-c2st-mse"], default="lc2st")
+    p.add_argument("--method", choices=list(c2st.METHODS), default="lc2st")
     p.add_argument("--n-cal", dest="n_cal", type=int, default=1000)
     p.add_argument("--n-null", dest="n_null", type=int, default=100)
     p.add_argument("--n-v", dest="n_v", type=int, default=10_000)

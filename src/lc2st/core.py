@@ -34,6 +34,7 @@ __all__ = [
     "JointDataset",
     "LabeledPairDataset",
     "save_json",
+    "load_json_object",
     "save_csv",
     "save_dataset",
     "load_dataset",
@@ -326,6 +327,18 @@ def save_json(payload, path: str | Path) -> None:
         fh.write("\n")
 
 
+def load_json_object(path: str | Path, what: str) -> dict:
+    """The JSON object in the file ``path``, which should hold ``what``;
+    anything else raises ``DataFormatError`` naming the file and ``what``."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError before it
+        raise DataFormatError(f"{path}: expected {what}, not valid JSON ({exc})") from None
+    if not isinstance(payload, dict):
+        raise DataFormatError(f"{path}: expected {what} as a JSON object, got {payload!r:.40}")
+    return payload
+
+
 def save_csv(path: str | Path, header: str, rows) -> None:
     """Write comma-joined ``rows`` under ``header``, lines ending in "\\n" on every
     platform, floats as their (round-trip exact) repr: pass Python floats, as
@@ -384,6 +397,4 @@ def load_dataset(path: str | Path) -> JointDataset:
 
 def load_metadata(path: str | Path) -> dict:
     """Read the JSON sidecar written alongside a dataset CSV."""
-    sidecar = _sidecar_path(Path(path))
-    with sidecar.open("r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return load_json_object(_sidecar_path(Path(path)), "dataset metadata")

@@ -38,6 +38,7 @@ from .core import (
     TrainingError,
     check_count,
     check_real,
+    load_json_object,
 )
 from .nets import fold, grad_check, mlp_backward, mlp_forward, mlp_grad_buffers, mlp_init, row_views, train_minibatch
 from .tasks import PosteriorBase
@@ -67,6 +68,12 @@ def _clamp_scale(raw: np.ndarray) -> np.ndarray:
     # Smooth clamp of the log-scale to (-S_MAX, S_MAX); zero maps to zero so
     # zero-initialized conditioner heads give the identity transform.
     return S_MAX * np.tanh(raw / S_MAX)
+
+
+def _check_finite(out: np.ndarray, direction: str, k: int) -> None:
+    if not np.all(np.isfinite(out)):
+        row = int(np.argmin(np.isfinite(out).all(axis=1)))
+        raise NumericError(f"{direction} pass produced non-finite values at layer {k}, row {row}")
 
 
 def _pair(points: np.ndarray, xs: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -220,8 +227,7 @@ class ConditionalFlow(_Flow):
         logdet = np.zeros(out.shape[0])
         for k, layer in enumerate(self.layers):
             out, ld = layer.forward(out, xs)
-            if not np.all(np.isfinite(out)):
-                raise NumericError(f"forward pass produced non-finite values at layer {k}")
+            _check_finite(out, "forward", k)
             logdet += ld
         return out, logdet
 
@@ -231,8 +237,7 @@ class ConditionalFlow(_Flow):
         logdet = np.zeros(out.shape[0])
         for k, layer in zip(range(len(self.layers) - 1, -1, -1), reversed(self.layers)):
             out, ld, _ = layer.inverse_cached(out, xs)
-            if not np.all(np.isfinite(out)):
-                raise NumericError(f"inverse pass produced non-finite values at layer {k}")
+            _check_finite(out, "inverse", k)
             logdet += ld
         return out, logdet
 
@@ -310,7 +315,8 @@ class ConditionalAffineFlow(_Flow):
         mean = np.broadcast_to(mean, (xs.shape[0], self.m))
         scale = np.broadcast_to(scale, (xs.shape[0], self.m))
         if np.any(scale <= 0):
-            raise NumericError("affine flow scale must be positive")
+            row = int(np.argmax(np.any(scale <= 0, axis=1)))
+            raise NumericError(f"affine flow scale must be positive, got {scale[row].tolist()} at row {row}")
         return mean, scale
 
     def forward(self, z: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -483,7 +489,7 @@ def _layer_from_dict(entry: dict):
 
 
 def load_flow(path: str | Path):
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = load_json_object(path, "a flow checkpoint")
     kind = data.get("kind")
     try:
         if kind == "coupling-flow":

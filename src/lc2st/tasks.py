@@ -380,13 +380,18 @@ class MixturePosterior(PosteriorBase):
         # Within a component the dimensions are independent truncated normals;
         # the components are weighted by their posterior mass.  A component
         # whose mass underflows to 0 (x far outside the box for its scale)
-        # has no defined mean and is left out.  Rows of x_o give rows.
+        # has no defined mean and is left out; a row where every component
+        # underflows has no mean at all.  Rows of x_o give rows.
         x_o = np.asarray(x_o, dtype=np.float64)
         masses = self._component_masses(x_o)[..., None]
+        total = masses.sum(axis=0)
+        if not np.all(total > 0):
+            x = np.atleast_2d(x_o)[np.argmin(total.ravel() > 0)]
+            raise OracleUnavailableError(f"x={x.tolist()} has no posterior mean: every component's mass underflows")
         with np.errstate(divide="ignore", invalid="ignore"):
             means = np.array([_truncated_normal_mean(x_o, sd, self.bound) for sd in self.sds])
             weighted = np.where(masses > 0, masses * means, 0.0)
-        return weighted.sum(axis=0) / masses.sum(axis=0)
+        return weighted.sum(axis=0) / total
 
     def log_prob(self, thetas: np.ndarray, x_o: np.ndarray) -> np.ndarray:
         thetas = np.atleast_2d(thetas)

@@ -10,7 +10,9 @@ from lc2st import (
     GaussianShiftPair,
     JointDataset,
     LabeledPairDataset,
+    NullEnsemble,
     NumericError,
+    OracleUnavailableError,
     RngStream,
     analytic_bayes,
     build_coupling_flow,
@@ -201,20 +203,29 @@ class TestPValues:
         assert p_value_from_null(0.9, nulls, conservative=True) == pytest.approx(1 / 4)
         assert p_value_from_null(0.3, nulls, conservative=True) == pytest.approx(2 / 4)
 
-    def test_result_validates_p_value_formula(self):
-        nulls = np.array([0.01, 0.02])
-        TestResult("lc2st", 0.015, nulls, 0.5, np.zeros(2), 10, 2, {})
-        with pytest.raises(ConfigurationError):
-            TestResult("lc2st", 0.015, nulls, 0.25, np.zeros(2), 10, 2, {})
+    @pytest.mark.parametrize("rule", ["strict", "conservative"])
+    def test_result_reads_p_value_n_h_and_kind_from_its_null(self, rule):
+        nulls = np.array([0.01, 0.02, 0.015, 0.03])
+        for stat in (0.0, 0.015, 0.02, 0.04):
+            res = TestResult("lc2st", stat, nulls, np.zeros(2), 10, {}, rule)
+            assert res.p_value == p_value_from_null(stat, nulls, conservative=rule == "conservative")
+            assert (res.n_h, res.p_value_kind) == (4, rule)
+        for empty in (None, [], np.empty(0)):
+            res = TestResult("lc2st", 0.015, empty, np.zeros(2), 10, {}, rule)
+            assert (res.null_statistics, res.p_value, res.n_h, res.p_value_kind) == (None, None, 0, None)
+
+    def test_result_rule_is_named(self):
+        with pytest.raises(ConfigurationError, match=r"^unknown p-value rule 'loose'; valid: \['conservative', 'strict'\]$"):
+            TestResult("lc2st", 0.015, [0.01], np.zeros(2), 10, {}, "loose")
 
     def test_result_bounds_by_method(self):
         with pytest.raises(ConfigurationError):
-            TestResult("lc2st", 0.3, None, None, np.zeros(2), 10, 0, {}, None)
-        TestResult("oracle-c2st-mse", 0.3, None, None, np.zeros(2), 10, 0, {}, None)
+            TestResult("lc2st", 0.3, None, np.zeros(2), 10, {})
+        TestResult("oracle-c2st-mse", 0.3, None, np.zeros(2), 10, {})
 
     def test_result_json_schema(self):
         nulls = np.array([0.2, 0.05])
-        res = TestResult.from_stats("lc2st", 0.1, nulls, np.array([1.0, 2.0]), 100, {"seed": 3})
+        res = TestResult("lc2st", 0.1, nulls, np.array([1.0, 2.0]), 100, {"seed": 3})
         payload = res.to_json_dict()
         assert set(payload) == {
             "method", "x_o", "statistic", "p_value", "null_statistics", "n_v", "n_h", "seeds", "p_value_kind"
@@ -453,14 +464,40 @@ class TestRunTest:
         flow = conjugate_affine_flow(2, 1.0)
         nf_null = lc2st_nf_null(cal.xs, 2, qda_factory(), 4, RngStream(seed=4))
         for method in ("lc2st", "oracle-c2st-mse"):
-            with pytest.raises(ConfigurationError, match=f"only lc2st-nf .* got {method!r} with a 'nf-resampled'"):
+            want = f"^the given null was fitted for method 'lc2st-nf', this test has method {method!r}$"
+            with pytest.raises(ConfigurationError, match=want):
                 self._run(method, self.task.reference, ensemble=nf_null)
         _, permutation = lc2st_train(self.task.reference, cal, qda_factory(), 4, RngStream(seed=5))
-        with pytest.raises(ConfigurationError, match="over 2 latents; got 'lc2st-nf' with a 'permutation' null"):
+        assert permutation.fitted_for == {}
+        with pytest.raises(ConfigurationError, match="^the given null was fitted for no method, this test has method 'lc2st-nf'$"):
             self._run("lc2st-nf", flow, ensemble=permutation)
         wide = lc2st_nf_null(cal.xs, 3, qda_factory(), 4, RngStream(seed=4))
-        with pytest.raises(ConfigurationError, match="'nf-resampled' null over 3$"):
+        with pytest.raises(ConfigurationError, match="^the given null was fitted for m 3, this test has m 2$"):
             self._run("lc2st-nf", flow, ensemble=wide)
+
+    @pytest.mark.parametrize("method", ["lc2st", "lc2st-nf", "oracle-c2st-mse"])
+    def test_hand_built_null_is_refused_by_name(self, method):
+        # a null that records nothing, however it was fitted, is valid for no test
+        cal = self.task.sample_joint(300, RngStream(seed=3))
+        fitted = lc2st_nf_null(cal.xs, 2, qda_factory(), 4, RngStream(seed=4))
+        for null in (NullEnsemble(fitted.classifiers), NullEnsemble(fitted.classifiers, fitted.stream, 0.1, {})):
+            estimator = conjugate_affine_flow(2, 1.0) if method == "lc2st-nf" else self.task.reference
+            with pytest.raises(ConfigurationError, match=f"^the given null was fitted for no method, this test has method {method!r}$"):
+                self._run(method, estimator, ensemble=null)
+
+    @pytest.mark.parametrize("field", ["method", "m", "n_cal", "d", "fitter"])
+    def test_each_field_of_the_null_record_is_checked(self, field):
+        fit, flow = qda_factory(), conjugate_affine_flow(2, 1.0)
+        null = lc2st_nf_null(self.task.sample_joint(300, RngStream(seed=3)).xs, 2, fit, 4, RngStream(seed=4))
+        own = {"method": "lc2st-nf", "m": 2, "n_cal": 300, "d": 2, "fitter": fit}
+        assert null.fitted_for == own
+        self._run("lc2st-nf", flow, fit_fn=fit, ensemble=null)  # its own record is accepted
+        other = {"method": "lc2st", "m": 3, "n_cal": 50, "d": 4, "fitter": qda_factory(0.1)}[field]
+        for record, theirs in (({**own, field: other}, f"{field} {other!r}"), ({k: v for k, v in own.items() if k != field}, f"no {field}")):
+            given = NullEnsemble(null.classifiers, null.stream, null.fit_seconds, record)
+            want = f"^the given null was fitted for {re.escape(theirs)}, this test has {field} {re.escape(repr(own[field]))}$"
+            with pytest.raises(ConfigurationError, match=want):
+                self._run("lc2st-nf", flow, fit_fn=fit, ensemble=given)
 
     def test_null_fitted_at_another_n_cal_is_rejected_before_any_fit(self):
         fit = CountingFitter(qda_factory())
@@ -485,12 +522,32 @@ class TestRunTest:
                 self._run("lc2st-nf", conjugate_affine_flow(2, 1.0), fit_fn=fit, ensemble=null)
 
     @pytest.mark.parametrize("method", ["lc2st", "lc2st-nf", "oracle-c2st-acc", "oracle-c2st-mse"])
-    @pytest.mark.parametrize("n_cal, n_null, field", [(0, 8, "n_cal"), (-5, 8, "n_cal"), (300, -5, "n_null"), (300, 8, "n_v")])
-    def test_bad_sizes_name_their_field(self, method, n_cal, n_null, field):
+    @pytest.mark.parametrize("field, bad", [
+        ("n_cal", 0), ("n_cal", -5), ("n_cal", 100.5), ("n_cal", True),
+        ("n_null", -5), ("n_null", 2.5), ("n_null", True),
+        ("n_v", -5), ("n_v", 2.5), ("n_v", True),
+    ])
+    def test_bad_sizes_name_their_field(self, method, field, bad):
         estimator = conjugate_affine_flow(2, 1.0) if method == "lc2st-nf" else self.task.reference
-        n_v = -5 if field == "n_v" else 300
-        with pytest.raises(ConfigurationError, match=f"^{field} must be"):
-            run_test(method, self.task, estimator, self.x_o, n_cal, n_null, n_v, qda_factory(), RngStream(seed=9))
+        sizes = {"n_cal": 300, "n_null": 8, "n_v": 300, field: bad}
+        with pytest.raises(ConfigurationError, match=f"^{field} must be an integer >= {0 if field == 'n_null' else 1}, got {bad!r}$"):
+            run_test(method, self.task, estimator, self.x_o, sizes["n_cal"], sizes["n_null"], sizes["n_v"], qda_factory(), RngStream(seed=9))
+
+    @pytest.mark.parametrize("bad", [-1, 2.5, True])
+    def test_null_builders_name_a_bad_n_null(self, bad):
+        cal = self.task.sample_joint(300, RngStream(seed=3))
+        data = lc2st_training_set(self.task.reference, cal, RngStream(seed=4))
+        for build in (lambda: fit_null_ensemble(data, qda_factory(), bad, RngStream(seed=5), paired=True),
+                      lambda: lc2st_nf_null(cal.xs, 2, qda_factory(), bad, RngStream(seed=5))):
+            with pytest.raises(ConfigurationError, match=f"^n_null must be an integer >= 0, got {bad!r}$"):
+                build()
+
+    @pytest.mark.parametrize("bad", [0, 2.5, True])
+    def test_evaluate_names_a_bad_n_v(self, bad):
+        cal = self.task.sample_joint(300, RngStream(seed=3))
+        clf, ensemble = lc2st_train(self.task.reference, cal, qda_factory(), 2, RngStream(seed=4))
+        with pytest.raises(ConfigurationError, match=f"^n_v must be an integer >= 1, got {bad!r}$"):
+            lc2st_evaluate(clf, ensemble, self.task.reference, self.x_o, bad, RngStream(seed=5))
 
     def test_unknown_method_and_missing_reference_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown method"):
@@ -732,7 +789,7 @@ class TestPermutationNullInputs:
 
     def test_negative_null_size_is_rejected(self):
         data = LabeledPairDataset.from_class_arrays(np.zeros((3, 2)), np.ones((3, 2)))
-        with pytest.raises(ConfigurationError, match="n_null must be nonnegative"):
+        with pytest.raises(ConfigurationError, match="^n_null must be an integer >= 0, got -1$"):
             fit_null_ensemble(data, qda_factory(), -1, RngStream(seed=164))
 
 
@@ -954,9 +1011,9 @@ class TestCrossMethodInvariants:
             stream = RngStream(seed=seed).child("equiv")
             cal = task.sample_joint(2000, stream.child("cal"))
             clf_j, _ = lc2st_train(task.reference, cal, fit, 0, stream.child("j"))
-            r_j = lc2st_evaluate(clf_j, _empty_permutation_ensemble(), task.reference, x_o, 2000, stream.child("je"))
+            r_j = lc2st_evaluate(clf_j, NullEnsemble([]), task.reference, x_o, 2000, stream.child("je"))
             clf_n = lc2st_nf_train(flow, cal, fit, stream.child("n"))
-            r_n = lc2st_nf_evaluate(clf_n, _empty_nf_ensemble(), x_o, 2, 2000, stream.child("ne"))
+            r_n = lc2st_nf_evaluate(clf_n, NullEnsemble([]), x_o, 2, 2000, stream.child("ne"))
             stats_joint.append(r_j.statistic)
             stats_nf.append(r_n.statistic)
             z_q, _ = flow.inverse(cal.thetas, cal.xs)
@@ -978,18 +1035,6 @@ class TestCrossMethodInvariants:
             res = lc2st_evaluate(clf, ens, shifted, x_o, 10_000, stream.child("e"))
             rejects += res.p_value < 0.05
         assert rejects >= 9
-
-
-def _empty_permutation_ensemble():
-    from lc2st.c2st import NullEnsemble
-
-    return NullEnsemble([], "permutation")
-
-
-def _empty_nf_ensemble():
-    from lc2st.c2st import NullEnsemble
-
-    return NullEnsemble([], "nf-resampled", latent_dim=2)
 
 
 class TestTrainingTables:

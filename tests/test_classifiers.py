@@ -409,7 +409,7 @@ class TestQuadraticFeatureScoring:
             ))
             for h in range(n_members)
         ]
-        return NullEnsemble(qda_stack(members), "permutation")
+        return NullEnsemble(qda_stack(members))
 
     def test_blocked_ensemble_statistics_match_per_member_path(self):
         ensemble = self._ensemble(7, seed=95)
@@ -428,7 +428,7 @@ class TestQuadraticFeatureScoring:
         theta = np.random.default_rng(100).standard_normal((300, 2))
         x_o = np.array([0.1, 0.2])
         result = lc2st_evaluate(
-            main, NullEnsemble([], "permutation"), _FixedDraws(theta), x_o, 300, RngStream(seed=101)
+            main, NullEnsemble([]), _FixedDraws(theta), x_o, 300, RngStream(seed=101)
         )
         assert result.null_statistics is None and result.n_h == 0
         ws = append_conditioning(theta, x_o)
@@ -455,7 +455,7 @@ class TestQuadraticFeatureScoring:
             datasets, [RngStream(seed=105 + h) for h in range(3)]
         )
         assert isinstance(stack, MlpModel) and len(stack) == 3
-        ensemble = NullEnsemble(stack, "permutation")
+        ensemble = NullEnsemble(stack)
         theta = rng.standard_normal((BLOCK_ROWS + 5, 2))
         x_o = np.array([0.3, 0.3])
         result = lc2st_evaluate(stack[0], ensemble, _FixedDraws(theta), x_o, len(theta), RngStream(seed=108))
@@ -1579,7 +1579,7 @@ class TestGivenColumns:
             assert mse.tobytes() == (class_sq[0] / val.n_class0 + class_sq[1] / val.n_class1).tobytes()
             # the null band is quantiles of the members' ECDFs, counts of rows over all blocks
             cdfs = below / len(ws)
-            pp = pp_plot(stack[0], NullEnsemble(stack, "permutation"), ws, levels)
+            pp = pp_plot(stack[0], NullEnsemble(stack), ws, levels)
             assert pp.lower.tobytes() == np.quantile(cdfs, 0.025, axis=0).tobytes()
             assert pp.upper.tobytes() == np.quantile(cdfs, 0.975, axis=0).tobytes()
 
@@ -1624,7 +1624,7 @@ class TestFoldOncePerCall:
                 "_mse0": lambda: _mse0(stack, points, given),
                 "single_class_statistics": lambda: single_class_statistics(stack, points, given),
                 "_two_class_statistics": lambda: _two_class_statistics(stack, val),
-                "pp_plot": lambda: pp_plot(clf, NullEnsemble(stack, "permutation"), ws),
+                "pp_plot": lambda: pp_plot(clf, NullEnsemble(stack), ws),
             }
             for name, call in calls.items():
                 folds.clear()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lc2st import (
+    ConfigurationError,
     MlpConfig,
     NpeConfig,
     build_coupling_flow,
@@ -27,7 +28,7 @@ from lc2st import (
     run_test,
     save_flow,
 )
-from lc2st import cli
+from lc2st import c2st, cli
 from lc2st.c2st import heatmap_rows
 from lc2st.cli import build_parser, main
 from lc2st.harness import METHODS, ExperimentPlan
@@ -307,6 +308,31 @@ def test_unknown_flag_exits_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["test", "--no-such-flag", "--out", str(tmp_path)])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("text", ["[]", '{"kind": "type1", ', "\xff{}", '"x"'], ids=["list", "truncated", "not-utf-8", "string"])
+def test_plan_that_is_not_a_json_object_is_a_usage_error(tmp_path, capsys, text):
+    (tmp_path / "plan.json").write_bytes(text.encode("latin-1"))
+    err = _usage_error(capsys, ["sweep", "--plan", str(tmp_path / "plan.json"), "--out", str(tmp_path)])
+    assert f"{tmp_path / 'plan.json'}: expected an experiment plan" in err
+
+
+def test_flow_checkpoint_that_is_not_a_json_object_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "flow.json").write_text("[1]")
+    err = _usage_error(capsys, ["test", "--method", "lc2st-nf", "--flow", str(tmp_path / "flow.json"), "--out", str(tmp_path)])
+    assert err.endswith(f"{tmp_path / 'flow.json'}: expected a flow checkpoint as a JSON object, got [1]\n")
+
+
+def test_methods_are_listed_once(capsys):
+    # the CLI's choices, the plans' and run_test's are the one registry in c2st
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    method = next(a for a in sub.choices["test"]._actions if a.dest == "method")
+    assert method.choices == list(c2st.METHODS) and METHODS is c2st.METHODS
+    want = r"^unknown method 'c2st'; valid: \['lc2st', 'lc2st-nf', 'oracle-c2st-acc', 'oracle-c2st-mse'\]$"
+    with pytest.raises(ConfigurationError, match=want):
+        ExperimentPlan(method="c2st")
+    with pytest.raises(ConfigurationError, match=want):
+        run_test("c2st", make_task("gaussian_conjugate"), None, np.zeros(2), 10, 0, 10, qda_factory(), derive_stream(0, "t"))
 
 
 def test_missing_plan_file_is_usage_error(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Datasets, splitting, RNG streams, and serialization round-trips."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,10 +9,13 @@ from hypothesis import given, settings, strategies as st
 from lc2st import (
     ConfigurationError,
     DataFormatError,
+    ExperimentPlan,
     JointDataset,
     LabeledPairDataset,
     RngStream,
+    load_classifier,
     load_dataset,
+    load_flow,
     load_metadata,
     save_dataset,
 )
@@ -111,6 +116,26 @@ class TestSerialization:
         save_dataset(make_joint(3), path, seed=11, task_name="gaussian_conjugate")
         meta = load_metadata(path)
         assert meta == {"m": 2, "d": 2, "N": 3, "seed": 11, "task_name": "gaussian_conjugate"}
+
+    @pytest.mark.parametrize("load, what", [
+        (ExperimentPlan.load, "an experiment plan"),
+        (load_flow, "a flow checkpoint"),
+        (load_classifier, "a classifier checkpoint"),
+        (load_metadata, "dataset metadata"),
+    ], ids=["plan", "flow", "classifier", "metadata"])
+    @pytest.mark.parametrize("text, got", [
+        ('{"kind": "qda", ', "not valid JSON (Expecting property name"),
+        ("\xff{}", "not valid JSON ('utf-8' codec can't decode byte 0xff"),
+        ("[]", "as a JSON object, got []"),
+        ("[1]", "as a JSON object, got [1]"),
+        ('"x"', "as a JSON object, got 'x'"),
+    ], ids=["truncated", "not-utf-8", "empty-list", "list", "string"])
+    def test_json_readers_want_an_object_and_name_the_file(self, tmp_path, load, what, text, got):
+        path = tmp_path / "input.json"
+        read = path.with_name(path.name + ".meta.json") if load is load_metadata else path  # a dataset's sidecar
+        read.write_bytes(text.encode("latin-1"))
+        with pytest.raises(DataFormatError, match=f"^{re.escape(f'{read}: expected {what}')},? {re.escape(got)}"):
+            load(path)
 
     def test_ragged_row_cites_line(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,4 +1,4 @@
-"""Every exported name resolves, in each module and in the package; only core hashes."""
+"""Every exported name resolves, in each module and in the package; only core hashes and reads JSON."""
 
 import ast
 import importlib
@@ -38,3 +38,17 @@ def test_only_core_imports_hashlib():
             if any(n and n.split(".")[0] == "hashlib" for n in names):
                 importers.append(name)
     assert importers == ["core"]
+
+
+def test_only_core_reads_json():
+    # one reader, core.load_json_object, turns a file that is not a JSON
+    # object into a DataFormatError that names it
+    readers = set()
+    for name in MODULES:
+        for node in ast.walk(ast.parse(inspect.getsource(importlib.import_module(f"lc2st.{name}")))):
+            called = isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "json"
+            imported = isinstance(node, ast.ImportFrom) and node.module == "json"
+            names = [node.attr] if called else [a.name for a in node.names] if imported else []
+            if {"load", "loads"} & set(names):
+                readers.add(name)
+    assert readers == {"core"}

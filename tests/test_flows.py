@@ -10,6 +10,7 @@ from lc2st import (
     ConditionalAffineFlow,
     ConditionalFlow,
     ConfigurationError,
+    JointDataset,
     NpeConfig,
     NumericError,
     RngStream,
@@ -18,8 +19,10 @@ from lc2st import (
     conjugate_affine_flow,
     flow_fit_npe,
     gaussian_conjugate_task,
+    lc2st_nf_train,
     load_flow,
     npe_grad_check,
+    qda_factory,
     save_flow,
 )
 from lc2st.flows import S_MAX, CouplingLayer, _npe_loss_and_grads, npe_loss
@@ -332,6 +335,40 @@ class TestNpeSerialOracle:
             flow_fit_npe(flow, train, NpeConfig(max_epochs=5, learning_rate=1e200), stream.child("fit"))
         arrays = info.value.flow.parameter_arrays()
         assert arrays and all(np.isfinite(a).all() for a in arrays)
+
+
+class TestFailingRows:
+    """A flow that fails names the first row it fails at, so a calibration
+    set's bad row is named by the one inverse pass over it."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(50)
+        self.thetas, self.xs = rng.standard_normal((40, 2)), rng.standard_normal((40, 1))
+
+    def test_coupling_flow_names_its_first_non_finite_row(self):
+        # conditioner weights of one: the shift overflows where x is 1e308,
+        # at rows 7 and 30, and nowhere else (numpy's overflow warning is
+        # silenced, the error is the point)
+        flow = build_coupling_flow(2, 1, n_layers=1, hidden=(4,), stream=RngStream(seed=51))
+        for a in flow.layers[0].params:
+            a[...] = 1.0
+        assert np.all(np.isfinite(flow.inverse(self.thetas, self.xs)[0]))
+        xs = self.xs.copy()
+        xs[[7, 30]] = 1e308
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError, match="^forward pass produced non-finite values at layer 0, row 7$"):
+                flow.forward(self.thetas, xs)
+            with pytest.raises(NumericError, match="^inverse pass produced non-finite values at layer 0, row 7$"):
+                lc2st_nf_train(flow, JointDataset(self.thetas, xs), qda_factory(), RngStream(seed=52))
+
+    def test_affine_flow_names_its_first_non_positive_scale(self):
+        # the scale turns negative where x exceeds 5, at rows 12 and 20
+        scale = lambda xs: np.where(xs > 5.0, -0.5, 1.0) * np.ones((1, 2))  # noqa: E731
+        flow = ConditionalAffineFlow(2, 1, lambda xs: np.zeros((len(xs), 2)), scale)
+        xs = self.xs.copy()
+        xs[[12, 20]] = 6.0
+        with pytest.raises(NumericError, match=r"^affine flow scale must be positive, got \[-0.5, -0.5\] at row 12$"):
+            lc2st_nf_train(flow, JointDataset(self.thetas, xs), qda_factory(), RngStream(seed=53))
 
 
 class TestCheckpoints:

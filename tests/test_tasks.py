@@ -258,6 +258,22 @@ class TestGaussianMixture:
         assert np.allclose(below, -above, rtol=1e-12, atol=0.0)
         assert np.allclose(above, wide.mean(np.array([20.0, 0.5])), rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("task, x, kept", [
+        (gaussian_linear_uniform_task(m=2), [50.0, 0.0], [3.0, 0.5]),
+        (gaussian_mixture_task(), [1e4, 0.0], [20.0, 0.5]),  # at 20 only the narrow component underflows
+    ], ids=["gaussian_linear_uniform", "gaussian_mixture"])
+    def test_no_mean_where_every_component_underflows(self, task, x, kept):
+        # the first row where every component's mass underflows is named,
+        # alone or in a batch; rows outside the box where some component
+        # keeps its mass keep their mean
+        batch = np.array([[0.5, 0.5], kept, x, [-x[0], 0.0]])
+        for rows in (np.array(x), batch):
+            with pytest.raises(OracleUnavailableError, match=f"^x={re.escape(str(x))} has no posterior mean"):
+                task.reference.mean(rows)
+        means = task.reference.mean(batch[:2])
+        assert np.all(np.isfinite(means)) and np.all(np.abs(means) <= task.reference.bound)
+        assert means.tobytes() == np.vstack([task.reference.mean(row) for row in batch[:2]]).tobytes()
+
     def test_closed_form_mean_is_the_observation_without_truncation(self):
         task = gaussian_mixture_task(bound=1e6)
         x_o = np.array([3.0, -2.0])
