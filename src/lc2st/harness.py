@@ -1,19 +1,20 @@
 """Experiment orchestration: rejection-rate sweeps, benchmarks, correlation studies.
 
 A plan fixes the task, validation method, grids over simulation budgets, run
-counts, and the master seed; every run derives its own stream from
-``hash(master seed, n_train, n_cal, observation, run)`` so any single cell
-rerun standalone reproduces its slice of the full sweep.  Type-I, power and
-bench plans run their (cell, observation, run) triples through one loop.  The
-estimator under test is an input to every test, as in sbibm: each ``n_train``
-builds the task, the classifier fit and the estimator once, from
-``hash(master seed, n_train)``, and its triples share them.  With
-``reuse_null`` (``lc2st-nf`` only) the sweep also fits one null ensemble per
-``n_cal``, and every triple at that ``n_cal`` reuses it.  With ``LC2ST_THREADS`` = N > 1,
-each ``n_train``'s triples split into N contiguous chunks on a process pool,
-and every chunk is sent the inputs built for its ``n_train``.  A bench plan
-(``run_type1``) is a type-I sweep timed per phase: its ``n_runs`` (>= 3) x
-``n_observations`` triples per cell run one at a time, never on the pool.
+counts, and the master seed.  Type-I, power and bench plans run one loop of
+``run_test`` calls.  A local method makes one per (n_train, n_cal, run) that
+tests every observation with one classifier and null, on the stream
+``hash(master seed, n_train, n_cal, 0, run)``; an oracle method trains at each
+observation j, on ``hash(master seed, n_train, n_cal, j, run)``.  So a cell
+rerun standalone reproduces its slice of the full sweep.  The estimator under
+test is an input to every test, as in sbibm: each ``n_train`` builds the task,
+the classifier fit and the estimator once, from ``hash(master seed, n_train)``,
+and its calls share them.  With ``reuse_null`` (``lc2st-nf`` only) the sweep
+also fits one null ensemble per ``n_cal``, and every call at that ``n_cal``
+reuses it.  With ``LC2ST_THREADS`` = N > 1, each ``n_train``'s calls split into
+N contiguous chunks on a process pool, each sent its ``n_train``'s inputs.  A
+bench plan (``run_type1``) is a type-I sweep timed per phase: its ``n_runs``
+(>= 3) calls per cell run one at a time, never on the pool.
 
 Result files split into a deterministic part (records + aggregates, byte-stable
 for a fixed plan and seed) and the wall-clock medians per cell and phase
@@ -23,7 +24,7 @@ for a fixed plan and seed) and the wall-clock medians per cell and phase
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,11 @@ METHODS = c2st.METHODS  # the method registry, kept under its old exported name
 # ---------------------------------------------------------------------------
 
 
+# per plan kind, the fields its sweep never reads, which must keep their defaults
+_UNREAD = dict.fromkeys(("type1", "power", "bench", "correlation"), ("sigma_grid", "n_per_class"))
+_UNREAD["sigma-sweep"] = ("task", "method", "n_train_grid", "n_cal_grid", "n_observations", "estimator")
+
+
 @dataclass
 class ExperimentPlan:
     """Declarative description of one sweep; serializes to/from JSON."""
@@ -82,7 +88,7 @@ class ExperimentPlan:
     reuse_null: bool = False
 
     def __post_init__(self) -> None:
-        if self.kind not in ("type1", "power", "sigma-sweep", "correlation", "bench"):
+        if self.kind not in _UNREAD:
             raise ConfigurationError(f"unknown plan kind {self.kind!r}")
         reject_unknown_keys([self.method], METHODS, "method")
         # a bench cell's phase times are medians over at least 3 runs
@@ -105,17 +111,20 @@ class ExperimentPlan:
                 raise ConfigurationError(f"sigma_grid must be None or a nonempty list, got {self.sigma_grid!r}")
             for v in self.sigma_grid:
                 check_real("sigma_grid entry", v, "a positive number", lambda v: v > 0)
+        for name in ("n_train_grid", "n_cal_grid", "sigma_grid"):  # a repeated entry would rerun its streams
+            grid = getattr(self, name) or []
+            repeated = [v for i, v in enumerate(grid) if v in grid[:i]]
+            if repeated:
+                raise ConfigurationError(f"{name} has a duplicate entry {repeated[0]!r}")
         _estimator_kind(self.estimator)  # type-I runs never read the spec: check its keys here
         if self.reuse_null and (self.kind not in ("type1", "power", "bench") or self.method != "lc2st-nf"):
             raise ConfigurationError(
                 "reuse_null needs a type-I, power or bench plan of method 'lc2st-nf', whose null is "
                 f"estimator-independent; got a {self.kind!r} plan of method {self.method!r}"
             )
-        if self.kind == "sigma-sweep":  # run_sigma_sweep reads none of these fields: they keep their defaults
-            default = ExperimentPlan()
-            for name in ("task", "method", "n_train_grid", "n_cal_grid", "n_observations", "estimator"):
-                if getattr(self, name) != getattr(default, name):
-                    raise ConfigurationError(f"a sigma-sweep plan does not read {name}, got {getattr(self, name)!r}")
+        for f in (f for f in fields(self) if f.name in _UNREAD[self.kind]):
+            if getattr(self, f.name) != (f.default if f.default_factory is MISSING else f.default_factory()):
+                raise ConfigurationError(f"a {self.kind} plan does not read {f.name}, got {getattr(self, f.name)!r}")
         if self.kind == "correlation" and len(self.n_cal_grid) > 1:  # its tests all run at one n_cal
             raise ConfigurationError(f"a correlation plan runs at one n_cal, got n_cal_grid {self.n_cal_grid!r}")
 
@@ -214,6 +223,8 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class CellAggregate:
+    """A cell's rejection rate over its ``n`` records, and the SE of its per-call rejection means."""
+
     n_train: int
     n_cal: int
     rejection_rate: float
@@ -230,16 +241,18 @@ class SweepResult:
     null_fit_seconds: float = 0.0  # the shared nulls' fit time under reuse_null, else 0
 
     def aggregates(self) -> list[CellAggregate]:
-        """Rejection rate and binomial SE per cell, recomputed from the records."""
+        """Each cell's aggregate from the records, grouped into calls by run stream (binomial SE at one per call)."""
         out = []
         for nt in self.plan.n_train_grid:
             for nc in self.plan.n_cal_grid:
                 cell = [r for r in self.records if r.n_train == nt and r.n_cal == nc]
                 if not cell:
                     continue
-                rate = float(np.mean([r.reject for r in cell]))
-                se = float(np.sqrt(rate * (1.0 - rate) / len(cell)))
-                out.append(CellAggregate(nt, nc, rate, se, len(cell)))
+                calls = {}
+                for r in cell:
+                    calls.setdefault((r.seed, r.stream_id), []).append(r.reject)
+                se = float(np.std([np.mean(rejects) for rejects in calls.values()]) / np.sqrt(len(calls)))
+                out.append(CellAggregate(nt, nc, float(np.mean([r.reject for r in cell])), se, len(cell)))
         return out
 
     def monotonicity_report(self) -> dict:
@@ -298,53 +311,55 @@ def _observation(task, seed: int, index: int = 0):
     return task.observation(derive_stream(seed, "obs", index))
 
 
-def _run_job(plan: ExperimentPlan, task, estimator, fit_fn, n_train: int, triples: list):
-    """The (n_cal, observation, run, ensemble) ``triples`` of one ``n_train``,
-    all with the inputs built for that ``n_train``; each triple draws from
-    its own stream, so any split of the triples into jobs gives the same
-    records.  Returns (record, timing) pairs."""
-    return [_run_single(plan, task, estimator, fit_fn, n_train, *triple) for triple in triples]
+def _run_job(plan: ExperimentPlan, task, estimator, fit_fn, n_train: int, observations: np.ndarray, calls: list):
+    """The (n_cal, observation group, run, ensemble) ``calls`` of one ``n_train``, all with the
+    inputs and ``observations`` built for it; each call draws from its own stream, so any split
+    of the calls into jobs gives the same records.  Returns (records, timing) pairs."""
+    return [_run_single(plan, task, estimator, fit_fn, n_train, observations, *call) for call in calls]
 
 
-def _run_single(plan: ExperimentPlan, task, estimator, fit_fn, n_train: int, n_cal: int, obs_index: int,
-                run_index: int, ensemble):
-    """Execute one (cell, observation, run) triple, reusing ``ensemble`` if
-    given; returns its ``RunRecord`` and timing row (phase seconds and the
-    ``null_members`` the test fitted).  A library error is
-    re-raised as its own type with the cell in its message."""
+def _run_single(plan: ExperimentPlan, task, estimator, fit_fn, n_train: int, observations: np.ndarray, n_cal: int,
+                group: list, run_index: int, ensemble):
+    """One ``run_test`` at the observations ``group`` on the run stream of its first slot, reusing
+    ``ensemble`` if given: a ``RunRecord`` per observation, and a timing row of the call's phase
+    seconds per observation and its counts (the ``null_members`` it fitted).  A library error is
+    re-raised as its own type, naming the cell by the group's first observation."""
     try:
-        _, x_o = _observation(task, plan.seed, obs_index)
-        stream = derive_stream(plan.seed, "run", n_train, n_cal, obs_index, run_index)
-        run = c2st.run_test(
-            plan.method, task, estimator, x_o, n_cal, plan.n_null, plan.n_v, fit_fn, stream, ensemble=ensemble
-        )
+        stream = derive_stream(plan.seed, "run", n_train, n_cal, group[0], run_index)
+        x_o = observations[group]
+        run = c2st.run_test(plan.method, task, estimator, x_o, n_cal, plan.n_null, plan.n_v, fit_fn, stream, ensemble=ensemble)
     except Lc2stError as exc:
-        raise type(exc)(f"cell (n_train={n_train}, n_cal={n_cal}, obs={obs_index}, run={run_index}): {exc}") from exc
-    result = run.results[0]
-    reject = bool(result.p_value is not None and result.p_value < plan.alpha)
-    record = RunRecord(n_train, n_cal, obs_index, run_index, result.statistic, result.p_value, reject, stream.seed, stream.stream_id)
-    return record, {"n_train": n_train, "n_cal": n_cal, **run.seconds, **run.counts}
+        raise type(exc)(f"cell (n_train={n_train}, n_cal={n_cal}, obs={group[0]}, run={run_index}): {exc}") from exc
+    records = [RunRecord(n_train, n_cal, obs, run_index, r.statistic, r.p_value, bool(r.p_value is not None and r.p_value < plan.alpha),
+                         stream.seed, stream.stream_id) for obs, r in zip(group, run.results)]
+    seconds = {phase: s / len(group) for phase, s in run.seconds.items()}
+    return records, {"n_train": n_train, "n_cal": n_cal, **seconds, **run.counts}
 
 
 def _run_sweep(plan: ExperimentPlan, spec: dict) -> SweepResult:
-    """Every (cell, observation, run) triple of ``plan``, one job per
-    ``n_train`` or, on a pool of N workers, N per ``n_train``.  Each
-    ``n_train``'s task, classifier fit and estimator (an NPE flow is trained)
-    are built here, once, and every job of the ``n_train`` takes them; a
-    library error names the cell.  With ``reuse_null`` each ``n_cal``'s null
-    is fitted here too, once, at the first ``n_train``'s stream key, on a
-    calibration draw of its own (it reads no ``n_train`` or estimator), and
-    every triple at that ``n_cal`` reuses it.  A bench plan's triples run one
-    at a time, so that their timings do not share the machine."""
+    """Every (n_train, n_cal, run) of ``plan``, one job per ``n_train`` or,
+    on a pool of N workers, N per ``n_train``.  Each ``n_train``'s task,
+    classifier fit, estimator (an NPE flow is trained) and (n_observations,
+    d) observations are built here, once, and every job of the ``n_train``
+    takes them; a library error names the cell.  A local method's run is one
+    call over every observation, on observation slot 0's stream; an oracle
+    method trains at its observation, one call per slot.  With ``reuse_null``
+    each ``n_cal``'s null is fitted here too, once, at the first ``n_train``'s
+    stream key, on a calibration draw of its own (it reads no ``n_train`` or
+    estimator), and every call at that ``n_cal`` reuses it.  A bench plan's
+    calls run one at a time, so that their timings do not share the machine."""
     threads = os.environ.get("LC2ST_THREADS", "1")
     check_count("LC2ST_THREADS", int(threads) if threads.isdecimal() else threads, 1)
     workers = 1 if plan.kind == "bench" else int(threads)
+    k = plan.n_observations
+    groups = [[j] for j in range(k)] if plan.method.startswith("oracle") else [list(range(k))]
     jobs, null_fit_seconds, nulls = [], 0.0, {}
     for nt in map(int, plan.n_train_grid):
         try:
             task = make_task(plan.task, **plan.task_params)
             fit_fn = _classifier_fit(plan.classifier)
             estimator = _build_estimator(spec, task, plan.method == "lc2st-nf", nt, plan.seed)
+            observations = np.array([_observation(task, plan.seed, j)[1] for j in range(k)])
             for nc in map(int, plan.n_cal_grid) if plan.reuse_null and not nulls else ():
                 stream0 = derive_stream(plan.seed, "bench-null", nt, nc)
                 cal0 = task.sample_joint(nc, stream0.child("cal"))
@@ -352,21 +367,21 @@ def _run_sweep(plan: ExperimentPlan, spec: dict) -> SweepResult:
                 null_fit_seconds += nulls[nc].fit_seconds
         except Lc2stError as exc:
             raise type(exc)(f"cell (n_train={nt}): {exc}") from exc
-        triples = [
-            (int(nc), obs, run, nulls.get(int(nc)))
+        calls = [
+            (int(nc), group, run, nulls.get(int(nc)))
             for nc in plan.n_cal_grid
-            for obs in range(plan.n_observations)
+            for group in groups
             for run in range(plan.n_runs)
         ]
-        size = -(-len(triples) // workers)  # at most `workers` contiguous chunks
-        jobs += [(plan, task, estimator, fit_fn, nt, triples[i:i + size]) for i in range(0, len(triples), size)]
+        size = -(-len(calls) // workers)  # at most `workers` contiguous chunks
+        jobs += [(plan, task, estimator, fit_fn, nt, observations, calls[i:i + size]) for i in range(0, len(calls), size)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = [out for job in pool.map(_run_job, *zip(*jobs)) for out in job]
     else:
         outputs = [out for job in jobs for out in _run_job(*job)]
-    records = [rec for rec, _ in outputs]
+    records = [rec for recs, _ in outputs for rec in recs]
     timings = [t for _, t in outputs]
     records.sort(key=lambda r: (r.n_train, r.n_cal, r.obs_index, r.run_index))
     return SweepResult(
@@ -381,8 +396,8 @@ def _run_sweep(plan: ExperimentPlan, spec: dict) -> SweepResult:
 def run_type1(plan: ExperimentPlan) -> SweepResult:
     """Rejection rates with the estimator set to the exact reference (null holds).
 
-    A bench plan runs here too, its triples one at a time for their timings
-    (``SweepResult.phase_medians``).  With ``reuse_null`` the null phase
+    A bench plan runs here too, its calls one at a time, each timed per
+    observation (``SweepResult.phase_medians``).  With ``reuse_null`` the null phase
     reports exactly zero, which is the amortization being measured, and
     ``SweepResult.null_fit_seconds`` holds what the shared nulls cost.
     """

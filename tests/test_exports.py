@@ -1,4 +1,5 @@
-"""Every exported name resolves, in each module and in the package; only core hashes and reads JSON."""
+"""Every exported name resolves, in each module and in the package; only core hashes and reads JSON;
+the entry points run tests through run_test."""
 
 import ast
 import importlib
@@ -52,3 +53,17 @@ def test_only_core_reads_json():
             if {"load", "loads"} & set(names):
                 readers.add(name)
     assert readers == {"core"}
+
+
+def test_entry_points_call_run_test():
+    # one implementation of each test procedure: the harness and the CLI run
+    # every local test through c2st.run_test, never through its phase functions
+    phases = {"lc2st_train", "lc2st_nf_train", "lc2st_evaluate", "lc2st_nf_evaluate"}
+    called = set()
+    for name in ("harness", "cli"):
+        for node in ast.walk(ast.parse(inspect.getsource(importlib.import_module(f"lc2st.{name}")))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called.add((name, func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)))
+    assert {(name, fn) for name, fn in called if fn in phases} == set()
+    assert ("harness", "run_test") in called and ("cli", "run_test") in called

@@ -98,6 +98,19 @@ class TestPlan:
         with pytest.raises(ConfigurationError, match=key):
             ExperimentPlan(**{**SMALL_TYPE1, key: value})
 
+    @pytest.mark.parametrize("key, grid", [("n_train_grid", [1, 1]), ("n_cal_grid", [200, 300, 200]), ("sigma_grid", [1.0, 2, 1])])
+    def test_duplicate_grid_entry_is_named(self, key, grid):
+        # a repeated entry would rerun its cell's streams and count each record twice
+        base = {**SMALL_SIGMA, "n_per_class": 50} if key == "sigma_grid" else SMALL_TYPE1
+        with pytest.raises(ConfigurationError, match=rf"^{key} has a duplicate entry {grid[-1]!r}$"):
+            ExperimentPlan(**{**base, key: grid})
+
+    @pytest.mark.parametrize("kind", ["type1", "power", "bench", "correlation"])
+    @pytest.mark.parametrize("key, value", [("sigma_grid", [1.0]), ("n_per_class", 500)])
+    def test_fields_its_kind_never_reads_are_rejected(self, kind, key, value):
+        with pytest.raises(ConfigurationError, match=f"^a {kind} plan does not read {key}, got {re.escape(repr(value))}$"):
+            ExperimentPlan(**{**SMALL_TYPE1, "kind": kind, key: value})
+
     @pytest.mark.parametrize(
         "spec, key",
         [({"kind": "mlp", "hiden_sizes": [8]}, "hiden_sizes"), ({"kind": "qda", "patience": 3}, "patience")],
@@ -170,10 +183,11 @@ class TestTypeOne:
         plan = ExperimentPlan(
             **{
                 **SMALL_TYPE1, "task": "two_moons", "task_params": {}, "n_cal_grid": [40],
-                "n_observations": 10, "n_runs": 10, "n_null": 100, "n_v": 1000,
+                "n_observations": 10, "n_runs": 100, "n_null": 100, "n_v": 1000,
             }
         )
-        p_values = [r.p_value for r in run_type1(plan).records]
+        # a run's tests share a classifier and a null: one p-value per run, observation r mod 10 at run r
+        p_values = [r.p_value for r in run_type1(plan).records if r.obs_index == r.run_index % 10]
         assert len(p_values) == 100
         assert kstest(p_values, "uniform").pvalue > 0.01
 
@@ -242,19 +256,22 @@ class TestTypeOne:
         plan = ExperimentPlan(**{**SMALL_TYPE1, "method": method, "n_cal_grid": [200], "n_v": 200, "n_null": 12})
         record = [r for r in run_type1(plan).records if (r.obs_index, r.run_index) == (1, 2)][0]
         task = make_task(plan.task, **plan.task_params)
-        _, x_o = task.observation(derive_stream(plan.seed, "obs", 1))
-        stream = derive_stream(plan.seed, "run", 1, 200, 1, 2)
+        x_o, slot, row = _call_of(plan, task, 1)
+        stream = derive_stream(plan.seed, "run", 1, 200, slot, 2)
         estimator = conjugate_affine_flow(2, 1.0) if method == "lc2st-nf" else task.reference
-        result = run_test(method, task, estimator, x_o, 200, 12, 200, qda_factory(), stream).results[0]
+        result = run_test(method, task, estimator, x_o, 200, 12, 200, qda_factory(), stream).results[row]
         assert (record.statistic, record.p_value) == (result.statistic, result.p_value)
+        assert (record.seed, record.stream_id) == (stream.seed, stream.stream_id)
 
     def test_mlp_p_values_are_uniform(self):
-        # a small MLP keeps type-I control: 4 observations x 50 runs of the
-        # lc2st test with the exact estimator, each with a 20-member null
+        # a small MLP keeps type-I control: 200 runs of the lc2st test with
+        # the exact estimator at 4 observations, each run with a 20-member
+        # null; a run's tests share it, so one p-value per run, observation
+        # r mod 4 at run r
         mlp = {"kind": "mlp", "hidden_sizes": [8], "max_epochs": 10, "patience": 10}
-        over = {"n_cal_grid": [100], "n_observations": 4, "n_runs": 50, "n_null": 20, "n_v": 500, "seed": 0}
+        over = {"n_cal_grid": [100], "n_observations": 4, "n_runs": 200, "n_null": 20, "n_v": 500, "seed": 0}
         res = run_type1(ExperimentPlan(**{**SMALL_TYPE1, **over, "classifier": mlp}))
-        pvals = np.array([r.p_value for r in res.records])
+        pvals = np.array([r.p_value for r in res.records if r.obs_index == r.run_index % 4])
         assert len(pvals) == 200 and kstest(pvals, "uniform").pvalue > 0.01
 
     def test_error_names_its_cell(self):
@@ -339,8 +356,8 @@ class TestPower:
         plan = ExperimentPlan(**{**SMALL_TYPE1, **over, "kind": "power", "task_params": {"m": 2, "noise_std": 1.5}, "estimator": estimator})
         record = [r for r in run_power(plan).records if (r.obs_index, r.run_index) == (1, 2)][0]
         task = make_task(plan.task, **plan.task_params)
-        _, x_o = task.observation(derive_stream(plan.seed, "obs", 1))
-        stream = derive_stream(plan.seed, "run", 200, 200, 1, 2)
+        x_o, slot, row = _call_of(plan, task, 1)
+        stream = derive_stream(plan.seed, "run", 200, 200, slot, 2)
         if estimator["kind"] == "npe":
             build = derive_stream(plan.seed, "estimator", 200)
             flow = build_coupling_flow(2, 2, n_layers=2, hidden=(8,), stream=build.child("npe-init"))
@@ -350,7 +367,7 @@ class TestPower:
             q = conjugate_affine_flow(2, 1.5, scale_mult=1.3, shift=0.4)
         else:
             q = distort(task.reference, np.full(2, 0.4), 1.3)
-        result = run_test(method, task, q, x_o, 200, 12, 200, qda_factory(), stream).results[0]
+        result = run_test(method, task, q, x_o, 200, 12, 200, qda_factory(), stream).results[row]
         assert (record.statistic, record.p_value) == (result.statistic, result.p_value)
 
     def test_npe_trains_one_flow_per_n_train(self, monkeypatch):
@@ -395,6 +412,64 @@ class TestPower:
         res = run_type1(ExperimentPlan(**{**SMALL_TYPE1, **over}))
         assert len(res.records) == 2 * 2 * 3
         assert builds == ["make_task", "_classifier_fit", "_build_estimator"] * 2
+
+
+class TestUnitOfWork:
+    @pytest.mark.parametrize(
+        "method, reuse_null",
+        [("lc2st", False), ("lc2st-nf", False), ("lc2st-nf", True), ("oracle-c2st-acc", False), ("oracle-c2st-mse", False)],
+    )
+    def test_one_call_and_one_training_per_run(self, monkeypatch, method, reuse_null):
+        # 2 n_train x 2 n_cal x 2 runs at 5 observations: a local method makes
+        # one run_test call, one classifier fit and at most one null per
+        # (n_train, n_cal, run); an oracle method one of each per observation
+        import lc2st.c2st as c2st_module
+        from lc2st.classifiers import QdaFitter
+
+        calls = []
+        monkeypatch.delenv("LC2ST_THREADS", raising=False)
+        for name in ("run_test", "lc2st_train", "lc2st_nf_train"):
+            monkeypatch.setattr(c2st_module, name, _counted(calls, name, getattr(c2st_module, name)))
+        for name in ("__call__", "ensemble"):
+            monkeypatch.setattr(QdaFitter, name, _counted(calls, name, getattr(QdaFitter, name)))
+        over = {"method": method, "reuse_null": reuse_null, "n_train_grid": [1, 2], "n_cal_grid": [100, 200],
+                "n_observations": 5, "n_runs": 2, "n_null": 3, "n_v": 100}
+        res = run_type1(ExperimentPlan(**{**SMALL_TYPE1, **over}))
+        per_observation = 5 if method.startswith("oracle") else 1
+        n_calls = 2 * 2 * 2 * per_observation
+        expected = {
+            "run_test": n_calls, "lc2st_train": n_calls * (method == "lc2st"), "lc2st_nf_train": n_calls * (method == "lc2st-nf"),
+            "__call__": n_calls, "ensemble": 2 if reuse_null else n_calls,
+        }
+        assert {name: calls.count(name) for name in expected} == expected
+        assert len(res.records) == 2 * 2 * 2 * 5 and len(res.timings) == n_calls
+
+    def test_se_is_the_spread_of_per_call_rejection_means(self):
+        # alpha 0.5 makes the per-call rejection means vary
+        res = run_type1(ExperimentPlan(**{**SMALL_TYPE1, "n_observations": 4, "n_runs": 8, "alpha": 0.5}))
+        by_call = {}
+        for r in res.records:
+            by_call.setdefault((r.seed, r.stream_id), []).append(r.reject)
+        assert sorted(map(len, by_call.values())) == [4] * 8
+        means = np.array([np.mean(rejects) for rejects in by_call.values()])
+        by_hand = np.sqrt(np.sum((means - means.mean()) ** 2) / len(means) ** 2)
+        cell = res.aggregates()[0]
+        assert cell.se > 0.0 and abs(cell.se - by_hand) <= 1e-12 * by_hand
+        assert cell.rejection_rate == np.mean([r.reject for r in res.records]) and cell.n == 32
+        # at one observation per call, and for an oracle method at any number, it is the binomial SE
+        for over in ({"n_observations": 1, "n_runs": 16}, {"method": "oracle-c2st-mse", "n_runs": 8}):
+            cell = run_type1(ExperimentPlan(**{**SMALL_TYPE1, **over, "alpha": 0.5})).aggregates()[0]
+            binomial = np.sqrt(cell.rejection_rate * (1.0 - cell.rejection_rate) / cell.n)
+            assert 0.0 < cell.rejection_rate < 1.0 and cell.n == 16
+            assert abs(cell.se - binomial) <= 1e-12 * binomial
+
+
+def _call_of(plan: ExperimentPlan, task, j: int):
+    """The observations, run-stream slot and result row of observation j's
+    record in a sweep of ``plan``: a local method tests every observation of
+    a run in one call on slot 0, an oracle method each in its own on slot j."""
+    xs = np.array([task.observation(derive_stream(plan.seed, "obs", i))[1] for i in range(plan.n_observations)])
+    return (xs[j], j, 0) if plan.method.startswith("oracle") else (xs, 0, j)
 
 
 def _counted(calls: list, name: str, fn):
@@ -637,7 +712,7 @@ class TestBench:
         res = run_type1(bench)
         type1 = ExperimentPlan(**{**bench.to_dict(), "kind": "type1"})
         assert res.records == run_type1(type1).records
-        assert len(res.timings) == 2 * 2 * 3
+        assert len(res.timings) == 2 * 3  # one row per (n_cal, run) call, over both observations
         assert [(r["n_cal"], r["phase"]) for r in res.phase_medians()][::3] == [(200, "train"), (300, "train")]
 
     def test_reused_null_is_the_cells_bench_null(self):
@@ -651,15 +726,15 @@ class TestBench:
         task = make_task("gaussian_conjugate", m=2, noise_std=1.0)
         for sweep, plan, flow in sweeps:
             res = sweep(plan)
-            assert all(t["null"] == 0.0 and t["null_members"] == 0 for t in res.timings) and len(res.timings) == 12
+            assert all(t["null"] == 0.0 and t["null_members"] == 0 for t in res.timings) and len(res.timings) == 6
             assert res.null_fit_seconds > 0.0 and "null_fit_seconds" not in res.to_json_dict()
             for r in res.records:
                 stream0 = derive_stream(plan.seed, "bench-null", 1, r.n_cal)
                 null = lc2st_nf_null(task.sample_joint(r.n_cal, stream0.child("cal")).xs, 2, qda_factory(), 5, stream0.child("null"))
-                _, x_o = task.observation(derive_stream(plan.seed, "obs", r.obs_index))
-                stream = derive_stream(plan.seed, "run", 1, r.n_cal, r.obs_index, r.run_index)
+                x_o, slot, row = _call_of(plan, task, r.obs_index)
+                stream = derive_stream(plan.seed, "run", 1, r.n_cal, slot, r.run_index)
                 run = run_test("lc2st-nf", task, flow, x_o, r.n_cal, 5, 300, qda_factory(), stream, ensemble=null)
-                assert (r.statistic, r.p_value) == (run.results[0].statistic, run.results[0].p_value)
+                assert (r.statistic, r.p_value) == (run.results[row].statistic, run.results[row].p_value)
 
     def test_two_n_train_values_fit_one_null_per_n_cal(self, monkeypatch):
         import lc2st.c2st as c2st_module
@@ -676,10 +751,10 @@ class TestBench:
         for r in (r for r in res.records if r.n_train == 7):
             stream0 = derive_stream(reuse["seed"], "bench-null", 1, r.n_cal)
             null = nf_null(task.sample_joint(r.n_cal, stream0.child("cal")).xs, 2, qda_factory(), 5, stream0.child("null"))
-            _, x_o = task.observation(derive_stream(reuse["seed"], "obs", r.obs_index))
-            stream = derive_stream(reuse["seed"], "run", 7, r.n_cal, r.obs_index, r.run_index)
+            x_o, slot, row = _call_of(res.plan, task, r.obs_index)
+            stream = derive_stream(reuse["seed"], "run", 7, r.n_cal, slot, r.run_index)
             run = run_test("lc2st-nf", task, flow, x_o, r.n_cal, 5, 300, qda_factory(), stream, ensemble=null)
-            assert (r.statistic, r.p_value) == (run.results[0].statistic, run.results[0].p_value)
+            assert (r.statistic, r.p_value) == (run.results[row].statistic, run.results[row].p_value)
 
     @pytest.mark.parametrize("value", ["two", "0", "-3", "1.5", ""])
     def test_thread_count_is_checked_by_name(self, monkeypatch, value):
