@@ -1,7 +1,8 @@
 """Experiment orchestration: rejection-rate sweeps, benchmarks, correlation studies.
 
 A plan fixes the task, validation method, grids over simulation budgets, run
-counts, and the master seed.  Type-I, power and bench plans run one loop of
+counts, and the master seed.  It is checked once, when built; a runner checks
+only what needs a built task.  Type-I, power and bench plans run one loop of
 ``run_test`` calls.  A local method makes one per (n_train, n_cal, run) that
 tests every observation with one classifier and null, on the stream
 ``hash(master seed, n_train, n_cal, 0, run)``; an oracle method trains at each
@@ -14,7 +15,7 @@ also fits one null ensemble per ``n_cal``, and every call at that ``n_cal``
 reuses it.  With ``LC2ST_THREADS`` = N > 1, each ``n_train``'s calls split into
 N contiguous chunks on a process pool, each sent its ``n_train``'s inputs.  A
 bench plan (``run_type1``) is a type-I sweep timed per phase: its ``n_runs``
-(>= 3) calls per cell run one at a time, never on the pool.
+(>= 3) calls per cell run one at a time, off the pool.
 
 Result files split into a deterministic part (records + aggregates, byte-stable
 for a fixed plan and seed) and the wall-clock medians per cell and phase
@@ -60,14 +61,22 @@ METHODS = c2st.METHODS  # the method registry, kept under its old exported name
 # ---------------------------------------------------------------------------
 
 
-# per plan kind, the fields its sweep never reads, which must keep their defaults
-_UNREAD = dict.fromkeys(("type1", "power", "bench", "correlation"), ("sigma_grid", "n_per_class"))
-_UNREAD["sigma-sweep"] = ("task", "method", "n_train_grid", "n_cal_grid", "n_observations", "estimator")
+# per plan kind, the fields its runner reads; every other field must keep its default
+_SWEEP_READS = ("task", "task_params", "method", "n_train_grid", "n_cal_grid", "n_observations", "n_runs", "alpha",
+                "n_null", "n_v", "seed", "classifier", "reuse_null")
+_READS = {
+    "type1": _SWEEP_READS,
+    "power": (*_SWEEP_READS, "estimator"),
+    "bench": _SWEEP_READS,
+    "sigma-sweep": ("task_params", "n_runs", "alpha", "n_null", "n_v", "seed", "classifier", "sigma_grid", "n_per_class"),
+    "correlation": ("task", "task_params", "n_cal_grid", "n_observations", "n_v", "seed", "classifier", "estimator"),
+}
 
 
 @dataclass
 class ExperimentPlan:
-    """Declarative description of one sweep; serializes to/from JSON."""
+    """Declarative description of one sweep; serializes to/from JSON.  Construction is the
+    one check of a plan: a field its kind does not read (``_READS``) must keep its default."""
 
     kind: str = "type1"
     task: str = "gaussian_conjugate"
@@ -88,17 +97,22 @@ class ExperimentPlan:
     reuse_null: bool = False
 
     def __post_init__(self) -> None:
-        if self.kind not in _UNREAD:
+        for name, expected, what in (("kind", str, "a string"), ("task", str, "a string"), ("method", str, "a string"),
+                                     ("reuse_null", bool, "true or false"), ("task_params", dict, "an object"),
+                                     ("classifier", dict, "an object"), ("estimator", dict, "an object")):
+            if not isinstance(getattr(self, name), expected):
+                raise ConfigurationError(f"{name} must be {what}, got {getattr(self, name)!r}")
+        if self.kind not in _READS:
             raise ConfigurationError(f"unknown plan kind {self.kind!r}")
         reject_unknown_keys([self.method], METHODS, "method")
-        # a bench cell's phase times are medians over at least 3 runs
-        n_runs_low = 3 if self.kind == "bench" else 1
-        lows = {"n_observations": 1, "n_runs": n_runs_low, "n_v": 1, "n_per_class": 1, "n_null": 0, "seed": 0}
+        for f in (f for f in fields(self) if f.name not in (*_READS[self.kind], "kind")):
+            if getattr(self, f.name) != (f.default if f.default_factory is MISSING else f.default_factory()):
+                raise ConfigurationError(f"a {self.kind} plan does not read {f.name}, got {getattr(self, f.name)!r}")
+        # bench medians need 3 runs, a rank correlation 2 observations, a sigma sweep's p-values a null
+        lows = {"n_observations": 2 if self.kind == "correlation" else 1, "n_runs": 3 if self.kind == "bench" else 1,
+                "n_v": 1, "n_per_class": 1, "n_null": int(self.kind == "sigma-sweep"), "seed": 0}
         for name, low in lows.items():
             check_count(name, getattr(self, name), low)
-        for name in ("task_params", "classifier", "estimator"):
-            if not isinstance(getattr(self, name), dict):
-                raise ConfigurationError(f"{name} must be an object, got {getattr(self, name)!r}")
         check_real("alpha", self.alpha, "a number in (0, 1]", lambda v: 0.0 < v <= 1.0)
         for name in ("n_train_grid", "n_cal_grid"):
             grid = getattr(self, name)
@@ -106,25 +120,22 @@ class ExperimentPlan:
                 raise ConfigurationError(f"{name} must be a nonempty list, got {grid!r}")
             for v in grid:
                 check_count(f"{name} entry", v, 1)
-        if self.sigma_grid is not None:
+        if self.kind == "sigma-sweep":  # its task is the shift pair, of dimension dim
             if not isinstance(self.sigma_grid, (list, tuple)) or not self.sigma_grid:
-                raise ConfigurationError(f"sigma_grid must be None or a nonempty list, got {self.sigma_grid!r}")
+                raise ConfigurationError(f"sigma_grid must be a nonempty list, got {self.sigma_grid!r}")
             for v in self.sigma_grid:
-                check_real("sigma_grid entry", v, "a positive number", lambda v: v > 0)
+                check_real("sigma_grid entry", v, "a positive finite number", lambda v: 0.0 < v < np.inf)
+            reject_unknown_keys(self.task_params, {"dim"}, "sigma-sweep task key")
         for name in ("n_train_grid", "n_cal_grid", "sigma_grid"):  # a repeated entry would rerun its streams
             grid = getattr(self, name) or []
             repeated = [v for i, v in enumerate(grid) if v in grid[:i]]
             if repeated:
                 raise ConfigurationError(f"{name} has a duplicate entry {repeated[0]!r}")
-        _estimator_kind(self.estimator)  # type-I runs never read the spec: check its keys here
-        if self.reuse_null and (self.kind not in ("type1", "power", "bench") or self.method != "lc2st-nf"):
-            raise ConfigurationError(
-                "reuse_null needs a type-I, power or bench plan of method 'lc2st-nf', whose null is "
-                f"estimator-independent; got a {self.kind!r} plan of method {self.method!r}"
-            )
-        for f in (f for f in fields(self) if f.name in _UNREAD[self.kind]):
-            if getattr(self, f.name) != (f.default if f.default_factory is MISSING else f.default_factory()):
-                raise ConfigurationError(f"a {self.kind} plan does not read {f.name}, got {getattr(self, f.name)!r}")
+        estimator = _estimator_kind(self.estimator)  # checks the spec's keys
+        if (self.kind, estimator) in (("power", "exact"), ("correlation", "npe")):  # a correlation grades a distortion
+            raise ConfigurationError(f"a {self.kind} plan does not take an estimator of kind {estimator!r}")
+        if self.reuse_null and self.method != "lc2st-nf":
+            raise ConfigurationError(f"reuse_null needs method 'lc2st-nf', whose null is estimator-independent; got {self.method!r}")
         if self.kind == "correlation" and len(self.n_cal_grid) > 1:  # its tests all run at one n_cal
             raise ConfigurationError(f"a correlation plan runs at one n_cal, got n_cal_grid {self.n_cal_grid!r}")
 
@@ -150,7 +161,7 @@ _CLASSIFIER_KEYS = {"qda": {"ridge"}, "mlp": {f.name for f in fields(MlpConfig)}
 def _classifier_fit(spec: dict):
     """Fit function for a spec of ``kind`` plus ``ridge`` (QDA) or MlpConfig fields (MLP)."""
     kind, params = spec.get("kind", "qda"), {k: v for k, v in spec.items() if k != "kind"}
-    if kind not in _CLASSIFIER_KEYS:
+    if not isinstance(kind, str) or kind not in _CLASSIFIER_KEYS:
         raise ConfigurationError(f"unknown classifier kind {kind!r}")
     reject_unknown_keys(params, _CLASSIFIER_KEYS[kind], f"{kind} classifier key")
     if kind == "qda":
@@ -168,7 +179,7 @@ _ESTIMATOR_KEYS = {
 def _estimator_kind(spec: dict) -> str:
     """The spec's ``kind``, once its other keys are checked against that kind."""
     kind = spec.get("kind", "exact")
-    if kind not in _ESTIMATOR_KEYS:
+    if not isinstance(kind, str) or kind not in _ESTIMATOR_KEYS:
         raise ConfigurationError(f"unknown estimator kind {kind!r}")
     reject_unknown_keys(set(spec) - {"kind"}, _ESTIMATOR_KEYS[kind], f"{kind} estimator key")
     return kind
@@ -394,24 +405,26 @@ def _run_sweep(plan: ExperimentPlan, spec: dict) -> SweepResult:
 
 
 def run_type1(plan: ExperimentPlan) -> SweepResult:
-    """Rejection rates with the estimator set to the exact reference (null holds).
+    """Rejection rates of a type-I, bench or power plan with the estimator set to
+    the exact reference (null holds): a power plan gives its estimator's type-I twin.
 
-    A bench plan runs here too, its calls one at a time, each timed per
-    observation (``SweepResult.phase_medians``).  With ``reuse_null`` the null phase
+    A bench plan's calls run one at a time, each timed per observation
+    (``SweepResult.phase_medians``).  With ``reuse_null`` the null phase
     reports exactly zero, which is the amortization being measured, and
     ``SweepResult.null_fit_seconds`` holds what the shared nulls cost.
     """
+    if plan.kind not in ("type1", "bench", "power"):
+        raise ConfigurationError(f"run_type1 takes a type1, bench or power plan, got a {plan.kind} plan")
     return _run_sweep(plan, {"kind": "exact"})
 
 
 def run_power(plan: ExperimentPlan) -> SweepResult:
-    """True-positive rates for the plan's (non-identity) estimator."""
+    """True-positive rates for a power plan's non-exact, non-identity estimator."""
+    if plan.kind != "power":
+        raise ConfigurationError(f"run_power takes a power plan, got a {plan.kind} plan")
     spec = plan.estimator
-    kind = _estimator_kind(spec)
-    if kind == "exact":
-        raise ConfigurationError("power runs need a non-exact estimator spec")
     task = make_task(plan.task, **plan.task_params)
-    if kind == "distortion" and _build_estimator(spec, task, flow=False).is_identity:
+    if spec.get("kind") == "distortion" and _build_estimator(spec, task, flow=False).is_identity:
         raise ConfigurationError("estimator is the identity distortion; it does not differ from the reference")
     return _run_sweep(plan, spec)
 
@@ -444,15 +457,13 @@ class SigmaSweepResult:
 def run_sigma_sweep(plan: ExperimentPlan) -> SigmaSweepResult:
     """Power of the single-class MSE and accuracy tests across covariance scales.
 
-    For each sigma and run: fit the classifier on n_per_class draws from each
-    of N(0, I) and N(0, sigma^2 I), build the permutation null, and test both
-    single-class statistics on fresh estimator-class draws, each stack scored once.
+    For each sigma of the plan's grid and each run: fit the classifier on n_per_class
+    draws from each of N(0, I) and N(0, sigma^2 I) in ``dim`` dimensions, build the
+    permutation null (n_null >= 1), and test both single-class statistics on fresh
+    estimator-class draws, each stack scored once.
     """
-    if not plan.sigma_grid:
-        raise ConfigurationError("sigma-sweep plans need a sigma_grid")
-    if plan.n_null < 1:
-        raise ConfigurationError("sigma-sweep plans need n_null >= 1: their p-values come from the null")
-    reject_unknown_keys(plan.task_params, {"dim"}, "sigma-sweep task key")
+    if plan.kind != "sigma-sweep":
+        raise ConfigurationError(f"run_sigma_sweep takes a sigma-sweep plan, got a {plan.kind} plan")
     fit_fn = _classifier_fit(plan.classifier)
     dim = plan.task_params.get("dim", 2)
     records: list[dict] = []
@@ -489,18 +500,16 @@ class CorrelationResult:
 def run_oracle_correlation(plan: ExperimentPlan, n_permutations: int = 10_000) -> CorrelationResult:
     """Oracle vs local statistics across observations with graded distortions.
 
-    The plan's distortion spec sets the maximum distortion; observation i gets
-    fraction (i+1)/n_observations of it, so the ground-truth ordering of
-    estimator quality across observations is known.  Rank correlation is
-    Spearman's rho with a one-sided permutation p-value.
+    The plan's exact or distortion spec sets the maximum distortion; observation
+    i of n_observations >= 2 gets fraction (i+1)/n_observations of it, at the one
+    n_cal, so the ground-truth ordering of estimator quality is known.  Rank
+    correlation is Spearman's rho with a one-sided permutation p-value.
     """
-    if plan.n_observations < 2:
-        raise ConfigurationError("correlation needs at least 2 observations")
+    if plan.kind != "correlation":
+        raise ConfigurationError(f"run_oracle_correlation takes a correlation plan, got a {plan.kind} plan")
     task = make_task(plan.task, **plan.task_params)
     spec = plan.estimator
-    kind = _estimator_kind(spec)
-    if kind not in ("exact", "distortion"):
-        raise ConfigurationError("correlation study expects an exact or distortion estimator spec")
+    kind = spec.get("kind", "exact")
     _build_estimator(spec, task, flow=False)  # checks the spec's values before they are graded
     exact = kind == "exact"
     fit_fn = _classifier_fit(plan.classifier)

@@ -236,10 +236,22 @@ def test_correlation_plan_of_several_n_cal_is_a_usage_error(tmp_path, capsys):
 
 
 def test_string_sigma_grid_is_named(tmp_path, capsys):
-    plan = {**ExperimentPlan(kind="sigma-sweep").to_dict(), "sigma_grid": "12"}
+    plan = {**ExperimentPlan(kind="sigma-sweep", sigma_grid=[1.0]).to_dict(), "sigma_grid": "12"}
     (tmp_path / "plan.json").write_text(json.dumps(plan))
     err = _usage_error(capsys, ["sweep", "--plan", str(tmp_path / "plan.json"), "--out", str(tmp_path)])
     assert "sigma_grid" in err and not (tmp_path / "power.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "over, key",
+    [({"kind": "type1", "estimator": {"kind": "distortion", "scale": 3.0}}, "estimator"),
+     ({"kind": "correlation", "n_cal_grid": [50], "n_observations": 3, "n_runs": 9}, "n_runs")],
+)
+def test_field_the_kind_does_not_read_is_a_usage_error(tmp_path, capsys, over, key):
+    # both plans once ran, ignoring the field: a type-I run tests the exact reference, a correlation study one pair per observation
+    (tmp_path / "plan.json").write_text(json.dumps(over))
+    err = _usage_error(capsys, ["sweep", "--plan", str(tmp_path / "plan.json"), "--out", str(tmp_path / "out")])
+    assert f"plan does not read {key}, got {over[key]!r}" in err and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -251,12 +263,11 @@ def test_string_sigma_grid_is_named(tmp_path, capsys):
     ],
 )
 def test_unknown_estimator_key_is_named(tmp_path, capsys, estimator, key):
-    # a type-I plan never reads its estimator spec, so the plan itself checks it
-    kind = "type1" if estimator["kind"] == "exact" else "power"
+    # the plan checks its spec's keys before any rule on the spec's kind (a power plan takes no exact estimator)
     plan = ExperimentPlan(kind="type1", n_train_grid=[1], n_cal_grid=[50], n_runs=1, n_observations=1).to_dict()
-    (tmp_path / "plan.json").write_text(json.dumps({**plan, "kind": kind, "estimator": estimator}))
+    (tmp_path / "plan.json").write_text(json.dumps({**plan, "kind": "power", "estimator": estimator}))
     err = _usage_error(capsys, ["sweep", "--plan", str(tmp_path / "plan.json"), "--out", str(tmp_path)])
-    assert repr(key) in err
+    assert f"estimator key {key!r}" in err
 
 
 def test_flow_checkpoint_without_a_key_is_named(tmp_path, capsys, affine_flow):

@@ -3,6 +3,7 @@
 import os
 import pickle
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from lc2st import (
 from lc2st import flows
 from lc2st.classifiers import _Scoring
 from lc2st.harness import (
+    _READS,
     METHODS,
     ExperimentPlan,
     _build_estimator,
@@ -50,9 +52,18 @@ SMALL_TYPE1 = dict(
     n_v=500,
     seed=3,
 )
-# a sigma sweep reads none of the type-I plan's task, method, grids or n_observations
+# a sigma sweep reads none of the type-I plan's task, method, grids or n_observations, and its task_params take only dim
 SMALL_SIGMA = {k: v for k, v in SMALL_TYPE1.items() if k not in ("task", "method", "n_train_grid", "n_cal_grid", "n_observations")}
-SMALL_SIGMA["kind"] = "sigma-sweep"
+SMALL_SIGMA.update(kind="sigma-sweep", task_params={}, sigma_grid=[1.0])
+# a correlation study reads none of the type-I plan's method, n_train_grid, n_runs, alpha or n_null
+SMALL_CORRELATION = {k: v for k, v in SMALL_TYPE1.items() if k not in ("method", "n_train_grid", "n_runs", "alpha", "n_null")}
+SMALL_CORRELATION["kind"] = "correlation"
+DISTORTED = {"kind": "distortion", "scale": 2.0}
+# a small valid plan of each kind
+SMALL_PLANS = {
+    "type1": SMALL_TYPE1, "bench": {**SMALL_TYPE1, "kind": "bench"}, "power": {**SMALL_TYPE1, "kind": "power", "estimator": DISTORTED},
+    "sigma-sweep": SMALL_SIGMA, "correlation": SMALL_CORRELATION,
+}
 
 
 class TestPlan:
@@ -77,12 +88,13 @@ class TestPlan:
     @pytest.mark.parametrize("method", ["lc2st", "oracle-c2st-acc", "oracle-c2st-mse"])
     def test_reuse_null_only_for_lc2st_nf(self, method):
         for kind in ("type1", "power", "bench"):
+            base = {**SMALL_TYPE1, "kind": kind, **({"estimator": DISTORTED} if kind == "power" else {})}
             with pytest.raises(ConfigurationError, match=f"reuse_null.*{method!r}"):
-                ExperimentPlan(**{**SMALL_TYPE1, "kind": kind, "method": method, "reuse_null": True})
-            ExperimentPlan(**{**SMALL_TYPE1, "kind": kind, "method": "lc2st-nf", "reuse_null": True})
-        for kind in ("sigma-sweep", "correlation"):
-            with pytest.raises(ConfigurationError, match=f"reuse_null.*{kind!r}"):
-                ExperimentPlan(**{**SMALL_TYPE1, "kind": kind, "method": "lc2st-nf", "reuse_null": True})
+                ExperimentPlan(**{**base, "method": method, "reuse_null": True})
+            ExperimentPlan(**{**base, "method": "lc2st-nf", "reuse_null": True})
+        for kind, base in (("sigma-sweep", SMALL_SIGMA), ("correlation", SMALL_CORRELATION)):
+            with pytest.raises(ConfigurationError, match=f"^a {kind} plan does not read reuse_null, got True$"):
+                ExperimentPlan(**{**base, "reuse_null": True})
         with pytest.raises(ConfigurationError, match="n_runs must be an integer >= 3, got 2"):
             ExperimentPlan(**{**SMALL_TYPE1, "kind": "bench", "n_runs": 2})
 
@@ -92,11 +104,15 @@ class TestPlan:
             ("n_null", 2.5), ("n_v", True), ("seed", "0"), ("alpha", "0.05"), ("n_cal_grid", [100.0]), ("n_train_grid", 5),
             ("sigma_grid", "12"), ("sigma_grid", ["x"]), ("sigma_grid", [True]), ("sigma_grid", []), ("sigma_grid", [0.5, -1.0]),
             ("task_params", [1]), ("classifier", "qda"), ("estimator", "exact"),
+            ("sigma_grid", None), ("sigma_grid", [float("inf")]), ("sigma_grid", [1.0, float("nan")]),
+            ("kind", ["type1"]), ("method", ["lc2st"]), ("reuse_null", "false"), ("reuse_null", 1), ("task", ["two_moons"]),
         ],
     )
     def test_wrongly_typed_field_is_named(self, key, value):
-        with pytest.raises(ConfigurationError, match=key):
-            ExperimentPlan(**{**SMALL_TYPE1, key: value})
+        # sigma_grid is a sigma sweep's field: any other kind refuses it as unread
+        base = {**SMALL_SIGMA, "n_per_class": 50} if key == "sigma_grid" else SMALL_TYPE1
+        with pytest.raises(ConfigurationError, match=f"^{key}"):
+            ExperimentPlan(**{**base, key: value})
 
     @pytest.mark.parametrize("key, grid", [("n_train_grid", [1, 1]), ("n_cal_grid", [200, 300, 200]), ("sigma_grid", [1.0, 2, 1])])
     def test_duplicate_grid_entry_is_named(self, key, grid):
@@ -109,7 +125,49 @@ class TestPlan:
     @pytest.mark.parametrize("key, value", [("sigma_grid", [1.0]), ("n_per_class", 500)])
     def test_fields_its_kind_never_reads_are_rejected(self, kind, key, value):
         with pytest.raises(ConfigurationError, match=f"^a {kind} plan does not read {key}, got {re.escape(repr(value))}$"):
-            ExperimentPlan(**{**SMALL_TYPE1, "kind": kind, key: value})
+            ExperimentPlan(**{**SMALL_PLANS[kind], key: value})
+
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [("type1", "estimator", DISTORTED), ("bench", "estimator", {"kind": "npe"}), ("correlation", "method", "oracle-c2st-acc"),
+         ("correlation", "n_train_grid", [5, 6]), ("correlation", "n_runs", 9), ("correlation", "alpha", 0.1),
+         ("correlation", "n_null", 77)],
+    )
+    def test_fields_a_runner_ignored_are_rejected(self, kind, key, value):
+        # each of these was once accepted and ignored: a type-I run always tests the exact reference,
+        # and the correlation study runs one unnulled test pair per observation
+        with pytest.raises(ConfigurationError, match=f"^a {kind} plan does not read {key}, got {re.escape(repr(value))}$"):
+            ExperimentPlan(**{**SMALL_PLANS[kind], key: value})
+
+    @pytest.mark.parametrize(
+        "run, kind",
+        [(run_type1, "sigma-sweep"), (run_type1, "correlation"), (run_power, "type1"), (run_power, "bench"),
+         (run_sigma_sweep, "type1"), (run_oracle_correlation, "power")],
+    )
+    def test_a_runner_refuses_a_plan_of_another_kind(self, run, kind):
+        with pytest.raises(ConfigurationError, match=rf"^{run.__name__} takes an? .*plan, got a {kind} plan$"):
+            run(ExperimentPlan(**SMALL_PLANS[kind]))
+
+    @pytest.mark.parametrize(
+        "kind, run",
+        [("type1", run_type1), ("bench", run_type1), ("power", run_power), ("sigma-sweep", run_sigma_sweep),
+         ("correlation", run_oracle_correlation)],
+    )
+    def test_reads_table_is_what_each_runner_reads(self, monkeypatch, kind, run):
+        # the table is measured: the plan attributes a runner reads are its kind's entry, plus kind
+        monkeypatch.setenv("LC2ST_THREADS", "1")
+        tiny = {"sigma-sweep": {"n_runs": 1, "n_null": 2, "n_v": 50, "n_per_class": 50}, "correlation": {"n_cal_grid": [100], "n_v": 100}}
+        plan = ExperimentPlan(**{**SMALL_PLANS[kind], **tiny.get(kind, {"n_cal_grid": [100], "n_null": 2, "n_v": 100})})
+        names, read = {f.name for f in fields(ExperimentPlan)}, set()
+
+        def getattribute(self, name):
+            if name in names:
+                read.add(name)
+            return object.__getattribute__(self, name)
+
+        monkeypatch.setattr(ExperimentPlan, "__getattribute__", getattribute)
+        run(plan)
+        assert read == {*_READS[kind], "kind"}
 
     @pytest.mark.parametrize(
         "spec, key",
@@ -118,6 +176,12 @@ class TestPlan:
     def test_unknown_classifier_key_is_named(self, spec, key):
         with pytest.raises(ConfigurationError, match=key):
             run_type1(ExperimentPlan(**{**SMALL_TYPE1, "classifier": spec}))
+
+    def test_spec_kind_of_the_wrong_type_is_named(self):
+        with pytest.raises(ConfigurationError, match=r"^unknown estimator kind \['distortion'\]$"):
+            ExperimentPlan(**{**SMALL_PLANS["power"], "estimator": {"kind": ["distortion"]}})
+        with pytest.raises(ConfigurationError, match=r"^cell \(n_train=1\): unknown classifier kind \['qda'\]$"):
+            run_type1(ExperimentPlan(**{**SMALL_TYPE1, "classifier": {"kind": ["qda"]}}))
 
     @pytest.mark.parametrize("key, value", [("batch_size", 0), ("max_epochs", 0), ("learning_rate", -1.0), ("holdout_frac", 1.0)])
     def test_invalid_mlp_value_is_named(self, key, value):
@@ -292,14 +356,14 @@ class TestPower:
     @pytest.mark.parametrize("kind", ["power", "correlation"])
     @pytest.mark.parametrize("over, named", [({"scale": "2"}, "scale"), ({"scale": True}, "scale"), ({"shift": "a"}, "mean_shift")])
     def test_non_numeric_distortion_value_is_named(self, kind, over, named):
-        plan = ExperimentPlan(**{**SMALL_TYPE1, "kind": kind, "estimator": {"kind": "distortion", **over}})
+        base = SMALL_TYPE1 if kind == "power" else SMALL_CORRELATION
+        plan = ExperimentPlan(**{**base, "kind": kind, "estimator": {"kind": "distortion", **over}})
         with pytest.raises(ConfigurationError, match=f"^{named} must be"):
             (run_power if kind == "power" else run_oracle_correlation)(plan)
 
     def test_exact_estimator_rejected_for_power(self):
-        plan = ExperimentPlan(**{**SMALL_TYPE1, "kind": "power"})
-        with pytest.raises(ConfigurationError):
-            run_power(plan)
+        with pytest.raises(ConfigurationError, match="estimator of kind 'exact'"):
+            ExperimentPlan(**{**SMALL_TYPE1, "kind": "power"})
 
     def test_scale_distortion_detected(self):
         plan = ExperimentPlan(
@@ -521,15 +585,13 @@ def test_pickled_task_and_estimator_draw_bitwise_the_same(name, spec, flow):
 
 class TestSigmaSweep:
     def test_requires_grid(self):
-        plan = ExperimentPlan(**SMALL_SIGMA)
-        with pytest.raises(ConfigurationError):
-            run_sigma_sweep(plan)
+        with pytest.raises(ConfigurationError, match="sigma_grid"):
+            ExperimentPlan(**{**SMALL_SIGMA, "sigma_grid": None})
 
     @pytest.mark.parametrize("classifier", [{"kind": "qda"}, {"kind": "mlp", "max_epochs": 1}])
     def test_requires_a_null(self, classifier):
-        plan = ExperimentPlan(**{**SMALL_SIGMA, "sigma_grid": [1.0], "n_null": 0, "classifier": classifier})
-        with pytest.raises(ConfigurationError, match="n_null >= 1"):
-            run_sigma_sweep(plan)
+        with pytest.raises(ConfigurationError, match="n_null must be an integer >= 1"):
+            ExperimentPlan(**{**SMALL_SIGMA, "sigma_grid": [1.0], "n_null": 0, "classifier": classifier})
 
     @pytest.mark.parametrize(
         "params, message",
@@ -600,15 +662,10 @@ class TestCorrelation:
     def _plan(self, **over):
         base = dict(
             kind="correlation",
-            method="lc2st",
             task="gaussian_conjugate",
             task_params={"m": 2, "noise_std": 1.0},
-            n_train_grid=[1],
             n_cal_grid=[2000],
             n_observations=12,
-            n_runs=1,
-            alpha=0.05,
-            n_null=1,
             n_v=4000,
             seed=21,
             estimator={"kind": "distortion", "shift": 1.5, "scale": 1.0},
@@ -639,8 +696,13 @@ class TestCorrelation:
         assert res.p_value * 501 == pytest.approx(round(res.p_value * 501), abs=1e-9)
 
     def test_single_observation_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="n_observations"):
             run_oracle_correlation(self._plan(n_observations=1))
+
+    def test_npe_estimator_rejected(self):
+        # the study grades a closed-form distortion of the reference
+        with pytest.raises(ConfigurationError, match="^a correlation plan does not take an estimator of kind 'npe'$"):
+            self._plan(estimator={"kind": "npe"})
 
     def test_a_grid_of_several_n_cal_is_rejected(self):
         # the study runs at one n_cal: a longer grid would be cut to one entry
