@@ -689,7 +689,12 @@ def run_test(
     check_count("n_cal", n_cal, 1)
     check_count("n_null", n_null, 0)
     check_count("n_v", n_v, 1)
-    observations = np.atleast_2d(x_o)
+    observations = np.atleast_2d(np.asarray(x_o, dtype=np.float64))
+    if observations.ndim != 2 or observations.shape[1] != task.d:
+        raise ConfigurationError(f"x_o must be a ({task.d},) observation or a (k, {task.d}) batch, got shape {np.shape(x_o)}")
+    if not np.all(np.isfinite(observations)):
+        row = int(np.argmin(np.isfinite(observations).all(axis=1)))
+        raise ConfigurationError(f"x_o row {row} is not finite: {observations[row].tolist()}")
     if method.startswith("oracle"):
         if task.reference is None:
             raise ConfigurationError(f"oracle methods need a reference posterior for task {task.name!r}")
@@ -861,8 +866,7 @@ def probability_heatmap(clf, flow, eval_ws: np.ndarray, bins: int) -> list[Margi
     probability marks regions where the estimator carries more mass than the
     joint data supports.
     """
-    if bins < 2:
-        raise ConfigurationError("need at least 2 bins per axis")
+    check_count("bins", bins, 2)
     eval_ws = np.atleast_2d(np.asarray(eval_ws, dtype=np.float64))
     if eval_ws.shape[1] != flow.m + flow.d:
         raise ConfigurationError(f"heatmap rows need {flow.m} latent and {flow.d} conditioning columns, got {eval_ws.shape[1]}")

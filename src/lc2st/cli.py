@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-train", dest="n_train", type=int, required=True)
     p.add_argument("--layers", type=int, default=5)
     p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--epochs", type=int, default=200)
+    p.add_argument("--epochs", type=int, default=NpeConfig.max_epochs)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_train_npe)

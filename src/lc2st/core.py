@@ -190,7 +190,9 @@ def _as_matrix(a, name: str) -> np.ndarray:
     if arr.size and not np.all(np.isfinite(arr)):
         raise ConfigurationError(f"{name} contains NaN or Inf")
     arr = np.ascontiguousarray(arr)
-    arr.setflags(write=False)
+    if arr.flags.writeable:  # a read-only view, which leaves the caller's array writeable
+        arr = arr.view()
+        arr.setflags(write=False)
     return arr
 
 

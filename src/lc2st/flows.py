@@ -9,9 +9,9 @@ Two flow families share one interface (``forward``, ``inverse``, ``log_prob``,
   rectifier networks whose output layer starts at zero, so a fresh flow is the
   identity map up to permutation.  Log-scales are smoothly clamped to
   (-S_MAX, S_MAX) so Jacobian determinants stay finite and nonzero.
-* :class:`ConditionalAffineFlow` -- an exact diagonal affine map
-  ``theta = mean(x) + scale(x) * z``, used for closed-form estimators and
-  controlled latent distortions.
+* :class:`ConditionalAffineFlow` -- the affine map ``theta = x W + b + s * z``
+  held as its parameters (W, b, s): closed-form estimators and controlled
+  latent distortions, which save and pickle like any flow.
 
 The base distribution is always standard normal in the m-dimensional latent
 space.  For m = 1, where coupling cannot split coordinates, every block has an
@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -299,69 +298,45 @@ def build_coupling_flow(
 
 
 class ConditionalAffineFlow(_Flow):
-    """Diagonal affine conditional flow theta = mean(x) + scale(x) * z.
+    """The affine flow theta = x W + b + s * z, held as its parameters:
+    ``weight`` W (d, m), and ``shift`` b and ``scale`` s, each a number or an
+    (m,) vector.  Construction checks their shapes, finiteness and s > 0; the
+    forward map's log-determinant is sum(log s) on every row."""
 
-    ``mean_fn``/``scale_fn`` map a batch of observations (n, d) to (n, m)
-    arrays; scales must be positive.  Supports the same interface as the
-    trainable flow, with exact inverse and log-determinant.
-    """
-
-    def __init__(self, m: int, d: int, mean_fn, scale_fn, spec: dict | None = None):
-        self.m, self.d, self.mean_fn, self.scale_fn, self.spec = m, d, mean_fn, scale_fn, spec
-
-    def _coeffs(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mean = np.asarray(self.mean_fn(xs), dtype=np.float64)
-        scale = np.asarray(self.scale_fn(xs), dtype=np.float64)
-        mean = np.broadcast_to(mean, (xs.shape[0], self.m))
-        scale = np.broadcast_to(scale, (xs.shape[0], self.m))
-        if np.any(scale <= 0):
-            row = int(np.argmax(np.any(scale <= 0, axis=1)))
-            raise NumericError(f"affine flow scale must be positive, got {scale[row].tolist()} at row {row}")
-        return mean, scale
+    def __init__(self, weight, shift, scale):
+        weight = np.array(weight, dtype=np.float64)
+        if weight.ndim != 2 or 0 in weight.shape or not np.all(np.isfinite(weight)):
+            raise ConfigurationError(f"affine flow weight must be a finite (d, m) matrix, got shape {weight.shape}")
+        (self.d, self.m), self.weight = weight.shape, weight
+        for name, value in ("shift", shift), ("scale", scale):
+            value = np.asarray(value, dtype=np.float64)
+            if value.ndim > 1 or value.size not in (1, self.m) or not np.all(np.isfinite(value)):
+                raise ConfigurationError(f"affine flow {name} must be finite, of size 1 or {self.m}, got {value.tolist()}")
+            setattr(self, name, np.full(self.m, value))
+        if np.any(self.scale <= 0):
+            raise ConfigurationError(f"affine flow scale must be positive, got {self.scale.tolist()}")
 
     def forward(self, z: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         z, xs = _pair(z, xs, self.d)
-        mean, scale = self._coeffs(xs)
-        return mean + scale * z, np.sum(np.log(scale), axis=1)
+        return xs @ self.weight + self.shift + self.scale * z, np.full(len(z), np.log(self.scale).sum())
 
     def inverse(self, thetas: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         thetas, xs = _pair(thetas, xs, self.d)
-        mean, scale = self._coeffs(xs)
-        return (thetas - mean) / scale, -np.sum(np.log(scale), axis=1)
+        return (thetas - (xs @ self.weight + self.shift)) / self.scale, np.full(len(thetas), -np.log(self.scale).sum())
 
     def to_dict(self) -> dict:
-        if self.spec is None:
-            raise ConfigurationError("only affine flows built from a named spec are serializable")
-        return {"kind": "affine-flow", "m": self.m, "d": self.d, "spec": self.spec}
+        return {"kind": "affine-flow", **{name: getattr(self, name).tolist() for name in ("weight", "shift", "scale")}}
 
 
-# the conjugate flow's maps, module-level so that the flow pickles
-def _affine_mean(shrink: float, shift: float, xs: np.ndarray) -> np.ndarray:
-    return xs * shrink + shift
-
-
-def _constant_scale(m: int, sd: float, xs: np.ndarray) -> np.ndarray:
-    return np.full((xs.shape[0], m), sd)
-
-
-def conjugate_affine_flow(
-    m: int,
-    noise_std: float,
-    scale_mult: float = 1.0,
-    shift: float = 0.0,
-) -> ConditionalAffineFlow:
-    """Closed-form flow for the conjugate Gaussian task.
-
-    With ``scale_mult=1, shift=0`` this is the exact posterior transport
-    (latents of true posterior draws are standard normal); other values distort
-    the latent scale or location for controlled failure cases.
-    """
-    if noise_std <= 0 or scale_mult <= 0:
-        raise ConfigurationError("noise_std and scale_mult must be positive")
+def conjugate_affine_flow(m: int, noise_std: float, scale_mult: float = 1.0, shift=0.0) -> ConditionalAffineFlow:
+    """Closed-form flow for the conjugate Gaussian task: W = shrink * I, b =
+    ``shift`` (a number or an (m,) vector) and s = the posterior sd times
+    ``scale_mult``, whose positivity the flow checks.  The defaults are the exact
+    posterior transport (true posterior draws map to standard normal latents)."""
+    check_real("noise_std", noise_std, "positive", lambda v: v > 0)
     shrink = 1.0 / (1.0 + noise_std**2)
     sd = float(np.sqrt(noise_std**2 * shrink)) * scale_mult
-    spec = {"name": "conjugate", "m": m, "noise_std": noise_std, "scale_mult": scale_mult, "shift": shift}
-    return ConditionalAffineFlow(m, m, partial(_affine_mean, shrink, shift), partial(_constant_scale, m, sd), spec=spec)
+    return ConditionalAffineFlow(np.eye(m) * shrink, shift, sd)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +348,7 @@ def conjugate_affine_flow(
 class NpeConfig:
     batch_size: int = 100
     learning_rate: float = 1e-3
-    max_epochs: int = 500
+    max_epochs: int = 200
     patience: int = 20
     holdout_frac: float = 0.1
 
@@ -489,18 +464,18 @@ def _layer_from_dict(entry: dict):
 
 
 def load_flow(path: str | Path):
+    """The flow a :func:`save_flow` checkpoint holds.  An older affine checkpoint
+    names the conjugate flow's settings in a ``spec`` and loads to that flow."""
     data = load_json_object(path, "a flow checkpoint")
     kind = data.get("kind")
     try:
         if kind == "coupling-flow":
             return ConditionalFlow(data["m"], data["d"], [_layer_from_dict(e) for e in data["layers"]])
+        if kind == "affine-flow" and "spec" not in data:
+            return ConditionalAffineFlow(data["weight"], data["shift"], data["scale"])
         if kind == "affine-flow":
             spec = data["spec"]
-            if spec.get("name") != "conjugate":
-                raise ConfigurationError(f"unknown affine flow spec {spec!r}")
-            return conjugate_affine_flow(
-                spec["m"], spec["noise_std"], spec.get("scale_mult", 1.0), spec.get("shift", 0.0)
-            )
+            return conjugate_affine_flow(spec["m"], spec["noise_std"], spec.get("scale_mult", 1.0), spec.get("shift", 0.0))
     except KeyError as exc:
         raise DataFormatError(f"flow checkpoint {str(path)!r} lacks key {exc.args[0]!r}") from None
     raise ConfigurationError(f"unknown flow kind {kind!r} in checkpoint")

@@ -189,29 +189,28 @@ def _build_estimator(spec: dict, task, flow: bool, n_train: int = 0, seed: int =
     """The estimator ``spec`` names for ``task``, as a flow when ``flow``
     (lc2st-nf needs the inverse transform) and as a sampler otherwise.
 
-    ``exact`` and ``distortion`` derive from the reference posterior, as a
-    closed-form flow only for the conjugate task; ``npe`` trains a coupling
-    flow on ``n_train`` pairs from ``hash(seed, "estimator", n_train)``.
+    ``exact`` and ``distortion`` derive from the reference posterior.  As a
+    flow they exist only for the conjugate task: :func:`conjugate_affine_flow`
+    with the distortion's scale and (m,) ``mean_shift``, so a vector
+    ``shift`` serves lc2st-nf as it serves lc2st.  ``npe`` trains a coupling
+    flow on ``n_train`` pairs from ``hash(seed, "estimator", n_train)``; the
+    spec's keys override :func:`train_npe`'s and :class:`NpeConfig`'s defaults.
     """
     kind = _estimator_kind(spec)
     if kind == "npe":
-        settings = {k: v for k, v in spec.items() if k not in ("kind", "n_layers", "hidden")}
-        cfg = NpeConfig(**{"max_epochs": 200, **settings})
+        sizes = {key: spec[key] for key in ("n_layers", "hidden") if key in spec}
+        cfg = NpeConfig(**{k: v for k, v in spec.items() if k not in ("kind", *sizes)})
         stream = derive_stream(seed, "estimator", n_train)
-        return train_npe(task, n_train, stream, spec.get("n_layers", 5), spec.get("hidden", (64, 64)), cfg)[0]
+        return train_npe(task, n_train, stream, cfg=cfg, **sizes)[0]
     reference = task.reference
     if reference is None:
         raise ConfigurationError(f"task {task.name!r} has no reference posterior")
-    shift = spec.get("shift", 0.0)
-    distorted = distort(reference, shift, spec.get("scale", 1.0))  # checks both values
+    distorted = distort(reference, spec.get("shift", 0.0), spec.get("scale", 1.0))  # checks both values
     if not flow:
         return reference if kind == "exact" else distorted
     if not isinstance(reference, ConjugateGaussianPosterior):
         raise ConfigurationError(f"no closed-form flow for task {task.name!r}; train one with estimator kind 'npe'")
-    if np.ndim(shift):
-        raise ConfigurationError(f"estimator key 'shift' must be a scalar for a flow, got {shift!r}")
-    return conjugate_affine_flow(task.m, reference.noise_std, scale_mult=distorted.scale,
-                                 shift=float(distorted.mean_shift[0]))
+    return conjugate_affine_flow(task.m, reference.noise_std, distorted.scale, distorted.mean_shift)
 
 
 # ---------------------------------------------------------------------------

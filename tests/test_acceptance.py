@@ -195,9 +195,7 @@ def test_criterion_6_flow_correctness_bounds():
         assert np.max(np.abs(ld_f + ld_i)) <= 1e-6
 
     a, b = 0.8, 1.3
-    affine = ConditionalAffineFlow(
-        1, 1, mean_fn=lambda xs: np.full((len(xs), 1), b), scale_fn=lambda xs: np.full((len(xs), 1), a)
-    )
+    affine = ConditionalAffineFlow(np.zeros((1, 1)), b, a)
     thetas = np.linspace(-3, 5, 81).reshape(-1, 1)
     expected = -0.5 * ((thetas[:, 0] - b) / a) ** 2 - 0.5 * np.log(2 * np.pi) - np.log(a)
     assert np.max(np.abs(affine.log_prob(thetas, np.zeros((81, 1))) - expected)) <= 1e-10

@@ -549,6 +549,21 @@ class TestRunTest:
         with pytest.raises(ConfigurationError, match=f"^n_v must be an integer >= 1, got {bad!r}$"):
             lc2st_evaluate(clf, ensemble, self.task.reference, self.x_o, bad, RngStream(seed=5))
 
+    @pytest.mark.parametrize("method", ["lc2st", "lc2st-nf", "oracle-c2st-mse"])
+    @pytest.mark.parametrize("x_o, message", [
+        ([0.1, 0.2, 0.3], r"x_o must be a \(2,\) observation or a \(k, 2\) batch, got shape \(3,\)"),
+        (np.zeros((1, 1, 2)), r"x_o must be a \(2,\) observation or a \(k, 2\) batch, got shape \(1, 1, 2\)"),
+        ([np.nan, 0.0], r"x_o row 0 is not finite: \[nan, 0\.0\]"),
+        ([np.inf, 0.0], r"x_o row 0 is not finite: \[inf, 0\.0\]"),
+        ([[0.0, 0.0], [0.5, -np.inf]], r"x_o row 1 is not finite: \[0\.5, -inf\]"),
+    ], ids=["three-columns", "three-dims", "nan", "inf", "second-row-inf"])
+    def test_bad_observation_is_named_before_any_fit(self, method, x_o, message):
+        estimator = conjugate_affine_flow(2, 1.0) if method == "lc2st-nf" else self.task.reference
+        fit = CountingFitter(qda_factory())
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            run_test(method, self.task, estimator, x_o, 300, 8, 300, fit, RngStream(seed=9))
+        assert (fit.calls, fit.ensembles) == (0, 0)
+
     def test_unknown_method_and_missing_reference_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown method"):
             self._run("c2st", self.task.reference)
@@ -960,6 +975,11 @@ class TestHeatmap:
         # 2 one-dim marginals (4 bins) + 1 two-dim marginal (16 bins)
         assert len(rows) == 2 * 4 + 16
         assert all(len(r) == 6 for r in rows)
+
+    @pytest.mark.parametrize("bins", [1, 2.5, "4", True])
+    def test_bins_must_be_an_integer_of_at_least_two(self, bins):
+        with pytest.raises(ConfigurationError, match=rf"^bins must be an integer >= 2, got {re.escape(repr(bins))}$"):
+            probability_heatmap(_Const(0.5), conjugate_affine_flow(2, 1.0), self.rows(67, 10), bins)
 
     def test_bins_validation(self):
         flow = conjugate_affine_flow(2, 1.0)

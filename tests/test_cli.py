@@ -272,10 +272,10 @@ def test_unknown_estimator_key_is_named(tmp_path, capsys, estimator, key):
 
 def test_flow_checkpoint_without_a_key_is_named(tmp_path, capsys, affine_flow):
     checkpoint = json.loads(affine_flow.read_text())
-    del checkpoint["spec"]["noise_std"]
+    del checkpoint["scale"]
     affine_flow.write_text(json.dumps(checkpoint))
     err = _usage_error(capsys, ["test", "--method", "lc2st-nf", "--flow", str(affine_flow), "--out", str(tmp_path)])
-    assert "'noise_std'" in err
+    assert "'scale'" in err
 
 
 def test_oracle_method_via_cli(tmp_path):
@@ -490,14 +490,14 @@ def test_bad_thread_count_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert "LC2ST_THREADS must be an integer >= 1, got 'two'" in err and not (tmp_path / "results.json").exists()
 
 
-def test_vector_shift_for_a_flow_is_a_usage_error(tmp_path, capsys):
+def test_wrong_length_shift_for_a_flow_is_a_usage_error(tmp_path, capsys):
     plan = ExperimentPlan(
         kind="power", method="lc2st-nf", n_train_grid=[1], n_cal_grid=[50], n_runs=3, n_observations=1, n_null=2,
-        n_v=50, estimator={"kind": "distortion", "shift": [0.3, -0.2]},
+        n_v=50, estimator={"kind": "distortion", "shift": [0.3, -0.2, 0.1]},
     )
     plan.save(tmp_path / "plan.json")
     err = _usage_error(capsys, ["sweep", "--plan", str(tmp_path / "plan.json"), "--out", str(tmp_path)])
-    assert "'shift'" in err and not (tmp_path / "power.csv").exists()
+    assert "mean_shift must have length m=2" in err and not (tmp_path / "power.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -90,6 +90,17 @@ class TestDatasets:
         assert data.n_class0 == data.n_class1 == 3
         assert np.all(data.ws[data.labels == 1] == 1.0)
 
+    def test_read_only_views_leave_the_callers_arrays_writeable(self):
+        thetas, xs, ws = np.zeros((4, 2)), np.ones((4, 3)), np.arange(8.0).reshape(4, 2)
+        joint, labeled = JointDataset(thetas, xs), LabeledPairDataset(ws, [0, 1, 0, 1])
+        for own, given in ((joint.thetas, thetas), (joint.xs, xs), (labeled.ws, ws)):
+            assert not own.flags.writeable and given.flags.writeable
+            assert np.shares_memory(own, given)  # a view, not a copy
+            with pytest.raises(ValueError, match="read-only"):
+                own[0, 0] = 1.0
+        # an array that is already read-only is kept as it is
+        assert JointDataset(joint.thetas, joint.xs).thetas is joint.thetas
+
 
 class TestSerialization:
     def test_empty_dataset_round_trip(self, tmp_path):

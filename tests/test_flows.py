@@ -2,6 +2,7 @@
 
 import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -122,9 +123,7 @@ class TestDensities:
     def test_one_dim_affine_matches_gaussian(self):
         # theta = a z + b  =>  log q(theta) = Normal(b, a^2) log-density
         a, b = 1.7, -0.3
-        flow = ConditionalAffineFlow(
-            1, 2, mean_fn=lambda xs: np.full((len(xs), 1), b), scale_fn=lambda xs: np.full((len(xs), 1), a)
-        )
+        flow = ConditionalAffineFlow(np.zeros((2, 1)), b, a)
         thetas = np.linspace(-4, 4, 101).reshape(-1, 1)
         xs = np.zeros((101, 2))
         expected = -0.5 * ((thetas[:, 0] - b) / a) ** 2 - 0.5 * LOG_2PI - np.log(a)
@@ -361,15 +360,6 @@ class TestFailingRows:
             with pytest.raises(NumericError, match="^inverse pass produced non-finite values at layer 0, row 7$"):
                 lc2st_nf_train(flow, JointDataset(self.thetas, xs), qda_factory(), RngStream(seed=52))
 
-    def test_affine_flow_names_its_first_non_positive_scale(self):
-        # the scale turns negative where x exceeds 5, at rows 12 and 20
-        scale = lambda xs: np.where(xs > 5.0, -0.5, 1.0) * np.ones((1, 2))  # noqa: E731
-        flow = ConditionalAffineFlow(2, 1, lambda xs: np.zeros((len(xs), 2)), scale)
-        xs = self.xs.copy()
-        xs[[12, 20]] = 6.0
-        with pytest.raises(NumericError, match=r"^affine flow scale must be positive, got \[-0.5, -0.5\] at row 12$"):
-            lc2st_nf_train(flow, JointDataset(self.thetas, xs), qda_factory(), RngStream(seed=53))
-
 
 class TestCheckpoints:
     def test_coupling_flow_round_trip(self, tmp_path):
@@ -417,6 +407,67 @@ class TestCheckpoints:
         thetas = rng.standard_normal((20, 2))
         xs = rng.standard_normal((20, 2))
         assert np.array_equal(loaded.log_prob(thetas, xs), flow.log_prob(thetas, xs))
+
+
+# one affine flow of each origin: the conjugate flow with a vector shift,
+# criterion 6's constant flow (zero weight) and a general (d, m) = (2, 3) map
+AFFINE_FLOWS = {
+    "conjugate-vector-shift": lambda: conjugate_affine_flow(2, 0.7, scale_mult=1.3, shift=[0.2, -0.1]),
+    "constant": lambda: ConditionalAffineFlow(np.zeros((1, 1)), 1.3, 0.8),
+    "general": lambda: ConditionalAffineFlow([[0.5, -0.2, 0.1], [0.3, 0.9, -0.7]], [0.1, 0.0, -0.4], [0.6, 1.1, 2.5]),
+}
+
+
+class TestAffineFlow:
+    @pytest.mark.parametrize("name", sorted(AFFINE_FLOWS))
+    def test_pickles_and_round_trips_bitwise(self, tmp_path, name):
+        flow = AFFINE_FLOWS[name]()
+        save_flow(flow, tmp_path / "flow.json")
+        rng = np.random.default_rng(45)
+        thetas, xs = rng.standard_normal((30, flow.m)), rng.standard_normal((30, flow.d))
+        maps = lambda f: (*f.inverse(thetas, xs), *f.forward(thetas, xs), f.log_prob(thetas, xs))  # noqa: E731
+        for copied in (load_flow(tmp_path / "flow.json"), pickle.loads(pickle.dumps(flow))):
+            assert type(copied) is ConditionalAffineFlow and (copied.d, copied.m) == (flow.d, flow.m)
+            for key in ("weight", "shift", "scale"):
+                assert getattr(copied, key).tobytes() == getattr(flow, key).tobytes()
+            assert [a.tobytes() for a in maps(copied)] == [a.tobytes() for a in maps(flow)]
+
+    @pytest.mark.parametrize("noise_std, scale_mult, shift", [(1.0, 1.0, 0.0), (1.0, 1.3, 0.0), (0.7, 1.0, 0.2), (1.5, 0.6, -0.4)])
+    def test_spec_checkpoint_loads_bitwise(self, tmp_path, noise_std, scale_mult, shift):
+        # affine checkpoints once named the conjugate flow's settings, and the
+        # flow computed mean x * shrink + shift and a constant scale row by row
+        spec = {"name": "conjugate", "m": 2, "noise_std": noise_std, "scale_mult": scale_mult, "shift": shift}
+        (tmp_path / "flow.json").write_text(json.dumps({"kind": "affine-flow", "m": 2, "d": 2, "spec": spec}))
+        loaded = load_flow(tmp_path / "flow.json")
+        rng = np.random.default_rng(46)
+        thetas, xs = rng.standard_normal((500, 2)), rng.standard_normal((500, 2))
+        shrink = 1.0 / (1.0 + noise_std**2)
+        scale = np.full((500, 2), float(np.sqrt(noise_std**2 * shrink)) * scale_mult)
+        z, logdet = (thetas - (xs * shrink + shift)) / scale, -np.sum(np.log(scale), axis=1)
+        assert loaded.inverse(thetas, xs)[0].tobytes() == z.tobytes()
+        assert loaded.inverse(thetas, xs)[1].tobytes() == logdet.tobytes()
+        assert loaded.log_prob(thetas, xs).tobytes() == (-0.5 * (np.sum(z * z, axis=1) + 2 * LOG_2PI) + logdet).tobytes()
+
+    @pytest.mark.parametrize(
+        "weight, shift, scale, message",
+        [
+            (np.eye(2), 0.0, 0.0, r"scale must be positive, got \[0\.0, 0\.0\]"),
+            (np.eye(2), 0.0, [1.0, -0.5], r"scale must be positive, got \[1\.0, -0\.5\]"),
+            (np.eye(2), 0.0, [1.0, np.nan], r"scale must be finite, of size 1 or 2, got \[1\.0, nan\]"),
+            (np.eye(2), 0.0, np.inf, r"scale must be finite, of size 1 or 2, got inf"),
+            (np.eye(2), [0.0, -np.inf], 1.0, r"shift must be finite, of size 1 or 2, got \[0\.0, -inf\]"),
+            (np.eye(2), [0.1, 0.2, 0.3], 1.0, r"shift must be finite, of size 1 or 2, got \[0\.1, 0\.2, 0\.3\]"),
+            (np.eye(2), 0.0, [[1.0, 1.0]], r"scale must be finite, of size 1 or 2, got \[\[1\.0, 1\.0\]\]"),
+            (np.ones(2), 0.0, 1.0, r"weight must be a finite \(d, m\) matrix, got shape \(2,\)"),
+            (np.zeros((2, 0)), 0.0, 1.0, r"weight must be a finite \(d, m\) matrix, got shape \(2, 0\)"),
+            ([[1.0, np.nan]], 0.0, 1.0, r"weight must be a finite \(d, m\) matrix, got shape \(1, 2\)"),
+        ],
+        ids=["zero-scale", "negative-scale", "nan-scale", "inf-scale", "inf-shift", "long-shift", "matrix-scale",
+             "vector-weight", "empty-weight", "nan-weight"],
+    )
+    def test_construction_refuses_a_bad_parameter_by_name(self, weight, shift, scale, message):
+        with pytest.raises(ConfigurationError, match=f"^affine flow {message}$"):
+            ConditionalAffineFlow(weight, shift, scale)
 
 
 def _elementwise_maps(params, z, y, xs):

@@ -388,6 +388,19 @@ class TestPower:
         res = run_power(ExperimentPlan(**{**SMALL_TYPE1, **over, "kind": "power"}))
         assert len(res.records) == 10 and res.aggregates()[0].rejection_rate > res.plan.alpha
 
+    @pytest.mark.parametrize("method", ["lc2st", "lc2st-nf"])
+    def test_vector_shift_runs_and_equals_its_scalar(self, method):
+        # the closed-form flow's shift is the distortion's (m,) mean_shift, as a sampler's is
+        over = {"method": method, "n_cal_grid": [300], "n_v": 300, "n_null": 10}
+        records = {}
+        for shift in (0.2, [0.2, 0.2], [0.2, -0.1]):
+            plan = ExperimentPlan(**{**SMALL_TYPE1, **over, "kind": "power", "estimator": {"kind": "distortion", "shift": shift}})
+            records[str(shift)] = [r.__dict__ for r in run_power(plan).records]
+        assert records["[0.2, 0.2]"] == records["0.2"] and len(records["0.2"]) == 2 * 3
+        assert len(records["[0.2, -0.1]"]) == 2 * 3 and records["[0.2, -0.1]"] != records["0.2"]
+        flow = _build_estimator({"kind": "distortion", "shift": [0.2, -0.1], "scale": 1.3}, make_task("gaussian_conjugate"), True)
+        assert flow.shift.tolist() == [0.2, -0.1] and flow.scale.tolist() == 2 * [1.3 * np.sqrt(0.5)]
+
     def test_npe_estimator_smoke(self):
         plan = ExperimentPlan(
             **{
@@ -851,14 +864,26 @@ class TestClassifierSpecChecks:
 
 
 class TestEstimatorSpecChecks:
-    def test_vector_shift_for_a_flow_is_named_with_its_cell(self):
-        estimator = {"kind": "distortion", "shift": [0.3, -0.2]}
+    def test_wrong_length_shift_is_named(self):
+        estimator = {"kind": "distortion", "shift": [0.3, -0.2, 0.1]}
         over = {"kind": "power", "n_cal_grid": [100], "n_null": 2, "n_v": 100, "estimator": estimator}
-        plan = ExperimentPlan(**{**SMALL_TYPE1, **over, "method": "lc2st-nf"})
-        with pytest.raises(ConfigurationError, match=r"^cell \(n_train=1\): .*'shift'.*\[0\.3, -0\.2\]"):
-            run_power(plan)
-        # a sampler takes the vector shift as it is
-        assert len(run_power(ExperimentPlan(**{**SMALL_TYPE1, **over})).records) == 2 * 3
+        for method in ("lc2st", "lc2st-nf"):
+            with pytest.raises(ConfigurationError, match=r"^mean_shift must have length m=2$"):
+                run_power(ExperimentPlan(**{**SMALL_TYPE1, **over, "method": method}))
+
+    def test_npe_spec_passes_only_the_keys_it_sets(self, monkeypatch):
+        # every entry point trains NPE with NpeConfig's and train_npe's own defaults
+        import lc2st.harness as hmod
+        from lc2st.cli import build_parser
+
+        calls = []
+        monkeypatch.setattr(hmod, "train_npe", lambda *args, **kw: calls.append(kw) or (None, None))
+        task = make_task("gaussian_conjugate")
+        for spec in ({"kind": "npe"}, {"kind": "npe", "n_layers": 2, "max_epochs": 3}):
+            _build_estimator(spec, task, True, 50, 1)
+        assert calls == [{"cfg": NpeConfig()}, {"cfg": NpeConfig(max_epochs=3), "n_layers": 2}]
+        cli_epochs = build_parser().parse_args(["train-npe", "--n-train", "5", "--out", "o"]).epochs
+        assert NpeConfig().max_epochs == cli_epochs == 200
 
     @pytest.mark.parametrize(
         "key, value",
